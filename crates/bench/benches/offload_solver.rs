@@ -1,10 +1,10 @@
-//! Criterion bench: the decentralized balance solver vs the centralized
-//! golden-section solver — the per-slot decision cost ablation
+//! Criterion bench: the decentralized balance solver vs the exact
+//! solve of the full P1′ objective — the per-slot decision cost ablation
 //! (DESIGN.md §5; the paper motivates decentralisation by the cost of
 //! centralized solving at scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use leime_offload::solver::{balance_solve, golden_section_solve};
+use leime_offload::solver::{balance_solve, exact_solve};
 use leime_offload::{DeviceParams, SharedParams, SlotCost};
 use std::hint::black_box;
 
@@ -29,8 +29,8 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("balance", i), &i, |b, _| {
             b.iter(|| black_box(balance_solve(&cost)));
         });
-        group.bench_with_input(BenchmarkId::new("golden_section", i), &i, |b, _| {
-            b.iter(|| black_box(golden_section_solve(&cost)));
+        group.bench_with_input(BenchmarkId::new("exact", i), &i, |b, _| {
+            b.iter(|| black_box(exact_solve(&cost)));
         });
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! Microbenchmarks for the slotted hot path's three inner kernels
 //! (DESIGN.md §14): the Eq. 10–11 queue update, the per-device-slot
-//! offloading decision (scalar and lane-batched solver), and the
-//! batched telemetry flush. Reports ns/op and *appends* a git-keyed run
+//! offloading decision (the exact P1′ solve), and the batched telemetry
+//! flush. Reports ns/op and *appends* a git-keyed run
 //! record to the `BENCH_kernels.json` history (schema `leime-bench/1`,
 //! same envelope as `BENCH_par.json`) so kernel-level drift stays
 //! visible between commits without running the full `perf_baseline`
@@ -30,8 +30,8 @@ use leime_offload::{
 };
 use leime_telemetry::{Clock, Registry, VirtualClock, WallClock};
 
-/// A fleet-sized batch: matches the reference scenario's device count so
-/// the lane-batched decision kernel sees realistic occupancy.
+/// A fleet-sized batch: matches the reference scenario's device count, so
+/// the telemetry flush replays one realistic slot.
 const BATCH: usize = 64;
 
 struct KernelResult {
@@ -117,31 +117,12 @@ fn main() {
         queue.q() + queue.h()
     }));
 
-    // Kernel 2: one scalar offloading decision (golden-section solve).
-    results.push(time_kernel("decision_scalar", 20_000, |i| {
+    // Kernel 2: one offloading decision (the exact P1′ solve).
+    results.push(time_kernel("decision_exact", 20_000, |i| {
         ctrl.decide(shared, dev, obs_for(i))
     }));
 
-    // Kernel 3: the lane-batched decision path (`decide_batch` over a
-    // fleet-sized slice) — ns per *decision*, directly comparable to
-    // `decision_scalar`.
-    let shareds = vec![shared; BATCH];
-    let devs = vec![dev; BATCH];
-    let mut obs = vec![obs_for(0); BATCH];
-    let mut xs = vec![0.0f64; BATCH];
-    let batch_ops = 20_000u64;
-    let mut batched = time_kernel("decision_batched", batch_ops / BATCH as u64, |r| {
-        for (j, o) in obs.iter_mut().enumerate() {
-            *o = obs_for(r * BATCH as u64 + j as u64);
-        }
-        ctrl.decide_batch(&shareds, &devs, &obs, &mut xs);
-        xs.iter().sum()
-    });
-    batched.ns_per_op /= BATCH as f64;
-    batched.ops *= BATCH as u64;
-    results.push(batched);
-
-    // Kernel 4: telemetry replay — buffer a fleet's decisions in a
+    // Kernel 3: telemetry replay — buffer a fleet's decisions in a
     // `DecisionBatch` and flush once, as the slotted driver does per
     // slot; ns per recorded decision.
     let registry = Registry::new();

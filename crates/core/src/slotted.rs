@@ -110,25 +110,12 @@ struct ShardState {
     mmpp: Vec<Mmpp>,
     rngs: Vec<StdRng>,
     memo: DecideMemo,
-    scratch: SlotScratch,
 }
 
 impl ShardState {
     fn len(&self) -> usize {
         self.queues.len()
     }
-}
-
-/// Struct-of-arrays scratch for the batched decision path
-/// ([`shard_slot_batched`]): one entry per shard device, cleared —
-/// capacity kept — every slot, so steady-state slots never touch the
-/// allocator (S6).
-#[derive(Debug, Default, PartialEq)]
-struct SlotScratch {
-    shared: Vec<SharedParams>,
-    devs: Vec<DeviceParams>,
-    obs: Vec<SlotObservation>,
-    x: Vec<f64>,
 }
 
 /// Single-entry memo over the per-slot decision solve.
@@ -456,25 +443,19 @@ impl SlottedSystem {
             for (rel, slot) in ctx.slots.clone().enumerate() {
                 let quants = ctx.quants(rel);
                 let slot_start = SimTime::from_secs(slot as f64 * slot_len_s);
-                if run_ctx.schedule.is_some() {
-                    // Chaos path: per-device health lookups and churn
-                    // make the decision inputs irregular; solve scalar.
-                    for k in 0..sh.len() {
-                        outs.push(device_slot(
-                            &run_ctx,
-                            quants,
-                            slot_start,
-                            slot as u64,
-                            sh.start + k,
-                            &mut sh.queues[k],
-                            &mut sh.degrades[k],
-                            sh.mmpp.get_mut(k),
-                            &mut sh.rngs[k],
-                            &mut sh.memo,
-                        )?);
-                    }
-                } else {
-                    shard_slot_batched(&run_ctx, quants, slot_start, slot as u64, sh, &mut outs)?;
+                for k in 0..sh.len() {
+                    outs.push(device_slot(
+                        &run_ctx,
+                        quants,
+                        slot_start,
+                        slot as u64,
+                        sh.start + k,
+                        &mut sh.queues[k],
+                        &mut sh.degrades[k],
+                        sh.mmpp.get_mut(k),
+                        &mut sh.rngs[k],
+                        &mut sh.memo,
+                    )?);
                 }
             }
             Ok(outs)
@@ -619,7 +600,6 @@ fn build_shards(queues: &[QueuePair], mmpp: &[Mmpp], seed: u64, workers: usize) 
                 .map(|i| StdRng::seed_from_u64(leime_par::stream_seed(seed, i as u64)))
                 .collect(),
             memo: DecideMemo::default(),
-            scratch: SlotScratch::default(),
         });
     }
     shards
@@ -673,9 +653,7 @@ fn tail_cost(run: &RunCtx<'_>, s: SharedParams, cost: &SlotCost, x: f64, tasks: 
 }
 
 /// Builds device `i`'s decision inputs for one slot under the given
-/// link/edge health. Shared by the scalar ([`device_slot`]) and batched
-/// ([`shard_slot_batched`]) paths, so both present the controller with
-/// identical bits by construction.
+/// link/edge health.
 fn decision_inputs(
     run: &RunCtx<'_>,
     quants: &SlotQuants,
@@ -704,23 +682,9 @@ fn decision_inputs(
     (shared_i, dev, obs)
 }
 
-/// One device's solved decision plus the inputs it came from — what
-/// [`device_slot_finish`] needs to complete the slot.
-struct DeviceDecision {
-    shared: SharedParams,
-    dev: DeviceParams,
-    obs: SlotObservation,
-    x_opt: f64,
-    dpp: f64,
-    fault: bool,
-    /// `link.up && edge.up` — what the degradation ladder observes.
-    reachable: bool,
-    /// A downed edge serves nothing (zero H-quota in Eq. 11).
-    edge_up: bool,
-}
-
-/// Simulates one device-slot: the decentralized per-device solve plus
-/// queue recursion, touching nothing but this device's state (passed as
+/// Simulates one device-slot — the decentralized per-device solve, the
+/// degradation ladder, the arrival draw, the realized slot cost and the
+/// queue recursion — touching nothing but this device's state (passed as
 /// the shard's struct-of-arrays elements). Allocation-free (S6) and safe
 /// to run concurrently across devices; all recording is deferred to
 /// [`apply_out`] on the driving thread.
@@ -771,177 +735,8 @@ fn device_slot(
         };
         (x_opt, dpp)
     };
-    device_slot_finish(
-        run,
-        t_slot,
-        queue,
-        degrade,
-        mmpp,
-        rng,
-        DeviceDecision {
-            shared: shared_i,
-            dev,
-            obs,
-            x_opt,
-            dpp,
-            fault,
-            reachable: link.up && edge.up,
-            edge_up: edge.up,
-        },
-    )
-}
-
-/// One slot for a whole shard on the fault-free fast path (no chaos
-/// schedule): gathers every device's decision inputs into the shard's
-/// SoA scratch, solves them as one batch — or broadcasts the memo hit
-/// when every device presents the same input bits — then finishes each
-/// device in order. Bit-identical to looping [`device_slot`]: the
-/// inputs come from the shared [`decision_inputs`], the batched solver
-/// is bit-identical per element (`decide_batch`'s contract), and the
-/// tail is the shared [`device_slot_finish`].
-fn shard_slot_batched(
-    run: &RunCtx<'_>,
-    quants: &SlotQuants,
-    slot_start: SimTime,
-    t_slot: u64,
-    sh: &mut ShardState,
-    outs: &mut Vec<DeviceSlotOut>,
-) -> Result<()> {
-    let ShardState {
-        start,
-        queues,
-        degrades,
-        mmpp,
-        rngs,
-        memo,
-        scratch,
-    } = sh;
-    scratch.shared.clear();
-    scratch.devs.clear();
-    scratch.obs.clear();
-    // Gather (everyone is alive and nominal without a schedule).
-    let mut uniform: Option<[u64; 15]> = None;
-    let mut all_same = true;
-    for (k, queue) in queues.iter().enumerate() {
-        let (shared_i, dev, obs) = decision_inputs(
-            run,
-            quants,
-            slot_start,
-            *start + k,
-            queue,
-            &LinkHealth::NOMINAL,
-            &EdgeHealth::NOMINAL,
-        );
-        let key = decide_key(&shared_i, &dev, &obs);
-        match uniform {
-            None => uniform = Some(key),
-            Some(first) if first == key => {}
-            Some(_) => all_same = false,
-        }
-        scratch.shared.push(shared_i);
-        scratch.devs.push(dev);
-        scratch.obs.push(obs);
-    }
-    // Solve. A fleet presenting identical input bits on every device
-    // (homogeneous params, drained queues) needs exactly one solve:
-    // `decide` is pure, so broadcasting it is bit-identical.
-    let n = scratch.devs.len();
-    scratch.x.clear();
-    if let (true, Some(key)) = (all_same, uniform) {
-        if memo.key != Some(key) {
-            let x_opt = run
-                .decider
-                .decide(scratch.shared[0], scratch.devs[0], scratch.obs[0]);
-            let dpp = if run.want_dpp {
-                SlotCost::new(
-                    scratch.shared[0],
-                    scratch.devs[0],
-                    scratch.obs[0].q,
-                    scratch.obs[0].h,
-                    scratch.obs[0].p_share,
-                )
-                .eval()
-                .drift_plus_penalty(x_opt)
-            } else {
-                0.0
-            };
-            *memo = DecideMemo {
-                key: Some(key),
-                x_opt,
-                dpp,
-            };
-        }
-        scratch.x.resize(n, memo.x_opt);
-    } else {
-        scratch.x.resize(n, 0.0);
-        run.decider
-            .decide_batch(&scratch.shared, &scratch.devs, &scratch.obs, &mut scratch.x);
-    }
-    // Finish each device in order — the same tail, on the same
-    // per-device state, as the scalar path.
-    for k in 0..n {
-        let dpp = if all_same {
-            // Identical inputs ⟹ identical objective value (purity).
-            memo.dpp
-        } else if run.want_dpp {
-            SlotCost::new(
-                scratch.shared[k],
-                scratch.devs[k],
-                scratch.obs[k].q,
-                scratch.obs[k].h,
-                scratch.obs[k].p_share,
-            )
-            .eval()
-            .drift_plus_penalty(scratch.x[k])
-        } else {
-            0.0
-        };
-        outs.push(device_slot_finish(
-            run,
-            t_slot,
-            &mut queues[k],
-            &mut degrades[k],
-            mmpp.get_mut(k),
-            &mut rngs[k],
-            DeviceDecision {
-                shared: scratch.shared[k],
-                dev: scratch.devs[k],
-                obs: scratch.obs[k],
-                x_opt: scratch.x[k],
-                dpp,
-                fault: false,
-                reachable: true,
-                edge_up: true,
-            },
-        )?);
-    }
-    Ok(())
-}
-
-/// Completes one device-slot after its decision: the degradation
-/// ladder, the arrival draw, the realized slot cost and the queue
-/// recursion. Common tail of [`device_slot`] and
-/// [`shard_slot_batched`].
-fn device_slot_finish(
-    run: &RunCtx<'_>,
-    t_slot: u64,
-    queue: &mut QueuePair,
-    degrade: &mut DegradeState,
-    mmpp: Option<&mut Mmpp>,
-    rng: &mut StdRng,
-    decision: DeviceDecision,
-) -> Result<DeviceSlotOut> {
-    let DeviceDecision {
-        shared: shared_i,
-        dev,
-        obs,
-        x_opt,
-        dpp,
-        fault,
-        reachable,
-        edge_up,
-    } = decision;
-    let outcome = degrade.degraded_decide(&run.scenario.degrade, t_slot, reachable, x_opt);
+    // The degradation ladder observes reachability (`link.up && edge.up`).
+    let outcome = degrade.degraded_decide(&run.scenario.degrade, t_slot, link.up && edge.up, x_opt);
     let x = outcome.x;
     // Any non-Normal mode forces x = 0: the slot's tasks run fully
     // locally and take the First-exit on device.
@@ -984,7 +779,7 @@ fn device_slot_finish(
     // H-quota); its backlog waits out the fault.
     let a = (1.0 - x) * arrivals as f64;
     let d_off = x * arrivals as f64;
-    let edge_quota = if edge_up { ev.edge_quota(x) } else { 0.0 };
+    let edge_quota = if edge.up { ev.edge_quota(x) } else { 0.0 };
     queue.step(a, d_off, ev.device_quota(), edge_quota);
     let served = (obs.q + a - queue.q()) + (obs.h + d_off - queue.h());
 

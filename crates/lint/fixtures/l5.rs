@@ -4,6 +4,6 @@ pub fn balance_solve(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
 }
 
-pub fn golden_section_solve(x: f64) -> f64 {
+pub fn exact_solve(x: f64) -> f64 {
     invariant::check_unit_interval("fixture", x)
 }

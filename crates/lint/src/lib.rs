@@ -14,10 +14,8 @@
 //! iteration, unit-suffix mixing, crate layering — and the
 //! interprocedural flow rules S5–S8 — shard-capture races, the
 //! hot-path allocation ratchet, RNG-stream hygiene, shard-body
-//! blocking — and the numeric-determinism and unsafe-audit rules
-//! S9–S12 — hot-path float reductions, `target_feature` round bodies
-//! plus the SIMD differential-test registry, the `unsafe` ledger
-//! ratchet, shard lock-order cycles — come from [`leime_sema`]
+//! blocking — and the numeric-determinism rules S9 and S12 — hot-path
+//! float reductions, shard lock-order cycles — come from [`leime_sema`]
 //! (re-exported as [`sema`]) and are merged into the same
 //! waiver/report pipeline under the `leime-lint/4` schema.
 //!
@@ -64,17 +62,6 @@ pub struct ScanOptions {
     /// Regenerate the S6 baseline from this run's counts instead of
     /// comparing against it (`--write-baseline`).
     pub write_s6_baseline: bool,
-    /// S11 unsafe-audit ledger file. `None` uses the committed
-    /// [`UNSAFE_LEDGER_PATH`] under the root in workspace mode and
-    /// disables the ledger ratchet for explicit-path scans.
-    pub unsafe_ledger: Option<PathBuf>,
-    /// Regenerate the unsafe ledger from this run's counts instead of
-    /// comparing against it (`--write-ledger`).
-    pub write_unsafe_ledger: bool,
-    /// S10 SIMD differential-test registry file. `None` uses the
-    /// committed [`SIMD_REGISTRY_PATH`] under the root in workspace
-    /// mode and skips the registry check for explicit-path scans.
-    pub simd_registry: Option<PathBuf>,
 }
 
 impl ScanOptions {
@@ -88,9 +75,6 @@ impl ScanOptions {
             sema: true,
             s6_baseline: None,
             write_s6_baseline: false,
-            unsafe_ledger: None,
-            write_unsafe_ledger: false,
-            simd_registry: None,
         }
     }
 }
@@ -103,26 +87,6 @@ pub const S6_BASELINE_PATH: &str = "crates/lint/hot_alloc_baseline.json";
 
 /// Schema tag of the S6 baseline file.
 pub const S6_BASELINE_SCHEMA: &str = "leime-lint-hot-alloc/1";
-
-/// The committed S11 unsafe-audit ledger, relative to the workspace
-/// root. Same ratchet semantics as S6: a file's `unsafe` site count
-/// may only go down; raising it requires regenerating this file with
-/// `--write-ledger` (and justifying the new site in review — every
-/// site also needs its own `// safety:` comment, which is checked
-/// per-site, not through the ledger).
-pub const UNSAFE_LEDGER_PATH: &str = "crates/lint/unsafe_ledger.json";
-
-/// Schema tag of the unsafe ledger file.
-pub const UNSAFE_LEDGER_SCHEMA: &str = "leime-lint-unsafe/1";
-
-/// The committed S10 SIMD differential-test registry, relative to the
-/// workspace root: every `#[target_feature]` fn must appear here,
-/// naming the lane-vs-scalar differential test that pins its
-/// bit-identity.
-pub const SIMD_REGISTRY_PATH: &str = "crates/lint/simd_registry.json";
-
-/// Schema tag of the SIMD registry file.
-pub const SIMD_REGISTRY_SCHEMA: &str = "leime-lint-simd/1";
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
@@ -212,69 +176,6 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
                 }
             }
         }
-
-        // S11 unsafe audit: every site needs a `// safety:` comment
-        // (per-site findings), and per-file counts ratchet against the
-        // committed ledger (same partial-scan caveat as S6).
-        if sema_cfg.rule_on("S11") {
-            let mut unsafe_counts: BTreeMap<String, usize> = BTreeMap::new();
-            for (rel, src) in &sources {
-                let sites = leime_sema::audit::unsafe_sites(src);
-                if !sites.is_empty() {
-                    unsafe_counts.insert(rel.clone(), sites.len());
-                }
-                for site in sites {
-                    if site.justified {
-                        continue;
-                    }
-                    let what = match site.kind {
-                        leime_sema::audit::UnsafeKind::Block => "`unsafe` block".to_string(),
-                        leime_sema::audit::UnsafeKind::Fn => {
-                            format!("`unsafe fn {}`", site.fn_name)
-                        }
-                    };
-                    sema_by_file.entry(rel.clone()).or_default().push(Finding {
-                        rule: "S11".to_string(),
-                        path: rel.clone(),
-                        line: site.line,
-                        message: format!(
-                            "{what} has no `// safety:` justification — every audited \
-                             `unsafe` site must state why its obligations hold \
-                             (DESIGN.md §15)"
-                        ),
-                    });
-                }
-            }
-            let ledger_path = opts.unsafe_ledger.clone().or_else(|| {
-                opts.paths
-                    .is_empty()
-                    .then(|| opts.root.join(UNSAFE_LEDGER_PATH))
-            });
-            if let Some(lp) = ledger_path {
-                if opts.write_unsafe_ledger {
-                    write_unsafe_ledger(&lp, &unsafe_counts)?;
-                } else if lp.is_file() {
-                    for f in check_unsafe_ledger(&lp, &unsafe_counts)? {
-                        sema_by_file.entry(f.path.clone()).or_default().push(f);
-                    }
-                }
-            }
-        }
-
-        // S10 registry check: every `#[target_feature]` fn must name a
-        // lane-vs-scalar differential test in the committed registry.
-        if sema_cfg.rule_on("S10") {
-            let registry_path = opts.simd_registry.clone().or_else(|| {
-                opts.paths
-                    .is_empty()
-                    .then(|| opts.root.join(SIMD_REGISTRY_PATH))
-            });
-            if let Some(rp) = registry_path {
-                for f in check_simd_registry(&rp, flow.target_feature_fns())? {
-                    sema_by_file.entry(f.path.clone()).or_default().push(f);
-                }
-            }
-        }
     }
 
     let mut violations = Vec::new();
@@ -360,103 +261,6 @@ fn check_s6(
                      region or regenerate the baseline with `--write-baseline` and justify \
                      the diff in review",
                     ha.count
-                ),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Writes the S11 unsafe ledger from this run's per-file `unsafe`
-/// site counts (sorted keys — the file diffs cleanly).
-fn write_unsafe_ledger(path: &Path, counts: &BTreeMap<String, usize>) -> Result<(), String> {
-    let mut files = serde_json::Map::new();
-    for (rel, n) in counts {
-        files.insert(rel.clone(), serde_json::json!({ "count": n }));
-    }
-    let mut root = serde_json::Map::new();
-    root.insert(
-        "schema".to_string(),
-        serde_json::Value::String(UNSAFE_LEDGER_SCHEMA.to_string()),
-    );
-    root.insert("files".to_string(), serde_json::Value::Object(files));
-    let doc = serde_json::Value::Object(root);
-    let text = serde_json::to_string_pretty(&doc)
-        .map_err(|e| format!("cannot serialize unsafe ledger: {e}"))?;
-    std::fs::write(path, text + "\n").map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
-/// Compares this run's per-file `unsafe` counts against the committed
-/// ledger: any file whose count rose (files missing from the ledger
-/// count as 0) yields an S11 finding at line 1 of that file.
-fn check_unsafe_ledger(
-    path: &Path,
-    counts: &BTreeMap<String, usize>,
-) -> Result<Vec<Finding>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc: serde_json::Value = serde_json::from_str(&text)
-        .map_err(|e| format!("malformed unsafe ledger {}: {e}", path.display()))?;
-    let files = doc.get("files").and_then(|v| v.as_object());
-    let mut out = Vec::new();
-    for (rel, n) in counts {
-        let base = files
-            .and_then(|m| m.get(rel))
-            .and_then(|e| e.get("count"))
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0) as usize;
-        if *n > base {
-            out.push(Finding {
-                rule: "S11".to_string(),
-                path: rel.clone(),
-                line: 1,
-                message: format!(
-                    "`unsafe` site count rose to {n} (ledger {base}) — the S11 ratchet \
-                     only goes down; remove the new site or regenerate the ledger with \
-                     `--write-ledger` and justify the diff in review"
-                ),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Checks every `#[target_feature]` fn against the committed SIMD
-/// differential-test registry. A missing registry file is an empty
-/// registry: every fn is flagged until the registry exists.
-fn check_simd_registry(
-    path: &Path,
-    tf_fns: &[(String, leime_sema::audit::TargetFeatureFn)],
-) -> Result<Vec<Finding>, String> {
-    let fns: Option<serde_json::Value> = if path.is_file() {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| format!("malformed SIMD registry {}: {e}", path.display()))?;
-        doc.get("fns").cloned()
-    } else {
-        None
-    };
-    let registered = |name: &str| {
-        fns.as_ref()
-            .and_then(|m| m.get(name))
-            .and_then(|e| e.get("test"))
-            .and_then(serde_json::Value::as_str)
-            .is_some_and(|t| !t.is_empty())
-    };
-    let mut out = Vec::new();
-    for (rel, tf) in tf_fns {
-        if !registered(&tf.name) {
-            out.push(Finding {
-                rule: "S10".to_string(),
-                path: rel.clone(),
-                line: tf.line,
-                message: format!(
-                    "`fn {}` enables `{}` but names no lane-vs-scalar differential test \
-                     in the SIMD registry ({SIMD_REGISTRY_PATH}) — add a test that pins \
-                     bit-identity against the scalar path and register it",
-                    tf.name,
-                    tf.features.join(",")
                 ),
             });
         }

@@ -13,8 +13,7 @@ use leime_lint::{parse_rule_filter, run, ScanOptions};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: leime-lint [--root DIR] [--json] [--deny-all] [--no-sema] \
-[--max-waivers N] [--rules L1,...,S12] [--baseline FILE] [--write-baseline] \
-[--ledger FILE] [--write-ledger] [--registry FILE] [paths...]";
+[--max-waivers N] [--rules L1,...,S12] [--baseline FILE] [--write-baseline] [paths...]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,8 +32,7 @@ fn real_main(args: &[String]) -> i32 {
             "--deny-all" => deny_all = true,
             "--no-sema" => opts.sema = false,
             "--write-baseline" => opts.write_s6_baseline = true,
-            "--write-ledger" => opts.write_unsafe_ledger = true,
-            "--root" | "--max-waivers" | "--rules" | "--baseline" | "--ledger" | "--registry" => {
+            "--root" | "--max-waivers" | "--rules" | "--baseline" => {
                 let Some(value) = args.get(i + 1) else {
                     eprintln!("{} needs a value\n{USAGE}", args[i]);
                     return 1;
@@ -42,8 +40,6 @@ fn real_main(args: &[String]) -> i32 {
                 match args[i].as_str() {
                     "--root" => opts.root = PathBuf::from(value),
                     "--baseline" => opts.s6_baseline = Some(PathBuf::from(value)),
-                    "--ledger" => opts.unsafe_ledger = Some(PathBuf::from(value)),
-                    "--registry" => opts.simd_registry = Some(PathBuf::from(value)),
                     "--max-waivers" => match value.parse::<usize>() {
                         Ok(n) => opts.max_waivers = n,
                         Err(_) => {

@@ -6,12 +6,10 @@
 //! `leime-lint/3` extended the rule universe with the interprocedural
 //! flow rules S5–S8 (shard-capture races, the hot-path allocation
 //! ratchet, RNG-stream hygiene, shard-body blocking); `leime-lint/4`
-//! extends it again with the numeric-determinism and unsafe-audit
-//! rules S9–S12 (hot-path float reductions, `target_feature` round
-//! bodies and the SIMD differential-test registry, the `unsafe`
-//! ledger ratchet, shard lock-order cycles). All `/2`-era fields are
-//! unchanged, so older consumers keep working; only `rule_set` and
-//! the possible `rule` values grow.
+//! extends it again with the numeric-determinism rules S9 and S12
+//! (hot-path float reductions, shard lock-order cycles). All `/2`-era
+//! fields are unchanged, so older consumers keep working; only
+//! `rule_set` and the possible `rule` values change.
 
 use crate::rules::{Finding, Waived, RULE_IDS};
 use serde::Serialize;
@@ -33,7 +31,7 @@ pub struct RuleCount {
 pub struct Report {
     /// Schema tag (`leime-lint/4`).
     pub schema: String,
-    /// The rule identifiers this schema covers (L1–L5, S1–S12).
+    /// The rule identifiers this schema covers (L1–L5, S1–S9, S12).
     pub rule_set: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,

@@ -31,10 +31,9 @@ pub use leime_sema::Finding;
 
 /// All primary rule identifiers: the token-level L-rules plus the
 /// semantic S-rules from `leime-sema` (S5–S8 are the interprocedural
-/// flow rules, S9–S12 the numeric-determinism and unsafe-audit rules).
+/// flow rules, S9 and S12 the float-reduction and lock-order rules).
 pub const RULE_IDS: &[&str] = &[
-    "L1", "L2", "L3", "L4", "L5", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S10",
-    "S11", "S12",
+    "L1", "L2", "L3", "L4", "L5", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S12",
 ];
 
 /// A violation suppressed by an inline waiver.
@@ -70,8 +69,6 @@ pub struct RuleConfig {
     /// Function names allowed to hold float accumulations under S9
     /// (ordered-reduction helpers and approved bit-exact kernels).
     pub s9_approved_fns: Vec<String>,
-    /// Shared round bodies registered as FMA-free (S10).
-    pub fma_free_round_bodies: Vec<String>,
 }
 
 impl Default for RuleConfig {
@@ -90,7 +87,7 @@ impl Default for RuleConfig {
                 "kkt_allocation_with_floor",
                 "step",
                 "balance_solve",
-                "golden_section_solve",
+                "exact_solve",
                 "feasible_interval",
                 "decide",
                 "branch_and_bound",
@@ -122,7 +119,6 @@ impl Default for RuleConfig {
             hot_path_markers: leime_sema::SemaConfig::default().hot_path_markers,
             rng_path_markers: leime_sema::SemaConfig::default().rng_path_markers,
             s9_approved_fns: leime_sema::SemaConfig::default().s9_approved_fns,
-            fma_free_round_bodies: leime_sema::SemaConfig::default().fma_free_round_bodies,
         }
     }
 }
@@ -152,7 +148,6 @@ impl RuleConfig {
             hot_path_markers: self.hot_path_markers.clone(),
             rng_path_markers: self.rng_path_markers.clone(),
             s9_approved_fns: self.s9_approved_fns.clone(),
-            fma_free_round_bodies: self.fma_free_round_bodies.clone(),
             ..leime_sema::SemaConfig::default()
         }
     }

@@ -594,125 +594,6 @@ fn s9_fixture_flags_hot_float_accumulations_only() {
 }
 
 #[test]
-fn s10_fixture_flags_fma_and_missing_round_body() {
-    let report = scan_fixture("s10.rs", flow_rule_config("S10"));
-    // `lanes_fma` funnels through the shared `round_body` but enables
-    // `fma` unregistered; `lanes_lone` shares no round body at all.
-    assert_eq!(triples(&report), expected("S10", "s10.rs", &[4, 9]));
-    assert!(
-        report.violations[0].message.contains("fma"),
-        "{}",
-        report.violations[0].message
-    );
-    assert!(
-        report.violations[1]
-            .message
-            .contains("shared with the scalar path"),
-        "{}",
-        report.violations[1].message
-    );
-}
-
-#[test]
-fn s10_fma_free_registration_clears_the_fma_finding() {
-    let mut config = flow_rule_config("S10");
-    config.fma_free_round_bodies.push("round_body".to_string());
-    let report = scan_fixture("s10.rs", config);
-    assert_eq!(triples(&report), expected("S10", "s10.rs", &[9]));
-}
-
-#[test]
-fn s10_registry_check_flags_unregistered_lane_fns() {
-    let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = vec![PathBuf::from("crates/lint/fixtures/s10.rs")];
-    let mut config = flow_rule_config("S10");
-    config.fma_free_round_bodies.push("round_body".to_string());
-    opts.config = config;
-    opts.simd_registry = Some(workspace_root().join("crates/lint/fixtures/s10_registry.json"));
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
-    // `lanes_fma` is registered; `lanes_lone` is not, so it carries the
-    // registry finding on top of its missing-round-body one.
-    assert_eq!(triples(&report), expected("S10", "s10.rs", &[9, 9]));
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|f| f.message.contains("SIMD registry")),
-        "{:?}",
-        report.violations
-    );
-}
-
-#[test]
-fn s11_fixture_flags_unjustified_sites_only() {
-    let report = scan_fixture("s11.rs", flow_rule_config("S11"));
-    // The commented block at line 5 passes; the bare block (9) and the
-    // bare `unsafe fn` (12) do not.
-    assert_eq!(triples(&report), expected("S11", "s11.rs", &[9, 12]));
-    assert!(
-        report.violations[0].message.contains("`// safety:`"),
-        "{}",
-        report.violations[0].message
-    );
-    assert!(
-        report.violations[1]
-            .message
-            .contains("`unsafe fn raw_read`"),
-        "{}",
-        report.violations[1].message
-    );
-}
-
-#[test]
-fn s11_ledger_ratchet_trips_when_counts_rise() {
-    let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = vec![PathBuf::from("crates/lint/fixtures/s11.rs")];
-    opts.config = flow_rule_config("S11");
-    opts.unsafe_ledger = Some(workspace_root().join("crates/lint/fixtures/s11_ledger.json"));
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
-    // Ledger pins 1 site, the file has 3: the line-1 ratchet finding
-    // joins the two per-site ones.
-    assert_eq!(triples(&report), expected("S11", "s11.rs", &[1, 9, 12]));
-    assert!(
-        report.violations[0]
-            .message
-            .contains("rose to 3 (ledger 1)"),
-        "{}",
-        report.violations[0].message
-    );
-}
-
-#[test]
-fn s11_write_ledger_round_trips_to_a_quiet_ratchet() {
-    let path = std::env::temp_dir().join(format!("leime_s11_ledger_{}.json", std::process::id()));
-    let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = vec![PathBuf::from("crates/lint/fixtures/s11.rs")];
-    opts.config = flow_rule_config("S11");
-    opts.unsafe_ledger = Some(path.clone());
-    opts.write_unsafe_ledger = true;
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("ledger write must succeed: {e}"),
-    };
-    // Per-site findings persist (they are not ledgered away)...
-    assert_eq!(triples(&report), expected("S11", "s11.rs", &[9, 12]));
-    // ...but a re-run against the fresh ledger adds no ratchet finding.
-    opts.write_unsafe_ledger = false;
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(triples(&report), expected("S11", "s11.rs", &[9, 12]));
-}
-
-#[test]
 fn s12_fixture_flags_the_lock_cycle() {
     let report = scan_fixture("s12.rs", flow_rule_config("S12"));
     // The cycle anchors at the first acquisition of its smallest lock.
@@ -729,7 +610,7 @@ fn numeric_ws_fixture_crosses_files_in_text_and_json() {
     // The hot root and shard body live in driver.rs; the S9 float
     // reduction sits in kernel.rs and the S12 lock cycle in locks.rs —
     // the flow graph must connect all three files.
-    let report = scan_fixture("numeric_ws", flow_rule_config("S9,S10,S11,S12"));
+    let report = scan_fixture("numeric_ws", flow_rule_config("S9,S12"));
     assert_eq!(
         triples(&report),
         vec![
@@ -772,7 +653,7 @@ fn numeric_ws_fixture_crosses_files_in_text_and_json() {
         .as_array()
         .map(|a| a.iter().filter_map(|r| r.as_str()).collect())
         .unwrap_or_default();
-    for rule in ["S9", "S10", "S11", "S12"] {
+    for rule in ["S9", "S12"] {
         assert!(rule_set.contains(&rule), "{rule} missing from {rule_set:?}");
     }
     let got: Vec<(String, String, u64)> = v["violations"]

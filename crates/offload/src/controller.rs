@@ -1,8 +1,6 @@
 //! Per-slot offloading policies.
 
-use crate::solver::{
-    balance_solve, feasible_interval, golden_section_solve, golden_section_solve_batch,
-};
+use crate::solver::{balance_solve, exact_solve, feasible_interval};
 use crate::telemetry::ControllerTelemetry;
 use crate::{DeviceParams, SharedParams, SlotCost};
 use leime_invariant as invariant;
@@ -52,11 +50,9 @@ pub trait OffloadController: Send + Sync + std::fmt::Debug {
     /// Decides one slot's ratios for a batch of independent devices,
     /// writing `out[i] = decide(shared[i], devices[i], obs[i])`.
     ///
-    /// The default loops [`OffloadController::decide`]; implementations
-    /// whose solve is expensive may interleave the independent searches
-    /// for throughput, but every element must carry exactly the bits the
-    /// scalar call returns — drivers rely on this to keep batched and
-    /// per-device paths interchangeable (DESIGN.md §11).
+    /// The default loops [`OffloadController::decide`]. An override must
+    /// give every element exactly the bits the scalar call returns, so
+    /// batched and per-device callers stay interchangeable (DESIGN.md §11).
     ///
     /// # Panics
     ///
@@ -75,8 +71,8 @@ pub trait OffloadController: Send + Sync + std::fmt::Debug {
 }
 
 /// LEIME's online controller: minimises the drift-plus-penalty objective.
-/// With finite `V` it runs the centralized-equivalent golden-section on the
-/// convex per-device objective; with `V = ∞` it uses the paper's
+/// With finite `V` it solves the convex per-device objective exactly
+/// ([`exact_solve`]); with `V = ∞` it uses the paper's
 /// decentralized balance condition `T_d = T_e` (§III-D4) — both restricted
 /// to the bandwidth-feasible interval.
 ///
@@ -101,7 +97,7 @@ impl OffloadController for LyapunovController {
         let x = if shared.v.is_infinite() {
             balance_solve(&cost)
         } else {
-            golden_section_solve(&cost)
+            exact_solve(&cost)
         };
         if let Some(telemetry) = &self.telemetry {
             telemetry.record_decision(&obs, x, cost.drift_plus_penalty(x));
@@ -119,36 +115,6 @@ impl OffloadController for LyapunovController {
 
     fn records_decisions(&self) -> bool {
         self.telemetry.is_some()
-    }
-
-    /// Interleaves the per-device golden-section searches so their
-    /// division chains overlap ([`golden_section_solve_batch`]); each
-    /// element returns the bits [`LyapunovController::decide`] would.
-    /// Telemetry attachment or the `V = ∞` balance path fall back to the
-    /// scalar loop (recording and bisection are per-device anyway).
-    fn decide_batch(
-        &self,
-        shared: &[SharedParams],
-        devices: &[DeviceParams],
-        obs: &[SlotObservation],
-        out: &mut [f64],
-    ) {
-        assert!(
-            shared.len() == out.len() && devices.len() == out.len() && obs.len() == out.len(),
-            "decide_batch slice lengths differ"
-        );
-        if self.telemetry.is_some() || shared.iter().any(|s| s.v.is_infinite()) {
-            for (i, x) in out.iter_mut().enumerate() {
-                *x = self.decide(shared[i], devices[i], obs[i]);
-            }
-            return;
-        }
-        let costs = (0..out.len())
-            .map(|i| SlotCost::new(shared[i], devices[i], obs[i].q, obs[i].h, obs[i].p_share));
-        golden_section_solve_batch(costs, out);
-        for x in out.iter() {
-            invariant::check_unit_interval("offload.leime.decide", *x);
-        }
     }
 }
 
@@ -333,8 +299,7 @@ mod tests {
     }
 
     /// `decide_batch` must be bitwise interchangeable with per-device
-    /// `decide` — for the Lyapunov fast path (finite V), its balance
-    /// fallback (V = ∞), and the default-method controllers.
+    /// `decide` — for every controller, at finite and infinite `V`.
     #[test]
     fn decide_batch_matches_scalar_decide_bitwise() {
         let controllers: Vec<Box<dyn OffloadController>> = vec![

@@ -165,8 +165,8 @@ impl SlotCost {
 
 /// Precomputed form of [`SlotCost`] for the solvers' inner loops; build
 /// with [`SlotCost::eval`]. See there for the bit-compatibility contract.
-/// Fields are `pub(crate)` so the batched solver can transpose them into
-/// its lane-parallel layout; the contract covers that path too.
+/// Fields are `pub(crate)` so the exact solver can read the objective's
+/// coefficients.
 #[derive(Debug, Clone, Copy)]
 pub struct CostEval {
     /// Arrival mean `k_i`.

@@ -21,7 +21,7 @@
 //! * [`kkt_allocation`] — the closed-form edge resource shares `p_i`
 //!   (Eq. 27, Appendix B) with feasibility projection,
 //! * [`solver`] — the decentralized balance solver (bisection on
-//!   `T_d = T_e`), a centralized golden-section reference, and the
+//!   `T_d = T_e`), the exact per-piece solve of `P1′`, and the
 //!   bandwidth-feasibility interval of constraint (8),
 //! * [`controller`] — pluggable per-slot policies: LEIME's Lyapunov
 //!   controller plus the paper's baselines (device-only, edge-only,

@@ -1,6 +1,6 @@
 //! Per-slot offloading-ratio solvers.
 
-use crate::SlotCost;
+use crate::{CostEval, SlotCost};
 use leime_invariant as invariant;
 
 /// The bandwidth-feasible offloading-ratio interval from constraint (8):
@@ -101,52 +101,56 @@ pub fn balance_solve(cost: &SlotCost) -> f64 {
     invariant::check_unit_interval("offload.balance_solve", x)
 }
 
-/// Centralized reference solver: golden-section minimisation of the full
-/// drift-plus-penalty objective (Eq. 19) over the feasible interval. The
-/// paper notes `P1′` is convex; this is the "common method" LEIME's
-/// decentralized solver is compared against.
+/// Newton iterations allowed per solve. Started on the convex side of
+/// the root and within 2× of it, the iteration descends monotonically
+/// and converges quadratically: over two 200k-input random corpora it
+/// averaged 4–6 steps and never took more than 10 (counting the final
+/// step that detects convergence), so the cap only bounds a
+/// pathological input's cost.
+const NEWTON_CAP: usize = 16;
+
+/// Exact solver of the per-slot problem P1′: minimises the
+/// drift-plus-penalty objective (Eq. 19) over the bandwidth-feasible
+/// interval. The paper notes `P1′` is convex; this is the "common
+/// method" LEIME's decentralized balance solver is compared against.
 ///
-/// The objective has a jump discontinuity at `x = 0` — with an edge
-/// backlog `H > 0`, the waiting term `D·H·μ_1/F^e_{i,1}` tends to a
-/// strictly positive limit as `x → 0⁺` but is exactly zero at `x = 0`
-/// (no task is offloaded, so none waits). The interior search therefore
+/// With `W = p_i·F^e`, `e₂ = (1−σ₁)·μ₂`, `u = μ₁·x + e₂` and
+/// `C = H·W·τ·e₂`, the objective's derivative on `(0, 1]` is
+/// `f′(x) = α + β·x − C/u²`: the device and edge costs are quadratic in
+/// `x` between the intra-batch-queueing kinks at `x = 1 − 1/k` and
+/// `x = 1/k`, and the edge quota contributes the rational term. Both
+/// kinks are convex and `β ≥ 0`, so `f′` is non-decreasing. The solver
+/// walks the (at most three) pieces to the one where `f′` changes sign
+/// and solves `(α + β·x)·u² = C` there by Newton from an upper bound.
+///
+/// The objective has a jump discontinuity at `x = 0`: no task is
+/// offloaded, so neither the edge wait nor the edge quota applies. With
+/// `e₂ > 0` the jump is upward (`x = 0` can only win the final
+/// comparison). With `e₂ = 0` (σ₁ = 1 or μ₂ = 0) the edge quota is the
+/// constant `W·τ/μ₁` for every `x > 0`, the jump is downward, and the
+/// infimum may sit at the open end `0⁺`: the search then starts at the
+/// tiny positive `hi·ε²` instead. Either way the stationary point
 /// finishes with an explicit comparison against both endpoints.
-// The `hi - lo < EPSILON` width test is an interval-degeneracy check.
-#[allow(clippy::float_equality_without_abs)]
-pub fn golden_section_solve(cost: &SlotCost) -> f64 {
+// The `hi - lo < EPSILON` width test is an interval-degeneracy check;
+// `!(w > 0)` deliberately treats a NaN share as no share.
+#[allow(clippy::float_equality_without_abs, clippy::neg_cmp_op_on_partial_ord)]
+pub fn exact_solve(cost: &SlotCost) -> f64 {
     let (lo, hi) = feasible_interval(cost);
-    if hi - lo < f64::EPSILON {
-        return invariant::check_unit_interval("offload.golden_section_solve", lo);
-    }
-    // The precomputed evaluator returns the same bits as SlotCost for
-    // every method (asserted in cost.rs) at a fraction of the work.
     let ev = cost.eval();
-    let f = |x: f64| ev.drift_plus_penalty(x);
-    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
-    let (mut a, mut b) = (lo, hi);
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let (mut fc, mut fd) = (f(c), f(d));
-    for _ in 0..80 {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
+    let w = ev.p_share * ev.edge_flops;
+    // A zero edge share prices every x > 0 at an infinite edge cost.
+    if hi - lo < f64::EPSILON || !(w > 0.0) {
+        return invariant::check_unit_interval("offload.exact_solve", lo);
     }
-    let interior = 0.5 * (a + b);
+    let left = if ev.edge2 > 0.0 {
+        lo
+    } else {
+        lo.max(hi * f64::EPSILON * f64::EPSILON)
+    };
+    let interior = stationary_point(&ev, w, left, hi);
     // `total_cmp` keeps the argmin well-defined even if the objective
-    // ever produced a NaN (it would order last, never win). f is pure, so
-    // caching the incumbent's value compares the same bits as
-    // re-evaluating it per candidate.
+    // ever produced a NaN (it would order last, never win).
+    let f = |x: f64| ev.drift_plus_penalty(x);
     let mut best = lo;
     let mut f_best = f(best);
     for x in [interior, hi] {
@@ -156,291 +160,95 @@ pub fn golden_section_solve(cost: &SlotCost) -> f64 {
             f_best = f_x;
         }
     }
-    invariant::check_unit_interval("offload.golden_section_solve", best)
+    invariant::check_unit_interval("offload.exact_solve", best)
 }
 
-/// Lane count of the batched golden-section kernel. Eight independent
-/// searches give the FP divider enough in-flight divisions to run at
-/// throughput instead of latency, and the lane-transposed state
-/// (22 x 8 doubles) stays L1-resident.
-const GS_LANES: usize = 16;
-
-/// Bitwise select: the exact bits of `a` when `mask` is all-ones, of `b`
-/// when all-zeros. Compiles to AND/OR — no branch, no rounding.
-#[inline(always)]
-fn sel(mask: u64, a: f64, b: f64) -> f64 {
-    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
-}
-
-/// All-ones when `a > b`, all-zeros otherwise (for [`sel`]).
-#[inline(always)]
-fn gt(a: f64, b: f64) -> u64 {
-    ((a > b) as u64).wrapping_neg()
-}
-
-/// Lane-transposed (struct-of-arrays) state for up to [`GS_LANES`]
-/// concurrent golden-section searches: each [`crate::CostEval`] field
-/// and each contraction variable becomes one array indexed by lane, so
-/// the per-iteration pass is a fixed-trip elementwise loop the compiler
-/// can vectorise — and even unvectorised, the eight independent
-/// division chains overlap in the divider instead of serialising.
-#[derive(Debug, Default)]
-struct GsSoa {
-    // CostEval fields, transposed.
-    k: [f64; GS_LANES],
-    q: [f64; GS_LANES],
-    h: [f64; GS_LANES],
-    v: [f64; GS_LANES],
-    per_task_dev: [f64; GS_LANES],
-    one_minus_sigma1: [f64; GS_LANES],
-    tx1: [f64; GS_LANES],
-    tx0: [f64; GS_LANES],
-    mu1: [f64; GS_LANES],
-    p_share: [f64; GS_LANES],
-    edge_flops: [f64; GS_LANES],
-    edge2: [f64; GS_LANES],
-    slot_len_s: [f64; GS_LANES],
-    device_quota: [f64; GS_LANES],
-    // Contraction state.
-    a: [f64; GS_LANES],
-    b: [f64; GS_LANES],
-    c: [f64; GS_LANES],
-    d: [f64; GS_LANES],
-    fc: [f64; GS_LANES],
-    fd: [f64; GS_LANES],
-    lo: [f64; GS_LANES],
-    hi: [f64; GS_LANES],
-    /// Output-slice index per lane.
-    idx: [usize; GS_LANES],
-    /// Filled lanes (the rest are padding).
-    n: usize,
-}
-
-impl GsSoa {
-    fn push(&mut self, cost: &SlotCost, lo: f64, hi: f64, inv_phi: f64, idx: usize) {
-        let ev = cost.eval();
-        let i = self.n;
-        self.k[i] = ev.k;
-        self.q[i] = ev.q;
-        self.h[i] = ev.h;
-        self.v[i] = ev.v;
-        self.per_task_dev[i] = ev.per_task_dev;
-        self.one_minus_sigma1[i] = ev.one_minus_sigma1;
-        self.tx1[i] = ev.tx1;
-        self.tx0[i] = ev.tx0;
-        self.mu1[i] = ev.mu1;
-        self.p_share[i] = ev.p_share;
-        self.edge_flops[i] = ev.edge_flops;
-        self.edge2[i] = ev.edge2;
-        self.slot_len_s[i] = ev.slot_len_s;
-        self.device_quota[i] = ev.device_quota;
-        let (a, b) = (lo, hi);
-        self.a[i] = a;
-        self.b[i] = b;
-        self.c[i] = b - inv_phi * (b - a);
-        self.d[i] = a + inv_phi * (b - a);
-        self.fc[i] = self.dpp(i, self.c[i]);
-        self.fd[i] = self.dpp(i, self.d[i]);
-        self.lo[i] = lo;
-        self.hi[i] = hi;
-        self.idx[i] = idx;
-        self.n += 1;
-    }
-
-    /// Drift-plus-penalty for lane `i` at `x` — the exact formulas of
-    /// [`crate::CostEval`] with their early returns turned into bitwise
-    /// selects: both sides compute, the loser's bits are discarded, so
-    /// the kept value matches the scalar method bit-for-bit (a discarded
-    /// side may produce `inf`/NaN garbage, which the select drops).
-    /// `batch_solver_is_bit_identical_to_scalar` pins the equivalence.
-    #[inline(always)]
-    fn dpp(&self, i: usize, x: f64) -> f64 {
-        // edge_first_block_flops: `denom <= 0` → 0.
-        let denom = x * self.mu1[i] + self.edge2[i];
-        let f_e1 = sel(
-            gt(denom, 0.0),
-            x * self.mu1[i] * self.p_share[i] * self.edge_flops[i] / denom,
-            0.0,
-        );
-        // t_device: `a <= 0` → 0.
-        let a = (1.0 - x) * self.k[i];
-        let c1 = a * self.q[i] * self.per_task_dev[i];
-        let c2 = a * self.per_task_dev[i] + (a * (a - 1.0) / 2.0).max(0.0) * self.per_task_dev[i];
-        let c3 = self.one_minus_sigma1[i] * a * self.tx1[i];
-        let td = sel(gt(a, 0.0), c1 + c2 + c3, 0.0);
-        // t_edge_from: `dd <= 0` → 0, else `f_e1 <= 0` → ∞.
-        let dd = x * self.k[i];
-        let per_task = self.mu1[i] / f_e1;
-        let e1 = dd * self.tx0[i];
-        let e2 = dd * self.h[i] * per_task;
-        let e3 = dd * per_task + (dd * (dd - 1.0) / 2.0).max(0.0) * per_task;
-        let te = sel(
-            gt(dd, 0.0),
-            sel(gt(f_e1, 0.0), e1 + e2 + e3, f64::INFINITY),
-            0.0,
-        );
-        // edge_quota_from (no branch in the scalar form either).
-        let eq = f_e1 * self.slot_len_s[i] / self.mu1[i];
-        self.v[i] * (td + te) + self.q[i] * (a - self.device_quota[i]) + self.h[i] * (dd - eq)
-    }
-
-    /// Runs the filled lanes to completion, writes their results, and
-    /// empties the batch. Unfilled lanes are padded with copies of lane
-    /// 0 so the contraction loop has a fixed trip count (padding results
-    /// are never written out).
-    fn solve_lanes(&mut self, inv_phi: f64, out: &mut [f64]) {
-        if self.n == 0 {
-            return;
+/// The zero of the non-decreasing `f′` on `[left, hi]` (see
+/// [`exact_solve`]): `left` when `f′ ≥ 0` throughout, `hi` when
+/// `f′ < 0` throughout, and a kink when `f′` jumps across zero there.
+fn stationary_point(ev: &CostEval, w: f64, left: f64, hi: f64) -> f64 {
+    let (k, mu1, e2, v) = (ev.k, ev.mu1, ev.edge2, ev.v);
+    let p = ev.per_task_dev;
+    let c = ev.h * w * ev.slot_len_s * e2;
+    // Linear terms of T_d, T_e and the queue drifts (shared by every piece).
+    let alpha0 =
+        v * k * (ev.tx0 + (ev.h + 1.0) * mu1 / w - (ev.q + 1.0) * p - ev.one_minus_sigma1 * ev.tx1)
+            + (ev.h - ev.q) * k;
+    // (α, β) on the piece containing `mid`: the device's intra-batch
+    // queueing term is live while (1−x)·k > 1, the edge's while x·k > 1.
+    let coeffs = |mid: f64| {
+        let (mut alpha, mut beta) = (alpha0, 0.0);
+        if (1.0 - mid) * k > 1.0 {
+            alpha -= v * k * p * (k - 0.5);
+            beta += v * p * k * k;
         }
-        for i in self.n..GS_LANES {
-            self.copy_lane(0, i);
+        if mid * k > 1.0 {
+            alpha += v * k * (k * e2 - mu1) / (2.0 * w);
+            beta += v * k * k * mu1 / w;
         }
-        self.contract(inv_phi);
-        for i in 0..self.n {
-            let interior = 0.5 * (self.a[i] + self.b[i]);
-            let mut best = self.lo[i];
-            let mut f_best = self.dpp(i, best);
-            for x in [interior, self.hi[i]] {
-                let f_x = self.dpp(i, x);
-                if f_x.total_cmp(&f_best).is_lt() {
-                    best = x;
-                    f_best = f_x;
-                }
-            }
-            out[self.idx[i]] = invariant::check_unit_interval("offload.golden_section_solve", best);
-        }
-        self.n = 0;
-    }
-
-    /// Dispatches the contraction to the widest SIMD build the CPU
-    /// supports. Every variant compiles [`GsSoa::contract_rounds`]
-    /// unchanged — wider vectors only let more lanes' correctly-rounded
-    /// IEEE divisions issue together, they never change a lane's bits —
-    /// so the dispatch is invisible to results (pinned by
-    /// `batch_solver_is_bit_identical_to_scalar` on whatever path the
-    /// test machine takes).
-    fn contract(&mut self, inv_phi: f64) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: guarded by the runtime feature check above.
-                return unsafe { self.contract_avx512(inv_phi) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: guarded by the runtime feature check above.
-                return unsafe { self.contract_avx2(inv_phi) };
-            }
-        }
-        self.contract_rounds(inv_phi);
-    }
-
-    // safety: caller must verify avx512f via is_x86_feature_detected!
-    // (the `contract` dispatch does); the body is plain safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-    unsafe fn contract_avx512(&mut self, inv_phi: f64) {
-        self.contract_rounds(inv_phi);
-    }
-
-    // `fma` is deliberately NOT enabled: with it the compiler may
-    // contract `x * w + d` into one fused rounding, and the lanes
-    // would diverge from the scalar path's two-rounding result
-    // (pinned by `fma_contraction_would_diverge`). avx2 alone only
-    // widens correctly-rounded IEEE ops, which is bit-invisible.
-    // safety: caller must verify avx2 via is_x86_feature_detected!
-    // (the `contract` dispatch does); the body is plain safe Rust.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn contract_avx2(&mut self, inv_phi: f64) {
-        self.contract_rounds(inv_phi);
-    }
-
-    /// The 80 golden-section rounds, all lanes in lockstep. Each round
-    /// is a fixed-trip elementwise pass, so the loop vectorises; the
-    /// comparison is a bitmask select ([`sel`]) rather than a branch
-    /// (the outcome is a near-coin-flip — a mispredict per
-    /// lane-iteration would cost more than the divisions it hides).
-    /// Both candidate probe points are computed and the loser's bits
-    /// discarded, so the kept state matches the scalar loop's
-    /// corresponding branch bit-for-bit.
-    #[inline(always)]
-    fn contract_rounds(&mut self, inv_phi: f64) {
-        for _ in 0..80 {
-            for i in 0..GS_LANES {
-                let m = gt(self.fd[i], self.fc[i]); // fc < fd
-                let a = sel(m, self.a[i], self.c[i]);
-                let b = sel(m, self.d[i], self.b[i]);
-                let width = inv_phi * (b - a);
-                let p = sel(m, b - width, a + width);
-                let fp = self.dpp(i, p);
-                let c = sel(m, p, self.d[i]);
-                let d = sel(m, self.c[i], p);
-                let fc = sel(m, fp, self.fd[i]);
-                let fd = sel(m, self.fc[i], fp);
-                self.a[i] = a;
-                self.b[i] = b;
-                self.c[i] = c;
-                self.d[i] = d;
-                self.fc[i] = fc;
-                self.fd[i] = fd;
-            }
-        }
-    }
-
-    fn copy_lane(&mut self, src: usize, dst: usize) {
-        self.k[dst] = self.k[src];
-        self.q[dst] = self.q[src];
-        self.h[dst] = self.h[src];
-        self.v[dst] = self.v[src];
-        self.per_task_dev[dst] = self.per_task_dev[src];
-        self.one_minus_sigma1[dst] = self.one_minus_sigma1[src];
-        self.tx1[dst] = self.tx1[src];
-        self.tx0[dst] = self.tx0[src];
-        self.mu1[dst] = self.mu1[src];
-        self.p_share[dst] = self.p_share[src];
-        self.edge_flops[dst] = self.edge_flops[src];
-        self.edge2[dst] = self.edge2[src];
-        self.slot_len_s[dst] = self.slot_len_s[src];
-        self.device_quota[dst] = self.device_quota[src];
-        self.a[dst] = self.a[src];
-        self.b[dst] = self.b[src];
-        self.c[dst] = self.c[src];
-        self.d[dst] = self.d[src];
-        self.fc[dst] = self.fc[src];
-        self.fd[dst] = self.fd[src];
-        self.lo[dst] = self.lo[src];
-        self.hi[dst] = self.hi[src];
-    }
-}
-
-/// Batched [`golden_section_solve`]: runs up to [`GS_LANES`] independent
-/// searches with their iterations advanced in lockstep, so the
-/// per-iteration division chains (the objective is division-bound and
-/// each probe point depends on the previous comparison) overlap in the
-/// FP pipeline instead of serialising. Per element this performs exactly
-/// the scalar solver's operation sequence, so every output is
-/// bit-identical to `golden_section_solve` on the same input (asserted
-/// by `batch_solver_is_bit_identical_to_scalar`). Allocation-free: lane
-/// state lives on the stack and `out` is caller-provided.
-///
-/// # Panics
-///
-/// Panics if `out` is shorter than `costs` yields elements.
-pub fn golden_section_solve_batch(costs: impl Iterator<Item = SlotCost>, out: &mut [f64]) {
-    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
-    let mut soa = GsSoa::default();
-    for (idx, cost) in costs.enumerate() {
-        let (lo, hi) = feasible_interval(&cost);
-        if hi - lo < f64::EPSILON {
-            out[idx] = invariant::check_unit_interval("offload.golden_section_solve", lo);
+        (alpha, beta)
+    };
+    let slope = |alpha: f64, beta: f64, x: f64| {
+        let u = mu1 * x + e2;
+        let rational = if c > 0.0 { c / (u * u) } else { 0.0 };
+        alpha + beta * x - rational
+    };
+    let (kink_a, kink_b) = if k > 0.0 {
+        let (a, b) = (1.0 / k, 1.0 - 1.0 / k);
+        (a.min(b), a.max(b))
+    } else {
+        (hi, hi)
+    };
+    let mut pl = left;
+    for pr in [kink_a, kink_b, hi] {
+        if pr <= pl || pr > hi {
             continue;
         }
-        soa.push(&cost, lo, hi, inv_phi, idx);
-        if soa.n == GS_LANES {
-            soa.solve_lanes(inv_phi, out);
+        let (alpha, beta) = coeffs(0.5 * (pl + pr));
+        if slope(alpha, beta, pr) >= 0.0 {
+            if slope(alpha, beta, pl) >= 0.0 {
+                return pl;
+            }
+            return newton_root(alpha, beta, c, mu1, e2, pl, pr);
         }
+        pl = pr;
     }
-    soa.solve_lanes(inv_phi, out);
+    hi
+}
+
+/// Solves `(α + β·x)·u² = C`, `u = μ₁·x + e₂`, on `[pl, pr]`, where the
+/// left side crosses `C` from below. In `u` the equation reads
+/// `(A + B·u)·u² = C` with `A = α − β·e₂/μ₁`, `B = β/μ₁`; Newton starts
+/// at an upper bound within 2× of the root (`min(√(C/A), ∛(C/B))` when
+/// `A > 0`, `−A/B + ∛(C/B)` otherwise), where the cubic is convex and
+/// increasing, so every step descends monotonically onto the root.
+// `!(next < x)` also stops on a NaN step.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn newton_root(alpha: f64, beta: f64, c: f64, mu1: f64, e2: f64, pl: f64, pr: f64) -> f64 {
+    if c <= 0.0 {
+        // No rational term: f′ is affine and β > 0 (f′ rose across the piece).
+        return (-alpha / beta).clamp(pl, pr);
+    }
+    let (a, b) = (alpha - beta * e2 / mu1, beta / mu1);
+    let u0 = if a > 0.0 {
+        (c / a).sqrt().min((c / b).cbrt())
+    } else {
+        -a / b + (c / b).cbrt()
+    };
+    // `min` drops a NaN start in favour of the piece's right end.
+    let mut x = pr.min((u0 - e2) / mu1).max(pl);
+    for _ in 0..NEWTON_CAP {
+        let s = alpha + beta * x;
+        let u = mu1 * x + e2;
+        let step = (s * u * u - c) / (u * (beta * u + 2.0 * mu1 * s));
+        let next = x - step;
+        // Converged: rounding noise stopped the monotone descent.
+        if !(next < x) {
+            break;
+        }
+        x = next.max(pl);
+    }
+    x
 }
 
 #[cfg(test)]
@@ -500,27 +308,62 @@ mod tests {
     }
 
     #[test]
-    fn golden_section_no_worse_than_balance_on_objective() {
+    fn exact_solve_no_worse_than_balance_on_objective() {
         for &(q, h) in &[(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (5.0, 5.0)] {
             let c = cost_with(8.0, q, h);
-            let xg = golden_section_solve(&c);
+            let xe = exact_solve(&c);
             let xb = balance_solve(&c);
             assert!(
-                c.drift_plus_penalty(xg) <= c.drift_plus_penalty(xb) + 1e-6,
-                "golden {xg} worse than balance {xb} at (q={q}, h={h})"
+                c.drift_plus_penalty(xe) <= c.drift_plus_penalty(xb) + 1e-6,
+                "exact {xe} worse than balance {xb} at (q={q}, h={h})"
             );
         }
     }
 
     #[test]
-    fn golden_section_finds_grid_minimum() {
+    fn exact_solve_finds_grid_minimum() {
         let c = cost_with(10.0, 3.0, 2.0);
-        let xg = golden_section_solve(&c);
+        let xe = exact_solve(&c);
         let best_grid = (0..=1000)
             .map(|i| i as f64 / 1000.0)
             .map(|x| c.drift_plus_penalty(x))
             .fold(f64::INFINITY, f64::min);
-        assert!(c.drift_plus_penalty(xg) <= best_grid + 1e-6);
+        assert!(c.drift_plus_penalty(xe) <= best_grid + 1e-6);
+    }
+
+    #[test]
+    fn exact_solve_takes_the_open_end_when_the_edge_has_no_second_block() {
+        // e₂ = (1−σ₁)·μ₂ = 0: the edge quota is W·τ/μ₁ for every x > 0,
+        // so the objective jumps *down* at 0⁺ and, with f′ > 0 beyond it,
+        // the infimum sits at the open end. The solve must step off x = 0.
+        let mut all_exit = shared();
+        all_exit.sigma1 = 1.0;
+        let mut no_mu2 = shared();
+        no_mu2.mu2 = 0.0;
+        for s in [all_exit, no_mu2] {
+            let c = SlotCost::new(s, DeviceParams::jetson_nano(0.5), 0.0, 5.0, 0.25);
+            let (_, hi) = feasible_interval(&c);
+            let x = exact_solve(&c);
+            assert!(x > 0.0 && x <= hi * 1e-30, "x = {x}");
+            assert!(c.drift_plus_penalty(x) < c.drift_plus_penalty(0.0));
+        }
+    }
+
+    #[test]
+    fn exact_solve_keeps_the_low_end_without_an_edge_share() {
+        // W = p·F^e = 0: every x > 0 costs an infinite edge wait.
+        let c = SlotCost::new(shared(), DeviceParams::raspberry_pi(10.0), 3.0, 2.0, 0.0);
+        assert_eq!(exact_solve(&c), 0.0);
+        // Same with the bandwidth constraint binding from below (lo > 0).
+        let mut s = shared();
+        s.d1_bytes = 400_000.0;
+        s.sigma1 = 0.0;
+        let mut dev = DeviceParams::raspberry_pi(10.0);
+        dev.bandwidth_bps = 20e6;
+        let c = SlotCost::new(s, dev, 3.0, 2.0, 0.0);
+        let (lo, _) = feasible_interval(&c);
+        assert!(lo > 0.0);
+        assert_eq!(exact_solve(&c), lo);
     }
 
     #[test]
@@ -558,66 +401,5 @@ mod tests {
     fn zero_arrivals_leave_full_interval() {
         let c = cost_with(0.0, 0.0, 0.0);
         assert_eq!(feasible_interval(&c), (0.0, 1.0));
-    }
-
-    /// The interleaved batch solver must return, per element, exactly the
-    /// bits the scalar solver returns — at every batch size (partial
-    /// lanes, full chunks, several chunks) and with degenerate intervals
-    /// mixed between live ones.
-    #[test]
-    fn batch_solver_is_bit_identical_to_scalar() {
-        let mut costs = Vec::new();
-        for k in [0.5, 5.0, 12.0] {
-            for q in [0.0, 2.0, 37.5] {
-                for h in [0.0, 1.2, 50.0] {
-                    costs.push(cost_with(k, q, h));
-                }
-            }
-        }
-        // Degenerate feasible intervals (starved link) sprinkled in.
-        let mut s = shared();
-        s.d1_bytes = 2_000.0;
-        let mut dev = DeviceParams::raspberry_pi(10.0);
-        dev.bandwidth_bps = 1.0; // can't carry anything: interval collapses
-        costs.insert(3, SlotCost::new(s, dev, 4.0, 1.0, 0.25));
-        costs.insert(11, SlotCost::new(s, dev, 0.0, 9.0, 0.25));
-        // Zero arrivals (full interval, flat objective on the device side).
-        costs.push(cost_with(0.0, 3.0, 3.0));
-
-        for n in 1..costs.len() {
-            let batch = &costs[..n];
-            let mut out = vec![f64::NAN; n];
-            golden_section_solve_batch(batch.iter().copied(), &mut out);
-            for (i, c) in batch.iter().enumerate() {
-                let scalar = golden_section_solve(c);
-                assert_eq!(
-                    out[i].to_bits(),
-                    scalar.to_bits(),
-                    "lane {i} of {n}: batch {} != scalar {scalar}",
-                    out[i]
-                );
-            }
-        }
-    }
-
-    /// Why `contract_avx2` enables `avx2` but not `fma` (S10): `dpp`
-    /// evaluates `x * mu1 + edge2`, exactly the shape an fma-enabled
-    /// build may contract into one fused rounding. These operands make
-    /// the fused result differ from the scalar path's two-rounding
-    /// result, so a contracted lane could not stay bit-identical to
-    /// `golden_section_solve`.
-    #[test]
-    fn fma_contraction_would_diverge() {
-        let x = 1.0 + f64::EPSILON; // 1 + 2⁻⁵²
-        let mu1 = 1.0 - f64::EPSILON / 2.0; // 1 − 2⁻⁵³
-        let edge2 = -1.0;
-        let two_roundings = x * mu1 + edge2; // product rounds to 1.0 first
-        let fused = x.mul_add(mu1, edge2); // keeps the 2⁻⁵³ tail
-        assert_eq!(two_roundings, 0.0);
-        assert_ne!(
-            fused.to_bits(),
-            two_roundings.to_bits(),
-            "fused {fused:e} vs two-rounding {two_roundings:e}"
-        );
     }
 }

@@ -52,10 +52,6 @@ pub struct Item {
     /// Whether the item carried a `#[cfg(test)]` / `#[test]` attribute;
     /// rules skip such items (and everything nested inside them).
     pub cfg_test: bool,
-    /// Flattened attribute text (`target_feature(enable = "avx2")`,
-    /// `inline(always)`, …) — the tokens between `#[` and `]`, one
-    /// string per attribute, in source order. S10 reads these.
-    pub attrs: Vec<String>,
 }
 
 impl Item {
@@ -70,7 +66,6 @@ impl Item {
             fields: Vec::new(),
             body: None,
             cfg_test: false,
-            attrs: Vec::new(),
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Interprocedural dataflow over the whole workspace: closure-capture
 //! extraction, a merged flow graph with per-function *effect facts*
 //! (allocation, blocking, RNG construction, float accumulation, lock
-//! acquisition), hot-region reachability, and the S5–S12 rules built
-//! on top.
+//! acquisition), hot-region reachability, and the S5–S9 and S12 rules
+//! built on top.
 //!
 //! | Rule | Enforces |
 //! | ---- | -------- |
@@ -11,8 +11,6 @@
 //! | `S7` | RNGs in `par`/`core`/`serving` derive via `leime_par::stream_seed` |
 //! | `S8` | no blocking calls (locks, channel recv, sleeps) inside shard worker bodies |
 //! | `S9` | float accumulations on byte-identical-contract paths go through approved ordered reductions |
-//! | `S10` | `target_feature` fns funnel through a shared round body, stay FMA-safe, and are differentially tested |
-//! | `S11` | every `unsafe` site is justified and ledgered (ratchet driven by `leime-lint`) |
 //! | `S12` | no lock acquisition cycles among `Mutex`/`RwLock` paths reachable from shard bodies |
 //!
 //! Like the [`crate::callgraph`], the graph is *name-keyed*: same-named
@@ -29,7 +27,6 @@
 //! dropped from the AST) therefore never produce false captures.
 
 use crate::ast::{walk_block, walk_exprs, Block, Expr, File, Item, Stmt};
-use crate::audit::{self, TargetFeatureFn};
 use crate::parser::parse_source;
 use crate::{path_matches, Finding, SemaConfig};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -891,8 +888,6 @@ pub struct FlowAnalysis {
     defs: BTreeMap<String, Vec<FnFacts>>,
     /// Shard-worker closures found at `leime-par` entry-point calls.
     shard_bodies: Vec<ShardBody>,
-    /// `#[target_feature]` fns per file: `(path, fact)` (S10).
-    tf_fns: Vec<(String, TargetFeatureFn)>,
 }
 
 impl FlowAnalysis {
@@ -918,20 +913,8 @@ impl FlowAnalysis {
                 out.defs.entry(item.name.clone()).or_default().push(facts);
                 shard_bodies_of(path, item, cfg, &mut out.shard_bodies);
             });
-            if src.contains("target_feature") {
-                for tf in audit::target_feature_fns(src) {
-                    out.tf_fns.push((path.clone(), tf));
-                }
-            }
         }
         out
-    }
-
-    /// The `#[target_feature]` fns found during the build, as
-    /// `(path, fact)` pairs — `leime-lint` checks them against the
-    /// differential-test registry file.
-    pub fn target_feature_fns(&self) -> &[(String, TargetFeatureFn)] {
-        &self.tf_fns
     }
 
     /// Names transitively reachable from `roots` through call edges
@@ -997,10 +980,9 @@ impl FlowAnalysis {
         out
     }
 
-    /// Runs S5, S7–S10 and S12 and returns their findings, sorted by
-    /// path, line and rule. (S6 and the S10 registry / S11 ledger
-    /// checks are driven by `leime-lint`, which owns the pinned files
-    /// this crate must not read.)
+    /// Runs S5, S7–S9 and S12 and returns their findings, sorted by
+    /// path, line and rule. (The S6 ratchet is driven by `leime-lint`,
+    /// which owns the pinned baseline this crate must not read.)
     pub fn findings(&self, cfg: &SemaConfig) -> Vec<Finding> {
         let mut out = Vec::new();
         if cfg.rule_on("S5") {
@@ -1014,9 +996,6 @@ impl FlowAnalysis {
         }
         if cfg.rule_on("S9") {
             self.scan_s9(cfg, &mut out);
-        }
-        if cfg.rule_on("S10") {
-            self.scan_s10(cfg, &mut out);
         }
         if cfg.rule_on("S12") {
             self.scan_s12(&mut out);
@@ -1173,79 +1152,6 @@ impl FlowAnalysis {
         }
     }
 
-    // S10: target_feature fns must share a round body with the scalar
-    // path and must not enable contraction-prone features unless that
-    // body is registered FMA-free.
-    fn scan_s10(&self, cfg: &SemaConfig, out: &mut Vec<Finding>) {
-        let tf_names: BTreeSet<&str> = self.tf_fns.iter().map(|(_, tf)| tf.name.as_str()).collect();
-        for (path, tf) in &self.tf_fns {
-            // Callees of the target_feature fn that the workspace
-            // defines (library method names fall out).
-            let mut defined_callees: BTreeSet<&str> = BTreeSet::new();
-            if let Some(defs) = self.defs.get(&tf.name) {
-                for def in defs {
-                    for c in &def.calls {
-                        if self.defs.contains_key(c) && !tf_names.contains(c.as_str()) {
-                            defined_callees.insert(c.as_str());
-                        }
-                    }
-                }
-            }
-            // A shared round body: a callee some non-target_feature fn
-            // also calls — the single code path both SIMD and scalar
-            // dispatch funnel through (DESIGN.md §14).
-            let shared: Vec<&str> = defined_callees
-                .iter()
-                .copied()
-                .filter(|c| {
-                    self.defs.iter().any(|(name, defs)| {
-                        name != &tf.name
-                            && !tf_names.contains(name.as_str())
-                            && defs.iter().any(|d| d.calls.contains(*c))
-                    })
-                })
-                .collect();
-            if shared.is_empty() {
-                out.push(Finding {
-                    rule: "S10".to_string(),
-                    path: path.clone(),
-                    line: tf.line,
-                    message: format!(
-                        "`fn {}` is `#[target_feature]` but does not funnel through a \
-                         round body shared with the scalar path — SIMD and scalar must \
-                         execute one body or bit-identity rests on luck (DESIGN.md §11)",
-                        tf.name
-                    ),
-                });
-            }
-            let contraction: Vec<&str> = tf
-                .features
-                .iter()
-                .filter(|f| f.as_str() == "fma")
-                .map(String::as_str)
-                .collect();
-            if !contraction.is_empty() {
-                let registered = shared
-                    .iter()
-                    .any(|c| cfg.fma_free_round_bodies.iter().any(|r| r == c));
-                if !registered {
-                    out.push(Finding {
-                        rule: "S10".to_string(),
-                        path: path.clone(),
-                        line: tf.line,
-                        message: format!(
-                            "`fn {}` enables contraction-prone `fma` — the compiler may \
-                             fuse mul+add into one rounding, diverging from the scalar \
-                             path; drop the feature or register the shared round body \
-                             as FMA-free (`fma_free_round_bodies`)",
-                            tf.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
     // S12: lock acquisition cycles reachable from shard bodies.
     fn scan_s12(&self, out: &mut Vec<Finding>) {
         // One lock-order graph over everything shard bodies reach:
@@ -1385,9 +1291,9 @@ pub struct HotAlloc {
 }
 
 /// Convenience front door: builds the analysis and returns the
-/// S5/S7–S10/S12 findings for the whole scanned file set.
+/// S5/S7–S9/S12 findings for the whole scanned file set.
 pub fn analyze_workspace(files: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
-    if !["S5", "S7", "S8", "S9", "S10", "S12"]
+    if !["S5", "S7", "S8", "S9", "S12"]
         .iter()
         .any(|r| cfg.rule_on(r))
     {
@@ -1703,35 +1609,6 @@ mod tests {
              let mut total = 0.0; for o in outs { total += o; } total }",
         );
         assert_eq!(rules_of(&found), vec!["S9"], "{found:?}");
-    }
-
-    #[test]
-    fn s10_flags_fma_without_registered_round_body() {
-        let src = "#[cfg(target_arch = \"x86_64\")]\n\
-                   #[target_feature(enable = \"avx2,fma\")]\n\
-                   unsafe fn fast(x: f64) -> f64 { round_body(x) }\n\
-                   fn scalar(x: f64) -> f64 { round_body(x) }\n\
-                   fn round_body(x: f64) -> f64 { x }";
-        let found = analyze(src);
-        assert_eq!(rules_of(&found), vec!["S10"], "{found:?}");
-        assert!(found[0].message.contains("fma"), "{}", found[0].message);
-
-        let mut c = cfg();
-        c.fma_free_round_bodies.push("round_body".to_string());
-        let found = analyze_workspace(&[("crates/x/src/lib.rs".to_string(), src.to_string())], &c);
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn s10_requires_a_shared_round_body() {
-        let found = analyze(
-            "#[cfg(target_arch = \"x86_64\")]\n\
-             #[target_feature(enable = \"avx2\")]\n\
-             unsafe fn fast(x: f64) -> f64 { x }\n\
-             fn scalar(x: f64) -> f64 { x }",
-        );
-        assert_eq!(rules_of(&found), vec!["S10"], "{found:?}");
-        assert!(found[0].message.contains("shared"), "{}", found[0].message);
     }
 
     #[test]

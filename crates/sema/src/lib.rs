@@ -20,7 +20,6 @@
 //! waivable.
 
 pub mod ast;
-pub mod audit;
 pub mod callgraph;
 pub mod flow;
 pub mod layering;
@@ -37,9 +36,7 @@ use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// The semantic rule identifiers.
-pub const SEMA_RULE_IDS: &[&str] = &[
-    "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S10", "S11", "S12",
-];
+pub const SEMA_RULE_IDS: &[&str] = &["S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S12"];
 
 /// One rule violation. This is the finding type for the whole lint
 /// stack: `leime-lint` re-exports it and wraps it in waiver/report
@@ -90,10 +87,6 @@ pub struct SemaConfig {
     /// contract root must route its float reductions through one of
     /// these.
     pub s9_approved_fns: Vec<String>,
-    /// Shared round bodies registered as FMA-free (S10): a
-    /// `target_feature` fn may enable `fma` only when it funnels
-    /// through one of these.
-    pub fma_free_round_bodies: Vec<String>,
 }
 
 impl Default for SemaConfig {
@@ -112,7 +105,7 @@ impl Default for SemaConfig {
                 "kkt_allocation_with_floor",
                 "step",
                 "balance_solve",
-                "golden_section_solve",
+                "exact_solve",
                 "feasible_interval",
                 "decide",
                 "branch_and_bound",
@@ -188,12 +181,6 @@ impl Default for SemaConfig {
                 // ordered-reduction helpers (leime-par)
                 "concat_shards",
                 "merge_btree_maps",
-                // approved bit-exact kernels (offload solver; DESIGN.md §14)
-                "solve_lanes",
-                "contract_rounds",
-                "dpp",
-                "golden_section_solve",
-                "golden_section_solve_batch",
                 // reviewed order-pinned sequential reductions (DESIGN.md
                 // §15 ledger): single-threaded source-order loops whose
                 // result never crosses a shard boundary unreduced.
@@ -215,7 +202,6 @@ impl Default for SemaConfig {
             .iter()
             .map(|s| (*s).to_string())
             .collect(),
-            fma_free_round_bodies: Vec::new(),
         }
     }
 }

@@ -33,7 +33,6 @@ pub fn parse_tokens(toks: &[Tok]) -> File {
         toks,
         pos: 0,
         depth: 0,
-        pending_attrs: Vec::new(),
     };
     File {
         items: p.parse_items(true),
@@ -44,9 +43,6 @@ struct Parser<'a> {
     toks: &'a [Tok],
     pos: usize,
     depth: u32,
-    /// Flattened text of the attributes consumed by the most recent
-    /// [`Parser::skip_attrs_and_vis`] call (see [`Item::attrs`]).
-    pending_attrs: Vec<String>,
 }
 
 impl<'a> Parser<'a> {
@@ -186,24 +182,9 @@ impl<'a> Parser<'a> {
     /// Parses one item, or returns `None` after skipping noise.
     fn parse_item(&mut self) -> Option<Item> {
         let is_test = self.skip_attrs_and_vis();
-        let mut attrs = std::mem::take(&mut self.pending_attrs);
-        let mut parsed = self.parse_item_after_attrs();
-        if let Some(item) = parsed.as_mut() {
-            item.cfg_test |= is_test;
-            // `parse_item_after_attrs` may have consumed (and attached)
-            // further attributes of its own; ours come first.
-            attrs.append(&mut item.attrs);
-            item.attrs = attrs;
-        }
-        parsed
-    }
-
-    fn parse_item_after_attrs(&mut self) -> Option<Item> {
-        let _ = self.skip_attrs_and_vis();
-        let attrs = std::mem::take(&mut self.pending_attrs);
         let mut parsed = self.parse_item_dispatch();
         if let Some(item) = parsed.as_mut() {
-            item.attrs = attrs;
+            item.cfg_test |= is_test;
         }
         parsed
     }
@@ -486,12 +467,9 @@ impl<'a> Parser<'a> {
 
     /// Skips `#[…]` / `#![…]` attributes and `pub((…))?` visibility.
     /// Returns `true` when an attribute mentions `test` (`#[test]`,
-    /// `#[cfg(test)]`, `#[cfg(all(test, …))]`). Flattened attribute
-    /// text is collected into [`Parser::pending_attrs`] (cleared on
-    /// entry); item parsing attaches it, other call sites discard it.
+    /// `#[cfg(test)]`, `#[cfg(all(test, …))]`).
     fn skip_attrs_and_vis(&mut self) -> bool {
         let mut is_test = false;
-        self.pending_attrs.clear();
         loop {
             if self.at_punct("#") {
                 self.pos += 1;
@@ -505,18 +483,6 @@ impl<'a> Parser<'a> {
                         .any(|t| t.kind == TokKind::Ident && t.text == "test")
                     {
                         is_test = true;
-                    }
-                    // Strip the outer `[` `]`; string-literal tokens
-                    // carry no text and are dropped from the flattening.
-                    let flat: Vec<&str> = inner
-                        .iter()
-                        .skip(1)
-                        .take(inner.len().saturating_sub(2))
-                        .map(|t| t.text.as_str())
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                    if !flat.is_empty() {
-                        self.pending_attrs.push(flat.join(" "));
                     }
                 }
                 continue;

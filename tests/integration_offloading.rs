@@ -1,9 +1,11 @@
 //! Integration + property tests for the Lyapunov offloading layer:
 //! stability, the V trade-off (Theorem 3), the Fig. 3 optimal-ratio
-//! shifts, and solver invariants on arbitrary inputs.
+//! shifts, and solver invariants on arbitrary inputs — including an
+//! oracle that checks the exact P1′ solve against a golden-section
+//! search.
 
 use leime::{ControllerKind, ExitStrategy, ModelKind, Scenario, SlottedSystem, WorkloadKind};
-use leime_offload::solver::{balance_solve, feasible_interval, golden_section_solve};
+use leime_offload::solver::{balance_solve, exact_solve, feasible_interval};
 use leime_offload::{DeviceParams, SharedParams, SlotCost};
 use proptest::prelude::*;
 
@@ -18,6 +20,53 @@ fn shared_with(v: f64, sigma1: f64, d0: f64, d1: f64) -> SharedParams {
         d1_bytes: d1,
         edge_flops: 40e9,
     }
+}
+
+/// Reference minimiser for the oracle test: 80 golden-section rounds on
+/// the drift-plus-penalty objective over the feasible interval, then the
+/// comparison against both endpoints that the jump at `x = 0` requires.
+// The `hi - lo < EPSILON` width test is an interval-degeneracy check.
+#[allow(clippy::float_equality_without_abs)]
+fn golden_section_solve(cost: &SlotCost) -> f64 {
+    let (lo, hi) = feasible_interval(cost);
+    if hi - lo < f64::EPSILON {
+        return lo;
+    }
+    let ev = cost.eval();
+    let f = |x: f64| ev.drift_plus_penalty(x);
+    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
+    let (mut a, mut b) = (lo, hi);
+    let mut c = b - inv_phi * (b - a);
+    let mut d = a + inv_phi * (b - a);
+    let (mut fc, mut fd) = (f(c), f(d));
+    for _ in 0..80 {
+        if fc < fd {
+            b = d;
+            d = c;
+            fd = fc;
+            c = b - inv_phi * (b - a);
+            fc = f(c);
+        } else {
+            a = c;
+            c = d;
+            fc = fd;
+            d = a + inv_phi * (b - a);
+            fd = f(d);
+        }
+    }
+    let mut best = lo;
+    for x in [0.5 * (a + b), hi] {
+        if f(x).total_cmp(&f(best)).is_lt() {
+            best = x;
+        }
+    }
+    best
+}
+
+/// `fixed[sel]` when `sel` indexes into `fixed`, else `drawn`: mixes
+/// pinned corner values into a uniformly drawn parameter.
+fn pick(sel: usize, fixed: &[f64], drawn: f64) -> f64 {
+    fixed.get(sel).copied().unwrap_or(drawn)
 }
 
 proptest! {
@@ -46,13 +95,13 @@ proptest! {
         let cost = SlotCost::new(shared, dev, q, h, p);
         let (lo, hi) = feasible_interval(&cost);
         prop_assert!(lo >= 0.0 && hi <= 1.0 && lo <= hi + 1e-12);
-        for x in [balance_solve(&cost), golden_section_solve(&cost)] {
+        for x in [balance_solve(&cost), exact_solve(&cost)] {
             prop_assert!(x >= lo - 1e-9 && x <= hi + 1e-9,
                 "solver x {x} outside feasible ({lo}, {hi})");
         }
     }
 
-    /// The golden-section solution never loses to any grid point on the
+    /// The exact solution never loses to any grid point on the
     /// drift-plus-penalty objective (convexity check).
     ///
     /// Regression-seed map for `integration_offloading.proptest-regressions`
@@ -64,10 +113,11 @@ proptest! {
     ///   k = 0.5, sigma1 = 0.0`: with an empty device queue, a large
     ///   edge-bound backlog `H`, and no First-exit absorption, the
     ///   drift-plus-penalty objective is flattest near the upper feasible
-    ///   bound; an early golden-section tolerance returned an `x` a grid
-    ///   point could beat by more than the comparison slack, violating
-    ///   this grid-optimality invariant. Fixed by tightening the section
-    ///   search's convergence interval.
+    ///   bound; an early golden-section solver's tolerance returned an
+    ///   `x` a grid point could beat by more than the comparison slack,
+    ///   violating this grid-optimality invariant. Fixed then by
+    ///   tightening the section search's convergence interval; the exact
+    ///   solve has no such tolerance.
     #[test]
     fn golden_section_is_grid_optimal(
         q in 0.0f64..50.0,
@@ -78,7 +128,7 @@ proptest! {
         let shared = shared_with(1e4, sigma1, 12_288.0, 30_000.0);
         let dev = DeviceParams::raspberry_pi(k);
         let cost = SlotCost::new(shared, dev, q, h, 0.25);
-        let xg = golden_section_solve(&cost);
+        let xg = exact_solve(&cost);
         let (lo, hi) = feasible_interval(&cost);
         let fg = cost.drift_plus_penalty(xg);
         for i in 0..=100 {
@@ -86,6 +136,71 @@ proptest! {
             prop_assert!(fg <= cost.drift_plus_penalty(x) + 1e-6 * fg.abs().max(1.0),
                 "grid point {x} beats solver {xg}");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The exact solve never loses to the golden-section search on the
+    /// drift-plus-penalty objective, over a corpus that pins the
+    /// degenerate corners: σ₁ ∈ {0, 1}, μ₂ = 0 (both give e₂ = 0 and the
+    /// downward jump at 0⁺), a zero or tiny edge share, no arrivals,
+    /// fluid (k ≤ 1) and heavy (k ≫ 1) arrivals, a link too starved to
+    /// carry anything (degenerate interval) and one whose constraint
+    /// binds from below (`lo > 0`). The slack scales with the objective's
+    /// terms at the golden-section point: they cancel, and rounding in
+    /// that cancellation reaches ~1e-13 of |f|.
+    #[test]
+    fn exact_solve_never_loses_to_golden_section(
+        (sigma_sel, sigma_u) in (0usize..4, 0.0f64..1.0),
+        mu2_sel in 0usize..4,
+        (p_sel, p_u) in (0usize..5, 0.0f64..1.0),
+        (k_sel, k_u) in (0usize..4, 0.0f64..1.0),
+        (link_sel, bw_exp) in (0usize..4, 5.0f64..8.0),
+        v_exp in -3.0f64..7.0,
+        (q_sel, q_exp) in (0usize..3, -2.0f64..4.0),
+        (h_sel, h_exp) in (0usize..3, -2.0f64..4.0),
+    ) {
+        let mut shared = shared_with(
+            10f64.powf(v_exp),
+            pick(sigma_sel, &[0.0, 1.0], sigma_u),
+            12_288.0,
+            30_000.0,
+        );
+        if mu2_sel == 0 {
+            shared.mu2 = 0.0;
+        }
+        let mut dev = DeviceParams::raspberry_pi(pick(
+            k_sel,
+            &[0.0, 1.0 - k_u, 50.0 + 1e3 * k_u],
+            1.0 + 49.0 * k_u,
+        ));
+        dev.bandwidth_bps = 10f64.powf(bw_exp);
+        match link_sel {
+            0 => dev.bandwidth_bps = 1.0,
+            1 => {
+                shared.d1_bytes = 400_000.0;
+                dev.bandwidth_bps = 20e6;
+            }
+            _ => {}
+        }
+        let q = pick(q_sel, &[0.0], 10f64.powf(q_exp));
+        let h = pick(h_sel, &[0.0], 10f64.powf(h_exp));
+        let cost = SlotCost::new(shared, dev, q, h, pick(p_sel, &[0.0, 1e-6, 1.0], p_u));
+        let (lo, hi) = feasible_interval(&cost);
+        let x_new = exact_solve(&cost);
+        let x_gs = golden_section_solve(&cost);
+        prop_assert!(x_new >= lo && x_new <= hi, "x {x_new} outside ({lo}, {hi})");
+        let k = dev.arrival_mean;
+        let scale = shared.v * cost.y(x_gs).abs()
+            + q * ((1.0 - x_gs) * k + cost.device_quota())
+            + h * (x_gs * k + cost.edge_quota(x_gs));
+        let (f_new, f_gs) = (cost.drift_plus_penalty(x_new), cost.drift_plus_penalty(x_gs));
+        prop_assert!(
+            f_new <= f_gs + 1e-12 * scale,
+            "exact x {x_new} (f {f_new}) loses to golden x {x_gs} (f {f_gs}) on {cost:?}"
+        );
     }
 }
 

@@ -162,8 +162,10 @@ fn link_emulation_slows_completion() {
         time_scale: 0.0,
         ..RuntimeConfig::default()
     };
+    // ~6 ms of emulated transfer per task: well clear of the
+    // millisecond-scale scheduling noise of an unloaded run.
     let slow = RuntimeConfig {
-        time_scale: 0.02,
+        time_scale: 0.2,
         ..fast
     };
     let fast_r = run_live(&pipeline, &cascade, &dataset, fast).unwrap();
