@@ -6,6 +6,13 @@
 //! compared against the fault-free run and against a fully-local
 //! baseline under the same faults.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{
     invariant, ControllerKind, ExitStrategy, ModelKind, RunReport, Scenario, SlottedSystem,
 };

@@ -29,6 +29,13 @@
 //! archived either way. With no comparable history the gate skips with
 //! a notice (fresh clones and sweep changes must not wedge CI).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 

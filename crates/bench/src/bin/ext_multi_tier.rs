@@ -4,6 +4,13 @@
 //! the same endpoints (the Pi device and the V100 cloud), inserting
 //! intermediate tiers between them.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::ModelKind;
 use leime_bench::{fmt_time, header, render_table};
 use leime_dnn::{ExitSpec, ModelProfile};

@@ -5,6 +5,13 @@
 //! thresholds and optimises latency; this shows the whole trade-off
 //! surface those thresholds sit on.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{Deployment, ModelKind};
 use leime_bench::{fmt_time, header, render_table};
 use leime_dnn::ExitSpec;

@@ -9,6 +9,13 @@
 //! if admission control does not beat the no-admission baseline on
 //! latency-critical hit-rate under overload (the PR's acceptance bar).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{invariant, ModelKind};
 use leime_bench::{fmt_time, render_table};
 use leime_serving::{

@@ -3,6 +3,13 @@
 //! motivates but only evaluates one factor at a time). LEIME's online
 //! controller vs the static policies under compound dynamics.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{systems, ControllerKind, ExitStrategy, ModelKind, Scenario, WorkloadKind};
 use leime_bench::{fmt_time, render_table};
 use leime_simnet::{SimTime, TimeTrace};

@@ -8,6 +8,13 @@
 //!     capability-based policies on a Jetson Nano (paper: 1.1×/1.2× at
 //!     arrival rates 5/20, rising to 1.8× at rate 100).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{ControllerKind, ExitStrategy, ModelKind, Scenario};
 use leime_bench::{fmt_speedup, fmt_time, header, render_table};
 

@@ -13,6 +13,13 @@
 //! and the `--json` telemetry export gains the edge dimension: metrics
 //! land under `{model}.n{n}.{system}.edge0.*`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use std::num::NonZeroUsize;
 
 use leime::{systems, ExitStrategy, ModelKind, Scenario, DEFAULT_EPOCH_LEN};

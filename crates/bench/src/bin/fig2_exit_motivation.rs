@@ -10,6 +10,13 @@
 //! Uses the paper-faithful cost model (Eq. 1–4, first block on device) —
 //! these are pre-LEIME motivation measurements without offloading.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::ModelKind;
 use leime_bench::{fmt_time, header, render_table};
 use leime_dnn::{ExitCombo, ExitSpec, ModelProfile};

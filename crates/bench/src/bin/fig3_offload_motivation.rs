@@ -6,6 +6,13 @@
 //! Uses the trained ME-Inception v3 with exits fixed at 1, 14 and 16, as
 //! the paper does.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{ControllerKind, Deployment, ExitStrategy, ModelKind, Scenario};
 use leime_bench::{fmt_time, render_table};
 use leime_dnn::ExitCombo;

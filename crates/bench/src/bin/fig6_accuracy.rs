@@ -7,6 +7,13 @@
 //! 0.55 %, ME-SqueezeNet-1.0 0.44 %, ME-VGG-16 1.14 %; some combinations
 //! show *negative* loss (overthinking avoidance).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::ModelKind;
 use leime_bench::{header, render_table};
 use leime_dnn::ExitCombo;

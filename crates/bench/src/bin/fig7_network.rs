@@ -8,6 +8,13 @@
 //! 14.5× across propagation delays; LEIME's edge grows as the network
 //! degrades.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{systems, ModelKind};
 use leime_bench::{fmt_speedup, fmt_time, render_table, single_device};
 

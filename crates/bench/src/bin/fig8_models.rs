@@ -6,6 +6,13 @@
 //! 1.1×–10.3× on the Nano; Neurosurgeon tracks LEIME's shape (same
 //! partition, no early exit); Edgent and DDNN fluctuate across models.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{systems, ModelKind};
 use leime_bench::{fmt_speedup, fmt_time, header, render_table, single_device};
 

@@ -7,6 +7,13 @@
 //! stability on both devices; DDNN explodes on the Pi; Neurosurgeon
 //! fluctuates the most.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{systems, ModelKind, WorkloadKind};
 use leime_bench::{fmt_time, render_table, single_device, sparkline};
 use leime_simnet::{SimTime, TimeTrace};

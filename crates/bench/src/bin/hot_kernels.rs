@@ -19,6 +19,13 @@
 //! remove. Numbers are single-core and machine-specific: compare runs
 //! from the same box, not across boxes.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use std::hint::black_box;
 use std::path::PathBuf;
 

@@ -34,6 +34,13 @@
 //! comparable history the gate skips with a notice instead of failing,
 //! so fresh clones and parameter changes don't wedge CI.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 

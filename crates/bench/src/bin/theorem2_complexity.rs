@@ -3,6 +3,13 @@
 //! chains of growing length and compares against `m·ln(m)` and `m²`
 //! reference curves.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime_bench::{header, render_table};
 use leime_dnn::{DnnChain, ExitRates, ExitSpec, Layer, LayerKind, ModelProfile};
 use leime_exitcfg::{branch_and_bound, CostModel, EnvParams};

@@ -6,6 +6,13 @@
 //! offline reference is the best fixed offloading ratio chosen in
 //! hindsight for the same workload.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::float_cmp,
+    reason = "an experiment driver, not library code: a broken setup aborts the run"
+)]
+
 use leime::{ControllerKind, ExitStrategy, ModelKind, Scenario};
 use leime_bench::{fmt_time, header, render_table};
 

@@ -145,7 +145,7 @@ pub fn fmt_speedup(x: f64) -> String {
 /// assert_eq!(s.chars().count(), 4);
 /// ```
 // The `hi - lo < EPSILON` width test is a flat-series check, not equality.
-#[allow(clippy::float_equality_without_abs)]
+#[allow(clippy::float_equality_without_abs, reason = "flat-series test")]
 pub fn sparkline(values: &[f64]) -> String {
     const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     if values.is_empty() {

@@ -371,7 +371,7 @@ fn elapsed_since(wall: &WallClock, born: f64) -> Duration {
 }
 
 // The device loop's channel endpoints and counters are genuinely distinct.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "distinct channels and counters")]
 fn device_loop(
     dev: usize,
     pipeline: &EarlyExitPipeline,

@@ -187,7 +187,7 @@ impl Scenario {
     ///
     /// Returns [`LeimeError::Config`] describing the first violation.
     // `!(x > 0)` deliberately rejects NaN as well as non-positive values.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "rejects NaN too")]
     pub fn validate(&self) -> Result<()> {
         if self.devices.is_empty() {
             return Err(LeimeError::Config("scenario has no devices".into()));

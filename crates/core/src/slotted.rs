@@ -688,7 +688,7 @@ fn decision_inputs(
 /// the shard's struct-of-arrays elements). Allocation-free (S6) and safe
 /// to run concurrently across devices; all recording is deferred to
 /// [`apply_out`] on the driving thread.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one argument per SoA element")]
 fn device_slot(
     run: &RunCtx<'_>,
     quants: &SlotQuants,

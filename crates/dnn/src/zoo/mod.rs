@@ -164,7 +164,7 @@ pub(crate) fn chain_of(model: &str, built: Result<DnnChain, DnnError>) -> DnnCha
 /// `kh × kw` conv from `c_in` to `c_out` on an `h × w` input with the given
 /// stride/padding; returns `(flops, h_out, w_out)`.
 // Convolution geometry genuinely has this many independent parameters.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "conv geometry parameters")]
 pub(crate) fn branch_conv(
     c_in: usize,
     c_out: usize,

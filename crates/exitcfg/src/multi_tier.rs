@@ -29,7 +29,7 @@ pub struct TierEnv {
 
 impl TierEnv {
     // `!(x > 0)` deliberately rejects NaN as well as non-positive values.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "rejects NaN too")]
     fn validate(&self, is_first: bool) -> Result<(), String> {
         if !(self.flops > 0.0 && self.flops.is_finite()) {
             return Err(format!("tier flops invalid: {}", self.flops));
@@ -145,7 +145,7 @@ pub fn multi_tier_exits(
     // Tier 0: layers 0..=e at device speed, no transfer, all tasks.
     // Tier j's exit can be at most m-1-(k-1-j) to leave room downstream.
     let cap = |j: usize| m - 1 - (k - 1 - j);
-    #[allow(clippy::needless_range_loop)] // e indexes dp and profile in lockstep
+    #[allow(clippy::needless_range_loop, reason = "e indexes dp and profile")]
     for e in 0..=cap(0) {
         dp[0][e] = block(0, e, tiers[0].flops);
     }

@@ -5,9 +5,9 @@
 //! queue backlogs `Q_i`/`H_i` (Eq. 10–11), KKT compute shares `p_i` on
 //! the probability simplex (Eq. 27), and the monotone cumulative exit
 //! rates that make Theorem 1's branch-and-bound pruning sound. This
-//! crate provides the guard functions the `leime-lint` L5 rule requires
-//! every ratio/share/queue-producing function in `leime-offload` and
-//! `leime-exitcfg` to route through.
+//! crate provides the guard functions the `leime-lint` S1 rule requires
+//! every guarded ratio/share/queue-producing function in `leime-offload`,
+//! `leime-exitcfg` and the crates above them to reach on some call path.
 //!
 //! Guards are **debug assertions by default** (zero cost in release
 //! builds) and become **hard checks in every build** under the
@@ -59,8 +59,11 @@ fn tick() {
 /// the same site instead of scattering `panic!`/`expect` calls.
 #[cold]
 #[inline(never)]
+#[expect(
+    clippy::panic,
+    reason = "the sanctioned panic site: guards must stop an analysis whose feasibility region broke"
+)]
 pub fn violation(label: &str, detail: &str) -> ! {
-    // lint:allow(L1): the invariant module is the sanctioned panic site — guards must stop an analysis whose feasibility region broke
     panic!("invariant violation [{label}]: {detail}");
 }
 

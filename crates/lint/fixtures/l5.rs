@@ -1,4 +1,5 @@
-//! Seeded L5 violation: a guarded solver fn that never calls a guard.
+//! Seeded unguarded solver: `balance_solve` never calls a guard, while
+//! `exact_solve` calls one directly. S1 flags only the former.
 
 pub fn balance_solve(x: f64) -> f64 {
     x.clamp(0.0, 1.0)

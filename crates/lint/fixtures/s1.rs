@@ -1,6 +1,6 @@
 //! S1 fixture: `decide` funnels through a helper chain that never
-//! reaches an `invariant::` guard; `submit` delegates to one and is
-//! clean (the token-level L5 would have flagged both).
+//! reaches an `invariant::` guard, and `balance_solve` never calls one
+//! at all; `submit` delegates to a guard and is clean.
 
 pub fn decide(x: f64) -> f64 {
     helper(x)
@@ -16,4 +16,8 @@ pub fn submit(x: f64) -> f64 {
 
 fn checked(x: f64) -> f64 {
     invariant::check_unit_interval("x", x)
+}
+
+pub fn balance_solve(x: f64) -> f64 {
+    x.clamp(0.0, 1.0)
 }

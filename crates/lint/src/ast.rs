@@ -1,19 +1,19 @@
 //! The simplified syntax tree produced by [`crate::parser`].
 //!
 //! This is deliberately *not* a faithful Rust AST: it models exactly the
-//! structure the S1–S4 rules need — item nesting, function signatures
+//! structure the S-rules need — item nesting, function signatures
 //! and bodies, call/method-call/field/binary expressions, loops and the
 //! blocks they own — and collapses everything else into
 //! [`Expr::Opaque`]. Types are kept as flattened token text (enough for
-//! `HashMap`/`BTreeMap` classification), patterns as the single bound
-//! identifier when there is one.
+//! float classification), patterns as the single bound identifier when
+//! there is one.
 
 /// What kind of item a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ItemKind {
     /// `fn` (free, impl or trait method with a body).
     Fn,
-    /// `struct` definition (fields captured).
+    /// `struct` definition.
     Struct,
     /// `enum` definition.
     Enum,
@@ -45,8 +45,6 @@ pub struct Item {
     pub children: Vec<Item>,
     /// Function parameters as `(name, type-text)`; empty otherwise.
     pub params: Vec<(String, String)>,
-    /// Struct fields as `(name, type-text)`; empty otherwise.
-    pub fields: Vec<(String, String)>,
     /// Function body (or const/static initializer wrapped in a block).
     pub body: Option<Block>,
     /// Whether the item carried a `#[cfg(test)]` / `#[test]` attribute;
@@ -63,7 +61,6 @@ impl Item {
             line,
             children: Vec::new(),
             params: Vec::new(),
-            fields: Vec::new(),
             body: None,
             cfg_test: false,
         }

@@ -8,14 +8,12 @@
 //! method calls their method name.
 //!
 //! Direct `invariant::` detection is *token-level*, scanning each
-//! function's body tokens for `invariant ::` / `leime_invariant ::`.
-//! This is deliberately the same notion L5 uses, so S1 is strictly more
-//! permissive than L5: any L5-clean function is S1's base case, and S1
+//! function's body tokens for `invariant ::` / `leime_invariant ::`: a
+//! function that calls a guard itself is S1's base case, and S1
 //! additionally accepts delegation through locally-defined callees.
 
-use crate::ast::{walk_block, Expr, File};
+use crate::ast::{walk_block, walk_fns, Expr, File};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::symbols;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Call graph over one crate's files.
@@ -31,8 +29,7 @@ impl CallGraph {
     /// Adds one parsed file (and its source text, for the token-level
     /// direct-guard scan) to the graph.
     pub fn add_file(&mut self, file: &File, src: &str) {
-        let table = symbols::build(file);
-        for f in &table.fns {
+        walk_fns(&file.items, &mut |f| {
             let out = self.calls.entry(f.name.clone()).or_default();
             if let Some(body) = &f.body {
                 walk_block(body, &mut |e| match e {
@@ -49,7 +46,7 @@ impl CallGraph {
                     _ => {}
                 });
             }
-        }
+        });
         scan_direct_guards(&lex(src).toks, &mut self.direct_guard);
     }
 
@@ -92,8 +89,8 @@ impl CallGraph {
 
 /// Token scan: for every `fn name … { body }`, records `name` when the
 /// body contains `invariant ::` or `leime_invariant ::`. A nested fn's
-/// guard also counts for its enclosing fn (same over-approximation L5
-/// makes; the nested fn is itself a node too).
+/// guard also counts for its enclosing fn (an over-approximation; the
+/// nested fn is itself a node too).
 fn scan_direct_guards(toks: &[Tok], out: &mut BTreeSet<String>) {
     let is_punct = |t: &Tok, s: &str| t.kind == TokKind::Punct && t.text == s;
     let mut i = 0usize;

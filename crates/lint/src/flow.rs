@@ -981,8 +981,8 @@ impl FlowAnalysis {
     }
 
     /// Runs S5, S7–S9 and S12 and returns their findings, sorted by
-    /// path, line and rule. (The S6 ratchet is driven by `leime-lint`,
-    /// which owns the pinned baseline this crate must not read.)
+    /// path, line and rule. (The S6 ratchet is driven by [`crate::run`],
+    /// which reads the pinned baseline.)
     pub fn findings(&self, cfg: &SemaConfig) -> Vec<Finding> {
         let mut out = Vec::new();
         if cfg.rule_on("S5") {
@@ -1290,21 +1290,13 @@ pub struct HotAlloc {
     pub count: usize,
 }
 
-/// Convenience front door: builds the analysis and returns the
-/// S5/S7–S9/S12 findings for the whole scanned file set.
-pub fn analyze_workspace(files: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
-    if !["S5", "S7", "S8", "S9", "S12"]
-        .iter()
-        .any(|r| cfg.rule_on(r))
-    {
-        return Vec::new();
-    }
-    FlowAnalysis::build(files, cfg).findings(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn analyze_workspace(files: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
+        FlowAnalysis::build(files, cfg).findings(cfg)
+    }
 
     fn cfg() -> SemaConfig {
         SemaConfig {

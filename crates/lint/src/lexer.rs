@@ -1,8 +1,8 @@
 //! Token-level scanner for Rust sources.
 //!
-//! The offline build environment has no `syn`, so both the token-level
-//! lint rules and the [`crate::parser`] work on a lexical token stream
-//! instead of `rustc`'s own syntax tree. The scanner understands exactly
+//! The offline build environment has no `syn`, so the [`crate::parser`],
+//! the call graph's direct-guard scan and the waiver parser work on a
+//! lexical token stream instead of `rustc`'s own syntax tree. The scanner understands exactly
 //! as much of Rust's lexical grammar as its consumers need: line/block
 //! comments (captured, for `lint:allow` waivers), string/char/lifetime
 //! disambiguation, raw and byte strings, byte-char literals (`b'x'`),
@@ -406,86 +406,6 @@ fn lex_number(chars: &[char], i: usize, line: u32) -> (Tok, usize) {
     )
 }
 
-/// Marks tokens covered by `#[cfg(test)]` / `#[test]`-gated items.
-///
-/// Returns one flag per token; `true` means the token belongs to a
-/// test-only item and is exempt from the library-code rules. An attribute
-/// whose argument tokens include the bare identifier `test` (so
-/// `#[cfg(test)]`, `#[cfg(all(test, …))]`, `#[test]`) gates the item that
-/// follows: everything up to the matching `}` of its first brace, or the
-/// first top-level `;` for braceless items.
-pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !(toks[i].kind == TokKind::Punct
-            && toks[i].text == "#"
-            && i + 1 < toks.len()
-            && toks[i + 1].text == "[")
-        {
-            i += 1;
-            continue;
-        }
-        // Collect the attribute body up to the matching `]`.
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        let mut is_test = false;
-        while j < toks.len() && depth > 0 {
-            match (toks[j].kind, toks[j].text.as_str()) {
-                (TokKind::Punct, "[") => depth += 1,
-                (TokKind::Punct, "]") => depth -= 1,
-                (TokKind::Ident, "test") => is_test = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        if !is_test {
-            i = j;
-            continue;
-        }
-        // Skip the gated item: subsequent attributes, then the item body.
-        let item_start = i;
-        let mut k = j;
-        while k + 1 < toks.len() && toks[k].text == "#" && toks[k + 1].text == "[" {
-            let mut d = 1usize;
-            k += 2;
-            while k < toks.len() && d > 0 {
-                match toks[k].text.as_str() {
-                    "[" => d += 1,
-                    "]" => d -= 1,
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-        let mut brace = 0isize;
-        let mut entered = false;
-        while k < toks.len() {
-            match toks[k].text.as_str() {
-                "{" => {
-                    brace += 1;
-                    entered = true;
-                }
-                "}" => brace -= 1,
-                ";" if !entered && brace == 0 => {
-                    k += 1;
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-            if entered && brace == 0 {
-                break;
-            }
-        }
-        for flag in mask.iter_mut().take(k).skip(item_start) {
-            *flag = true;
-        }
-        i = k;
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,10 +432,10 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let lexed = lex("fn f() {}\n// lint:allow(L1): reason\nlet x = 1;\n/* block */");
+        let lexed = lex("fn f() {}\n// lint:allow(S7): reason\nlet x = 1;\n/* block */");
         assert_eq!(lexed.comments.len(), 2);
         assert_eq!(lexed.comments[0].line, 2);
-        assert!(lexed.comments[0].text.contains("lint:allow(L1)"));
+        assert!(lexed.comments[0].text.contains("lint:allow(S7)"));
         assert_eq!(lexed.comments[1].line, 4);
     }
 
@@ -673,44 +593,5 @@ mod tests {
         let lexed = lex("a\nb\n  c");
         let lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn test_mask_covers_cfg_test_module() {
-        let src =
-            "fn lib() { }\n#[cfg(test)]\nmod tests {\n  fn t() { x.unwrap(); }\n}\nfn tail() {}";
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.toks);
-        for (tok, m) in lexed.toks.iter().zip(&mask) {
-            if tok.text == "unwrap" {
-                assert!(m, "unwrap inside cfg(test) must be masked");
-            }
-            if tok.text == "lib" || tok.text == "tail" {
-                assert!(!m, "library items must stay unmasked");
-            }
-        }
-    }
-
-    #[test]
-    fn test_mask_covers_test_fn_with_extra_attrs() {
-        let src = "#[test]\n#[should_panic(expected = \"boom\")]\nfn t() { panic!(\"boom\") }\nfn lib() {}";
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.toks);
-        for (tok, m) in lexed.toks.iter().zip(&mask) {
-            if tok.text == "panic" {
-                assert!(m);
-            }
-            if tok.text == "lib" {
-                assert!(!m);
-            }
-        }
-    }
-
-    #[test]
-    fn cfg_feature_string_is_not_test() {
-        let src = "#[cfg(feature = \"test-utils\")]\nfn helper() { x.unwrap(); }";
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.toks);
-        assert!(mask.iter().all(|&m| !m), "feature strings must not mask");
     }
 }

@@ -1,44 +1,215 @@
 //! # leime-lint
 //!
-//! Offline, dependency-light static analysis for the LEIME workspace.
+//! Offline, dependency-light static analysis for the LEIME workspace:
+//! the rules that guard the byte-identical output contract (DESIGN.md
+//! §11) and that no off-the-shelf tool provides. Whatever the compiler,
+//! clippy or cargo already enforces lives there instead (DESIGN.md §8):
+//! panics, float equality, wall-clock reads and hash containers are
+//! `[workspace.lints.clippy]` entries, and the crate layering is a
+//! `cargo metadata` test over the pure check in [`layering`].
 //!
-//! LEIME's correctness rests on numeric invariants the compiler cannot
-//! see — offloading ratios `x_i(t) ∈ [0, 1]` (Eq. 8), non-negative queue
-//! backlogs `Q_i`/`H_i` (Eq. 10–11), KKT compute shares on the simplex
-//! (Eq. 27) — and on library code that never panics under load. This
-//! crate scans the workspace's own sources with a token-level scanner
-//! (no `syn` in the offline build environment) and enforces the L1–L5
-//! rule set described in [`rules`], with inline
-//! `// lint:allow(<rule>): <justification>` waivers under a budget.
-//! The semantic S1–S4 rules — transitive invariant reachability, hash
-//! iteration, unit-suffix mixing, crate layering — and the
-//! interprocedural flow rules S5–S8 — shard-capture races, the
-//! hot-path allocation ratchet, RNG-stream hygiene, shard-body
-//! blocking — and the numeric-determinism rules S9 and S12 — hot-path
-//! float reductions, shard lock-order cycles — come from [`leime_sema`]
-//! (re-exported as [`sema`]) and are merged into the same
-//! waiver/report pipeline under the `leime-lint/4` schema.
+//! The offline build has no `syn`, so the crate carries its own
+//! [`lexer`], a recursive-descent [`parser`] into a simplified [`ast`],
+//! an intra-crate [`callgraph`] and an interprocedural [`flow`] engine.
+//! The rules built on them:
 //!
-//! The binary (`cargo run -p leime-lint -- --deny-all`) is the CI gate;
-//! the library is exercised directly by the tier-2 integration tests.
+//! | Rule | Enforces |
+//! | ---- | -------- |
+//! | `S1` | guarded solver fns transitively reach an `invariant::` guard (Eq. 8 / Eq. 10–11 / Eq. 27) |
+//! | `S5` | no shared mutable capture across `leime-par` shard-closure boundaries |
+//! | `S6` | hot-path allocation counts only go down against a pinned baseline |
+//! | `S7` | RNGs in `par`/`core`/`serving`/`fleet` derive via `leime_par::stream_seed` |
+//! | `S8` | no blocking calls inside shard worker bodies |
+//! | `S9` | hot float accumulations go through approved ordered reductions |
+//! | `S12` | no lock-order cycles among locks reachable from shard bodies |
+//!
+//! Findings pass through the inline `// lint:allow(<rule>): <why>`
+//! waivers of [`rules`] and come out as a [`Report`] under the
+//! `leime-lint/4` schema. The binary (`cargo run -p leime-lint --
+//! --deny-all`) is the CI gate; the library is exercised directly by the
+//! tier-2 integration tests.
 
+pub mod ast;
+pub mod callgraph;
+pub mod flow;
+pub mod layering;
+pub mod lexer;
+pub mod parser;
 pub mod report;
 pub mod rules;
 
-/// The semantic-analysis layer: parser, AST, call graph, flow, S1–S8.
-pub use leime_sema as sema;
-/// The shared token-level lexer (lives in `leime-sema`, where the
-/// parser builds on it; the L-rules consume it from here).
-pub use leime_sema::lexer;
-
 pub use report::{Report, RuleCount, SCHEMA_VERSION};
-pub use rules::{FileScan, Finding, RuleConfig, Waived, RULE_IDS};
+pub use rules::{FileScan, Waived, RULE_IDS};
 
-use std::collections::{BTreeMap, HashSet};
+use flow::{FlowAnalysis, HotAlloc};
+use serde::Serialize;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// Default waiver budget: a handful of justified escapes, no more.
-pub const DEFAULT_WAIVER_BUDGET: usize = 8;
+/// The waiver budget: at most this many justified `lint:allow` escapes
+/// across the workspace.
+pub const WAIVER_BUDGET: usize = 5;
+
+/// One rule violation.
+#[derive(Debug, Clone, Serialize, PartialEq, Eq)]
+pub struct Finding {
+    /// Rule identifier (one of [`RULE_IDS`], or `W1`–`W3`).
+    pub rule: String,
+    /// Path of the offending file, relative to the scan root.
+    pub path: String,
+    /// 1-based line number.
+    pub line: u32,
+    /// Human-readable description.
+    pub message: String,
+}
+
+/// Which rules run, and where.
+#[derive(Debug, Clone)]
+pub struct SemaConfig {
+    /// Rules to run; `None` runs all of them.
+    pub enabled: Option<BTreeSet<String>>,
+    /// Path substrings marking files subject to S1.
+    pub guarded_path_markers: Vec<String>,
+    /// Function names that must transitively reach `invariant::` (S1).
+    pub guarded_fn_names: Vec<String>,
+    /// Path substrings marking hot-path files for the S6 allocation
+    /// ratchet (counts compare against the pinned baseline only here).
+    pub hot_path_markers: Vec<String>,
+    /// Path substrings marking files whose RNG constructions S7 audits.
+    pub rng_path_markers: Vec<String>,
+    /// Hot-region roots: fn names whose transitive callees form the S6
+    /// hot set (`SlottedSystem::run*`, `ServingSystem::run`, sweeps, …).
+    pub hot_root_fns: Vec<String>,
+    /// `leime-par` entry points as `(fn name, worker-closure arg
+    /// index)` — the closure at that argument is a shard body (S5/S8).
+    pub par_entry_args: Vec<(String, usize)>,
+    /// Captured-name substrings exempt from S5's interior-mutability
+    /// branch (the sanctioned driver-drained telemetry sinks).
+    pub s5_exempt_names: Vec<String>,
+    /// Function names allowed to hold float accumulations under S9:
+    /// the ordered-reduction helpers and the approved bit-exact
+    /// kernels. Everything else reachable from a byte-identical
+    /// contract root must route its float reductions through one of
+    /// these.
+    pub s9_approved_fns: Vec<String>,
+}
+
+fn strings(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| (*s).to_string()).collect()
+}
+
+impl Default for SemaConfig {
+    fn default() -> Self {
+        SemaConfig {
+            enabled: None,
+            guarded_path_markers: strings(&[
+                "crates/offload/src",
+                "crates/exitcfg/src",
+                "crates/chaos/src",
+                "crates/serving/src",
+                "crates/fleet/src",
+            ]),
+            guarded_fn_names: strings(&[
+                "kkt_allocation",
+                "kkt_allocation_with_floor",
+                "step",
+                "balance_solve",
+                "exact_solve",
+                "feasible_interval",
+                "decide",
+                "branch_and_bound",
+                "exhaustive",
+                "multi_tier_exits",
+                // chaos + graceful-degradation entry points
+                "compile",
+                "link_health",
+                "edge_health",
+                "degraded_decide",
+                "transfer",
+                "submit",
+                // parallel sweep entry point (finite-cost guard)
+                "par_sweep",
+                // serving admission + exit-steering entry points
+                "admit",
+                "steer_exits",
+                // fleet regional-tier entry points (pressure balancing
+                // and failover evacuation route through invariant::)
+                "rebalance",
+                "evacuate",
+            ]),
+            hot_path_markers: strings(&[
+                "crates/core/src",
+                "crates/par/src",
+                "crates/serving/src",
+                "crates/exitcfg/src",
+                "crates/fleet/src",
+            ]),
+            rng_path_markers: strings(&[
+                "crates/par/src",
+                "crates/core/src",
+                "crates/serving/src",
+                "crates/fleet/src",
+            ]),
+            hot_root_fns: strings(&[
+                "run",
+                "run_with_workers",
+                "run_with_workers_epochs",
+                "run_live",
+                "run_live_with_registry",
+                "run_slotted",
+                "run_slotted_workers",
+                "run_slotted_with_registry",
+                "run_des",
+                "run_des_with_registry",
+                "par_sweep",
+                "seq_sweep",
+            ]),
+            par_entry_args: vec![
+                ("par_map_shards".to_string(), 2),
+                ("run_rounds".to_string(), 3),
+            ],
+            s5_exempt_names: strings(&["telemetry"]),
+            s9_approved_fns: strings(&[
+                // ordered-reduction helpers (leime-par)
+                "concat_shards",
+                "merge_btree_maps",
+                // reviewed order-pinned sequential reductions (DESIGN.md
+                // §15 ledger): single-threaded source-order loops whose
+                // result never crosses a shard boundary unreduced.
+                "run",
+                "avg_env",
+                "flops_prefix",
+                "check_simplex",
+                "validate",
+                "softmax_rows",
+                "norm",
+                "poisson_draw",
+                // fleet regional tier (leime-fleet): sequential
+                // BTreeMap-ordered pressure/backlog sums at interval
+                // boundaries, never crossing a shard boundary.
+                "edge_pressures",
+                "rebalance",
+                "evacuate",
+            ]),
+        }
+    }
+}
+
+impl SemaConfig {
+    /// Whether rule `id` is enabled under this config.
+    pub fn rule_on(&self, id: &str) -> bool {
+        match &self.enabled {
+            None => true,
+            Some(set) => set.contains(id),
+        }
+    }
+}
+
+/// Whether `path` (normalized to `/` separators) contains any marker.
+pub fn path_matches(path: &str, markers: &[String]) -> bool {
+    let norm = path.replace('\\', "/");
+    markers.iter().any(|m| norm.contains(m.as_str()))
+}
 
 /// Options for one lint run.
 #[derive(Debug, Clone)]
@@ -48,13 +219,8 @@ pub struct ScanOptions {
     /// Explicit files/directories to scan instead of the default
     /// workspace library-source walk.
     pub paths: Vec<PathBuf>,
-    /// Maximum number of waivers before the run fails.
-    pub max_waivers: usize,
     /// Rule configuration (scoping, guarded functions, enabled set).
-    pub config: RuleConfig,
-    /// Whether to run the semantic S1–S8 rules (`--no-sema` turns the
-    /// run back into the token-level L1–L5 scanner).
-    pub sema: bool,
+    pub config: SemaConfig,
     /// S6 allocation-ratchet baseline file. `None` uses the committed
     /// [`S6_BASELINE_PATH`] under the root in workspace mode and
     /// disables the ratchet for explicit-path scans.
@@ -70,9 +236,7 @@ impl ScanOptions {
         ScanOptions {
             root: root.into(),
             paths: Vec::new(),
-            max_waivers: DEFAULT_WAIVER_BUDGET,
-            config: RuleConfig::default(),
-            sema: true,
+            config: SemaConfig::default(),
             s6_baseline: None,
             write_s6_baseline: false,
         }
@@ -100,7 +264,7 @@ const NON_LIBRARY_DIRS: &[&str] = &["shims", "fixtures", "tests", "benches", "ex
 /// # Errors
 ///
 /// Returns a description of the first I/O failure (unreadable root or
-/// source file).
+/// source file, or an unreadable or unwritable S6 baseline).
 pub fn run(opts: &ScanOptions) -> Result<Report, String> {
     let mut files: Vec<PathBuf> = Vec::new();
     if opts.paths.is_empty() {
@@ -130,87 +294,67 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
         sources.push((display_path(&opts.root, file), src));
     }
 
-    // Semantic pass first: S1 needs whole-crate call graphs, so files
-    // group by crate before per-file findings come back out.
-    let mut sema_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    if opts.sema {
-        let sema_cfg = opts.config.sema_config();
-        let mut groups: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
-        for (rel, src) in &sources {
-            groups
-                .entry(crate_key(rel))
-                .or_default()
-                .push((rel.clone(), src.clone()));
-        }
-        for group in groups.values() {
-            for f in leime_sema::analyze_crate(group, &sema_cfg) {
-                sema_by_file.entry(f.path.clone()).or_default().push(f);
-            }
-        }
+    let cfg = &opts.config;
+    let flow = FlowAnalysis::build(&sources, cfg);
+    let mut raw = semantic_findings(&sources, &flow, cfg);
 
-        // Interprocedural flow pass (S5/S7/S8): one analysis over the
-        // whole scanned file set — flow edges cross crates.
-        let flow = leime_sema::flow::FlowAnalysis::build(&sources, &sema_cfg);
-        for f in flow.findings(&sema_cfg) {
-            sema_by_file.entry(f.path.clone()).or_default().push(f);
-        }
-
-        // S6 allocation ratchet: hot-path counts against the pinned
-        // baseline. Explicit-path scans skip it unless a baseline was
-        // passed in (a partial scan would see a partial hot set and
-        // report nonsense diffs).
-        let baseline_path = opts.s6_baseline.clone().or_else(|| {
-            opts.paths
-                .is_empty()
-                .then(|| opts.root.join(S6_BASELINE_PATH))
-        });
-        if sema_cfg.rule_on("S6") {
-            if let Some(bp) = baseline_path {
-                let counts = flow.hot_alloc_counts(&sema_cfg);
-                if opts.write_s6_baseline {
-                    write_s6_baseline(&bp, &counts)?;
-                } else if bp.is_file() {
-                    for f in check_s6(&bp, &counts)? {
-                        sema_by_file.entry(f.path.clone()).or_default().push(f);
-                    }
-                }
+    // S6 allocation ratchet: hot-path counts against the pinned
+    // baseline. Explicit-path scans skip it unless a baseline was
+    // passed in (a partial scan would see a partial hot set and report
+    // nonsense diffs).
+    let baseline_path = opts.s6_baseline.clone().or_else(|| {
+        opts.paths
+            .is_empty()
+            .then(|| opts.root.join(S6_BASELINE_PATH))
+    });
+    if cfg.rule_on("S6") {
+        if let Some(bp) = baseline_path {
+            let counts = flow.hot_alloc_counts(cfg);
+            if opts.write_s6_baseline {
+                write_s6_baseline(&bp, &counts)?;
+            } else if bp.is_file() {
+                raw.extend(check_s6(&bp, &counts)?);
             }
         }
     }
 
-    let mut violations = Vec::new();
-    let mut waived = Vec::new();
-    for (rel, src) in &sources {
-        let extra = sema_by_file.remove(rel).unwrap_or_default();
-        let scan = rules::scan_source_with(rel, src, &opts.config, extra);
-        violations.extend(scan.findings);
-        waived.extend(scan.waived);
-    }
+    let scan = rules::apply_waivers(&sources, raw);
+    Ok(Report::new(files.len(), scan.findings, scan.waived))
+}
 
-    // S4 runs in workspace mode only (it reads `crates/*/Cargo.toml`
-    // under the root, not the scanned file list) and bypasses waivers:
-    // manifests carry no lint:allow comments by design.
-    if opts.sema && opts.paths.is_empty() {
-        violations.extend(leime_sema::check_layering(
-            &opts.root,
-            &opts.config.sema_config(),
-        )?);
-    }
+/// Lints in-memory `(path, source)` pairs with every enabled rule except
+/// the S6 ratchet, which needs a baseline file ([`run`] adds it), and
+/// applies each file's waivers.
+pub fn scan_sources(sources: &[(String, String)], cfg: &SemaConfig) -> FileScan {
+    let flow = FlowAnalysis::build(sources, cfg);
+    rules::apply_waivers(sources, semantic_findings(sources, &flow, cfg))
+}
 
-    Ok(Report::new(
-        files.len(),
-        violations,
-        waived,
-        opts.max_waivers,
-    ))
+/// S1 over each crate's files (its call graphs are whole-crate), then the
+/// flow rules over the whole file set (flow edges cross crates).
+fn semantic_findings(
+    sources: &[(String, String)],
+    flow: &FlowAnalysis,
+    cfg: &SemaConfig,
+) -> Vec<Finding> {
+    let mut groups: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
+    for (rel, src) in sources {
+        groups
+            .entry(crate_key(rel))
+            .or_default()
+            .push((rel.clone(), src.clone()));
+    }
+    let mut out = Vec::new();
+    for group in groups.values() {
+        out.extend(rules::analyze_crate(group, cfg));
+    }
+    out.extend(flow.findings(cfg));
+    out
 }
 
 /// Writes the S6 baseline file from this run's hot-allocation counts
 /// (sorted keys — the file diffs cleanly).
-fn write_s6_baseline(
-    path: &Path,
-    counts: &BTreeMap<String, leime_sema::flow::HotAlloc>,
-) -> Result<(), String> {
+fn write_s6_baseline(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<(), String> {
     let mut fns = serde_json::Map::new();
     for (key, ha) in counts {
         fns.insert(
@@ -233,10 +377,7 @@ fn write_s6_baseline(
 /// Compares this run's hot-allocation counts against the pinned
 /// baseline: any function whose count rose (functions missing from the
 /// baseline count as 0) yields an S6 finding at its definition line.
-fn check_s6(
-    path: &Path,
-    counts: &BTreeMap<String, leime_sema::flow::HotAlloc>,
-) -> Result<Vec<Finding>, String> {
+fn check_s6(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<Vec<Finding>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc: serde_json::Value = serde_json::from_str(&text)
@@ -268,8 +409,8 @@ fn check_s6(
     Ok(out)
 }
 
-/// Grouping key for the per-crate semantic analysis: `crates/<name>`
-/// for workspace paths, the parent directory otherwise.
+/// Grouping key for the per-crate S1 analysis: `crates/<name>` for
+/// workspace paths, the parent directory otherwise.
 fn crate_key(rel: &str) -> String {
     let norm = rel.replace('\\', "/");
     let comps: Vec<&str> = norm.split('/').collect();
@@ -319,13 +460,13 @@ fn collect_files(dir: &Path, library_only: bool, out: &mut Vec<PathBuf>) -> Resu
     Ok(())
 }
 
-/// Restricts a config to the comma-separated rule list (`"L1,L3"`).
+/// Restricts a config to the comma-separated rule list (`"S1,S7"`).
 ///
 /// # Errors
 ///
 /// Returns the offending identifier when it is not a known rule.
-pub fn parse_rule_filter(config: &mut RuleConfig, list: &str) -> Result<(), String> {
-    let mut set = HashSet::new();
+pub fn parse_rule_filter(config: &mut SemaConfig, list: &str) -> Result<(), String> {
+    let mut set = BTreeSet::new();
     for id in list.split(',') {
         let id = id.trim();
         if id.is_empty() {
@@ -349,13 +490,44 @@ mod tests {
 
     #[test]
     fn rule_filter_validates_ids() {
-        let mut cfg = RuleConfig::default();
-        assert!(parse_rule_filter(&mut cfg, "L1,L4").is_ok());
+        let mut cfg = SemaConfig::default();
+        assert!(parse_rule_filter(&mut cfg, "S1,S7").is_ok());
         match &cfg.enabled {
             Some(set) => assert_eq!(set.len(), 2),
             None => unreachable!("filter must restrict the set"),
         }
-        assert!(parse_rule_filter(&mut cfg, "L9").is_err());
+        // L1 moved to clippy: it is no longer a leime-lint rule.
+        assert!(parse_rule_filter(&mut cfg, "L1").is_err());
+    }
+
+    #[test]
+    fn rule_gate_respects_enabled_set() {
+        let mut cfg = SemaConfig::default();
+        assert!(cfg.rule_on("S1") && cfg.rule_on("S12"));
+        cfg.enabled = Some(["S7".to_string()].into_iter().collect());
+        assert!(cfg.rule_on("S7"));
+        assert!(!cfg.rule_on("S1"));
+    }
+
+    #[test]
+    fn default_markers_cover_the_guarded_crates() {
+        let cfg = SemaConfig::default();
+        assert!(path_matches(
+            "crates/offload/src/solver.rs",
+            &cfg.guarded_path_markers
+        ));
+        assert!(path_matches(
+            "crates/serving/src/system.rs",
+            &cfg.rng_path_markers
+        ));
+        assert!(path_matches(
+            "crates/fleet/src/system.rs",
+            &cfg.hot_path_markers
+        ));
+        assert!(!path_matches(
+            "crates/tensor/src/shape.rs",
+            &cfg.guarded_path_markers
+        ));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use leime_lint::{parse_rule_filter, run, ScanOptions};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: leime-lint [--root DIR] [--json] [--deny-all] [--no-sema] \
-[--max-waivers N] [--rules L1,...,S12] [--baseline FILE] [--write-baseline] [paths...]";
+const USAGE: &str = "usage: leime-lint [--root DIR] [--json] [--deny-all] \
+[--rules S1,...,S12] [--baseline FILE] [--write-baseline] [paths...]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,9 +30,8 @@ fn real_main(args: &[String]) -> i32 {
         match args[i].as_str() {
             "--json" => json = true,
             "--deny-all" => deny_all = true,
-            "--no-sema" => opts.sema = false,
             "--write-baseline" => opts.write_s6_baseline = true,
-            "--root" | "--max-waivers" | "--rules" | "--baseline" => {
+            "--root" | "--rules" | "--baseline" => {
                 let Some(value) = args.get(i + 1) else {
                     eprintln!("{} needs a value\n{USAGE}", args[i]);
                     return 1;
@@ -40,13 +39,6 @@ fn real_main(args: &[String]) -> i32 {
                 match args[i].as_str() {
                     "--root" => opts.root = PathBuf::from(value),
                     "--baseline" => opts.s6_baseline = Some(PathBuf::from(value)),
-                    "--max-waivers" => match value.parse::<usize>() {
-                        Ok(n) => opts.max_waivers = n,
-                        Err(_) => {
-                            eprintln!("--max-waivers needs an integer, got `{value}`");
-                            return 1;
-                        }
-                    },
                     _ => {
                         if let Err(e) = parse_rule_filter(&mut opts.config, value) {
                             eprintln!("{e}");

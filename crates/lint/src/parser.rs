@@ -11,8 +11,8 @@
 //!    scanning the 95% it understands.
 //!
 //! The grammar subset is what the S-rules need: item structure with
-//! nesting, `fn` signatures (param names + flattened type text), struct
-//! fields, and bodies parsed into the simplified [`crate::ast`]
+//! nesting, `fn` signatures (param names + flattened type text), and
+//! bodies parsed into the simplified [`crate::ast`]
 //! expression forms (calls, method calls with turbofish, field access,
 //! binary/unary operators, loops, `if`/`match` and closures).
 
@@ -230,12 +230,11 @@ impl<'a> Parser<'a> {
             "struct" => {
                 self.pos += 1;
                 let name = self.bump_ident_text();
-                let mut item = Item::new(ItemKind::Struct, name, line);
+                let item = Item::new(ItemKind::Struct, name, line);
                 self.skip_generics();
                 self.skip_where_clause();
-                if self.eat_punct("{") {
-                    item.fields = self.parse_fields();
-                    self.eat_punct("}");
+                if self.at_punct("{") {
+                    self.skim_group_or_token();
                 } else {
                     // tuple struct `(…);` or unit struct `;`
                     if self.at_punct("(") {
@@ -431,34 +430,6 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            if self.pos == before {
-                self.pos += 1;
-            }
-        }
-    }
-
-    /// Parses `{ name: Type, … }` struct fields (already past the `{`).
-    fn parse_fields(&mut self) -> Vec<(String, String)> {
-        let mut fields = Vec::new();
-        loop {
-            match self.peek() {
-                None => return fields,
-                Some(t) if t.kind == TokKind::Punct && t.text == "}" => return fields,
-                _ => {}
-            }
-            let before = self.pos;
-            self.skip_attrs_and_vis();
-            if let Some(t) = self.peek() {
-                if t.kind == TokKind::Ident && self.peek_at(1).is_some_and(|n| n.text == ":") {
-                    let name = t.text.clone();
-                    self.pos += 2;
-                    let ty = self.consume_type_text(&[",", "}"]);
-                    fields.push((name, ty));
-                    self.eat_punct(",");
-                    continue;
-                }
-            }
-            self.skip_until_top(",");
             if self.pos == before {
                 self.pos += 1;
             }
@@ -1758,7 +1729,6 @@ mod tests {
         let inner = &file.items[0].children;
         assert_eq!(inner.len(), 2);
         assert_eq!(inner[0].kind, ItemKind::Struct);
-        assert_eq!(inner[0].fields, vec![("x".to_string(), "f64".to_string())]);
         assert_eq!(inner[1].kind, ItemKind::Impl);
         assert_eq!(inner[1].children[0].name, "get");
     }

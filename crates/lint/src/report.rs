@@ -1,17 +1,15 @@
 //! Report rendering: human-readable text and the `leime-lint/4` JSON
 //! schema (same versioned-schema idiom as `leime-telemetry/1`).
 //!
-//! `leime-lint/2` extended `/1` with the semantic S1–S4 rules and a
-//! `rule_set` field naming the rule universe the schema covers;
-//! `leime-lint/3` extended the rule universe with the interprocedural
-//! flow rules S5–S8 (shard-capture races, the hot-path allocation
-//! ratchet, RNG-stream hygiene, shard-body blocking); `leime-lint/4`
-//! extends it again with the numeric-determinism rules S9 and S12
-//! (hot-path float reductions, shard lock-order cycles). All `/2`-era
-//! fields are unchanged, so older consumers keep working; only
-//! `rule_set` and the possible `rule` values change.
+//! `leime-lint/2` extended `/1` with semantic rules and a `rule_set`
+//! field naming the rule universe the schema covers; `/3` and `/4`
+//! extended that universe with the flow rules. Rules that moved to
+//! clippy or to a test, or were retired (L1–L5, S2–S4), simply left
+//! `rule_set`; all `/2`-era fields are unchanged, so older consumers
+//! keep working.
 
-use crate::rules::{Finding, Waived, RULE_IDS};
+use crate::rules::{Waived, RULE_IDS};
+use crate::{Finding, WAIVER_BUDGET};
 use serde::Serialize;
 
 /// Version tag written into every JSON report.
@@ -31,7 +29,7 @@ pub struct RuleCount {
 pub struct Report {
     /// Schema tag (`leime-lint/4`).
     pub schema: String,
-    /// The rule identifiers this schema covers (L1–L5, S1–S9, S12).
+    /// The rule identifiers this run covers ([`RULE_IDS`]).
     pub rule_set: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
@@ -41,7 +39,7 @@ pub struct Report {
     pub waived: Vec<Waived>,
     /// Waivers actually used.
     pub waivers_used: usize,
-    /// Maximum allowed waivers.
+    /// Maximum allowed waivers ([`WAIVER_BUDGET`]).
     pub waiver_budget: usize,
     /// Per-rule violation counts (only rules with hits).
     pub summary: Vec<RuleCount>,
@@ -49,12 +47,7 @@ pub struct Report {
 
 impl Report {
     /// Builds a report from the merged per-file results.
-    pub fn new(
-        files_scanned: usize,
-        mut violations: Vec<Finding>,
-        waived: Vec<Waived>,
-        waiver_budget: usize,
-    ) -> Self {
+    pub fn new(files_scanned: usize, mut violations: Vec<Finding>, waived: Vec<Waived>) -> Self {
         violations.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
         let mut summary: Vec<RuleCount> = Vec::new();
         for f in &violations {
@@ -72,7 +65,7 @@ impl Report {
             rule_set: RULE_IDS.iter().map(|r| (*r).to_string()).collect(),
             files_scanned,
             waivers_used: waived.len(),
-            waiver_budget,
+            waiver_budget: WAIVER_BUDGET,
             violations,
             waived,
             summary,
@@ -153,22 +146,21 @@ mod tests {
         let r = Report::new(
             3,
             vec![
-                finding("L2", "b.rs", 9),
-                finding("L1", "a.rs", 4),
-                finding("L1", "a.rs", 2),
+                finding("S7", "b.rs", 9),
+                finding("S1", "a.rs", 4),
+                finding("S1", "a.rs", 2),
             ],
             vec![],
-            5,
         );
         assert_eq!(r.violations[0].line, 2);
         assert_eq!(r.summary.len(), 2);
-        assert_eq!((r.summary[0].rule.as_str(), r.summary[0].count), ("L1", 2));
+        assert_eq!((r.summary[0].rule.as_str(), r.summary[0].count), ("S1", 2));
         assert!(!r.is_clean());
     }
 
     #[test]
     fn clean_report() {
-        let r = Report::new(10, vec![], vec![], 5);
+        let r = Report::new(10, vec![], vec![]);
         assert!(r.is_clean());
         assert!(r.render_text().contains("0 violation(s)"));
     }
@@ -176,17 +168,17 @@ mod tests {
     #[test]
     fn budget_overflow_fails() {
         let w = Waived {
-            finding: finding("L1", "a.rs", 1),
+            finding: finding("S1", "a.rs", 1),
             justification: "j".to_string(),
         };
-        let r = Report::new(1, vec![], vec![w.clone(), w], 1);
+        let r = Report::new(1, vec![], vec![w; WAIVER_BUDGET + 1]);
         assert!(!r.is_clean());
         assert!(r.render_text().contains("budget exceeded"));
     }
 
     #[test]
     fn json_has_schema_and_findings() {
-        let r = Report::new(2, vec![finding("L3", "c.rs", 7)], vec![], 5);
+        let r = Report::new(2, vec![finding("S8", "c.rs", 7)], vec![]);
         let json = r.to_json();
         let v: serde_json::Value = match serde_json::from_str(&json) {
             Ok(v) => v,
@@ -197,7 +189,7 @@ mod tests {
             Some(list) => &list[0],
             None => unreachable!("violations must be an array"),
         };
-        assert_eq!(first["rule"].as_str(), Some("L3"));
+        assert_eq!(first["rule"].as_str(), Some("S8"));
         assert_eq!(first["line"].as_u64(), Some(7));
     }
 }

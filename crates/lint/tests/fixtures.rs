@@ -2,7 +2,10 @@
 //! expected `(rule, path, line)` tuples, in both the text and the
 //! `leime-lint/4` JSON renderings.
 
-use leime_lint::{parse_rule_filter, run, Report, RuleConfig, ScanOptions, SCHEMA_VERSION};
+use leime_lint::layering::{self, Dep};
+use leime_lint::{
+    parse_rule_filter, run, Report, ScanOptions, SemaConfig, RULE_IDS, SCHEMA_VERSION,
+};
 use std::path::{Path, PathBuf};
 
 /// Workspace root, derived from this crate's manifest directory.
@@ -15,7 +18,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Runs the lint over one fixture file.
-fn scan_fixture(name: &str, config: RuleConfig) -> Report {
+fn scan_fixture(name: &str, config: SemaConfig) -> Report {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![PathBuf::from(format!("crates/lint/fixtures/{name}"))];
     opts.config = config;
@@ -47,302 +50,114 @@ fn expected(rule: &str, file: &str, lines: &[u32]) -> Vec<(String, String, u32)>
         .collect()
 }
 
-#[test]
-fn l1_fixture_flags_each_panic_site_once() {
-    let report = scan_fixture("l1.rs", RuleConfig::default());
-    assert_eq!(triples(&report), expected("L1", "l1.rs", &[4, 8, 12, 16]));
-    assert_eq!(
-        report.violations[0].message,
-        "`.unwrap()` in library code — return a typed error instead"
-    );
-    assert_eq!(
-        report.violations[2].message,
-        "`panic!` in library code — return a typed error instead"
-    );
-    assert!(!report.is_clean());
-}
-
-#[test]
-fn l2_fixture_flags_partial_cmp_only() {
-    let report = scan_fixture("l2.rs", RuleConfig::default());
-    // One L2 finding; the unwrap inside it must not double-report as L1.
-    assert_eq!(triples(&report), expected("L2", "l2.rs", &[4]));
-    assert_eq!(
-        report.violations[0].message,
-        "NaN-unsafe `partial_cmp(..)` unwrap — use `total_cmp`"
-    );
-}
-
-#[test]
-fn l3_fixture_flags_both_clock_types() {
-    let report = scan_fixture("l3.rs", RuleConfig::default());
-    assert_eq!(triples(&report), expected("L3", "l3.rs", &[4, 8]));
-    assert_eq!(
-        report.violations[0].message,
-        "wall-clock `Instant::now` breaks sim determinism — use a telemetry `Clock`"
-    );
-    assert_eq!(
-        report.violations[1].message,
-        "wall-clock `SystemTime::now` breaks sim determinism — use a telemetry `Clock`"
-    );
-}
-
-#[test]
-fn l4_fixture_flags_float_eq_and_ne() {
-    let report = scan_fixture("l4.rs", RuleConfig::default());
-    assert_eq!(triples(&report), expected("L4", "l4.rs", &[4, 8]));
-}
-
-#[test]
-fn l5_fixture_flags_only_the_unguarded_solver() {
-    // Mark the fixture directory as L5-guarded; by default only
-    // offload/exitcfg sources are. Restrict to the token rules so the
-    // (deliberately overlapping) transitive S1 rule stays out of the
-    // expectation — the S-rules have their own fixtures below.
-    let mut config = RuleConfig::default();
-    if let Err(e) = parse_rule_filter(&mut config, "L1,L2,L3,L4,L5") {
+/// Config for the fixtures: the requested rules only, with the S1, S6
+/// and S7 path markers pointing at the fixtures directory (S5/S8 are
+/// unscoped — shard bodies are shard bodies anywhere).
+fn fixture_config(rules: &str) -> SemaConfig {
+    let mut config = SemaConfig::default();
+    if let Err(e) = parse_rule_filter(&mut config, rules) {
         unreachable!("rule filter must parse: {e}");
     }
+    let marker = "crates/lint/fixtures".to_string();
+    config.guarded_path_markers.push(marker.clone());
+    config.hot_path_markers.push(marker.clone());
+    config.rng_path_markers.push(marker);
     config
-        .guarded_path_markers
-        .push("crates/lint/fixtures".to_string());
-    let report = scan_fixture("l5.rs", config);
-    assert_eq!(triples(&report), expected("L5", "l5.rs", &[3]));
-    assert_eq!(
-        report.violations[0].message,
-        "`fn balance_solve` produces ratios/shares/queue state but never calls an \
-         `invariant::` guard (Eq. 8 / Eq. 10–11 / Eq. 27)"
-    );
-}
-
-#[test]
-fn l5_fixture_is_exempt_without_the_path_marker() {
-    let report = scan_fixture("l5.rs", RuleConfig::default());
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]
 fn waiver_fixture_reports_hygiene_and_waived_sites() {
-    let report = scan_fixture("waivers.rs", RuleConfig::default());
-    // W1: justification-free waiver (line 10); W2: unknown rule L9
-    // (line 14); W3: stale L2 waiver (line 17).
+    let report = scan_fixture("waivers.rs", fixture_config("S1,S7"));
+    // W1: justification-free S7 waiver (line 12); W2: unknown rule L1
+    // (line 16); W3: stale S5 waiver (line 19).
+    let at = |rule: &str, line: u32| {
+        (
+            rule.to_string(),
+            "crates/lint/fixtures/waivers.rs".to_string(),
+            line,
+        )
+    };
     assert_eq!(
         triples(&report),
-        vec![
-            (
-                "W1".to_string(),
-                "crates/lint/fixtures/waivers.rs".to_string(),
-                10
-            ),
-            (
-                "W2".to_string(),
-                "crates/lint/fixtures/waivers.rs".to_string(),
-                14
-            ),
-            (
-                "W3".to_string(),
-                "crates/lint/fixtures/waivers.rs".to_string(),
-                17
-            ),
-        ]
+        vec![at("W1", 12), at("W2", 16), at("W3", 19)]
     );
-    // Both unwraps are suppressed (the justification-free one still
+    // Both seeded sites are suppressed (the justification-free one still
     // counts as waived; its hygiene problem is the W1 above).
     assert_eq!(report.waivers_used, 2);
-    assert_eq!(report.waived[0].finding.rule, "L1");
-    assert_eq!(report.waived[0].finding.line, 6);
+    assert_eq!(report.waived[0].finding.rule, "S1");
+    assert_eq!(report.waived[0].finding.line, 7);
     assert_eq!(
         report.waived[0].justification,
         "fixture exercises the waiver path"
     );
-    assert_eq!(report.waived[1].finding.line, 11);
+    assert_eq!(report.waived[1].finding.rule, "S7");
+    assert_eq!(report.waived[1].finding.line, 13);
     assert_eq!(report.waived[1].justification, "");
 }
 
 #[test]
+fn s1_fixture_flags_the_transitively_unguarded_solver() {
+    let report = scan_fixture("s1.rs", fixture_config("S1"));
+    assert_eq!(triples(&report), expected("S1", "s1.rs", &[5, 21]));
+    assert_eq!(
+        report.violations[0].message,
+        "`fn decide` never reaches an `invariant::` guard on any call path \
+         (Eq. 8 / Eq. 10–11 / Eq. 27)"
+    );
+    assert!(report.violations[1].message.contains("`fn balance_solve`"));
+}
+
+#[test]
+fn l5_fixture_flags_only_the_unguarded_solver() {
+    // One solver never calls a guard, the other calls one directly; S1
+    // (the transitive form of the old L5) flags only the first.
+    let report = scan_fixture("l5.rs", fixture_config("S1"));
+    assert_eq!(triples(&report), expected("S1", "l5.rs", &[4]));
+    assert_eq!(
+        report.violations[0].message,
+        "`fn balance_solve` never reaches an `invariant::` guard on any call path \
+         (Eq. 8 / Eq. 10–11 / Eq. 27)"
+    );
+}
+
+#[test]
 fn text_report_formats_path_line_rule() {
-    let report = scan_fixture("l1.rs", RuleConfig::default());
+    let report = scan_fixture("s7.rs", fixture_config("S7"));
     let text = report.render_text();
     assert!(
         text.contains(
-            "crates/lint/fixtures/l1.rs:4: [L1] `.unwrap()` in library code — \
-             return a typed error instead"
+            "crates/lint/fixtures/s7.rs:5: [S7] `fn bad_literal` constructs an RNG via \
+             `seed_from_u64` from a literal seed — derive every stream with \
+             `leime_par::stream_seed` so replay and sharding stay byte-identical"
         ),
         "unexpected text report:\n{text}"
     );
-    assert!(text.contains("4 violation(s) (L1: 4)"), "{text}");
+    assert!(text.contains("3 violation(s) (S7: 3)"), "{text}");
 }
 
 #[test]
 fn json_report_carries_schema_rules_paths_and_lines() {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![
-        PathBuf::from("crates/lint/fixtures/l1.rs"),
-        PathBuf::from("crates/lint/fixtures/l3.rs"),
+        PathBuf::from("crates/lint/fixtures/l5.rs"),
+        PathBuf::from("crates/lint/fixtures/s7.rs"),
     ];
+    opts.config = fixture_config("S1,S7");
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
     };
-    let json = report.to_json();
-    let v: serde_json::Value = match serde_json::from_str(&json) {
-        Ok(v) => v,
-        Err(e) => unreachable!("JSON report must parse: {e:?}"),
-    };
-    assert_eq!(v["schema"].as_str(), Some(SCHEMA_VERSION));
-    assert_eq!(v["files_scanned"].as_u64(), Some(2));
-    let violations = match v["violations"].as_array() {
-        Some(list) => list,
-        None => unreachable!("violations must be an array"),
-    };
-    let got: Vec<(String, String, u64)> = violations
-        .iter()
-        .map(|f| {
-            (
-                f["rule"].as_str().unwrap_or("").to_string(),
-                f["path"].as_str().unwrap_or("").to_string(),
-                f["line"].as_u64().unwrap_or(0),
-            )
-        })
-        .collect();
-    let want: Vec<(String, String, u64)> = [
-        ("L1", "l1.rs", 4u64),
-        ("L1", "l1.rs", 8),
-        ("L1", "l1.rs", 12),
-        ("L1", "l1.rs", 16),
-        ("L3", "l3.rs", 4),
-        ("L3", "l3.rs", 8),
-    ]
-    .iter()
-    .map(|&(r, f, l)| (r.to_string(), format!("crates/lint/fixtures/{f}"), l))
-    .collect();
-    assert_eq!(got, want);
-    // Per-rule summary mirrors the violation list.
-    let summary = match v["summary"].as_array() {
-        Some(list) => list,
-        None => unreachable!("summary must be an array"),
-    };
-    assert_eq!(summary.len(), 2);
-    assert_eq!(summary[0]["rule"].as_str(), Some("L1"));
-    assert_eq!(summary[0]["count"].as_u64(), Some(4));
-    assert_eq!(summary[1]["rule"].as_str(), Some("L3"));
-    assert_eq!(summary[1]["count"].as_u64(), Some(2));
-}
-
-/// Config for the S-rule fixtures: semantic rules only, with every
-/// S1–S3 path marker pointing at the fixtures directory.
-fn s_rule_config() -> RuleConfig {
-    let mut config = RuleConfig::default();
-    if let Err(e) = parse_rule_filter(&mut config, "S1,S2,S3,S4") {
-        unreachable!("rule filter must parse: {e}");
-    }
-    let marker = "crates/lint/fixtures".to_string();
-    config.guarded_path_markers.push(marker.clone());
-    config.hash_path_markers.push(marker.clone());
-    config.unit_path_markers.push(marker);
-    config
-}
-
-#[test]
-fn s1_fixture_flags_the_transitively_unguarded_solver() {
-    let report = scan_fixture("s1.rs", s_rule_config());
-    assert_eq!(triples(&report), expected("S1", "s1.rs", &[5]));
-    assert_eq!(
-        report.violations[0].message,
-        "`fn decide` never reaches an `invariant::` guard on any call path \
-         (Eq. 8 / Eq. 10–11 / Eq. 27)"
-    );
-}
-
-#[test]
-fn s2_fixture_flags_hash_iteration_only() {
-    let report = scan_fixture("s2.rs", s_rule_config());
-    assert_eq!(triples(&report), expected("S2", "s2.rs", &[8]));
-    assert!(
-        report.violations[0].message.contains(".keys()")
-            && report.violations[0].message.contains("`stats`"),
-        "{}",
-        report.violations[0].message
-    );
-}
-
-#[test]
-fn s3_fixture_flags_unit_mixing_only() {
-    let report = scan_fixture("s3.rs", s_rule_config());
-    assert_eq!(triples(&report), expected("S3", "s3.rs", &[5]));
-    assert!(
-        report.violations[0].message.contains("milliseconds")
-            && report.violations[0].message.contains("seconds"),
-        "{}",
-        report.violations[0].message
-    );
-}
-
-#[test]
-fn s4_fixture_workspace_flags_rank_fence_and_shim_edges() {
-    // Point the scan root at a fake workspace whose manifests break the
-    // rank, tooling-fence and shim-path constraints one crate each; the
-    // clean leime-workload manifest must stay silent.
-    let mut opts = ScanOptions::new(
-        workspace_root()
-            .join("crates")
-            .join("lint")
-            .join("fixtures")
-            .join("s4_ws"),
-    );
-    opts.config = s_rule_config();
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
-    let want: Vec<(String, String, u32)> = [
-        ("crates/leime-dnn/Cargo.toml", "shims"),
-        ("crates/leime-simnet/Cargo.toml", "tooling"),
-        ("crates/leime-telemetry/Cargo.toml", "strictly downward"),
-    ]
-    .iter()
-    .map(|&(path, _)| ("S4".to_string(), path.to_string(), 6))
-    .collect();
-    assert_eq!(triples(&report), want);
-    assert!(report.violations[0].message.contains("shims"));
-    assert!(report.violations[1].message.contains("tooling"));
-    assert!(report.violations[2].message.contains("strictly downward"));
-}
-
-#[test]
-fn s_rule_findings_carry_rule_file_line_in_text_and_json() {
-    let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = ["s1.rs", "s2.rs", "s3.rs"]
-        .iter()
-        .map(|f| PathBuf::from(format!("crates/lint/fixtures/{f}")))
-        .collect();
-    opts.config = s_rule_config();
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
-
-    let text = report.render_text();
-    for line in [
-        "crates/lint/fixtures/s1.rs:5: [S1]",
-        "crates/lint/fixtures/s2.rs:8: [S2]",
-        "crates/lint/fixtures/s3.rs:5: [S3]",
-    ] {
-        assert!(text.contains(line), "missing `{line}` in:\n{text}");
-    }
-
     let v: serde_json::Value = match serde_json::from_str(&report.to_json()) {
         Ok(v) => v,
         Err(e) => unreachable!("JSON report must parse: {e:?}"),
     };
     assert_eq!(v["schema"].as_str(), Some(SCHEMA_VERSION));
+    assert_eq!(v["files_scanned"].as_u64(), Some(2));
     let rule_set: Vec<&str> = v["rule_set"]
         .as_array()
         .map(|a| a.iter().filter_map(|r| r.as_str()).collect())
         .unwrap_or_default();
-    for rule in ["S1", "S2", "S3", "S4"] {
-        assert!(rule_set.contains(&rule), "{rule} missing from {rule_set:?}");
-    }
+    assert_eq!(rule_set, RULE_IDS);
     let got: Vec<(String, String, u64)> = v["violations"]
         .as_array()
         .map(|list| {
@@ -358,33 +173,128 @@ fn s_rule_findings_carry_rule_file_line_in_text_and_json() {
         })
         .unwrap_or_default();
     let want: Vec<(String, String, u64)> = [
-        ("S1", "s1.rs", 5u64),
-        ("S2", "s2.rs", 8),
-        ("S3", "s3.rs", 5),
+        ("S1", "l5.rs", 4u64),
+        ("S7", "s7.rs", 5),
+        ("S7", "s7.rs", 9),
+        ("S7", "s7.rs", 13),
     ]
     .iter()
     .map(|&(r, f, l)| (r.to_string(), format!("crates/lint/fixtures/{f}"), l))
     .collect();
     assert_eq!(got, want);
+    let summary: Vec<(&str, u64)> = v["summary"]
+        .as_array()
+        .map(|list| {
+            list.iter()
+                .map(|c| {
+                    (
+                        c["rule"].as_str().unwrap_or(""),
+                        c["count"].as_u64().unwrap_or(0),
+                    )
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    assert_eq!(summary, vec![("S1", 1), ("S7", 3)]);
 }
 
-/// Config for the flow-rule fixtures (S5–S8): the requested rules only,
-/// with the S6/S7 path markers pointing at the fixtures directory
-/// (S5/S8 are unscoped — shard bodies are shard bodies anywhere).
-fn flow_rule_config(rules: &str) -> RuleConfig {
-    let mut config = RuleConfig::default();
-    if let Err(e) = parse_rule_filter(&mut config, rules) {
-        unreachable!("rule filter must parse: {e}");
+#[test]
+fn s4_fixture_workspace_flags_rank_fence_and_shim_edges() {
+    // A fake workspace whose manifests break the rank, tooling-fence and
+    // shim-path constraints one crate each; the clean leime-workload
+    // manifest stays silent. Each crate's dependencies are listed as
+    // `cargo metadata` reports them.
+    let dep = |name: &'static str, normal: bool| Dep { name, normal };
+    let cases = [
+        ("leime-dnn", dep("proptest", false), "shims"),
+        ("leime-simnet", dep("leime-lint", true), "tooling fence"),
+        (
+            "leime-telemetry",
+            dep("leime-offload", true),
+            "strictly downward",
+        ),
+        ("leime-workload", dep("leime-dnn", true), ""),
+    ];
+    for (krate, dep, want) in cases {
+        let path = workspace_root().join(format!(
+            "crates/lint/fixtures/s4_ws/crates/{krate}/Cargo.toml"
+        ));
+        let manifest = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => unreachable!("cannot read {}: {e}", path.display()),
+        };
+        let found = layering::violations(krate, &[dep], &manifest);
+        if want.is_empty() {
+            assert!(found.is_empty(), "{krate}: {found:?}");
+        } else {
+            assert_eq!(found.len(), 1, "{krate}: {found:?}");
+            assert_eq!(found[0].line, 6, "{krate}: {found:?}");
+            assert!(found[0].message.contains(want), "{krate}: {found:?}");
+        }
     }
-    let marker = "crates/lint/fixtures".to_string();
-    config.hot_path_markers.push(marker.clone());
-    config.rng_path_markers.push(marker);
-    config
+}
+
+#[test]
+fn s_rule_findings_carry_rule_file_line_in_text_and_json() {
+    let report = scan_fixture("s1.rs", fixture_config("S1"));
+
+    let text = report.render_text();
+    for line in [
+        "crates/lint/fixtures/s1.rs:5: [S1] `fn decide` never reaches",
+        "crates/lint/fixtures/s1.rs:21: [S1] `fn balance_solve` never reaches",
+        "2 violation(s) (S1: 2)",
+    ] {
+        assert!(text.contains(line), "missing `{line}` in:\n{text}");
+    }
+
+    let v: serde_json::Value = match serde_json::from_str(&report.to_json()) {
+        Ok(v) => v,
+        Err(e) => unreachable!("JSON report must parse: {e:?}"),
+    };
+    assert_eq!(v["schema"].as_str(), Some(SCHEMA_VERSION));
+    assert_eq!(v["files_scanned"].as_u64(), Some(1));
+    let rule_set: Vec<&str> = v["rule_set"]
+        .as_array()
+        .map(|a| a.iter().filter_map(|r| r.as_str()).collect())
+        .unwrap_or_default();
+    assert_eq!(rule_set, RULE_IDS);
+    let got: Vec<(String, String, u64)> = v["violations"]
+        .as_array()
+        .map(|list| {
+            list.iter()
+                .map(|f| {
+                    (
+                        f["rule"].as_str().unwrap_or("").to_string(),
+                        f["path"].as_str().unwrap_or("").to_string(),
+                        f["line"].as_u64().unwrap_or(0),
+                    )
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    let want: Vec<(String, String, u64)> = [5u64, 21]
+        .iter()
+        .map(|&l| {
+            (
+                "S1".to_string(),
+                "crates/lint/fixtures/s1.rs".to_string(),
+                l,
+            )
+        })
+        .collect();
+    assert_eq!(got, want);
+    let summary = v["summary"]
+        .as_array()
+        .map(Vec::as_slice)
+        .unwrap_or_default();
+    assert_eq!(summary.len(), 1);
+    assert_eq!(summary[0]["rule"].as_str(), Some("S1"));
+    assert_eq!(summary[0]["count"].as_u64(), Some(2));
 }
 
 #[test]
 fn s5_fixture_flags_mutable_and_interior_captures() {
-    let report = scan_fixture("s5.rs", flow_rule_config("S5"));
+    let report = scan_fixture("s5.rs", fixture_config("S5"));
     assert_eq!(triples(&report), expected("S5", "s5.rs", &[8, 17]));
     assert!(
         report.violations[0].message.contains("`total`")
@@ -402,7 +312,7 @@ fn s5_fixture_flags_mutable_and_interior_captures() {
 
 #[test]
 fn s7_fixture_flags_literal_adhoc_and_entropy_seeds() {
-    let report = scan_fixture("s7.rs", flow_rule_config("S7"));
+    let report = scan_fixture("s7.rs", fixture_config("S7"));
     assert_eq!(triples(&report), expected("S7", "s7.rs", &[5, 9, 13]));
     assert!(
         report.violations[0].message.contains("literal seed"),
@@ -423,7 +333,7 @@ fn s7_fixture_flags_literal_adhoc_and_entropy_seeds() {
 
 #[test]
 fn s8_fixture_flags_direct_and_transitive_blocking() {
-    let report = scan_fixture("s8.rs", flow_rule_config("S8"));
+    let report = scan_fixture("s8.rs", fixture_config("S8"));
     assert_eq!(triples(&report), expected("S8", "s8.rs", &[6, 12]));
     assert!(
         report.violations[0].message.contains("thread::sleep"),
@@ -442,7 +352,7 @@ fn s8_fixture_flags_direct_and_transitive_blocking() {
 fn flow_ws_fixture_crosses_files() {
     // The shard body lives in driver.rs; its helper's blocking receive
     // lives in worker.rs — the flow graph must connect them.
-    let report = scan_fixture("flow_ws", flow_rule_config("S5,S7,S8"));
+    let report = scan_fixture("flow_ws", fixture_config("S5,S7,S8"));
     assert_eq!(
         triples(&report),
         vec![
@@ -466,7 +376,7 @@ fn flow_ws_fixture_crosses_files() {
 fn s6_fixture_trips_the_ratchet_against_the_pinned_baseline() {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![PathBuf::from("crates/lint/fixtures/s6.rs")];
-    opts.config = flow_rule_config("S6");
+    opts.config = fixture_config("S6");
     opts.s6_baseline = Some(workspace_root().join("crates/lint/fixtures/s6_baseline.json"));
     let report = match run(&opts) {
         Ok(r) => r,
@@ -489,7 +399,7 @@ fn s6_write_baseline_round_trips_to_a_clean_run() {
     let path = std::env::temp_dir().join(format!("leime_s6_baseline_{}.json", std::process::id()));
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![PathBuf::from("crates/lint/fixtures/s6.rs")];
-    opts.config = flow_rule_config("S6");
+    opts.config = fixture_config("S6");
     opts.s6_baseline = Some(path.clone());
     opts.write_s6_baseline = true;
     let report = match run(&opts) {
@@ -514,7 +424,7 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
         .iter()
         .map(|f| PathBuf::from(format!("crates/lint/fixtures/{f}")))
         .collect();
-    opts.config = flow_rule_config("S5,S7,S8");
+    opts.config = fixture_config("S5,S7,S8");
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
@@ -576,7 +486,7 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
 
 #[test]
 fn s9_fixture_flags_hot_float_accumulations_only() {
-    let report = scan_fixture("s9.rs", flow_rule_config("S9"));
+    let report = scan_fixture("s9.rs", fixture_config("S9"));
     // `seq_sweep` is a hot root: its loop-carried `acc +=` and the
     // trailing float `.sum()` both fire; `cold` stays silent.
     assert_eq!(triples(&report), expected("S9", "s9.rs", &[6, 8]));
@@ -595,7 +505,7 @@ fn s9_fixture_flags_hot_float_accumulations_only() {
 
 #[test]
 fn s12_fixture_flags_the_lock_cycle() {
-    let report = scan_fixture("s12.rs", flow_rule_config("S12"));
+    let report = scan_fixture("s12.rs", fixture_config("S12"));
     // The cycle anchors at the first acquisition of its smallest lock.
     assert_eq!(triples(&report), expected("S12", "s12.rs", &[12]));
     assert!(
@@ -610,7 +520,7 @@ fn numeric_ws_fixture_crosses_files_in_text_and_json() {
     // The hot root and shard body live in driver.rs; the S9 float
     // reduction sits in kernel.rs and the S12 lock cycle in locks.rs —
     // the flow graph must connect all three files.
-    let report = scan_fixture("numeric_ws", flow_rule_config("S9,S12"));
+    let report = scan_fixture("numeric_ws", fixture_config("S9,S12"));
     assert_eq!(
         triples(&report),
         vec![
@@ -686,49 +596,20 @@ fn numeric_ws_fixture_crosses_files_in_text_and_json() {
 }
 
 #[test]
-fn s2_hash_markers_pin_the_serving_crate() {
-    // The serving slot loop and admission path are determinism-sensitive;
-    // S2's default scope must keep covering them.
-    let config = RuleConfig::default();
-    assert!(
-        config
-            .hash_path_markers
-            .iter()
-            .any(|m| m == "crates/serving/src"),
-        "crates/serving/src missing from S2 hash_path_markers: {:?}",
-        config.hash_path_markers
-    );
-}
-
-#[test]
-fn no_sema_turns_the_s_rules_off() {
-    let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = vec![PathBuf::from("crates/lint/fixtures/s1.rs")];
-    opts.config = s_rule_config();
-    opts.sema = false;
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
-    assert!(report.is_clean(), "{:?}", report.violations);
-}
-
-#[test]
 fn deny_all_semantics_fixtures_dirty_workspace_clean_of_fixture_rules() {
     // The whole fixtures directory trips the gate...
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![PathBuf::from("crates/lint/fixtures")];
-    opts.config
-        .guarded_path_markers
-        .push("crates/lint/fixtures".to_string());
+    opts.config = fixture_config(&RULE_IDS.join(","));
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
     };
     assert!(!report.is_clean());
-    // ...and every primary rule is represented in the summary.
+    // ...and every rule with a seeded fixture is represented in the
+    // summary (S6 needs a baseline, which explicit-path scans skip).
     let hit: Vec<&str> = report.summary.iter().map(|c| c.rule.as_str()).collect();
-    for rule in ["L1", "L2", "L3", "L4", "L5", "W1", "W2", "W3"] {
+    for rule in ["S1", "S5", "S7", "S8", "S9", "S12", "W1", "W2", "W3"] {
         assert!(hit.contains(&rule), "rule {rule} missing from {hit:?}");
     }
 }

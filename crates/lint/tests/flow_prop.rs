@@ -7,9 +7,9 @@
 //! The proptest shim seeds each test from its module path (see
 //! `crates/shims/proptest`), so every run draws the same fixed cases.
 
-use leime_sema::flow::{closure_captures, FlowAnalysis};
-use leime_sema::parser::parse_source;
-use leime_sema::{ast, SemaConfig};
+use leime_lint::flow::{closure_captures, FlowAnalysis};
+use leime_lint::parser::parse_source;
+use leime_lint::{ast, SemaConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

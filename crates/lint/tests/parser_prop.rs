@@ -1,4 +1,4 @@
-//! Tier-2 property tests: the sema parser is *total*. Whatever bytes or
+//! Tier-2 property tests: the lint parser is *total*. Whatever bytes or
 //! token soup come in — unbalanced brackets, unclosed strings and
 //! comments, keyword salad — `parse_source` must terminate without
 //! panicking, and must do so deterministically (same input, same AST).
@@ -6,7 +6,7 @@
 //! The proptest shim seeds each test from its module path (see
 //! `crates/shims/proptest`), so every run draws the same fixed cases.
 
-use leime_sema::parser::parse_source;
+use leime_lint::parser::parse_source;
 use proptest::prelude::*;
 
 /// Token vocabulary skewed toward the constructs the parser dispatches

@@ -1,9 +1,11 @@
 //! Property test: a `lint:allow(<rule>)` waiver suppresses exactly the
 //! named rule — never a violation of a different rule on the same line.
 
-use leime_lint::rules::{scan_source, RuleConfig};
-use leime_lint::RULE_IDS;
+use leime_lint::{scan_sources, SemaConfig, RULE_IDS};
 use proptest::prelude::*;
+
+/// The rules [`seeded_source`] can violate.
+const SEEDED: &[&str] = &["S1", "S7"];
 
 /// A source snippet violating exactly one rule, with the waiver comment
 /// placed on the line directly above the violating line.
@@ -12,29 +14,14 @@ use proptest::prelude::*;
 fn seeded_source(violated: &str, waived: &str) -> (String, u32) {
     let allow = format!("// lint:allow({waived}): generated case");
     match violated {
-        "L1" => (
-            format!("pub fn f(o: Option<u32>) -> u32 {{\n    {allow}\n    o.unwrap()\n}}\n"),
-            3,
-        ),
-        "L2" => (
-            format!(
-                "pub fn f(v: &mut [f64]) {{\n    {allow}\n    \
-                 v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}}\n"
-            ),
-            3,
-        ),
-        "L3" => (
-            format!("pub fn f() {{\n    {allow}\n    let _ = std::time::Instant::now();\n}}\n"),
-            3,
-        ),
-        "L4" => (
-            format!("pub fn f(x: f64) -> bool {{\n    {allow}\n    x == 0.0\n}}\n"),
-            3,
-        ),
-        "L5" => (
-            // L5 anchors on the `fn` line, so the waiver sits above it.
+        "S1" => (
+            // S1 anchors on the `fn` line, so the waiver sits above it.
             format!("{allow}\npub fn balance_solve(x: f64) -> f64 {{\n    x.min(1.0)\n}}\n"),
             2,
+        ),
+        "S7" => (
+            format!("pub fn rng() -> StdRng {{\n    {allow}\n    StdRng::seed_from_u64(42)\n}}\n"),
+            3,
         ),
         other => unreachable!("unknown rule {other}"),
     }
@@ -49,15 +36,15 @@ proptest! {
     /// flagged as stale (W3).
     #[test]
     fn waiver_never_suppresses_a_different_rule(
-        violated_ix in 0usize..5,
-        waived_ix in 0usize..5,
+        violated_ix in 0usize..SEEDED.len(),
+        waived_ix in 0usize..RULE_IDS.len(),
     ) {
-        let violated = RULE_IDS[violated_ix];
+        let violated = SEEDED[violated_ix];
         let waived = RULE_IDS[waived_ix];
         let (src, line) = seeded_source(violated, waived);
-        // The default config makes offload sources L5-guarded, and this
-        // path is not wall-clock exempt, so all five rules are live.
-        let scan = scan_source("crates/offload/src/solver.rs", &src, &RuleConfig::default());
+        // The default config S1-guards and S7-audits fleet sources.
+        let path = "crates/fleet/src/system.rs".to_string();
+        let scan = scan_sources(&[(path, src)], &SemaConfig::default());
 
         if violated == waived {
             prop_assert!(

@@ -26,7 +26,7 @@ pub fn drift(before: QueuePair, after: QueuePair) -> f64 {
 /// `B + Q·(A − b) + H·(D − c)` with the *worst-case* `B` over the
 /// device's arrival box (see [`b_constant`]).
 // A slot snapshot is genuinely this wide (state + action + parameters).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "state, action and parameters")]
 pub fn drift_bound(
     shared: SharedParams,
     device: DeviceParams,

@@ -66,7 +66,7 @@ impl SharedParams {
     ///
     /// Returns a description of the first violated constraint.
     // `!(x > 0)` deliberately rejects NaN as well as non-positive values.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "rejects NaN too")]
     pub fn validate(&self) -> Result<(), String> {
         if !(self.slot_len_s > 0.0) {
             return Err(format!(

@@ -59,7 +59,7 @@ pub fn feasible_interval(cost: &SlotCost) -> (f64, f64) {
 /// the balance point in `O(log 1/ε)` evaluations; the result is clamped to
 /// the bandwidth-feasible interval.
 // The `hi - lo < EPSILON` width test is an interval-degeneracy check.
-#[allow(clippy::float_equality_without_abs)]
+#[allow(clippy::float_equality_without_abs, reason = "interval-width test")]
 pub fn balance_solve(cost: &SlotCost) -> f64 {
     let (lo, hi) = feasible_interval(cost);
     if hi - lo < f64::EPSILON {
@@ -133,7 +133,8 @@ const NEWTON_CAP: usize = 16;
 /// finishes with an explicit comparison against both endpoints.
 // The `hi - lo < EPSILON` width test is an interval-degeneracy check;
 // `!(w > 0)` deliberately treats a NaN share as no share.
-#[allow(clippy::float_equality_without_abs, clippy::neg_cmp_op_on_partial_ord)]
+#[allow(clippy::float_equality_without_abs, reason = "interval-width test")]
+#[allow(clippy::neg_cmp_op_on_partial_ord, reason = "NaN share is no share")]
 pub fn exact_solve(cost: &SlotCost) -> f64 {
     let (lo, hi) = feasible_interval(cost);
     let ev = cost.eval();
@@ -223,7 +224,7 @@ fn stationary_point(ev: &CostEval, w: f64, left: f64, hi: f64) -> f64 {
 /// `A > 0`, `−A/B + ∛(C/B)` otherwise), where the cubic is convex and
 /// increasing, so every step descends monotonically onto the root.
 // `!(next < x)` also stops on a NaN step.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[allow(clippy::neg_cmp_op_on_partial_ord, reason = "stops on a NaN step")]
 fn newton_root(alpha: f64, beta: f64, c: f64, mu1: f64, e2: f64, pl: f64, pr: f64) -> f64 {
     if c <= 0.0 {
         // No rational term: f′ is affine and β > 0 (f′ rose across the piece).

@@ -121,7 +121,7 @@ fn fit(room: f64, per: f64) -> u64 {
 /// backlog past `max(post-service backlog, bound)` — pre-existing
 /// backlog above the bound is the degenerate case where everything
 /// sheds except zero-footprint classes.
-#[allow(clippy::too_many_arguments)] // the Eq. 10–11 slot state, verbatim
+#[allow(clippy::too_many_arguments, reason = "the Eq. 10–11 slot state")]
 pub fn admit(
     policy: &AdmissionPolicy,
     q: f64,
@@ -196,7 +196,7 @@ pub fn admit(
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // policy-tweak tests read clearer this way
+#[allow(clippy::field_reassign_with_default, reason = "clearer policy tweaks")]
 mod tests {
     use super::*;
 

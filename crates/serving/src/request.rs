@@ -132,7 +132,7 @@ pub struct Request {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // policy-tweak tests read clearer this way
+#[allow(clippy::field_reassign_with_default, reason = "clearer policy tweaks")]
 mod tests {
     use super::*;
 

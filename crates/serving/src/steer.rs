@@ -148,7 +148,7 @@ pub fn steer_exits(scenario: &Scenario, policy: &SteerPolicy) -> leime::Result<C
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // policy-tweak tests read clearer this way
+#[allow(clippy::field_reassign_with_default, reason = "clearer policy tweaks")]
 mod tests {
     use super::*;
     use leime::ModelKind;

@@ -98,7 +98,7 @@ impl TrafficConfig {
     /// Returns a description of the first violation.
     // `!(x > 0.0)` rejects NaN along with non-positives, per the repo's
     // validation idiom.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "rejects NaN too")]
     pub fn validate(&self) -> Result<(), String> {
         if !(self.load.is_finite() && self.load > 0.0) {
             return Err(format!("load must be positive, got {}", self.load));
@@ -220,7 +220,7 @@ impl TrafficConfig {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // policy-tweak tests read clearer this way
+#[allow(clippy::field_reassign_with_default, reason = "clearer policy tweaks")]
 mod tests {
     use super::*;
     use rand::SeedableRng;

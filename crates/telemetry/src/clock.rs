@@ -68,6 +68,10 @@ pub struct WallClock {
 }
 
 impl Default for WallClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the telemetry crate owns the wall clock; wall time feeds profiles only, never the deterministic report bytes"
+    )]
     fn default() -> Self {
         WallClock {
             origin: Instant::now(),

@@ -10,7 +10,8 @@
 //! order no matter what order metrics were registered in — snapshot
 //! output (and everything downstream: `telemetry.json`, replay diffs)
 //! is byte-stable by construction, with no sort step to forget. The
-//! S2 lint rule guards the same property against `HashMap` regressions.
+//! workspace's `clippy::disallowed_types` entry for `HashMap`/`HashSet`
+//! guards the same property against regressions.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

@@ -26,7 +26,7 @@ fn shared_with(v: f64, sigma1: f64, d0: f64, d1: f64) -> SharedParams {
 /// the drift-plus-penalty objective over the feasible interval, then the
 /// comparison against both endpoints that the jump at `x = 0` requires.
 // The `hi - lo < EPSILON` width test is an interval-degeneracy check.
-#[allow(clippy::float_equality_without_abs)]
+#[allow(clippy::float_equality_without_abs, reason = "interval-width test")]
 fn golden_section_solve(cost: &SlotCost) -> f64 {
     let (lo, hi) = feasible_interval(cost);
     if hi - lo < f64::EPSILON {

@@ -131,7 +131,7 @@ fn flash_crowd_over_brownout_composition() {
 /// must never push a predicted backlog past `max(post-service backlog,
 /// bound)` — the non-panicking mirror of the `invariant::` guard inside
 /// `admit` itself — and per-class bookkeeping must conserve requests.
-#[allow(clippy::too_many_arguments)] // mirrors admit()'s slot state
+#[allow(clippy::too_many_arguments, reason = "mirrors admit()'s slot state")]
 fn assert_admission_respects_bounds(
     q: f64,
     h: f64,
