@@ -42,7 +42,6 @@
 //! # }
 //! ```
 
-mod arena;
 mod deploy;
 mod error;
 mod model;
@@ -67,13 +66,15 @@ pub use leime_chaos::{ChaosConfig, FaultModel, FaultSchedule};
 /// applied by the simulators when faults make the edge unreachable.
 pub use leime_offload::DegradePolicy;
 
-pub use arena::SlotArena;
 pub use deploy::{Deployment, ExitStrategy};
 pub use error::LeimeError;
 pub use model::ModelKind;
 pub use report::{FaultStats, RunReport, TierCounts};
 pub use scenario::{ControllerKind, Scenario, WorkloadKind};
-pub use slotted::{share_floor, SlottedSystem, DEFAULT_EPOCH_LEN, SHARE_FLOOR};
+pub use slotted::{
+    decide_device, share_floor, DecideCtx, DecideMemo, DeviceDecision, SlotQuants, SlottedSystem,
+    DEFAULT_EPOCH_LEN, SHARE_FLOOR,
+};
 pub use tasksim::TaskSim;
 
 /// Convenience alias for results returned by this crate.

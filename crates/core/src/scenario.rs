@@ -3,7 +3,7 @@ use leime_dnn::{DnnChain, ExitRates, ExitSpec};
 use leime_exitcfg::EnvParams;
 use leime_offload::{
     CapabilityBased, DegradePolicy, DeviceOnly, DeviceParams, EdgeOnly, FixedRatio,
-    LyapunovController, OffloadController,
+    LyapunovController, OffloadController, SharedParams,
 };
 use leime_simnet::TimeTrace;
 use leime_workload::ExitRateModel;
@@ -196,16 +196,23 @@ impl Scenario {
             d.validate()
                 .map_err(|e| LeimeError::Config(format!("device {i}: {e}")))?;
         }
-        for (name, v) in [
-            ("edge_flops", self.edge_flops),
-            ("cloud_flops", self.cloud_flops),
-            ("cloud_bandwidth_bps", self.cloud_bandwidth_bps),
-            ("slot_len_s", self.slot_len_s),
-            ("v", self.v),
+        // `v = +∞` is the V→∞ limit (no queue pressure), so `v` need
+        // only be positive.
+        for (name, v, finite) in [
+            ("edge_flops", self.edge_flops, true),
+            ("cloud_flops", self.cloud_flops, true),
+            ("cloud_bandwidth_bps", self.cloud_bandwidth_bps, true),
+            ("slot_len_s", self.slot_len_s, true),
+            ("v", self.v, false),
         ] {
-            if !(v > 0.0) {
+            if !(v > 0.0 && (v.is_finite() || !finite)) {
+                let need = if finite {
+                    "finite and positive"
+                } else {
+                    "positive"
+                };
                 return Err(LeimeError::Config(format!(
-                    "{name} must be positive, got {v}"
+                    "{name} must be {need}, got {v}"
                 )));
             }
         }
@@ -238,11 +245,24 @@ impl Scenario {
         Ok(())
     }
 
+    /// The per-slot decision's fleet-wide parameters for `deployment`
+    /// on this scenario, before chaos scales the edge.
+    pub fn shared_params(&self, deployment: &Deployment) -> SharedParams {
+        SharedParams {
+            slot_len_s: self.slot_len_s,
+            v: self.v,
+            mu1: deployment.mu[0],
+            mu2: deployment.mu[1],
+            sigma1: deployment.sigma[0],
+            d0_bytes: deployment.d[0],
+            d1_bytes: deployment.d[1],
+            edge_flops: self.edge_flops,
+        }
+    }
+
     /// Effective bandwidth of device `i` at time `t` under the optional
-    /// bandwidth trace. Public so request-level runtimes layered on this
-    /// scenario (`leime-serving`) price transfers consistently with the
-    /// slotted system.
-    pub fn bandwidth_at(&self, i: usize, t: leime_simnet::SimTime) -> f64 {
+    /// bandwidth trace.
+    pub(crate) fn bandwidth_at(&self, i: usize, t: leime_simnet::SimTime) -> f64 {
         let base = self.devices[i].bandwidth_bps;
         match &self.bandwidth_scale {
             Some(trace) => base * trace.value_at(t),
@@ -434,6 +454,48 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 1, 5.0);
         s.num_classes = 1;
+        assert!(s.validate().is_err());
+    }
+
+    fn infinite_field_is_rejected(name: &str, set: fn(&mut Scenario)) {
+        let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 1, 5.0);
+        set(&mut s);
+        match s.validate() {
+            Err(LeimeError::Config(msg)) => {
+                assert_eq!(msg, format!("{name} must be finite and positive, got inf"))
+            }
+            other => panic!("{name} = inf validated: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validation_rejects_infinite_edge_flops() {
+        infinite_field_is_rejected("edge_flops", |s| s.edge_flops = f64::INFINITY);
+    }
+
+    #[test]
+    fn validation_rejects_infinite_cloud_flops() {
+        infinite_field_is_rejected("cloud_flops", |s| s.cloud_flops = f64::INFINITY);
+    }
+
+    #[test]
+    fn validation_rejects_infinite_cloud_bandwidth() {
+        infinite_field_is_rejected("cloud_bandwidth_bps", |s| {
+            s.cloud_bandwidth_bps = f64::INFINITY
+        });
+    }
+
+    #[test]
+    fn validation_rejects_infinite_slot_len() {
+        infinite_field_is_rejected("slot_len_s", |s| s.slot_len_s = f64::INFINITY);
+    }
+
+    #[test]
+    fn validation_accepts_infinite_v() {
+        let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 1, 5.0);
+        s.v = f64::INFINITY;
+        assert!(s.validate().is_ok());
+        s.v = 0.0;
         assert!(s.validate().is_err());
     }
 

@@ -19,8 +19,7 @@ use crate::{Deployment, LeimeError, Result, RunReport, Scenario, WorkloadKind};
 
 /// Minimum edge share handed to any device with positive demand: every
 /// device's second block runs on its share, so a zero share would starve
-/// it (see `kkt_allocation_with_floor`). Public so runtimes layered on
-/// this system (`leime-serving`) allocate shares identically.
+/// it (see `kkt_allocation_with_floor` and [`SlotQuants::new`]).
 pub const SHARE_FLOOR: f64 = 1e-3;
 
 /// The scale-safe share floor for an `n`-device fleet:
@@ -132,7 +131,7 @@ impl ShardState {
 /// miss costs one 15-word compare; the memo changes no output at any
 /// worker count or epoch length.
 #[derive(Debug, Default, PartialEq)]
-struct DecideMemo {
+pub struct DecideMemo {
     key: Option<[u64; 15]>,
     x_opt: f64,
     /// Drift-plus-penalty at `x_opt` (same purity argument; only read
@@ -161,23 +160,79 @@ fn decide_key(s: &SharedParams, d: &DeviceParams, obs: &SlotObservation) -> [u64
     ]
 }
 
-/// Immutable per-run inputs shared (by reference) with every worker.
-struct RunCtx<'a> {
-    scenario: &'a Scenario,
-    deployment: &'a Deployment,
-    schedule: Option<&'a FaultSchedule>,
-    decider: &'a dyn OffloadController,
-    shared: SharedParams,
+/// What [`decide_device`] reads besides the device's own state: the
+/// scenario, its compiled fault schedule, the decision policy and the
+/// slot's shared parameters.
+#[derive(Clone, Copy)]
+pub struct DecideCtx<'a> {
+    /// The scenario (devices, links, degradation policy).
+    pub scenario: &'a Scenario,
+    /// The compiled chaos schedule, if the scenario injects faults.
+    pub schedule: Option<&'a FaultSchedule>,
+    /// The decision policy; `decide` must be pure (see [`DecideMemo`]).
+    pub decider: &'a dyn OffloadController,
+    /// Shared parameters before the edge's health scales them.
+    pub shared: SharedParams,
     /// Compute the drift-plus-penalty value at the optimum so the
     /// driver can replay the controller's decision telemetry.
-    want_dpp: bool,
+    pub want_dpp: bool,
+}
+
+/// Immutable per-run inputs shared (by reference) with every worker.
+struct RunCtx<'a> {
+    decide: DecideCtx<'a>,
+    deployment: &'a Deployment,
 }
 
 /// Fleet-level per-slot quantities the driving thread computes and
 /// broadcasts (KKT shares are a global coupling — Eq. 27).
-struct SlotQuants {
+#[derive(Debug)]
+pub struct SlotQuants {
+    /// Per-device arrival means, in fleet order.
     means: Vec<f64>,
+    /// Per-device edge shares `p_i`, in fleet order.
     shares: Vec<f64>,
+}
+
+impl SlotQuants {
+    /// The KKT shares of an edge of `edge_flops` over devices of
+    /// capacity `flops` with arrival `means`, floored at
+    /// [`share_floor`].
+    pub fn new(flops: &[f64], means: Vec<f64>, edge_flops: f64) -> Self {
+        let shares = kkt_allocation_with_floor(flops, &means, edge_flops, share_floor(flops.len()));
+        SlotQuants { means, shares }
+    }
+
+    /// Hands back the means buffer for the next slot's quantities.
+    pub fn into_means(self) -> Vec<f64> {
+        self.means
+    }
+}
+
+/// One device's decision for one slot: the inputs the solve saw and
+/// what the degradation ladder made of its optimum.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceDecision {
+    /// Shared parameters with the edge scaled by its health.
+    pub shared: SharedParams,
+    /// Device parameters under its link's health; `arrival_mean` is
+    /// the slot's mean.
+    pub device: DeviceParams,
+    /// Queue state and edge share at the slot start.
+    pub obs: SlotObservation,
+    /// The device's link or the edge is not nominal this slot.
+    pub fault: bool,
+    /// The edge serves this slot (a downed edge has no H-quota).
+    pub edge_up: bool,
+    /// The controller's optimum.
+    pub x_opt: f64,
+    /// Drift-plus-penalty at `x_opt` (0 unless `want_dpp`).
+    pub dpp: f64,
+    /// The degradation ladder's outcome; `outcome.x` is the applied ratio.
+    pub outcome: DegradeOutcome,
+    /// The ladder is out of normal mode: the slot's tasks run fully
+    /// locally and take the First-exit on device.
+    pub degraded_local: bool,
 }
 
 /// The per-epoch broadcast: which slots this round covers and their
@@ -309,19 +364,6 @@ impl SlottedSystem {
         });
     }
 
-    fn shared(&self) -> SharedParams {
-        SharedParams {
-            slot_len_s: self.scenario.slot_len_s,
-            v: self.scenario.v,
-            mu1: self.deployment.mu[0],
-            mu2: self.deployment.mu[1],
-            sigma1: self.deployment.sigma[0],
-            d0_bytes: self.deployment.d[0],
-            d1_bytes: self.deployment.d[1],
-            edge_flops: self.scenario.edge_flops,
-        }
-    }
-
     /// Runs `slots` time slots on the driving thread; returns the
     /// aggregated report. Equivalent to
     /// [`SlottedSystem::run_with_workers`] with one worker — and
@@ -403,30 +445,26 @@ impl SlottedSystem {
         // pure function of `(shared, device, obs)`.
         let decider = self.scenario.controller.build();
         let run_ctx = RunCtx {
-            scenario: &self.scenario,
+            decide: DecideCtx {
+                scenario: &self.scenario,
+                schedule: schedule.as_ref(),
+                decider: decider.as_ref(),
+                shared: self.scenario.shared_params(&self.deployment),
+                want_dpp: replay_decisions && telemetry.is_some(),
+            },
             deployment: &self.deployment,
-            schedule: schedule.as_ref(),
-            decider: decider.as_ref(),
-            shared: self.shared(),
-            want_dpp: replay_decisions && telemetry.is_some(),
         };
 
         let slot_len_s = self.scenario.slot_len_s;
         let make_ctx = |round: usize| {
             let slots = epochs[round].clone();
-            let per_slot: Vec<SlotQuants> = match &run_ctx.scenario.workload {
+            let per_slot: Vec<SlotQuants> = match &self.scenario.workload {
                 WorkloadKind::RateTrace { trace, .. } => slots
                     .clone()
                     .map(|slot| {
                         let slot_start = SimTime::from_secs(slot as f64 * slot_len_s);
                         let means = vec![trace.value_at(slot_start); n];
-                        let shares = kkt_allocation_with_floor(
-                            &flops,
-                            &means,
-                            run_ctx.scenario.edge_flops,
-                            share_floor(n),
-                        );
-                        SlotQuants { means, shares }
+                        SlotQuants::new(&flops, means, self.scenario.edge_flops)
                     })
                     .collect(),
                 _ => Vec::new(),
@@ -576,9 +614,7 @@ fn base_slot_quants(scenario: &Scenario, mmpp: &[Mmpp], flops: &[f64]) -> SlotQu
             _ => d.arrival_mean,
         })
         .collect();
-    let shares =
-        kkt_allocation_with_floor(flops, &means, scenario.edge_flops, share_floor(flops.len()));
-    SlotQuants { means, shares }
+    SlotQuants::new(flops, means, scenario.edge_flops)
 }
 
 /// Splits the fleet's per-device state into struct-of-arrays shards
@@ -628,65 +664,109 @@ fn draw_arrivals(
 /// Expected second/third-block completion tail per *surviving* task
 /// cohort in one slot (the paper's Y covers first-block costs only;
 /// blocks 2–3 are processed "fixedly" on edge and cloud).
-fn tail_cost(run: &RunCtx<'_>, s: SharedParams, cost: &SlotCost, x: f64, tasks: f64) -> f64 {
+fn tail_cost(run: &RunCtx<'_>, cost: &SlotCost, x: f64, tasks: f64) -> f64 {
     let dep = run.deployment;
     let survivors1 = (1.0 - dep.sigma[0]) * tasks;
     let survivors2 = (1.0 - dep.sigma[1]) * tasks;
     let mut tail = 0.0;
     if survivors1 > 0.0 && dep.mu[1] > 0.0 {
-        let f_e2 = (cost.p_share * s.edge_flops - cost.edge_first_block_flops(x)).max(0.0);
-        if f_e2 > 0.0 {
-            tail += survivors1 * dep.mu[1] / f_e2;
-        } else {
-            // No edge capacity for the second block: fall back to the
-            // whole share (pessimistic but finite).
-            tail += survivors1 * dep.mu[1] / (cost.p_share * s.edge_flops).max(f64::EPSILON);
-        }
+        tail += survivors1 * dep.mu[1] / cost.second_block_flops(x);
     }
     if survivors2 > 0.0 {
+        let scenario = run.decide.scenario;
         tail += survivors2
-            * (dep.d[2] * 8.0 / run.scenario.cloud_bandwidth_bps
-                + run.scenario.cloud_latency_s
-                + dep.mu[2] / run.scenario.cloud_flops);
+            * (dep.d[2] * 8.0 / scenario.cloud_bandwidth_bps
+                + scenario.cloud_latency_s
+                + dep.mu[2] / scenario.cloud_flops);
     }
     tail
 }
 
-/// Builds device `i`'s decision inputs for one slot under the given
-/// link/edge health.
-fn decision_inputs(
-    run: &RunCtx<'_>,
+/// The device-side decision step of one device-slot (§III-D): the
+/// chaos health and churn lookup, the decision inputs, the memoised
+/// Eq. 20 solve and the degradation ladder. `None` when the device is
+/// churned out (absent this slot: no arrivals, no service, frozen
+/// queues). Shared by the slotted system and the serving runtime;
+/// allocation-free (S6).
+#[allow(clippy::too_many_arguments, reason = "one argument per SoA element")]
+#[inline]
+pub fn decide_device(
+    ctx: &DecideCtx<'_>,
     quants: &SlotQuants,
+    slot: u64,
     slot_start: SimTime,
     i: usize,
     queue: &QueuePair,
-    link: &LinkHealth,
-    edge: &EdgeHealth,
-) -> (SharedParams, DeviceParams, SlotObservation) {
-    let dev = DeviceParams {
+    degrade: &mut DegradeState,
+    memo: &mut DecideMemo,
+) -> Option<DeviceDecision> {
+    let (link, edge, alive) = match ctx.schedule {
+        Some(s) => (
+            s.link_health(i, slot_start),
+            s.edge_health(slot_start),
+            s.device_alive(i, slot_start),
+        ),
+        None => (LinkHealth::NOMINAL, EdgeHealth::NOMINAL, true),
+    };
+    if !alive {
+        return None;
+    }
+    let scenario = ctx.scenario;
+    let device = DeviceParams {
         arrival_mean: quants.means[i],
-        bandwidth_bps: run.scenario.bandwidth_at(i, slot_start) * link.bandwidth_factor,
-        latency_s: run.scenario.devices[i].latency_s + link.extra_latency_s,
-        ..run.scenario.devices[i]
+        bandwidth_bps: scenario.bandwidth_at(i, slot_start) * link.bandwidth_factor,
+        latency_s: scenario.devices[i].latency_s + link.extra_latency_s,
+        ..scenario.devices[i]
     };
     // Edge slowdown scales the server the whole fleet shares.
-    let shared_i = SharedParams {
-        edge_flops: run.shared.edge_flops * edge.speed_factor,
-        ..run.shared
+    let shared = SharedParams {
+        edge_flops: ctx.shared.edge_flops * edge.speed_factor,
+        ..ctx.shared
     };
     let obs = SlotObservation {
         q: queue.q(),
         h: queue.h(),
         p_share: quants.shares[i].clamp(0.0, 1.0),
     };
-    (shared_i, dev, obs)
+    let key = decide_key(&shared, &device, &obs);
+    let (x_opt, dpp) = if memo.key == Some(key) {
+        (memo.x_opt, memo.dpp)
+    } else {
+        let x_opt = ctx.decider.decide(shared, device, obs);
+        let dpp = if ctx.want_dpp {
+            SlotCost::new(shared, device, obs.q, obs.h, obs.p_share)
+                .eval()
+                .drift_plus_penalty(x_opt)
+        } else {
+            0.0
+        };
+        *memo = DecideMemo {
+            key: Some(key),
+            x_opt,
+            dpp,
+        };
+        (x_opt, dpp)
+    };
+    // The degradation ladder observes reachability (`link.up && edge.up`).
+    let outcome = degrade.degraded_decide(&scenario.degrade, slot, link.up && edge.up, x_opt);
+    Some(DeviceDecision {
+        shared,
+        device,
+        obs,
+        fault: !link.is_nominal() || !edge.is_nominal(),
+        edge_up: edge.up,
+        x_opt,
+        dpp,
+        outcome,
+        degraded_local: degrade.mode() != DegradeMode::Normal,
+    })
 }
 
-/// Simulates one device-slot — the decentralized per-device solve, the
-/// degradation ladder, the arrival draw, the realized slot cost and the
-/// queue recursion — touching nothing but this device's state (passed as
-/// the shard's struct-of-arrays elements). Allocation-free (S6) and safe
-/// to run concurrently across devices; all recording is deferred to
+/// Simulates one device-slot — the decision step ([`decide_device`]),
+/// the arrival draw, the realized slot cost and the queue recursion —
+/// touching nothing but this device's state (passed as the shard's
+/// struct-of-arrays elements). Allocation-free (S6) and safe to run
+/// concurrently across devices; all recording is deferred to
 /// [`apply_out`] on the driving thread.
 #[allow(clippy::too_many_arguments, reason = "one argument per SoA element")]
 fn device_slot(
@@ -701,63 +781,41 @@ fn device_slot(
     rng: &mut StdRng,
     memo: &mut DecideMemo,
 ) -> Result<DeviceSlotOut> {
-    let (link, edge, alive) = match run.schedule {
-        Some(s) => (
-            s.link_health(i, slot_start),
-            s.edge_health(slot_start),
-            s.device_alive(i, slot_start),
-        ),
-        None => (LinkHealth::NOMINAL, EdgeHealth::NOMINAL, true),
-    };
-    if !alive {
-        // Churned out: the device is absent this slot — no arrivals, no
-        // service, frozen queues (Eq. 10–11 with all rates zero).
+    let Some(d) = decide_device(
+        &run.decide,
+        quants,
+        t_slot,
+        slot_start,
+        i,
+        queue,
+        degrade,
+        memo,
+    ) else {
         return Ok(DeviceSlotOut::Churned);
-    }
-    let fault = !link.is_nominal() || !edge.is_nominal();
-    let (shared_i, dev, obs) = decision_inputs(run, quants, slot_start, i, queue, &link, &edge);
-    let key = decide_key(&shared_i, &dev, &obs);
-    let (x_opt, dpp) = if memo.key == Some(key) {
-        (memo.x_opt, memo.dpp)
-    } else {
-        let x_opt = run.decider.decide(shared_i, dev, obs);
-        let dpp = if run.want_dpp {
-            SlotCost::new(shared_i, dev, obs.q, obs.h, obs.p_share)
-                .eval()
-                .drift_plus_penalty(x_opt)
-        } else {
-            0.0
-        };
-        *memo = DecideMemo {
-            key: Some(key),
-            x_opt,
-            dpp,
-        };
-        (x_opt, dpp)
     };
-    // The degradation ladder observes reachability (`link.up && edge.up`).
-    let outcome = degrade.degraded_decide(&run.scenario.degrade, t_slot, link.up && edge.up, x_opt);
-    let x = outcome.x;
-    // Any non-Normal mode forces x = 0: the slot's tasks run fully
-    // locally and take the First-exit on device.
-    let degraded_local = degrade.mode() != DegradeMode::Normal;
-    let arrivals = draw_arrivals(&run.scenario.workload, mmpp, dev.arrival_mean, rng);
+    let (x, obs, degraded_local) = (d.outcome.x, d.obs, d.degraded_local);
+    let arrivals = draw_arrivals(
+        &run.decide.scenario.workload,
+        mmpp,
+        d.device.arrival_mean,
+        rng,
+    );
 
     // Realized per-slot cost with the actual arrival count. The
     // precomputed evaluator returns the same bits as the SlotCost
     // methods (asserted in leime-offload) at a fraction of the work.
     let realized = DeviceParams {
         arrival_mean: arrivals as f64,
-        ..dev
+        ..d.device
     };
-    let cost = SlotCost::new(shared_i, realized, obs.q, obs.h, obs.p_share);
+    let cost = SlotCost::new(d.shared, realized, obs.q, obs.h, obs.p_share);
     let ev = cost.eval();
     let (per_task, total, tier_counts) = if arrivals > 0 {
         let first_block = ev.y(x);
         let tail = if degraded_local {
             0.0
         } else {
-            tail_cost(run, shared_i, &cost, x, arrivals as f64)
+            tail_cost(run, &cost, x, arrivals as f64)
         };
         let total = first_block + tail;
         let per_task = total / arrivals as f64;
@@ -779,16 +837,16 @@ fn device_slot(
     // H-quota); its backlog waits out the fault.
     let a = (1.0 - x) * arrivals as f64;
     let d_off = x * arrivals as f64;
-    let edge_quota = if edge.up { ev.edge_quota(x) } else { 0.0 };
+    let edge_quota = if d.edge_up { ev.edge_quota(x) } else { 0.0 };
     queue.step(a, d_off, ev.device_quota(), edge_quota);
     let served = (obs.q + a - queue.q()) + (obs.h + d_off - queue.h());
 
     Ok(DeviceSlotOut::Active(ActiveOut {
-        fault,
+        fault: d.fault,
         obs,
-        x_opt,
-        dpp,
-        outcome,
+        x_opt: d.x_opt,
+        dpp: d.dpp,
+        outcome: d.outcome,
         arrivals,
         per_task,
         total,
@@ -1007,7 +1065,13 @@ mod tests {
         .expect("S6 baseline missing");
         let json: serde_json::Value = serde_json::from_str(&baseline).unwrap();
         let fns = json["fns"].as_object().unwrap();
-        for name in ["device_slot", "apply_out", "draw_arrivals", "tail_cost"] {
+        for name in [
+            "decide_device",
+            "device_slot",
+            "apply_out",
+            "draw_arrivals",
+            "tail_cost",
+        ] {
             let key = format!("crates/core/src/slotted.rs::{name}");
             let count = fns
                 .get(&key)

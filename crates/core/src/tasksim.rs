@@ -3,7 +3,7 @@ use std::sync::Arc;
 use leime_chaos::{EdgeHealth, FaultSchedule, LinkHealth};
 use leime_offload::{
     kkt_allocation_with_floor, ControllerTelemetry, DegradeState, DeviceParams, OffloadController,
-    SharedParams, SlotObservation,
+    SlotObservation,
 };
 use leime_simnet::{EventQueue, FifoServer, Link, SimMonitor, SimTime};
 use leime_telemetry::{Histogram, Registry};
@@ -141,19 +141,6 @@ impl TaskSim {
         self.monitor = Some(monitor);
     }
 
-    fn shared(&self) -> SharedParams {
-        SharedParams {
-            slot_len_s: self.scenario.slot_len_s,
-            v: self.scenario.v,
-            mu1: self.deployment.mu[0],
-            mu2: self.deployment.mu[1],
-            sigma1: self.deployment.sigma[0],
-            d0_bytes: self.deployment.d[0],
-            d1_bytes: self.deployment.d[1],
-            edge_flops: self.scenario.edge_flops,
-        }
-    }
-
     /// Runs the simulation: arrivals are generated for `horizon_s`
     /// simulated seconds and every generated task is carried to
     /// completion.
@@ -167,7 +154,7 @@ impl TaskSim {
         let dep = self.deployment.clone();
         let scenario = &scenario;
         let dep = &dep;
-        let shared = self.shared();
+        let shared = self.scenario.shared_params(&self.deployment);
         let n = scenario.devices.len();
         let horizon = SimTime::from_secs(horizon_s);
         let mut rng = StdRng::seed_from_u64(leime_par::stream_seed(seed, 0));

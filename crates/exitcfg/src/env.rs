@@ -40,7 +40,7 @@ impl EnvParams {
         ];
         for (name, v) in pos {
             if !(v.is_finite() && v > 0.0) {
-                return Err(format!("{name} must be positive, got {v}"));
+                return Err(format!("{name} must be finite and positive, got {v}"));
             }
         }
         let nonneg = [

@@ -61,6 +61,20 @@ impl SlotCost {
         x * s.mu1 * self.p_share * s.edge_flops / denom
     }
 
+    /// Edge FLOPS left for this device's *second-block* tasks: the share
+    /// `p_i F^e` minus [`SlotCost::edge_first_block_flops`]. When the
+    /// first block exhausts the share, the whole share (at least
+    /// `f64::EPSILON`) — pessimistic but finite.
+    pub fn second_block_flops(&self, x: f64) -> f64 {
+        let capacity = self.p_share * self.shared.edge_flops;
+        let left = capacity - self.edge_first_block_flops(x);
+        if left > 0.0 {
+            left
+        } else {
+            capacity.max(f64::EPSILON)
+        }
+    }
+
     /// Device service quota `b_i(t) = F_i^d · τ / μ_1` (tasks per slot).
     pub fn device_quota(&self) -> f64 {
         self.device.flops * self.shared.slot_len_s / self.shared.mu1
@@ -333,6 +347,30 @@ mod tests {
         let f2 = f_total - f1;
         let want_ratio = x * s.mu1 / ((1.0 - s.sigma1) * s.mu2);
         assert!((f1 / f2 - want_ratio).abs() < 1e-9);
+    }
+
+    #[test]
+    fn second_block_gets_the_share_left_after_the_first() {
+        let c = cost(0.0, 0.0);
+        let f_total = c.p_share * shared().edge_flops;
+        let x = 0.6;
+        let left = c.second_block_flops(x);
+        assert!(left > 0.0 && left < f_total);
+        assert_eq!(
+            left.to_bits(),
+            (f_total - c.edge_first_block_flops(x)).to_bits()
+        );
+        // sigma1 = 1: nothing survives to block 2, so the first block
+        // takes the whole share (exactly, at x = 0.5) and the fallback is
+        // the share itself.
+        let mut exhausted = shared();
+        exhausted.sigma1 = 1.0;
+        let c = SlotCost::new(exhausted, DeviceParams::raspberry_pi(10.0), 0.0, 0.0, 0.25);
+        assert_eq!(c.edge_first_block_flops(0.5).to_bits(), f_total.to_bits());
+        assert_eq!(c.second_block_flops(0.5).to_bits(), f_total.to_bits());
+        // No share at all: the floor keeps the division finite.
+        let c = SlotCost::new(shared(), DeviceParams::raspberry_pi(10.0), 0.0, 0.0, 0.0);
+        assert_eq!(c.second_block_flops(x).to_bits(), f64::EPSILON.to_bits());
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //!
 //! | Module | What it owns |
 //! |---|---|
-//! | `request` | [`Request`], [`SlaClass`], [`SlaPolicy`] — the request model |
+//! | `request` | [`SlaClass`], [`SlaPolicy`] — the request model |
 //! | `traffic` | [`TrafficConfig`] — deterministic offered-load generators |
 //! | `admission` | [`admit`] — Eq. 10–11 stability-bound load shedding |
 //! | `steer` | [`steer_exits`] — per-class exit settings via priced environments |
-//! | `route` | [`FleetRouter`] — fleet-aware traffic routing with pressure spillover |
-//! | `system` | [`ServingSystem`] — the per-slot serving loop and testbed presets |
+//! | `system` | [`ServingSystem`] — the per-slot serving loop (on `leime::decide_device`) and testbed presets |
 //! | `report` | [`ServingReport`] — per-class deadline/latency statistics |
 //!
 //! See DESIGN.md §12 for the request lifecycle, the class-equivalent
@@ -19,15 +18,13 @@
 mod admission;
 mod report;
 mod request;
-mod route;
 mod steer;
 mod system;
 mod traffic;
 
 pub use admission::{admit, AdmissionDecision, AdmissionPolicy};
 pub use report::{ClassStats, ServingReport};
-pub use request::{Request, SlaClass, SlaPolicy};
-pub use route::{FleetRouter, RouteDecision};
+pub use request::{SlaClass, SlaPolicy};
 pub use steer::{steer_exits, ClassPlan, SteerPolicy};
 pub use system::{flash_brownout_testbed, serving_testbed, ServingConfig, ServingSystem};
 pub use traffic::{TrafficConfig, TrafficModel, TRAFFIC_STREAM};

@@ -137,8 +137,8 @@ mod tests {
     #[test]
     fn hit_rates_handle_empty_and_shed() {
         let mut c = ClassStats::new(SlaClass::Standard, 3.0);
-        assert_eq!(c.hit_rate(), 1.0);
-        assert_eq!(c.admitted_hit_rate(), 1.0);
+        assert_eq!(c.hit_rate().to_bits(), 1.0f64.to_bits());
+        assert_eq!(c.admitted_hit_rate().to_bits(), 1.0f64.to_bits());
         c.offered = 10;
         c.admitted = 4;
         c.shed = 6;

@@ -113,24 +113,6 @@ impl SlaPolicy {
     }
 }
 
-/// One inference request as the front-end sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Request {
-    /// Fleet-unique id, assigned in arrival order (device-major within a
-    /// slot), so replays enumerate requests identically.
-    pub id: u64,
-    /// Index of the device the request arrived at.
-    pub device: usize,
-    /// SLA class drawn from the [`SlaPolicy`] mix.
-    pub class: SlaClass,
-    /// Arrival time (slot start) in seconds.
-    pub arrival_s: f64,
-    /// A hard sample: no intermediate classifier reaches its confidence
-    /// threshold, so the request traverses the full chain (adversarial
-    /// floods raise the fraction of these and collapse exit rates).
-    pub hard: bool,
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default, reason = "clearer policy tweaks")]
 mod tests {
@@ -175,19 +157,5 @@ mod tests {
         assert_eq!(p.class_for_draw(0.69), SlaClass::Standard);
         assert_eq!(p.class_for_draw(0.7), SlaClass::BestEffort);
         assert_eq!(p.class_for_draw(0.999), SlaClass::BestEffort);
-    }
-
-    #[test]
-    fn requests_serialize_round_trip() {
-        let r = Request {
-            id: 7,
-            device: 2,
-            class: SlaClass::Standard,
-            arrival_s: 12.0,
-            hard: true,
-        };
-        let text = serde_json::to_string(&r).unwrap();
-        let back: Request = serde_json::from_str(&text).unwrap();
-        assert_eq!(r, back);
     }
 }

@@ -7,6 +7,8 @@
 //! run under their class's exit setting with the scenario's offload
 //! controller (Lyapunov by default) steering the device/edge split, and
 //! per-request completion times are judged against per-class deadlines.
+//! The per-device decision (chaos lookup, memoised solve, degradation
+//! ladder) is the slotted system's own [`leime::decide_device`].
 //!
 //! ## Accounting (DESIGN.md §12)
 //!
@@ -29,22 +31,19 @@
 
 use std::sync::Arc;
 
-use leime_chaos::{ChaosConfig, EdgeHealth, FaultModel, FaultSchedule, LinkHealth};
-use leime_offload::{
-    kkt_allocation_with_floor, DegradeMode, DegradeState, DeviceParams, QueuePair, SharedParams,
-    SlotCost, SlotObservation,
-};
+use leime_chaos::{ChaosConfig, FaultModel, FaultSchedule};
+use leime_offload::{DegradeState, DeviceParams, QueuePair, SharedParams, SlotCost};
 use leime_simnet::SimTime;
 use leime_telemetry::{Counter, Histogram, Registry, Series, VirtualClock};
 use leime_workload::SlotArrivals;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use leime::{share_floor, LeimeError, ModelKind, Scenario, SlotArena};
+use leime::{decide_device, DecideCtx, DecideMemo, LeimeError, ModelKind, Scenario, SlotQuants};
 
 use crate::{
-    admit, steer_exits, AdmissionPolicy, ClassPlan, ClassStats, Request, ServingReport, SlaClass,
-    SlaPolicy, SteerPolicy, TrafficConfig, TrafficModel, TRAFFIC_STREAM,
+    admit, steer_exits, AdmissionPolicy, ClassPlan, ClassStats, ServingReport, SlaClass, SlaPolicy,
+    SteerPolicy, TrafficConfig, TrafficModel, TRAFFIC_STREAM,
 };
 
 /// Everything the serving runtime adds on top of a [`Scenario`].
@@ -188,16 +187,12 @@ impl ServingSystem {
             scenario.chaos.as_ref().map(|c| c.compile(n, horizon));
         let controller = scenario.controller.build();
         let weights = self.class_weights();
-        let std_plan = self.plan.standard();
-        let shared = SharedParams {
-            slot_len_s,
-            v: scenario.v,
-            mu1: std_plan.mu[0],
-            mu2: std_plan.mu[1],
-            sigma1: std_plan.sigma[0],
-            d0_bytes: std_plan.d[0],
-            d1_bytes: std_plan.d[1],
-            edge_flops: scenario.edge_flops,
+        let run_ctx = DecideCtx {
+            scenario,
+            schedule: schedule.as_ref(),
+            decider: controller.as_ref(),
+            shared: scenario.shared_params(self.plan.standard()),
+            want_dpp: false,
         };
         let flops: Vec<f64> = scenario.devices.iter().map(|d| d.flops).collect();
 
@@ -209,6 +204,7 @@ impl ServingSystem {
             })
             .collect();
         let mut traffic_rng = StdRng::seed_from_u64(leime_par::stream_seed(seed, TRAFFIC_STREAM));
+        let mut memo = DecideMemo::default();
 
         let mut stats: [ClassStats; 3] =
             SlaClass::ALL.map(|c| ClassStats::new(c, config.sla.deadline_for(c)));
@@ -216,15 +212,14 @@ impl ServingSystem {
         let mut fault_slots = 0u64;
         let mut offload_sum = 0.0f64;
         let mut offload_slots = 0u64;
-        let mut next_id = 0u64;
 
-        // Slot scratch (DESIGN.md §14): the offered means are rebuilt in
-        // place each slot and the per-device request cohort cycles
-        // through a [`SlotArena`], so steady-state slots allocate
-        // nothing on this path. Per-class counter deltas accumulate
-        // here and flush to the registry once per slot.
+        // Slot scratch (DESIGN.md §14): the offered means and the
+        // per-device request cohort (class, hard) are rebuilt in place
+        // each slot, so steady-state slots allocate nothing on this
+        // path beyond the KKT shares. Per-class counter deltas
+        // accumulate here and flush to the registry once per slot.
         let mut means: Vec<f64> = Vec::with_capacity(n);
-        let mut req_arena: SlotArena<Request> = SlotArena::new();
+        let mut requests: Vec<(SlaClass, bool)> = Vec::new();
         let mut offered_slot = [0u64; 3];
         let mut admitted_slot = [0u64; 3];
         let mut shed_slot = [0u64; 3];
@@ -242,59 +237,42 @@ impl ServingSystem {
             let hard_f = config.traffic.hard_fraction(t_s).clamp(0.0, 1.0);
             means.clear();
             means.extend(scenario.devices.iter().map(|d| d.arrival_mean * rate));
-            let shares =
-                kkt_allocation_with_floor(&flops, &means, scenario.edge_flops, share_floor(n));
+            let quants = SlotQuants::new(&flops, means, scenario.edge_flops);
+            // The controller sees the flood-collapsed effective
+            // first-exit rate (and, per device, the brownout-scaled edge).
+            let ctx = DecideCtx {
+                shared: SharedParams {
+                    sigma1: run_ctx.shared.sigma1 * (1.0 - hard_f),
+                    ..run_ctx.shared
+                },
+                ..run_ctx
+            };
 
             let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
             for (i, st) in states.iter_mut().enumerate() {
-                let (link, edge, alive) = match &schedule {
-                    Some(s) => (
-                        s.link_health(i, slot_start),
-                        s.edge_health(slot_start),
-                        s.device_alive(i, slot_start),
-                    ),
-                    None => (LinkHealth::NOMINAL, EdgeHealth::NOMINAL, true),
-                };
-                if !alive {
+                let Some(d) = decide_device(
+                    &ctx,
+                    &quants,
+                    slot as u64,
+                    slot_start,
+                    i,
+                    &st.queue,
+                    &mut st.degrade,
+                    &mut memo,
+                ) else {
                     // Churned out: no arrivals, frozen queues.
                     continue;
-                }
-                let fault = !link.is_nominal() || !edge.is_nominal();
-
-                let dev = DeviceParams {
-                    arrival_mean: means[i],
-                    bandwidth_bps: scenario.bandwidth_at(i, slot_start) * link.bandwidth_factor,
-                    latency_s: scenario.devices[i].latency_s + link.extra_latency_s,
-                    ..scenario.devices[i]
                 };
-                // The controller sees the brownout-scaled edge and the
-                // flood-collapsed effective first-exit rate.
-                let shared_i = SharedParams {
-                    edge_flops: shared.edge_flops * edge.speed_factor,
-                    sigma1: shared.sigma1 * (1.0 - hard_f),
-                    ..shared
-                };
-                let obs = SlotObservation {
-                    q: st.queue.q(),
-                    h: st.queue.h(),
-                    p_share: shares[i].clamp(0.0, 1.0),
-                };
-                let x_opt = controller.decide(shared_i, dev, obs);
-                let reachable = link.up && edge.up;
-                let outcome =
-                    st.degrade
-                        .degraded_decide(&scenario.degrade, slot as u64, reachable, x_opt);
-                let x = outcome.x;
-                let degraded_local = st.degrade.mode() != DegradeMode::Normal;
+                let (x, obs, dev) = (d.outcome.x, d.obs, d.device);
 
                 // The offered front-end traffic: arrival count, then one
                 // class draw and one hardness draw per request.
                 let offered_n = SlotArrivals::Poisson {
-                    mean: means[i],
+                    mean: dev.arrival_mean,
                     max: config.traffic.max_per_slot,
                 }
                 .draw(&mut st.rng);
-                let mut requests = req_arena.take();
+                requests.clear();
                 let mut offered = [0u64; 3];
                 for _ in 0..offered_n {
                     let class = config.sla.class_for_draw(st.rng.gen_range(0.0..1.0));
@@ -303,19 +281,12 @@ impl ServingSystem {
                     if hard {
                         hard_requests += 1;
                     }
-                    requests.push(Request {
-                        id: next_id,
-                        device: i,
-                        class,
-                        arrival_s: t_s,
-                        hard,
-                    });
-                    next_id += 1;
+                    requests.push((class, hard));
                 }
 
-                let cost = SlotCost::new(shared_i, dev, obs.q, obs.h, obs.p_share);
+                let cost = SlotCost::new(d.shared, dev, obs.q, obs.h, obs.p_share);
                 let device_quota = cost.device_quota();
-                let edge_quota = if edge.up { cost.edge_quota(x) } else { 0.0 };
+                let edge_quota = if d.edge_up { cost.edge_quota(x) } else { 0.0 };
                 let decision = admit(
                     &config.admission,
                     obs.q,
@@ -345,17 +316,8 @@ impl ServingSystem {
                         arrival_mean: admitted_equiv,
                         ..dev
                     };
-                    let rcost = SlotCost::new(shared_i, realized, obs.q, obs.h, obs.p_share);
-                    let capacity = rcost.p_share * shared_i.edge_flops;
-                    let f_e2 = {
-                        let left = capacity - rcost.edge_first_block_flops(x);
-                        if left > 0.0 {
-                            left
-                        } else {
-                            capacity.max(f64::EPSILON)
-                        }
-                    };
-                    (rcost.y(x) / admitted_equiv, f_e2)
+                    let rcost = SlotCost::new(d.shared, realized, obs.q, obs.h, obs.p_share);
+                    (rcost.y(x) / admitted_equiv, rcost.second_block_flops(x))
                 } else {
                     (0.0, f64::EPSILON)
                 };
@@ -363,8 +325,8 @@ impl ServingSystem {
                 // Admit the first `admitted[c]` requests of each class in
                 // arrival order; judge each against its class deadline.
                 let mut quota_left = decision.admitted;
-                for req in &requests {
-                    let ci = req.class.index();
+                for &(class, hard) in &requests {
+                    let ci = class.index();
                     stats[ci].offered += 1;
                     offered_slot[ci] += 1;
                     if quota_left[ci] == 0 {
@@ -375,11 +337,11 @@ impl ServingSystem {
                     quota_left[ci] -= 1;
                     stats[ci].admitted += 1;
 
-                    let plan_c = self.plan.for_class(req.class);
-                    let tier = if degraded_local {
+                    let plan_c = self.plan.for_class(class);
+                    let tier = if d.degraded_local {
                         // Degraded mode runs fully local: forced first exit.
                         0
-                    } else if req.hard {
+                    } else if hard {
                         plan_c.sigma.len() - 1
                     } else {
                         plan_c.tier_for_draw(st.rng.gen_range(0.0..1.0))?
@@ -400,7 +362,7 @@ impl ServingSystem {
                             + plan_c.mu[2] / scenario.cloud_flops;
                     }
                     stats[ci].tct_s.record(tct);
-                    let hit = tct <= config.sla.deadline_for(req.class);
+                    let hit = tct <= config.sla.deadline_for(class);
                     if hit {
                         stats[ci].deadline_hits += 1;
                     }
@@ -414,9 +376,8 @@ impl ServingSystem {
                         tel.tct[ci].record(tct);
                     }
                 }
-                req_arena.put(requests);
 
-                if fault || degraded_local {
+                if d.fault || d.degraded_local {
                     fault_slots += 1;
                 }
                 offload_sum += x;
@@ -451,6 +412,7 @@ impl ServingSystem {
             admitted_slot = [0; 3];
             shed_slot = [0; 3];
             hits_slot = [0; 3];
+            means = quants.into_means();
         }
 
         let final_backlog = states.iter().map(|s| s.queue.q() + s.queue.h()).sum();

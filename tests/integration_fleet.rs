@@ -24,9 +24,8 @@ const RUN_SEED: u64 = 41;
 /// {1, 2, 4, 8}; 1 doubles as the sequential-path sanity check).
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn w(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).expect("worker counts are non-zero")
-}
+/// Errors a helper hands back to its `#[test]` caller.
+type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
 
 /// Chaos generator shared with `integration_par` (at least one model
 /// active; the fleet wall adds edge outages prominently since they are
@@ -116,62 +115,58 @@ fn build_scenario(case: &FleetCase) -> Scenario {
     s
 }
 
-fn build_fleet(case: &FleetCase) -> FleetSystem {
+fn build_fleet(case: &FleetCase) -> leime::Result<FleetSystem> {
     let scenario = build_scenario(case);
-    let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
+    let deployment = scenario.deploy(ExitStrategy::Leime)?;
     let config = FleetConfig::regional(case.edges, case.rebalance_interval);
-    FleetSystem::new(scenario, deployment, config).expect("fleet builds")
+    FleetSystem::new(scenario, deployment, config)
 }
 
 /// The fleet §11/§16 contract, asserted: serialized `FleetReport`,
 /// telemetry snapshot and post-run per-device queue bits from
 /// `run_with_workers(…, N)` are byte-identical to the plain `run` for
 /// every `N` in `WORKER_COUNTS`.
-fn assert_fleet_byte_identical(case: &FleetCase, slots: usize, seed: u64) {
-    let run = |workers: Option<usize>| {
+fn assert_fleet_byte_identical(case: &FleetCase, slots: usize, seed: u64) -> TestResult<()> {
+    let run = |workers: Option<usize>| -> TestResult<_> {
         let registry = Registry::new();
-        let mut fleet = build_fleet(case);
+        let mut fleet = build_fleet(case)?;
         let report = match workers {
             None => {
                 // The sequential reference drives telemetry through the
                 // registry-recording entry point at one worker.
-                fleet
-                    .run_with_registry(
-                        slots,
-                        seed,
-                        w(1),
-                        leime::DEFAULT_EPOCH_LEN,
-                        &registry,
-                        "fleet",
-                    )
-                    .expect("fleet runs")
-            }
-            Some(n) => fleet
-                .run_with_registry(
+                fleet.run_with_registry(
                     slots,
                     seed,
-                    w(n),
+                    NonZeroUsize::MIN,
                     leime::DEFAULT_EPOCH_LEN,
                     &registry,
                     "fleet",
-                )
-                .expect("fleet runs"),
+                )?
+            }
+            Some(n) => fleet.run_with_registry(
+                slots,
+                seed,
+                NonZeroUsize::try_from(n)?,
+                leime::DEFAULT_EPOCH_LEN,
+                &registry,
+                "fleet",
+            )?,
         };
         let queues: Vec<(usize, u64, u64)> = fleet
             .queues()
             .iter()
             .map(|(&d, qp)| (d, qp.q().to_bits(), qp.h().to_bits()))
             .collect();
-        (
-            serde_json::to_string(&report).expect("report serializes"),
-            serde_json::to_string(&registry.snapshot()).expect("snapshot serializes"),
+        Ok((
+            serde_json::to_string(&report)?,
+            serde_json::to_string(&registry.snapshot())?,
             queues,
-        )
+        ))
     };
 
-    let (seq_report, seq_tel, seq_queues) = run(None);
+    let (seq_report, seq_tel, seq_queues) = run(None)?;
     for workers in WORKER_COUNTS {
-        let (report, tel, queues) = run(Some(workers));
+        let (report, tel, queues) = run(Some(workers))?;
         assert_eq!(
             seq_report, report,
             "FleetReport diverged at {workers} workers ({} devices × {} edges, {slots} slots)",
@@ -186,6 +181,7 @@ fn assert_fleet_byte_identical(case: &FleetCase, slots: usize, seed: u64) {
             "post-run queue states diverged at {workers} workers"
         );
     }
+    Ok(())
 }
 
 proptest! {
@@ -220,7 +216,7 @@ proptest! {
             workload,
             chaos: (with_chaos == 1).then_some((chaos_seed, mask, duty, mean_s)),
         };
-        assert_fleet_byte_identical(&case, slots, RUN_SEED);
+        assert_fleet_byte_identical(&case, slots, RUN_SEED).unwrap();
     }
 }
 
@@ -229,7 +225,7 @@ proptest! {
 /// `integration_fleet.proptest-regressions` is mirrored here explicitly;
 /// keep the two in sync when adding cases.
 #[test]
-fn fleet_differential_pinned_regressions() {
+fn fleet_differential_pinned_regressions() -> TestResult<()> {
     // More edges than devices: three of five shards are permanently
     // empty (RunReport::new() placeholders) while the balancer sees
     // zero-pressure targets every boundary.
@@ -245,7 +241,7 @@ fn fleet_differential_pinned_regressions() {
         },
         30,
         RUN_SEED,
-    );
+    )?;
     // Compound chaos (all four fault models) over a 3-edge fleet with a
     // short rebalance cadence: outage-driven evacuations interleave with
     // balancer moves across ten boundaries.
@@ -261,7 +257,7 @@ fn fleet_differential_pinned_regressions() {
         },
         44,
         RUN_SEED,
-    );
+    )?;
     // Single interval (rebalance_interval 0) multi-edge fleet: the
     // regional tier never acts; per-edge seed lanes and per-edge chaos
     // reseeding alone must hold the contract.
@@ -277,7 +273,8 @@ fn fleet_differential_pinned_regressions() {
         },
         40,
         RUN_SEED,
-    );
+    )?;
+    Ok(())
 }
 
 /// The scenario behind the failover/migration goldens: a 2-edge fleet
@@ -304,12 +301,12 @@ fn failover_scenario() -> (Scenario, FleetConfig) {
 /// down at the first boundary of `failover_scenario`).
 const FAILOVER_CHAOS_SEED: u64 = 3;
 
-fn run_failover_golden() -> (FleetReport, FleetSystem) {
+fn run_failover_golden() -> leime::Result<(FleetReport, FleetSystem)> {
     let (scenario, config) = failover_scenario();
-    let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
-    let mut fleet = FleetSystem::new(scenario, deployment, config).expect("builds");
-    let report = fleet.run(30, RUN_SEED).expect("runs");
-    (report, fleet)
+    let deployment = scenario.deploy(ExitStrategy::Leime)?;
+    let mut fleet = FleetSystem::new(scenario, deployment, config)?;
+    let report = fleet.run(30, RUN_SEED)?;
+    Ok((report, fleet))
 }
 
 /// Failover golden: at the first boundary (slot 10) edge 1 is down;
@@ -320,7 +317,7 @@ fn run_failover_golden() -> (FleetReport, FleetSystem) {
 /// assignment, causes and ordering are pinned.
 #[test]
 fn failover_golden_exact_post_migration_assignment() {
-    let (report, fleet) = run_failover_golden();
+    let (report, fleet) = run_failover_golden().unwrap();
 
     // Edge 1 is down from the first boundary on.
     let down: Vec<Vec<usize>> = report
@@ -355,7 +352,7 @@ fn failover_golden_exact_post_migration_assignment() {
 
     // The evacuated edge holds zero pressure and simulates nothing in
     // the remaining intervals (empty RunReport placeholders).
-    assert_eq!(fleet.pressures()[1], 0.0);
+    assert_eq!(fleet.pressures()[1].to_bits(), 0.0f64.to_bits());
     for iv in &report.intervals[1..] {
         assert_eq!(iv.edges[1].tasks(), 0, "evacuated edge ran tasks");
     }
@@ -435,7 +432,7 @@ fn single_edge_fleet_is_byte_identical_to_bare_slotted_system() {
         let mut bare = SlottedSystem::new(scenario.clone(), deployment.clone()).expect("builds");
         bare.attach_registry(&bare_registry, "fleet.edge0");
         let bare_report = bare
-            .run_with_workers(slots, RUN_SEED, w(workers))
+            .run_with_workers(slots, RUN_SEED, NonZeroUsize::new(workers).unwrap())
             .expect("runs");
 
         let fleet_registry = Registry::new();
@@ -445,7 +442,7 @@ fn single_edge_fleet_is_byte_identical_to_bare_slotted_system() {
             .run_with_registry(
                 slots,
                 RUN_SEED,
-                w(workers),
+                NonZeroUsize::new(workers).unwrap(),
                 leime::DEFAULT_EPOCH_LEN,
                 &fleet_registry,
                 "fleet",

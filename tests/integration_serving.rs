@@ -2,10 +2,11 @@
 //! byte-identical deterministic replay (report *and* telemetry), the
 //! admission controller's stability-bound guarantee under arbitrary
 //! generated inputs, the overload acceptance bar (admission beats
-//! no-admission on latency-critical hit-rate), and the golden
-//! flash-crowd-over-brownout composition with `leime-chaos`.
+//! no-admission on latency-critical hit-rate), the golden
+//! flash-crowd-over-brownout composition with `leime-chaos` (pinned
+//! counts included), and extreme parameters ending in finite reports.
 
-use leime::ModelKind;
+use leime::{ControllerKind, ModelKind, Scenario};
 use leime_invariant as invariant;
 use leime_serving::{
     admit, flash_brownout_testbed, serving_testbed, AdmissionPolicy, ServingReport, ServingSystem,
@@ -19,14 +20,18 @@ const RUN_SEED: u64 = 3;
 const CHAOS_SEED: u64 = 42;
 const DEVICES: usize = 4;
 
-fn run_testbed(load: f64, admission: bool, registry: Option<&Registry>) -> ServingReport {
+fn run_testbed(
+    load: f64,
+    admission: bool,
+    registry: Option<&Registry>,
+) -> leime::Result<ServingReport> {
     let (scenario, mut config) = serving_testbed(ModelKind::SqueezeNet, DEVICES, load);
     config.admission.enabled = admission;
-    let mut sys = ServingSystem::new(scenario, config).unwrap();
+    let mut sys = ServingSystem::new(scenario, config)?;
     if let Some(reg) = registry {
         sys.attach_registry(reg, "serve");
     }
-    sys.run(SLOTS, RUN_SEED).unwrap()
+    sys.run(SLOTS, RUN_SEED)
 }
 
 /// DESIGN.md §11 applied to serving: two runs at the same seed are
@@ -37,8 +42,8 @@ fn run_testbed(load: f64, admission: bool, registry: Option<&Registry>) -> Servi
 fn replay_is_byte_identical_including_telemetry() {
     let reg_a = Registry::new();
     let reg_b = Registry::new();
-    let a = run_testbed(2.0, true, Some(&reg_a));
-    let b = run_testbed(2.0, true, Some(&reg_b));
+    let a = run_testbed(2.0, true, Some(&reg_a)).unwrap();
+    let b = run_testbed(2.0, true, Some(&reg_b)).unwrap();
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap(),
@@ -65,8 +70,8 @@ fn replay_is_byte_identical_including_telemetry() {
 /// the admit-everything baseline, and shedding is priority-ordered.
 #[test]
 fn admission_beats_no_admission_under_overload() {
-    let with = run_testbed(2.0, true, None);
-    let without = run_testbed(2.0, false, None);
+    let with = run_testbed(2.0, true, None).unwrap();
+    let without = run_testbed(2.0, false, None).unwrap();
     let lc_on = with.class(SlaClass::LatencyCritical).hit_rate();
     let lc_off = without.class(SlaClass::LatencyCritical).hit_rate();
     assert!(
@@ -125,6 +130,72 @@ fn flash_crowd_over_brownout_composition() {
         (be.shed as f64 / be.offered.max(1) as f64) > (lc.shed as f64 / lc.offered.max(1) as f64),
         "composition shed out of priority order"
     );
+}
+
+/// The golden composition's counts, pinned: a change here is a change
+/// in what the serving loop computes, not only in how it computes it.
+#[test]
+fn flash_brownout_counts_are_pinned() {
+    let (scenario, config) = flash_brownout_testbed(ModelKind::SqueezeNet, 4, CHAOS_SEED, 2.0);
+    let report = ServingSystem::new(scenario, config)
+        .and_then(|mut sys| sys.run(120, 7))
+        .unwrap();
+    // (offered, admitted, shed, deadline_hits, tct_s.count()) per class.
+    let want: [(u64, u64, u64, u64, u64); 3] = [
+        (6971, 5347, 1624, 5347, 5347),
+        (17221, 4613, 12608, 4613, 4613),
+        (10396, 16, 10380, 16, 16),
+    ];
+    for (c, want) in SlaClass::ALL.into_iter().zip(want) {
+        let s = report.class(c);
+        let got = (
+            s.offered,
+            s.admitted,
+            s.shed,
+            s.deadline_hits,
+            s.tct_s.count(),
+        );
+        assert_eq!(got, want, "{}", c.name());
+    }
+    assert_eq!(report.hard_requests, 1767);
+    assert_eq!(report.fault_slots, 76);
+    assert_eq!(report.offload_slots, 480);
+}
+
+/// Extreme parameters end in a report with conserved per-class counts
+/// and finite aggregates, never an error, a panic or a NaN.
+#[test]
+fn extreme_parameters_yield_finite_reports() {
+    type Tweak = fn(&mut Scenario);
+    let cases: [(&str, Tweak); 7] = [
+        ("v = 1e-300", |s| s.v = 1e-300),
+        ("v = inf", |s| s.v = f64::INFINITY),
+        ("one device", |s| s.devices.truncate(1)),
+        ("no arrivals", |s| {
+            s.devices.iter_mut().for_each(|d| d.arrival_mean = 0.0)
+        }),
+        ("device only", |s| s.controller = ControllerKind::DeviceOnly),
+        ("edge only", |s| s.controller = ControllerKind::EdgeOnly),
+        ("bandwidth 1e-300", |s| {
+            s.devices.iter_mut().for_each(|d| d.bandwidth_bps = 1e-300)
+        }),
+    ];
+    for (name, tweak) in cases {
+        let (mut scenario, config) =
+            flash_brownout_testbed(ModelKind::SqueezeNet, DEVICES, CHAOS_SEED, 2.0);
+        tweak(&mut scenario);
+        let report = match ServingSystem::new(scenario, config).and_then(|mut s| s.run(SLOTS, 7)) {
+            Ok(report) => report,
+            Err(e) => panic!("{name}: {e}"),
+        };
+        for c in SlaClass::ALL {
+            let s = report.class(c);
+            assert_eq!(s.offered, s.admitted + s.shed, "{name}: {}", c.name());
+            assert!(s.tct_s.sum().is_finite(), "{name}: {} tct sum", c.name());
+        }
+        assert!(report.final_backlog.is_finite(), "{name}: backlog");
+        assert!(report.offload_sum.is_finite(), "{name}: offload sum");
+    }
 }
 
 /// Shared body for the property and its pinned regressions: `admit`
