@@ -237,8 +237,7 @@ impl RunReport {
         let met = self
             .series
             .points()
-            .iter()
-            .filter(|&&(_, tct)| tct <= deadline_s)
+            .filter(|&(_, tct)| tct <= deadline_s)
             .count();
         met as f64 / n as f64
     }
@@ -283,7 +282,7 @@ impl RunReport {
         let boundary = leime_simnet::SimTime::from_secs(after);
         let mut sum = 0.0;
         let mut count = 0usize;
-        for &(t, tct) in self.series.points() {
+        for (t, tct) in self.series.points() {
             if t >= boundary {
                 sum += tct;
                 count += 1;
@@ -406,6 +405,49 @@ mod tests {
         let mut full = RunReport::new();
         full.record_service(5, 50.0);
         assert_eq!(full.completion_rate(), 1.0);
+    }
+
+    #[test]
+    fn series_folds_match_a_point_by_point_reference() {
+        // Cohorts recorded as runs (`record_tct_n`), including `-0.0`
+        // next to `0.0` and repeated values across time steps; the
+        // folds must equal plain loops over the expanded points, bit
+        // for bit.
+        let cohorts = [
+            (0.0, 0.3, 4u64),
+            (0.0, 0.1, 1),
+            (0.0, -0.0, 2),
+            (0.0, 0.0, 3),
+            (1.0, 0.0, 1),
+            (1.0, 0.7, 6),
+            (2.0, 0.7, 2),
+            (5.0, 1e-3, 9),
+            (5.5, 2.5, 3),
+        ];
+        let mut r = RunReport::new();
+        let mut points: Vec<(SimTime, f64)> = Vec::new();
+        for (t, tct, n) in cohorts {
+            r.record_tct_n(SimTime::from_secs(t), tct, n);
+            for _ in 0..n {
+                points.push((SimTime::from_secs(t), tct));
+            }
+        }
+        for deadline in [0.0, 0.1, 0.5, 1.0, 3.0] {
+            let met = points.iter().filter(|p| p.1 <= deadline).count();
+            let expected = met as f64 / points.len() as f64;
+            assert_eq!(r.fraction_within(deadline).to_bits(), expected.to_bits());
+        }
+        for after in [0.0, 0.5, 1.0, 2.0, 5.5, 9.0] {
+            let (mut sum, mut count) = (0.0, 0usize);
+            for &(t, tct) in &points {
+                if t >= SimTime::from_secs(after) {
+                    sum += tct;
+                    count += 1;
+                }
+            }
+            let expected = if count == 0 { 0.0 } else { sum / count as f64 };
+            assert_eq!(r.mean_tct_after(after).to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

@@ -75,6 +75,50 @@ pub enum WorkloadKind {
     },
 }
 
+impl WorkloadKind {
+    /// Sanity-checks the workload's parameters: MMPP switching
+    /// probabilities in `[0, 1]`, a finite non-negative burst factor and
+    /// finite non-negative rate-trace values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LeimeError::Config`] naming the first violation.
+    fn check(&self) -> Result<()> {
+        match self {
+            WorkloadKind::Bursty {
+                burst_factor,
+                p_enter,
+                p_leave,
+                ..
+            } => {
+                for (name, p) in [("p_enter", *p_enter), ("p_leave", *p_leave)] {
+                    if !(0.0..=1.0).contains(&p) {
+                        return Err(LeimeError::Config(format!(
+                            "bursty {name} must be in [0, 1], got {p}"
+                        )));
+                    }
+                }
+                if !(*burst_factor >= 0.0 && burst_factor.is_finite()) {
+                    return Err(LeimeError::Config(format!(
+                        "bursty burst_factor must be finite and non-negative, got {burst_factor}"
+                    )));
+                }
+            }
+            WorkloadKind::RateTrace { trace, .. } => {
+                for &(_, v) in trace.points() {
+                    if !(v >= 0.0 && v.is_finite()) {
+                        return Err(LeimeError::Config(format!(
+                            "rate trace values must be finite and non-negative, got {v}"
+                        )));
+                    }
+                }
+            }
+            WorkloadKind::SlotPoisson { .. } | WorkloadKind::Deterministic => {}
+        }
+        Ok(())
+    }
+}
+
 /// A declarative experiment description: the model, the hardware fleet,
 /// the links, the workload and the control policies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -234,6 +278,7 @@ impl Scenario {
                 }
             }
         }
+        self.workload.check()?;
         if let Some(chaos) = &self.chaos {
             chaos
                 .validate()
@@ -455,6 +500,64 @@ mod tests {
         let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 1, 5.0);
         s.num_classes = 1;
         assert!(s.validate().is_err());
+    }
+
+    /// A malformed workload must fail `SlottedSystem::new` with a typed
+    /// error naming it, not panic there or later in `run`.
+    fn bad_workload_is_rejected(workload: WorkloadKind, expected: &str) {
+        let mut s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 2, 5.0);
+        let deployment = s.deploy(crate::ExitStrategy::Leime).unwrap();
+        s.workload = workload;
+        match crate::SlottedSystem::new(s, deployment) {
+            Err(LeimeError::Config(msg)) => assert_eq!(msg, expected),
+            other => panic!("{expected:?} not reported: {other:?}"),
+        }
+    }
+
+    fn bursty(burst_factor: f64, p_enter: f64, p_leave: f64) -> WorkloadKind {
+        WorkloadKind::Bursty {
+            burst_factor,
+            p_enter,
+            p_leave,
+            max: 50,
+        }
+    }
+
+    #[test]
+    fn validation_rejects_bursty_p_enter_outside_unit_interval() {
+        bad_workload_is_rejected(
+            bursty(2.0, 1.5, 0.3),
+            "bursty p_enter must be in [0, 1], got 1.5",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_nan_bursty_p_leave() {
+        bad_workload_is_rejected(
+            bursty(2.0, 0.2, f64::NAN),
+            "bursty p_leave must be in [0, 1], got NaN",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_negative_burst_factor() {
+        bad_workload_is_rejected(
+            bursty(-1.0, 0.2, 0.3),
+            "bursty burst_factor must be finite and non-negative, got -1",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_negative_rate_trace_value() {
+        let trace = TimeTrace::from_points(vec![
+            (leime_simnet::SimTime::ZERO, 2.0),
+            (leime_simnet::SimTime::from_secs(5.0), -1.0),
+        ])
+        .unwrap();
+        bad_workload_is_rejected(
+            WorkloadKind::RateTrace { trace, max: 40 },
+            "rate trace values must be finite and non-negative, got -1",
+        );
     }
 
     fn infinite_field_is_rejected(name: &str, set: fn(&mut Scenario)) {

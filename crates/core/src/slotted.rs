@@ -92,8 +92,10 @@ struct SlotTelemetry {
     ctrl: ControllerTelemetry,
 }
 
-/// One worker's slice of the fleet in struct-of-arrays layout: field `k`
-/// of every array belongs to device `start + k`. The slot loop walks
+/// One segment of a worker's shard in struct-of-arrays layout: field `k`
+/// of every array belongs to device `start + k` of system `sys`. A
+/// worker's shard holds one segment per system that its slice of the
+/// systems' concatenated devices touches. The slot loop walks
 /// each array sequentially (queue recursions, degradation ladders, RNG
 /// draws), so splitting the state by field keeps each pass on a dense
 /// homogeneous allocation instead of striding over one large struct per
@@ -102,6 +104,7 @@ struct SlotTelemetry {
 /// sequence.
 #[derive(Debug, PartialEq)]
 struct ShardState {
+    sys: usize,
     start: usize,
     queues: Vec<QueuePair>,
     degrades: Vec<DegradeState>,
@@ -178,7 +181,8 @@ pub struct DecideCtx<'a> {
     pub want_dpp: bool,
 }
 
-/// Immutable per-run inputs shared (by reference) with every worker.
+/// Immutable per-system inputs of a run, shared (by reference) with
+/// every worker.
 struct RunCtx<'a> {
     decide: DecideCtx<'a>,
     deployment: &'a Deployment,
@@ -235,21 +239,22 @@ pub struct DeviceDecision {
     pub degraded_local: bool,
 }
 
-/// The per-epoch broadcast: which slots this round covers and their
-/// fleet-level quantities. For workloads whose arrival means are
-/// constant across slots (everything except `RateTrace`), `per_slot`
-/// stays empty and every slot reads the run-constant `base` — the KKT
-/// solve is a pure function of the means, so computing it once is
-/// bit-identical to recomputing it per slot.
+/// The per-epoch broadcast: which slots this round covers and each
+/// system's fleet-level quantities. For workloads whose arrival means
+/// are constant across slots (everything except `RateTrace`), a
+/// system's `per_slot` stays empty and every slot reads its
+/// run-constant `bases` entry — the KKT solve is a pure function of the
+/// means, so computing it once is bit-identical to recomputing it per
+/// slot.
 struct EpochCtx<'a> {
     slots: Range<usize>,
-    per_slot: Vec<SlotQuants>,
-    base: &'a SlotQuants,
+    per_slot: Vec<Vec<SlotQuants>>,
+    bases: &'a [SlotQuants],
 }
 
 impl EpochCtx<'_> {
-    fn quants(&self, rel_slot: usize) -> &SlotQuants {
-        self.per_slot.get(rel_slot).unwrap_or(self.base)
+    fn quants(&self, sys: usize, rel_slot: usize) -> &SlotQuants {
+        self.per_slot[sys].get(rel_slot).unwrap_or(&self.bases[sys])
     }
 }
 
@@ -395,7 +400,8 @@ impl SlottedSystem {
 
     /// Runs `slots` time slots with the per-slot device loop sharded
     /// across up to `workers` threads, synchronising once per
-    /// `epoch_len` slots.
+    /// `epoch_len` slots: the one-system case of
+    /// [`SlottedSystem::run_many`].
     ///
     /// Per-slot fleet quantities (arrival means, KKT shares — Eq. 27)
     /// are computed on the driving thread and broadcast per epoch; each
@@ -423,121 +429,217 @@ impl SlottedSystem {
         workers: NonZeroUsize,
         epoch_len: NonZeroUsize,
     ) -> Result<RunReport> {
-        let mut report = RunReport::new();
-        let n = self.scenario.devices.len();
-        let telemetry = self.telemetry.clone();
-        let horizon = SimTime::from_secs(slots as f64 * self.scenario.slot_len_s);
-        let schedule: Option<FaultSchedule> =
-            self.scenario.chaos.as_ref().map(|c| c.compile(n, horizon));
-        let replay_decisions = self.controller.records_decisions();
+        let mut reports = Self::run_many(
+            std::slice::from_mut(self),
+            &[seed],
+            slots,
+            workers,
+            epoch_len,
+        )?;
+        reports
+            .pop()
+            .ok_or_else(|| LeimeError::Config("one-system run produced no report".into()))
+    }
 
-        let flops = device_flops(&self.scenario);
-        // What the controller knows from "historical statistics": the
-        // stationary mean for bursty workloads, the configured mean
-        // otherwise (rate traces override per slot, below).
-        let base_quants = base_slot_quants(&self.scenario, &self.mmpp, &flops);
-        let shards = build_shards(&self.queues, &self.mmpp, seed, workers.get());
+    /// Runs `slots` time slots of several systems as one sharded slot
+    /// loop, `systems[k]` under `seeds[k]`, returning one report per
+    /// system in order.
+    ///
+    /// One `leime_par::run_rounds` call partitions the system-major
+    /// concatenation of all systems' devices across `workers`; a shard
+    /// that straddles systems runs each system's device range against
+    /// that system's own inputs. The driver replays every slot system by
+    /// system, each in device order, into that system's report and
+    /// telemetry. Each report is therefore byte-identical to running
+    /// its system alone at the same seed — as are the final queues and,
+    /// when the systems record under disjoint registry names, the
+    /// telemetry — at every `workers` × `epoch_len` combination.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::LeimeError::Config`] when `seeds` does not match
+    /// `systems` or for inconsistent tier sampling, and
+    /// [`crate::LeimeError::Parallel`] if a worker shard fails.
+    pub fn run_many(
+        systems: &mut [SlottedSystem],
+        seeds: &[u64],
+        slots: usize,
+        workers: NonZeroUsize,
+        epoch_len: NonZeroUsize,
+    ) -> Result<Vec<RunReport>> {
+        if seeds.len() != systems.len() {
+            return Err(LeimeError::Config(format!(
+                "{} seeds for {} systems",
+                seeds.len(),
+                systems.len()
+            )));
+        }
         let epochs = leime_par::epoch_ranges(slots, epoch_len.get());
+        let shards = build_shards(
+            &systems
+                .iter()
+                .zip(seeds)
+                .map(|(s, &seed)| (&s.queues[..], &s.mmpp[..], seed))
+                .collect::<Vec<_>>(),
+            workers.get(),
+        );
+        // Where each system's devices sit in the shard outputs: per
+        // shard, one epoch slot's block of outputs holds its segments
+        // back to back.
+        let mut pieces: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); systems.len()];
+        let mut blocks = Vec::with_capacity(shards.len());
+        for (shard, segs) in shards.iter().enumerate() {
+            let mut offset = 0;
+            for seg in segs {
+                pieces[seg.sys].push((shard, offset, seg.len()));
+                offset += seg.len();
+            }
+            blocks.push(offset);
+        }
 
-        // Decisions run on a telemetry-free controller so workers never
+        let schedules: Vec<Option<FaultSchedule>> = systems
+            .iter()
+            .map(|s| {
+                let horizon = SimTime::from_secs(slots as f64 * s.scenario.slot_len_s);
+                let n = s.scenario.devices.len();
+                s.scenario.chaos.as_ref().map(|c| c.compile(n, horizon))
+            })
+            .collect();
+        // Decisions run on telemetry-free controllers so workers never
         // race on the registry; the driver replays decision telemetry
         // in device order. Sound because `decide` is required to be a
         // pure function of `(shared, device, obs)`.
-        let decider = self.scenario.controller.build();
-        let run_ctx = RunCtx {
-            decide: DecideCtx {
-                scenario: &self.scenario,
-                schedule: schedule.as_ref(),
-                decider: decider.as_ref(),
-                shared: self.scenario.shared_params(&self.deployment),
-                want_dpp: replay_decisions && telemetry.is_some(),
-            },
-            deployment: &self.deployment,
-        };
+        let deciders: Vec<Box<dyn OffloadController>> = systems
+            .iter()
+            .map(|s| s.scenario.controller.build())
+            .collect();
+        let telemetry: Vec<Option<SlotTelemetry>> =
+            systems.iter().map(|s| s.telemetry.clone()).collect();
+        let flops: Vec<Vec<f64>> = systems.iter().map(|s| device_flops(&s.scenario)).collect();
+        // What the controller knows from "historical statistics": the
+        // stationary mean for bursty workloads, the configured mean
+        // otherwise (rate traces override per slot, below).
+        let bases: Vec<SlotQuants> = systems
+            .iter()
+            .zip(&flops)
+            .map(|(s, flops)| base_slot_quants(&s.scenario, &s.mmpp, flops))
+            .collect();
+        let runs: Vec<RunCtx<'_>> = systems
+            .iter()
+            .zip(schedules.iter().zip(&deciders))
+            .zip(&telemetry)
+            .map(|((s, (schedule, decider)), tel)| RunCtx {
+                decide: DecideCtx {
+                    scenario: &s.scenario,
+                    schedule: schedule.as_ref(),
+                    decider: decider.as_ref(),
+                    shared: s.scenario.shared_params(&s.deployment),
+                    want_dpp: s.controller.records_decisions() && tel.is_some(),
+                },
+                deployment: &s.deployment,
+            })
+            .collect();
 
-        let slot_len_s = self.scenario.slot_len_s;
         let make_ctx = |round: usize| {
             let slots = epochs[round].clone();
-            let per_slot: Vec<SlotQuants> = match &self.scenario.workload {
-                WorkloadKind::RateTrace { trace, .. } => slots
-                    .clone()
-                    .map(|slot| {
-                        let slot_start = SimTime::from_secs(slot as f64 * slot_len_s);
-                        let means = vec![trace.value_at(slot_start); n];
-                        SlotQuants::new(&flops, means, self.scenario.edge_flops)
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
+            let per_slot = runs
+                .iter()
+                .zip(&flops)
+                .map(|(run, flops)| {
+                    let scenario = run.decide.scenario;
+                    match &scenario.workload {
+                        WorkloadKind::RateTrace { trace, .. } => slots
+                            .clone()
+                            .map(|slot| {
+                                let slot_start =
+                                    SimTime::from_secs(slot as f64 * scenario.slot_len_s);
+                                let means = vec![trace.value_at(slot_start); flops.len()];
+                                SlotQuants::new(flops, means, scenario.edge_flops)
+                            })
+                            .collect(),
+                        _ => Vec::new(),
+                    }
+                })
+                .collect();
             EpochCtx {
                 slots,
                 per_slot,
-                base: &base_quants,
+                bases: &bases,
             }
         };
 
-        let work = |_shard: usize, _round: usize, ctx: &EpochCtx<'_>, sh: &mut ShardState| {
-            let mut outs = Vec::with_capacity(ctx.slots.len() * sh.len());
-            for (rel, slot) in ctx.slots.clone().enumerate() {
-                let quants = ctx.quants(rel);
-                let slot_start = SimTime::from_secs(slot as f64 * slot_len_s);
-                for k in 0..sh.len() {
-                    outs.push(device_slot(
-                        &run_ctx,
-                        quants,
-                        slot_start,
-                        slot as u64,
-                        sh.start + k,
-                        &mut sh.queues[k],
-                        &mut sh.degrades[k],
-                        sh.mmpp.get_mut(k),
-                        &mut sh.rngs[k],
-                        &mut sh.memo,
-                    )?);
+        let work =
+            |_shard: usize, _round: usize, ctx: &EpochCtx<'_>, segs: &mut Vec<ShardState>| {
+                let devices: usize = segs.iter().map(ShardState::len).sum();
+                let mut outs = Vec::with_capacity(ctx.slots.len() * devices);
+                for (rel, slot) in ctx.slots.clone().enumerate() {
+                    for sh in segs.iter_mut() {
+                        let run = &runs[sh.sys];
+                        let quants = ctx.quants(sh.sys, rel);
+                        let slot_start =
+                            SimTime::from_secs(slot as f64 * run.decide.scenario.slot_len_s);
+                        for k in 0..sh.len() {
+                            outs.push(device_slot(
+                                run,
+                                quants,
+                                slot_start,
+                                slot as u64,
+                                sh.start + k,
+                                &mut sh.queues[k],
+                                &mut sh.degrades[k],
+                                sh.mmpp.get_mut(k),
+                                &mut sh.rngs[k],
+                                &mut sh.memo,
+                            )?);
+                        }
+                    }
                 }
-            }
-            Ok(outs)
-        };
+                Ok(outs)
+            };
 
         // Driver-side replay buffer, reused across slots so steady-state
         // flushing allocates nothing.
         let mut batch = DecisionBatch::new();
+        let mut reports: Vec<RunReport> = systems.iter().map(|_| RunReport::new()).collect();
         let apply = |round: usize, shard_outs: Vec<Result<Vec<DeviceSlotOut>>>| {
             let mut per_shard = Vec::with_capacity(shard_outs.len());
             for outs in shard_outs {
                 per_shard.push(outs?);
             }
-            let epoch = epochs[round].clone();
-            let epoch_slots = epoch.len();
-            for (rel, slot) in epoch.enumerate() {
-                let slot_start = SimTime::from_secs(slot as f64 * slot_len_s);
-                let t = slot_start.as_secs();
-                if let Some(tel) = &telemetry {
-                    tel.clock.advance_to(t);
-                }
-                let mut acc = SlotAccumulator::default();
-                for outs in &per_shard {
-                    let shard_len = outs.len() / epoch_slots;
-                    for out in &outs[rel * shard_len..(rel + 1) * shard_len] {
-                        apply_out(
-                            &mut report,
-                            telemetry.as_ref(),
-                            replay_decisions,
-                            slot_start,
-                            &mut acc,
-                            &mut batch,
-                            out,
-                        );
+            for (rel, slot) in epochs[round].clone().enumerate() {
+                for (sys, run) in runs.iter().enumerate() {
+                    let scenario = run.decide.scenario;
+                    let slot_start = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
+                    let t = slot_start.as_secs();
+                    let tel = telemetry[sys].as_ref();
+                    if let Some(tel) = tel {
+                        tel.clock.advance_to(t);
                     }
-                }
-                if let Some(tel) = &telemetry {
-                    tel.ctrl.flush_batch(&mut batch);
-                    if acc.tasks > 0 {
-                        tel.tct_mean.push(t, acc.tct_sum / acc.tasks as f64);
+                    let mut acc = SlotAccumulator::default();
+                    for &(shard, offset, len) in &pieces[sys] {
+                        let from = rel * blocks[shard] + offset;
+                        for out in &per_shard[shard][from..from + len] {
+                            apply_out(
+                                &mut reports[sys],
+                                tel,
+                                run.decide.want_dpp,
+                                slot_start,
+                                &mut acc,
+                                &mut batch,
+                                out,
+                            );
+                        }
                     }
-                    tel.queue_q.push(t, acc.q_sum / n as f64);
-                    tel.queue_h.push(t, acc.h_sum / n as f64);
-                    tel.offload_x.push(t, acc.x_sum / n as f64);
+                    if let Some(tel) = tel {
+                        let n = scenario.devices.len() as f64;
+                        tel.ctrl.flush_batch(&mut batch);
+                        if acc.tasks > 0 {
+                            tel.tct_mean.push(t, acc.tct_sum / acc.tasks as f64);
+                        }
+                        tel.queue_q.push(t, acc.q_sum / n);
+                        tel.queue_h.push(t, acc.h_sum / n);
+                        tel.offload_x.push(t, acc.x_sum / n);
+                    }
                 }
             }
             Ok(())
@@ -553,18 +655,19 @@ impl SlottedSystem {
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
         // as the sequential implementation always did.
-        for sh in finals {
+        for sh in finals.into_iter().flatten() {
+            let system = &mut systems[sh.sys];
             for (k, q) in sh.queues.iter().enumerate() {
-                self.queues[sh.start + k] = *q;
+                system.queues[sh.start + k] = *q;
             }
             let start = sh.start;
             for (k, m) in sh.mmpp.into_iter().enumerate() {
-                if let Some(slot) = self.mmpp.get_mut(start + k) {
+                if let Some(slot) = system.mmpp.get_mut(start + k) {
                     *slot = m;
                 }
             }
         }
-        Ok(report)
+        Ok(reports)
     }
 }
 
@@ -617,26 +720,45 @@ fn base_slot_quants(scenario: &Scenario, mmpp: &[Mmpp], flops: &[f64]) -> SlotQu
     SlotQuants::new(flops, means, scenario.edge_flops)
 }
 
-/// Splits the fleet's per-device state into struct-of-arrays shards
-/// under worker-count-independent RNG streams.
-fn build_shards(queues: &[QueuePair], mmpp: &[Mmpp], seed: u64, workers: usize) -> Vec<ShardState> {
-    let ranges = leime_par::partition(queues.len(), workers);
+/// Splits the systems' per-device state — `(queues, mmpp, seed)` per
+/// system — into struct-of-arrays shards: `leime_par::partition` over
+/// the system-major concatenation of all devices, each shard one
+/// segment per system it covers. Device `i` of a system draws from
+/// `stream_seed(seed, i)`, so neither shard layout nor the other
+/// systems touch its draw sequence.
+fn build_shards(systems: &[(&[QueuePair], &[Mmpp], u64)], workers: usize) -> Vec<Vec<ShardState>> {
+    let total = systems.iter().map(|(queues, _, _)| queues.len()).sum();
+    let ranges = leime_par::partition(total, workers);
     let mut shards = Vec::with_capacity(ranges.len());
     for range in ranges {
-        shards.push(ShardState {
-            start: range.start,
-            queues: queues[range.clone()].to_vec(),
-            degrades: vec![DegradeState::new(); range.len()],
-            mmpp: if mmpp.is_empty() {
-                Vec::new()
-            } else {
-                mmpp[range.clone()].to_vec()
-            },
-            rngs: range
-                .map(|i| StdRng::seed_from_u64(leime_par::stream_seed(seed, i as u64)))
-                .collect(),
-            memo: DecideMemo::default(),
-        });
+        let mut segs = Vec::new();
+        // Global index of the next system's device 0.
+        let mut next = 0;
+        for (sys, &(queues, mmpp, seed)) in systems.iter().enumerate() {
+            let first = next;
+            next += queues.len();
+            let (lo, hi) = (range.start.max(first), range.end.min(next));
+            if lo >= hi {
+                continue;
+            }
+            let local = lo - first..hi - first;
+            segs.push(ShardState {
+                sys,
+                start: local.start,
+                queues: queues[local.clone()].to_vec(),
+                degrades: vec![DegradeState::new(); local.len()],
+                mmpp: if mmpp.is_empty() {
+                    Vec::new()
+                } else {
+                    mmpp[local.clone()].to_vec()
+                },
+                rngs: local
+                    .map(|i| StdRng::seed_from_u64(leime_par::stream_seed(seed, i as u64)))
+                    .collect(),
+                memo: DecideMemo::default(),
+            });
+        }
+        shards.push(segs);
     }
     shards
 }
@@ -1028,9 +1150,9 @@ mod tests {
             .map(|i| Mmpp::new(1.0 + i as f64, 8.0, 0.1, 0.3, 50))
             .collect();
         for workers in [1usize, 2, 3, 7, 16] {
-            let shards = build_shards(&queues, &mmpp, 99, workers);
+            let shards = build_shards(&[(&queues, &mmpp, 99)], workers);
             let mut device = 0usize;
-            for sh in &shards {
+            for sh in shards.iter().flatten() {
                 assert_eq!(sh.start, device, "shard start out of order");
                 assert_eq!(sh.degrades, vec![DegradeState::new(); sh.len()]);
                 for k in 0..sh.len() {
@@ -1047,9 +1169,37 @@ mod tests {
             assert_eq!(device, queues.len(), "shards dropped devices");
         }
         // Workloads without MMPP state shard to empty arrays, not panics.
-        assert!(build_shards(&queues, &[], 1, 3)
+        assert!(build_shards(&[(&queues, &[], 1)], 3)
             .iter()
+            .flatten()
             .all(|s| s.mmpp.is_empty()));
+
+        // Several systems: shards cut the system-major concatenation,
+        // segments keep system-local indices and each system's own
+        // streams, and every shard's segments run in system order.
+        let (a, b) = (&queues[..3], &queues[3..]);
+        for workers in [1usize, 2, 3, 4, 7] {
+            let shards = build_shards(&[(a, &[], 5), (b, &[], 6)], workers);
+            assert_eq!(shards.len(), workers.min(queues.len()));
+            let mut seen = Vec::new();
+            for sh in shards.iter().flatten() {
+                let (sys_queues, seed) = if sh.sys == 0 { (a, 5) } else { (b, 6) };
+                for k in 0..sh.len() {
+                    let i = sh.start + k;
+                    assert_eq!(sh.queues[k], sys_queues[i]);
+                    assert_eq!(
+                        sh.rngs[k],
+                        StdRng::seed_from_u64(leime_par::stream_seed(seed, i as u64))
+                    );
+                    seen.push((sh.sys, i));
+                }
+            }
+            let expected: Vec<(usize, usize)> = (0..3)
+                .map(|i| (0, i))
+                .chain((0..4).map(|i| (1, i)))
+                .collect();
+            assert_eq!(seen, expected, "segments out of order at {workers} workers");
+        }
     }
 
     #[test]

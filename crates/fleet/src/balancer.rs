@@ -4,15 +4,14 @@
 //!
 //! Both observe per-edge Eq. 10–11 queue pressure (the sum of every
 //! assigned device's `Q_i + H_i`) and move devices between edges by
-//! rewriting the assignment map — a device's queue pair travels with it,
+//! rewriting the assignment — a device's queue pair travels with it,
 //! so backlog is conserved bit-for-bit through a migration (queue values
 //! are moved, never recomputed). The moved device's backlog then drains
 //! through the destination edge's ordinary degrade ladder. All ordering
-//! is deterministic: `BTreeMap` iteration for device scans, `total_cmp`
+//! is deterministic: ascending device-id scans over the dense
+//! device-indexed `assignment`/`queues` slices, `total_cmp`
 //! with index tie-breaks for edge selection, so the same fleet state
 //! yields the same migrations at every worker count (DESIGN.md §16).
-
-use std::collections::BTreeMap;
 
 use leime_invariant as invariant;
 use leime_offload::QueuePair;
@@ -47,15 +46,12 @@ pub struct MigrationEvent {
 }
 
 /// Per-edge queue pressure: the sum of `Q_i + H_i` over every device
-/// assigned to the edge. Sequential loop in ascending device order — a
-/// reviewed order-pinned reduction (DESIGN.md §15, `s9_approved_fns`).
-pub fn edge_pressures(
-    edges: usize,
-    assignment: &BTreeMap<usize, usize>,
-    queues: &BTreeMap<usize, QueuePair>,
-) -> Vec<f64> {
+/// assigned to the edge (`assignment[i]` is device `i`'s edge and
+/// `queues[i]` its queues). Sequential loop in ascending device order —
+/// a reviewed order-pinned reduction (DESIGN.md §15, `s9_approved_fns`).
+pub fn edge_pressures(edges: usize, assignment: &[usize], queues: &[QueuePair]) -> Vec<f64> {
     let mut pressures = vec![0.0f64; edges];
-    for (device, &edge) in assignment {
+    for (device, &edge) in assignment.iter().enumerate() {
         if let Some(qp) = queues.get(device) {
             pressures[edge] += qp.q() + qp.h();
         }
@@ -90,15 +86,15 @@ fn extremes(pressures: &[f64], down: &[bool]) -> Option<(usize, usize)> {
 /// device id), with that backlog.
 fn heaviest_device(
     edge: usize,
-    assignment: &BTreeMap<usize, usize>,
-    queues: &BTreeMap<usize, QueuePair>,
+    assignment: &[usize],
+    queues: &[QueuePair],
 ) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
-    for (&device, &e) in assignment {
+    for (device, &e) in assignment.iter().enumerate() {
         if e != edge {
             continue;
         }
-        let backlog = queues.get(&device).map_or(0.0, |qp| qp.q() + qp.h());
+        let backlog = queues.get(device).map_or(0.0, |qp| qp.q() + qp.h());
         if best.is_none_or(|(_, b)| backlog.total_cmp(&b).is_gt()) {
             best = Some((device, backlog));
         }
@@ -115,8 +111,8 @@ fn heaviest_device(
 pub fn rebalance(
     config: &FleetConfig,
     at_slot: usize,
-    assignment: &mut BTreeMap<usize, usize>,
-    queues: &BTreeMap<usize, QueuePair>,
+    assignment: &mut [usize],
+    queues: &[QueuePair],
     down: &[bool],
 ) -> Vec<MigrationEvent> {
     let mut pressures = edge_pressures(config.edges, assignment, queues);
@@ -137,7 +133,7 @@ pub fn rebalance(
         if backlog <= 0.0 {
             break;
         }
-        assignment.insert(device, cool);
+        assignment[device] = cool;
         pressures[hot] = (pressures[hot] - backlog).max(0.0);
         pressures[cool] += backlog;
         invariant::check_nonneg("fleet.balance.backlog", backlog);
@@ -163,8 +159,8 @@ pub fn evacuate(
     config: &FleetConfig,
     at_slot: usize,
     down_edge: usize,
-    assignment: &mut BTreeMap<usize, usize>,
-    queues: &BTreeMap<usize, QueuePair>,
+    assignment: &mut [usize],
+    queues: &[QueuePair],
     down: &[bool],
 ) -> Vec<MigrationEvent> {
     let any_live =
@@ -177,13 +173,9 @@ pub fn evacuate(
     // piling onto one.
     let mut evacuees: Vec<(usize, f64)> = assignment
         .iter()
+        .enumerate()
         .filter(|&(_, &e)| e == down_edge)
-        .map(|(&device, _)| {
-            (
-                device,
-                queues.get(&device).map_or(0.0, |qp| qp.q() + qp.h()),
-            )
-        })
+        .map(|(device, _)| (device, queues.get(device).map_or(0.0, |qp| qp.q() + qp.h())))
         .collect();
     evacuees.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
@@ -199,7 +191,7 @@ pub fn evacuate(
             }
         }
         let Some(to_edge) = target else { break };
-        assignment.insert(device, to_edge);
+        assignment[device] = to_edge;
         pressures[to_edge] += backlog;
         events.push(MigrationEvent {
             at_slot,
@@ -214,6 +206,7 @@ pub fn evacuate(
     // with their devices, nothing was recomputed.
     let residual: f64 = assignment
         .iter()
+        .enumerate()
         .filter(|&(_, &e)| e == down_edge)
         .map(|(device, _)| queues.get(device).map_or(0.0, |qp| qp.q() + qp.h()))
         .sum();
@@ -225,23 +218,23 @@ pub fn evacuate(
 mod tests {
     use super::*;
 
-    fn loaded_queues(backlogs: &[f64]) -> BTreeMap<usize, QueuePair> {
+    fn loaded_queues(backlogs: &[f64]) -> Vec<QueuePair> {
         backlogs
             .iter()
-            .enumerate()
-            .map(|(i, &b)| {
+            .map(|&b| {
                 let mut qp = QueuePair::new();
                 qp.step(b, 0.0, 0.0, 0.0);
-                (i, qp)
+                qp
             })
             .collect()
     }
 
-    fn flat_assignment(per_edge: &[&[usize]]) -> BTreeMap<usize, usize> {
-        let mut a = BTreeMap::new();
+    fn flat_assignment(per_edge: &[&[usize]]) -> Vec<usize> {
+        let n = per_edge.iter().map(|devices| devices.len()).sum();
+        let mut a = vec![usize::MAX; n];
         for (e, devices) in per_edge.iter().enumerate() {
             for &d in *devices {
-                a.insert(d, e);
+                a[d] = e;
             }
         }
         a
@@ -264,7 +257,7 @@ mod tests {
         assert_eq!(events[0].device, 0, "heaviest device moves first");
         assert_eq!((events[0].from_edge, events[0].to_edge), (0, 1));
         assert_eq!(events[0].cause, MigrationCause::Balance);
-        assert_eq!(assignment[&0], 1);
+        assert_eq!(assignment[0], 1);
     }
 
     #[test]
@@ -313,11 +306,11 @@ mod tests {
         );
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.cause == MigrationCause::Failover));
-        assert!(assignment.values().all(|&e| e != 0), "edge 0 not empty");
+        assert!(assignment.iter().all(|&e| e != 0), "edge 0 not empty");
         // Heaviest evacuee (device 0) lands on the least-pressured live
         // edge (edge 1 at pressure 1), the next on edge 2.
-        assert_eq!(assignment[&0], 1);
-        assert_eq!(assignment[&1], 2);
+        assert_eq!(assignment[0], 1);
+        assert_eq!(assignment[1], 2);
     }
 
     #[test]
@@ -327,6 +320,6 @@ mod tests {
         let queues = loaded_queues(&[3.0, 3.0]);
         let events = evacuate(&config, 0, 0, &mut assignment, &queues, &[true, true]);
         assert!(events.is_empty());
-        assert_eq!(assignment[&0], 0, "devices stay put");
+        assert_eq!(assignment[0], 0, "devices stay put");
     }
 }

@@ -5,12 +5,15 @@
 //!
 //! The fleet horizon splits into *rebalance intervals*. Within an
 //! interval every edge runs the unmodified paper controller — a
-//! [`SlottedSystem`] over that edge's assigned devices, sharded across
-//! workers by `leime-par` exactly as a standalone run would be — so the
-//! intra-shard Lyapunov path stays byte-for-byte the existing one. At
-//! interval boundaries the regional tier acts: chaos failover first
-//! (downed edges evacuate through [`crate::evacuate`]), then pressure
-//! balancing ([`crate::rebalance`]). Device queue pairs travel with
+//! [`SlottedSystem`] over that edge's assigned devices — and all of the
+//! interval's edges run as one sharded slot loop
+//! ([`SlottedSystem::run_many`]): `leime-par` partitions the edge-major
+//! concatenation of their devices across workers, so the intra-edge
+//! Lyapunov path stays byte-for-byte the existing one. At interval
+//! boundaries the regional tier acts: chaos failover first (downed
+//! edges evacuate through [`crate::evacuate`]), then pressure balancing
+//! ([`crate::rebalance`]). Fleet state is dense and indexed by device
+//! id (`assignment[i]`, `queues[i]`); device queue pairs travel with
 //! their devices, so Eq. 10–11 backlog is conserved bit-for-bit across
 //! a migration and drains through the destination edge's degrade
 //! ladder.
@@ -27,7 +30,6 @@
 //! run in a single interval *is* the bare `SlottedSystem` run: same
 //! seed, same chaos, same device order (the equivalence golden).
 
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
@@ -41,7 +43,7 @@ use serde::{Deserialize, Serialize};
 use crate::{
     edge_chaos, edge_run_seed, evacuate, initial_assignment, rebalance, FleetConfig, MigrationEvent,
 };
-use leime_offload::QueuePair;
+use leime_offload::{DeviceParams, QueuePair};
 
 /// One rebalance interval's per-edge results, in edge order. Edges that
 /// held no devices (or were down) carry an empty [`RunReport`].
@@ -128,14 +130,18 @@ impl FleetReport {
 /// slotted system, under a regional balancing/failover tier.
 #[derive(Debug)]
 pub struct FleetSystem {
+    /// The scenario every edge runs, without its device list.
     template: Scenario,
+    /// The global device list (`devices[i]` is device `i`).
+    devices: Vec<DeviceParams>,
     deployment: Deployment,
     config: FleetConfig,
-    /// Device → edge, the regional tier's authoritative topology.
-    assignment: BTreeMap<usize, usize>,
+    /// Device → edge (`assignment[i]` is device `i`'s edge), the
+    /// regional tier's authoritative topology.
+    assignment: Vec<usize>,
     /// Per-device Eq. 10–11 queue state, carried across intervals and
-    /// migrations (keyed by global device id).
-    queues: BTreeMap<usize, QueuePair>,
+    /// migrations (indexed by global device id).
+    queues: Vec<QueuePair>,
     /// Edges currently marked down by chaos failover.
     down: Vec<bool>,
 }
@@ -148,15 +154,21 @@ impl FleetSystem {
     /// # Errors
     ///
     /// Returns [`LeimeError::Config`] for invalid scenarios or configs.
-    pub fn new(template: Scenario, deployment: Deployment, config: FleetConfig) -> Result<Self> {
+    pub fn new(
+        mut template: Scenario,
+        deployment: Deployment,
+        config: FleetConfig,
+    ) -> Result<Self> {
         template.validate()?;
         config.validate()?;
-        let n = template.devices.len();
+        let devices = std::mem::take(&mut template.devices);
+        let n = devices.len();
         let assignment = initial_assignment(n, config.edges, config.assign_seed);
-        let queues = (0..n).map(|i| (i, QueuePair::new())).collect();
+        let queues = vec![QueuePair::new(); n];
         let down = vec![false; config.edges];
         Ok(FleetSystem {
             template,
+            devices,
             deployment,
             config,
             assignment,
@@ -165,8 +177,9 @@ impl FleetSystem {
         })
     }
 
-    /// The current device→edge assignment.
-    pub fn assignment(&self) -> &BTreeMap<usize, usize> {
+    /// The current device→edge assignment (`assignment()[i]` is device
+    /// `i`'s edge).
+    pub fn assignment(&self) -> &[usize] {
         &self.assignment
     }
 
@@ -175,9 +188,9 @@ impl FleetSystem {
         &self.config
     }
 
-    /// Current per-device queue states (exposed for diagnostics and the
-    /// serving router's pressure observations).
-    pub fn queues(&self) -> &BTreeMap<usize, QueuePair> {
+    /// Current per-device queue states, indexed by device id (exposed
+    /// for stability diagnostics).
+    pub fn queues(&self) -> &[QueuePair] {
         &self.queues
     }
 
@@ -197,9 +210,9 @@ impl FleetSystem {
         self.run_with_workers(slots, seed, NonZeroUsize::MIN)
     }
 
-    /// Runs with each per-edge slotted run sharded across `workers`
-    /// threads (fleet shards align with `leime-par` shards: the inner
-    /// `run_with_workers_epochs` partitions each edge's devices).
+    /// Runs with each interval's slot loop sharded across `workers`
+    /// threads (`leime-par` partitions the interval's devices, edge by
+    /// edge, across them).
     ///
     /// # Errors
     ///
@@ -213,8 +226,8 @@ impl FleetSystem {
         self.run_with_workers_epochs(slots, seed, workers, DEFAULT_EPOCH_LEN)
     }
 
-    /// Full-control run: worker count and slots-per-barrier for the
-    /// inner per-edge runs. The report (and any telemetry recorded via
+    /// Full-control run: worker count and slots-per-barrier for each
+    /// interval's sharded run. The report (and any telemetry recorded via
     /// [`FleetSystem::run_with_registry`]) is byte-identical at every
     /// `workers` × `epoch_len` combination.
     ///
@@ -263,6 +276,30 @@ impl FleetSystem {
         leime_par::epoch_ranges(slots, len)
     }
 
+    /// Edge `e`'s system for one interval: the device-less template
+    /// plus `devices` (global ids, ascending) with their carried queues,
+    /// the edge's own chaos and, when recording, telemetry under
+    /// `{prefix}.edge{e}`.
+    fn edge_system(
+        &self,
+        e: usize,
+        devices: &[usize],
+        telemetry: Option<(&Registry, &str)>,
+    ) -> Result<SlottedSystem> {
+        let scenario = Scenario {
+            devices: devices.iter().map(|&d| self.devices[d]).collect(),
+            chaos: edge_chaos(self.template.chaos.as_ref(), e),
+            ..self.template.clone()
+        };
+        let mut sys = SlottedSystem::new(scenario, self.deployment.clone())?;
+        let carried: Vec<QueuePair> = devices.iter().map(|&d| self.queues[d]).collect();
+        sys.set_queues(&carried)?;
+        if let Some((registry, prefix)) = telemetry {
+            sys.attach_registry(registry, &format!("{prefix}.edge{e}"));
+        }
+        Ok(sys)
+    }
+
     fn run_inner(
         &mut self,
         slots: usize,
@@ -271,16 +308,16 @@ impl FleetSystem {
         epoch_len: NonZeroUsize,
         telemetry: Option<(&Registry, &str)>,
     ) -> Result<FleetReport> {
-        let n = self.template.devices.len();
+        let edges = self.config.edges;
         let intervals = self.intervals(slots);
         let mut interval_reports = Vec::with_capacity(intervals.len());
         let mut migrations: Vec<MigrationEvent> = Vec::new();
 
         for (iv, range) in intervals.iter().enumerate() {
             // Deal the assignment into per-edge device lists (ascending
-            // global ids — BTreeMap order).
-            let mut per_edge: Vec<Vec<usize>> = vec![Vec::new(); self.config.edges];
-            for (&device, &edge) in &self.assignment {
+            // global ids).
+            let mut per_edge: Vec<Vec<usize>> = vec![Vec::new(); edges];
+            for (device, &edge) in self.assignment.iter().enumerate() {
                 per_edge
                     .get_mut(edge)
                     .ok_or_else(|| {
@@ -289,45 +326,31 @@ impl FleetSystem {
                     .push(device);
             }
 
-            let down_edges: Vec<usize> = (0..self.config.edges).filter(|&e| self.down[e]).collect();
-            let mut edge_reports = Vec::with_capacity(self.config.edges);
+            // Every populated edge joins the interval's one sharded run;
+            // a device-less edge (evacuated or never populated)
+            // simulates nothing this interval.
+            let mut systems = Vec::with_capacity(edges);
+            let mut seeds = Vec::with_capacity(edges);
             for (e, devices_e) in per_edge.iter().enumerate() {
-                if devices_e.is_empty() {
-                    // A device-less edge (evacuated or never populated)
-                    // simulates nothing this interval.
-                    edge_reports.push(RunReport::new());
-                    continue;
+                if !devices_e.is_empty() {
+                    systems.push(self.edge_system(e, devices_e, telemetry)?);
+                    seeds.push(edge_run_seed(seed, e, iv));
                 }
-                let mut scenario_e = self.template.clone();
-                scenario_e.devices = devices_e
-                    .iter()
-                    .map(|&d| self.template.devices[d])
-                    .collect();
-                scenario_e.chaos = edge_chaos(self.template.chaos.as_ref(), e);
-                let mut sys = SlottedSystem::new(scenario_e, self.deployment.clone())?;
-                let carried: Vec<QueuePair> = devices_e
-                    .iter()
-                    .map(|d| self.queues.get(d).copied().unwrap_or_default())
-                    .collect();
-                sys.set_queues(&carried)?;
-                if let Some((registry, prefix)) = telemetry {
-                    sys.attach_registry(registry, &format!("{prefix}.edge{e}"));
+            }
+            let reports =
+                SlottedSystem::run_many(&mut systems, &seeds, range.len(), workers, epoch_len)?;
+            let mut edge_reports = vec![RunReport::new(); edges];
+            let populated = per_edge.iter().enumerate().filter(|(_, d)| !d.is_empty());
+            for (((e, devices_e), sys), report) in populated.zip(&systems).zip(reports) {
+                for (&d, qp) in devices_e.iter().zip(sys.queues()) {
+                    self.queues[d] = *qp;
                 }
-                let report = sys.run_with_workers_epochs(
-                    range.len(),
-                    edge_run_seed(seed, e, iv),
-                    workers,
-                    epoch_len,
-                )?;
-                for (k, qp) in sys.queues().iter().enumerate() {
-                    self.queues.insert(devices_e[k], *qp);
-                }
-                edge_reports.push(report);
+                edge_reports[e] = report;
             }
             interval_reports.push(IntervalReport {
                 start_slot: range.start,
                 slots: range.len(),
-                down_edges,
+                down_edges: (0..edges).filter(|&e| self.down[e]).collect(),
                 edges: edge_reports,
             });
 
@@ -338,13 +361,12 @@ impl FleetSystem {
             }
         }
 
-        let final_assignment = self.assignment.values().copied().collect();
         Ok(FleetReport {
-            devices: n,
-            edges: self.config.edges,
+            devices: self.devices.len(),
+            edges,
             intervals: interval_reports,
             migrations,
-            final_assignment,
+            final_assignment: self.assignment.clone(),
         })
     }
 
@@ -461,7 +483,7 @@ mod tests {
         let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
         let mut f = FleetSystem::new(scenario, deployment, config).expect("builds");
         f.run(20, 3).expect("runs");
-        let total: f64 = f.queues().values().map(|qp| qp.q() + qp.h()).sum();
+        let total: f64 = f.queues().iter().map(|qp| qp.q() + qp.h()).sum();
         assert!(total > 10.0, "no backlog carried: {total}");
     }
 }

@@ -3,13 +3,11 @@
 //! derivations.
 //!
 //! Everything here is a pure function of its inputs — the assignment is
-//! a `BTreeMap` built from a seeded key ordering, per-edge run seeds
+//! a dense device-indexed vector dealt from a seeded key ordering, per-edge run seeds
 //! derive through `leime_par::stream_seed`, and per-edge chaos configs
 //! re-seed the template's fault bundle per edge — so a fleet run is
 //! reproducible from `(scenario, config, seed)` alone at any worker
 //! count (DESIGN.md §16).
-
-use std::collections::BTreeMap;
 
 use leime::{LeimeError, Result};
 use leime_chaos::ChaosConfig;
@@ -96,17 +94,18 @@ impl FleetConfig {
 /// The seeded initial assignment: devices are ordered by a per-device
 /// `stream_seed` key (a deterministic shuffle with no RNG state) and
 /// dealt round-robin across edges, so every edge starts within one
-/// device of balanced regardless of the seed.
-pub fn initial_assignment(
-    n_devices: usize,
-    edges: usize,
-    assign_seed: u64,
-) -> BTreeMap<usize, usize> {
-    let mut order: Vec<usize> = (0..n_devices).collect();
-    order.sort_by_key(|&i| (leime_par::stream_seed(assign_seed, i as u64), i));
-    let mut assignment = BTreeMap::new();
-    for (j, &device) in order.iter().enumerate() {
-        assignment.insert(device, j % edges);
+/// device of balanced regardless of the seed. `assignment[i]` is device
+/// `i`'s edge.
+pub fn initial_assignment(n_devices: usize, edges: usize, assign_seed: u64) -> Vec<usize> {
+    // `(key, id)` pairs are distinct, so the unstable sort is a total
+    // order: ties on the key break to the lower id.
+    let mut order: Vec<(u64, usize)> = (0..n_devices)
+        .map(|i| (leime_par::stream_seed(assign_seed, i as u64), i))
+        .collect();
+    order.sort_unstable();
+    let mut assignment = vec![0; n_devices];
+    for (j, &(_, device)) in order.iter().enumerate() {
+        assignment[device] = j % edges;
     }
     assignment
 }
@@ -169,7 +168,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 103);
         let mut per_edge = [0usize; 4];
-        for &e in a.values() {
+        for &e in &a {
             per_edge[e] += 1;
         }
         for count in per_edge {
@@ -183,11 +182,8 @@ mod tests {
     #[test]
     fn single_edge_assignment_is_identity_onto_edge_zero() {
         let a = initial_assignment(10, 1, 99);
-        assert!(a.values().all(|&e| e == 0));
-        assert_eq!(
-            a.keys().copied().collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
+        assert!(a.iter().all(|&e| e == 0));
+        assert_eq!(a.len(), 10);
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl Default for SemaConfig {
                 "norm",
                 "poisson_draw",
                 // fleet regional tier (leime-fleet): sequential
-                // BTreeMap-ordered pressure/backlog sums at interval
+                // device-id-ordered pressure/backlog sums at interval
                 // boundaries, never crossing a shard boundary.
                 "edge_pressures",
                 "rebalance",

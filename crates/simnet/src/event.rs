@@ -156,7 +156,7 @@ mod tests {
         q.pop();
         q.schedule_in(SimTime::from_secs(0.5), "second");
         let (t, _) = q.pop().unwrap();
-        assert_eq!(t.as_secs(), 1.5);
+        assert_eq!(t.as_secs().to_bits(), 1.5_f64.to_bits());
     }
 
     #[test]

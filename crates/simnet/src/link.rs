@@ -155,8 +155,8 @@ mod tests {
         let mut l = Link::new(1e6, SimTime::ZERO, true);
         let t1 = l.transfer(SimTime::ZERO, 125_000.0);
         let t2 = l.transfer(SimTime::ZERO, 125_000.0);
-        assert_eq!(t1.as_secs(), 1.0);
-        assert_eq!(t2.as_secs(), 2.0);
+        assert_eq!(t1.as_secs().to_bits(), 1.0_f64.to_bits());
+        assert_eq!(t2.as_secs().to_bits(), 2.0_f64.to_bits());
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         let mut l = Link::new(1e6, SimTime::from_secs(0.5), true);
         l.transfer(SimTime::ZERO, 125_000.0); // occupies [0, 1]
         let t2 = l.transfer(SimTime::ZERO, 125_000.0); // tx [1, 2] + 0.5
-        assert_eq!(t2.as_secs(), 2.5);
+        assert_eq!(t2.as_secs().to_bits(), 2.5_f64.to_bits());
     }
 
     #[test]
@@ -180,15 +180,18 @@ mod tests {
         let mut l = Link::new(1e6, SimTime::ZERO, false);
         l.set_bandwidth(2e6);
         let t = l.transfer(SimTime::ZERO, 125_000.0);
-        assert_eq!(t.as_secs(), 0.5);
-        assert_eq!(l.bytes_moved(), 125_000.0);
+        assert_eq!(t.as_secs().to_bits(), 0.5_f64.to_bits());
+        assert_eq!(l.bytes_moved().to_bits(), 125_000.0_f64.to_bits());
     }
 
     #[test]
     fn ideal_time_ignores_contention() {
         let mut l = Link::new(1e6, SimTime::ZERO, true);
         l.transfer(SimTime::ZERO, 1e6); // make it busy
-        assert_eq!(l.ideal_time(125_000.0).as_secs(), 1.0);
+        assert_eq!(
+            l.ideal_time(125_000.0).as_secs().to_bits(),
+            1.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -204,7 +207,7 @@ mod tests {
         let t0 = lossless.transfer(SimTime::ZERO, 125_000.0);
         let t1 = lossy.transfer(SimTime::ZERO, 125_000.0);
         assert!((t1.as_secs() / t0.as_secs() - 2.0).abs() < 1e-9);
-        assert_eq!(lossy.loss_rate(), 0.5);
+        assert_eq!(lossy.loss_rate().to_bits(), 0.5_f64.to_bits());
     }
 
     #[test]

@@ -106,6 +106,6 @@ mod tests {
         );
         // The clock followed the sampled times.
         use leime_telemetry::Clock;
-        assert_eq!(monitor.clock().now(), 2.0);
+        assert_eq!(monitor.clock().now().to_bits(), 2.0_f64.to_bits());
     }
 }

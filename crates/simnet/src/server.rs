@@ -117,8 +117,14 @@ mod tests {
     #[test]
     fn sequential_jobs_queue() {
         let mut s = FifoServer::new(100.0);
-        assert_eq!(s.submit(SimTime::ZERO, 100.0).as_secs(), 1.0);
-        assert_eq!(s.submit(SimTime::ZERO, 100.0).as_secs(), 2.0);
+        assert_eq!(
+            s.submit(SimTime::ZERO, 100.0).as_secs().to_bits(),
+            1.0_f64.to_bits()
+        );
+        assert_eq!(
+            s.submit(SimTime::ZERO, 100.0).as_secs().to_bits(),
+            2.0_f64.to_bits()
+        );
         assert_eq!(s.jobs_served(), 2);
     }
 
@@ -127,21 +133,27 @@ mod tests {
         let mut s = FifoServer::new(100.0);
         s.submit(SimTime::ZERO, 100.0); // done at 1.0
         let done = s.submit(SimTime::from_secs(5.0), 100.0);
-        assert_eq!(done.as_secs(), 6.0); // starts at arrival, not at 1.0
+        assert_eq!(done.as_secs().to_bits(), 6.0_f64.to_bits()); // starts at arrival, not at 1.0
     }
 
     #[test]
     fn backlog_measured_from_now() {
         let mut s = FifoServer::new(100.0);
         s.submit(SimTime::ZERO, 300.0);
-        assert_eq!(s.backlog(SimTime::from_secs(1.0)).as_secs(), 2.0);
+        assert_eq!(
+            s.backlog(SimTime::from_secs(1.0)).as_secs().to_bits(),
+            2.0_f64.to_bits()
+        );
         assert_eq!(s.backlog(SimTime::from_secs(10.0)), SimTime::ZERO);
     }
 
     #[test]
     fn zero_work_completes_instantly() {
         let mut s = FifoServer::new(100.0);
-        assert_eq!(s.submit(SimTime::from_secs(2.0), 0.0).as_secs(), 2.0);
+        assert_eq!(
+            s.submit(SimTime::from_secs(2.0), 0.0).as_secs().to_bits(),
+            2.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -150,7 +162,7 @@ mod tests {
         s.submit(SimTime::ZERO, 100.0); // 1s at rate 100
         s.set_rate(200.0);
         let done = s.submit(SimTime::ZERO, 100.0); // 0.5s at rate 200
-        assert_eq!(done.as_secs(), 1.5);
+        assert_eq!(done.as_secs().to_bits(), 1.5_f64.to_bits());
     }
 
     #[test]
@@ -158,7 +170,10 @@ mod tests {
         let mut s = FifoServer::new(100.0);
         s.submit(SimTime::ZERO, 100.0); // busy [0, 1]
         assert!((s.utilisation(SimTime::from_secs(2.0)) - 0.5).abs() < 1e-9);
-        assert_eq!(FifoServer::new(1.0).utilisation(SimTime::ZERO), 0.0);
+        assert_eq!(
+            FifoServer::new(1.0).utilisation(SimTime::ZERO).to_bits(),
+            0.0_f64.to_bits()
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Online statistics and experiment recording.
 
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Map, Serialize, Value};
 
 /// Welford's online algorithm for mean and variance — numerically stable
 /// for long simulations.
@@ -138,9 +138,16 @@ impl Percentiles {
 
 /// A `(time, value)` series recorder with windowed averaging, used to
 /// produce the paper's time-series plots (Fig. 9).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Stored as runs of equal points: adjacent observations with the same
+/// timestamp and the same value bits (`to_bits`, so `-0.0` and `0.0`
+/// never merge) share one `(t, value, count)` entry, which makes
+/// [`TimeSeries::push_n`] O(1) in `n`. Everything observable — the
+/// iterator of [`TimeSeries::points`], equality and the serialized
+/// `{"points": [[t, v], …]}` — is the expanded point sequence.
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
+    runs: Vec<(SimTime, f64, u64)>,
 }
 
 impl TimeSeries {
@@ -156,14 +163,11 @@ impl TimeSeries {
     ///
     /// Panics if `t` precedes the last recorded timestamp.
     pub fn push(&mut self, t: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be non-decreasing");
-        }
-        self.points.push((t, value));
+        self.push_n(t, value, 1);
     }
 
-    /// Appends the same observation `n` times, checking monotonicity
-    /// once. Equivalent to `n` successive [`TimeSeries::push`] calls.
+    /// Appends the same observation `n` times. Equivalent to `n`
+    /// successive [`TimeSeries::push`] calls.
     ///
     /// # Panics
     ///
@@ -172,28 +176,33 @@ impl TimeSeries {
         if n == 0 {
             return;
         }
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be non-decreasing");
+        if let Some((last, last_value, count)) = self.runs.last_mut() {
+            assert!(t >= *last, "time series must be non-decreasing");
+            if t.as_secs().to_bits() == last.as_secs().to_bits()
+                && value.to_bits() == last_value.to_bits()
+            {
+                *count += n;
+                return;
+            }
         }
-        self.points.reserve(n as usize);
-        for _ in 0..n {
-            self.points.push((t, value));
-        }
+        self.runs.push((t, value, n));
     }
 
-    /// The raw points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
+    /// The observations in recording order.
+    pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|&(t, v, n)| std::iter::repeat_n((t, v), n as usize))
     }
 
     /// Number of observations.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.runs.iter().map(|&(_, _, n)| n as usize).sum()
     }
 
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.runs.is_empty()
     }
 
     /// Averages values into consecutive windows of `width`, returning
@@ -205,12 +214,12 @@ impl TimeSeries {
     pub fn windowed_mean(&self, width: SimTime) -> Vec<(SimTime, f64)> {
         assert!(width > SimTime::ZERO, "window width must be positive");
         let mut out = Vec::new();
-        if self.points.is_empty() {
+        if self.is_empty() {
             return out;
         }
         let mut window_end = width;
         let mut acc = Welford::new();
-        for &(t, v) in &self.points {
+        for (t, v) in self.points() {
             while t >= window_end {
                 if acc.count() > 0 {
                     out.push((window_end, acc.mean()));
@@ -224,6 +233,40 @@ impl TimeSeries {
             out.push((window_end, acc.mean()));
         }
         out
+    }
+}
+
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.points().eq(other.points())
+    }
+}
+
+// Hand-written serde impls: the runs serialize expanded, as the plain
+// `{"points": [[t, v], …]}` list of observations.
+impl Serialize for TimeSeries {
+    fn to_value(&self) -> Value {
+        let points: Vec<Value> = self.points().map(|p| p.to_value()).collect();
+        let mut m = Map::new();
+        m.insert("points".to_string(), Value::Array(points));
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for TimeSeries {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let points = v
+            .as_object()
+            .and_then(|obj| obj.get("points"))
+            .ok_or_else(|| DeError::custom("expected a TimeSeries object with `points`"))?;
+        let mut out = TimeSeries::new();
+        for (t, value) in Vec::<(SimTime, f64)>::from_value(points)? {
+            if out.runs.last().is_some_and(|&(last, _, _)| t < last) {
+                return Err(DeError::custom("time series must be non-decreasing"));
+            }
+            out.push(t, value);
+        }
+        Ok(out)
     }
 }
 
@@ -248,7 +291,7 @@ mod tests {
             }
         }
         assert_eq!(pn, pr);
-        assert_eq!(sn.points(), sr.points());
+        assert_eq!(sn, sr);
     }
 
     #[test]
@@ -349,8 +392,8 @@ mod tests {
         ts.push(SimTime::from_secs(10.5), 3.0);
         let w = ts.windowed_mean(SimTime::from_secs(1.0));
         assert_eq!(w.len(), 2);
-        assert_eq!(w[0].1, 1.0);
-        assert_eq!(w[1].1, 3.0);
+        assert_eq!(w[0].1.to_bits(), 1.0_f64.to_bits());
+        assert_eq!(w[1].1.to_bits(), 3.0_f64.to_bits());
     }
 
     #[test]
@@ -359,5 +402,125 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.push(SimTime::from_secs(2.0), 0.0);
         ts.push(SimTime::from_secs(1.0), 0.0);
+    }
+    /// The pre-run-length representation: one `(t, value)` per point.
+    fn reference(points: &[(SimTime, f64)]) -> TimeSeries {
+        let mut s = TimeSeries::new();
+        for &(t, v) in points {
+            s.push(t, v);
+        }
+        s
+    }
+
+    /// Mixed runs `(t, value, count)`: a value change at an equal
+    /// time, `-0.0` next to `0.0` (distinct bits, equal under `==`), a
+    /// NaN run, and a time step that keeps the value.
+    const COHORTS: [(f64, f64, u64); 9] = [
+        (0.0, 0.5, 3),
+        (0.0, 0.25, 1),
+        (0.0, -0.0, 2),
+        (0.0, 0.0, 2),
+        (1.0, 0.0, 1),
+        (1.0, f64::NAN, 2),
+        (1.5, 1e-300, 4),
+        (2.0, 1e-300, 1),
+        (7.25, 3.0, 5),
+    ];
+
+    fn mixed_points() -> Vec<(SimTime, f64)> {
+        let mut pts = Vec::new();
+        for (t, v, n) in COHORTS {
+            for _ in 0..n {
+                pts.push((SimTime::from_secs(t), v));
+            }
+        }
+        pts
+    }
+
+    fn bits(points: impl Iterator<Item = (SimTime, f64)>) -> Vec<(u64, u64)> {
+        points
+            .map(|(t, v)| (t.as_secs().to_bits(), v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn runs_expand_to_the_pushed_points() {
+        let pts = mixed_points();
+        let mut runs = TimeSeries::new();
+        for (t, v, n) in COHORTS {
+            runs.push_n(SimTime::from_secs(t), v, n);
+        }
+        assert_eq!(bits(runs.points()), bits(pts.iter().copied()));
+        assert_eq!(runs.len(), pts.len());
+        // One run per cohort: `-0.0` and `0.0` stay apart, and so do
+        // equal values at different times.
+        assert_eq!(runs.runs.len(), COHORTS.len());
+        // Point-by-point pushes merge into the same runs.
+        assert_eq!(reference(&pts).runs.len(), COHORTS.len());
+    }
+
+    #[test]
+    fn serialized_bytes_match_the_expanded_point_list() {
+        // The JSON the derived impl over `Vec<(SimTime, f64)>` wrote.
+        #[derive(Serialize)]
+        struct Expanded {
+            points: Vec<(SimTime, f64)>,
+        }
+        let mut pts = mixed_points();
+        pts.retain(|p| !p.1.is_nan());
+        let series = reference(&pts);
+        let expected = serde_json::to_string(&Expanded {
+            points: pts.clone(),
+        })
+        .unwrap();
+        assert_eq!(serde_json::to_string(&series).unwrap(), expected);
+        assert_eq!(
+            serde_json::to_string(&TimeSeries::new()).unwrap(),
+            r#"{"points":[]}"#
+        );
+    }
+
+    #[test]
+    fn deserialize_round_trips_and_rejects_time_regressions() {
+        let mut pts = mixed_points();
+        pts.retain(|p| !p.1.is_nan());
+        let series = reference(&pts);
+        let json = serde_json::to_string(&series).unwrap();
+        let back: TimeSeries = serde_json::from_str(&json).unwrap();
+        assert_eq!(bits(back.points()), bits(series.points()));
+        assert_eq!(back.runs, series.runs);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert!(serde_json::from_str::<TimeSeries>(r#"{"points":[[2.0,1.0],[1.0,1.0]]}"#).is_err());
+        assert!(serde_json::from_str::<TimeSeries>(r#"{"other":[]}"#).is_err());
+    }
+
+    #[test]
+    fn windowed_mean_matches_a_point_by_point_reference() {
+        let pts = mixed_points();
+        let series = reference(&pts);
+        // windowed_mean against a Welford fold over the plain vector.
+        for width in [0.5, 1.0, 3.0] {
+            let width = SimTime::from_secs(width);
+            let mut expected = Vec::new();
+            let mut window_end = width;
+            let mut acc = Welford::new();
+            for &(t, v) in &pts {
+                while t >= window_end {
+                    if acc.count() > 0 {
+                        expected.push((window_end, acc.mean()));
+                        acc = Welford::new();
+                    }
+                    window_end += width;
+                }
+                acc.push(v);
+            }
+            if acc.count() > 0 {
+                expected.push((window_end, acc.mean()));
+            }
+            assert_eq!(
+                bits(series.windowed_mean(width).into_iter()),
+                bits(expected.into_iter())
+            );
+        }
     }
 }

@@ -128,8 +128,14 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(SimTime::from_millis(1500.0).as_secs(), 1.5);
-        assert_eq!(SimTime::from_secs(2.0).as_millis(), 2000.0);
+        assert_eq!(
+            SimTime::from_millis(1500.0).as_secs().to_bits(),
+            1.5_f64.to_bits()
+        );
+        assert_eq!(
+            SimTime::from_secs(2.0).as_millis().to_bits(),
+            2000.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -137,8 +143,8 @@ mod tests {
         let a = SimTime::from_secs(1.0);
         let b = SimTime::from_secs(2.0);
         assert!(a < b);
-        assert_eq!((a + b).as_secs(), 3.0);
-        assert_eq!((b - a).as_secs(), 1.0);
+        assert_eq!((a + b).as_secs().to_bits(), 3.0_f64.to_bits());
+        assert_eq!((b - a).as_secs().to_bits(), 1.0_f64.to_bits());
         assert_eq!(a.max(b), b);
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
     }

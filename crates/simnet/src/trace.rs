@@ -94,8 +94,11 @@ mod tests {
     #[test]
     fn constant_trace() {
         let t = TimeTrace::constant(3.5);
-        assert_eq!(t.value_at(SimTime::ZERO), 3.5);
-        assert_eq!(t.value_at(SimTime::from_secs(1e6)), 3.5);
+        assert_eq!(t.value_at(SimTime::ZERO).to_bits(), 3.5_f64.to_bits());
+        assert_eq!(
+            t.value_at(SimTime::from_secs(1e6)).to_bits(),
+            3.5_f64.to_bits()
+        );
     }
 
     #[test]
@@ -103,9 +106,18 @@ mod tests {
         let tr =
             TimeTrace::from_points(vec![(SimTime::ZERO, 1.0), (SimTime::from_secs(10.0), 2.0)])
                 .unwrap();
-        assert_eq!(tr.value_at(SimTime::from_secs(9.999)), 1.0);
-        assert_eq!(tr.value_at(SimTime::from_secs(10.0)), 2.0);
-        assert_eq!(tr.value_at(SimTime::from_secs(11.0)), 2.0);
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(9.999)).to_bits(),
+            1.0_f64.to_bits()
+        );
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(10.0)).to_bits(),
+            2.0_f64.to_bits()
+        );
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(11.0)).to_bits(),
+            2.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -122,11 +134,26 @@ mod tests {
     fn square_wave_alternates() {
         let tr =
             TimeTrace::square_wave(1.0, 9.0, SimTime::from_secs(10.0), SimTime::from_secs(40.0));
-        assert_eq!(tr.value_at(SimTime::from_secs(5.0)), 1.0);
-        assert_eq!(tr.value_at(SimTime::from_secs(15.0)), 9.0);
-        assert_eq!(tr.value_at(SimTime::from_secs(25.0)), 1.0);
-        assert_eq!(tr.value_at(SimTime::from_secs(35.0)), 9.0);
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(5.0)).to_bits(),
+            1.0_f64.to_bits()
+        );
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(15.0)).to_bits(),
+            9.0_f64.to_bits()
+        );
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(25.0)).to_bits(),
+            1.0_f64.to_bits()
+        );
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(35.0)).to_bits(),
+            9.0_f64.to_bits()
+        );
         // Holds last value past the horizon.
-        assert_eq!(tr.value_at(SimTime::from_secs(100.0)), 9.0);
+        assert_eq!(
+            tr.value_at(SimTime::from_secs(100.0)).to_bits(),
+            9.0_f64.to_bits()
+        );
     }
 }

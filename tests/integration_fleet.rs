@@ -155,7 +155,8 @@ fn assert_fleet_byte_identical(case: &FleetCase, slots: usize, seed: u64) -> Tes
         let queues: Vec<(usize, u64, u64)> = fleet
             .queues()
             .iter()
-            .map(|(&d, qp)| (d, qp.q().to_bits(), qp.h().to_bits()))
+            .enumerate()
+            .map(|(d, qp)| (d, qp.q().to_bits(), qp.h().to_bits()))
             .collect();
         Ok((
             serde_json::to_string(&report)?,
@@ -243,8 +244,9 @@ fn fleet_differential_pinned_regressions() -> TestResult<()> {
         RUN_SEED,
     )?;
     // Compound chaos (all four fault models) over a 3-edge fleet with a
-    // short rebalance cadence: outage-driven evacuations interleave with
-    // balancer moves across ten boundaries.
+    // short rebalance cadence: ten boundaries sample edge health and
+    // pressures under faults (none of them moves a device; the golden
+    // below pins the outputs).
     assert_fleet_byte_identical(
         &FleetCase {
             devices: 24,
@@ -274,6 +276,85 @@ fn fleet_differential_pinned_regressions() -> TestResult<()> {
         40,
         RUN_SEED,
     )?;
+    Ok(())
+}
+
+/// Cross-commit golden, captured from the implementation that ran each
+/// edge's interval as its own sharded run: the compound-chaos 3-edge
+/// case of `fleet_differential_pinned_regressions` and the failover
+/// scenario. Pins per-interval per-edge task counts, the mean-TCT bits,
+/// the migration log (backlog bits included) and the final assignment.
+#[test]
+fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
+    let compound = FleetCase {
+        devices: 24,
+        edges: 3,
+        rebalance_interval: 4,
+        arrival: 8.0,
+        controller: 0,
+        workload: 2,
+        chaos: Some((906_617, 15, 0.6, 12.0)),
+    };
+    let report = build_fleet(&compound)?.run(44, RUN_SEED)?;
+    let tasks: Vec<Vec<usize>> = report
+        .intervals
+        .iter()
+        .map(|iv| iv.edges.iter().map(|e| e.tasks()).collect())
+        .collect();
+    assert_eq!(
+        tasks,
+        vec![
+            vec![489, 324, 319],
+            vec![390, 445, 353],
+            vec![425, 389, 350],
+            vec![334, 498, 331],
+            vec![430, 352, 369],
+            vec![374, 338, 381],
+            vec![388, 353, 360],
+            vec![365, 348, 386],
+            vec![394, 329, 343],
+            vec![367, 390, 325],
+            vec![344, 412, 412],
+        ]
+    );
+    assert_eq!(report.mean_tct_s().to_bits(), 0x3fe1_7742_85a8_05e6);
+    assert!(report.migrations.is_empty());
+    assert_eq!(
+        report.final_assignment,
+        vec![0, 1, 0, 2, 2, 1, 1, 0, 1, 2, 0, 2, 1, 2, 0, 1, 1, 0, 2, 0, 2, 0, 2, 1]
+    );
+
+    let (report, _) = run_failover_golden()?;
+    let tasks: Vec<Vec<usize>> = report
+        .intervals
+        .iter()
+        .map(|iv| iv.edges.iter().map(|e| e.tasks()).collect())
+        .collect();
+    assert_eq!(tasks, vec![vec![251, 201], vec![475, 0], vec![490, 0]]);
+    assert_eq!(report.mean_tct_s().to_bits(), 0x3fd2_3f33_6854_1f33);
+    let log: Vec<(usize, usize, usize, usize, u64, MigrationCause)> = report
+        .migrations
+        .iter()
+        .map(|m| {
+            (
+                m.at_slot,
+                m.device,
+                m.from_edge,
+                m.to_edge,
+                m.backlog.to_bits(),
+                m.cause,
+            )
+        })
+        .collect();
+    assert_eq!(
+        log,
+        vec![
+            (10, 2, 1, 0, 0x4033_0000_0000_0000, MigrationCause::Failover),
+            (10, 5, 1, 0, 0x402c_3301_3f6e_e506, MigrationCause::Failover),
+            (10, 3, 1, 0, 0x4023_4121_71dc_8040, MigrationCause::Failover),
+        ]
+    );
+    assert_eq!(report.final_assignment, vec![0; 6]);
     Ok(())
 }
 
@@ -348,7 +429,7 @@ fn failover_golden_exact_post_migration_assignment() {
 
     // Post-failover topology: everything lives on edge 0.
     assert_eq!(report.final_assignment, vec![0; 6]);
-    assert!(fleet.assignment().values().all(|&e| e == 0));
+    assert!(fleet.assignment().iter().all(|&e| e == 0));
 
     // The evacuated edge holds zero pressure and simulates nothing in
     // the remaining intervals (empty RunReport placeholders).
@@ -470,7 +551,7 @@ fn single_edge_fleet_is_byte_identical_to_bare_slotted_system() {
             .collect();
         let fleet_queues: Vec<(u64, u64)> = fleet
             .queues()
-            .values()
+            .iter()
             .map(|qp| (qp.q().to_bits(), qp.h().to_bits()))
             .collect();
         assert_eq!(bare_queues, fleet_queues, "queue bits diverged");
