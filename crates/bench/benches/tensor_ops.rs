@@ -16,7 +16,7 @@ fn bench_matmul(c: &mut Criterion) {
         let a = Tensor::randn(Shape::d2(n, n), &mut rng);
         let b = Tensor::randn(Shape::d2(n, n), &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| black_box(a.matmul(&b).unwrap()));
+            bench.iter(|| black_box(a.matmul(&b)));
         });
     }
     group.finish();
@@ -31,9 +31,7 @@ fn bench_conv2d(c: &mut Criterion) {
         let bias = Tensor::zeros(Shape::d1(cout));
         let id = format!("{cin}x{hw}x{hw}->{cout}");
         group.bench_with_input(BenchmarkId::from_parameter(id), &cin, |bench, _| {
-            bench.iter(|| {
-                black_box(conv2d(&input, &weight, &bias, Conv2dParams::same3x3()).unwrap())
-            });
+            bench.iter(|| black_box(conv2d(&input, &weight, &bias, Conv2dParams::same3x3())));
         });
     }
     group.finish();
@@ -51,16 +49,16 @@ fn bench_mlp(c: &mut Criterion) {
     let x = Tensor::randn(Shape::d2(64, 32), &mut rng);
     let y: Vec<usize> = (0..64).map(|i| i % 10).collect();
     group.bench_function("forward_batch64", |b| {
-        b.iter(|| black_box(mlp.forward(&x).unwrap()));
+        b.iter(|| black_box(mlp.forward(&x)));
     });
     group.bench_function("train_step_batch64", |b| {
         let mut m = mlp.clone();
         let mut opt = Sgd::new(Mlp::NUM_PARAMS, 0.05, 0.9);
-        b.iter(|| black_box(m.train_step(&x, &y, &mut opt).unwrap()));
+        b.iter(|| black_box(m.train_step(&x, &y, &mut opt)));
     });
     group.bench_function("softmax_rows_64x10", |b| {
         let logits = Tensor::randn(Shape::d2(64, 10), &mut rng);
-        b.iter(|| black_box(softmax_rows(&logits).unwrap()));
+        b.iter(|| black_box(softmax_rows(&logits)));
     });
     group.finish();
 }

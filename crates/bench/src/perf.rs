@@ -310,14 +310,14 @@ mod tests {
         ];
         let (revs, median) = rolling_median_baseline(&history, 64, 200).unwrap();
         // Window = {r3: 10000, r6: 12000, r7: 10500} → median 10500.
-        assert_eq!(median, 10_500.0);
+        assert_eq!(median.to_bits(), 10_500.0_f64.to_bits());
         assert_eq!(revs, "r3,r7,r6");
 
         // Shorter histories: median of what exists (even window →
         // mean of the middle pair).
         let two = &history[..2];
         let (_, m2) = rolling_median_baseline(two, 64, 200).unwrap();
-        assert_eq!(m2, (9_000.0 + 50_000.0) / 2.0);
+        assert_eq!(m2.to_bits(), f64::to_bits((9_000.0 + 50_000.0) / 2.0));
 
         // No comparable runs at all → no gate.
         assert!(rolling_median_baseline(&history, 1, 1).is_none());
@@ -336,7 +336,7 @@ mod tests {
         let one = vec![run_record(64, 200, "r1", 9_000.0, &[])];
         let (revs, median) = rolling_median_baseline(&one, 64, 200).unwrap();
         assert_eq!(revs, "r1");
-        assert_eq!(median, 9_000.0);
+        assert_eq!(median.to_bits(), 9_000.0_f64.to_bits());
 
         // 2 runs: mean of the pair (peak of r2 is its parallel figure's
         // better, 11_000 sequential here).
@@ -346,7 +346,7 @@ mod tests {
         ];
         let (revs, median) = rolling_median_baseline(&two, 64, 200).unwrap();
         assert_eq!(revs, "r1,r2");
-        assert_eq!(median, 10_000.0);
+        assert_eq!(median.to_bits(), 10_000.0_f64.to_bits());
 
         // A lone comparable run whose record carries no parsable peak
         // cannot gate either.
@@ -404,11 +404,11 @@ mod tests {
         ];
         let (revs, median) = fleet_rolling_median_baseline(&history, 1_000_000, 16, 10).unwrap();
         // Window = {r5: 1.4e6, r6: 1.2e6, r7: 1.3e6} → median 1.3e6.
-        assert_eq!(median, 1.3e6);
+        assert_eq!(median.to_bits(), 1.3e6_f64.to_bits());
         assert_eq!(revs, "r6,r7,r5");
         // Single comparable run gates; empty history does not.
         let (_, one) = fleet_rolling_median_baseline(&history[..1], 1_000_000, 16, 10).unwrap();
-        assert_eq!(one, 1.0e6);
+        assert_eq!(one.to_bits(), 1.0e6_f64.to_bits());
         assert!(fleet_rolling_median_baseline(&[], 1_000_000, 16, 10).is_none());
         // The "sweep" record key marks the fleet pre-history layout for
         // `history_from_text_for`, mirroring the kernels migration.

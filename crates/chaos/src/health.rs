@@ -179,7 +179,7 @@ mod tests {
         // Device 1 only sees the broadcast collapse.
         let h1 = s.link_health(1, SimTime::from_secs(7.0));
         assert!((h1.bandwidth_factor - 0.4).abs() < 1e-12);
-        assert_eq!(h1.extra_latency_s, 0.0);
+        assert_eq!(h1.extra_latency_s.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

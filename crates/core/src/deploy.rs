@@ -291,7 +291,7 @@ mod tests {
         let d = deploy(ExitStrategy::Leime);
         assert!(d.search_stats.is_some());
         assert!(d.early_exit);
-        assert!(d.sigma[0] > 0.0 && d.sigma[2] == 1.0);
+        assert!(d.sigma[0] > 0.0 && d.sigma[2].to_bits() == 1.0_f64.to_bits());
     }
 
     #[test]
@@ -300,7 +300,10 @@ mod tests {
         let ns = deploy(ExitStrategy::Neurosurgeon);
         assert_eq!(leime.combo, ns.combo);
         assert!(!ns.early_exit);
-        assert_eq!(ns.sigma, [0.0, 0.0, 1.0]);
+        assert_eq!(
+            ns.sigma.map(f64::to_bits),
+            [0.0, 0.0, 1.0].map(f64::to_bits)
+        );
         // Without intermediate classifiers the first two blocks are cheaper.
         assert!(ns.mu[0] < leime.mu[0]);
         assert!(ns.mu[1] < leime.mu[1]);

@@ -325,7 +325,7 @@ mod tests {
         assert!((r.mean_tct_ms() - 505.0).abs() < 1e-6);
         assert!(r.p95_tct_s() > r.median_tct_s());
         assert!(r.p99_tct_s() >= r.p95_tct_s());
-        assert_eq!(r.p50_tct_s(), r.median_tct_s());
+        assert_eq!(r.p50_tct_s().to_bits(), r.median_tct_s().to_bits());
     }
 
     #[test]
@@ -345,9 +345,12 @@ mod tests {
             r.record_tct(SimTime::from_secs(i as f64), i as f64 / 10.0);
         }
         assert!((r.fraction_within(0.5) - 0.5).abs() < 1e-12);
-        assert_eq!(r.fraction_within(1.0), 1.0);
-        assert_eq!(r.fraction_within(0.0), 0.0);
-        assert_eq!(RunReport::new().fraction_within(1.0), 0.0);
+        assert_eq!(r.fraction_within(1.0).to_bits(), 1.0_f64.to_bits());
+        assert_eq!(r.fraction_within(0.0).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(
+            RunReport::new().fraction_within(1.0).to_bits(),
+            0.0_f64.to_bits()
+        );
     }
 
     #[test]
@@ -359,12 +362,12 @@ mod tests {
     #[test]
     fn empty_report_is_safe() {
         let r = RunReport::new();
-        assert_eq!(r.mean_tct_s(), 0.0);
+        assert_eq!(r.mean_tct_s().to_bits(), 0.0_f64.to_bits());
         assert_eq!(r.tasks(), 0);
-        assert_eq!(r.tiers().first_fraction(), 0.0);
+        assert_eq!(r.tiers().first_fraction().to_bits(), 0.0_f64.to_bits());
         assert!(!r.fault_stats().any());
-        assert_eq!(r.completion_rate(), 1.0);
-        assert_eq!(r.mean_tct_after(0.0), 0.0);
+        assert_eq!(r.completion_rate().to_bits(), 1.0_f64.to_bits());
+        assert_eq!(r.mean_tct_after(0.0).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -404,7 +407,7 @@ mod tests {
         // Over-service (draining old backlog) saturates at 1.
         let mut full = RunReport::new();
         full.record_service(5, 50.0);
-        assert_eq!(full.completion_rate(), 1.0);
+        assert_eq!(full.completion_rate().to_bits(), 1.0_f64.to_bits());
     }
 
     #[test]
@@ -459,7 +462,7 @@ mod tests {
         r.record_tct(SimTime::from_secs(11.0), 5.0);
         assert!((r.mean_tct_after(10.0) - 4.0).abs() < 1e-12);
         assert!((r.mean_tct_after(0.0) - 2.5).abs() < 1e-12);
-        assert_eq!(r.mean_tct_after(100.0), 0.0);
+        assert_eq!(r.mean_tct_after(100.0).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

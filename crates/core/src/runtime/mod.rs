@@ -22,11 +22,10 @@ pub use messages::{payload_for_bytes, EdgeRequest, TaskOutcome};
 use crate::{LeimeError, Result, TierCounts};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use leime_inference::{EarlyExitPipeline, ExitDecision};
+use leime_par::{Rng, StdRng};
 use leime_telemetry::{Clock, Histogram, Registry, WallClock};
 use leime_workload::{FeatureCascade, SyntheticDataset};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::thread;
@@ -384,7 +383,7 @@ fn device_loop(
     config: RuntimeConfig,
 ) {
     use std::sync::atomic::Ordering;
-    let mut rng = StdRng::seed_from_u64(leime_par::stream_seed(config.seed, dev as u64));
+    let mut rng = leime_par::stream_rng(config.seed, dev as u64);
     // A transmission is lost with `edge_fault_rate` probability; the rate-0
     // fast path keeps the RNG stream identical to fault-free builds.
     let transmission_lost =
@@ -423,7 +422,7 @@ fn device_loop(
         // Local First-exit on real tensors. Feature streams are tiered:
         // stream 0 = device, 1 = edge, 2 = cloud — `stream_seed` keeps
         // them collision-free instead of the old `wrapping_add` offsets.
-        let mut frng = StdRng::seed_from_u64(leime_par::stream_seed(feature_seed, 0));
+        let mut frng = leime_par::stream_rng(feature_seed, 0);
         let (tier, pred, _conf, correct) = pipeline.infer_first(cascade, sample, &mut frng);
         if tier == ExitDecision::Device {
             let _ = pred;
@@ -466,7 +465,7 @@ fn edge_loop(
     config: RuntimeConfig,
 ) {
     while let Ok(req) = edge_rx.recv() {
-        let mut frng = StdRng::seed_from_u64(leime_par::stream_seed(req.feature_seed, 1));
+        let mut frng = leime_par::stream_rng(req.feature_seed, 1);
         if req.first_exit_pending {
             // Offloaded raw input: run the First-exit here first.
             let (tier, _pred, _conf, correct) =
@@ -506,7 +505,7 @@ fn cloud_loop(
     wall: &WallClock,
 ) {
     while let Ok(req) = cloud_rx.recv() {
-        let mut frng = StdRng::seed_from_u64(leime_par::stream_seed(req.feature_seed, 2));
+        let mut frng = leime_par::stream_rng(req.feature_seed, 2);
         let (_pred, correct) = pipeline.infer_third(cascade, req.sample, &mut frng);
         let _ = done.send(TaskOutcome {
             tier: ExitDecision::Cloud,
@@ -523,6 +522,7 @@ mod tests {
     use leime_dnn::ExitCombo;
     use leime_inference::{calibrate, CalibrationConfig, TrainConfig};
     use leime_workload::CascadeParams;
+    use rand::SeedableRng;
 
     fn setup() -> (EarlyExitPipeline, FeatureCascade, SyntheticDataset) {
         let chain = ModelKind::SqueezeNet.build(10);
@@ -651,7 +651,7 @@ mod tests {
             "bandwidth_bps":1e7,"latency_s":0.02,"time_scale":0.01,
             "input_bytes":100,"intermediate_bytes":50,"seed":0,"adaptive":false}"#;
         let cfg: RuntimeConfig = serde_json::from_str(json).unwrap();
-        assert_eq!(cfg.edge_fault_rate, 0.0);
+        assert_eq!(cfg.edge_fault_rate.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

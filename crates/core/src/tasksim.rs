@@ -5,10 +5,9 @@ use leime_offload::{
     kkt_allocation_with_floor, ControllerTelemetry, DegradeState, DeviceParams, OffloadController,
     SlotObservation,
 };
+use leime_par::{Rng, StdRng};
 use leime_simnet::{EventQueue, FifoServer, Link, SimMonitor, SimTime};
 use leime_telemetry::{Histogram, Registry};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::{Deployment, Result, RunReport, Scenario, WorkloadKind};
 
@@ -157,7 +156,7 @@ impl TaskSim {
         let shared = self.scenario.shared_params(&self.deployment);
         let n = scenario.devices.len();
         let horizon = SimTime::from_secs(horizon_s);
-        let mut rng = StdRng::seed_from_u64(leime_par::stream_seed(seed, 0));
+        let mut rng = leime_par::stream_rng(seed, 0);
         let mut report = RunReport::new();
         let monitor = self.monitor.clone();
         let tct_hist = self.tct_hist.clone();

@@ -181,12 +181,12 @@ mod tests {
     #[test]
     fn totals_and_ranges() {
         let c = toy_chain();
-        assert_eq!(c.total_flops(), 700.0);
-        assert_eq!(c.flops_range(0, 3), 700.0);
-        assert_eq!(c.flops_range(1, 3), 600.0);
-        assert_eq!(c.flops_range(1, 1), 0.0);
-        assert_eq!(c.flops_range(2, 1), 0.0);
-        assert_eq!(c.flops_range(0, 99), 700.0); // clamped
+        assert_eq!(c.total_flops().to_bits(), 700.0_f64.to_bits());
+        assert_eq!(c.flops_range(0, 3).to_bits(), 700.0_f64.to_bits());
+        assert_eq!(c.flops_range(1, 3).to_bits(), 600.0_f64.to_bits());
+        assert_eq!(c.flops_range(1, 1).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(c.flops_range(2, 1).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(c.flops_range(0, 99).to_bits(), 700.0_f64.to_bits()); // clamped
     }
 
     #[test]
@@ -198,14 +198,23 @@ mod tests {
     #[test]
     fn input_bytes_d0() {
         let c = toy_chain();
-        assert_eq!(c.input_bytes(), (3 * 8 * 8) as f64 * 4.0);
+        assert_eq!(
+            c.input_bytes().to_bits(),
+            f64::to_bits((3 * 8 * 8) as f64 * 4.0)
+        );
     }
 
     #[test]
     fn intermediate_bytes_d_li() {
         let c = toy_chain();
-        assert_eq!(c.intermediate_bytes(0).unwrap(), 1024.0 * 4.0);
-        assert_eq!(c.intermediate_bytes(1).unwrap(), 512.0 * 4.0);
+        assert_eq!(
+            c.intermediate_bytes(0).unwrap().to_bits(),
+            f64::to_bits(1024.0 * 4.0)
+        );
+        assert_eq!(
+            c.intermediate_bytes(1).unwrap().to_bits(),
+            f64::to_bits(512.0 * 4.0)
+        );
         assert!(c.intermediate_bytes(3).is_err());
     }
 

@@ -137,7 +137,7 @@ mod tests {
         let spec = ExitSpec::new(128);
         let f = exit_flops(&feature_layer(), spec, 10);
         // pool 64*8*8 = 4096; fc1 2*64*128 = 16384; fc2 2*128*10 = 2560; softmax 50.
-        assert_eq!(f, 4096.0 + 16384.0 + 2560.0 + 50.0);
+        assert_eq!(f.to_bits(), f64::to_bits(4096.0 + 16384.0 + 2560.0 + 50.0));
     }
 
     #[test]
@@ -162,8 +162,8 @@ mod tests {
     #[test]
     fn rate_lookup() {
         let r = ExitRates::new(vec![0.3, 0.7, 1.0]).unwrap();
-        assert_eq!(r.rate(0).unwrap(), 0.3);
-        assert_eq!(r.rate(2).unwrap(), 1.0);
+        assert_eq!(r.rate(0).unwrap().to_bits(), 0.3_f64.to_bits());
+        assert_eq!(r.rate(2).unwrap().to_bits(), 1.0_f64.to_bits());
         assert!(r.rate(3).is_err());
         assert_eq!(r.len(), 3);
     }

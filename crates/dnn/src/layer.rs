@@ -91,7 +91,7 @@ mod tests {
         // 3x3 conv, 64 -> 64 channels, 32x32 output:
         // 2 * 64*3*3 * 64*32*32 = 2 * 576 * 65536 = 75,497,472.
         let f = conv_flops(64, 64, 3, 3, 32, 32);
-        assert_eq!(f, 75_497_472.0);
+        assert_eq!(f.to_bits(), 75_497_472.0_f64.to_bits());
     }
 
     #[test]
@@ -105,7 +105,7 @@ mod tests {
             out_w: 16,
         };
         assert_eq!(l.out_elems(), 16384);
-        assert_eq!(l.out_bytes(), 65536.0);
+        assert_eq!(l.out_bytes().to_bits(), 65536.0_f64.to_bits());
     }
 
     #[test]

@@ -258,11 +258,17 @@ mod tests {
         let me = MultiExitDnn::new(chain(5), ExitSpec::default());
         let p = me.partition(ExitCombo::new(0, 2, 4, 5).unwrap()).unwrap();
         // All layers output 8*4*4 = 128 elems = 512 bytes.
-        assert_eq!(p.device.boundary_bytes, 512.0);
-        assert_eq!(p.edge.boundary_bytes, 512.0);
-        assert_eq!(p.cloud.boundary_bytes, 0.0);
-        assert_eq!(p.input_bytes, (3 * 8 * 8 * 4) as f64);
-        assert_eq!(p.data_sizes(), [768.0, 512.0, 512.0]);
+        assert_eq!(p.device.boundary_bytes.to_bits(), 512.0_f64.to_bits());
+        assert_eq!(p.edge.boundary_bytes.to_bits(), 512.0_f64.to_bits());
+        assert_eq!(p.cloud.boundary_bytes.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(
+            p.input_bytes.to_bits(),
+            f64::to_bits((3 * 8 * 8 * 4) as f64)
+        );
+        assert_eq!(
+            p.data_sizes().map(f64::to_bits),
+            [768.0, 512.0, 512.0].map(f64::to_bits)
+        );
     }
 
     #[test]
@@ -282,7 +288,10 @@ mod tests {
         let me = MultiExitDnn::new(chain(5), ExitSpec::default());
         let rates = ExitRates::new(vec![0.1, 0.3, 0.5, 0.8, 1.0]).unwrap();
         let combo = ExitCombo::new(0, 2, 4, 5).unwrap();
-        assert_eq!(me.combo_rates(combo, &rates).unwrap(), [0.1, 0.5, 1.0]);
+        assert_eq!(
+            me.combo_rates(combo, &rates).unwrap().map(f64::to_bits),
+            [0.1, 0.5, 1.0].map(f64::to_bits)
+        );
         let short = ExitRates::new(vec![0.5, 1.0]).unwrap();
         assert!(me.combo_rates(combo, &short).is_err());
     }

@@ -100,11 +100,17 @@ mod tests {
         let c = chain();
         let p = ModelProfile::from_chain(&c, ExitSpec::default()).unwrap();
         assert_eq!(p.num_layers(), 4);
-        assert_eq!(p.total_flops(), c.total_flops());
-        assert_eq!(p.input_bytes, c.input_bytes());
+        assert_eq!(p.total_flops().to_bits(), c.total_flops().to_bits());
+        assert_eq!(p.input_bytes.to_bits(), c.input_bytes().to_bits());
         for (i, lp) in p.layers.iter().enumerate() {
-            assert_eq!(lp.layer_flops, c.layer(i).unwrap().flops);
-            assert_eq!(lp.out_bytes, c.layer(i).unwrap().out_bytes());
+            assert_eq!(
+                lp.layer_flops.to_bits(),
+                c.layer(i).unwrap().flops.to_bits()
+            );
+            assert_eq!(
+                lp.out_bytes.to_bits(),
+                c.layer(i).unwrap().out_bytes().to_bits()
+            );
             assert!(lp.exit_flops > 0.0);
         }
     }
@@ -112,8 +118,8 @@ mod tests {
     #[test]
     fn flops_range_clamps() {
         let p = ModelProfile::from_chain(&chain(), ExitSpec::default()).unwrap();
-        assert_eq!(p.flops_range(0, 99), p.total_flops());
-        assert_eq!(p.flops_range(3, 2), 0.0);
+        assert_eq!(p.flops_range(0, 99).to_bits(), p.total_flops().to_bits());
+        assert_eq!(p.flops_range(3, 2).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -203,7 +203,10 @@ mod tests {
         // 1x7 conv on 17x17 with pad (0,3) keeps spatial dims.
         let (f, h, w) = branch_conv(768, 128, 1, 7, 17, 17, 1, 0, 3);
         assert_eq!((h, w), (17, 17));
-        assert_eq!(f, 2.0 * (768 * 7) as f64 * (128 * 17 * 17) as f64);
+        assert_eq!(
+            f.to_bits(),
+            f64::to_bits(2.0 * (768 * 7) as f64 * (128 * 17 * 17) as f64)
+        );
     }
 
     #[test]

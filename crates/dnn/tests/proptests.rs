@@ -2,11 +2,14 @@
 //! profile consistency, and zoo invariants over input resolutions.
 
 use leime_dnn::{
-    zoo, DnnChain, ExitCombo, ExitRates, ExitSpec, Layer, LayerKind, ModelProfile, MultiExitDnn,
+    zoo, DnnChain, DnnError, ExitCombo, ExitRates, ExitSpec, Layer, LayerKind, ModelProfile,
+    MultiExitDnn,
 };
 use proptest::prelude::*;
 
-fn arb_chain(max_layers: usize) -> impl Strategy<Value = DnnChain> {
+/// Chains over generated layers; the tests unwrap them (three or more
+/// layers always build).
+fn arb_chain(max_layers: usize) -> impl Strategy<Value = Result<DnnChain, DnnError>> {
     prop::collection::vec((1e5f64..1e10, 1usize..512, 1usize..64), 3..max_layers).prop_map(
         |specs| {
             let layers: Vec<Layer> = specs
@@ -21,7 +24,7 @@ fn arb_chain(max_layers: usize) -> impl Strategy<Value = DnnChain> {
                     out_w: hw,
                 })
                 .collect();
-            DnnChain::new("prop", 3, 32, 32, 10, layers).expect("non-empty")
+            DnnChain::new("prop", 3, 32, 32, 10, layers)
         },
     )
 }
@@ -33,6 +36,7 @@ proptest! {
     /// classifiers, for every valid combo.
     #[test]
     fn partition_conserves_flops(chain in arb_chain(20), f_raw in 0usize..20, s_raw in 0usize..20) {
+        let chain = chain.unwrap();
         let m = chain.num_layers();
         let first = f_raw % (m - 2);
         let second = first + 1 + s_raw % (m - 2 - first);
@@ -48,19 +52,26 @@ proptest! {
             "partition leaks FLOPs"
         );
         // Boundary bytes are the chain's activations at the exits.
-        prop_assert_eq!(p.device.boundary_bytes, chain.intermediate_bytes(first).unwrap());
-        prop_assert_eq!(p.edge.boundary_bytes, chain.intermediate_bytes(second).unwrap());
+        prop_assert_eq!(
+            p.device.boundary_bytes.to_bits(),
+            chain.intermediate_bytes(first).unwrap().to_bits()
+        );
+        prop_assert_eq!(
+            p.edge.boundary_bytes.to_bits(),
+            chain.intermediate_bytes(second).unwrap().to_bits()
+        );
     }
 
     /// Profiles agree with chains entry-by-entry.
     #[test]
     fn profile_is_faithful(chain in arb_chain(20)) {
+        let chain = chain.unwrap();
         let profile = ModelProfile::from_chain(&chain, ExitSpec::default()).unwrap();
         prop_assert_eq!(profile.num_layers(), chain.num_layers());
         prop_assert!((profile.total_flops() - chain.total_flops()).abs() < 1e-9);
         for (i, lp) in profile.layers.iter().enumerate() {
-            prop_assert_eq!(lp.layer_flops, chain.layer(i).unwrap().flops);
-            prop_assert_eq!(lp.out_bytes, chain.layer(i).unwrap().out_bytes());
+            prop_assert_eq!(lp.layer_flops.to_bits(), chain.layer(i).unwrap().flops.to_bits());
+            prop_assert_eq!(lp.out_bytes.to_bits(), chain.layer(i).unwrap().out_bytes().to_bits());
             prop_assert!(lp.exit_flops > 0.0);
         }
         // Prefix sums bracket every range query.
@@ -85,7 +96,7 @@ proptest! {
         raw[n - 1] = 1.0;
         let rates = ExitRates::new(raw.clone()).unwrap();
         for (i, &r) in raw.iter().enumerate() {
-            prop_assert_eq!(rates.rate(i).unwrap(), r);
+            prop_assert_eq!(rates.rate(i).unwrap().to_bits(), r.to_bits());
         }
         prop_assert!(rates.rate(n).is_err());
     }

@@ -133,9 +133,12 @@ mod tests {
     fn builders_modify_copies() {
         let base = EnvParams::raspberry_pi();
         let tweaked = base.with_edge_link(1e6, 0.2).with_edge_scale(0.5);
-        assert_eq!(tweaked.edge_bandwidth_bps, 1e6);
-        assert_eq!(tweaked.edge_latency_s, 0.2);
-        assert_eq!(tweaked.edge_flops, base.edge_flops * 0.5);
-        assert_eq!(base.edge_bandwidth_bps, 10e6); // untouched
+        assert_eq!(tweaked.edge_bandwidth_bps.to_bits(), 1e6_f64.to_bits());
+        assert_eq!(tweaked.edge_latency_s.to_bits(), 0.2_f64.to_bits());
+        assert_eq!(
+            tweaked.edge_flops.to_bits(),
+            f64::to_bits(base.edge_flops * 0.5)
+        );
+        assert_eq!(base.edge_bandwidth_bps.to_bits(), 10e6_f64.to_bits()); // untouched
     }
 }

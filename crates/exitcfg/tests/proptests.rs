@@ -9,7 +9,10 @@ use leime_exitcfg::{
 };
 use proptest::prelude::*;
 
-fn profile_from(specs: &[(f64, usize)]) -> ModelProfile {
+/// Errors a helper hands back to its `#[test]` caller.
+type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn profile_from(specs: &[(f64, usize)]) -> TestResult<ModelProfile> {
     let layers: Vec<Layer> = specs
         .iter()
         .enumerate()
@@ -22,15 +25,15 @@ fn profile_from(specs: &[(f64, usize)]) -> ModelProfile {
             out_w: 1,
         })
         .collect();
-    let chain = DnnChain::new("prop", 3, 16, 16, 10, layers).expect("non-empty");
-    ModelProfile::from_chain(&chain, ExitSpec::default()).unwrap()
+    let chain = DnnChain::new("prop", 3, 16, 16, 10, layers)?;
+    Ok(ModelProfile::from_chain(&chain, ExitSpec::default())?)
 }
 
-fn monotone_rates(raw: &[f64], m: usize) -> ExitRates {
+fn monotone_rates(raw: &[f64], m: usize) -> TestResult<ExitRates> {
     let mut v: Vec<f64> = raw[..m].to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(f64::total_cmp);
     v[m - 1] = 1.0;
-    ExitRates::new(v).unwrap()
+    Ok(ExitRates::new(v)?)
 }
 
 proptest! {
@@ -45,9 +48,9 @@ proptest! {
         raw in prop::collection::vec(0.0f64..1.0, 16),
         bw_exp in 5.5f64..8.0,
     ) {
-        let profile = profile_from(&specs);
+        let profile = profile_from(&specs).unwrap();
         let m = profile.num_layers();
-        let rates = monotone_rates(&raw, m);
+        let rates = monotone_rates(&raw, m).unwrap();
         let env = EnvParams::raspberry_pi().with_edge_link(10f64.powf(bw_exp), 0.02);
         let cost = CostModel::new(&profile, &rates, env).unwrap();
         for i1 in 0..m - 2 {
@@ -75,9 +78,9 @@ proptest! {
         specs in prop::collection::vec((1e6f64..1e10, 1usize..100_000), 3..20),
         raw in prop::collection::vec(0.0f64..1.0, 20),
     ) {
-        let profile = profile_from(&specs);
+        let profile = profile_from(&specs).unwrap();
         let m = profile.num_layers();
-        let rates = monotone_rates(&raw, m);
+        let rates = monotone_rates(&raw, m).unwrap();
         let cost = CostModel::new(&profile, &rates, EnvParams::raspberry_pi()).unwrap();
         for combo in [
             min_computation(&profile).unwrap(),
@@ -99,9 +102,9 @@ proptest! {
         raw in prop::collection::vec(0.0f64..1.0, 11),
         gw_exp in 9.0f64..10.5,
     ) {
-        let profile = profile_from(&specs);
+        let profile = profile_from(&specs).unwrap();
         let m = profile.num_layers();
-        let rates = monotone_rates(&raw, m);
+        let rates = monotone_rates(&raw, m).unwrap();
         let env = EnvParams::raspberry_pi();
         let tiers = [
             TierEnv { flops: env.device_flops, uplink_bandwidth_bps: f64::INFINITY, uplink_latency_s: 0.0 },

@@ -396,9 +396,9 @@ mod tests {
         assert_eq!(s.exit_rates.len(), m);
         assert_eq!(s.thresholds, r.thresholds());
         assert_eq!(s.depth_fractions, r.depth_fractions());
-        assert_eq!(s.final_accuracy, r.final_accuracy());
+        assert_eq!(s.final_accuracy.to_bits(), r.final_accuracy().to_bits());
         for i in 0..m {
-            assert_eq!(s.exit_accuracy[i], r.exit_accuracy(i));
+            assert_eq!(s.exit_accuracy[i].to_bits(), r.exit_accuracy(i).to_bits());
         }
         // It round-trips structurally (clone + eq; wire format is covered
         // by the core crate's JSON tests).

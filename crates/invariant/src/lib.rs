@@ -252,11 +252,11 @@ mod tests {
 
     #[test]
     fn guards_pass_values_through() {
-        assert_eq!(check_unit_interval("t", 0.5), 0.5);
-        assert_eq!(check_nonneg("t", 3.0), 3.0);
-        assert_eq!(check_finite_cost("t", 1.25), 1.25);
+        assert_eq!(check_unit_interval("t", 0.5).to_bits(), 0.5_f64.to_bits());
+        assert_eq!(check_nonneg("t", 3.0).to_bits(), 3.0_f64.to_bits());
+        assert_eq!(check_finite_cost("t", 1.25).to_bits(), 1.25_f64.to_bits());
         assert_eq!(check_interval("t", 0.0, 1.0), (0.0, 1.0));
-        assert_eq!(check_drained("t", 2.0, 5.0), 2.0);
+        assert_eq!(check_drained("t", 2.0, 5.0).to_bits(), 2.0_f64.to_bits());
     }
 
     #[test]

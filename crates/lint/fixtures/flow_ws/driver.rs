@@ -1,12 +1,12 @@
-//! Cross-file flow fixture: the shard body mutates a driver-side
+//! Cross-file flow fixture: the shard body bumps a captured atomic
 //! counter and calls a helper defined in `worker.rs`, whose blocking
 //! receive must surface transitively.
 
 pub fn run_shards(items: &[u32], workers: usize) -> u32 {
-    let mut hits = 0;
+    let hits = AtomicU32::new(0);
     let _ = par_map_shards(items, workers, |_i, x| {
-        hits += 1;
+        hits.fetch_add(1, Ordering::Relaxed);
         shard_step(*x)
     });
-    hits
+    hits.into_inner()
 }

@@ -1,0 +1,21 @@
+//! Lock-order fixture: two shard-reachable helpers take the same two
+//! mutexes in opposite order. S8 flags all four acquisitions, so the
+//! cycle cannot land without a finding.
+
+pub fn drive(items: &[u32], workers: W) {
+    let _ = par_map_shards(items, workers, |_i, x| {
+        fwd(*x);
+        bwd(*x);
+        *x
+    });
+}
+
+fn fwd(x: u32) {
+    let a = reg.lock();
+    let b = stats.lock();
+}
+
+fn bwd(x: u32) {
+    let b = stats.lock();
+    let a = reg.lock();
+}

@@ -1,15 +1,7 @@
-//! S5 fixture: the `par_map_shards` worker closure mutably captures
-//! driver-side state (a counter and a Mutex); the capture-free shard
-//! body below stays legal.
-
-pub fn bad_sum(items: &[u32], workers: usize) -> u32 {
-    let mut total = 0;
-    let _ = par_map_shards(items, workers, |_i, x| {
-        total += x;
-        0
-    });
-    total
-}
+//! S5 fixture: the `par_map_shards` worker closure mutates a captured
+//! `Mutex` — legal Rust, since `&Mutex` is `Sync` — while the
+//! capture-free shard body below stays legal. A plain `total += x` on a
+//! capture needs no rule: the `Fn + Sync` bound rejects it.
 
 pub fn bad_shared(items: &[u32], workers: usize) -> u32 {
     let shared = Mutex::new(0u32);

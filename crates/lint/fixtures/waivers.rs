@@ -1,5 +1,5 @@
 //! Seeded waiver-hygiene cases over S1 (a guarded fn that never reaches
-//! a guard) and S7 (a literal RNG seed): a valid waiver, a
+//! a guard) and S8 (a shard body that sleeps): a valid waiver, a
 //! justification-free waiver (W1), an unknown rule (W2), and a stale
 //! waiver (W3).
 
@@ -8,9 +8,12 @@ pub fn decide(x: f64) -> f64 {
     x * 0.5
 }
 
-pub fn seeded() -> StdRng {
-    // lint:allow(S7)
-    StdRng::seed_from_u64(42)
+pub fn seeded(items: &[u32], workers: usize, pause: Duration) {
+    let _ = par_map_shards(items, workers, |_i, x| {
+        // lint:allow(S8)
+        std::thread::sleep(pause);
+        *x
+    });
 }
 
 // lint:allow(L1): moved to clippy, so no longer a rule

@@ -4,9 +4,8 @@
 //! structure the S-rules need — item nesting, function signatures
 //! and bodies, call/method-call/field/binary expressions, loops and the
 //! blocks they own — and collapses everything else into
-//! [`Expr::Opaque`]. Types are kept as flattened token text (enough for
-//! float classification), patterns as the single bound identifier when
-//! there is one.
+//! [`Expr::Opaque`]. Types are skipped; patterns are kept as the single
+//! bound identifier when there is one.
 
 /// What kind of item a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +42,9 @@ pub struct Item {
     pub line: u32,
     /// Nested items (mod/impl/trait bodies).
     pub children: Vec<Item>,
-    /// Function parameters as `(name, type-text)`; empty otherwise.
-    pub params: Vec<(String, String)>,
+    /// Function parameter names (simple `name: Type` parameters only);
+    /// empty otherwise.
+    pub params: Vec<String>,
     /// Function body (or const/static initializer wrapped in a block).
     pub body: Option<Block>,
     /// Whether the item carried a `#[cfg(test)]` / `#[test]` attribute;
@@ -81,8 +81,6 @@ pub enum Stmt {
     Let {
         /// Bound identifier (empty for tuple/struct patterns).
         name: String,
-        /// Flattened type-annotation text, if any.
-        ty: Option<String>,
         /// Initializer expression, if any.
         init: Option<Expr>,
         /// 1-based line of the `let`.
@@ -109,9 +107,6 @@ pub enum Expr {
     Lit {
         /// 1-based line.
         line: u32,
-        /// Whether this is a float literal (`0.0`, `1e-9`, `2f64`);
-        /// S9 uses this to classify accumulator initializers.
-        float: bool,
     },
     /// `callee(args…)`.
     Call {
@@ -122,14 +117,12 @@ pub enum Expr {
         /// 1-based line of the opening paren.
         line: u32,
     },
-    /// `recv.method::<T>(args…)`.
+    /// `recv.method::<T>(args…)` (the turbofish is skipped).
     MethodCall {
         /// Receiver expression.
         recv: Box<Expr>,
         /// Method name.
         method: String,
-        /// Flattened turbofish text (`::<HashMap<_, _>>`), if present.
-        turbofish: Option<String>,
         /// Arguments.
         args: Vec<Expr>,
         /// 1-based line of the method name.
@@ -169,12 +162,10 @@ pub enum Expr {
         /// Operand.
         expr: Box<Expr>,
     },
-    /// `expr as Type`.
+    /// `expr as Type` (the type is skipped).
     Cast {
         /// The cast expression.
         expr: Box<Expr>,
-        /// Flattened target-type text.
-        ty: String,
     },
     /// `for pat in iter { body }`.
     For {
@@ -219,8 +210,6 @@ pub enum Expr {
         /// Bound parameter identifiers (best effort: idents in pattern
         /// position, including inside tuple/struct patterns).
         params: Vec<String>,
-        /// Whether the closure takes ownership (`move |…| …`).
-        is_move: bool,
         /// Closure body.
         body: Box<Expr>,
         /// 1-based line of the opening `|`.
@@ -257,27 +246,6 @@ pub enum Expr {
     },
     /// Anything the parser does not model.
     Opaque,
-}
-
-impl Expr {
-    /// The 1-based source line of this expression, when known.
-    pub fn line(&self) -> Option<u32> {
-        match self {
-            Expr::Path { line, .. }
-            | Expr::Lit { line, .. }
-            | Expr::Call { line, .. }
-            | Expr::MethodCall { line, .. }
-            | Expr::Field { line, .. }
-            | Expr::Binary { line, .. }
-            | Expr::For { line, .. }
-            | Expr::StructLit { line, .. }
-            | Expr::MacroCall { line, .. }
-            | Expr::Closure { line, .. } => Some(*line),
-            Expr::Index { recv, .. } | Expr::Cast { expr: recv, .. } => recv.line(),
-            Expr::Unary { expr, .. } => expr.line(),
-            _ => None,
-        }
-    }
 }
 
 /// A parsed file: its top-level items.

@@ -28,6 +28,12 @@
 //!
 //! Dev- and build-dependencies may look upward (tests do), but not
 //! point at the shims directly.
+//!
+//! [`rand_violations`] is the seeded-RNG fact over the same inputs: the
+//! crates in [`STREAM_RNG_ONLY`] take `rand` as a dev-dependency only.
+//! `leime-par` re-exports `StdRng` and `Rng` but not `SeedableRng`, so
+//! their library code cannot seed a generator from a literal, an ad-hoc
+//! value or ambient entropy: `leime_par::stream_rng` is the only way.
 
 /// The product crates' layering, lowest first. Rank = index.
 pub const LAYERS: &[&[&str]] = &[
@@ -49,6 +55,11 @@ pub const LAYERS: &[&[&str]] = &[
 
 /// Static-analysis tooling, fenced off from the product graph.
 pub const TOOLING: &[&str] = &["leime-lint"];
+
+/// Crates whose library code seeds RNGs only through
+/// `leime_par::stream_rng`: `rand` may be their dev-dependency, never a
+/// normal one.
+pub const STREAM_RNG_ONLY: &[&str] = &["leime", "leime-fleet", "leime-serving"];
 
 /// Rank of a crate in [`LAYERS`], if it has one.
 pub fn rank_of(name: &str) -> Option<usize> {
@@ -117,6 +128,24 @@ pub fn violations(package: &str, deps: &[Dep<'_>], manifest: &str) -> Vec<Violat
     }
     out.sort_by(|a, b| (a.line, &a.message).cmp(&(b.line, &b.message)));
     out
+}
+
+/// A normal `rand` dependency of a [`STREAM_RNG_ONLY`] package, given its
+/// dependencies and the text of its `Cargo.toml`.
+pub fn rand_violations(package: &str, deps: &[Dep<'_>], manifest: &str) -> Vec<Violation> {
+    if !STREAM_RNG_ONLY.contains(&package) {
+        return Vec::new();
+    }
+    deps.iter()
+        .filter(|d| d.normal && d.name == "rand")
+        .map(|d| Violation {
+            line: dep_line(manifest, d.name),
+            message: format!(
+                "`{package}` depends on `rand` — its library code must seed every RNG \
+                 through `leime_par::stream_rng`; move `rand` to `[dev-dependencies]`"
+            ),
+        })
+        .collect()
 }
 
 fn line_number(idx: usize) -> u32 {
@@ -253,6 +282,22 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].line, 4);
         assert!(out[0].message.contains("shims"));
+    }
+
+    #[test]
+    fn rand_is_a_dev_dependency_only_where_streams_are_pinned() {
+        let rand = |normal| {
+            [Dep {
+                name: "rand",
+                normal,
+            }]
+        };
+        let text = "[dependencies]\nrand.workspace = true";
+        let out = rand_violations("leime-serving", &rand(true), text);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].line, 2);
+        assert!(rand_violations("leime-serving", &rand(false), text).is_empty());
+        assert!(rand_violations("leime-workload", &rand(true), text).is_empty());
     }
 
     #[test]

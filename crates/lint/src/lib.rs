@@ -13,15 +13,21 @@
 //! an intra-crate [`callgraph`] and an interprocedural [`flow`] engine.
 //! The rules built on them:
 //!
-//! | Rule | Enforces |
-//! | ---- | -------- |
-//! | `S1` | guarded solver fns transitively reach an `invariant::` guard (Eq. 8 / Eq. 10–11 / Eq. 27) |
-//! | `S5` | no shared mutable capture across `leime-par` shard-closure boundaries |
-//! | `S6` | hot-path allocation counts only go down against a pinned baseline |
-//! | `S7` | RNGs in `par`/`core`/`serving`/`fleet` derive via `leime_par::stream_seed` |
-//! | `S8` | no blocking calls inside shard worker bodies |
-//! | `S9` | hot float accumulations go through approved ordered reductions |
-//! | `S12` | no lock-order cycles among locks reachable from shard bodies |
+//! | Rule | Enforces | Earns its keep by |
+//! | ---- | -------- | ----------------- |
+//! | `S1` | guarded solver fns transitively reach an `invariant::` guard (Eq. 8 / Eq. 10–11 / Eq. 27) | `fixtures/s1.rs`: a solver that delegates to an unguarded helper, which a per-fn check misses |
+//! | `S5` | no interior mutability (`lock`, `borrow_mut`, atomics, channels) of a capture inside a `leime-par` shard body | `fixtures/s5.rs`: a `Mutex` captured by a shard body compiles, since `Mutex` is `Sync` |
+//! | `S6` | hot-path allocation counts only go down against a pinned baseline | `fixtures/s6.rs`: a hot root and its callee each gain an allocation no type or clippy lint sees |
+//! | `S8` | no blocking call inside, or reachable from, a shard worker body | the whole-edge-per-worker fleet prototype drew 7 findings (nested `run_rounds` waits, telemetry locks); `fixtures/s8.rs` |
+//!
+//! Neighbouring properties need no rule here: a plain mutable capture in
+//! a shard body does not compile (the bodies are `Fn + Sync`); `rand` is
+//! only a dev-dependency of `leime`, `leime-serving` and `leime-fleet`,
+//! so their library code seeds RNGs through `leime_par::stream_rng`
+//! alone (a `cargo metadata` test over [`layering::rand_violations`]);
+//! clippy bans `RwLock`, so every lock a shard body can reach is an S8
+//! finding; and float reduction order is pinned by the byte-identity
+//! walls (DESIGN.md §15).
 //!
 //! Findings pass through the inline `// lint:allow(<rule>): <why>`
 //! waivers of [`rules`] and come out as a [`Report`] under the
@@ -75,23 +81,12 @@ pub struct SemaConfig {
     /// Path substrings marking hot-path files for the S6 allocation
     /// ratchet (counts compare against the pinned baseline only here).
     pub hot_path_markers: Vec<String>,
-    /// Path substrings marking files whose RNG constructions S7 audits.
-    pub rng_path_markers: Vec<String>,
     /// Hot-region roots: fn names whose transitive callees form the S6
     /// hot set (`SlottedSystem::run*`, `ServingSystem::run`, sweeps, …).
     pub hot_root_fns: Vec<String>,
     /// `leime-par` entry points as `(fn name, worker-closure arg
     /// index)` — the closure at that argument is a shard body (S5/S8).
     pub par_entry_args: Vec<(String, usize)>,
-    /// Captured-name substrings exempt from S5's interior-mutability
-    /// branch (the sanctioned driver-drained telemetry sinks).
-    pub s5_exempt_names: Vec<String>,
-    /// Function names allowed to hold float accumulations under S9:
-    /// the ordered-reduction helpers and the approved bit-exact
-    /// kernels. Everything else reachable from a byte-identical
-    /// contract root must route its float reductions through one of
-    /// these.
-    pub s9_approved_fns: Vec<String>,
 }
 
 fn strings(names: &[&str]) -> Vec<String> {
@@ -144,12 +139,6 @@ impl Default for SemaConfig {
                 "crates/exitcfg/src",
                 "crates/fleet/src",
             ]),
-            rng_path_markers: strings(&[
-                "crates/par/src",
-                "crates/core/src",
-                "crates/serving/src",
-                "crates/fleet/src",
-            ]),
             hot_root_fns: strings(&[
                 "run",
                 "run_with_workers",
@@ -168,29 +157,6 @@ impl Default for SemaConfig {
                 ("par_map_shards".to_string(), 2),
                 ("run_rounds".to_string(), 3),
             ],
-            s5_exempt_names: strings(&["telemetry"]),
-            s9_approved_fns: strings(&[
-                // ordered-reduction helpers (leime-par)
-                "concat_shards",
-                "merge_btree_maps",
-                // reviewed order-pinned sequential reductions (DESIGN.md
-                // §15 ledger): single-threaded source-order loops whose
-                // result never crosses a shard boundary unreduced.
-                "run",
-                "avg_env",
-                "flops_prefix",
-                "check_simplex",
-                "validate",
-                "softmax_rows",
-                "norm",
-                "poisson_draw",
-                // fleet regional tier (leime-fleet): sequential
-                // device-id-ordered pressure/backlog sums at interval
-                // boundaries, never crossing a shard boundary.
-                "edge_pressures",
-                "rebalance",
-                "evacuate",
-            ]),
         }
     }
 }
@@ -460,7 +426,7 @@ fn collect_files(dir: &Path, library_only: bool, out: &mut Vec<PathBuf>) -> Resu
     Ok(())
 }
 
-/// Restricts a config to the comma-separated rule list (`"S1,S7"`).
+/// Restricts a config to the comma-separated rule list (`"S1,S8"`).
 ///
 /// # Errors
 ///
@@ -491,21 +457,23 @@ mod tests {
     #[test]
     fn rule_filter_validates_ids() {
         let mut cfg = SemaConfig::default();
-        assert!(parse_rule_filter(&mut cfg, "S1,S7").is_ok());
+        assert!(parse_rule_filter(&mut cfg, "S1,S8").is_ok());
         match &cfg.enabled {
             Some(set) => assert_eq!(set.len(), 2),
             None => unreachable!("filter must restrict the set"),
         }
-        // L1 moved to clippy: it is no longer a leime-lint rule.
+        // L1 moved to clippy and S7 to a cargo dependency fact: neither
+        // is a leime-lint rule any more.
         assert!(parse_rule_filter(&mut cfg, "L1").is_err());
+        assert!(parse_rule_filter(&mut cfg, "S7").is_err());
     }
 
     #[test]
     fn rule_gate_respects_enabled_set() {
         let mut cfg = SemaConfig::default();
-        assert!(cfg.rule_on("S1") && cfg.rule_on("S12"));
-        cfg.enabled = Some(["S7".to_string()].into_iter().collect());
-        assert!(cfg.rule_on("S7"));
+        assert!(cfg.rule_on("S1") && cfg.rule_on("S8"));
+        cfg.enabled = Some(["S5".to_string()].into_iter().collect());
+        assert!(cfg.rule_on("S5"));
         assert!(!cfg.rule_on("S1"));
     }
 
@@ -518,7 +486,7 @@ mod tests {
         ));
         assert!(path_matches(
             "crates/serving/src/system.rs",
-            &cfg.rng_path_markers
+            &cfg.guarded_path_markers
         ));
         assert!(path_matches(
             "crates/fleet/src/system.rs",

@@ -2,8 +2,8 @@
 //! findings pass through.
 //!
 //! S1 — guarded solver fns must *transitively* reach an `invariant::`
-//! call — runs here over one crate's parsed files; the flow rules S5–S9
-//! and S12 live in [`crate::flow`]. Both skip `#[cfg(test)]` / `#[test]`
+//! call — runs here over one crate's parsed files; the flow rules S5, S6
+//! and S8 live in [`crate::flow`]. Both skip `#[cfg(test)]` / `#[test]`
 //! items.
 //!
 //! Waivers: a comment `// lint:allow(<RULE>): <justification>` on the
@@ -21,9 +21,9 @@ use crate::{path_matches, Finding, SemaConfig};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// All primary rule identifiers: S1 here, S5–S9 and S12 in
+/// All primary rule identifiers: S1 here, S5, S6 and S8 in
 /// [`crate::flow`] (S6 is driven by [`crate::run`]).
-pub const RULE_IDS: &[&str] = &["S1", "S5", "S6", "S7", "S8", "S9", "S12"];
+pub const RULE_IDS: &[&str] = &["S1", "S5", "S6", "S8"];
 
 /// A violation suppressed by an inline waiver.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
@@ -253,8 +253,8 @@ mod tests {
         )
     }
 
-    /// Lints `src` as a fleet source: S1-guarded and S7-audited under
-    /// the default config.
+    /// Lints `src` as a fleet source: S1-guarded under the default
+    /// config.
     fn scan(src: &str) -> FileScan {
         crate::scan_sources(
             &[("crates/fleet/src/lib.rs".to_string(), src.to_string())],
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn waiver_for_wrong_rule_does_not_suppress() {
-        let s = scan("// lint:allow(S7): wrong rule\npub fn decide(x: f64) -> f64 {\n    x\n}");
+        let s = scan("// lint:allow(S5): wrong rule\npub fn decide(x: f64) -> f64 {\n    x\n}");
         let rules = rules_of(&s.findings);
         assert!(rules.contains(&"S1"), "{rules:?}");
         assert!(
@@ -382,9 +382,7 @@ mod tests {
 
     #[test]
     fn trailing_same_line_waiver_works() {
-        let s = scan(
-            "pub fn f() -> StdRng { StdRng::seed_from_u64(42) } // lint:allow(S7): exercised\n",
-        );
+        let s = scan("pub fn decide(x: f64) -> f64 { x } // lint:allow(S1): exercised\n");
         assert!(s.findings.is_empty(), "{:?}", s.findings);
         assert_eq!(s.waived.len(), 1);
     }

@@ -50,8 +50,8 @@ fn expected(rule: &str, file: &str, lines: &[u32]) -> Vec<(String, String, u32)>
         .collect()
 }
 
-/// Config for the fixtures: the requested rules only, with the S1, S6
-/// and S7 path markers pointing at the fixtures directory (S5/S8 are
+/// Config for the fixtures: the requested rules only, with the S1 and
+/// S6 path markers pointing at the fixtures directory (S5/S8 are
 /// unscoped — shard bodies are shard bodies anywhere).
 fn fixture_config(rules: &str) -> SemaConfig {
     let mut config = SemaConfig::default();
@@ -60,16 +60,15 @@ fn fixture_config(rules: &str) -> SemaConfig {
     }
     let marker = "crates/lint/fixtures".to_string();
     config.guarded_path_markers.push(marker.clone());
-    config.hot_path_markers.push(marker.clone());
-    config.rng_path_markers.push(marker);
+    config.hot_path_markers.push(marker);
     config
 }
 
 #[test]
 fn waiver_fixture_reports_hygiene_and_waived_sites() {
-    let report = scan_fixture("waivers.rs", fixture_config("S1,S7"));
-    // W1: justification-free S7 waiver (line 12); W2: unknown rule L1
-    // (line 16); W3: stale S5 waiver (line 19).
+    let report = scan_fixture("waivers.rs", fixture_config("S1,S8"));
+    // W1: justification-free S8 waiver (line 13); W2: unknown rule L1
+    // (line 19); W3: stale S5 waiver (line 22).
     let at = |rule: &str, line: u32| {
         (
             rule.to_string(),
@@ -79,7 +78,7 @@ fn waiver_fixture_reports_hygiene_and_waived_sites() {
     };
     assert_eq!(
         triples(&report),
-        vec![at("W1", 12), at("W2", 16), at("W3", 19)]
+        vec![at("W1", 13), at("W2", 19), at("W3", 22)]
     );
     // Both seeded sites are suppressed (the justification-free one still
     // counts as waived; its hygiene problem is the W1 above).
@@ -90,8 +89,8 @@ fn waiver_fixture_reports_hygiene_and_waived_sites() {
         report.waived[0].justification,
         "fixture exercises the waiver path"
     );
-    assert_eq!(report.waived[1].finding.rule, "S7");
-    assert_eq!(report.waived[1].finding.line, 13);
+    assert_eq!(report.waived[1].finding.rule, "S8");
+    assert_eq!(report.waived[1].finding.line, 14);
     assert_eq!(report.waived[1].justification, "");
 }
 
@@ -122,17 +121,17 @@ fn l5_fixture_flags_only_the_unguarded_solver() {
 
 #[test]
 fn text_report_formats_path_line_rule() {
-    let report = scan_fixture("s7.rs", fixture_config("S7"));
+    let report = scan_fixture("s8.rs", fixture_config("S8"));
     let text = report.render_text();
     assert!(
         text.contains(
-            "crates/lint/fixtures/s7.rs:5: [S7] `fn bad_literal` constructs an RNG via \
-             `seed_from_u64` from a literal seed — derive every stream with \
-             `leime_par::stream_seed` so replay and sharding stay byte-identical"
+            "crates/lint/fixtures/s8.rs:6: [S8] `par_map_shards` shard body blocks on \
+             `thread::sleep` — shard workers must stay lock- and wait-free (the pool owns \
+             all synchronization)"
         ),
         "unexpected text report:\n{text}"
     );
-    assert!(text.contains("3 violation(s) (S7: 3)"), "{text}");
+    assert!(text.contains("2 violation(s) (S8: 2)"), "{text}");
 }
 
 #[test]
@@ -140,9 +139,9 @@ fn json_report_carries_schema_rules_paths_and_lines() {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![
         PathBuf::from("crates/lint/fixtures/l5.rs"),
-        PathBuf::from("crates/lint/fixtures/s7.rs"),
+        PathBuf::from("crates/lint/fixtures/s8.rs"),
     ];
-    opts.config = fixture_config("S1,S7");
+    opts.config = fixture_config("S1,S8");
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
@@ -174,9 +173,8 @@ fn json_report_carries_schema_rules_paths_and_lines() {
         .unwrap_or_default();
     let want: Vec<(String, String, u64)> = [
         ("S1", "l5.rs", 4u64),
-        ("S7", "s7.rs", 5),
-        ("S7", "s7.rs", 9),
-        ("S7", "s7.rs", 13),
+        ("S8", "s8.rs", 6),
+        ("S8", "s8.rs", 12),
     ]
     .iter()
     .map(|&(r, f, l)| (r.to_string(), format!("crates/lint/fixtures/{f}"), l))
@@ -195,7 +193,7 @@ fn json_report_carries_schema_rules_paths_and_lines() {
                 .collect()
         })
         .unwrap_or_default();
-    assert_eq!(summary, vec![("S1", 1), ("S7", 3)]);
+    assert_eq!(summary, vec![("S1", 1), ("S8", 2)]);
 }
 
 #[test]
@@ -293,42 +291,50 @@ fn s_rule_findings_carry_rule_file_line_in_text_and_json() {
 }
 
 #[test]
-fn s5_fixture_flags_mutable_and_interior_captures() {
+fn s5_fixture_flags_interior_captures() {
     let report = scan_fixture("s5.rs", fixture_config("S5"));
-    assert_eq!(triples(&report), expected("S5", "s5.rs", &[8, 17]));
+    assert_eq!(triples(&report), expected("S5", "s5.rs", &[9]));
     assert!(
-        report.violations[0].message.contains("`total`")
-            && report.violations[0].message.contains("mutably captures"),
+        report.violations[0].message.contains("`shared`")
+            && report.violations[0].message.contains(".lock()"),
         "{}",
         report.violations[0].message
-    );
-    assert!(
-        report.violations[1].message.contains("`shared`")
-            && report.violations[1].message.contains(".lock()"),
-        "{}",
-        report.violations[1].message
     );
 }
 
 #[test]
-fn s7_fixture_flags_literal_adhoc_and_entropy_seeds() {
-    let report = scan_fixture("s7.rs", fixture_config("S7"));
-    assert_eq!(triples(&report), expected("S7", "s7.rs", &[5, 9, 13]));
-    assert!(
-        report.violations[0].message.contains("literal seed"),
-        "{}",
-        report.violations[0].message
-    );
-    assert!(
-        report.violations[1].message.contains("ad-hoc seed"),
-        "{}",
-        report.violations[1].message
-    );
-    assert!(
-        report.violations[2].message.contains("ambient entropy"),
-        "{}",
-        report.violations[2].message
-    );
+fn rand_dependency_fixture_flags_the_normal_edge_only() {
+    // A stream-pinned crate with `rand` under `[dependencies]` could seed
+    // an RNG from a literal, an ad-hoc value or ambient entropy; with
+    // `rand` under `[dev-dependencies]` its library code cannot name
+    // `SeedableRng` at all.
+    let dep = |normal: bool| Dep {
+        name: "rand",
+        normal,
+    };
+    for (krate, dep, flagged) in [
+        ("leime-serving", dep(true), true),
+        ("leime-fleet", dep(false), false),
+    ] {
+        let path = workspace_root().join(format!(
+            "crates/lint/fixtures/rand_ws/crates/{krate}/Cargo.toml"
+        ));
+        let manifest = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => unreachable!("cannot read {}: {e}", path.display()),
+        };
+        let found = layering::rand_violations(krate, &[dep], &manifest);
+        if flagged {
+            assert_eq!(found.len(), 1, "{krate}: {found:?}");
+            assert_eq!(found[0].line, 7, "{krate}: {found:?}");
+            assert!(
+                found[0].message.contains("stream_rng"),
+                "{krate}: {found:?}"
+            );
+        } else {
+            assert!(found.is_empty(), "{krate}: {found:?}");
+        }
+    }
 }
 
 #[test]
@@ -352,7 +358,7 @@ fn s8_fixture_flags_direct_and_transitive_blocking() {
 fn flow_ws_fixture_crosses_files() {
     // The shard body lives in driver.rs; its helper's blocking receive
     // lives in worker.rs — the flow graph must connect them.
-    let report = scan_fixture("flow_ws", fixture_config("S5,S7,S8"));
+    let report = scan_fixture("flow_ws", fixture_config("S5,S8"));
     assert_eq!(
         triples(&report),
         vec![
@@ -420,11 +426,11 @@ fn s6_write_baseline_round_trips_to_a_clean_run() {
 #[test]
 fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
     let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = ["s5.rs", "s7.rs", "s8.rs"]
+    opts.paths = ["s5.rs", "s8.rs"]
         .iter()
         .map(|f| PathBuf::from(format!("crates/lint/fixtures/{f}")))
         .collect();
-    opts.config = fixture_config("S5,S7,S8");
+    opts.config = fixture_config("S5,S8");
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
@@ -432,8 +438,7 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
 
     let text = report.render_text();
     for line in [
-        "crates/lint/fixtures/s5.rs:8: [S5]",
-        "crates/lint/fixtures/s7.rs:5: [S7]",
+        "crates/lint/fixtures/s5.rs:9: [S5]",
         "crates/lint/fixtures/s8.rs:6: [S8]",
     ] {
         assert!(text.contains(line), "missing `{line}` in:\n{text}");
@@ -449,7 +454,7 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
         .as_array()
         .map(|a| a.iter().filter_map(|r| r.as_str()).collect())
         .unwrap_or_default();
-    for rule in ["S5", "S6", "S7", "S8"] {
+    for rule in ["S5", "S6", "S8"] {
         assert!(rule_set.contains(&rule), "{rule} missing from {rule_set:?}");
     }
     let got: Vec<(String, String, u64)> = v["violations"]
@@ -466,15 +471,11 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
                 .collect()
         })
         .unwrap_or_default();
-    // The `.lock()` at s5.rs:17 is doubly wrong: a shared-mutation S5
+    // The `.lock()` at s5.rs:9 is doubly wrong: a shared-mutation S5
     // *and* a blocking S8 inside the shard body.
     let want: Vec<(String, String, u64)> = [
-        ("S5", "s5.rs", 8u64),
-        ("S5", "s5.rs", 17),
-        ("S8", "s5.rs", 17),
-        ("S7", "s7.rs", 5),
-        ("S7", "s7.rs", 9),
-        ("S7", "s7.rs", 13),
+        ("S5", "s5.rs", 9u64),
+        ("S8", "s5.rs", 9),
         ("S8", "s8.rs", 6),
         ("S8", "s8.rs", 12),
     ]
@@ -485,114 +486,25 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
 }
 
 #[test]
-fn s9_fixture_flags_hot_float_accumulations_only() {
-    let report = scan_fixture("s9.rs", fixture_config("S9"));
-    // `seq_sweep` is a hot root: its loop-carried `acc +=` and the
-    // trailing float `.sum()` both fire; `cold` stays silent.
-    assert_eq!(triples(&report), expected("S9", "s9.rs", &[6, 8]));
-    assert!(
-        report.violations[0].message.contains("`acc += …`")
-            && report.violations[0].message.contains("byte-identical"),
-        "{}",
-        report.violations[0].message
-    );
-    assert!(
-        report.violations[1].message.contains(".sum()"),
-        "{}",
-        report.violations[1].message
-    );
-}
-
-#[test]
 fn s12_fixture_flags_the_lock_cycle() {
-    let report = scan_fixture("s12.rs", fixture_config("S12"));
-    // The cycle anchors at the first acquisition of its smallest lock.
-    assert_eq!(triples(&report), expected("S12", "s12.rs", &[12]));
-    assert!(
-        report.violations[0].message.contains("reg → stats → reg"),
-        "{}",
-        report.violations[0].message
-    );
-}
-
-#[test]
-fn numeric_ws_fixture_crosses_files_in_text_and_json() {
-    // The hot root and shard body live in driver.rs; the S9 float
-    // reduction sits in kernel.rs and the S12 lock cycle in locks.rs —
-    // the flow graph must connect all three files.
-    let report = scan_fixture("numeric_ws", fixture_config("S9,S12"));
+    // The old S12 fixture, now S8's: the two helpers take `reg` and
+    // `stats` in opposite order. Every
+    // acquisition reachable from a shard body is an S8 finding, so a
+    // lock-order cycle there is always reported (and clippy bans
+    // `RwLock`, whose argument-free `.read()`/`.write()` S8 would miss).
+    let report = scan_fixture("lock_cycle.rs", fixture_config("S8"));
     assert_eq!(
         triples(&report),
-        vec![
-            (
-                "S9".to_string(),
-                "crates/lint/fixtures/numeric_ws/kernel.rs".to_string(),
-                6
-            ),
-            (
-                "S12".to_string(),
-                "crates/lint/fixtures/numeric_ws/locks.rs".to_string(),
-                4
-            ),
-        ]
+        expected("S8", "lock_cycle.rs", &[14, 15, 19, 20])
     );
-    assert!(report.violations[0].message.contains("`fn accumulate`"));
-    assert!(
-        report.violations[1]
-            .message
-            .contains("registry → stats → registry"),
-        "{}",
-        report.violations[1].message
-    );
-
-    let text = report.render_text();
-    for line in [
-        "crates/lint/fixtures/numeric_ws/kernel.rs:6: [S9]",
-        "crates/lint/fixtures/numeric_ws/locks.rs:4: [S12]",
-    ] {
-        assert!(text.contains(line), "missing `{line}` in:\n{text}");
+    for (f, helper) in report.violations.iter().zip(["fwd", "fwd", "bwd", "bwd"]) {
+        assert!(
+            f.message
+                .contains(&format!("`fn {helper}` blocks on `.lock()`")),
+            "{}",
+            f.message
+        );
     }
-
-    let v: serde_json::Value = match serde_json::from_str(&report.to_json()) {
-        Ok(v) => v,
-        Err(e) => unreachable!("JSON report must parse: {e:?}"),
-    };
-    assert_eq!(v["schema"].as_str(), Some("leime-lint/4"));
-    assert_eq!(v["schema"].as_str(), Some(SCHEMA_VERSION));
-    let rule_set: Vec<&str> = v["rule_set"]
-        .as_array()
-        .map(|a| a.iter().filter_map(|r| r.as_str()).collect())
-        .unwrap_or_default();
-    for rule in ["S9", "S12"] {
-        assert!(rule_set.contains(&rule), "{rule} missing from {rule_set:?}");
-    }
-    let got: Vec<(String, String, u64)> = v["violations"]
-        .as_array()
-        .map(|list| {
-            list.iter()
-                .map(|f| {
-                    (
-                        f["rule"].as_str().unwrap_or("").to_string(),
-                        f["path"].as_str().unwrap_or("").to_string(),
-                        f["line"].as_u64().unwrap_or(0),
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let want: Vec<(String, String, u64)> = vec![
-        (
-            "S9".to_string(),
-            "crates/lint/fixtures/numeric_ws/kernel.rs".to_string(),
-            6,
-        ),
-        (
-            "S12".to_string(),
-            "crates/lint/fixtures/numeric_ws/locks.rs".to_string(),
-            4,
-        ),
-    ];
-    assert_eq!(got, want);
 }
 
 #[test]
@@ -609,7 +521,7 @@ fn deny_all_semantics_fixtures_dirty_workspace_clean_of_fixture_rules() {
     // ...and every rule with a seeded fixture is represented in the
     // summary (S6 needs a baseline, which explicit-path scans skip).
     let hit: Vec<&str> = report.summary.iter().map(|c| c.rule.as_str()).collect();
-    for rule in ["S1", "S5", "S7", "S8", "S9", "S12", "W1", "W2", "W3"] {
+    for rule in ["S1", "S5", "S8", "W1", "W2", "W3"] {
         assert!(hit.contains(&rule), "rule {rule} missing from {hit:?}");
     }
 }

@@ -5,7 +5,7 @@ use leime_lint::{scan_sources, SemaConfig, RULE_IDS};
 use proptest::prelude::*;
 
 /// The rules [`seeded_source`] can violate.
-const SEEDED: &[&str] = &["S1", "S7"];
+const SEEDED: &[&str] = &["S1", "S8"];
 
 /// A source snippet violating exactly one rule, with the waiver comment
 /// placed on the line directly above the violating line.
@@ -19,9 +19,13 @@ fn seeded_source(violated: &str, waived: &str) -> (String, u32) {
             format!("{allow}\npub fn balance_solve(x: f64) -> f64 {{\n    x.min(1.0)\n}}\n"),
             2,
         ),
-        "S7" => (
-            format!("pub fn rng() -> StdRng {{\n    {allow}\n    StdRng::seed_from_u64(42)\n}}\n"),
-            3,
+        "S8" => (
+            format!(
+                "pub fn run(items: &[u32], workers: W) {{\n    \
+                 let _ = par_map_shards(items, workers, |_i, x| {{\n        \
+                 {allow}\n        thread::sleep(d);\n        *x\n    }});\n}}\n"
+            ),
+            4,
         ),
         other => unreachable!("unknown rule {other}"),
     }
@@ -42,7 +46,7 @@ proptest! {
         let violated = SEEDED[violated_ix];
         let waived = RULE_IDS[waived_ix];
         let (src, line) = seeded_source(violated, waived);
-        // The default config S1-guards and S7-audits fleet sources.
+        // The default config S1-guards fleet sources; S8 is unscoped.
         let path = "crates/fleet/src/system.rs".to_string();
         let scan = scan_sources(&[(path, src)], &SemaConfig::default());
 

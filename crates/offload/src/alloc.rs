@@ -155,14 +155,14 @@ mod tests {
         // A very strong device with tiny demand would get a negative raw
         // share; projection pins it to zero and keeps the sum at 1.
         let p = kkt_allocation(&[1e9, 500e9], &[10.0, 0.1], 10e9);
-        assert_eq!(p[1], 0.0);
+        assert_eq!(p[1].to_bits(), 0.0_f64.to_bits());
         assert!((p[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_demand_gets_zero_share() {
         let p = kkt_allocation(&[1e9, 1e9], &[10.0, 0.0], 40e9);
-        assert_eq!(p[1], 0.0);
+        assert_eq!(p[1].to_bits(), 0.0_f64.to_bits());
         assert!((p[0] - 1.0).abs() < 1e-12);
     }
 

@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn device_only_keeps_everything_local() {
         let x = DeviceOnly.decide(shared(1e4), DeviceParams::raspberry_pi(10.0), obs());
-        assert_eq!(x, 0.0);
+        assert_eq!(x.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

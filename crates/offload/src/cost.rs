@@ -304,12 +304,12 @@ mod tests {
 
     #[test]
     fn t_device_zero_when_all_offloaded() {
-        assert_eq!(cost(0.0, 0.0).t_device(1.0), 0.0);
+        assert_eq!(cost(0.0, 0.0).t_device(1.0).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
     fn t_edge_zero_when_none_offloaded() {
-        assert_eq!(cost(0.0, 0.0).t_edge(0.0), 0.0);
+        assert_eq!(cost(0.0, 0.0).t_edge(0.0).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -377,7 +377,7 @@ mod tests {
     fn no_share_means_infinite_edge_cost() {
         let c = SlotCost::new(shared(), DeviceParams::raspberry_pi(10.0), 0.0, 0.0, 0.0);
         assert!(c.t_edge(0.5).is_infinite());
-        assert_eq!(c.t_edge(0.0), 0.0);
+        assert_eq!(c.t_edge(0.0).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

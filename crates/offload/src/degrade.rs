@@ -282,7 +282,7 @@ mod tests {
         // Slot 0: first loss → retry 1.
         let o0 = s.degraded_decide(&p, 0, false, 0.5);
         assert!(o0.timed_out && o0.retried && !o0.fell_back);
-        assert_eq!(o0.x, 0.0);
+        assert_eq!(o0.x.to_bits(), 0.0_f64.to_bits());
         // Slots 1–2: retries 2 and 3.
         for slot in 1..=2 {
             let o = s.degraded_decide(&p, slot, false, 0.5);
@@ -345,7 +345,7 @@ mod tests {
         s.degraded_decide(&p, 0, false, 0.5);
         let back = s.degraded_decide(&p, 1, true, 0.5);
         assert!(back.recovered);
-        assert_eq!(back.x, 0.5);
+        assert_eq!(back.x.to_bits(), 0.5_f64.to_bits());
         assert_eq!(s.mode(), DegradeMode::Normal);
 
         let mut s = DegradeState {
@@ -356,7 +356,7 @@ mod tests {
         };
         let probe = s.degraded_decide(&p, 5, true, 0.7);
         assert!(probe.recovered);
-        assert_eq!(probe.x, 0.7);
+        assert_eq!(probe.x.to_bits(), 0.7_f64.to_bits());
         assert_eq!(s.mode(), DegradeMode::Normal);
     }
 

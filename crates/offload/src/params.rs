@@ -167,10 +167,10 @@ mod tests {
             .partition(ExitCombo::new(2, 7, m - 1, m).unwrap())
             .unwrap();
         let sp = SharedParams::from_partition(&p, 0.5, 40e9, 1.0, 100.0);
-        assert_eq!(sp.mu1, p.device.flops);
-        assert_eq!(sp.mu2, p.edge.flops);
-        assert_eq!(sp.d0_bytes, p.input_bytes);
-        assert_eq!(sp.d1_bytes, p.device.boundary_bytes);
+        assert_eq!(sp.mu1.to_bits(), p.device.flops.to_bits());
+        assert_eq!(sp.mu2.to_bits(), p.edge.flops.to_bits());
+        assert_eq!(sp.d0_bytes.to_bits(), p.input_bytes.to_bits());
+        assert_eq!(sp.d1_bytes.to_bits(), p.device.boundary_bytes.to_bits());
         assert!(sp.validate().is_ok());
     }
 

@@ -96,7 +96,7 @@ mod tests {
     fn lyapunov_function() {
         let mut qp = QueuePair::new();
         qp.step(3.0, 4.0, 0.0, 0.0);
-        assert_eq!(qp.lyapunov(), 0.5 * 25.0);
+        assert_eq!(qp.lyapunov().to_bits(), f64::to_bits(0.5 * 25.0));
     }
 
     #[test]

@@ -354,7 +354,7 @@ mod tests {
     fn exact_solve_keeps_the_low_end_without_an_edge_share() {
         // W = p·F^e = 0: every x > 0 costs an infinite edge wait.
         let c = SlotCost::new(shared(), DeviceParams::raspberry_pi(10.0), 3.0, 2.0, 0.0);
-        assert_eq!(exact_solve(&c), 0.0);
+        assert_eq!(exact_solve(&c).to_bits(), 0.0_f64.to_bits());
         // Same with the bandwidth constraint binding from below (lo > 0).
         let mut s = shared();
         s.d1_bytes = 400_000.0;
@@ -364,7 +364,7 @@ mod tests {
         let c = SlotCost::new(s, dev, 3.0, 2.0, 0.0);
         let (lo, _) = feasible_interval(&c);
         assert!(lo > 0.0);
-        assert_eq!(exact_solve(&c), lo);
+        assert_eq!(exact_solve(&c).to_bits(), lo.to_bits());
     }
 
     #[test]
@@ -395,7 +395,10 @@ mod tests {
         dev.bandwidth_bps = 20e6;
         let c = SlotCost::new(s, dev, 0.0, 0.0, 0.25);
         let (lo, hi) = feasible_interval(&c);
-        assert!(hi == 1.0 && lo > 0.0, "({lo}, {hi})");
+        assert!(
+            hi.to_bits() == 1.0_f64.to_bits() && lo > 0.0,
+            "({lo}, {hi})"
+        );
     }
 
     #[test]

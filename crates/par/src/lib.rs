@@ -1,7 +1,7 @@
 //! # leime-par
 //!
 //! Deterministic parallel execution for the LEIME workspace: a
-//! dependency-free, `std::thread`-based layer that makes fleet-scale
+//! `std::thread`-based layer that makes fleet-scale
 //! simulation and sweep work faster **without changing a single output
 //! byte** (DESIGN.md §11).
 //!
@@ -14,7 +14,7 @@
 //!
 //! 1. **Static sharding** ([`shard::partition`]) — contiguous,
 //!    deterministic index ranges; no work stealing.
-//! 2. **Per-stream RNG seeds** ([`rng::stream_seed`]) — every logical
+//! 2. **Per-stream RNGs** ([`rng::stream_rng`]) — every logical
 //!    stream (device, sweep cell) derives its generator from
 //!    `SplitMix64(master, stream_id)`, independent of worker count.
 //! 3. **Ordered reduction** ([`pool::par_map_shards`],
@@ -35,8 +35,10 @@ pub mod rng;
 pub mod shard;
 
 pub use pool::{par_map_shards, run_rounds};
+pub use rand::rngs::StdRng;
+pub use rand::Rng;
 pub use reduce::{concat_shards, merge_btree_maps};
-pub use rng::{split_mix64, stream_seed};
+pub use rng::{split_mix64, stream_rng, stream_seed};
 pub use shard::{epoch_ranges, owner_of, partition};
 
 /// A failure inside the parallel layer itself.

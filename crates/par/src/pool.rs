@@ -156,6 +156,21 @@ impl Drop for FleetRelease<'_> {
 /// Returns [`ParError::ShardPanic`] naming the first shard (in shard
 /// order) whose closure panicked; results from other shards are
 /// discarded.
+///
+/// # Shared mutation does not compile
+///
+/// `f` is `Fn + Sync`, so a closure that writes to a captured local is
+/// rejected; shards return their contribution and the caller folds it:
+///
+/// ```compile_fail,E0594
+/// use std::num::NonZeroUsize;
+/// let workers = NonZeroUsize::MIN;
+/// let mut total = 0;
+/// let _ = leime_par::par_map_shards(&[1u32, 2, 3], workers, |_i, x| {
+///     total += 1;
+///     *x
+/// });
+/// ```
 pub fn par_map_shards<T, R, F>(items: &[T], workers: NonZeroUsize, f: F) -> Result<Vec<R>, ParError>
 where
     T: Sync,
@@ -242,6 +257,27 @@ where
 ///   returning.
 /// * [`RoundsError::Apply`] — `apply` itself failed; the pool shuts
 ///   down the same way.
+///
+/// # Shared mutation does not compile
+///
+/// `work` is `Fn + Sync`: it may mutate its own shard state, but a
+/// write to a captured local is rejected. Cross-shard tallies belong in
+/// `apply`, which runs on the caller's thread in shard order:
+///
+/// ```compile_fail,E0594
+/// use std::num::NonZeroUsize;
+/// let mut total = 0;
+/// let _ = leime_par::run_rounds(
+///     vec![0u32; 2],
+///     3,
+///     |round| round,
+///     |_shard, _round, _ctx: &usize, state: &mut u32| {
+///         total += 1;
+///         *state += 1;
+///     },
+///     |_round, _outs: Vec<()>| Ok::<(), ()>(()),
+/// );
+/// ```
 pub fn run_rounds<S, Ctx, Out, E, MkCtx, Work, Apply>(
     shards: Vec<S>,
     rounds: usize,

@@ -14,6 +14,9 @@
 //! over the master/stream combination give well-separated streams even
 //! for adjacent `(master, stream)` pairs.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 /// The SplitMix64 additive constant (the 64-bit golden ratio).
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -43,6 +46,17 @@ pub fn stream_seed(master: u64, stream_id: u64) -> u64 {
     first ^ split_mix64(&mut state)
 }
 
+/// The generator of stream `stream_id` under `master`:
+/// `StdRng::seed_from_u64(stream_seed(master, stream_id))`.
+///
+/// This is the workspace's one seeded-RNG constructor. `leime`,
+/// `leime-serving` and `leime-fleet` depend on `rand` only for tests, and
+/// this crate re-exports [`StdRng`] and [`Rng`] but not `SeedableRng`, so
+/// their library code cannot seed a generator any other way.
+pub fn stream_rng(master: u64, stream_id: u64) -> StdRng {
+    StdRng::seed_from_u64(stream_seed(master, stream_id))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,6 +69,16 @@ mod tests {
         assert_eq!(split_mix64(&mut state), 0xE220_A839_7B1D_CDAF);
         assert_eq!(split_mix64(&mut state), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(split_mix64(&mut state), 0x06C4_5D18_8009_454F);
+    }
+
+    #[test]
+    fn stream_rng_is_seed_from_u64_of_stream_seed() {
+        use rand::Rng;
+        let mut a = stream_rng(42, 7);
+        let mut b = StdRng::seed_from_u64(stream_seed(42, 7));
+        for _ in 0..16 {
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 
     #[test]

@@ -33,11 +33,10 @@ use std::sync::Arc;
 
 use leime_chaos::{ChaosConfig, FaultModel, FaultSchedule};
 use leime_offload::{DegradeState, DeviceParams, QueuePair, SharedParams, SlotCost};
+use leime_par::{Rng, StdRng};
 use leime_simnet::SimTime;
 use leime_telemetry::{Counter, Histogram, Registry, Series, VirtualClock};
 use leime_workload::SlotArrivals;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use leime::{decide_device, DecideCtx, DecideMemo, LeimeError, ModelKind, Scenario, SlotQuants};
 
@@ -121,9 +120,20 @@ impl ServingSystem {
     /// configs, and propagates exit-search errors.
     pub fn new(scenario: Scenario, config: ServingConfig) -> leime::Result<Self> {
         scenario.validate()?;
-        config
-            .validate()
-            .map_err(|e| LeimeError::Config(format!("serving config: {e}")))?;
+        let invalid =
+            |e: &dyn std::fmt::Display| LeimeError::Config(format!("serving config: {e}"));
+        config.validate().map_err(|e| invalid(&e))?;
+        // A sub-slot cycle only aliases at the slot grid, and the bound
+        // keeps `t_s / period_s` within the slot count (a 1e-308 s period
+        // overflows it into `cos(∞)`).
+        if let TrafficModel::Diurnal { period_s, .. } = config.traffic.model {
+            if period_s < scenario.slot_len_s {
+                return Err(invalid(&format_args!(
+                    "diurnal period {period_s} s is shorter than the {} s slot",
+                    scenario.slot_len_s
+                )));
+            }
+        }
         let plan = steer_exits(&scenario, &config.steer)?;
         Ok(ServingSystem {
             scenario,
@@ -200,10 +210,10 @@ impl ServingSystem {
             .map(|i| DeviceState {
                 queue: QueuePair::new(),
                 degrade: DegradeState::new(),
-                rng: StdRng::seed_from_u64(leime_par::stream_seed(seed, i as u64)),
+                rng: leime_par::stream_rng(seed, i as u64),
             })
             .collect();
-        let mut traffic_rng = StdRng::seed_from_u64(leime_par::stream_seed(seed, TRAFFIC_STREAM));
+        let mut traffic_rng = leime_par::stream_rng(seed, TRAFFIC_STREAM);
         let mut memo = DecideMemo::default();
 
         let mut stats: [ClassStats; 3] =
@@ -485,6 +495,30 @@ mod tests {
     fn system(load: f64) -> ServingSystem {
         let (scenario, config) = serving_testbed(ModelKind::SqueezeNet, 4, load);
         ServingSystem::new(scenario, config).unwrap()
+    }
+
+    fn diurnal(period_s: f64, peak: f64) -> leime::Result<ServingSystem> {
+        let (scenario, mut config) = serving_testbed(ModelKind::SqueezeNet, 4, 1.0);
+        config.traffic.model = TrafficModel::Diurnal {
+            period_s,
+            trough: 0.5,
+            peak,
+        };
+        ServingSystem::new(scenario, config)
+    }
+
+    #[test]
+    fn diurnal_with_infinite_peak_is_a_config_error() {
+        assert!(matches!(
+            diurnal(60.0, f64::INFINITY),
+            Err(LeimeError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn diurnal_period_below_one_slot_is_a_config_error() {
+        assert!(matches!(diurnal(1e-308, 2.0), Err(LeimeError::Config(_))));
+        assert!(diurnal(60.0, 2.0).is_ok());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! stream (`stream_seed(seed, TRAFFIC_STREAM)`) — so every shape is
 //! seed-deterministic and replayable (DESIGN.md §11, §12).
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use leime_par::{Rng, StdRng};
 use serde::{Deserialize, Serialize};
 
 /// The RNG stream id reserved for the fleet-level traffic process
@@ -119,12 +118,16 @@ impl TrafficConfig {
                 trough,
                 peak,
             } => {
-                if !(*period_s > 0.0) {
-                    return Err(format!("diurnal period must be positive, got {period_s}"));
-                }
-                if !(*trough > 0.0 && peak >= trough) {
+                // Finite bounds keep `rate_factor` finite: an infinite
+                // peak makes `(peak − trough)·0` at t = 0 a NaN.
+                if !(period_s.is_finite() && *period_s > 0.0) {
                     return Err(format!(
-                        "diurnal range [{trough}, {peak}] must satisfy 0 < trough <= peak"
+                        "diurnal period must be positive and finite, got {period_s}"
+                    ));
+                }
+                if !(peak.is_finite() && *trough > 0.0 && peak >= trough) {
+                    return Err(format!(
+                        "diurnal range [{trough}, {peak}] must satisfy 0 < trough <= peak < ∞"
                     ));
                 }
                 Ok(())
@@ -223,10 +226,9 @@ impl TrafficConfig {
 #[allow(clippy::field_reassign_with_default, reason = "clearer policy tweaks")]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn rng() -> StdRng {
-        StdRng::seed_from_u64(leime_par::stream_seed(42, TRAFFIC_STREAM))
+        leime_par::stream_rng(42, TRAFFIC_STREAM)
     }
 
     #[test]
@@ -254,6 +256,15 @@ mod tests {
         })
         .validate()
         .is_err());
+        // Non-finite bounds would turn `rate_factor` into NaN.
+        for (period_s, peak) in [(100.0, f64::INFINITY), (f64::INFINITY, 2.0)] {
+            let c = bad(TrafficModel::Diurnal {
+                period_s,
+                trough: 0.5,
+                peak,
+            });
+            assert!(c.validate().is_err(), "{:?}", c.model);
+        }
         assert!(bad(TrafficModel::FlashCrowd {
             start_s: 10.0,
             duration_s: 20.0,

@@ -100,14 +100,14 @@ mod tests {
     fn virtual_clock_advances_and_shares_state() {
         let a = VirtualClock::new();
         let b = a.clone();
-        assert_eq!(a.now(), 0.0);
+        assert_eq!(a.now().to_bits(), 0.0_f64.to_bits());
         a.advance_to(1.5);
-        assert_eq!(b.now(), 1.5);
+        assert_eq!(b.now().to_bits(), 1.5_f64.to_bits());
         // Never rewinds.
         b.advance_to(1.0);
-        assert_eq!(a.now(), 1.5);
+        assert_eq!(a.now().to_bits(), 1.5_f64.to_bits());
         b.advance_to(2.0);
-        assert_eq!(a.now(), 2.0);
+        assert_eq!(a.now().to_bits(), 2.0_f64.to_bits());
     }
 
     #[test]

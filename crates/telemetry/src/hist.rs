@@ -478,7 +478,10 @@ mod tests {
         assert_eq!(bucket_index(0.0), bucket_index(1e-12));
         assert_eq!(bucket_index(0.0), bucket_index(-1e-12));
         assert_ne!(bucket_index(0.0), bucket_index(1e-9));
-        assert_eq!(bucket_representative(bucket_index(0.0)), 0.0);
+        assert_eq!(
+            bucket_representative(bucket_index(0.0)).to_bits(),
+            0.0_f64.to_bits()
+        );
     }
 
     #[test]

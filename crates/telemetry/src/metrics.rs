@@ -131,10 +131,10 @@ mod tests {
     #[test]
     fn gauge_holds_last_value() {
         let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
+        assert_eq!(g.get().to_bits(), 0.0_f64.to_bits());
         g.set(-2.5);
         g.set(7.25);
-        assert_eq!(g.get(), 7.25);
+        assert_eq!(g.get().to_bits(), 7.25_f64.to_bits());
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
                 end: 0.25
             }
         );
-        assert_eq!(records[1].duration(), 0.25);
+        assert_eq!(records[1].duration().to_bits(), 0.25_f64.to_bits());
     }
 
     #[test]

@@ -60,7 +60,8 @@ proptest! {
         // Same bucket as the exact answer, or clamped onto an observed
         // extreme (which is itself a recorded sample).
         let same_bucket = bucket_index(est) == bucket_index(exact);
-        let at_extreme = est == sorted[0] || est == sorted[sorted.len() - 1];
+        let at_extreme = est.to_bits() == sorted[0].to_bits()
+            || est.to_bits() == sorted[sorted.len() - 1].to_bits();
         // Either way the multiplicative error is ≤ one bucket growth
         // factor, except when clamping jumped to an extreme.
         let growth = 2f64.powf(1.0 / BUCKETS_PER_OCTAVE as f64);
@@ -115,11 +116,12 @@ fn tracer_parity_virtual_vs_wall() {
         move |dt: f64| c.advance_to(c.now() + dt)
     };
     let virtual_records = workload(&Tracer::new(vclock), vtick);
+    let spin = WallClock::new();
     let wall_records = workload(&Tracer::new(WallClock::new()), |_dt| {
         // A real sleep would slow the suite; spinning a moment is enough
-        // for Instant to move on every platform we run on.
-        let t0 = std::time::Instant::now();
-        while t0.elapsed().as_nanos() < 1_000 {}
+        // for the wall clock to move on every platform we run on.
+        let t0 = spin.now();
+        while spin.now() - t0 < 1e-6 {}
     });
 
     let names = |rs: &[SpanRecord]| rs.iter().map(|r| r.name.clone()).collect::<Vec<_>>();

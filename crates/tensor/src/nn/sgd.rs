@@ -125,8 +125,8 @@ mod tests {
     #[test]
     fn lr_is_adjustable() {
         let mut opt = Sgd::new(1, 0.1, 0.0);
-        assert_eq!(opt.lr(), 0.1);
+        assert_eq!(opt.lr().to_bits(), 0.1_f32.to_bits());
         opt.set_lr(0.01);
-        assert_eq!(opt.lr(), 0.01);
+        assert_eq!(opt.lr().to_bits(), 0.01_f32.to_bits());
     }
 }

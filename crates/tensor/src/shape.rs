@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn offset_round_trip() {
         let s = Shape::d3(2, 3, 4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..2 {
             for j in 0..3 {
                 for k in 0..4 {

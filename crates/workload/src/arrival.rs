@@ -289,7 +289,7 @@ mod tests {
             total += x;
         }
         assert!((total as f64 / 10_000.0 - 5.0).abs() < 0.1);
-        assert_eq!(a.mean(), 5.0);
+        assert_eq!(a.mean().to_bits(), 5.0_f64.to_bits());
     }
 
     #[test]

@@ -148,7 +148,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let d = ComplexityDist::Fixed { value: 0.7 };
         for _ in 0..10 {
-            assert_eq!(d.draw(&mut rng), 0.7);
+            assert_eq!(d.draw(&mut rng).to_bits(), 0.7_f64.to_bits());
         }
     }
 

@@ -24,7 +24,7 @@ fn main() -> Result<(), leime::LeimeError> {
         (SimTime::from_secs(300.0), 10.0), // evening rush
         (SimTime::from_secs(400.0), 2.0),
     ])
-    .expect("trace points are increasing");
+    .map_err(leime::LeimeError::Config)?;
 
     let mut scenario = Scenario::raspberry_pi_cluster(ModelKind::InceptionV3, 4, 2.0);
     scenario.devices.push(DeviceParams::jetson_nano(2.0));

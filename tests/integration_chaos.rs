@@ -22,12 +22,15 @@ const CHAOS_SEED: u64 = 42;
 const DEVICES: usize = 3;
 const FAULT_WINDOW_S: f64 = 120.0;
 
-fn run_scenario(scenario: &Scenario) -> (RunReport, f64) {
-    let dep = scenario.deploy(ExitStrategy::Leime).unwrap();
-    let mut sys = SlottedSystem::new(scenario.clone(), dep).unwrap();
-    let report = sys.run(SLOTS, RUN_SEED).unwrap();
+/// Errors a helper hands back to its `#[test]` caller.
+type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn run_scenario(scenario: &Scenario) -> TestResult<(RunReport, f64)> {
+    let dep = scenario.deploy(ExitStrategy::Leime)?;
+    let mut sys = SlottedSystem::new(scenario.clone(), dep)?;
+    let report = sys.run(SLOTS, RUN_SEED)?;
     let backlog = sys.queues().iter().map(|qp| qp.q() + qp.h()).sum::<f64>();
-    (report, backlog)
+    Ok((report, backlog))
 }
 
 /// The ISSUE acceptance criterion: under the ~30 % link-blackout schedule
@@ -43,9 +46,9 @@ fn graceful_degradation_beats_fully_local_and_recovers() {
     let mut local = faulted.clone();
     local.controller = ControllerKind::DeviceOnly;
 
-    let (clean_report, clean_backlog) = run_scenario(&clean);
-    let (graceful_report, graceful_backlog) = run_scenario(&faulted);
-    let (local_report, _) = run_scenario(&local);
+    let (clean_report, clean_backlog) = run_scenario(&clean).unwrap();
+    let (graceful_report, graceful_backlog) = run_scenario(&faulted).unwrap();
+    let (local_report, _) = run_scenario(&local).unwrap();
 
     // The schedule actually bit, and the degradation ladder engaged.
     let f = graceful_report.fault_stats();
@@ -153,13 +156,13 @@ fn generated_chaos(seed: u64, mask: u8, duty: f64, mean_s: f64, window_s: f64) -
 /// `QueuePair::step` fires on any negative excursion under
 /// `cfg(debug_assertions)`), and that the backlog drains back into a
 /// bounded envelope over the fault-free tail.
-fn assert_queues_stable_under_faults(n: usize, arrival: f64, chaos: ChaosConfig) {
+fn assert_queues_stable_under_faults(n: usize, arrival: f64, chaos: ChaosConfig) -> TestResult<()> {
     let mut scenario = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, n, arrival);
     scenario.chaos = Some(chaos);
     let slots = 120usize;
-    let dep = scenario.deploy(ExitStrategy::Leime).unwrap();
-    let mut sys = SlottedSystem::new(scenario, dep).unwrap();
-    let report = sys.run(slots, RUN_SEED).unwrap();
+    let dep = scenario.deploy(ExitStrategy::Leime)?;
+    let mut sys = SlottedSystem::new(scenario, dep)?;
+    let report = sys.run(slots, RUN_SEED)?;
     prop_assert!(report.tasks() > 0);
     let mut backlog = 0.0;
     for (i, qp) in sys.queues().iter().enumerate() {
@@ -177,6 +180,7 @@ fn assert_queues_stable_under_faults(n: usize, arrival: f64, chaos: ChaosConfig)
         "backlog {backlog:.1} above drain envelope {envelope:.1}"
     );
     invariant::check_drained("integration_chaos.prop", backlog, envelope);
+    Ok(())
 }
 
 proptest! {
@@ -195,7 +199,7 @@ proptest! {
         arrival in 2.0f64..10.0,
     ) {
         let chaos = generated_chaos(chaos_seed, mask, duty, mean_s, 40.0);
-        assert_queues_stable_under_faults(n, arrival, chaos);
+        assert_queues_stable_under_faults(n, arrival, chaos).unwrap();
     }
 }
 
@@ -207,13 +211,14 @@ proptest! {
 fn queue_stability_pinned_regressions() {
     // High-duty compound schedule (all four models active): the worst
     // case for the drain envelope, exercised at the corpus seed.
-    assert_queues_stable_under_faults(3, 8.0, generated_chaos(906_617, 15, 0.59, 14.5, 40.0));
+    assert_queues_stable_under_faults(3, 8.0, generated_chaos(906_617, 15, 0.59, 14.5, 40.0))
+        .unwrap();
     // Single long-outage flap lane at low duty: schedules whose first
     // gap draw can exceed the window (empty-schedule edge case).
-    assert_queues_stable_under_faults(1, 2.0, generated_chaos(42, 1, 0.05, 14.9, 40.0));
+    assert_queues_stable_under_faults(1, 2.0, generated_chaos(42, 1, 0.05, 14.9, 40.0)).unwrap();
     // Edge-outage-only schedule: the edge vanishes but links stay up,
     // exercising the `edge.up == false` quota-zeroing path in isolation.
-    assert_queues_stable_under_faults(2, 5.0, generated_chaos(7, 8, 0.5, 3.0, 40.0));
+    assert_queues_stable_under_faults(2, 5.0, generated_chaos(7, 8, 0.5, 3.0, 40.0)).unwrap();
 }
 
 /// The six-model zoo at its native input sizes (the four CIFAR-sized

@@ -8,7 +8,10 @@ use leime_exitcfg::{branch_and_bound, exhaustive, CostModel, EnvParams};
 use leime_workload::ExitRateModel;
 use proptest::prelude::*;
 
-fn profile_from_specs(specs: &[(f64, usize)]) -> ModelProfile {
+/// Errors a helper hands back to its `#[test]` caller.
+type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn profile_from_specs(specs: &[(f64, usize)]) -> TestResult<ModelProfile> {
     // (flops, out_elems) per layer; exit classifier cost via default spec.
     let layers: Vec<Layer> = specs
         .iter()
@@ -22,9 +25,8 @@ fn profile_from_specs(specs: &[(f64, usize)]) -> ModelProfile {
             out_w: 1,
         })
         .collect();
-    let chain =
-        leime_dnn::DnnChain::new("prop", 3, 16, 16, 10, layers).expect("non-empty by strategy");
-    ModelProfile::from_chain(&chain, ExitSpec::default()).unwrap()
+    let chain = leime_dnn::DnnChain::new("prop", 3, 16, 16, 10, layers)?;
+    Ok(ModelProfile::from_chain(&chain, ExitSpec::default())?)
 }
 
 proptest! {
@@ -42,7 +44,7 @@ proptest! {
         bw_exp in 5.5f64..8.0,
         lat in 0.0f64..0.3,
     ) {
-        let profile = profile_from_specs(&specs);
+        let profile = profile_from_specs(&specs).unwrap();
         let m = profile.num_layers();
         // Build monotone cumulative rates ending at 1 from raw values.
         let mut rates: Vec<f64> = raw_rates[..m].to_vec();
@@ -203,7 +205,7 @@ fn search_cost_scales_subquadratically() {
         let specs: Vec<(f64, usize)> = (0..m)
             .map(|i| (1e8 * (1.0 + (i as f64 * 0.37).sin().abs()), 4096 >> (i % 6)))
             .collect();
-        let profile = profile_from_specs(&specs);
+        let profile = profile_from_specs(&specs).unwrap();
         let rates = {
             let mut v: Vec<f64> = (0..m).map(|i| (i + 1) as f64 / m as f64).collect();
             v[m - 1] = 1.0;

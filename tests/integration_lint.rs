@@ -1,15 +1,17 @@
 //! Tier-2 gates on the workspace's static analysis.
 //!
-//! The library sources must pass every leime-lint rule (S1, S5–S9 and
-//! S12) with zero violations and escapes within budget: the same scan
+//! The library sources must pass every leime-lint rule (S1, S5, S6 and
+//! S8) with zero violations and escapes within budget: the same scan
 //! `cargo run -p leime-lint -- --deny-all` performs in CI, run here so a
-//! plain `cargo test` catches regressions too. The crate layering is
-//! checked here as well, over `cargo metadata`. Panics, float equality,
-//! wall-clock reads and hash containers are clippy's job
-//! (`[workspace.lints.clippy]`), and `unsafe` is forbidden by the
-//! compiler (`[workspace.lints.rust]`).
+//! plain `cargo test` catches regressions too. Two dependency facts are
+//! checked here as well, over `cargo metadata`: the crate layering, and
+//! that `leime`, `leime-fleet` and `leime-serving` take `rand` for tests
+//! only, so their library code seeds RNGs through `leime_par::stream_rng`
+//! alone. Panics, float equality, wall-clock reads, hash containers and
+//! `RwLock` are clippy's job (`[workspace.lints.clippy]`, `clippy.toml`),
+//! and `unsafe` is forbidden by the compiler (`[workspace.lints.rust]`).
 
-use leime_lint::layering::{self, Dep, LAYERS, TOOLING};
+use leime_lint::layering::{self, Dep, Violation, LAYERS, STREAM_RNG_ONLY, TOOLING};
 use leime_lint::{run, ScanOptions, RULE_IDS, SCHEMA_VERSION, WAIVER_BUDGET};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -47,10 +49,8 @@ fn semantic_rules_are_part_of_the_workspace_gate() {
     // The default scan runs every rule and reports the `leime-lint/4`
     // schema, so the clean result above is a *semantic* clean: every
     // guarded solver transitively reaches `invariant::`, shard bodies
-    // capture nothing mutable and never block, hot-path allocation
-    // counts hold at the pinned baseline, every RNG stream derives via
-    // `stream_seed`, hot float accumulations are order-pinned or
-    // approved, and lock acquisition orders are acyclic.
+    // mutate no capture through interior mutability and never block,
+    // and hot-path allocation counts hold at the pinned baseline.
     let opts = ScanOptions::new(workspace_root());
     let report = match run(&opts) {
         Ok(r) => r,
@@ -58,7 +58,7 @@ fn semantic_rules_are_part_of_the_workspace_gate() {
     };
     assert_eq!(report.schema, SCHEMA_VERSION);
     assert_eq!(SCHEMA_VERSION, "leime-lint/4");
-    assert_eq!(RULE_IDS, ["S1", "S5", "S6", "S7", "S8", "S9", "S12"]);
+    assert_eq!(RULE_IDS, ["S1", "S5", "S6", "S8"]);
     assert_eq!(report.rule_set, RULE_IDS);
     for f in &report.violations {
         assert!(
@@ -128,8 +128,9 @@ fn waiver_budget_is_tight() {
     }
 }
 
-#[test]
-fn crate_layering_flows_strictly_downward() {
+/// The workspace's own (`leime*`) packages, as `cargo metadata` lists
+/// them.
+fn leime_packages() -> Vec<serde_json::Value> {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let output = Command::new(cargo)
         .args([
@@ -157,15 +158,22 @@ fn crate_layering_flows_strictly_downward() {
         .as_array()
         .map(Vec::as_slice)
         .unwrap_or_default();
+    packages
+        .iter()
+        .filter(|pkg| layering::is_leime(pkg["name"].as_str().unwrap_or_default()))
+        .cloned()
+        .collect()
+}
 
-    let mut names = Vec::new();
-    let mut violations = Vec::new();
+/// Runs the pure dependency check `check` on every package, rendering its
+/// findings as `manifest:line: message`.
+fn dependency_findings(
+    packages: &[serde_json::Value],
+    check: fn(&str, &[Dep<'_>], &str) -> Vec<Violation>,
+) -> Vec<String> {
+    let mut out = Vec::new();
     for pkg in packages {
         let name = pkg["name"].as_str().unwrap_or_default();
-        if !layering::is_leime(name) {
-            continue;
-        }
-        names.push(name.to_string());
         let deps: Vec<Dep<'_>> = pkg["dependencies"]
             .as_array()
             .map(|ds| {
@@ -184,14 +192,30 @@ fn crate_layering_flows_strictly_downward() {
             Ok(text) => text,
             Err(e) => unreachable!("cannot read {manifest_path}: {e}"),
         };
-        for v in layering::violations(name, &deps, &manifest) {
-            violations.push(format!("{manifest_path}:{}: {}", v.line, v.message));
+        for v in check(name, &deps, &manifest) {
+            out.push(format!("{manifest_path}:{}: {}", v.line, v.message));
         }
     }
+    out
+}
+
+/// The packages' names, sorted.
+fn names(packages: &[serde_json::Value]) -> Vec<String> {
+    let mut names: Vec<String> = packages
+        .iter()
+        .map(|p| p["name"].as_str().unwrap_or_default().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn crate_layering_flows_strictly_downward() {
+    let packages = leime_packages();
+    let violations = dependency_findings(&packages, layering::violations);
 
     // The tables name exactly the workspace's crates: a new crate must be
     // placed, and a deleted one leaves.
-    names.sort();
     let mut known: Vec<String> = LAYERS
         .iter()
         .flat_map(|layer| layer.iter())
@@ -199,6 +223,21 @@ fn crate_layering_flows_strictly_downward() {
         .map(|s| (*s).to_string())
         .collect();
     known.sort();
-    assert_eq!(names, known, "LAYERS/TOOLING out of date");
+    assert_eq!(names(&packages), known, "LAYERS/TOOLING out of date");
+    assert!(violations.is_empty(), "{violations:#?}");
+}
+
+#[test]
+fn stream_pinned_crates_take_rand_for_tests_only() {
+    // Without a normal `rand` dependency these crates cannot name
+    // `SeedableRng`, so a literal, ad-hoc or entropy seed in their
+    // library code does not compile: `leime_par::stream_rng` is the only
+    // constructor they can reach.
+    let packages = leime_packages();
+    let violations = dependency_findings(&packages, layering::rand_violations);
+    let names = names(&packages);
+    for krate in STREAM_RNG_ONLY {
+        assert!(names.iter().any(|n| n == krate), "{krate} went missing");
+    }
     assert!(violations.is_empty(), "{violations:#?}");
 }

@@ -37,8 +37,11 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const EPOCH_WORKERS: [usize; 4] = [1, 2, 4, 8];
 const EPOCH_LENS: [usize; 3] = [1, 4, 16];
 
-fn w(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).expect("worker counts are non-zero")
+/// Errors a helper hands back to its `#[test]` caller.
+type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn w(n: usize) -> TestResult<NonZeroUsize> {
+    Ok(NonZeroUsize::try_from(n)?)
 }
 
 /// Builds a chaos config from generated parameters (the
@@ -129,45 +132,32 @@ fn build_scenario(case: &Case) -> Scenario {
 /// The §11 contract, asserted: serialized report, telemetry snapshot and
 /// post-run queue states from `run_with_workers(…, N)` are byte-identical
 /// to the sequential run for every `N`.
-fn assert_workers_byte_identical(scenario: &Scenario, slots: usize, seed: u64) {
-    let dep = scenario.deploy(ExitStrategy::Leime).unwrap();
-    let run = |workers: usize| {
+fn assert_workers_byte_identical(scenario: &Scenario, slots: usize, seed: u64) -> TestResult<()> {
+    let dep = scenario.deploy(ExitStrategy::Leime)?;
+    // `None` is the sequential reference, the plain `run` path.
+    let run = |workers: Option<usize>| -> TestResult<_> {
         let registry = Registry::new();
-        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone()).unwrap();
+        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone())?;
         sys.attach_registry(&registry, "par");
-        let report = sys.run_with_workers(slots, seed, w(workers)).unwrap();
+        let report = match workers {
+            None => sys.run(slots, seed)?,
+            Some(n) => sys.run_with_workers(slots, seed, w(n)?)?,
+        };
         let queues: Vec<(u64, u64)> = sys
             .queues()
             .iter()
             .map(|qp| (qp.q().to_bits(), qp.h().to_bits()))
             .collect();
-        (
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&registry.snapshot()).unwrap(),
+        Ok((
+            serde_json::to_string(&report)?,
+            serde_json::to_string(&registry.snapshot())?,
             queues,
-        )
+        ))
     };
 
-    // The sequential reference is the plain `run` path.
-    let (seq_report, seq_tel, seq_queues) = {
-        let registry = Registry::new();
-        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone()).unwrap();
-        sys.attach_registry(&registry, "par");
-        let report = sys.run(slots, seed).unwrap();
-        let queues: Vec<(u64, u64)> = sys
-            .queues()
-            .iter()
-            .map(|qp| (qp.q().to_bits(), qp.h().to_bits()))
-            .collect();
-        (
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&registry.snapshot()).unwrap(),
-            queues,
-        )
-    };
-
+    let (seq_report, seq_tel, seq_queues) = run(None)?;
     for workers in WORKER_COUNTS {
-        let (report, tel, queues) = run(workers);
+        let (report, tel, queues) = run(Some(workers))?;
         assert_eq!(
             seq_report,
             report,
@@ -183,40 +173,40 @@ fn assert_workers_byte_identical(scenario: &Scenario, slots: usize, seed: u64) {
             "post-run queue states diverged at {workers} workers"
         );
     }
+    Ok(())
 }
 
 /// The §14 grid, asserted: `run_with_workers_epochs(…, N, E)` matches
 /// the sequential run's serialized RunReport and telemetry snapshot
 /// bytes for every worker count × epoch length.
-fn assert_epoch_grid_byte_identical(scenario: &Scenario, slots: usize, seed: u64) {
-    let dep = scenario.deploy(ExitStrategy::Leime).unwrap();
-    let run_at = |workers: usize, epoch_len: usize| {
+fn assert_epoch_grid_byte_identical(
+    scenario: &Scenario,
+    slots: usize,
+    seed: u64,
+) -> TestResult<()> {
+    let dep = scenario.deploy(ExitStrategy::Leime)?;
+    // `None` is the sequential reference, the plain `run` path.
+    let run_at = |grid: Option<(usize, usize)>| -> TestResult<_> {
         let registry = Registry::new();
-        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone()).unwrap();
+        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone())?;
         sys.attach_registry(&registry, "epoch");
-        let report = sys
-            .run_with_workers_epochs(slots, seed, w(workers), w(epoch_len))
-            .unwrap();
-        (
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&registry.snapshot()).unwrap(),
-        )
+        let report = match grid {
+            None => sys.run(slots, seed)?,
+            Some((workers, epoch_len)) => {
+                sys.run_with_workers_epochs(slots, seed, w(workers)?, w(epoch_len)?)?
+            }
+        };
+        Ok((
+            serde_json::to_string(&report)?,
+            serde_json::to_string(&registry.snapshot())?,
+        ))
     };
 
-    let (seq_report, seq_tel) = {
-        let registry = Registry::new();
-        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone()).unwrap();
-        sys.attach_registry(&registry, "epoch");
-        let report = sys.run(slots, seed).unwrap();
-        (
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&registry.snapshot()).unwrap(),
-        )
-    };
+    let (seq_report, seq_tel) = run_at(None)?;
 
     for workers in EPOCH_WORKERS {
         for epoch_len in EPOCH_LENS {
-            let (report, tel) = run_at(workers, epoch_len);
+            let (report, tel) = run_at(Some((workers, epoch_len)))?;
             assert_eq!(
                 seq_report,
                 report,
@@ -230,6 +220,7 @@ fn assert_epoch_grid_byte_identical(scenario: &Scenario, slots: usize, seed: u64
             );
         }
     }
+    Ok(())
 }
 
 /// One system of a multi-system run: devices, controller selector,
@@ -404,7 +395,7 @@ proptest! {
             workload,
             chaos: (with_chaos == 1).then_some((chaos_seed, mask, duty, mean_s)),
         };
-        assert_workers_byte_identical(&build_scenario(&case), slots, RUN_SEED);
+        assert_workers_byte_identical(&build_scenario(&case), slots, RUN_SEED).unwrap();
     }
 
     /// The SoA/epoch grid on big fleets: any fleet size up to 512
@@ -432,7 +423,7 @@ proptest! {
             workload,
             chaos: (with_chaos == 1).then_some((chaos_seed, mask, duty, mean_s)),
         };
-        assert_epoch_grid_byte_identical(&build_scenario(&case), slots, RUN_SEED);
+        assert_epoch_grid_byte_identical(&build_scenario(&case), slots, RUN_SEED).unwrap();
     }
 }
 
@@ -456,7 +447,8 @@ fn parallel_differential_pinned_regressions() {
         }),
         120,
         RUN_SEED,
-    );
+    )
+    .unwrap();
     // Single device: every worker count collapses to one shard; the
     // bursty MMPP state machine must advance identically inline and
     // under the pool.
@@ -470,7 +462,8 @@ fn parallel_differential_pinned_regressions() {
         }),
         200,
         RUN_SEED,
-    );
+    )
+    .unwrap();
     // Shard-count boundary (devices = 7 against workers ∈ {2, 3, 8}):
     // uneven partitions plus an edge-outage-only schedule exercising the
     // churn/fault replay paths with a non-recording controller.
@@ -484,7 +477,8 @@ fn parallel_differential_pinned_regressions() {
         }),
         150,
         RUN_SEED,
-    );
+    )
+    .unwrap();
 }
 
 /// Pinned cases for `epoch_grid_is_byte_identical_up_to_512_devices`,
@@ -505,7 +499,8 @@ fn epoch_grid_pinned_regressions() {
         }),
         24,
         RUN_SEED,
-    );
+    )
+    .unwrap();
     // Chaos forces the scalar per-device path: epoch batching must not
     // disturb the fault/churn replay ordering (96 devices, compound
     // schedule, bursty MMPP workload).
@@ -519,7 +514,8 @@ fn epoch_grid_pinned_regressions() {
         }),
         40,
         RUN_SEED,
-    );
+    )
+    .unwrap();
     // Long horizon on a tiny fleet: 200 slots is not a multiple of any
     // epoch length > 1, so the trailing short epoch is exercised along
     // with many barrier crossings.
@@ -533,7 +529,8 @@ fn epoch_grid_pinned_regressions() {
         }),
         200,
         RUN_SEED,
-    );
+    )
+    .unwrap();
 }
 
 /// The six-model zoo at its native input sizes (as in `integration_chaos`).
@@ -580,7 +577,7 @@ fn par_sweep_matches_seq_sweep_across_zoo_and_fault_grid() {
     let seq = seq_sweep(&cells).unwrap();
     assert_eq!(seq.len(), cells.len());
     for workers in [2usize, 5, 16] {
-        let par = par_sweep(&cells, w(workers)).unwrap();
+        let par = par_sweep(&cells, w(workers).unwrap()).unwrap();
         assert_eq!(par.len(), seq.len(), "{workers} workers lost cells");
         for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
             assert_eq!(
@@ -602,7 +599,7 @@ fn par_sweep_matches_seq_sweep_across_zoo_and_fault_grid() {
 
 /// Random chain with log-uniform layer costs and shrinking activations
 /// (the `theorem2_complexity` generator).
-fn random_profile(m: usize, rng: &mut StdRng) -> ModelProfile {
+fn random_profile(m: usize, rng: &mut StdRng) -> TestResult<ModelProfile> {
     let layers: Vec<Layer> = (0..m)
         .map(|i| Layer {
             name: format!("l{i}"),
@@ -613,16 +610,16 @@ fn random_profile(m: usize, rng: &mut StdRng) -> ModelProfile {
             out_w: (64 >> (i * 6 / m)).max(1),
         })
         .collect();
-    let chain = DnnChain::new("synthetic", 3, 64, 64, 10, layers).unwrap();
-    ModelProfile::from_chain(&chain, ExitSpec::default()).unwrap()
+    let chain = DnnChain::new("synthetic", 3, 64, 64, 10, layers)?;
+    Ok(ModelProfile::from_chain(&chain, ExitSpec::default())?)
 }
 
 /// Random monotone cumulative exit rates (sorted, last pinned to 1).
-fn random_rates(m: usize, rng: &mut StdRng) -> ExitRates {
+fn random_rates(m: usize, rng: &mut StdRng) -> TestResult<ExitRates> {
     let mut v: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..1.0)).collect();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
+    v.sort_by(f64::total_cmp);
     v[m - 1] = 1.0;
-    ExitRates::new(v).unwrap()
+    Ok(ExitRates::new(v)?)
 }
 
 /// Theorem 2, statistically: on random monotone-rate chains the
@@ -641,8 +638,8 @@ fn theorem2_search_cost_is_subquadratic_and_optimal_on_random_chains() {
     for m in [8usize, 16, 32, 64, 128] {
         let mut total_evals = 0u64;
         for _ in 0..TRIALS {
-            let profile = random_profile(m, &mut rng);
-            let rates = random_rates(m, &mut rng);
+            let profile = random_profile(m, &mut rng).unwrap();
+            let rates = random_rates(m, &mut rng).unwrap();
             let env = EnvParams::raspberry_pi()
                 .with_edge_link(10f64.powf(rng.gen_range(6.0..8.0)), rng.gen_range(0.0..0.2));
             let cost = CostModel::new(&profile, &rates, env).unwrap();
@@ -691,8 +688,10 @@ fn repeated_parallel_runs_continue_from_advanced_state() {
     let seq_b = serde_json::to_string(&seq_sys.run(60, 4).unwrap()).unwrap();
 
     let mut par_sys = SlottedSystem::new(scenario, dep).unwrap();
-    let par_a = serde_json::to_string(&par_sys.run_with_workers(60, 3, w(4)).unwrap()).unwrap();
-    let par_b = serde_json::to_string(&par_sys.run_with_workers(60, 4, w(3)).unwrap()).unwrap();
+    let par_a =
+        serde_json::to_string(&par_sys.run_with_workers(60, 3, w(4).unwrap()).unwrap()).unwrap();
+    let par_b =
+        serde_json::to_string(&par_sys.run_with_workers(60, 4, w(3).unwrap()).unwrap()).unwrap();
 
     assert_eq!(seq_a, par_a, "first run diverged");
     assert_eq!(seq_b, par_b, "second run (from advanced state) diverged");

@@ -9,7 +9,10 @@ use leime_workload::{CascadeParams, ComplexityDist, FeatureCascade, SyntheticDat
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn build_pipeline(seed: u64) -> (EarlyExitPipeline, FeatureCascade) {
+/// Errors a helper hands back to its `#[test]` caller.
+type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn build_pipeline(seed: u64) -> TestResult<(EarlyExitPipeline, FeatureCascade)> {
     let chain = ModelKind::SqueezeNet.build(10);
     let cascade = FeatureCascade::new(10, CascadeParams::default(), seed);
     let dataset = SyntheticDataset::cifar_like();
@@ -30,13 +33,13 @@ fn build_pipeline(seed: u64) -> (EarlyExitPipeline, FeatureCascade) {
         &mut rng,
     );
     let m = chain.num_layers();
-    let combo = ExitCombo::new(1, m / 2, m - 1, m).unwrap();
-    (EarlyExitPipeline::from_calibration(&cal, combo), cascade)
+    let combo = ExitCombo::new(1, m / 2, m - 1, m)?;
+    Ok((EarlyExitPipeline::from_calibration(&cal, combo), cascade))
 }
 
 #[test]
 fn live_pipeline_processes_a_fleet() {
-    let (pipeline, cascade) = build_pipeline(55);
+    let (pipeline, cascade) = build_pipeline(55).unwrap();
     let dataset = SyntheticDataset::cifar_like();
     let config = RuntimeConfig {
         num_devices: 4,
@@ -59,7 +62,7 @@ fn live_pipeline_processes_a_fleet() {
 
 #[test]
 fn hard_workload_pushes_tasks_to_the_cloud() {
-    let (pipeline, cascade) = build_pipeline(56);
+    let (pipeline, cascade) = build_pipeline(56).unwrap();
     let easy_ds = SyntheticDataset::new(10, ComplexityDist::Fixed { value: 0.02 });
     let hard_ds = SyntheticDataset::new(10, ComplexityDist::Fixed { value: 0.95 });
     let config = RuntimeConfig {
@@ -87,7 +90,7 @@ fn hard_workload_pushes_tasks_to_the_cloud() {
 
 #[test]
 fn offloaded_tasks_still_complete() {
-    let (pipeline, cascade) = build_pipeline(57);
+    let (pipeline, cascade) = build_pipeline(57).unwrap();
     let dataset = SyntheticDataset::cifar_like();
     let config = RuntimeConfig {
         num_devices: 2,
@@ -102,7 +105,7 @@ fn offloaded_tasks_still_complete() {
 
 #[test]
 fn report_percentiles_are_ordered_and_populated() {
-    let (pipeline, cascade) = build_pipeline(59);
+    let (pipeline, cascade) = build_pipeline(59).unwrap();
     let dataset = SyntheticDataset::cifar_like();
     let config = RuntimeConfig {
         num_devices: 2,
@@ -153,7 +156,7 @@ fn report_percentiles_are_ordered_and_populated() {
 
 #[test]
 fn link_emulation_slows_completion() {
-    let (pipeline, cascade) = build_pipeline(58);
+    let (pipeline, cascade) = build_pipeline(58).unwrap();
     let dataset = SyntheticDataset::cifar_like();
     let fast = RuntimeConfig {
         num_devices: 1,
