@@ -72,8 +72,8 @@ pub use model::ModelKind;
 pub use report::{FaultStats, RunReport, TierCounts};
 pub use scenario::{ControllerKind, Scenario, WorkloadKind};
 pub use slotted::{
-    decide_device, share_floor, DecideCtx, DecideMemo, DeviceDecision, SlotQuants, SlottedSystem,
-    DEFAULT_EPOCH_LEN, SHARE_FLOOR,
+    decide_device, run_slot_loop, share_floor, DecideCtx, DecideMemo, DeviceDecision, DeviceRow,
+    SlotQuants, SlotRecords, SlottedSystem, DEFAULT_EPOCH_LEN, SHARE_FLOOR,
 };
 pub use tasksim::TaskSim;
 

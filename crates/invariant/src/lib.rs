@@ -338,7 +338,7 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn non_increasing_exits_fire() {
         if !active() {
-            panic!("guards inactive: simulated exits failure");
+            panic!("guards inactive: simulated strictly increasing exits failure");
         }
         check_increasing_exits("t", &[3, 3, 9], 10);
     }

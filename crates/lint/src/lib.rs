@@ -82,7 +82,8 @@ pub struct SemaConfig {
     /// ratchet (counts compare against the pinned baseline only here).
     pub hot_path_markers: Vec<String>,
     /// Hot-region roots: fn names whose transitive callees form the S6
-    /// hot set (`SlottedSystem::run*`, `ServingSystem::run`, sweeps, …).
+    /// hot set (`SlottedSystem::run*` and `ServingSystem::run`, both of
+    /// which reach the shared `run_slot_loop`, sweeps, …).
     pub hot_root_fns: Vec<String>,
     /// `leime-par` entry points as `(fn name, worker-closure arg
     /// index)` — the closure at that argument is a shard body (S5/S8).
@@ -156,6 +157,9 @@ impl Default for SemaConfig {
             par_entry_args: vec![
                 ("par_map_shards".to_string(), 2),
                 ("run_rounds".to_string(), 3),
+                // A slot-loop stage's per-device step runs on the
+                // workers of the loop's own `run_rounds` call.
+                ("run_slot_loop".to_string(), 5),
             ],
         }
     }

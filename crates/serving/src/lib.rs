@@ -9,7 +9,7 @@
 //! | `traffic` | [`TrafficConfig`] — deterministic offered-load generators |
 //! | `admission` | [`admit`] — Eq. 10–11 stability-bound load shedding |
 //! | `steer` | [`steer_exits`] — per-class exit settings via priced environments |
-//! | `system` | [`ServingSystem`] — the per-slot serving loop (on `leime::decide_device`) and testbed presets |
+//! | `system` | [`ServingSystem`] — the serving stage on the shared slot loop (`leime::run_slot_loop`, `leime::decide_device`) and testbed presets |
 //! | `report` | [`ServingReport`] — per-class deadline/latency statistics |
 //!
 //! See DESIGN.md §12 for the request lifecycle, the class-equivalent

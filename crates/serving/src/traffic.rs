@@ -209,6 +209,19 @@ impl TrafficConfig {
         self.load * shape
     }
 
+    /// The largest multiplier [`TrafficConfig::rate_factor`] can return:
+    /// the load times the shape's peak (the diurnal `peak`, the flash
+    /// crowd's `factor`, the Pareto `cap`, and 1 for the flat shapes).
+    pub fn max_rate_factor(&self) -> f64 {
+        let peak = match &self.model {
+            TrafficModel::Constant | TrafficModel::HardFlood { .. } => 1.0,
+            TrafficModel::Diurnal { peak, .. } => *peak,
+            TrafficModel::FlashCrowd { factor, .. } => *factor,
+            TrafficModel::ParetoBursts { cap, .. } => *cap,
+        };
+        self.load * peak
+    }
+
     /// The hard-sample fraction for the slot starting at `t_s`.
     pub fn hard_fraction(&self, t_s: f64) -> f64 {
         match &self.model {
