@@ -35,7 +35,7 @@ use leime_offload::{
     ControllerTelemetry, DecisionBatch, DeviceParams, LyapunovController, OffloadController,
     QueuePair, SharedParams, SlotObservation,
 };
-use leime_telemetry::{Clock, Registry, VirtualClock, WallClock};
+use leime_telemetry::{Clock, Registry, WallClock};
 
 /// A fleet-sized batch: matches the reference scenario's device count, so
 /// the telemetry flush replays one realistic slot.
@@ -133,7 +133,7 @@ fn main() {
     // `DecisionBatch` and flush once, as the slotted driver does per
     // slot; ns per recorded decision.
     let registry = Registry::new();
-    let tel = ControllerTelemetry::attach(&registry, "bench", VirtualClock::new());
+    let tel = ControllerTelemetry::attach(&registry, "bench");
     let mut batch = DecisionBatch::new();
     let mut flush = time_kernel("telemetry_flush", 10_000, |r| {
         for j in 0..BATCH as u64 {

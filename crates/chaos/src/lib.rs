@@ -10,7 +10,7 @@
 //! simulated time during which a link, the edge server or a device is
 //! degraded. Because every schedule is generated from a single `u64` seed
 //! with `StdRng::seed_from_u64` and queried purely as a function of
-//! [`SimTime`], a replay with the same seed is bit-identical
+//! [`SimTime`](leime_simnet::SimTime), a replay with the same seed is bit-identical
 //! (`tests/integration_chaos.rs` pins this).
 //!
 //! * [`FaultKind`] / [`FaultEvent`] / [`FaultSchedule`] — the event-stream

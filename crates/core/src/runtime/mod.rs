@@ -23,7 +23,7 @@ use crate::{LeimeError, Result, TierCounts};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use leime_inference::{EarlyExitPipeline, ExitDecision};
 use leime_par::{Rng, StdRng};
-use leime_telemetry::{Clock, Histogram, Registry, WallClock};
+use leime_telemetry::{Buckets, Clock, Histogram, Registry, WallClock};
 use leime_workload::{FeatureCascade, SyntheticDataset};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -281,12 +281,12 @@ fn run_live_inner(
     drop(cloud_tx);
     drop(done_tx);
 
-    // ---- Collector. Completion times go into lock-free histograms; the
-    // mutex guards only the scalar tallies.
+    // ---- Collector, on this thread. Completion times go into plain
+    // histograms, merged into the registry once after the run.
     let total = config.num_devices * config.tasks_per_device;
     let stats = Mutex::new((0usize, 0usize, TierCounts::default(), 0.0f64));
-    let tct_hist = Histogram::new();
-    let tier_hists = [Histogram::new(), Histogram::new(), Histogram::new()];
+    let mut tct_hist = Buckets::new();
+    let mut tier_hists = [Buckets::new(), Buckets::new(), Buckets::new()];
     for _ in 0..total {
         let outcome = done_rx
             .recv()
@@ -324,16 +324,15 @@ fn run_live_inner(
         .map_err(|_| LeimeError::Runtime("cloud thread panicked".into()))?;
 
     if let Some(tel) = telemetry {
-        tel.tct.merge_from(&tct_hist);
+        tel.tct.merge(&tct_hist);
         for (dst, src) in tel.tct_tier.iter().zip(&tier_hists) {
-            dst.merge_from(src);
+            dst.merge(src);
         }
         tel.tasks.add(total as u64);
         tel.run_wall.record(wall.now());
     }
 
     let (completed, correct, tiers, total_secs) = stats.into_inner();
-    let snapshot = tct_hist.snapshot();
     Ok(RuntimeReport {
         completed,
         correct,
@@ -343,9 +342,9 @@ fn run_live_inner(
         } else {
             total_secs / completed as f64
         },
-        p50_tct_s: snapshot.quantile(0.5).unwrap_or(0.0),
-        p95_tct_s: snapshot.quantile(0.95).unwrap_or(0.0),
-        p99_tct_s: snapshot.quantile(0.99).unwrap_or(0.0),
+        p50_tct_s: tct_hist.quantile(0.5).unwrap_or(0.0),
+        p95_tct_s: tct_hist.quantile(0.95).unwrap_or(0.0),
+        p99_tct_s: tct_hist.quantile(0.99).unwrap_or(0.0),
         offloaded: counters
             .offloaded
             .load(std::sync::atomic::Ordering::Relaxed),

@@ -306,6 +306,13 @@ impl Scenario {
         self.degrade
             .validate()
             .map_err(|e| LeimeError::Config(format!("degrade: {e}")))?;
+        if let ControllerKind::Fixed(ratio) = self.controller {
+            if !(0.0..=1.0).contains(&ratio) {
+                return Err(LeimeError::Config(
+                    "fixed offloading ratio must lie in [0, 1]".into(),
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -464,27 +471,6 @@ impl Scenario {
         self.validate()?;
         TaskSim::new(self.clone(), deployment.clone())?.run(horizon_s, seed)
     }
-
-    /// Like [`Scenario::run_des`], but records network and controller
-    /// telemetry into `registry` under `prefix` (see
-    /// [`TaskSim::attach_registry`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors.
-    pub fn run_des_with_registry(
-        &self,
-        deployment: &Deployment,
-        horizon_s: f64,
-        seed: u64,
-        registry: &leime_telemetry::Registry,
-        prefix: &str,
-    ) -> Result<RunReport> {
-        self.validate()?;
-        let mut sim = TaskSim::new(self.clone(), deployment.clone())?;
-        sim.attach_registry(registry, prefix);
-        sim.run(horizon_s, seed)
-    }
 }
 
 #[cfg(test)]
@@ -499,6 +485,22 @@ mod tests {
         assert!(Scenario::jetson_nano_cluster(ModelKind::SqueezeNet, 2, 5.0)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_fixed_ratios_outside_the_unit_interval() {
+        let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 1, 5.0);
+        for ratio in [1.5, -0.1, f64::NAN] {
+            s.controller = ControllerKind::Fixed(ratio);
+            assert!(
+                matches!(s.validate(), Err(LeimeError::Config(_))),
+                "Fixed({ratio}) validated"
+            );
+        }
+        for ratio in [0.0, 0.5, 1.0] {
+            s.controller = ControllerKind::Fixed(ratio);
+            assert!(s.validate().is_ok(), "Fixed({ratio}) rejected");
+        }
     }
 
     #[test]

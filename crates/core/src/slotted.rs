@@ -11,10 +11,10 @@ use leime_offload::{
 use leime_par::RoundsError;
 use leime_par::{Rng, StdRng};
 use leime_simnet::SimTime;
-use leime_telemetry::{Histogram, Registry, Series, VirtualClock};
+use leime_telemetry::{Counter, Histogram, Registry, Series};
 use leime_workload::{Mmpp, SlotArrivals};
 
-use crate::{Deployment, LeimeError, Result, RunReport, Scenario, WorkloadKind};
+use crate::{Deployment, FaultStats, LeimeError, Result, RunReport, Scenario, WorkloadKind};
 
 /// Minimum edge share handed to any device with positive demand: every
 /// device's second block runs on its share, so a zero share would starve
@@ -58,7 +58,7 @@ pub const DEFAULT_EPOCH_LEN: NonZeroUsize = match NonZeroUsize::new(16) {
 /// derived as `leime_par::stream_seed(seed, device_index)` — never a
 /// shared generator — and all report/telemetry recording is replayed on
 /// the driving thread in device order. Per-device state lives in
-/// struct-of-arrays shards ([`ShardState`]), workers process whole
+/// struct-of-arrays shards (`ShardState`), workers process whole
 /// *epochs* of slots between barriers, and the driver's replay batches
 /// telemetry per slot ([`DecisionBatch`]) instead of locking per
 /// decision. The result: for any seed, any worker count and any epoch
@@ -70,7 +70,6 @@ pub struct SlottedSystem {
     scenario: Scenario,
     deployment: Deployment,
     queues: Vec<QueuePair>,
-    controller: Box<dyn OffloadController>,
     /// Per-device bursty state machines (populated for `Bursty` workloads).
     mmpp: Vec<Mmpp>,
     telemetry: Option<SlotTelemetry>,
@@ -80,16 +79,29 @@ pub struct SlottedSystem {
 /// [`SlottedSystem::attach_registry`]).
 #[derive(Debug, Clone)]
 struct SlotTelemetry {
-    clock: VirtualClock,
     tct: Arc<Histogram>,
     tct_mean: Arc<Series>,
     queue_q: Arc<Series>,
     queue_h: Arc<Series>,
     offload_x: Arc<Series>,
-    /// Shares the controller's `{prefix}.ctrl.*` counters, so fault and
-    /// degradation events land next to the per-decision series.
+    /// The `{prefix}.ctrl.*` decision series.
     ctrl: ControllerTelemetry,
+    /// The `{prefix}.ctrl.*` fault counters, in [`FAULT_COUNTERS`] order.
+    faults: [Arc<Counter>; 5],
 }
+
+/// Reads one total out of a run's [`FaultStats`].
+type FaultTotal = fn(&FaultStats) -> u64;
+
+/// The fault and degradation counters, each with the report total it
+/// takes once per run.
+const FAULT_COUNTERS: [(&str, FaultTotal); 5] = [
+    ("fault_slots", |f| f.fault_slots),
+    ("timeouts", |f| f.timeouts),
+    ("retries", |f| f.retries),
+    ("fallbacks", |f| f.fallbacks),
+    ("recoveries", |f| f.recoveries),
+];
 
 /// One segment of a worker's shard in struct-of-arrays layout: field `k`
 /// of every array belongs to device `start + k` of system `sys`. A
@@ -121,9 +133,9 @@ impl ShardState {
 
 /// Single-entry memo over the per-slot decision solve.
 ///
-/// `OffloadController::decide` is required to be a pure function of
-/// `(shared, device, obs)` — the same contract that lets the driver
-/// replay decision telemetry. Purity means byte-identical inputs produce
+/// `OffloadController::decide` is a pure function of
+/// `(shared, device, obs)`: controllers record nothing, the driver
+/// records their decisions. Purity means byte-identical inputs produce
 /// byte-identical outputs, so when consecutive solves present the same
 /// input bits (a homogeneous fleet whose queues drain every slot — the
 /// paper's Pi-cluster experiments — presents them device after device
@@ -176,7 +188,7 @@ pub struct DecideCtx<'a> {
     /// Shared parameters before the edge's health scales them.
     pub shared: SharedParams,
     /// Compute the drift-plus-penalty value at the optimum so the
-    /// driver can replay the controller's decision telemetry.
+    /// driver can record the decision.
     pub want_dpp: bool,
 }
 
@@ -334,14 +346,12 @@ impl SlottedSystem {
     /// Returns [`crate::LeimeError::Config`] for invalid scenarios.
     pub fn new(scenario: Scenario, deployment: Deployment) -> Result<Self> {
         scenario.validate()?;
-        let controller = scenario.controller.build();
         let queues = vec![QueuePair::new(); scenario.devices.len()];
         let mmpp = build_mmpp(&scenario);
         Ok(SlottedSystem {
             scenario,
             deployment,
             queues,
-            controller,
             mmpp,
             telemetry: None,
         })
@@ -378,21 +388,22 @@ impl SlottedSystem {
     ///
     /// * `{prefix}.tct_s` — histogram of per-task completion times,
     /// * `{prefix}.tct_mean_s`, `{prefix}.queue_q`, `{prefix}.queue_h`,
-    ///   `{prefix}.offload_x` — per-slot series (fleet means), and
+    ///   `{prefix}.offload_x` — per-slot series (fleet means),
     /// * `{prefix}.ctrl.*` — per-decision controller state, for policies
-    ///   that support [`OffloadController::attach_telemetry`].
+    ///   that [record their decisions](OffloadController::records_decisions)
+    ///   ([`ControllerTelemetry`]), and
+    /// * `{prefix}.ctrl.fault_slots|timeouts|retries|fallbacks|recoveries`
+    ///   — the run's fault and degradation totals
+    ///   ([`RunReport::fault_stats`]), added once per run.
     ///
     /// All series are stamped with simulated slot-start time. Recording
     /// happens on the driving thread in device order even under
     /// [`SlottedSystem::run_with_workers`], so snapshots stay
     /// byte-identical at every worker count.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
-        let clock = VirtualClock::new();
-        let ctrl = ControllerTelemetry::attach(registry, &format!("{prefix}.ctrl"), clock.clone());
-        self.controller.attach_telemetry(ctrl.clone());
         self.telemetry = Some(SlotTelemetry {
-            clock,
-            ctrl,
+            ctrl: ControllerTelemetry::attach(registry, &format!("{prefix}.ctrl")),
+            faults: FAULT_COUNTERS.map(|(k, _)| registry.counter(&format!("{prefix}.ctrl.{k}"))),
             tct: registry.histogram(&format!("{prefix}.tct_s")),
             tct_mean: registry.series(&format!("{prefix}.tct_mean_s")),
             queue_q: registry.series(&format!("{prefix}.queue_q")),
@@ -500,10 +511,8 @@ impl SlottedSystem {
                 s.scenario.chaos.as_ref().map(|c| c.compile(n, horizon))
             })
             .collect();
-        // Decisions run on telemetry-free controllers so workers never
-        // race on the registry; the driver replays decision telemetry
-        // in device order. Sound because `decide` is required to be a
-        // pure function of `(shared, device, obs)`.
+        // Workers decide; the driver records decision telemetry in
+        // device order.
         let deciders: Vec<Box<dyn OffloadController>> = systems
             .iter()
             .map(|s| s.scenario.controller.build())
@@ -526,7 +535,7 @@ impl SlottedSystem {
                     schedule: schedule.as_ref(),
                     decider: decider.as_ref(),
                     shared: s.scenario.shared_params(&s.deployment),
-                    want_dpp: s.controller.records_decisions() && s.telemetry.is_some(),
+                    want_dpp: decider.records_decisions() && s.telemetry.is_some(),
                 },
                 deployment: &s.deployment,
             })
@@ -567,9 +576,6 @@ impl SlottedSystem {
             let slot_start = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
             let t = slot_start.as_secs();
             let tel = systems[sys].telemetry.as_ref();
-            if let Some(tel) = tel {
-                tel.clock.advance_to(t);
-            }
             let mut acc = SlotAccumulator::default();
             for (out, _) in outs {
                 apply_out(
@@ -603,10 +609,17 @@ impl SlottedSystem {
         let finals = run_slot_loop(&starts, slots, workers, epoch_len, broadcast, step, replay)?;
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
-        // as the sequential implementation always did.
-        for (system, (queues, mmpp)) in systems.iter_mut().zip(finals) {
+        // as the sequential implementation always did. The fault
+        // counters are totals, so they take the report's.
+        for ((system, (queues, mmpp)), report) in systems.iter_mut().zip(finals).zip(&reports) {
             system.queues = queues;
             system.mmpp = mmpp;
+            if let Some(tel) = &system.telemetry {
+                let f = report.fault_stats();
+                for (counter, (_, total)) in tel.faults.iter().zip(FAULT_COUNTERS) {
+                    counter.add(total(&f));
+                }
+            }
         }
         Ok(reports)
     }
@@ -1050,9 +1063,8 @@ fn device_slot(
 /// Replays one device-slot's recordings, producing exactly the state the
 /// historical per-task sequential loop produced: completion times replay
 /// through the bit-identical `record_n`/`push_n` batch paths, tier
-/// tallies are additive, and controller decision points buffer into
-/// `batch` (flushed once per slot by the caller) with the timestamps the
-/// per-decision clock reads would have carried.
+/// tallies are additive, and recorded decisions buffer into `batch`
+/// (flushed once per slot by the caller), stamped with the slot start.
 fn apply_out(
     report: &mut RunReport,
     telemetry: Option<&SlotTelemetry>,
@@ -1071,18 +1083,12 @@ fn apply_out(
     };
     if a.fault {
         report.record_fault_slot();
-        if telemetry.is_some() {
-            batch.record_fault_slot();
-        }
     }
-    if replay_decisions && telemetry.is_some() {
+    if replay_decisions {
         batch.record_decision(slot_start.as_secs(), &a.obs, a.x_opt, a.dpp);
     }
     let x = a.outcome.x;
     report.record_degrade(&a.outcome);
-    if telemetry.is_some() {
-        batch.record_degrade(&a.outcome);
-    }
     if a.arrivals > 0 {
         report.record_tct_n(slot_start, a.per_task, a.arrivals);
         report.record_tier_counts(a.tier_counts);
@@ -1110,9 +1116,6 @@ struct SlotAccumulator {
     x_sum: f64,
 }
 
-// SlottedSystem holds a Box<dyn OffloadController> which is Send + Sync by
-// the trait's supertraits, so the system itself moves across threads —
-// exercised by the parallel experiment harness.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1443,6 +1446,36 @@ mod tests {
         // And the testbed actually injects faults plus recovers from them.
         assert!(a.fault_stats().fault_slots > 0);
         assert!(a.fault_stats().recoveries > 0);
+    }
+
+    #[test]
+    fn registry_fault_counters_equal_the_report() {
+        let s = Scenario::chaos_testbed(ModelKind::SqueezeNet, 4, 42, 60.0);
+        let dep = s.deploy(ExitStrategy::Leime).unwrap();
+        for workers in [1, 2] {
+            let registry = Registry::new();
+            let mut sys = SlottedSystem::new(s.clone(), dep.clone()).unwrap();
+            sys.attach_registry(&registry, "chaos");
+            let workers = NonZeroUsize::new(workers).unwrap();
+            let report = sys.run_with_workers(120, 7, workers).unwrap();
+            let f = report.fault_stats();
+            assert!(f.fault_slots > 0 && f.timeouts > 0 && f.recoveries > 0);
+            let snap = registry.snapshot();
+            for (name, want) in [
+                ("fault_slots", f.fault_slots),
+                ("timeouts", f.timeouts),
+                ("retries", f.retries),
+                ("fallbacks", f.fallbacks),
+                ("recoveries", f.recoveries),
+            ] {
+                let got = snap
+                    .counters
+                    .iter()
+                    .find(|c| c.name == format!("chaos.ctrl.{name}"))
+                    .map(|c| c.value);
+                assert_eq!(got, Some(want), "{name} at {workers} workers");
+            }
+        }
     }
 
     #[test]

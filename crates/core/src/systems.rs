@@ -67,33 +67,6 @@ impl SystemSpec {
         Ok((deployment, report))
     }
 
-    /// Like [`SystemSpec::run_des`], but records network and controller
-    /// telemetry into `registry`, with all metric names prefixed by this
-    /// system's lowercased display name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and model errors.
-    pub fn run_des_with_registry(
-        &self,
-        base: &Scenario,
-        horizon_s: f64,
-        seed: u64,
-        registry: &leime_telemetry::Registry,
-    ) -> Result<(Deployment, RunReport)> {
-        let mut scenario = base.clone();
-        scenario.controller = self.controller;
-        let deployment = scenario.deploy(self.strategy)?;
-        let report = scenario.run_des_with_registry(
-            &deployment,
-            horizon_s,
-            seed,
-            registry,
-            &self.name.to_lowercase(),
-        )?;
-        Ok((deployment, report))
-    }
-
     /// Deploys and runs this system on `base` under the end-to-end
     /// task-level DES.
     ///

@@ -1,13 +1,9 @@
-use std::sync::Arc;
-
 use leime_chaos::{EdgeHealth, FaultSchedule, LinkHealth};
 use leime_offload::{
-    kkt_allocation_with_floor, ControllerTelemetry, DegradeState, DeviceParams, OffloadController,
-    SlotObservation,
+    kkt_allocation_with_floor, DegradeState, DeviceParams, OffloadController, SlotObservation,
 };
 use leime_par::{Rng, StdRng};
-use leime_simnet::{EventQueue, FifoServer, Link, SimMonitor, SimTime};
-use leime_telemetry::{Histogram, Registry};
+use leime_simnet::{EventQueue, FifoServer, Link, SimTime};
 
 use crate::{Deployment, Result, RunReport, Scenario, WorkloadKind};
 
@@ -60,14 +56,6 @@ pub struct TaskSim {
     mmpp: Vec<leime_workload::Mmpp>,
     /// Current per-device arrival means (refreshed at each slot tick).
     current_means: Vec<f64>,
-    /// Network-side telemetry (transfer latencies, queue depths,
-    /// utilisation), populated by [`TaskSim::attach_registry`].
-    monitor: Option<SimMonitor>,
-    /// Per-task completion-time histogram, populated alongside `monitor`.
-    tct_hist: Option<Arc<Histogram>>,
-    /// Controller telemetry clone for fault/degradation counters,
-    /// populated alongside `monitor`.
-    ctrl: Option<ControllerTelemetry>,
 }
 
 impl TaskSim {
@@ -107,37 +95,7 @@ impl TaskSim {
             controller,
             mmpp,
             current_means,
-            monitor: None,
-            tct_hist: None,
-            ctrl: None,
         })
-    }
-
-    /// Attaches a telemetry registry: subsequent runs record, under
-    /// `prefix`,
-    ///
-    /// * `{prefix}.tct_s` — histogram of per-task completion times,
-    /// * `{prefix}.net.transfer_latency_s` — histogram of link transfer
-    ///   latencies (device→edge and edge→cloud),
-    /// * `{prefix}.net.queue_depth` / `{prefix}.net.utilisation` —
-    ///   per-slot series of the mean device backlog (in first-block task
-    ///   equivalents) and mean edge-share utilisation, and
-    /// * `{prefix}.ctrl.*` — per-decision controller state, for policies
-    ///   that support [`OffloadController::attach_telemetry`].
-    ///
-    /// Everything is stamped with simulated time via the monitor's
-    /// virtual clock.
-    pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
-        let monitor = SimMonitor::attach(registry, &format!("{prefix}.net"));
-        let ctrl = ControllerTelemetry::attach(
-            registry,
-            &format!("{prefix}.ctrl"),
-            monitor.clock().clone(),
-        );
-        self.controller.attach_telemetry(ctrl.clone());
-        self.ctrl = Some(ctrl);
-        self.tct_hist = Some(registry.histogram(&format!("{prefix}.tct_s")));
-        self.monitor = Some(monitor);
     }
 
     /// Runs the simulation: arrivals are generated for `horizon_s`
@@ -158,9 +116,6 @@ impl TaskSim {
         let horizon = SimTime::from_secs(horizon_s);
         let mut rng = leime_par::stream_rng(seed, 0);
         let mut report = RunReport::new();
-        let monitor = self.monitor.clone();
-        let tct_hist = self.tct_hist.clone();
-        let ctrl = self.ctrl.clone();
         let schedule: Option<FaultSchedule> =
             scenario.chaos.as_ref().map(|c| c.compile(n, horizon));
         let mut degrade = vec![DegradeState::new(); n];
@@ -170,11 +125,6 @@ impl TaskSim {
         let edge_reachable = |dev: usize, t: SimTime| match &schedule {
             Some(s) => s.link_health(dev, t).up && s.edge_health(t).up,
             None => true,
-        };
-        let record_tct = |tct_s: f64| {
-            if let Some(h) = &tct_hist {
-                h.record(tct_s);
-            }
         };
 
         let mut device_servers: Vec<FifoServer> = scenario
@@ -224,8 +174,6 @@ impl TaskSim {
                         Some(s) => s.edge_health(now),
                         None => EdgeHealth::NOMINAL,
                     };
-                    let mut q_sum = 0.0;
-                    let mut util_sum = 0.0;
                     for i in 0..n {
                         let (link, alive) = match &schedule {
                             Some(s) => (s.link_health(i, now), s.device_alive(i, now)),
@@ -238,9 +186,6 @@ impl TaskSim {
                         }
                         if !link.is_nominal() || !edge.is_nominal() {
                             report.record_fault_slot();
-                            if let Some(c) = &ctrl {
-                                c.record_fault_slot();
-                            }
                         }
                         let rate = (shares[i] * scenario.edge_flops * edge.speed_factor).max(1.0);
                         edge_shares[i].set_rate(rate);
@@ -278,19 +223,10 @@ impl TaskSim {
                         );
                         x[i] = outcome.x;
                         report.record_degrade(&outcome);
-                        if let Some(c) = &ctrl {
-                            c.record_degrade(&outcome);
-                        }
                         report.record_offload(x[i]);
                         report.record_queues(q, h);
-                        q_sum += q;
-                        util_sum += edge_shares[i].utilisation(now);
                     }
                     slot_idx += 1;
-                    if let Some(mon) = &monitor {
-                        mon.sample_queue_depth(now, q_sum / n as f64);
-                        mon.sample_utilisation(now, util_sum / n as f64);
-                    }
                     let next = now + SimTime::from_secs(scenario.slot_len_s);
                     if next < horizon {
                         queue.schedule_at(next, Event::SlotTick);
@@ -317,9 +253,6 @@ impl TaskSim {
                                 ..task
                             };
                             let arrive = dev_links[dev].transfer(now, dep.d[0]);
-                            if let Some(mon) = &monitor {
-                                mon.observe_transfer(now, arrive);
-                            }
                             queue.schedule_at(arrive, Event::EdgeArrive { dev, task });
                         } else {
                             let done = device_servers[dev].submit(now, dep.mu[0]);
@@ -341,12 +274,8 @@ impl TaskSim {
                         report.record_tct(now, (now - task.born).as_secs());
                         report.record_tier(0);
                         report.record_service(0, 1.0);
-                        record_tct((now - task.born).as_secs());
                     } else {
                         let arrive = dev_links[dev].transfer(now, dep.d[1]);
-                        if let Some(mon) = &monitor {
-                            mon.observe_transfer(now, arrive);
-                        }
                         queue.schedule_at(arrive, Event::EdgeArrive { dev, task });
                     }
                 }
@@ -366,12 +295,8 @@ impl TaskSim {
                         report.record_tct(now, (now - task.born).as_secs());
                         report.record_tier(task.tier);
                         report.record_service(0, 1.0);
-                        record_tct((now - task.born).as_secs());
                     } else {
                         let arrive = cloud_link.transfer(now, dep.d[2]);
-                        if let Some(mon) = &monitor {
-                            mon.observe_transfer(now, arrive);
-                        }
                         queue.schedule_at(arrive, Event::CloudArrive { task });
                     }
                 }
@@ -383,7 +308,6 @@ impl TaskSim {
                     report.record_tct(now, (now - task.born).as_secs());
                     report.record_tier(2);
                     report.record_service(0, 1.0);
-                    record_tct((now - task.born).as_secs());
                 }
             }
         }

@@ -427,7 +427,7 @@ impl FleetSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leime::{ExitStrategy, ModelKind};
+    use leime::{ExitStrategy, FaultStats, ModelKind};
 
     fn fleet(n: usize, config: FleetConfig) -> FleetSystem {
         let scenario = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, n, 5.0);
@@ -455,6 +455,48 @@ mod tests {
             serde_json::to_string(&f.run(30, 11).expect("runs")).expect("serializes")
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn registry_fault_counters_sum_the_interval_reports() {
+        let scenario = Scenario::chaos_testbed(ModelKind::SqueezeNet, 9, 42, 60.0);
+        let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
+        let mut f =
+            FleetSystem::new(scenario, deployment, FleetConfig::regional(3, 10)).expect("builds");
+        let registry = Registry::new();
+        let report = f
+            .run_with_registry(
+                40,
+                5,
+                NonZeroUsize::MIN,
+                DEFAULT_EPOCH_LEN,
+                &registry,
+                "fleet",
+            )
+            .expect("runs");
+        assert!(report.intervals.len() >= 3);
+        let snap = registry.snapshot();
+        let counter = |name: String| snap.counters.iter().find(|c| c.name == name);
+        type Field = fn(&FaultStats) -> u64;
+        let fields: [(&str, Field); 5] = [
+            ("fault_slots", |f| f.fault_slots),
+            ("timeouts", |f| f.timeouts),
+            ("retries", |f| f.retries),
+            ("fallbacks", |f| f.fallbacks),
+            ("recoveries", |f| f.recoveries),
+        ];
+        for e in 0..3 {
+            for (name, field) in fields {
+                let want: u64 = report
+                    .intervals
+                    .iter()
+                    .map(|iv| field(&iv.edges[e].fault_stats()))
+                    .sum();
+                let got = counter(format!("fleet.edge{e}.ctrl.{name}")).map(|c| c.value);
+                assert_eq!(got, Some(want), "edge {e} {name}");
+                assert!(name != "fault_slots" || want > 0, "edge {e} saw no faults");
+            }
+        }
     }
 
     #[test]

@@ -150,7 +150,6 @@ impl Default for SemaConfig {
                 "run_slotted_workers",
                 "run_slotted_with_registry",
                 "run_des",
-                "run_des_with_registry",
                 "par_sweep",
                 "seq_sweep",
             ]),

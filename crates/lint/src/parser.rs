@@ -4,7 +4,7 @@
 //!
 //! 1. **Total**: the parser never panics and always terminates, on *any*
 //!    token stream (enforced by proptest). Every loop either advances the
-//!    cursor or returns; recursion is capped by [`MAX_DEPTH`], beyond
+//!    cursor or returns; recursion is capped by `MAX_DEPTH`, beyond
 //!    which balanced token groups are skimmed iteratively.
 //! 2. **Recovering**: unknown constructs degrade to [`Expr::Opaque`] /
 //!    skipped tokens instead of failing the file — a lint must keep

@@ -1,7 +1,6 @@
 //! Per-slot offloading policies.
 
 use crate::solver::{balance_solve, exact_solve, feasible_interval};
-use crate::telemetry::ControllerTelemetry;
 use crate::{DeviceParams, SharedParams, SlotCost};
 use leime_invariant as invariant;
 use serde::{Deserialize, Serialize};
@@ -21,8 +20,9 @@ pub struct SlotObservation {
 /// offloading ratio `x_i(t) ∈ [0, 1]`.
 ///
 /// Implementations must stay within the bandwidth-feasible interval
-/// (constraint 8); the provided ones all do. Policies may optionally
-/// accept [`ControllerTelemetry`] to expose their per-slot state.
+/// (constraint 8); the provided ones all do. A decision is a pure
+/// function of `(shared, device, obs)` and records nothing: the driving
+/// simulator records it (see [`crate::telemetry`]).
 pub trait OffloadController: Send + Sync + std::fmt::Debug {
     /// Decides the offloading ratio for one device-slot.
     fn decide(&self, shared: SharedParams, device: DeviceParams, obs: SlotObservation) -> f64;
@@ -30,19 +30,10 @@ pub trait OffloadController: Send + Sync + std::fmt::Debug {
     /// Short policy name for experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Gives the controller recording handles for its per-slot state.
-    /// The default ignores them — only policies with interesting internal
-    /// state (queues, objectives) record anything.
-    fn attach_telemetry(&mut self, telemetry: ControllerTelemetry) {
-        let _ = telemetry;
-    }
-
-    /// Whether this controller records per-decision telemetry from inside
-    /// [`OffloadController::decide`]. Drivers that fan decisions out to a
-    /// telemetry-free clone (the deterministic parallel runner) consult
-    /// this to know they must replay
-    /// [`ControllerTelemetry::record_decision`] themselves, in device
-    /// order, to stay byte-identical with the sequential path.
+    /// Whether a recording driver should record this policy's decisions
+    /// (queues, ratio and drift-plus-penalty objective, through
+    /// [`crate::DecisionBatch`]). A per-policy constant: only policies
+    /// with an objective worth tracing say yes.
     fn records_decisions(&self) -> bool {
         false
     }
@@ -76,18 +67,15 @@ pub trait OffloadController: Send + Sync + std::fmt::Debug {
 /// decentralized balance condition `T_d = T_e` (§III-D4) — both restricted
 /// to the bandwidth-feasible interval.
 ///
-/// When telemetry is attached, every decision records the observed
-/// queues `Q_i`/`H_i`, the chosen ratio `x_i(t)` and the
-/// drift-plus-penalty objective at the optimum.
-#[derive(Debug, Clone, Default)]
-pub struct LyapunovController {
-    telemetry: Option<ControllerTelemetry>,
-}
+/// Its decisions are the ones a recording driver traces
+/// ([`OffloadController::records_decisions`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LyapunovController;
 
 impl LyapunovController {
-    /// A controller without telemetry (attach some later if wanted).
+    /// The controller.
     pub fn new() -> Self {
-        LyapunovController::default()
+        LyapunovController
     }
 }
 
@@ -99,9 +87,6 @@ impl OffloadController for LyapunovController {
         } else {
             exact_solve(&cost)
         };
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.record_decision(&obs, x, cost.drift_plus_penalty(x));
-        }
         invariant::check_unit_interval("offload.leime.decide", x)
     }
 
@@ -109,12 +94,8 @@ impl OffloadController for LyapunovController {
         "leime"
     }
 
-    fn attach_telemetry(&mut self, telemetry: ControllerTelemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
     fn records_decisions(&self) -> bool {
-        self.telemetry.is_some()
+        true
     }
 }
 

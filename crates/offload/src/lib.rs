@@ -30,9 +30,9 @@
 //!   per-slot transmission timeout, bounded retry, and fallback to
 //!   fully-local execution (`x_i(t) = 0`) with exponential-backoff
 //!   recovery probes,
-//! * [`telemetry`] — optional per-slot recording of the controller state
-//!   (`Q_i`, `H_i`, `x_i(t)`, drift-plus-penalty) and fault/degradation
-//!   counters into a `leime-telemetry` registry.
+//! * [`telemetry`] — the series a driving simulator records controller
+//!   decisions into (`Q_i`, `H_i`, `x_i(t)`, drift-plus-penalty), batched
+//!   per slot into a `leime-telemetry` registry.
 
 mod alloc;
 

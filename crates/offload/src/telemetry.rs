@@ -1,127 +1,53 @@
 //! Controller-side telemetry: per-slot recording of the Lyapunov state.
 //!
-//! A [`ControllerTelemetry`] bundles the series a controller records
-//! into — device queue `Q_i(t)`, edge queue `H_i(t)`, the chosen ratio
-//! `x_i(t)` and the drift-plus-penalty objective value (Eq. 19) — plus
-//! a shared [`VirtualClock`] so the points are stamped with simulated
-//! time. The driving simulator advances the clock once per slot;
-//! controllers for several devices may share one telemetry handle, in
-//! which case each series holds one point per device per slot.
+//! A [`ControllerTelemetry`] bundles the series a driving simulator
+//! records a controller's decisions into — device queue `Q_i(t)`, edge
+//! queue `H_i(t)`, the chosen ratio `x_i(t)` and the drift-plus-penalty
+//! objective value (Eq. 19). Controllers record nothing themselves
+//! ([`crate::OffloadController::decide`] is pure): the driver buffers
+//! each recorded decision, stamped with its slot-start time, into a
+//! [`DecisionBatch`] and flushes the batch once per slot. Several
+//! devices share one handle, so each series holds one point per device
+//! per slot.
 
 use std::sync::Arc;
 
-use leime_telemetry::{Counter, Registry, Series, VirtualClock};
+use leime_telemetry::{Registry, Series};
 
-use crate::degrade::DegradeOutcome;
 use crate::SlotObservation;
 
-/// Recording handles for one controller (or one system's controllers).
+/// Recording handles for one system's controller decisions.
 #[derive(Debug, Clone)]
 pub struct ControllerTelemetry {
-    clock: VirtualClock,
     queue_q: Arc<Series>,
     queue_h: Arc<Series>,
     offload_x: Arc<Series>,
     drift_plus_penalty: Arc<Series>,
-    fault_slots: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    retries: Arc<Counter>,
-    fallbacks: Arc<Counter>,
-    recoveries: Arc<Counter>,
 }
 
 impl ControllerTelemetry {
     /// Creates handles recording into `registry` as
     /// `{prefix}.queue_q`, `{prefix}.queue_h`, `{prefix}.offload_x` and
-    /// `{prefix}.drift_plus_penalty`, plus the fault/degradation counters
-    /// `{prefix}.fault_slots`, `{prefix}.timeouts`, `{prefix}.retries`,
-    /// `{prefix}.fallbacks` and `{prefix}.recoveries`. Points are stamped
-    /// with `clock` time — pass a clone of the simulator's clock so
-    /// controller series line up with the rest of the run's telemetry.
-    pub fn attach(registry: &Registry, prefix: &str, clock: VirtualClock) -> Self {
+    /// `{prefix}.drift_plus_penalty`.
+    pub fn attach(registry: &Registry, prefix: &str) -> Self {
         ControllerTelemetry {
-            clock,
             queue_q: registry.series(&format!("{prefix}.queue_q")),
             queue_h: registry.series(&format!("{prefix}.queue_h")),
             offload_x: registry.series(&format!("{prefix}.offload_x")),
             drift_plus_penalty: registry.series(&format!("{prefix}.drift_plus_penalty")),
-            fault_slots: registry.counter(&format!("{prefix}.fault_slots")),
-            timeouts: registry.counter(&format!("{prefix}.timeouts")),
-            retries: registry.counter(&format!("{prefix}.retries")),
-            fallbacks: registry.counter(&format!("{prefix}.fallbacks")),
-            recoveries: registry.counter(&format!("{prefix}.recoveries")),
-        }
-    }
-
-    /// The clock used to stamp recorded points.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    /// Records one device-slot decision: the observed queues, the chosen
-    /// ratio and the objective value at the optimum.
-    pub fn record_decision(&self, obs: &SlotObservation, x: f64, drift_plus_penalty: f64) {
-        use leime_telemetry::Clock;
-        let t = self.clock.now();
-        self.queue_q.push(t, obs.q);
-        self.queue_h.push(t, obs.h);
-        self.offload_x.push(t, x);
-        self.drift_plus_penalty.push(t, drift_plus_penalty);
-    }
-
-    /// Counts one device-slot in which any injected fault was active on
-    /// the device's path to the edge.
-    pub fn record_fault_slot(&self) {
-        self.fault_slots.incr();
-    }
-
-    /// Counts the transitions a [`DegradeOutcome`] reports (timeout,
-    /// retry, fallback, recovery).
-    pub fn record_degrade(&self, outcome: &DegradeOutcome) {
-        if outcome.timed_out {
-            self.timeouts.incr();
-        }
-        if outcome.retried {
-            self.retries.incr();
-        }
-        if outcome.fell_back {
-            self.fallbacks.incr();
-        }
-        if outcome.recovered {
-            self.recoveries.incr();
         }
     }
 
     /// Flushes a [`DecisionBatch`] accumulated by a driving simulator:
     /// each series takes its lock once per flush instead of once per
-    /// decision, and each counter is bumped once with the batch tally.
-    /// Point and count values are exactly those the equivalent sequence
-    /// of [`ControllerTelemetry::record_decision`] /
-    /// [`ControllerTelemetry::record_fault_slot`] /
-    /// [`ControllerTelemetry::record_degrade`] calls would have produced
-    /// (the batch stores caller-stamped times). The batch is left empty
-    /// and ready for reuse.
+    /// decision, and keeps the batch's points in order. The batch is
+    /// left empty and ready for reuse.
     pub fn flush_batch(&self, batch: &mut DecisionBatch) {
         self.queue_q.push_batch(&batch.queue_q);
         self.queue_h.push_batch(&batch.queue_h);
         self.offload_x.push_batch(&batch.offload_x);
         self.drift_plus_penalty
             .push_batch(&batch.drift_plus_penalty);
-        if batch.fault_slots > 0 {
-            self.fault_slots.add(batch.fault_slots);
-        }
-        if batch.timeouts > 0 {
-            self.timeouts.add(batch.timeouts);
-        }
-        if batch.retries > 0 {
-            self.retries.add(batch.retries);
-        }
-        if batch.fallbacks > 0 {
-            self.fallbacks.add(batch.fallbacks);
-        }
-        if batch.recoveries > 0 {
-            self.recoveries.add(batch.recoveries);
-        }
         batch.clear();
     }
 }
@@ -137,11 +63,6 @@ pub struct DecisionBatch {
     queue_h: Vec<(f64, f64)>,
     offload_x: Vec<(f64, f64)>,
     drift_plus_penalty: Vec<(f64, f64)>,
-    fault_slots: u64,
-    timeouts: u64,
-    retries: u64,
-    fallbacks: u64,
-    recoveries: u64,
 }
 
 impl DecisionBatch {
@@ -150,8 +71,9 @@ impl DecisionBatch {
         DecisionBatch::default()
     }
 
-    /// Buffers one device-slot decision stamped at time `t` (the caller
-    /// supplies the slot-start time its clock would have reported).
+    /// Buffers one device-slot decision stamped at time `t` (the
+    /// caller supplies the slot-start time): the observed queues, the
+    /// chosen ratio `x` and the objective value `dpp` at the optimum.
     pub fn record_decision(&mut self, t: f64, obs: &SlotObservation, x: f64, dpp: f64) {
         self.queue_q.push((t, obs.q));
         self.queue_h.push((t, obs.h));
@@ -159,27 +81,9 @@ impl DecisionBatch {
         self.drift_plus_penalty.push((t, dpp));
     }
 
-    /// Buffers one faulted device-slot.
-    pub fn record_fault_slot(&mut self) {
-        self.fault_slots += 1;
-    }
-
-    /// Buffers the transitions a [`DegradeOutcome`] reports.
-    pub fn record_degrade(&mut self, outcome: &DegradeOutcome) {
-        self.timeouts += u64::from(outcome.timed_out);
-        self.retries += u64::from(outcome.retried);
-        self.fallbacks += u64::from(outcome.fell_back);
-        self.recoveries += u64::from(outcome.recovered);
-    }
-
     /// Whether nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.queue_q.is_empty()
-            && self.fault_slots == 0
-            && self.timeouts == 0
-            && self.retries == 0
-            && self.fallbacks == 0
-            && self.recoveries == 0
     }
 
     /// Empties the batch, keeping buffer capacity for the next slot.
@@ -188,11 +92,6 @@ impl DecisionBatch {
         self.queue_h.clear();
         self.offload_x.clear();
         self.drift_plus_penalty.clear();
-        self.fault_slots = 0;
-        self.timeouts = 0;
-        self.retries = 0;
-        self.fallbacks = 0;
-        self.recoveries = 0;
     }
 }
 
@@ -203,15 +102,17 @@ mod tests {
     #[test]
     fn records_one_point_per_series() {
         let registry = Registry::new();
-        let clock = VirtualClock::new();
-        let telemetry = ControllerTelemetry::attach(&registry, "sys.ctrl", clock.clone());
-        clock.advance_to(2.0);
+        let telemetry = ControllerTelemetry::attach(&registry, "sys.ctrl");
         let obs = SlotObservation {
             q: 3.0,
             h: 1.5,
             p_share: 0.25,
         };
-        telemetry.record_decision(&obs, 0.4, 12.5);
+        let mut batch = DecisionBatch::new();
+        assert!(batch.is_empty());
+        batch.record_decision(2.0, &obs, 0.4, 12.5);
+        telemetry.flush_batch(&mut batch);
+        assert!(batch.is_empty());
         let snap = registry.snapshot();
         assert_eq!(
             snap.series_named("sys.ctrl.queue_q").unwrap().points,
@@ -231,93 +132,5 @@ mod tests {
                 .points,
             vec![(2.0, 12.5)]
         );
-    }
-
-    #[test]
-    fn batched_flush_matches_sequential_recording() {
-        // Two registries, same decisions: one recorded per-decision, one
-        // buffered and flushed per-slot. The serialized snapshots must be
-        // identical — this is what lets the slotted runner batch its
-        // driver-side replay without breaking DESIGN.md §11.
-        let seq_reg = Registry::new();
-        let bat_reg = Registry::new();
-        let clock = VirtualClock::new();
-        let seq = ControllerTelemetry::attach(&seq_reg, "sys.ctrl", clock.clone());
-        let bat = ControllerTelemetry::attach(&bat_reg, "sys.ctrl", clock.clone());
-        let mut batch = DecisionBatch::new();
-        assert!(batch.is_empty());
-        for slot in 0..3u64 {
-            let t = slot as f64;
-            clock.advance_to(t);
-            for dev in 0..4u64 {
-                use leime_telemetry::Clock;
-                let obs = SlotObservation {
-                    q: dev as f64,
-                    h: 0.5 * dev as f64,
-                    p_share: 0.25,
-                };
-                let x = 0.1 * (slot + dev) as f64;
-                seq.record_decision(&obs, x, x + 1.0);
-                batch.record_decision(clock.now(), &obs, x, x + 1.0);
-                if dev == 0 {
-                    seq.record_fault_slot();
-                    batch.record_fault_slot();
-                }
-                let outcome = DegradeOutcome {
-                    x,
-                    timed_out: dev == 1,
-                    retried: dev == 1,
-                    fell_back: dev == 2,
-                    recovered: dev == 3,
-                };
-                seq.record_degrade(&outcome);
-                batch.record_degrade(&outcome);
-            }
-            bat.flush_batch(&mut batch);
-            assert!(batch.is_empty());
-        }
-        assert_eq!(
-            serde_json::to_string(&seq_reg.snapshot()).unwrap(),
-            serde_json::to_string(&bat_reg.snapshot()).unwrap()
-        );
-    }
-
-    #[test]
-    fn degrade_outcomes_increment_matching_counters() {
-        let registry = Registry::new();
-        let telemetry = ControllerTelemetry::attach(&registry, "sys.ctrl", VirtualClock::new());
-        telemetry.record_fault_slot();
-        telemetry.record_fault_slot();
-        telemetry.record_degrade(&DegradeOutcome {
-            x: 0.0,
-            timed_out: true,
-            retried: true,
-            fell_back: false,
-            recovered: false,
-        });
-        telemetry.record_degrade(&DegradeOutcome {
-            x: 0.0,
-            timed_out: true,
-            retried: false,
-            fell_back: true,
-            recovered: false,
-        });
-        telemetry.record_degrade(&DegradeOutcome {
-            x: 0.4,
-            recovered: true,
-            ..DegradeOutcome::default()
-        });
-        let snap = registry.snapshot();
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|c| c.name == format!("sys.ctrl.{name}"))
-                .map(|c| c.value)
-        };
-        assert_eq!(counter("fault_slots"), Some(2));
-        assert_eq!(counter("timeouts"), Some(2));
-        assert_eq!(counter("retries"), Some(1));
-        assert_eq!(counter("fallbacks"), Some(1));
-        assert_eq!(counter("recoveries"), Some(1));
     }
 }

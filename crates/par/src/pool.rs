@@ -240,7 +240,7 @@ where
 ///
 /// Rounds are barriers: round `r + 1` starts only after every shard's
 /// round-`r` output has been applied. The barrier is a spin-then-yield
-/// [`SpinBarrier`] pair rather than channels — at fleet-simulation
+/// `SpinBarrier` pair rather than channels — at fleet-simulation
 /// granularity (tens of microseconds of work per round) channel
 /// round-trips cost more than the round itself. Per-shard state never
 /// crosses shards, which is what lets the slotted simulator keep

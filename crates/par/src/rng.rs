@@ -51,7 +51,7 @@ pub fn stream_seed(master: u64, stream_id: u64) -> u64 {
 ///
 /// This is the workspace's one seeded-RNG constructor. `leime`,
 /// `leime-serving` and `leime-fleet` depend on `rand` only for tests, and
-/// this crate re-exports [`StdRng`] and [`Rng`] but not `SeedableRng`, so
+/// this crate re-exports [`StdRng`] and [`Rng`](crate::Rng) but not `SeedableRng`, so
 /// their library code cannot seed a generator any other way.
 pub fn stream_rng(master: u64, stream_id: u64) -> StdRng {
     StdRng::seed_from_u64(stream_seed(master, stream_id))

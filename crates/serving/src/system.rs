@@ -166,6 +166,12 @@ impl ServingSystem {
     ///   per-class request counters, and
     /// * `{prefix}.queue_q`, `{prefix}.queue_h`, `{prefix}.offload_x` —
     ///   per-slot fleet-mean series stamped with simulated time.
+    ///
+    /// The histograms and counters take each run's report totals once,
+    /// after the run. A registry reused across runs keeps counts,
+    /// buckets, min and max exact; a histogram's `sum` then adds each
+    /// run's sum in one step, so it may round differently from one
+    /// running sum over every request.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
         let per_class = |what: &str| -> [Arc<Counter>; 3] {
             SlaClass::ALL.map(|c| registry.counter(&format!("{prefix}.{}.{what}", c.name())))
@@ -269,6 +275,9 @@ impl ServingSystem {
         let (mut hard_requests, mut fault_slots) = (0u64, 0u64);
         let (mut offload_sum, mut offload_slots) = (0.0f64, 0u64);
         let tel = self.telemetry.as_ref();
+        // Per-slot fleet means of `[q, h, x]`, pushed to the registry
+        // after the run.
+        let mut means: [Vec<(f64, f64)>; 3] = Default::default();
         let replay = |_: usize, slot: usize, outs: SlotRecords<'_, Option<Served>>| {
             let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
             // Churned-out devices (`None`) have no arrivals and frozen queues.
@@ -289,9 +298,6 @@ impl ServingSystem {
                     if tct <= stat.deadline_s {
                         stat.deadline_hits += 1;
                     }
-                    if let Some(tel) = tel {
-                        tel.tct[ci].record(tct);
-                    }
                 }
                 for (ci, stat) in stats.iter_mut().enumerate() {
                     stat.offered += a.offered[ci];
@@ -305,11 +311,11 @@ impl ServingSystem {
                 h_sum += a.h;
                 x_sum += a.x;
             }
-            if let Some(tel) = tel {
+            if tel.is_some() {
                 let t_s = SimTime::from_secs(slot as f64 * slot_len_s).as_secs();
-                tel.queue_q.push(t_s, q_sum / n as f64);
-                tel.queue_h.push(t_s, h_sum / n as f64);
-                tel.offload_x.push(t_s, x_sum / n as f64);
+                for (series, sum) in means.iter_mut().zip([q_sum, h_sum, x_sum]) {
+                    series.push((t_s, sum / n as f64));
+                }
             }
             Ok(())
         };
@@ -324,9 +330,17 @@ impl ServingSystem {
             step,
             replay,
         )?;
-        // The per-class counters are totals, so they take the report's.
+        // The registry takes the per-slot series and the report's
+        // per-class totals once, after the run.
         if let Some(tel) = tel {
+            for (series, points) in [&tel.queue_q, &tel.queue_h, &tel.offload_x]
+                .into_iter()
+                .zip(&means)
+            {
+                series.push_batch(points);
+            }
             for (ci, s) in stats.iter().enumerate() {
+                tel.tct[ci].merge(&s.tct_s);
                 tel.offered[ci].add(s.offered);
                 tel.admitted[ci].add(s.admitted);
                 tel.shed[ci].add(s.shed);
@@ -753,11 +767,19 @@ mod tests {
             let h = snap
                 .histogram_named(&format!("serve.tct_s.{}", c.name()))
                 .unwrap();
+            let want = &report.class(c).tct_s;
             assert_eq!(h.count, report.class(c).admitted);
+            assert_eq!(h.count, want.count());
+            assert_eq!(h.buckets, *want);
+            assert_eq!(h.buckets.sum().to_bits(), want.sum().to_bits());
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            assert_eq!(bits(h.buckets.min()), bits(want.min()));
+            assert_eq!(bits(h.buckets.max()), bits(want.max()));
             if h.count > 0 {
                 assert!(h.p999.is_some());
             }
         }
+        assert!(SlaClass::ALL.iter().any(|&c| report.class(c).admitted > 0));
         assert!(snap.series_named("serve.queue_q").is_some());
         assert!(snap.series_named("serve.offload_x").is_some());
     }

@@ -20,12 +20,7 @@
 //! * [`TimeTrace`] — piecewise-constant time-varying parameters (bandwidth,
 //!   arrival-rate traces),
 //! * [`stats`] — Welford online moments, percentile sketches, and
-//!   time-series recording for experiment output,
-//! * [`SimMonitor`] — bridges simulation events (transfer latencies,
-//!   queue depths, utilisation) into a `leime-telemetry` [`Registry`]
-//!   and keeps a virtual clock in step with simulated time.
-//!
-//! [`Registry`]: leime_telemetry::Registry
+//!   time-series recording for experiment output.
 //!
 //! ```
 //! use leime_simnet::{EventQueue, SimTime};
@@ -39,7 +34,6 @@
 
 mod event;
 mod link;
-mod monitor;
 mod server;
 mod time;
 mod trace;
@@ -48,7 +42,6 @@ pub mod stats;
 
 pub use event::EventQueue;
 pub use link::Link;
-pub use monitor::SimMonitor;
 pub use server::FifoServer;
 pub use time::SimTime;
 pub use trace::TimeTrace;

@@ -343,11 +343,6 @@ impl Histogram {
         update_f64(&self.max_bits, v, f64::max);
     }
 
-    /// Records a duration in seconds (convenience alias for latencies).
-    pub fn record_seconds(&self, seconds: f64) {
-        self.record(seconds);
-    }
-
     /// Records the same sample `n` times with one bucket search and one
     /// CAS loop per metric — bit-identical to `n` successive
     /// [`Histogram::record`] calls from a single thread (the sum is
@@ -380,21 +375,20 @@ impl Histogram {
         self.count() == 0
     }
 
-    /// Merges another histogram's current contents into this one
-    /// (bucket-count addition — exact).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.counts.iter().zip(other.counts.iter()) {
-            let v = src.load(Ordering::Relaxed);
+    /// Merges a plain histogram into this one, as [`Buckets::merge`]
+    /// does: counts, min and max are exact, and the sum adds `other`'s
+    /// sum in one step. Merged into an empty histogram, the result is
+    /// bit-identical to recording `other`'s samples here.
+    pub fn merge(&self, other: &Buckets) {
+        for (dst, &v) in self.counts.iter().zip(&other.counts) {
             if v > 0 {
                 dst.fetch_add(v, Ordering::Relaxed);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let snap = |bits: &AtomicU64| f64::from_bits(bits.load(Ordering::Relaxed));
-        update_f64(&self.sum_bits, snap(&other.sum_bits), |a, b| a + b);
-        update_f64(&self.min_bits, snap(&other.min_bits), f64::min);
-        update_f64(&self.max_bits, snap(&other.max_bits), f64::max);
+        self.count.fetch_add(other.count, Ordering::Relaxed);
+        update_f64(&self.sum_bits, other.sum, |a, b| a + b);
+        update_f64(&self.min_bits, other.min, f64::min);
+        update_f64(&self.max_bits, other.max, f64::max);
     }
 
     /// A plain copy of the current state, for quantile queries and
@@ -616,18 +610,27 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_adds_counts() {
+    fn merge_adds_counts() {
         let a = Histogram::new();
-        let b = Histogram::new();
+        let mut b = Buckets::new();
         for i in 1..=100 {
             a.record(i as f64);
             b.record(i as f64 * 10.0);
         }
-        a.merge_from(&b);
+        a.merge(&b);
         assert_eq!(a.count(), 200);
         let snap = a.snapshot();
         assert_eq!(snap.min(), Some(1.0));
         assert_eq!(snap.max(), Some(1000.0));
+        // Into an empty histogram, a merge equals recording the samples.
+        let fresh = Histogram::new();
+        fresh.merge(&b);
+        let direct = Histogram::new();
+        for i in 1..=100 {
+            direct.record(i as f64 * 10.0);
+        }
+        assert_eq!(fresh.snapshot(), direct.snapshot());
+        assert_eq!(fresh.snapshot().sum().to_bits(), b.sum().to_bits());
     }
 
     #[test]
