@@ -118,11 +118,6 @@ impl FleetReport {
             weighted / tasks as f64
         }
     }
-
-    /// Number of cross-edge migrations (balancer plus failover).
-    pub fn migration_count(&self) -> usize {
-        self.migrations.len()
-    }
 }
 
 /// A hierarchical multi-edge fleet: the template scenario's device list

@@ -1,7 +1,6 @@
-//! Interprocedural dataflow over the whole workspace: closure-capture
-//! extraction, a merged flow graph with per-function *effect facts*
-//! (allocation, blocking), hot-region reachability, and the S5, S6 and
-//! S8 rules built on top.
+//! The merged flow graph over [`FileFacts`], hot-region reachability,
+//! and the S5, S6 and S8 rules built on top (S1 reads the same graph
+//! over one crate's files, see [`crate::rules`]).
 //!
 //! | Rule | Enforces |
 //! | ---- | -------- |
@@ -9,492 +8,47 @@
 //! | `S6` | hot-path allocation ratchet — counts only go down vs. a pinned baseline |
 //! | `S8` | no blocking calls (locks, channel recv, sleeps) inside or reachable from shard worker bodies |
 //!
-//! Like the [`crate::callgraph`], the graph is *name-keyed*: same-named
-//! functions merge into one node, so reachability over-approximates.
-//! For S6 that direction is safe (a too-big hot set only makes the
-//! pinned baseline larger, never produces a spurious regression); for
-//! S5/S8 the shard-body discovery is syntactic (the closure argument of
-//! a known `leime-par` entry point), which keeps the root set exact.
+//! The graph is *name-keyed*: same-named functions merge into one
+//! node, so reachability over-approximates. For S6 that direction is
+//! safe (a too-big hot set only makes the pinned baseline larger, never
+//! produces a spurious regression); for S5/S8 the shard-body discovery
+//! is syntactic (the closure argument of a known `leime-par` entry
+//! point), which keeps the root set exact.
 //!
-//! Captures are computed against the *enclosing function's* bindings:
-//! an identifier free in the closure body only counts as a capture when
-//! the enclosing `fn` actually binds it (parameter, `let`, or loop
-//! pattern). Names the parser cannot bind (match-arm patterns are
-//! dropped from the AST) therefore never produce false captures.
+//! Captures are computed against the *enclosing function's* bindings
+//! (see [`crate::tree`]): an identifier free in the closure body only
+//! counts as a capture when the enclosing `fn` binds it (parameter,
+//! `let`, loop pattern or closure parameter). Match-arm patterns bind
+//! nothing, so their names never produce false captures.
 
-use crate::ast::{walk_block, walk_exprs, Block, Expr, File, Item, Stmt};
-use crate::parser::parse_source;
+use crate::tree::{FileFacts, FnFacts, ShardBody};
 use crate::{path_matches, Finding, SemaConfig};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-// ----- closure captures ------------------------------------------------
-
-/// Interior-mutability / synchronization methods: using one of these on
-/// a *captured* variable inside a shard body is exactly the shared
-/// mutable state S5 bans (`RefCell::borrow_mut`, `Mutex::lock`,
-/// `Relaxed` atomics, channels).
-const INTERIOR_MUT_METHODS: &[&str] = &[
-    "lock",
-    "borrow_mut",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "send",
-    "recv",
-];
-
-/// Calls that block the calling thread (S8). Lock acquisition doubles
-/// as interior mutability above; here the concern is stalling a shard.
-/// `join` is deliberately absent: on a method position it is almost
-/// always `slice::join`/`Path::join`, and shard workers never own a
-/// `JoinHandle` (the pool does).
-const BLOCKING_METHODS: &[&str] = &[
-    "lock",
-    "recv",
-    "recv_timeout",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-    "park",
-];
-
-/// The base identifier a borrow/field/index/cast chain hangs off:
-/// `report.rows[i]` → `report`, `&mut telemetry` → `telemetry`.
-fn chain_root(e: &Expr) -> Option<&str> {
-    match e {
-        Expr::Path { segs, .. } if segs.len() == 1 => segs.first().map(String::as_str),
-        Expr::Field { recv, .. } | Expr::Index { recv, .. } => chain_root(recv),
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => chain_root(expr),
-        _ => None,
-    }
-}
-
-/// Whether `name` reads as a local variable (not a type, enum variant,
-/// screaming const, or bool literal).
-fn is_var_like(name: &str) -> bool {
-    if name == "true" || name == "false" {
-        return false;
-    }
-    name.chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-        || name == "self"
-}
-
-/// Every identifier the item's body binds: parameters, `let` names and
-/// `for`-loop patterns at any depth, plus nested closure parameters.
-/// `self` is always considered bound inside a method.
-fn bound_names(item: &Item) -> BTreeSet<String> {
-    let mut bound: BTreeSet<String> = item.params.iter().cloned().collect();
-    bound.insert("self".to_string());
-    if let Some(body) = &item.body {
-        walk_block(body, &mut |e| match e {
-            Expr::For { pat, .. } => bound.extend(pat.iter().cloned()),
-            Expr::Closure { params, .. } => bound.extend(params.iter().cloned()),
-            _ => {}
-        });
-        collect_let_names(body, &mut bound);
-    }
-    bound
-}
-
-fn collect_let_names(block: &Block, out: &mut BTreeSet<String>) {
-    for stmt in &block.stmts {
-        if let Stmt::Let { name, .. } = stmt {
-            if !name.is_empty() {
-                out.insert(name.clone());
-            }
-        }
-    }
-    walk_block(block, &mut |e| {
-        let blocks: Vec<&Block> = match e {
-            Expr::For { body, .. } | Expr::While { body, .. } | Expr::BlockExpr(body) => {
-                vec![body]
-            }
-            Expr::If { then, els, .. } => {
-                let mut v = vec![then];
-                if let Some(b) = els {
-                    v.push(b);
-                }
-                v
-            }
-            _ => return,
-        };
-        for b in blocks {
-            for stmt in &b.stmts {
-                if let Stmt::Let { name, .. } = stmt {
-                    if !name.is_empty() {
-                        out.insert(name.clone());
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// The names a closure captures from its enclosing function.
-///
-/// `enclosing_bound` is the enclosing fn's binding set (see
-/// `bound_names`); only names bound there can be captured. Names the
-/// closure itself binds (its parameters, `let`s, loop patterns, nested
-/// closure parameters) shadow the enclosing binding and are not
-/// captures.
-pub fn closure_captures(
-    params: &[String],
-    body: &Expr,
-    enclosing_bound: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    // Names the closure body binds locally (flat over-approximation:
-    // a binding anywhere in the body shadows everywhere — permissive,
-    // so shadowed re-uses never surface as captures).
-    let mut local: BTreeSet<String> = params.iter().cloned().collect();
-    walk_exprs(body, &mut |e| match e {
-        Expr::For { pat, .. } => local.extend(pat.iter().cloned()),
-        Expr::Closure { params, .. } => local.extend(params.iter().cloned()),
-        _ => {}
-    });
-    if let Expr::BlockExpr(b) = body {
-        collect_let_names(b, &mut local);
-    } else {
-        // Non-block bodies can still own blocks (e.g. `|x| match …`).
-        walk_exprs(body, &mut |e| {
-            if let Expr::BlockExpr(b) = e {
-                collect_let_names(b, &mut local);
-            }
-        });
-    }
-
-    let mut caps = BTreeSet::new();
-    walk_exprs(body, &mut |e| {
-        if let Expr::Path { segs, .. } = e {
-            if let [name] = segs.as_slice() {
-                if !local.contains(name) && enclosing_bound.contains(name) && is_var_like(name) {
-                    caps.insert(name.clone());
-                }
-            }
-        }
-    });
-    caps
-}
-
-// ----- per-function effect facts ---------------------------------------
-
-/// Effect facts for one function *definition*.
-#[derive(Debug, Clone, Default)]
-pub struct FnFacts {
-    /// Defining file (scan-relative path).
-    pub path: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Allocation sites: `(line, what)`.
-    pub allocs: Vec<(u32, String)>,
-    /// Blocking sites: `(line, what)`.
-    pub blocking: Vec<(u32, String)>,
-    /// Names this function calls (paths by last segment, methods by
-    /// name) — the flow-graph edges.
-    pub calls: BTreeSet<String>,
-}
-
-/// Container types whose `with_capacity` allocates.
-const ALLOC_CONTAINERS: &[&str] = &["Vec", "String", "VecDeque", "BTreeMap", "BTreeSet", "Box"];
-
-/// Always-allocating method calls.
-const ALLOC_METHODS: &[&str] = &["clone", "to_string", "to_vec", "to_owned", "collect"];
-
-/// Walks `e` collecting effect facts into `facts`, tracking loop depth
-/// (allocation *inside a loop* is what churns; `vec!` and
-/// `with_capacity` only count there).
-fn collect_effects(e: &Expr, loop_depth: usize, facts: &mut FnFacts) {
-    match e {
-        Expr::Call { callee, args, line } => {
-            if let Expr::Path { segs, .. } = callee.as_ref() {
-                if let Some(last) = segs.last() {
-                    facts.calls.insert(last.clone());
-                    // Box::new and container with_capacity allocate.
-                    if last == "new" && segs.iter().any(|s| s == "Box") {
-                        facts.allocs.push((*line, "Box::new".to_string()));
-                    }
-                    if last == "with_capacity"
-                        && loop_depth > 0
-                        && segs.iter().any(|s| ALLOC_CONTAINERS.contains(&s.as_str()))
-                    {
-                        facts
-                            .allocs
-                            .push((*line, "with_capacity in loop".to_string()));
-                    }
-                    if last == "sleep" {
-                        facts.blocking.push((*line, "thread::sleep".to_string()));
-                    }
-                }
-            } else {
-                collect_effects(callee, loop_depth, facts);
-            }
-            for a in args {
-                collect_effects(a, loop_depth, facts);
-            }
-        }
-        Expr::MethodCall {
-            recv,
-            method,
-            args,
-            line,
-            ..
-        } => {
-            facts.calls.insert(method.clone());
-            if ALLOC_METHODS.contains(&method.as_str()) {
-                facts.allocs.push((*line, format!(".{method}()")));
-            }
-            if BLOCKING_METHODS.contains(&method.as_str()) {
-                facts.blocking.push((*line, format!(".{method}()")));
-            }
-            collect_effects(recv, loop_depth, facts);
-            for a in args {
-                collect_effects(a, loop_depth, facts);
-            }
-        }
-        Expr::MacroCall { segs, args, line } => {
-            match segs.last().map(String::as_str) {
-                Some("vec") if loop_depth > 0 => {
-                    facts.allocs.push((*line, "vec! in loop".to_string()))
-                }
-                Some("format") => facts.allocs.push((*line, "format!".to_string())),
-                _ => {}
-            }
-            for a in args {
-                collect_effects(a, loop_depth, facts);
-            }
-        }
-        Expr::For { iter, body, .. } => {
-            collect_effects(iter, loop_depth, facts);
-            collect_block_effects(body, loop_depth + 1, facts);
-        }
-        Expr::While { cond, body } => {
-            if let Some(c) = cond {
-                collect_effects(c, loop_depth, facts);
-            }
-            collect_block_effects(body, loop_depth + 1, facts);
-        }
-        Expr::If { cond, then, els } => {
-            collect_effects(cond, loop_depth, facts);
-            collect_block_effects(then, loop_depth, facts);
-            if let Some(b) = els {
-                collect_block_effects(b, loop_depth, facts);
-            }
-        }
-        Expr::Match { scrutinee, arms } => {
-            collect_effects(scrutinee, loop_depth, facts);
-            for a in arms {
-                collect_effects(a, loop_depth, facts);
-            }
-        }
-        Expr::BlockExpr(b) => collect_block_effects(b, loop_depth, facts),
-        Expr::Closure { body, .. } => collect_effects(body, loop_depth, facts),
-        Expr::Field { recv, .. } => collect_effects(recv, loop_depth, facts),
-        Expr::Index { recv, index } => {
-            collect_effects(recv, loop_depth, facts);
-            collect_effects(index, loop_depth, facts);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_effects(lhs, loop_depth, facts);
-            collect_effects(rhs, loop_depth, facts);
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_effects(expr, loop_depth, facts)
-        }
-        Expr::Tuple(xs) | Expr::Array(xs) => {
-            for x in xs {
-                collect_effects(x, loop_depth, facts);
-            }
-        }
-        Expr::StructLit { fields, .. } => {
-            for x in fields {
-                collect_effects(x, loop_depth, facts);
-            }
-        }
-        Expr::Jump { expr: Some(e) } => collect_effects(e, loop_depth, facts),
-        Expr::Path { .. } | Expr::Lit { .. } | Expr::Jump { expr: None } | Expr::Opaque => {}
-    }
-}
-
-fn collect_block_effects(block: &Block, loop_depth: usize, facts: &mut FnFacts) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init, .. } => {
-                if let Some(e) = init {
-                    collect_effects(e, loop_depth, facts);
-                }
-            }
-            Stmt::Expr(e) => collect_effects(e, loop_depth, facts),
-            // Nested items are their own flow-graph nodes.
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-// ----- shard-body discovery --------------------------------------------
-
-/// A closure passed as the worker argument of a `leime-par` entry point.
-#[derive(Debug, Clone)]
-struct ShardBody {
-    /// Defining file.
-    path: String,
-    /// Entry-point name (`par_map_shards` / `run_rounds`).
-    entry: String,
-    /// Interior-mutability uses of captured names inside the body:
-    /// `(name, method, line)`.
-    interior_mut: Vec<(String, String, u32)>,
-    /// Blocking sites directly inside the body: `(line, what)`.
-    blocking: Vec<(u32, String)>,
-    /// Names the body calls — roots for the S8 reachability walk.
-    calls: BTreeSet<String>,
-}
-
-/// Finds the `let name = |…| …;` initializer for `name` in `item`'s
-/// body, recursing through nested blocks (first match wins).
-fn let_bound_closure<'a>(item: &'a Item, name: &str) -> Option<&'a Expr> {
-    find_closure_let(item.body.as_ref()?, name)
-}
-
-fn find_closure_let<'a>(block: &'a Block, name: &str) -> Option<&'a Expr> {
-    for stmt in &block.stmts {
-        let e = match stmt {
-            Stmt::Let {
-                name: n,
-                init: Some(init),
-                ..
-            } => {
-                if n == name && matches!(init, Expr::Closure { .. }) {
-                    return Some(init);
-                }
-                init
-            }
-            Stmt::Expr(e) => e,
-            Stmt::Item(_) | Stmt::Let { init: None, .. } => continue,
-        };
-        if let Some(found) = find_closure_let_in_expr(e, name) {
-            return Some(found);
-        }
-    }
-    None
-}
-
-fn find_closure_let_in_expr<'a>(e: &'a Expr, name: &str) -> Option<&'a Expr> {
-    match e {
-        Expr::BlockExpr(b) | Expr::For { body: b, .. } | Expr::While { body: b, .. } => {
-            find_closure_let(b, name)
-        }
-        Expr::If { then, els, .. } => find_closure_let(then, name)
-            .or_else(|| els.as_ref().and_then(|b| find_closure_let(b, name))),
-        _ => None,
-    }
-}
-
-/// Extracts every shard body in `item` (one per `leime-par` entry-point
-/// call whose worker argument resolves to a closure).
-fn shard_bodies_of(path: &str, item: &Item, cfg: &SemaConfig, out: &mut Vec<ShardBody>) {
-    let Some(body) = &item.body else { return };
-    let enclosing = bound_names(item);
-    let mut worker_args: Vec<(String, Expr)> = Vec::new();
-    walk_block(body, &mut |e| {
-        let Expr::Call { callee, args, .. } = e else {
-            return;
-        };
-        let Expr::Path { segs, .. } = callee.as_ref() else {
-            return;
-        };
-        let Some(last) = segs.last() else { return };
-        for (entry, idx) in &cfg.par_entry_args {
-            if last == entry {
-                if let Some(arg) = args.get(*idx) {
-                    worker_args.push((entry.clone(), arg.clone()));
-                }
-            }
-        }
-    });
-    for (entry, arg) in worker_args {
-        let closure = match &arg {
-            Expr::Path { segs, .. } if segs.len() == 1 => {
-                segs.first().and_then(|n| let_bound_closure(item, n))
-            }
-            other => Some(other),
-        };
-        let Some(Expr::Closure {
-            params,
-            body: cbody,
-            ..
-        }) = closure
-        else {
-            continue;
-        };
-        let captures = closure_captures(params, cbody, &enclosing);
-        let mut interior_mut = Vec::new();
-        let mut facts = FnFacts::default();
-        collect_effects(cbody, 0, &mut facts);
-        walk_exprs(cbody, &mut |e| {
-            if let Expr::MethodCall {
-                recv, method, line, ..
-            } = e
-            {
-                if INTERIOR_MUT_METHODS.contains(&method.as_str()) {
-                    if let Some(root) = chain_root(recv) {
-                        if captures.contains(root) {
-                            interior_mut.push((root.to_string(), method.clone(), *line));
-                        }
-                    }
-                }
-            }
-        });
-        out.push(ShardBody {
-            path: path.to_string(),
-            entry,
-            interior_mut,
-            blocking: facts.blocking,
-            calls: facts.calls,
-        });
-    }
-}
-
-// ----- the workspace flow graph ----------------------------------------
-
-/// The merged workspace flow graph plus the discovered shard bodies.
+/// The merged workspace flow graph plus the discovered shard bodies,
+/// borrowed from the files' facts.
 #[derive(Debug, Default)]
-pub struct FlowAnalysis {
-    /// fn name → one [`FnFacts`] per definition (same-named fns merge
+pub struct FlowAnalysis<'a> {
+    /// fn name → `(path, facts)` per definition (same-named fns merge
     /// into one node for reachability, but keep separate facts so S6
     /// counts stay per-definition).
-    defs: BTreeMap<String, Vec<FnFacts>>,
-    /// Shard-worker closures found at `leime-par` entry-point calls.
-    shard_bodies: Vec<ShardBody>,
+    defs: BTreeMap<&'a str, Vec<(&'a str, &'a FnFacts)>>,
+    /// Shard-worker closures found at `leime-par` entry-point calls,
+    /// with their defining file.
+    shard_bodies: Vec<(&'a str, &'a ShardBody)>,
 }
 
-impl FlowAnalysis {
-    /// Builds the analysis over `(relative-path, source)` pairs spanning
-    /// the whole scan (all crates together — flow edges cross crates).
-    pub fn build(files: &[(String, String)], cfg: &SemaConfig) -> Self {
+impl<'a> FlowAnalysis<'a> {
+    /// Merges the facts of `files`: the whole scan for the flow rules
+    /// (flow edges cross crates), or one crate's files for S1.
+    pub fn build(files: impl IntoIterator<Item = &'a FileFacts>) -> Self {
         let mut out = FlowAnalysis::default();
-        for (path, src) in files {
-            let file: File = parse_source(src);
-            crate::rules::for_each_nontest_fn(&file.items, &mut |item| {
-                if item.body.is_none() {
-                    return;
-                }
-                let mut facts = FnFacts {
-                    path: path.clone(),
-                    line: item.line,
-                    ..FnFacts::default()
-                };
-                if let Some(b) = &item.body {
-                    collect_block_effects(b, 0, &mut facts);
-                }
-                out.defs.entry(item.name.clone()).or_default().push(facts);
-                shard_bodies_of(path, item, cfg, &mut out.shard_bodies);
-            });
+        for file in files {
+            for f in &file.fns {
+                out.defs.entry(&f.name).or_default().push((&file.path, f));
+            }
+            out.shard_bodies
+                .extend(file.shard_bodies.iter().map(|sb| (file.path.as_str(), sb)));
         }
         out
     }
@@ -502,61 +56,59 @@ impl FlowAnalysis {
     /// Names transitively reachable from `roots` through call edges
     /// (restricted to names this graph defines; library method names
     /// fall off the walk).
-    pub fn reachable(&self, roots: impl IntoIterator<Item = String>) -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut queue: VecDeque<String> = VecDeque::new();
-        for r in roots {
-            if self.defs.contains_key(&r) && seen.insert(r.clone()) {
-                queue.push_back(r);
-            }
-        }
-        while let Some(cur) = queue.pop_front() {
-            let Some(defs) = self.defs.get(&cur) else {
+    pub fn reachable<'r>(&self, roots: impl IntoIterator<Item = &'r str>) -> BTreeSet<&'a str> {
+        let mut seen = BTreeSet::new();
+        let mut todo: Vec<&str> = roots.into_iter().collect();
+        while let Some(name) = todo.pop() {
+            let Some((&key, defs)) = self.defs.get_key_value(name) else {
                 continue;
             };
-            for def in defs {
-                for callee in &def.calls {
-                    if self.defs.contains_key(callee) && !seen.contains(callee) {
-                        seen.insert(callee.clone());
-                        queue.push_back(callee.clone());
-                    }
-                }
+            if seen.insert(key) {
+                todo.extend(
+                    defs.iter()
+                        .flat_map(|(_, f)| f.calls.iter().map(String::as_str)),
+                );
             }
         }
         seen
     }
 
+    /// Whether `name` reaches a definition that calls `invariant::`
+    /// directly (including being one itself) — S1's question.
+    pub fn reaches_guard(&self, name: &str) -> bool {
+        self.reachable([name])
+            .iter()
+            .any(|n| self.defs[n].iter().any(|(_, f)| f.direct_guard))
+    }
+
     /// The hot set: functions transitively reachable from the
     /// configured hot roots plus every shard body's callees.
-    fn hot_set(&self, cfg: &SemaConfig) -> BTreeSet<String> {
-        let mut roots: Vec<String> = cfg.hot_root_fns.clone();
-        for sb in &self.shard_bodies {
-            roots.extend(sb.calls.iter().cloned());
-        }
-        self.reachable(roots)
+    fn hot_set(&self, cfg: &SemaConfig) -> BTreeSet<&'a str> {
+        let body_calls = self.shard_bodies.iter().flat_map(|(_, sb)| &sb.calls);
+        self.reachable(
+            cfg.hot_root_fns
+                .iter()
+                .chain(body_calls)
+                .map(String::as_str),
+        )
     }
 
     /// S6 raw material: per-definition allocation counts over the hot
     /// set, keyed `"<path>::<fn>"`, restricted to `hot_path_markers`.
     pub fn hot_alloc_counts(&self, cfg: &SemaConfig) -> BTreeMap<String, HotAlloc> {
-        let hot = self.hot_set(cfg);
         let mut out = BTreeMap::new();
-        for (name, defs) in &self.defs {
-            if !hot.contains(name) {
-                continue;
-            }
-            for def in defs {
-                if !path_matches(&def.path, &cfg.hot_path_markers) {
-                    continue;
+        for name in self.hot_set(cfg) {
+            for &(path, def) in &self.defs[name] {
+                if path_matches(path, &cfg.hot_path_markers) {
+                    out.insert(
+                        format!("{path}::{name}"),
+                        HotAlloc {
+                            path: path.to_string(),
+                            line: def.line,
+                            count: def.allocs.len(),
+                        },
+                    );
                 }
-                out.insert(
-                    format!("{}::{}", def.path, name),
-                    HotAlloc {
-                        path: def.path.clone(),
-                        line: def.line,
-                        count: def.allocs.len(),
-                    },
-                );
             }
         }
         out
@@ -584,11 +136,11 @@ impl FlowAnalysis {
     // A plain mutable capture needs no rule: the shard-body bounds are
     // `Fn + Sync`, so such a closure does not compile.
     fn scan_s5(&self, out: &mut Vec<Finding>) {
-        for sb in &self.shard_bodies {
+        for &(path, sb) in &self.shard_bodies {
             for (name, method, line) in &sb.interior_mut {
                 out.push(Finding {
                     rule: "S5".to_string(),
-                    path: sb.path.clone(),
+                    path: path.to_string(),
                     line: *line,
                     message: format!(
                         "`{}` shard body mutates captured `{name}` through `.{method}()` — \
@@ -603,11 +155,11 @@ impl FlowAnalysis {
 
     // S8: blocking calls inside (or reachable from) shard bodies.
     fn scan_s8(&self, out: &mut Vec<Finding>) {
-        for sb in &self.shard_bodies {
+        for &(path, sb) in &self.shard_bodies {
             for (line, what) in &sb.blocking {
                 out.push(Finding {
                     rule: "S8".to_string(),
-                    path: sb.path.clone(),
+                    path: path.to_string(),
                     line: *line,
                     message: format!(
                         "`{}` shard body blocks on `{what}` — shard workers must stay \
@@ -616,15 +168,12 @@ impl FlowAnalysis {
                     ),
                 });
             }
-            for callee in self.reachable(sb.calls.iter().cloned()) {
-                let Some(defs) = self.defs.get(&callee) else {
-                    continue;
-                };
-                for def in defs {
+            for callee in self.reachable(sb.calls.iter().map(String::as_str)) {
+                for &(def_path, def) in &self.defs[callee] {
                     for (line, what) in &def.blocking {
                         out.push(Finding {
                             rule: "S8".to_string(),
-                            path: def.path.clone(),
+                            path: def_path.to_string(),
                             line: *line,
                             message: format!(
                                 "`fn {callee}` blocks on `{what}` and is reachable from a \
@@ -655,10 +204,7 @@ pub struct HotAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn analyze_workspace(files: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
-        FlowAnalysis::build(files, cfg).findings(cfg)
-    }
+    use crate::tree::Tree;
 
     fn cfg() -> SemaConfig {
         SemaConfig {
@@ -668,33 +214,25 @@ mod tests {
         }
     }
 
+    fn facts(src: &str) -> FileFacts {
+        FileFacts::new("crates/x/src/lib.rs", src, &cfg())
+    }
+
     fn analyze(src: &str) -> Vec<Finding> {
-        analyze_workspace(
-            &[("crates/x/src/lib.rs".to_string(), src.to_string())],
-            &cfg(),
-        )
+        FlowAnalysis::build([&facts(src)]).findings(&cfg())
     }
 
     fn rules_of(found: &[Finding]) -> Vec<&str> {
         found.iter().map(|f| f.rule.as_str()).collect()
     }
 
+    /// The captures of the first closure in `src`'s first fn.
     fn captures(src: &str) -> Vec<String> {
-        // `src` must contain exactly one fn whose body ends in a closure
-        // expression statement.
-        let file = parse_source(src);
-        let mut result = BTreeSet::new();
-        crate::rules::for_each_nontest_fn(&file.items, &mut |item| {
-            let bound = bound_names(item);
-            if let Some(b) = &item.body {
-                walk_block(b, &mut |e| {
-                    if let Expr::Closure { params, body, .. } = e {
-                        result = closure_captures(params, body, &bound);
-                    }
-                });
-            }
-        });
-        result.into_iter().collect()
+        let tree = Tree::new(src);
+        let enclosing = tree.fn_bindings(&tree.fns[0]);
+        let first = tree.closures().next();
+        let caps = first.map(|c| tree.captures(&c, &enclosing));
+        caps.unwrap_or_default().into_iter().collect()
     }
 
     #[test]
@@ -847,15 +385,13 @@ mod tests {
 
     #[test]
     fn hot_alloc_counts_cover_roots_and_callees() {
-        let files = vec![(
-            "crates/x/src/lib.rs".to_string(),
+        let counts = FlowAnalysis::build([&facts(
             "fn hot_entry(n: usize) { let v: Vec<u32> = (0..n).collect(); helper(n); }\n\
              fn helper(n: usize) { for i in 0..n { let row = vec![i; 4]; drop(row); } \
              let s = format!(\"x\"); }\n\
-             fn cold(n: usize) { let s = n.to_string(); }"
-                .to_string(),
-        )];
-        let counts = FlowAnalysis::build(&files, &cfg()).hot_alloc_counts(&cfg());
+             fn cold(n: usize) { let s = n.to_string(); }",
+        )])
+        .hot_alloc_counts(&cfg());
         assert_eq!(
             counts["crates/x/src/lib.rs::hot_entry"].count, 1,
             "{counts:?}"
@@ -866,13 +402,11 @@ mod tests {
 
     #[test]
     fn vec_and_with_capacity_count_only_in_loops() {
-        let files = vec![(
-            "crates/x/src/lib.rs".to_string(),
+        let counts = FlowAnalysis::build([&facts(
             "fn hot_entry(n: usize) { let v = Vec::with_capacity(n); let w = vec![0; n]; \
-             for _ in 0..n { let inner = Vec::with_capacity(4); drop(inner); } }"
-                .to_string(),
-        )];
-        let counts = FlowAnalysis::build(&files, &cfg()).hot_alloc_counts(&cfg());
+             for _ in 0..n { let inner = Vec::with_capacity(4); drop(inner); } }",
+        )])
+        .hot_alloc_counts(&cfg());
         assert_eq!(counts["crates/x/src/lib.rs::hot_entry"].count, 1);
     }
 
@@ -883,5 +417,66 @@ mod tests {
              let _ = par_map_shards(items, workers, |_i, x| { thread::sleep(d); 0 }); } }",
         );
         assert!(found.is_empty(), "{found:?}");
+    }
+
+    /// S1's question over one crate whose files are `srcs`.
+    fn reaches_guard(srcs: &[&str], name: &str) -> bool {
+        let files: Vec<FileFacts> = srcs.iter().map(|src| facts(src)).collect();
+        FlowAnalysis::build(&files).reaches_guard(name)
+    }
+
+    #[test]
+    fn direct_guard_is_base_case() {
+        let src = "pub fn decide(x: f64) -> f64 { invariant::check_unit_interval(\"x\", x) }";
+        assert!(facts(src).fns[0].direct_guard);
+        assert!(reaches_guard(&[src], "decide"));
+    }
+
+    #[test]
+    fn guard_through_one_hop_and_two_hops() {
+        let src = "pub fn decide(x: f64) -> f64 { clamp(x) }\n\
+                   fn clamp(x: f64) -> f64 { checked(x) }\n\
+                   fn checked(x: f64) -> f64 { invariant::check_unit_interval(\"x\", x) }";
+        assert!(!facts(src).fns[0].direct_guard);
+        assert!(reaches_guard(&[src], "decide"));
+        assert!(reaches_guard(&[src], "clamp"));
+    }
+
+    #[test]
+    fn unguarded_chain_does_not_reach() {
+        let src =
+            "pub fn decide(x: f64) -> f64 { helper(x) }\nfn helper(x: f64) -> f64 { x * 0.5 }";
+        assert!(!reaches_guard(&[src], "decide"));
+    }
+
+    #[test]
+    fn cycles_terminate() {
+        assert!(!reaches_guard(&["fn a() { b() }\nfn b() { a() }"], "a"));
+    }
+
+    #[test]
+    fn method_call_edges_count() {
+        let src = "pub fn decide(s: &S) -> f64 { s.balance(0.5) }\n\
+                   impl S { fn balance(&self, x: f64) -> f64 { invariant::check_simplex(&[x]) } }";
+        assert!(reaches_guard(&[src], "decide"));
+    }
+
+    #[test]
+    fn cross_file_edges_resolve() {
+        let a = "pub fn decide(x: f64) -> f64 { solver::balance_solve(x) }";
+        let b = "pub fn balance_solve(x: f64) -> f64 { invariant::check_unit_interval(\"x\", x) }";
+        assert!(reaches_guard(&[a, b], "decide"));
+    }
+
+    #[test]
+    fn leime_invariant_crate_path_counts() {
+        let src = "pub fn decide(x: f64) -> f64 { leime_invariant::check(x) }";
+        assert!(reaches_guard(&[src], "decide"));
+    }
+
+    #[test]
+    fn guard_inside_macro_args_is_seen() {
+        let src = "pub fn decide(x: f64) { record!(invariant::check(x)); }";
+        assert!(reaches_guard(&[src], "decide"));
     }
 }

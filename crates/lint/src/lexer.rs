@@ -1,9 +1,9 @@
 //! Token-level scanner for Rust sources.
 //!
-//! The offline build environment has no `syn`, so the [`crate::parser`],
-//! the call graph's direct-guard scan and the waiver parser work on a
-//! lexical token stream instead of `rustc`'s own syntax tree. The scanner understands exactly
-//! as much of Rust's lexical grammar as its consumers need: line/block
+//! The offline build environment has no `syn`, so the [`crate::tree`]
+//! and the waiver parser work on a lexical token stream, lexed once per
+//! file, instead of `rustc`'s own syntax tree. The scanner understands
+//! exactly as much of Rust's lexical grammar as its consumers need: line/block
 //! comments (captured, for `lint:allow` waivers), string/char/lifetime
 //! disambiguation, raw and byte strings, byte-char literals (`b'x'`),
 //! raw identifiers (`r#fn`), identifiers, numeric literals with float

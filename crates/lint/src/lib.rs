@@ -9,9 +9,9 @@
 //! `cargo metadata` test over the pure check in [`layering`].
 //!
 //! The offline build has no `syn`, so the crate carries its own
-//! [`lexer`], a recursive-descent [`parser`] into a simplified [`ast`],
-//! an intra-crate [`callgraph`] and an interprocedural [`flow`] engine.
-//! The rules built on them:
+//! [`lexer`] and a token [`tree`] over it — matched delimiters, the
+//! `fn` items and the per-fn facts the rules read — plus one
+//! name-keyed [`flow`] graph over those facts. The rules built on them:
 //!
 //! | Rule | Enforces | Earns its keep by |
 //! | ---- | -------- | ----------------- |
@@ -35,14 +35,12 @@
 //! --deny-all`) is the CI gate; the library is exercised directly by the
 //! tier-2 integration tests.
 
-pub mod ast;
-pub mod callgraph;
 pub mod flow;
 pub mod layering;
 pub mod lexer;
-pub mod parser;
 pub mod report;
 pub mod rules;
+pub mod tree;
 
 pub use report::{Report, RuleCount, SCHEMA_VERSION};
 pub use rules::{FileScan, Waived, RULE_IDS};
@@ -51,6 +49,7 @@ use flow::{FlowAnalysis, HotAlloc};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use tree::FileFacts;
 
 /// The waiver budget: at most this many justified `lint:allow` escapes
 /// across the workspace.
@@ -256,16 +255,16 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
     files.sort();
     files.dedup();
 
-    let mut sources: Vec<(String, String)> = Vec::new();
+    let cfg = &opts.config;
+    let mut facts: Vec<FileFacts> = Vec::new();
     for file in &files {
         let src = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        sources.push((display_path(&opts.root, file), src));
+        facts.push(FileFacts::new(&display_path(&opts.root, file), &src, cfg));
     }
 
-    let cfg = &opts.config;
-    let flow = FlowAnalysis::build(&sources, cfg);
-    let mut raw = semantic_findings(&sources, &flow, cfg);
+    let flow = FlowAnalysis::build(&facts);
+    let mut raw = semantic_findings(&facts, &flow, cfg);
 
     // S6 allocation ratchet: hot-path counts against the pinned
     // baseline. Explicit-path scans skip it unless a baseline was
@@ -287,7 +286,7 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
         }
     }
 
-    let scan = rules::apply_waivers(&sources, raw);
+    let scan = rules::apply_waivers(&facts, raw);
     Ok(Report::new(files.len(), scan.findings, scan.waived))
 }
 
@@ -295,23 +294,20 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
 /// the S6 ratchet, which needs a baseline file ([`run`] adds it), and
 /// applies each file's waivers.
 pub fn scan_sources(sources: &[(String, String)], cfg: &SemaConfig) -> FileScan {
-    let flow = FlowAnalysis::build(sources, cfg);
-    rules::apply_waivers(sources, semantic_findings(sources, &flow, cfg))
+    let facts: Vec<FileFacts> = sources
+        .iter()
+        .map(|(path, src)| FileFacts::new(path, src, cfg))
+        .collect();
+    let flow = FlowAnalysis::build(&facts);
+    rules::apply_waivers(&facts, semantic_findings(&facts, &flow, cfg))
 }
 
-/// S1 over each crate's files (its call graphs are whole-crate), then the
+/// S1 over each crate's files (its graphs are whole-crate), then the
 /// flow rules over the whole file set (flow edges cross crates).
-fn semantic_findings(
-    sources: &[(String, String)],
-    flow: &FlowAnalysis,
-    cfg: &SemaConfig,
-) -> Vec<Finding> {
-    let mut groups: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
-    for (rel, src) in sources {
-        groups
-            .entry(crate_key(rel))
-            .or_default()
-            .push((rel.clone(), src.clone()));
+fn semantic_findings(facts: &[FileFacts], flow: &FlowAnalysis, cfg: &SemaConfig) -> Vec<Finding> {
+    let mut groups: BTreeMap<String, Vec<&FileFacts>> = BTreeMap::new();
+    for file in facts {
+        groups.entry(crate_key(&file.path)).or_default().push(file);
     }
     let mut out = Vec::new();
     for group in groups.values() {
@@ -344,36 +340,67 @@ fn write_s6_baseline(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result
 }
 
 /// Compares this run's hot-allocation counts against the pinned
-/// baseline: any function whose count rose (functions missing from the
-/// baseline count as 0) yields an S6 finding at its definition line.
+/// baseline, exactly: a function whose count rose (functions missing
+/// from the baseline count as 0) yields an S6 finding at its definition
+/// line, and so does a baseline entry left stale — its count above the
+/// measured one, or its fn no longer measured at all — since unclaimed
+/// slack could be re-spent without a finding.
 fn check_s6(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<Vec<Finding>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc: serde_json::Value = serde_json::from_str(&text)
         .map_err(|e| format!("malformed S6 baseline {}: {e}", path.display()))?;
-    let fns = doc.get("fns").and_then(|v| v.as_object());
+    let empty = serde_json::Map::new();
+    let fns = doc.get("fns").and_then(|v| v.as_object()).unwrap_or(&empty);
+    let field = |e: &serde_json::Value, k: &str| e.get(k).and_then(serde_json::Value::as_u64);
+    let finding = |path: &str, line: u32, message: String| Finding {
+        rule: "S6".to_string(),
+        path: path.to_string(),
+        line,
+        message,
+    };
     let mut out = Vec::new();
     for (key, ha) in counts {
-        let base = fns
-            .and_then(|m| m.get(key))
-            .and_then(|e| e.get("count"))
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0) as usize;
+        let name = key.rsplit("::").next().unwrap_or(key);
+        let base = fns.get(key).and_then(|e| field(e, "count")).unwrap_or(0) as usize;
         if ha.count > base {
-            let name = key.rsplit("::").next().unwrap_or(key);
-            out.push(Finding {
-                rule: "S6".to_string(),
-                path: ha.path.clone(),
-                line: ha.line,
-                message: format!(
+            out.push(finding(
+                &ha.path,
+                ha.line,
+                format!(
                     "`fn {name}` hot-path allocation count rose to {} (baseline {base}) — \
                      the S6 ratchet only goes down; hoist the allocation out of the hot \
                      region or regenerate the baseline with `--write-baseline` and justify \
                      the diff in review",
                     ha.count
                 ),
-            });
+            ));
+        } else if ha.count < base {
+            out.push(finding(
+                &ha.path,
+                ha.line,
+                format!(
+                    "`fn {name}` hot-path allocation count fell to {} (baseline {base}) — \
+                     regenerate the baseline with `--write-baseline` so the slack cannot \
+                     be re-spent",
+                    ha.count
+                ),
+            ));
         }
+    }
+    for (key, entry) in fns.iter().filter(|(key, _)| !counts.contains_key(*key)) {
+        let (file, name) = key.rsplit_once("::").unwrap_or(("", key));
+        let line = field(entry, "line")
+            .and_then(|l| u32::try_from(l).ok())
+            .unwrap_or(0);
+        out.push(finding(
+            file,
+            line,
+            format!(
+                "baseline entry for `fn {name}` matches no hot-path fn (gone, or no longer \
+                 hot) — regenerate the baseline with `--write-baseline`"
+            ),
+        ));
     }
     Ok(out)
 }

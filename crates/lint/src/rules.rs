@@ -2,9 +2,9 @@
 //! findings pass through.
 //!
 //! S1 — guarded solver fns must *transitively* reach an `invariant::`
-//! call — runs here over one crate's parsed files; the flow rules S5, S6
-//! and S8 live in [`crate::flow`]. Both skip `#[cfg(test)]` / `#[test]`
-//! items.
+//! call — runs here over the flow graph of one crate's files; the flow
+//! rules S5, S6 and S8 live in [`crate::flow`]. Both read the facts of
+//! [`crate::tree`], which skips `#[cfg(test)]` / `#[test]` items.
 //!
 //! Waivers: a comment `// lint:allow(<RULE>): <justification>` on the
 //! offending line, or on the line directly above it, suppresses exactly
@@ -13,10 +13,9 @@
 //! `W1` findings, and a waiver that suppresses nothing is reported as
 //! `W3` (stale waiver).
 
-use crate::ast::{Item, ItemKind, Stmt};
-use crate::callgraph::CallGraph;
-use crate::lexer::{lex, Comment};
-use crate::parser::parse_source;
+use crate::flow::FlowAnalysis;
+use crate::lexer::Comment;
+use crate::tree::FileFacts;
 use crate::{path_matches, Finding, SemaConfig};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -52,27 +51,32 @@ struct Waiver {
     used: bool,
 }
 
-/// Analyzes one crate's files (`(relative-path, source)` pairs)
-/// together: the call graph spans all of them, then S1 reports per-file
-/// findings, sorted by path, line and rule.
-pub fn analyze_crate(files: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
+/// S1 over one crate's files: the flow graph spans all of them, and
+/// every guarded fn defined in a guarded file must reach a direct
+/// `invariant::` caller. Findings are sorted by path, line and rule.
+pub fn analyze_crate(files: &[&FileFacts], cfg: &SemaConfig) -> Vec<Finding> {
     if !cfg.rule_on("S1") {
         return Vec::new();
     }
-    let parsed: Vec<(&str, crate::ast::File)> = files
-        .iter()
-        .map(|(path, src)| (path.as_str(), parse_source(src)))
-        .collect();
-
-    let mut graph = CallGraph::default();
-    for ((_, file), (_, src)) in parsed.iter().zip(files) {
-        graph.add_file(file, src);
-    }
-
+    let graph = FlowAnalysis::build(files.iter().copied());
     let mut out = Vec::new();
-    for (path, file) in &parsed {
-        if path_matches(path, &cfg.guarded_path_markers) {
-            scan_s1(path, file, &graph, &cfg.guarded_fn_names, &mut out);
+    for file in files {
+        if !path_matches(&file.path, &cfg.guarded_path_markers) {
+            continue;
+        }
+        for f in &file.fns {
+            if cfg.guarded_fn_names.contains(&f.name) && !graph.reaches_guard(&f.name) {
+                out.push(Finding {
+                    rule: "S1".to_string(),
+                    path: file.path.clone(),
+                    line: f.line,
+                    message: format!(
+                        "`fn {}` never reaches an `invariant::` guard on any call path \
+                         (Eq. 8 / Eq. 10–11 / Eq. 27)",
+                        f.name
+                    ),
+                });
+            }
         }
     }
     out.sort_by(|a, b| {
@@ -81,64 +85,17 @@ pub fn analyze_crate(files: &[(String, String)], cfg: &SemaConfig) -> Vec<Findin
     out
 }
 
-/// Calls `f` on every non-test `fn` item, skipping `#[cfg(test)]`
-/// subtrees entirely.
-pub(crate) fn for_each_nontest_fn<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item)) {
-    for item in items {
-        if item.cfg_test {
-            continue;
-        }
-        if item.kind == ItemKind::Fn {
-            f(item);
-        }
-        for_each_nontest_fn(&item.children, f);
-        if let Some(b) = &item.body {
-            for stmt in &b.stmts {
-                if let Stmt::Item(inner) = stmt {
-                    for_each_nontest_fn(std::slice::from_ref(inner), f);
-                }
-            }
-        }
-    }
-}
-
-fn scan_s1(
-    path: &str,
-    file: &crate::ast::File,
-    graph: &CallGraph,
-    guarded: &[String],
-    out: &mut Vec<Finding>,
-) {
-    for_each_nontest_fn(&file.items, &mut |f| {
-        if f.body.is_none() || !guarded.iter().any(|g| g == &f.name) {
-            return;
-        }
-        if !graph.reaches_guard(&f.name) {
-            out.push(Finding {
-                rule: "S1".to_string(),
-                path: path.to_string(),
-                line: f.line,
-                message: format!(
-                    "`fn {}` never reaches an `invariant::` guard on any call path \
-                     (Eq. 8 / Eq. 10–11 / Eq. 27)",
-                    f.name
-                ),
-            });
-        }
-    });
-}
-
 /// Applies each source file's waivers to the raw findings for that
 /// file, appending waiver-hygiene problems (W1–W3).
-pub fn apply_waivers(sources: &[(String, String)], raw: Vec<Finding>) -> FileScan {
+pub fn apply_waivers(files: &[FileFacts], raw: Vec<Finding>) -> FileScan {
     let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     for f in raw {
         by_file.entry(f.path.clone()).or_default().push(f);
     }
     let mut scan = FileScan::default();
-    for (path, src) in sources {
-        let raw = by_file.remove(path).unwrap_or_default();
-        let file = waive_file(path, &lex(src).comments, raw);
+    for file in files {
+        let raw = by_file.remove(&file.path).unwrap_or_default();
+        let file = waive_file(&file.path, &file.comments, raw);
         scan.findings.extend(file.findings);
         scan.waived.extend(file.waived);
     }
@@ -247,10 +204,8 @@ mod tests {
     }
 
     fn analyze(src: &str) -> Vec<Finding> {
-        analyze_crate(
-            &[("crates/x/src/lib.rs".to_string(), src.to_string())],
-            &cfg_all_paths(),
-        )
+        let cfg = cfg_all_paths();
+        analyze_crate(&[&FileFacts::new("crates/x/src/lib.rs", src, &cfg)], &cfg)
     }
 
     /// Lints `src` as a fleet source: S1-guarded under the default
@@ -291,18 +246,18 @@ mod tests {
 
     #[test]
     fn s1_spans_files_within_the_crate() {
-        let files = vec![
-            (
-                "crates/x/src/a.rs".to_string(),
-                "pub fn decide(x: f64) -> f64 { solver::balance(x) }".to_string(),
-            ),
-            (
-                "crates/x/src/b.rs".to_string(),
-                "pub fn balance(x: f64) -> f64 { invariant::check_unit_interval(\"x\", x) }"
-                    .to_string(),
-            ),
-        ];
-        let found = analyze_crate(&files, &cfg_all_paths());
+        let cfg = cfg_all_paths();
+        let a = FileFacts::new(
+            "crates/x/src/a.rs",
+            "pub fn decide(x: f64) -> f64 { solver::balance(x) }",
+            &cfg,
+        );
+        let b = FileFacts::new(
+            "crates/x/src/b.rs",
+            "pub fn balance(x: f64) -> f64 { invariant::check_unit_interval(\"x\", x) }",
+            &cfg,
+        );
+        let found = analyze_crate(&[&a, &b], &cfg);
         assert!(found.is_empty(), "{found:?}");
     }
 

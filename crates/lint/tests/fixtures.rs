@@ -525,3 +525,70 @@ fn deny_all_semantics_fixtures_dirty_workspace_clean_of_fixture_rules() {
         assert!(hit.contains(&rule), "rule {rule} missing from {hit:?}");
     }
 }
+
+#[test]
+fn s8_blind_spot_fixture_sees_let_else_and_match_guard_locks() {
+    // Each `.lock()` sits where a recursive-descent front end dropped
+    // the tokens: a `let … else` block and a match guard.
+    let report = scan_fixture("s8_blind.rs", fixture_config("S8"));
+    assert_eq!(triples(&report), expected("S8", "s8_blind.rs", &[11, 18]));
+    for (f, helper) in report.violations.iter().zip(["first_or_wait", "guarded"]) {
+        assert!(
+            f.message
+                .contains(&format!("`fn {helper}` blocks on `.lock()`")),
+            "{}",
+            f.message
+        );
+    }
+}
+
+/// Runs the S6 ratchet over one fixture against one fixture baseline.
+fn scan_s6(fixture: &str, baseline: &str) -> Report {
+    let mut opts = ScanOptions::new(workspace_root());
+    opts.paths = vec![PathBuf::from(format!("crates/lint/fixtures/{fixture}"))];
+    opts.config = fixture_config("S6");
+    opts.s6_baseline = Some(workspace_root().join(format!("crates/lint/fixtures/{baseline}")));
+    match run(&opts) {
+        Ok(r) => r,
+        Err(e) => unreachable!("fixture scan must succeed: {e}"),
+    }
+}
+
+#[test]
+fn s6_blind_spot_fixture_counts_the_helper_in_a_vec_length() {
+    // The hot root reaches `row_len` only through `vec![0; row_len(n)]`.
+    let report = scan_s6("s6_blind.rs", "s6_blind_baseline.json");
+    assert_eq!(triples(&report), expected("S6", "s6_blind.rs", &[9]));
+    assert!(
+        report.violations[0]
+            .message
+            .contains("`fn row_len` hot-path allocation count rose to 1 (baseline 0)"),
+        "{}",
+        report.violations[0].message
+    );
+}
+
+#[test]
+fn s6_stale_baseline_entries_are_reported() {
+    // Against s6.rs (`run` 1, `helper` 1): `run` is pinned above its
+    // count, `helper` exactly, and `gone` names no fn at all.
+    let report = scan_s6("s6.rs", "s6_stale_baseline.json");
+    assert_eq!(triples(&report), expected("S6", "s6.rs", &[6, 30]));
+    assert!(
+        report.violations[0]
+            .message
+            .contains("`fn run` hot-path allocation count fell to 1 (baseline 2)"),
+        "{}",
+        report.violations[0].message
+    );
+    assert!(
+        report.violations[1]
+            .message
+            .contains("baseline entry for `fn gone` matches no hot-path fn"),
+        "{}",
+        report.violations[1].message
+    );
+    for f in &report.violations {
+        assert!(f.message.contains("`--write-baseline`"), "{}", f.message);
+    }
+}

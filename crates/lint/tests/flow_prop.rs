@@ -1,15 +1,15 @@
 //! Tier-2 property tests: the interprocedural flow analysis is *total*.
-//! Whatever token or byte soup parses into, `FlowAnalysis::build`,
-//! `findings`, `hot_alloc_counts`, `reachable` and `closure_captures`
+//! Whatever facts token or byte soup yields, `FlowAnalysis::build`,
+//! `findings`, `hot_alloc_counts`, `reachable` and `Tree::captures`
 //! must terminate without panicking — and deterministically, since the
 //! lint gate diffs their output across runs.
 //!
 //! The proptest shim seeds each test from its module path (see
 //! `crates/shims/proptest`), so every run draws the same fixed cases.
 
-use leime_lint::flow::{closure_captures, FlowAnalysis};
-use leime_lint::parser::parse_source;
-use leime_lint::{ast, SemaConfig};
+use leime_lint::flow::FlowAnalysis;
+use leime_lint::tree::{FileFacts, Tree};
+use leime_lint::SemaConfig;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -120,11 +120,11 @@ fn open_config() -> SemaConfig {
 /// rendering of everything it produced.
 fn pipeline(src: &str) -> String {
     let cfg = open_config();
-    let files = vec![("crates/soup/src/lib.rs".to_string(), src.to_string())];
-    let flow = FlowAnalysis::build(&files, &cfg);
+    let file = FileFacts::new("crates/soup/src/lib.rs", src, &cfg);
+    let flow = FlowAnalysis::build([&file]);
     let findings = flow.findings(&cfg);
     let counts = flow.hot_alloc_counts(&cfg);
-    let reach = flow.reachable(cfg.hot_root_fns.iter().cloned());
+    let reach = flow.reachable(cfg.hot_root_fns.iter().map(String::as_str));
     format!("{findings:?}|{counts:?}|{reach:?}")
 }
 
@@ -162,8 +162,8 @@ proptest! {
         picks in prop::collection::vec(0usize..VOCAB.len(), 0..100),
         bound in prop::collection::vec(0usize..VOCAB.len(), 0..8),
     ) {
-        // Parse soup, then run capture extraction on every closure the
-        // parser salvaged, against an arbitrary enclosing binding set.
+        // Run capture extraction on every closure the tree finds in
+        // the soup, against an arbitrary enclosing binding set.
         let src: String = picks
             .iter()
             .map(|&i| VOCAB[i])
@@ -171,19 +171,13 @@ proptest! {
             .join(" ");
         let enclosing: BTreeSet<String> =
             bound.iter().map(|&i| VOCAB[i].to_string()).collect();
-        let file = parse_source(&src);
-        for item in &file.items {
-            let Some(body) = &item.body else { continue };
-            ast::walk_block(body, &mut |e| {
-                if let ast::Expr::Closure { params, body, .. } = e {
-                    let caps = closure_captures(params, body, &enclosing);
-                    // Every reported capture must come from the
-                    // enclosing binding set, never thin air.
-                    for c in &caps {
-                        assert!(enclosing.contains(c), "phantom capture {c:?}");
-                    }
-                }
-            });
+        let tree = Tree::new(&src);
+        for closure in tree.closures() {
+            // Every reported capture must come from the enclosing
+            // binding set, never thin air.
+            for c in tree.captures(&closure, &enclosing) {
+                prop_assert!(enclosing.contains(&c), "phantom capture {:?}", c);
+            }
         }
     }
 }

@@ -18,8 +18,8 @@
 //!    stream (device, sweep cell) derives its generator from
 //!    `SplitMix64(master, stream_id)`, independent of worker count.
 //! 3. **Ordered reduction** ([`pool::par_map_shards`],
-//!    [`pool::run_rounds`], [`reduce`]) — shard outputs are folded on
-//!    the caller's thread in shard-index order, never completion order.
+//!    [`pool::run_rounds`]) — shard outputs are folded on the caller's
+//!    thread in shard-index order, never completion order.
 //!
 //! Under these rules `run(workers = N)` is byte-identical to
 //! `run(workers = 1)` for every `N`, a contract enforced by the tier-2
@@ -30,16 +30,14 @@
 //! workers drain and join before the error is handed back.
 
 pub mod pool;
-pub mod reduce;
 pub mod rng;
 pub mod shard;
 
 pub use pool::{par_map_shards, run_rounds};
 pub use rand::rngs::StdRng;
 pub use rand::Rng;
-pub use reduce::{concat_shards, merge_btree_maps};
 pub use rng::{split_mix64, stream_rng, stream_seed};
-pub use shard::{epoch_ranges, owner_of, partition};
+pub use shard::{epoch_ranges, partition};
 
 /// A failure inside the parallel layer itself.
 #[derive(Debug, Clone, PartialEq, Eq)]

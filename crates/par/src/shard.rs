@@ -54,26 +54,6 @@ pub fn epoch_ranges(total: usize, len: usize) -> Vec<Range<usize>> {
     epochs
 }
 
-/// The shard index that owns `item` under `partition(n_items, workers)`.
-///
-/// Returns `None` when `item >= n_items`. Mirrors [`partition`] exactly;
-/// pinned against it by a property test.
-pub fn owner_of(item: usize, n_items: usize, workers: usize) -> Option<usize> {
-    if item >= n_items {
-        return None;
-    }
-    let workers = workers.max(1).min(n_items);
-    let base = n_items / workers;
-    let extra = n_items % workers;
-    // The first `extra` shards have `base + 1` items.
-    let boundary = extra * (base + 1);
-    if item < boundary {
-        Some(item / (base + 1))
-    } else {
-        Some(extra + (item - boundary) / base.max(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,11 +141,5 @@ mod tests {
             assert_covers(n, workers);
         }
 
-        #[test]
-        fn owner_matches_partition(n in 1usize..300, workers in 1usize..12, item in 0usize..300) {
-            let shards = partition(n, workers);
-            let expect = shards.iter().position(|r| r.contains(&item));
-            prop_assert_eq!(owner_of(item, n, workers), expect);
-        }
     }
 }

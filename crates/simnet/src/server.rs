@@ -23,7 +23,6 @@ pub struct FifoServer {
     rate: f64,
     busy_until: SimTime,
     jobs_served: u64,
-    busy_time: f64,
 }
 
 impl FifoServer {
@@ -41,7 +40,6 @@ impl FifoServer {
             rate: rate_flops,
             busy_until: SimTime::ZERO,
             jobs_served: 0,
-            busy_time: 0.0,
         }
     }
 
@@ -77,7 +75,6 @@ impl FifoServer {
         let finish = start + SimTime::from_secs(service);
         self.busy_until = finish;
         self.jobs_served += 1;
-        self.busy_time += service;
         finish
     }
 
@@ -94,19 +91,6 @@ impl FifoServer {
     /// Total jobs submitted so far.
     pub fn jobs_served(&self) -> u64 {
         self.jobs_served
-    }
-
-    /// Fraction of `[0, now]` the server spent busy (1.0 cap can be
-    /// exceeded transiently if the backlog extends past `now`).
-    pub fn utilisation(&self, now: SimTime) -> f64 {
-        // SimTime is non-negative by construction, so `<= 0` is exactly
-        // the zero case without a float equality.
-        if now.as_secs() <= 0.0 {
-            return 0.0;
-        }
-        // Count only work that fits before `now`.
-        let effective = self.busy_time - self.busy_until.saturating_sub(now).as_secs();
-        (effective / now.as_secs()).clamp(0.0, 1.0)
     }
 }
 
@@ -163,17 +147,6 @@ mod tests {
         s.set_rate(200.0);
         let done = s.submit(SimTime::ZERO, 100.0); // 0.5s at rate 200
         assert_eq!(done.as_secs().to_bits(), 1.5_f64.to_bits());
-    }
-
-    #[test]
-    fn utilisation_tracks_busy_fraction() {
-        let mut s = FifoServer::new(100.0);
-        s.submit(SimTime::ZERO, 100.0); // busy [0, 1]
-        assert!((s.utilisation(SimTime::from_secs(2.0)) - 0.5).abs() < 1e-9);
-        assert_eq!(
-            FifoServer::new(1.0).utilisation(SimTime::ZERO).to_bits(),
-            0.0_f64.to_bits()
-        );
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-index, or `None` if out of bounds.
     pub fn get(&self, index: &[usize]) -> Option<f32> {
         self.shape.offset(index).map(|o| self.data[o])

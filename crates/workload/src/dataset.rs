@@ -89,11 +89,6 @@ impl SyntheticDataset {
         self.num_classes
     }
 
-    /// The complexity distribution.
-    pub fn complexity_dist(&self) -> ComplexityDist {
-        self.dist
-    }
-
     /// Draws one sample with a uniformly random class.
     pub fn draw(&self, rng: &mut StdRng) -> Sample {
         Sample {
