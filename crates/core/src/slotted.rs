@@ -123,6 +123,7 @@ struct ShardState {
     mmpp: Vec<Mmpp>,
     rngs: Vec<StdRng>,
     memo: DecideMemo,
+    scratch: Vec<u8>,
 }
 
 impl ShardState {
@@ -246,7 +247,8 @@ pub struct DeviceDecision {
 }
 
 /// One device's row of a shard segment, as a stage's per-device step
-/// sees it: the device's own state plus the segment's decide memo.
+/// sees it: the device's own state plus the segment's decide memo and
+/// scratch buffer.
 #[derive(Debug)]
 pub struct DeviceRow<'a> {
     /// The device's index within its system.
@@ -261,45 +263,37 @@ pub struct DeviceRow<'a> {
     pub rng: &'a mut StdRng,
     /// The segment's decide memo (see [`decide_device`]).
     pub memo: &'a mut DecideMemo,
+    /// The segment's scratch bytes: a step clears it before use, and
+    /// nothing outside the step reads it.
+    pub scratch: &'a mut Vec<u8>,
 }
 
-/// One system's records for one slot, in device order, each with the
-/// bytes its step appended to the tape.
+/// One system's records for one slot, in device order. Each shard's
+/// epoch of records is stored slot, segment, device.
 pub struct SlotRecords<'a, O> {
     /// The system's `(shard, offset, len)` pieces not yet started.
     pieces: std::slice::Iter<'a, (usize, usize, usize)>,
-    shards: &'a [ShardOuts<O>],
+    shards: &'a [Vec<O>],
     blocks: &'a [usize],
     /// The slot's index within the epoch.
     rel: usize,
-    /// The piece being read: its shard's records and the indices left.
-    cur: Option<(&'a ShardOuts<O>, Range<usize>)>,
+    /// The rest of the piece being read.
+    cur: std::slice::Iter<'a, O>,
 }
 
 impl<'a, O> Iterator for SlotRecords<'a, O> {
-    type Item = (&'a O, &'a [u8]);
+    type Item = &'a O;
 
-    fn next(&mut self) -> Option<Self::Item> {
+    fn next(&mut self) -> Option<&'a O> {
         loop {
-            if let Some((sh, ks)) = &mut self.cur {
-                if let Some(k) = ks.next() {
-                    let sh: &'a ShardOuts<O> = sh;
-                    return Some((&sh.outs[k], &sh.tape[sh.ends[k]..sh.ends[k + 1]]));
-                }
+            if let Some(out) = self.cur.next() {
+                return Some(out);
             }
             let &(shard, offset, len) = self.pieces.next()?;
             let from = self.rel * self.blocks[shard] + offset;
-            self.cur = Some((&self.shards[shard], from..from + len));
+            self.cur = self.shards[shard][from..from + len].iter();
         }
     }
-}
-
-/// One shard's records for one epoch, in storage order (slot, segment,
-/// device); record `k` appended `tape[ends[k]..ends[k + 1]]`.
-struct ShardOuts<O> {
-    outs: Vec<O>,
-    tape: Vec<u8>,
-    ends: Vec<usize>,
 }
 
 /// Everything one device-slot produces, replayed into the report and
@@ -560,8 +554,7 @@ impl SlottedSystem {
         let step = |sys: usize,
                     (start, quants): &(SimTime, Option<SlotQuants>),
                     slot: usize,
-                    row: DeviceRow<'_>,
-                    _: &mut Vec<u8>| {
+                    row: DeviceRow<'_>| {
             let quants = quants.as_ref().unwrap_or(&bases[sys]);
             device_slot(&runs[sys], quants, *start, slot as u64, row)
         };
@@ -577,7 +570,7 @@ impl SlottedSystem {
             let t = slot_start.as_secs();
             let tel = systems[sys].telemetry.as_ref();
             let mut acc = SlotAccumulator::default();
-            for (out, _) in outs {
+            for out in outs {
                 apply_out(
                     &mut reports[sys],
                     tel,
@@ -637,9 +630,8 @@ impl SlottedSystem {
 /// * `broadcast(sys, slot)` — the driver-side per-slot context, called
 ///   once per system and slot, in slot then system order (so it may
 ///   draw from a driver-owned stream);
-/// * `step(sys, ctx, slot, row, tape)` — one device-slot on a worker,
-///   touching only that device's row; it may append variable-length
-///   detail to `tape`, which the replay reads back next to its record;
+/// * `step(sys, ctx, slot, row)` — one device-slot on a worker,
+///   touching only that device's row, returning its record;
 /// * `replay(sys, slot, outs)` — the driver-side recording of one
 ///   system's slot, with its records in device order.
 ///
@@ -662,7 +654,7 @@ pub fn run_slot_loop<B, O>(
     workers: NonZeroUsize,
     epoch_len: NonZeroUsize,
     mut broadcast: impl FnMut(usize, usize) -> B,
-    step: impl Fn(usize, &B, usize, DeviceRow<'_>, &mut Vec<u8>) -> Result<O> + Sync,
+    step: impl Fn(usize, &B, usize, DeviceRow<'_>) -> Result<O> + Sync,
     mut replay: impl FnMut(usize, usize, SlotRecords<'_, O>) -> Result<()>,
 ) -> Result<Vec<(Vec<QueuePair>, Vec<Mmpp>)>>
 where
@@ -702,13 +694,8 @@ where
                 _: usize,
                 (slots, per_slot): &(Range<usize>, Vec<B>),
                 segs: &mut Vec<ShardState>| {
-        let records = slots.len() * segs.iter().map(ShardState::len).sum::<usize>();
-        let mut outs = ShardOuts {
-            outs: Vec::with_capacity(records),
-            tape: Vec::new(),
-            ends: Vec::with_capacity(records + 1),
-        };
-        outs.ends.push(0);
+        let mut outs =
+            Vec::with_capacity(slots.len() * segs.iter().map(ShardState::len).sum::<usize>());
         for (rel, slot) in slots.clone().enumerate() {
             for sh in segs.iter_mut() {
                 let b = &per_slot[rel * n_sys + sh.sys];
@@ -720,16 +707,16 @@ where
                         mmpp: sh.mmpp.get_mut(k),
                         rng: &mut sh.rngs[k],
                         memo: &mut sh.memo,
+                        scratch: &mut sh.scratch,
                     };
-                    outs.outs.push(step(sh.sys, b, slot, row, &mut outs.tape)?);
-                    outs.ends.push(outs.tape.len());
+                    outs.push(step(sh.sys, b, slot, row)?);
                 }
             }
         }
         Ok(outs)
     };
 
-    let apply = |round: usize, shard_outs: Vec<Result<ShardOuts<O>>>| {
+    let apply = |round: usize, shard_outs: Vec<Result<Vec<O>>>| {
         let mut per_shard = Vec::with_capacity(shard_outs.len());
         for outs in shard_outs {
             per_shard.push(outs?);
@@ -741,7 +728,7 @@ where
                     shards: &per_shard,
                     blocks: &blocks,
                     rel,
-                    cur: None,
+                    cur: [].iter(),
                 };
                 replay(sys, slot, outs)?;
             }
@@ -852,6 +839,7 @@ fn build_shards(systems: &[(&[QueuePair], &[Mmpp], u64)], workers: usize) -> Vec
                     .map(|i| leime_par::stream_rng(seed, i as u64))
                     .collect(),
                 memo: DecideMemo::default(),
+                scratch: Vec::new(),
             });
         }
         shards.push(segs);
@@ -1269,6 +1257,89 @@ mod tests {
                 .chain((0..4).map(|i| (1, i)))
                 .collect();
             assert_eq!(seen, expected, "segments out of order at {workers} workers");
+        }
+    }
+
+    /// A toy record naming its own device-slot: `(sys, slot, i)`.
+    type Toy = (usize, usize, usize);
+
+    /// Runs a toy stage on [`run_slot_loop`]: the loop's result (each
+    /// system's final queue count) and every record the replay saw, each
+    /// checked against the system and slot it was replayed under.
+    fn toy_loop(
+        systems: &[(&[QueuePair], &[Mmpp], u64)],
+        slots: usize,
+        (workers, epoch_len): (usize, usize),
+        step: impl Fn(usize, &(), usize, DeviceRow<'_>) -> Result<Toy> + Sync,
+    ) -> (Result<Vec<usize>>, Vec<Toy>) {
+        let mut seen = Vec::new();
+        let replay = |sys: usize, slot: usize, outs: SlotRecords<'_, Toy>| {
+            for &rec in outs {
+                assert_eq!((rec.0, rec.1), (sys, slot), "record under the wrong call");
+                seen.push(rec);
+            }
+            Ok(())
+        };
+        let lanes = run_slot_loop(
+            systems,
+            slots,
+            NonZeroUsize::new(workers).unwrap(),
+            NonZeroUsize::new(epoch_len).unwrap(),
+            |_, _| (),
+            step,
+            replay,
+        );
+        let lanes = lanes.map(|l| l.iter().map(|(queues, _)| queues.len()).collect());
+        (lanes, seen)
+    }
+
+    #[test]
+    fn slot_loop_replays_each_device_once_in_slot_system_device_order() {
+        // Three systems of unequal size, one with a single device; up to
+        // more workers than devices, and 37 slots fit no epoch exactly.
+        let sizes = [4usize, 1, 2];
+        let queues: Vec<Vec<QueuePair>> =
+            sizes.iter().map(|&n| vec![QueuePair::new(); n]).collect();
+        let systems: Vec<(&[QueuePair], &[Mmpp], u64)> = queues
+            .iter()
+            .zip(1..)
+            .map(|(q, seed)| (&q[..], &[][..], seed))
+            .collect();
+        let slots = 37;
+        let expected: Vec<Toy> = (0..slots)
+            .flat_map(|slot| {
+                let systems = sizes.iter().enumerate();
+                systems.flat_map(move |(sys, &n)| (0..n).map(move |i| (sys, slot, i)))
+            })
+            .collect();
+        let clean = |sys, _: &(), slot, row: DeviceRow<'_>| Ok((sys, slot, row.i));
+        let garbage = |sys, _: &(), slot, row: DeviceRow<'_>| {
+            row.scratch.extend_from_slice(&[0xA5; 5]);
+            row.scratch[0] = slot as u8;
+            Ok((sys, slot, row.i))
+        };
+        // Devices 0/2 and 2/1 fail from slot 20 on: replay order puts
+        // 0/2 first, and so must every shard layout.
+        let failing = |sys, _: &(), slot, row: DeviceRow<'_>| match (sys, row.i) {
+            (0, 2) | (2, 1) if slot >= 20 => {
+                Err(LeimeError::Config(format!("{sys}/{}@{slot}", row.i)))
+            }
+            _ => Ok((sys, slot, row.i)),
+        };
+        for workers in [1, 2, 3, 8] {
+            for epoch_len in [1, 3, 16] {
+                let at = (workers, epoch_len);
+                for (lanes, seen) in [
+                    toy_loop(&systems, slots, at, clean),
+                    toy_loop(&systems, slots, at, garbage),
+                ] {
+                    assert_eq!(lanes.unwrap(), sizes, "lanes at {at:?}");
+                    assert_eq!(seen, expected, "replay order at {at:?}");
+                }
+                let (err, seen) = toy_loop(&systems, slots, at, failing);
+                assert_eq!(err, Err(LeimeError::Config("0/2@20".into())), "at {at:?}");
+                assert!(seen.iter().all(|&(_, slot, _)| slot < 20), "at {at:?}");
+            }
         }
     }
 

@@ -218,7 +218,7 @@ impl ScanOptions {
 pub const S6_BASELINE_PATH: &str = "crates/lint/hot_alloc_baseline.json";
 
 /// Schema tag of the S6 baseline file.
-pub const S6_BASELINE_SCHEMA: &str = "leime-lint-hot-alloc/1";
+pub const S6_BASELINE_SCHEMA: &str = "leime-lint-hot-alloc/2";
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
@@ -317,15 +317,13 @@ fn semantic_findings(facts: &[FileFacts], flow: &FlowAnalysis, cfg: &SemaConfig)
     out
 }
 
-/// Writes the S6 baseline file from this run's hot-allocation counts
-/// (sorted keys — the file diffs cleanly).
+/// Writes the S6 baseline file from this run's hot-allocation counts:
+/// one `{"count": n}` per `path::fn` key, sorted, and no line numbers,
+/// so edits that only move a function leave the file alone.
 fn write_s6_baseline(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<(), String> {
     let mut fns = serde_json::Map::new();
     for (key, ha) in counts {
-        fns.insert(
-            key.clone(),
-            serde_json::json!({ "line": ha.line, "count": ha.count }),
-        );
+        fns.insert(key.clone(), serde_json::json!({ "count": ha.count }));
     }
     let mut root = serde_json::Map::new();
     root.insert(
@@ -343,8 +341,9 @@ fn write_s6_baseline(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result
 /// baseline, exactly: a function whose count rose (functions missing
 /// from the baseline count as 0) yields an S6 finding at its definition
 /// line, and so does a baseline entry left stale — its count above the
-/// measured one, or its fn no longer measured at all — since unclaimed
-/// slack could be re-spent without a finding.
+/// measured one, or its fn no longer measured at all (reported at line 0
+/// of the key's file) — since unclaimed slack could be re-spent without
+/// a finding.
 fn check_s6(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<Vec<Finding>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -352,7 +351,6 @@ fn check_s6(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<Vec<Find
         .map_err(|e| format!("malformed S6 baseline {}: {e}", path.display()))?;
     let empty = serde_json::Map::new();
     let fns = doc.get("fns").and_then(|v| v.as_object()).unwrap_or(&empty);
-    let field = |e: &serde_json::Value, k: &str| e.get(k).and_then(serde_json::Value::as_u64);
     let finding = |path: &str, line: u32, message: String| Finding {
         rule: "S6".to_string(),
         path: path.to_string(),
@@ -362,7 +360,11 @@ fn check_s6(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<Vec<Find
     let mut out = Vec::new();
     for (key, ha) in counts {
         let name = key.rsplit("::").next().unwrap_or(key);
-        let base = fns.get(key).and_then(|e| field(e, "count")).unwrap_or(0) as usize;
+        let base = fns
+            .get(key)
+            .and_then(|e| e.get("count"))
+            .and_then(serde_json::Value::as_u64)
+            .unwrap_or(0) as usize;
         if ha.count > base {
             out.push(finding(
                 &ha.path,
@@ -388,14 +390,11 @@ fn check_s6(path: &Path, counts: &BTreeMap<String, HotAlloc>) -> Result<Vec<Find
             ));
         }
     }
-    for (key, entry) in fns.iter().filter(|(key, _)| !counts.contains_key(*key)) {
+    for (key, _) in fns.iter().filter(|(key, _)| !counts.contains_key(*key)) {
         let (file, name) = key.rsplit_once("::").unwrap_or(("", key));
-        let line = field(entry, "line")
-            .and_then(|l| u32::try_from(l).ok())
-            .unwrap_or(0);
         out.push(finding(
             file,
-            line,
+            0,
             format!(
                 "baseline entry for `fn {name}` matches no hot-path fn (gone, or no longer \
                  hot) — regenerate the baseline with `--write-baseline`"

@@ -571,20 +571,21 @@ fn s6_blind_spot_fixture_counts_the_helper_in_a_vec_length() {
 #[test]
 fn s6_stale_baseline_entries_are_reported() {
     // Against s6.rs (`run` 1, `helper` 1): `run` is pinned above its
-    // count, `helper` exactly, and `gone` names no fn at all.
+    // count, `helper` exactly, and `gone` names no fn at all (reported
+    // at line 0: the baseline records no lines).
     let report = scan_s6("s6.rs", "s6_stale_baseline.json");
-    assert_eq!(triples(&report), expected("S6", "s6.rs", &[6, 30]));
+    assert_eq!(triples(&report), expected("S6", "s6.rs", &[0, 6]));
     assert!(
         report.violations[0]
             .message
-            .contains("`fn run` hot-path allocation count fell to 1 (baseline 2)"),
+            .contains("baseline entry for `fn gone` matches no hot-path fn"),
         "{}",
         report.violations[0].message
     );
     assert!(
         report.violations[1]
             .message
-            .contains("baseline entry for `fn gone` matches no hot-path fn"),
+            .contains("`fn run` hot-path allocation count fell to 1 (baseline 2)"),
         "{}",
         report.violations[1].message
     );

@@ -5,8 +5,11 @@
 //! device; the admission controller sheds what would break the
 //! Eq. 10–11 stability bounds (best-effort first); admitted requests
 //! run under their class's exit setting with the scenario's offload
-//! controller (Lyapunov by default) steering the device/edge split, and
-//! per-request completion times are judged against per-class deadlines.
+//! controller (Lyapunov by default) steering the device/edge split.
+//! Every admitted request of one class that exits at one tier in a
+//! device-slot completes at the same Eq. 12–14 price, so each device-slot
+//! is judged against the per-class deadlines in at most nine (class,
+//! tier) cells.
 //! A run is a stage on the slotted system's own sharded slot loop
 //! ([`leime::run_slot_loop`]), and its per-device decision (chaos
 //! lookup, memoised solve, degradation ladder) is the slotted system's
@@ -258,17 +261,10 @@ impl ServingSystem {
         };
 
         let weights = self.class_weights();
-        let step =
-            |_: usize, ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>, tape: &mut _| {
-                self.serve_device(ctx, weights, slot as u64, row, tape)
-            };
+        let step = |_: usize, ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
+            self.serve_device(ctx, weights, slot as u64, row)
+        };
 
-        let cloud_leg = SlaClass::ALL.map(|c| {
-            let plan_c = self.plan.for_class(c);
-            plan_c.d[2] * 8.0 / scenario.cloud_bandwidth_bps
-                + scenario.cloud_latency_s
-                + plan_c.mu[2] / scenario.cloud_flops
-        });
         let sla = &self.config.sla;
         let mut stats: [ClassStats; 3] =
             SlaClass::ALL.map(|c| ClassStats::new(c, sla.deadline_for(c)));
@@ -281,28 +277,21 @@ impl ServingSystem {
         let replay = |_: usize, slot: usize, outs: SlotRecords<'_, Option<Served>>| {
             let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
             // Churned-out devices (`None`) have no arrivals and frozen queues.
-            for (a, admitted) in outs.filter_map(|(a, r)| Some((a.as_ref()?, r))) {
+            for a in outs.filter_map(Option::as_ref) {
                 hard_requests += a.hard;
-                // Judge each admitted request, in arrival order, against
-                // its class deadline.
-                let mut admitted_n = [0u64; 3];
-                for &request in admitted {
-                    let (ci, tier) = (usize::from(request & 3), usize::from(request >> 2));
-                    admitted_n[ci] += 1;
-                    let stat = &mut stats[ci];
-                    let tct = match tier {
-                        2 => a.tct[ci][1] + cloud_leg[ci],
-                        _ => a.tct[ci][tier],
-                    };
-                    stat.tct_s.record(tct);
-                    if tct <= stat.deadline_s {
-                        stat.deadline_hits += 1;
-                    }
-                }
+                // Judge each (class, tier) cell once against its class
+                // deadline: every request in it completes at its price.
                 for (ci, stat) in stats.iter_mut().enumerate() {
+                    for (&n, &tct) in a.admitted[ci].iter().zip(&a.tct[ci]) {
+                        stat.tct_s.record_n(tct, n);
+                        if tct <= stat.deadline_s {
+                            stat.deadline_hits += n;
+                        }
+                    }
+                    let admitted: u64 = a.admitted[ci].iter().sum();
                     stat.offered += a.offered[ci];
-                    stat.admitted += admitted_n[ci];
-                    stat.shed += a.offered[ci] - admitted_n[ci];
+                    stat.admitted += admitted;
+                    stat.shed += a.offered[ci] - admitted;
                 }
                 fault_slots += u64::from(a.fault);
                 offload_sum += a.x;
@@ -370,23 +359,27 @@ impl ServingSystem {
     /// class and one hardness draw per request), admission, the Eq. 10–11
     /// queue step and the admitted requests' exit-tier draws, all from
     /// the device's own stream (`weights` are the classes' plan-task
-    /// weights), then the price of an admitted request of each class at
-    /// its first and second exit. Each admitted request leaves one tape
-    /// byte, in arrival order: its class in bits 0–1 and its exit tier
-    /// above. `None` for a churned-out device.
-    /// Allocation-free (S6).
+    /// weights). Returns the admitted counts and the price of an admitted
+    /// request per (class, exit tier) cell; `None` for a churned-out
+    /// device. The offered requests wait in `row.scratch`, in arrival
+    /// order, until admission is decided. Allocation-free once the
+    /// scratch has grown to a slot's offered count (S6).
     fn serve_device(
         &self,
         ctx: &ServeSlot<'_>,
         weights: [f64; 3],
         slot: u64,
         mut row: DeviceRow<'_>,
-        tape: &mut Vec<u8>,
     ) -> leime::Result<Option<Served>> {
         let Some(d) = decide_device(&ctx.decide, &ctx.quants, slot, ctx.start, &mut row) else {
             return Ok(None);
         };
-        let DeviceRow { queue, rng, .. } = row;
+        let DeviceRow {
+            queue,
+            rng,
+            scratch,
+            ..
+        } = row;
         let (x, obs, dev) = (d.outcome.x, d.obs, d.device);
         let config = &self.config;
         let offered_n = SlotArrivals::Poisson {
@@ -394,15 +387,15 @@ impl ServingSystem {
             max: config.traffic.max_per_slot,
         }
         .draw(rng);
-        let first = tape.len();
+        scratch.clear();
         let (mut offered, mut hard) = ([0u64; 3], 0u64);
         for _ in 0..offered_n {
             let class = config.sla.class_for_draw(rng.gen_range(0.0..1.0));
             let is_hard = rng.gen_range(0.0..1.0) < ctx.hard_f;
             offered[class.index()] += 1;
             hard += u64::from(is_hard);
-            // Bit 2 marks a hard sample until admission rewrites the byte.
-            tape.push(class.index() as u8 | u8::from(is_hard) << 2);
+            // The class in bits 0–1, bit 2 marks a hard sample.
+            scratch.push(class.index() as u8 | u8::from(is_hard) << 2);
         }
 
         let cost = SlotCost::new(d.shared, dev, obs.q, obs.h, obs.p_share);
@@ -431,9 +424,9 @@ impl ServingSystem {
         // Admit the first `admitted[c]` requests of each class in
         // arrival order and draw each one's exit tier.
         let mut quota_left = decision.admitted;
-        let mut kept = first;
-        for k in first..tape.len() {
-            let (ci, hard) = (usize::from(tape[k] & 3), tape[k] >> 2 != 0);
+        let mut admitted = [[0u64; 3]; 3];
+        for &request in scratch.iter() {
+            let (ci, hard) = (usize::from(request & 3), request >> 2 != 0);
             if quota_left[ci] == 0 {
                 continue;
             }
@@ -446,16 +439,14 @@ impl ServingSystem {
                 2
             } else {
                 let plan_c = self.plan.for_class(SlaClass::ALL[ci]);
-                plan_c.tier_for_draw(rng.gen_range(0.0..1.0))? as u8
+                plan_c.tier_for_draw(rng.gen_range(0.0..1.0))?
             };
-            tape[kept] = ci as u8 | tier << 2;
-            kept += 1;
+            admitted[ci][tier] += 1;
         }
-        tape.truncate(kept);
 
         // Price the admitted cohort: Eq. 12–14 first-block cost (backlog
         // wait included) per plan-task equivalent, plus the deterministic
-        // block-2 tail (the replay adds the class's block-3 leg).
+        // block-2 tail, plus the class's block-3 cloud leg.
         let (base_per_equiv, f_e2) = if admitted_equiv > 0.0 {
             let realized = DeviceParams {
                 arrival_mean: admitted_equiv,
@@ -476,7 +467,10 @@ impl ServingSystem {
                 + ((1.0 - x)
                     * (plan_c.d[1] * 8.0 / dev.bandwidth_bps.max(f64::EPSILON) + dev.latency_s)
                     + plan_c.mu[1] / f_e2);
-            [first_block, second]
+            let cloud_leg = plan_c.d[2] * 8.0 / self.scenario.cloud_bandwidth_bps
+                + self.scenario.cloud_latency_s
+                + plan_c.mu[2] / self.scenario.cloud_flops;
+            [first_block, second, second + cloud_leg]
         });
         Ok(Some(Served {
             fault: d.fault || d.degraded_local,
@@ -485,6 +479,7 @@ impl ServingSystem {
             h: obs.h,
             hard,
             offered,
+            admitted,
             tct,
         }))
     }
@@ -513,9 +508,10 @@ struct Served {
     /// Offered requests flagged as hard samples.
     hard: u64,
     offered: [u64; 3],
-    /// An admitted request's completion time by class, at the first
-    /// and second exit (the third adds the class's cloud leg).
-    tct: [[f64; 2]; 3],
+    /// Admitted requests by class and exit tier.
+    admitted: [[u64; 3]; 3],
+    /// An admitted request's completion time by class and exit tier.
+    tct: [[f64; 3]; 3],
 }
 
 /// The serving testbed: a Pi fleet with a deliberately scarce edge

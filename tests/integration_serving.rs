@@ -4,7 +4,7 @@
 //! generated inputs, the overload acceptance bar (admission beats
 //! no-admission on latency-critical hit-rate), the golden
 //! flash-crowd-over-brownout composition with `leime-chaos` (pinned
-//! counts included), and extreme parameters ending in finite reports.
+//! counts and latency quantiles included), and extreme parameters ending in finite reports.
 
 use leime::{ControllerKind, ModelKind, Scenario};
 use leime_invariant as invariant;
@@ -132,8 +132,9 @@ fn flash_crowd_over_brownout_composition() {
     );
 }
 
-/// The golden composition's counts, pinned: a change here is a change
-/// in what the serving loop computes, not only in how it computes it.
+/// The golden composition's counts and latency distribution, pinned: a
+/// change here is a change in what the serving loop computes, not only
+/// in how it computes it.
 #[test]
 fn flash_brownout_counts_are_pinned() {
     let (scenario, config) = flash_brownout_testbed(ModelKind::SqueezeNet, 4, CHAOS_SEED, 2.0);
@@ -146,7 +147,32 @@ fn flash_brownout_counts_are_pinned() {
         (17221, 4613, 12608, 4613, 4613),
         (10396, 16, 10380, 16, 16),
     ];
-    for (c, want) in SlaClass::ALL.into_iter().zip(want) {
+    // `to_bits` of tct_s (min, max, p50, p99, p999) per class: none of
+    // them depends on the order requests are recorded in (`sum` does).
+    let want_tct: [[u64; 5]; 3] = [
+        [
+            0x3fdbb0125e853436,
+            0x3ff6eb9eca7d42fe,
+            0x3ff2f05472a660d0,
+            0x3ff5913913cf93b1,
+            0x3ff6eb9eca7d42fe,
+        ],
+        [
+            0x3fdbb0125e853436,
+            0x3ff9893f056a3883,
+            0x3ff2f05472a660d0,
+            0x3ff808c7153e8b7e,
+            0x3ff9893f056a3883,
+        ],
+        [
+            0x3ff2e0c59f306644,
+            0x3ffefa0d6622cfe0,
+            0x3ff2f05472a660d0,
+            0x3ffefa0d6622cfe0,
+            0x3ffefa0d6622cfe0,
+        ],
+    ];
+    for ((c, want), want_tct) in SlaClass::ALL.into_iter().zip(want).zip(want_tct) {
         let s = report.class(c);
         let got = (
             s.offered,
@@ -156,6 +182,16 @@ fn flash_brownout_counts_are_pinned() {
             s.tct_s.count(),
         );
         assert_eq!(got, want, "{}", c.name());
+        let h = &s.tct_s;
+        let got_tct = [
+            h.min(),
+            h.max(),
+            h.quantile(0.5),
+            h.quantile(0.99),
+            h.p999(),
+        ]
+        .map(|v| v.map(f64::to_bits));
+        assert_eq!(got_tct, want_tct.map(Some), "{} tct_s", c.name());
     }
     assert_eq!(report.hard_requests, 1767);
     assert_eq!(report.fault_slots, 76);
