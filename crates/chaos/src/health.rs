@@ -216,6 +216,58 @@ mod tests {
     }
 
     #[test]
+    fn collapse_slows_then_restores_nominal_rate() {
+        let s = FaultSchedule::new(vec![ev(
+            FaultKind::BandwidthCollapse { factor: 0.25 },
+            FaultTarget::AllDevices,
+            0.0,
+            10.0,
+        )])
+        .unwrap();
+        let h = s.link_health(3, SimTime::ZERO);
+        assert!(h.up);
+        assert_eq!(h.bandwidth_factor.to_bits(), 0.25_f64.to_bits());
+        assert_eq!(h.extra_latency_s.to_bits(), 0.0_f64.to_bits());
+        assert!(s.link_health(3, SimTime::from_secs(20.0)).is_nominal());
+    }
+
+    #[test]
+    fn spike_adds_latency_without_reshaping_bandwidth() {
+        let s = FaultSchedule::new(vec![ev(
+            FaultKind::LatencySpike { add_s: 0.5 },
+            FaultTarget::Device(1),
+            0.0,
+            10.0,
+        )])
+        .unwrap();
+        let h = s.link_health(1, SimTime::ZERO);
+        assert!(h.up);
+        assert_eq!(h.bandwidth_factor.to_bits(), 1.0_f64.to_bits());
+        assert_eq!(h.extra_latency_s.to_bits(), 0.5_f64.to_bits());
+        assert!(s.link_health(0, SimTime::ZERO).is_nominal());
+    }
+
+    #[test]
+    fn outage_rejects_then_brownout_slows_jobs() {
+        let s = FaultSchedule::new(vec![
+            ev(FaultKind::EdgeOutage, FaultTarget::Edge, 0.0, 2.0),
+            ev(
+                FaultKind::EdgeSlowdown { factor: 0.5 },
+                FaultTarget::Edge,
+                2.0,
+                10.0,
+            ),
+        ])
+        .unwrap();
+        assert!(!s.edge_health(SimTime::from_secs(1.0)).up);
+        let brownout = s.edge_health(SimTime::from_secs(2.0));
+        assert!(brownout.up);
+        assert_eq!(brownout.speed_factor.to_bits(), 0.5_f64.to_bits());
+        // Past the brownout the nominal rate returns.
+        assert!(s.edge_health(SimTime::from_secs(20.0)).is_nominal());
+    }
+
+    #[test]
     fn churn_removes_one_device_only() {
         let s = FaultSchedule::new(vec![ev(
             FaultKind::DeviceChurn,

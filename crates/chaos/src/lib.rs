@@ -18,9 +18,6 @@
 //! * [`FaultModel`] / [`ChaosConfig`] — declarative, serialisable fault
 //!   generators (duty cycle + mean episode length per model), compiled to
 //!   a concrete schedule per seed,
-//! * [`ChaosLink`] / [`ChaosServer`] — wrappers around
-//!   [`leime_simnet::Link`] and [`leime_simnet::FifoServer`] that consult
-//!   a schedule on every transfer/submission,
 //! * [`LinkHealth`] / [`EdgeHealth`] — what a controller (or the graceful-
 //!   degradation wrapper in `leime-offload`) observes at a slot boundary.
 //!
@@ -31,9 +28,7 @@
 mod health;
 mod models;
 mod schedule;
-mod wrap;
 
 pub use health::{EdgeHealth, LinkHealth};
 pub use models::{ChaosConfig, FaultModel};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
-pub use wrap::{ChaosLink, ChaosServer, SubmitOutcome, TransferOutcome};

@@ -3,8 +3,8 @@
 //! A [`FaultSchedule`] is a validated list of [`FaultEvent`]s — intervals
 //! of simulated time during which one resource misbehaves in one way.
 //! Schedules are plain data on the virtual clock: querying one never
-//! mutates it, so the same schedule drives the slotted model, the DES and
-//! the bench binaries identically.
+//! mutates it, so the same schedule drives the slotted model, serving,
+//! fleets and the bench binaries identically.
 
 use leime_invariant as invariant;
 use leime_simnet::SimTime;

@@ -5,7 +5,6 @@
 //! leime init                                  # print a template scenario
 //! leime deploy --scenario s.json              # run the exit setting
 //! leime run    --scenario s.json --slots 300  # slotted simulation
-//! leime run    --scenario s.json --des 120    # task-level DES (120 s)
 //! ```
 
 use leime::{ExitStrategy, Scenario};
@@ -24,9 +23,8 @@ USAGE:
         edgent, neurosurgeon.
 
     leime run --scenario <FILE> [--strategy <NAME>] [--slots <N>]
-              [--des <SECONDS>] [--seed <N>] [--json]
-        Deploy and simulate. Default: 300 slots of the slotted model;
-        --des switches to the task-level DES for the given horizon.
+              [--seed <N>] [--json]
+        Deploy and simulate the slotted model (default 300 slots).
 ";
 
 /// Parsed command line.
@@ -41,7 +39,6 @@ enum Command {
         scenario: String,
         strategy: ExitStrategy,
         slots: usize,
-        des_horizon: Option<f64>,
         seed: u64,
         json: bool,
     },
@@ -69,7 +66,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut scenario = None;
             let mut strategy = ExitStrategy::Leime;
             let mut slots = 300usize;
-            let mut des_horizon = None;
             let mut seed = 42u64;
             let mut json = false;
             while let Some(flag) = it.next() {
@@ -85,10 +81,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                         slots = value("--slots")?
                             .parse()
                             .map_err(|e| format!("--slots: {e}"))?
-                    }
-                    "--des" => {
-                        des_horizon =
-                            Some(value("--des")?.parse().map_err(|e| format!("--des: {e}"))?)
                     }
                     "--seed" => {
                         seed = value("--seed")?
@@ -107,7 +99,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     scenario,
                     strategy,
                     slots,
-                    des_horizon,
                     seed,
                     json,
                 })
@@ -167,17 +158,14 @@ fn cmd_run(
     path: &str,
     strategy: ExitStrategy,
     slots: usize,
-    des_horizon: Option<f64>,
     seed: u64,
     json: bool,
 ) -> Result<(), String> {
     let scenario = load_scenario(path)?;
     let dep = scenario.deploy(strategy).map_err(|e| e.to_string())?;
-    let report = match des_horizon {
-        Some(h) => scenario.run_des(&dep, h, seed),
-        None => scenario.run_slotted(&dep, slots, seed),
-    }
-    .map_err(|e| e.to_string())?;
+    let report = scenario
+        .run_slotted(&dep, slots, seed)
+        .map_err(|e| e.to_string())?;
     let tiers = report.tiers();
     if json {
         // Hand-rolled summary object: the full report is large.
@@ -226,10 +214,9 @@ fn main() -> ExitCode {
             scenario,
             strategy,
             slots,
-            des_horizon,
             seed,
             json,
-        } => cmd_run(&scenario, strategy, slots, des_horizon, seed, json),
+        } => cmd_run(&scenario, strategy, slots, seed, json),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -278,14 +265,12 @@ mod tests {
         match c {
             Command::Run {
                 slots,
-                des_horizon,
                 seed,
                 json,
                 strategy,
                 ..
             } => {
                 assert_eq!(slots, 300);
-                assert_eq!(des_horizon, None);
                 assert_eq!(seed, 42);
                 assert!(!json);
                 assert_eq!(strategy, ExitStrategy::Leime);
@@ -295,13 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_run_des_json() {
+    fn parses_run_seed_json() {
         let c = parse_args(&args(&[
             "run",
             "--scenario",
             "s.json",
-            "--des",
-            "120.5",
+            "--slots",
+            "120",
             "--seed",
             "7",
             "--json",
@@ -309,12 +294,9 @@ mod tests {
         .unwrap();
         match c {
             Command::Run {
-                des_horizon,
-                seed,
-                json,
-                ..
+                slots, seed, json, ..
             } => {
-                assert_eq!(des_horizon, Some(120.5));
+                assert_eq!(slots, 120);
                 assert_eq!(seed, 7);
                 assert!(json);
             }
@@ -337,6 +319,10 @@ mod tests {
         ]))
         .is_err());
         assert!(parse_args(&args(&["run", "--scenario", "s.json", "--slots", "x"])).is_err());
+        assert_eq!(
+            parse_args(&args(&["run", "--scenario", "s.json", "--des", "120"])),
+            Err("unknown flag '--des'".to_string())
+        );
     }
 
     #[test]

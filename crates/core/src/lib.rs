@@ -21,8 +21,6 @@
 //!   links, workload, controller),
 //! * [`SlottedSystem`] — the paper's slotted queueing model (Eq. 10–14),
 //!   used for the motivation and ablation experiments,
-//! * [`TaskSim`] — an end-to-end discrete-event simulation of individual
-//!   tasks flowing through device → edge → cloud with early exits,
 //! * [`systems`] — LEIME plus the paper's benchmark systems (DDNN,
 //!   Neurosurgeon, Edgent) behind one interface,
 //! * [`runtime`] — a live multi-threaded prototype (crossbeam channels,
@@ -48,7 +46,6 @@ mod model;
 mod report;
 mod scenario;
 mod slotted;
-mod tasksim;
 
 pub mod runtime;
 pub mod systems;
@@ -75,7 +72,6 @@ pub use slotted::{
     decide_device, run_slot_loop, share_floor, DecideCtx, DecideMemo, DeviceDecision, DeviceRow,
     SlotQuants, SlotRecords, SlottedSystem, DEFAULT_EPOCH_LEN, SHARE_FLOOR,
 };
-pub use tasksim::TaskSim;
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, LeimeError>;

@@ -80,33 +80,22 @@ impl RunReport {
         RunReport::default()
     }
 
-    /// Records one completed task's completion time (seconds) at `t`.
-    pub(crate) fn record_tct(&mut self, t: leime_simnet::SimTime, tct_s: f64) {
-        self.tct.push(tct_s);
-        self.series.push(t, tct_s);
-    }
-
     /// Records one slot cohort's shared per-task completion time for all
-    /// `n` tasks at once — the final report state is exactly what `n`
-    /// [`RunReport::record_tct`] calls would build (`push_n` is
-    /// bit-identical to repeated `push`), without `n` bucket searches.
+    /// `n` tasks at once (`push_n` is bit-identical to `n` repeated
+    /// `push`es, without `n` bucket searches).
     pub(crate) fn record_tct_n(&mut self, t: leime_simnet::SimTime, tct_s: f64, n: u64) {
         self.tct.push_n(tct_s, n);
         self.series.push_n(t, tct_s, n);
     }
 
-    /// Records an exit-tier observation (0, 1 or 2).
-    pub(crate) fn record_tier(&mut self, tier: usize) {
-        match tier {
-            0 => self.tiers.first += 1,
-            1 => self.tiers.second += 1,
-            _ => self.tiers.third += 1,
-        }
+    /// The per-task completion-time histogram, for merging into a
+    /// telemetry registry.
+    pub(crate) fn tct_buckets(&self) -> &leime_telemetry::Buckets {
+        self.tct.buckets()
     }
 
-    /// Folds one device-slot's exit-tier tallies (first/second/third) in:
-    /// tier counts are additive, so this equals per-task
-    /// [`RunReport::record_tier`] calls in any order.
+    /// Folds one device-slot's exit-tier tallies (first/second/third) in;
+    /// tier counts are additive, so the fold order does not matter.
     pub(crate) fn record_tier_counts(&mut self, counts: [u32; 3]) {
         self.tiers.first += u64::from(counts[0]);
         self.tiers.second += u64::from(counts[1]);
@@ -304,10 +293,8 @@ mod tests {
     #[test]
     fn tier_counting() {
         let mut r = RunReport::new();
-        r.record_tier(0);
-        r.record_tier(0);
-        r.record_tier(1);
-        r.record_tier(2);
+        r.record_tier_counts([2, 1, 0]);
+        r.record_tier_counts([0, 0, 1]);
         let t = r.tiers();
         assert_eq!((t.first, t.second, t.third), (2, 1, 1));
         assert_eq!(t.total(), 4);
@@ -318,7 +305,7 @@ mod tests {
     fn tct_statistics() {
         let mut r = RunReport::new();
         for i in 1..=100 {
-            r.record_tct(SimTime::from_secs(i as f64), i as f64 / 100.0);
+            r.record_tct_n(SimTime::from_secs(i as f64), i as f64 / 100.0, 1);
         }
         assert_eq!(r.tasks(), 100);
         assert!((r.mean_tct_s() - 0.505).abs() < 1e-9);
@@ -331,9 +318,9 @@ mod tests {
     #[test]
     fn speedup_math() {
         let mut fast = RunReport::new();
-        fast.record_tct(SimTime::ZERO, 0.1);
+        fast.record_tct_n(SimTime::ZERO, 0.1, 1);
         let mut slow = RunReport::new();
-        slow.record_tct(SimTime::ZERO, 0.4);
+        slow.record_tct_n(SimTime::ZERO, 0.4, 1);
         assert!((fast.speedup_vs(&slow) - 4.0).abs() < 1e-12);
         assert!((slow.speedup_vs(&fast) - 0.25).abs() < 1e-12);
     }
@@ -342,7 +329,7 @@ mod tests {
     fn deadline_fraction() {
         let mut r = RunReport::new();
         for i in 1..=10 {
-            r.record_tct(SimTime::from_secs(i as f64), i as f64 / 10.0);
+            r.record_tct_n(SimTime::from_secs(i as f64), i as f64 / 10.0, 1);
         }
         assert!((r.fraction_within(0.5) - 0.5).abs() < 1e-12);
         assert_eq!(r.fraction_within(1.0).to_bits(), 1.0_f64.to_bits());
@@ -456,10 +443,10 @@ mod tests {
     #[test]
     fn mean_tct_after_splits_the_series() {
         let mut r = RunReport::new();
-        r.record_tct(SimTime::from_secs(1.0), 1.0);
-        r.record_tct(SimTime::from_secs(2.0), 1.0);
-        r.record_tct(SimTime::from_secs(10.0), 3.0);
-        r.record_tct(SimTime::from_secs(11.0), 5.0);
+        r.record_tct_n(SimTime::from_secs(1.0), 1.0, 1);
+        r.record_tct_n(SimTime::from_secs(2.0), 1.0, 1);
+        r.record_tct_n(SimTime::from_secs(10.0), 3.0, 1);
+        r.record_tct_n(SimTime::from_secs(11.0), 5.0, 1);
         assert!((r.mean_tct_after(10.0) - 4.0).abs() < 1e-12);
         assert!((r.mean_tct_after(0.0) - 2.5).abs() < 1e-12);
         assert_eq!(r.mean_tct_after(100.0).to_bits(), 0.0_f64.to_bits());

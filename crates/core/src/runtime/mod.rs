@@ -1,6 +1,6 @@
 //! A live, multi-threaded prototype of the LEIME co-inference pipeline.
 //!
-//! Where [`crate::TaskSim`] simulates time, this module *executes*: device
+//! Where [`crate::SlottedSystem`] models time, this module *executes*: device
 //! threads run the First-exit classifier on real tensors (`leime-tensor`
 //! MLPs trained by the calibration pipeline), ship real byte payloads over
 //! crossbeam channels with link delays emulated by scaled sleeps, an edge

@@ -9,9 +9,7 @@ use leime_simnet::TimeTrace;
 use leime_workload::ExitRateModel;
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    Deployment, ExitStrategy, LeimeError, ModelKind, Result, RunReport, SlottedSystem, TaskSim,
-};
+use crate::{Deployment, ExitStrategy, LeimeError, ModelKind, Result, RunReport, SlottedSystem};
 
 /// Which per-slot offloading policy a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -279,9 +277,9 @@ impl Scenario {
                 )));
             }
         }
-        if !(self.cloud_latency_s >= 0.0) {
+        if !(self.cloud_latency_s.is_finite() && self.cloud_latency_s >= 0.0) {
             return Err(LeimeError::Config(format!(
-                "cloud_latency_s must be non-negative, got {}",
+                "cloud_latency_s must be finite and non-negative, got {}",
                 self.cloud_latency_s
             )));
         }
@@ -460,17 +458,6 @@ impl Scenario {
         system.attach_registry(registry, prefix);
         system.run(slots, seed)
     }
-
-    /// Runs the end-to-end task-level discrete-event simulation for
-    /// `horizon_s` simulated seconds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors.
-    pub fn run_des(&self, deployment: &Deployment, horizon_s: f64, seed: u64) -> Result<RunReport> {
-        self.validate()?;
-        TaskSim::new(self.clone(), deployment.clone())?.run(horizon_s, seed)
-    }
 }
 
 #[cfg(test)]
@@ -612,6 +599,22 @@ mod tests {
     #[test]
     fn validation_rejects_infinite_slot_len() {
         infinite_field_is_rejected("slot_len_s", |s| s.slot_len_s = f64::INFINITY);
+    }
+
+    #[test]
+    fn validation_rejects_infinite_cloud_latency() {
+        let mut s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 2, 5.0);
+        let deployment = s.deploy(crate::ExitStrategy::Leime).unwrap();
+        s.cloud_latency_s = f64::INFINITY;
+        let expected = "cloud_latency_s must be finite and non-negative, got inf";
+        match s.validate() {
+            Err(LeimeError::Config(msg)) => assert_eq!(msg, expected),
+            other => panic!("cloud_latency_s = inf validated: {other:?}"),
+        }
+        match crate::SlottedSystem::new(s, deployment) {
+            Err(LeimeError::Config(msg)) => assert_eq!(msg, expected),
+            other => panic!("cloud_latency_s = inf built a system: {other:?}"),
+        }
     }
 
     #[test]

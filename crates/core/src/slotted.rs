@@ -47,8 +47,7 @@ pub const DEFAULT_EPOCH_LEN: NonZeroUsize = match NonZeroUsize::new(16) {
 /// second/third-block tail so reported TCTs are end-to-end.
 ///
 /// This is the model every motivation and ablation experiment runs on
-/// (Figs. 2, 3, 10, 11); the task-level DES ([`crate::TaskSim`])
-/// cross-validates it.
+/// (Figs. 2, 3, 10, 11).
 ///
 /// ## Determinism and parallelism (DESIGN.md §11, §14)
 ///
@@ -380,7 +379,8 @@ impl SlottedSystem {
     /// Attaches a telemetry registry: subsequent runs record, under
     /// `prefix`,
     ///
-    /// * `{prefix}.tct_s` — histogram of per-task completion times,
+    /// * `{prefix}.tct_s` — histogram of per-task completion times (the
+    ///   report's, merged in once per run),
     /// * `{prefix}.tct_mean_s`, `{prefix}.queue_q`, `{prefix}.queue_h`,
     ///   `{prefix}.offload_x` — per-slot series (fleet means),
     /// * `{prefix}.ctrl.*` — per-decision controller state, for policies
@@ -573,7 +573,6 @@ impl SlottedSystem {
             for out in outs {
                 apply_out(
                     &mut reports[sys],
-                    tel,
                     run.decide.want_dpp,
                     slot_start,
                     &mut acc,
@@ -602,12 +601,14 @@ impl SlottedSystem {
         let finals = run_slot_loop(&starts, slots, workers, epoch_len, broadcast, step, replay)?;
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
-        // as the sequential implementation always did. The fault
-        // counters are totals, so they take the report's.
+        // as the sequential implementation always did. The TCT
+        // histogram and the fault counters are totals, so they take the
+        // report's.
         for ((system, (queues, mmpp)), report) in systems.iter_mut().zip(finals).zip(&reports) {
             system.queues = queues;
             system.mmpp = mmpp;
             if let Some(tel) = &system.telemetry {
+                tel.tct.merge(report.tct_buckets());
                 let f = report.fault_stats();
                 for (counter, (_, total)) in tel.faults.iter().zip(FAULT_COUNTERS) {
                     counter.add(total(&f));
@@ -1050,12 +1051,11 @@ fn device_slot(
 
 /// Replays one device-slot's recordings, producing exactly the state the
 /// historical per-task sequential loop produced: completion times replay
-/// through the bit-identical `record_n`/`push_n` batch paths, tier
-/// tallies are additive, and recorded decisions buffer into `batch`
-/// (flushed once per slot by the caller), stamped with the slot start.
+/// through the bit-identical `push_n` batch path, tier tallies are
+/// additive, and recorded decisions buffer into `batch` (flushed once
+/// per slot by the caller), stamped with the slot start.
 fn apply_out(
     report: &mut RunReport,
-    telemetry: Option<&SlotTelemetry>,
     replay_decisions: bool,
     slot_start: SimTime,
     acc: &mut SlotAccumulator,
@@ -1080,9 +1080,6 @@ fn apply_out(
     if a.arrivals > 0 {
         report.record_tct_n(slot_start, a.per_task, a.arrivals);
         report.record_tier_counts(a.tier_counts);
-        if let Some(tel) = telemetry {
-            tel.tct.record_n(a.per_task, a.arrivals);
-        }
         acc.tct_sum += a.total;
         acc.tasks += a.arrivals;
     }
@@ -1546,7 +1543,42 @@ mod tests {
                     .map(|c| c.value);
                 assert_eq!(got, Some(want), "{name} at {workers} workers");
             }
+            // The TCT histogram is the report's, merged in once per run.
+            let tct = snap.histograms.iter().find(|h| h.name == "chaos.tct_s");
+            assert_eq!(tct.map(|h| &h.buckets), Some(report.tct_buckets()));
         }
+    }
+
+    #[test]
+    fn churned_devices_generate_no_tasks() {
+        let mut s = scenario();
+        s.chaos = Some(leime_chaos::ChaosConfig {
+            seed: 5,
+            models: vec![leime_chaos::FaultModel::DeviceChurn {
+                duty: 0.9,
+                mean_absence_s: 30.0,
+            }],
+            window_s: None,
+        });
+        let dep = s.deploy(ExitStrategy::Leime).unwrap();
+        let churned = |workers: usize| {
+            let mut sys = SlottedSystem::new(s.clone(), dep.clone()).unwrap();
+            let workers = NonZeroUsize::new(workers).unwrap();
+            sys.run_with_workers(60, 8, workers).unwrap()
+        };
+        let faulted = churned(1);
+        let clean = scenario().run_slotted(&dep, 60, 8).unwrap();
+        assert!(faulted.fault_stats().churn_slots > 0);
+        assert!(
+            (faulted.tasks() as f64) < 0.5 * clean.tasks() as f64,
+            "churn {} vs clean {}",
+            faulted.tasks(),
+            clean.tasks()
+        );
+        assert_eq!(
+            serde_json::to_string(&faulted).unwrap(),
+            serde_json::to_string(&churned(2)).unwrap()
+        );
     }
 
     #[test]

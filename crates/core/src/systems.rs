@@ -66,25 +66,6 @@ impl SystemSpec {
         )?;
         Ok((deployment, report))
     }
-
-    /// Deploys and runs this system on `base` under the end-to-end
-    /// task-level DES.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and model errors.
-    pub fn run_des(
-        &self,
-        base: &Scenario,
-        horizon_s: f64,
-        seed: u64,
-    ) -> Result<(Deployment, RunReport)> {
-        let mut scenario = base.clone();
-        scenario.controller = self.controller;
-        let deployment = scenario.deploy(self.strategy)?;
-        let report = scenario.run_des(&deployment, horizon_s, seed)?;
-        Ok((deployment, report))
-    }
 }
 
 /// LEIME: branch-and-bound exit setting + Lyapunov offloading.
@@ -150,17 +131,6 @@ mod tests {
                 spec.name,
                 r.mean_tct_s()
             );
-        }
-    }
-
-    #[test]
-    fn all_systems_run_on_des() {
-        let base = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 1, 3.0);
-        for spec in all() {
-            let (dep, r) = spec.run_des(&base, 30.0, 2).unwrap();
-            assert!(r.tasks() > 20, "{}: {} tasks", spec.name, r.tasks());
-            assert!(r.mean_tct_s().is_finite(), "{}", spec.name);
-            assert_eq!(dep.strategy, spec.strategy);
         }
     }
 

@@ -49,7 +49,7 @@ impl EnvParams {
         ];
         for (name, v) in nonneg {
             if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("{name} must be non-negative, got {v}"));
+                return Err(format!("{name} must be finite and non-negative, got {v}"));
             }
         }
         Ok(())
@@ -127,6 +127,12 @@ mod tests {
         let mut e = EnvParams::raspberry_pi();
         e.device_flops = f64::NAN;
         assert!(e.validate().is_err());
+        let mut e = EnvParams::raspberry_pi();
+        e.cloud_latency_s = f64::INFINITY;
+        assert_eq!(
+            e.validate(),
+            Err("cloud_latency_s must be finite and non-negative, got inf".to_string())
+        );
     }
 
     #[test]

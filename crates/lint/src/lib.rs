@@ -148,7 +148,6 @@ impl Default for SemaConfig {
                 "run_slotted",
                 "run_slotted_workers",
                 "run_slotted_with_registry",
-                "run_des",
                 "par_sweep",
                 "seq_sweep",
             ]),

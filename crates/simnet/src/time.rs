@@ -6,7 +6,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Virtual simulation time in seconds.
 ///
 /// A thin `f64` newtype that provides a total order (NaN is rejected at
-/// construction) so it can key the event heap deterministically.
+/// construction), so times sort and compare deterministically.
 ///
 /// ```
 /// use leime_simnet::SimTime;

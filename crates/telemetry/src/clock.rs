@@ -34,8 +34,8 @@ impl VirtualClock {
     }
 
     /// Moves simulated time to `t` seconds. Time never goes backwards:
-    /// an earlier `t` leaves the clock unchanged, so out-of-order DES
-    /// event processing cannot rewind it.
+    /// an earlier `t` leaves the clock unchanged, so out-of-order
+    /// updates cannot rewind it.
     pub fn advance_to(&self, t: f64) {
         let mut current = self.bits.load(Ordering::Relaxed);
         loop {

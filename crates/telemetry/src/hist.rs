@@ -343,28 +343,6 @@ impl Histogram {
         update_f64(&self.max_bits, v, f64::max);
     }
 
-    /// Records the same sample `n` times with one bucket search and one
-    /// CAS loop per metric — bit-identical to `n` successive
-    /// [`Histogram::record`] calls from a single thread (the sum is
-    /// accumulated by repeated addition inside the CAS closure, since
-    /// float addition does not distribute over `n · v`).
-    pub fn record_n(&self, v: f64, n: u64) {
-        if n == 0 || !v.is_finite() {
-            return;
-        }
-        self.counts[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        update_f64(&self.sum_bits, v, |acc, x| {
-            let mut acc = acc;
-            for _ in 0..n {
-                acc += x;
-            }
-            acc
-        });
-        update_f64(&self.min_bits, v, f64::min);
-        update_f64(&self.max_bits, v, f64::max);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -636,30 +614,24 @@ mod tests {
     #[test]
     fn record_n_is_bit_identical_to_repeated_record() {
         // The sums must match to the bit, not just approximately: the
-        // slotted runner records per-task TCTs via record_n on the
-        // parallel path and repeated record would be the sequential
-        // equivalent, and DESIGN.md §11 compares serialized snapshots.
+        // slotted and serving replays record cohorts via record_n where
+        // repeated record would be the per-task equivalent, and
+        // DESIGN.md §11 compares serialized snapshots.
         let mut plain_n = Buckets::new();
         let mut plain_rep = Buckets::new();
-        let atomic_n = Histogram::new();
-        let atomic_rep = Histogram::new();
         for (i, n) in [(3u64, 1u64), (7, 4), (11, 17), (2, 0)] {
             let v = 0.1 + 0.37 * i as f64;
             plain_n.record_n(v, n);
-            atomic_n.record_n(v, n);
             for _ in 0..n {
                 plain_rep.record(v);
-                atomic_rep.record(v);
             }
         }
         assert_eq!(plain_n, plain_rep);
         assert_eq!(plain_n.sum().to_bits(), plain_rep.sum().to_bits());
-        assert_eq!(atomic_n.snapshot(), atomic_rep.snapshot());
         // Non-finite and zero-count records are ignored.
         plain_n.record_n(f64::NAN, 5);
-        atomic_n.record_n(f64::INFINITY, 5);
+        plain_n.record_n(f64::INFINITY, 5);
         assert_eq!(plain_n.count(), plain_rep.count());
-        assert_eq!(atomic_n.count(), atomic_rep.count());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   by one bucket width, and exact merging across threads (bucket
 //!   counts add). [`Buckets`] is its plain (non-atomic) core, reused by
 //!   `leime-simnet`'s `Percentiles`.
-//! * [`Series`] — `(time, value)` recorders sampled per DES slot or wall
-//!   tick.
+//! * [`Series`] — `(time, value)` recorders sampled per simulated slot
+//!   or wall tick.
 //! * [`Tracer`] — span/event tracing generic over a [`Clock`], with a
 //!   [`VirtualClock`] for simulated time and a [`WallClock`] over
 //!   `std::time::Instant`, so simulation and live-runtime traces share

@@ -2,8 +2,8 @@
 //! [`Gauge`]s, and time-indexed [`Series`] recorders.
 //!
 //! Counters and gauges are pure atomics. A series appends `(time,
-//! value)` points behind a mutex: it is recorded at most once per DES
-//! slot or wall tick (a cold path by construction), never per task.
+//! value)` points behind a mutex: it is recorded at most once per
+//! simulated slot or wall tick (a cold path by construction), never per task.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

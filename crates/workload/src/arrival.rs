@@ -1,6 +1,5 @@
 //! Task arrival processes.
 
-use leime_simnet::{SimTime, TimeTrace};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -157,25 +156,6 @@ impl Mmpp {
         (1.0 - pi_burst) * self.calm_mean + pi_burst * self.burst_mean
     }
 
-    /// Advances the state machine one slot and returns the new state's
-    /// mean (for rate-driven consumers like the DES, which sample their
-    /// own arrivals from it).
-    pub fn advance_mean(&mut self, rng: &mut StdRng) -> f64 {
-        let switch = if self.in_burst {
-            self.p_leave_burst
-        } else {
-            self.p_enter_burst
-        };
-        if rng.gen_bool(switch) {
-            self.in_burst = !self.in_burst;
-        }
-        if self.in_burst {
-            self.burst_mean
-        } else {
-            self.calm_mean
-        }
-    }
-
     /// Advances the state machine one slot and draws that slot's count.
     pub fn draw(&mut self, rng: &mut StdRng) -> u64 {
         let switch = if self.in_burst {
@@ -192,66 +172,6 @@ impl Mmpp {
             self.calm_mean
         };
         poisson_draw(mean, rng).min(self.max)
-    }
-}
-
-/// Poisson process inter-arrival generator for the task-level DES.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoissonArrivals {
-    rate_per_sec: f64,
-}
-
-impl PoissonArrivals {
-    /// Creates a process with the given rate (tasks per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_per_sec` is not strictly positive and finite.
-    pub fn new(rate_per_sec: f64) -> Self {
-        assert!(
-            rate_per_sec.is_finite() && rate_per_sec > 0.0,
-            "arrival rate must be positive, got {rate_per_sec}"
-        );
-        PoissonArrivals { rate_per_sec }
-    }
-
-    /// The rate in tasks per second.
-    pub fn rate(&self) -> f64 {
-        self.rate_per_sec
-    }
-
-    /// Draws the next exponential inter-arrival gap.
-    pub fn next_gap(&self, rng: &mut StdRng) -> SimTime {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        SimTime::from_secs(-u.ln() / self.rate_per_sec)
-    }
-}
-
-/// A time-varying arrival process: a [`TimeTrace`] modulates the per-slot
-/// Poisson mean — the workload of the Fig. 9 stability experiment, where
-/// the arrival rate steps up and down over the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceArrivals {
-    trace: TimeTrace,
-    max: u64,
-}
-
-impl TraceArrivals {
-    /// Creates a process whose per-slot mean follows `trace`, truncated at
-    /// `max` tasks per slot.
-    pub fn new(trace: TimeTrace, max: u64) -> Self {
-        TraceArrivals { trace, max }
-    }
-
-    /// Draws the task count for the slot starting at `slot_start`.
-    pub fn draw(&self, slot_start: SimTime, rng: &mut StdRng) -> u64 {
-        let mean = self.trace.value_at(slot_start).max(0.0);
-        poisson_draw(mean, rng).min(self.max)
-    }
-
-    /// The underlying rate trace.
-    pub fn trace(&self) -> &TimeTrace {
-        &self.trace
     }
 }
 
@@ -326,40 +246,6 @@ mod tests {
         for _ in 0..100 {
             assert!(a.draw(&mut rng) <= 10);
         }
-    }
-
-    #[test]
-    fn exponential_gaps_have_correct_mean() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let p = PoissonArrivals::new(10.0);
-        let total: f64 = (0..20_000).map(|_| p.next_gap(&mut rng).as_secs()).sum();
-        let mean = total / 20_000.0;
-        assert!((mean - 0.1).abs() < 0.01, "mean gap {mean}");
-    }
-
-    #[test]
-    fn trace_arrivals_follow_trace() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let trace = TimeTrace::from_points(vec![
-            (SimTime::ZERO, 2.0),
-            (SimTime::from_secs(100.0), 20.0),
-        ])
-        .unwrap();
-        let a = TraceArrivals::new(trace, 1000);
-        let early: u64 = (0..2000)
-            .map(|_| a.draw(SimTime::from_secs(1.0), &mut rng))
-            .sum();
-        let late: u64 = (0..2000)
-            .map(|_| a.draw(SimTime::from_secs(150.0), &mut rng))
-            .sum();
-        assert!((early as f64 / 2000.0 - 2.0).abs() < 0.2);
-        assert!((late as f64 / 2000.0 - 20.0).abs() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate must be positive")]
-    fn poisson_arrivals_reject_zero_rate() {
-        PoissonArrivals::new(0.0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`arrival`] — task arrival processes. The paper's queueing model draws
 //!   a per-slot task count `M_i(t)`, i.i.d. over slots with mean `k_i`
-//!   (§III-B1); the DES additionally supports Poisson inter-arrival times
-//!   and trace-modulated rates for the Fig. 9 stability experiment.
+//!   (§III-B1), and a two-state Markov-modulated process ([`Mmpp`]) adds
+//!   bursts on top.
 //! * [`dataset`] — a synthetic, complexity-parameterised classification
 //!   dataset standing in for CIFAR-10: each sample has a class and a
 //!   *complexity* in `[0, 1]` controlling how deep a network must look
@@ -28,7 +28,7 @@ pub mod cascade;
 pub mod dataset;
 pub mod exitmodel;
 
-pub use arrival::{Mmpp, PoissonArrivals, SlotArrivals, TraceArrivals};
+pub use arrival::{Mmpp, SlotArrivals};
 pub use cascade::{CascadeParams, FeatureCascade};
 pub use dataset::{ComplexityDist, Sample, SyntheticDataset};
 pub use exitmodel::ExitRateModel;

@@ -72,24 +72,6 @@ fn bandwidth_collapse_degrades_then_recovers() {
 }
 
 #[test]
-fn bandwidth_trace_affects_des_too() {
-    let trace = TimeTrace::from_points(vec![(SimTime::ZERO, 1.0), (SimTime::from_secs(50.0), 0.1)])
-        .unwrap();
-    let base = Scenario::raspberry_pi_cluster(ModelKind::InceptionV3, 1, 2.0);
-    let dep = base.deploy(ExitStrategy::Leime).unwrap();
-    let steady = base.run_des(&dep, 100.0, 5).unwrap();
-    let mut wild = base.clone();
-    wild.bandwidth_scale = Some(trace);
-    let degraded = wild.run_des(&dep, 100.0, 5).unwrap();
-    assert!(
-        degraded.mean_tct_s() > steady.mean_tct_s(),
-        "trace ignored by DES: {} vs {}",
-        degraded.mean_tct_s(),
-        steady.mean_tct_s()
-    );
-}
-
-#[test]
 fn accuracy_constrained_deployment_respects_the_sla() {
     let chain = ModelKind::SqueezeNet.build(10);
     let cascade = FeatureCascade::new(10, CascadeParams::for_architecture("squeezenet_1_0"), 71);
@@ -143,7 +125,7 @@ fn accuracy_constrained_deployment_respects_the_sla() {
 }
 
 #[test]
-fn bursty_workload_runs_on_both_simulators() {
+fn bursty_workload_runs_at_its_stationary_mean() {
     use leime::WorkloadKind;
     let mut s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 2, 3.0);
     s.workload = WorkloadKind::Bursty {
@@ -160,10 +142,6 @@ fn bursty_workload_runs_on_both_simulators() {
     let expect = 2.0 * 300.0 * 3.0 * (0.25 / 0.30 + 6.0 * 0.05 / 0.30);
     let ratio = slotted.tasks() as f64 / expect;
     assert!((0.8..1.2).contains(&ratio), "task count off: ratio {ratio}");
-
-    let des = s.run_des(&dep, 200.0, 19).unwrap();
-    assert!(des.tasks() > 300);
-    assert!(des.mean_tct_s().is_finite());
 }
 
 #[test]
