@@ -58,8 +58,7 @@ fn run_device(nano: bool, registry: &Registry) {
             .run_slotted_with_registry(&deployment, SLOTS, SEED, registry, &prefix)
             .unwrap();
         let windows = r
-            .series()
-            .windowed_mean(SimTime::from_secs(WINDOW_S))
+            .windowed_mean_tct(SimTime::from_secs(WINDOW_S))
             .into_iter()
             .map(|(t, v)| (t.as_secs(), v))
             .collect::<Vec<_>>();

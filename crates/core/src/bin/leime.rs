@@ -68,6 +68,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut slots = 300usize;
             let mut seed = 42u64;
             let mut json = false;
+            // `--slots`, `--seed` and `--json` shape a simulation, so
+            // only `run` takes them.
+            let run = sub == "run";
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| -> Result<String, String> {
                     it.next()
@@ -77,24 +80,22 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 match flag.as_str() {
                     "--scenario" => scenario = Some(value("--scenario")?),
                     "--strategy" => strategy = parse_strategy(&value("--strategy")?)?,
-                    "--slots" => {
+                    "--slots" if run => {
                         slots = value("--slots")?
                             .parse()
                             .map_err(|e| format!("--slots: {e}"))?
                     }
-                    "--seed" => {
+                    "--seed" if run => {
                         seed = value("--seed")?
                             .parse()
                             .map_err(|e| format!("--seed: {e}"))?
                     }
-                    "--json" => json = true,
+                    "--json" if run => json = true,
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
             let scenario = scenario.ok_or_else(|| "--scenario is required".to_string())?;
-            if sub == "deploy" {
-                Ok(Command::Deploy { scenario, strategy })
-            } else {
+            if run {
                 Ok(Command::Run {
                     scenario,
                     strategy,
@@ -102,6 +103,8 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     seed,
                     json,
                 })
+            } else {
+                Ok(Command::Deploy { scenario, strategy })
             }
         }
         other => Err(format!("unknown subcommand '{other}'")),
@@ -323,6 +326,29 @@ mod tests {
             parse_args(&args(&["run", "--scenario", "s.json", "--des", "120"])),
             Err("unknown flag '--des'".to_string())
         );
+    }
+
+    /// `deploy` refuses a run-only flag by name.
+    fn deploy_rejects(flag: &[&str]) {
+        let mut argv = vec!["deploy", "--scenario", "s.json"];
+        argv.extend_from_slice(flag);
+        let want = format!("unknown flag '{}'", flag[0]);
+        assert_eq!(parse_args(&args(&argv)), Err(want));
+    }
+
+    #[test]
+    fn deploy_rejects_slots() {
+        deploy_rejects(&["--slots", "120"]);
+    }
+
+    #[test]
+    fn deploy_rejects_seed() {
+        deploy_rejects(&["--seed", "7"]);
+    }
+
+    #[test]
+    fn deploy_rejects_json() {
+        deploy_rejects(&["--json"]);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-use leime_simnet::stats::{Percentiles, TimeSeries, Welford};
+use leime_simnet::SimTime;
+use leime_telemetry::hist::{bucket_representative, NUM_BUCKETS};
+use leime_telemetry::Buckets;
 use serde::{Deserialize, Serialize};
 
 /// How many tasks exited at each tier.
@@ -54,19 +56,54 @@ impl FaultStats {
     }
 }
 
-/// Aggregated results of one simulation run.
+/// One slot's totals over a system's devices, folded in device order by
+/// the slotted replay. Every mean, window and per-slot registry series
+/// of a run is derived from these rows.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct SlotRow {
+    /// Slot start.
+    pub(crate) t: SimTime,
+    /// Device-slots simulated (not churned out).
+    pub(crate) active: u64,
+    /// Tasks that arrived, all completing with their cohort.
+    pub(crate) tasks: u64,
+    /// Σ cohort completion time (per-task TCT × cohort size).
+    pub(crate) total: f64,
+    /// Σ applied offloading ratio over active devices.
+    pub(crate) x: f64,
+    /// Σ device-queue length at slot start over active devices.
+    pub(crate) q: f64,
+    /// Σ edge-queue length at slot start over active devices.
+    pub(crate) h: f64,
+}
+
+impl SlotRow {
+    /// An empty row for the slot starting at `t`.
+    pub(crate) fn new(t: SimTime) -> Self {
+        SlotRow {
+            t,
+            ..SlotRow::default()
+        }
+    }
+}
+
+/// Aggregated results of one simulation run: the run's TCT histogram
+/// (`tct`), one row per slot (`slots`: the slot start `t`, the simulated
+/// device-slots `active`, `tasks`, their Σ completion time `total`, and
+/// Σ `x`, `q`, `h` over the active devices), and run totals for tiers,
+/// faults and service. Every mean, window and deadline figure is
+/// derived from the histogram and the rows.
 ///
 /// Serializes deterministically (field order is declaration order, the
 /// nested stats are plain data), which is what the `integration_par`
 /// differential suite compares byte-for-byte across worker counts.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunReport {
-    tct: Percentiles,
-    series: TimeSeries,
+    /// The per-task completion times.
+    pub(crate) tct: Buckets,
+    /// One row per slot, in time order.
+    pub(crate) slots: Vec<SlotRow>,
     tiers: TierCounts,
-    offload_ratio: Welford,
-    queue_q: Welford,
-    queue_h: Welford,
     faults: FaultStats,
     /// Tasks that arrived / units of work actually served, for the
     /// completion-rate SLA metric under faults.
@@ -80,37 +117,12 @@ impl RunReport {
         RunReport::default()
     }
 
-    /// Records one slot cohort's shared per-task completion time for all
-    /// `n` tasks at once (`push_n` is bit-identical to `n` repeated
-    /// `push`es, without `n` bucket searches).
-    pub(crate) fn record_tct_n(&mut self, t: leime_simnet::SimTime, tct_s: f64, n: u64) {
-        self.tct.push_n(tct_s, n);
-        self.series.push_n(t, tct_s, n);
-    }
-
-    /// The per-task completion-time histogram, for merging into a
-    /// telemetry registry.
-    pub(crate) fn tct_buckets(&self) -> &leime_telemetry::Buckets {
-        self.tct.buckets()
-    }
-
     /// Folds one device-slot's exit-tier tallies (first/second/third) in;
     /// tier counts are additive, so the fold order does not matter.
     pub(crate) fn record_tier_counts(&mut self, counts: [u32; 3]) {
         self.tiers.first += u64::from(counts[0]);
         self.tiers.second += u64::from(counts[1]);
         self.tiers.third += u64::from(counts[2]);
-    }
-
-    /// Records one device-slot's chosen offloading ratio.
-    pub(crate) fn record_offload(&mut self, x: f64) {
-        self.offload_ratio.push(x);
-    }
-
-    /// Records queue lengths at a slot boundary.
-    pub(crate) fn record_queues(&mut self, q: f64, h: f64) {
-        self.queue_q.push(q);
-        self.queue_h.push(h);
     }
 
     /// Records one device-slot's arrivals and the work actually drained
@@ -148,7 +160,7 @@ impl RunReport {
 
     /// Number of completed tasks.
     pub fn tasks(&self) -> usize {
-        self.tct.len()
+        self.tct.count() as usize
     }
 
     /// Mean task completion time in seconds (0 when no tasks completed).
@@ -163,7 +175,7 @@ impl RunReport {
 
     /// Median TCT in seconds.
     pub fn median_tct_s(&self) -> f64 {
-        self.tct.median().unwrap_or(0.0)
+        self.tct.quantile(0.5).unwrap_or(0.0)
     }
 
     /// Median TCT in seconds (alias of [`RunReport::median_tct_s`], named
@@ -187,29 +199,69 @@ impl RunReport {
         self.tiers
     }
 
-    /// Mean offloading ratio over all device-slots.
+    /// Σ `field` over all slots / simulated device-slots (0 when none).
+    fn per_active(&self, field: fn(&SlotRow) -> f64) -> f64 {
+        let active: u64 = self.slots.iter().map(|r| r.active).sum();
+        if active == 0 {
+            return 0.0;
+        }
+        self.slots.iter().map(field).fold(0.0, |s, v| s + v) / active as f64
+    }
+
+    /// Mean offloading ratio over all simulated device-slots.
     pub fn mean_offload_ratio(&self) -> f64 {
-        self.offload_ratio.mean()
+        self.per_active(|r| r.x)
     }
 
-    /// Mean device-queue length over all device-slots.
+    /// Mean device-queue length over all simulated device-slots.
     pub fn mean_queue_q(&self) -> f64 {
-        self.queue_q.mean()
+        self.per_active(|r| r.q)
     }
 
-    /// Mean edge-queue length over all device-slots.
+    /// Mean edge-queue length over all simulated device-slots.
     pub fn mean_queue_h(&self) -> f64 {
-        self.queue_h.mean()
+        self.per_active(|r| r.h)
     }
 
-    /// The per-task TCT time series (for Fig. 9-style plots).
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
+    /// Mean TCT per consecutive window of `width` simulated seconds (for
+    /// Fig. 9-style plots): `(window_end, Σ total / Σ tasks)` for each
+    /// window whose slots saw tasks, with slots placed by their start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    pub fn windowed_mean_tct(&self, width: SimTime) -> Vec<(SimTime, f64)> {
+        assert!(width > SimTime::ZERO, "window width must be positive");
+        let mut out = Vec::new();
+        let mut window_end = width;
+        let (mut total, mut tasks) = (0.0, 0u64);
+        for row in self.slots.iter().filter(|r| r.tasks > 0) {
+            while row.t >= window_end {
+                if tasks > 0 {
+                    out.push((window_end, total / tasks as f64));
+                    (total, tasks) = (0.0, 0);
+                }
+                window_end += width;
+            }
+            total += row.total;
+            tasks += row.tasks;
+        }
+        if tasks > 0 {
+            out.push((window_end, total / tasks as f64));
+        }
+        out
     }
 
     /// Fraction of tasks completing within `deadline_s` seconds — the
     /// SLA metric the paper's introduction motivates ("deadline
     /// requirements"); 0 when no tasks completed.
+    ///
+    /// Read from the TCT histogram: a task counts as met when its
+    /// bucket's representative, clamped to the run's `[min, max]`, is
+    /// ≤ `deadline_s` — the rule [`Buckets::quantile`] uses. So the
+    /// result is exact (1) for `deadline_s ≥ max` and (0) for
+    /// `deadline_s < min`, within one bucket otherwise, and
+    /// `fraction_within(p99_tct_s()) ≥ 0.99`.
     ///
     /// # Panics
     ///
@@ -219,16 +271,21 @@ impl RunReport {
             deadline_s.is_finite() && deadline_s >= 0.0,
             "bad deadline {deadline_s}"
         );
-        let n = self.series.len();
-        if n == 0 {
+        let (Some(min), Some(max)) = (self.tct.min(), self.tct.max()) else {
             return 0.0;
+        };
+        if deadline_s >= max {
+            return 1.0;
         }
-        let met = self
-            .series
-            .points()
-            .filter(|&(_, tct)| tct <= deadline_s)
-            .count();
-        met as f64 / n as f64
+        // Representatives rise with the index, so the met buckets are a
+        // prefix; only non-empty ones need theirs computed.
+        let met: u64 = (0..NUM_BUCKETS)
+            .map(|i| (i, self.tct.bucket_count(i)))
+            .filter(|&(_, n)| n > 0)
+            .take_while(|&(i, _)| bucket_representative(i).clamp(min, max) <= deadline_s)
+            .map(|(_, n)| n)
+            .sum();
+        met as f64 / self.tct.count() as f64
     }
 
     /// Speedup of this run over `baseline` (baseline mean TCT / own mean
@@ -257,8 +314,9 @@ impl RunReport {
         }
     }
 
-    /// Mean TCT over tasks recorded at simulated time ≥ `after` seconds —
-    /// the post-fault recovery metric (0 when no such tasks exist).
+    /// Mean TCT over tasks of slots starting at simulated time ≥ `after`
+    /// seconds — the post-fault recovery metric (0 when no such tasks
+    /// exist).
     ///
     /// # Panics
     ///
@@ -268,19 +326,13 @@ impl RunReport {
             after.is_finite() && after >= 0.0,
             "bad recovery boundary {after}"
         );
-        let boundary = leime_simnet::SimTime::from_secs(after);
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (t, tct) in self.series.points() {
-            if t >= boundary {
-                sum += tct;
-                count += 1;
-            }
-        }
-        if count == 0 {
+        let boundary = SimTime::from_secs(after);
+        let rows = self.slots.iter().filter(|r| r.t >= boundary);
+        let (total, tasks) = rows.fold((0.0, 0u64), |(s, n), r| (s + r.total, n + r.tasks));
+        if tasks == 0 {
             0.0
         } else {
-            sum / count as f64
+            total / tasks as f64
         }
     }
 }
@@ -288,7 +340,18 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leime_simnet::SimTime;
+
+    /// Records one slot holding a single device's cohort of `n` tasks,
+    /// `tct` seconds each, as the slotted replay would.
+    fn cohort(r: &mut RunReport, t: f64, tct: f64, n: u64) {
+        r.tct.record_n(tct, n);
+        r.slots.push(SlotRow {
+            active: 1,
+            tasks: n,
+            total: tct * n as f64,
+            ..SlotRow::new(SimTime::from_secs(t))
+        });
+    }
 
     #[test]
     fn tier_counting() {
@@ -305,7 +368,7 @@ mod tests {
     fn tct_statistics() {
         let mut r = RunReport::new();
         for i in 1..=100 {
-            r.record_tct_n(SimTime::from_secs(i as f64), i as f64 / 100.0, 1);
+            cohort(&mut r, i as f64, i as f64 / 100.0, 1);
         }
         assert_eq!(r.tasks(), 100);
         assert!((r.mean_tct_s() - 0.505).abs() < 1e-9);
@@ -318,9 +381,9 @@ mod tests {
     #[test]
     fn speedup_math() {
         let mut fast = RunReport::new();
-        fast.record_tct_n(SimTime::ZERO, 0.1, 1);
+        cohort(&mut fast, 0.0, 0.1, 1);
         let mut slow = RunReport::new();
-        slow.record_tct_n(SimTime::ZERO, 0.4, 1);
+        cohort(&mut slow, 0.0, 0.4, 1);
         assert!((fast.speedup_vs(&slow) - 4.0).abs() < 1e-12);
         assert!((slow.speedup_vs(&fast) - 0.25).abs() < 1e-12);
     }
@@ -329,7 +392,7 @@ mod tests {
     fn deadline_fraction() {
         let mut r = RunReport::new();
         for i in 1..=10 {
-            r.record_tct_n(SimTime::from_secs(i as f64), i as f64 / 10.0, 1);
+            cohort(&mut r, i as f64, i as f64 / 10.0, 1);
         }
         assert!((r.fraction_within(0.5) - 0.5).abs() < 1e-12);
         assert_eq!(r.fraction_within(1.0).to_bits(), 1.0_f64.to_bits());
@@ -355,6 +418,8 @@ mod tests {
         assert!(!r.fault_stats().any());
         assert_eq!(r.completion_rate().to_bits(), 1.0_f64.to_bits());
         assert_eq!(r.mean_tct_after(0.0).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(r.mean_offload_ratio().to_bits(), 0.0_f64.to_bits());
+        assert!(r.windowed_mean_tct(SimTime::from_secs(1.0)).is_empty());
     }
 
     #[test]
@@ -398,55 +463,92 @@ mod tests {
     }
 
     #[test]
-    fn series_folds_match_a_point_by_point_reference() {
-        // Cohorts recorded as runs (`record_tct_n`), including `-0.0`
-        // next to `0.0` and repeated values across time steps; the
-        // folds must equal plain loops over the expanded points, bit
-        // for bit.
-        let cohorts = [
-            (0.0, 0.3, 4u64),
-            (0.0, 0.1, 1),
-            (0.0, -0.0, 2),
-            (0.0, 0.0, 3),
-            (1.0, 0.0, 1),
-            (1.0, 0.7, 6),
-            (2.0, 0.7, 2),
-            (5.0, 1e-3, 9),
-            (5.5, 2.5, 3),
+    fn derived_views_match_the_rows_and_the_histogram() {
+        // Slots of several device cohorts `(tct, n)` each, an idle slot,
+        // a churned-out slot and a gap in time.
+        let slots: [(f64, &[(f64, u64)]); 7] = [
+            (0.0, &[(0.3, 4), (0.1, 1), (0.02, 3)]),
+            (1.0, &[(0.7, 6)]),
+            (2.0, &[(0.7, 0)]),
+            (3.0, &[(0.7, 2), (1e-3, 9)]),
+            (5.5, &[(2.5, 3)]),
+            (6.0, &[]),
+            (9.0, &[(0.05, 1), (0.4, 2)]),
         ];
         let mut r = RunReport::new();
-        let mut points: Vec<(SimTime, f64)> = Vec::new();
-        for (t, tct, n) in cohorts {
-            r.record_tct_n(SimTime::from_secs(t), tct, n);
-            for _ in 0..n {
-                points.push((SimTime::from_secs(t), tct));
+        for (t, cohorts) in slots {
+            let mut row = SlotRow::new(SimTime::from_secs(t));
+            for &(tct, n) in cohorts {
+                r.tct.record_n(tct, n);
+                row.active += 1;
+                row.tasks += n;
+                row.total += tct * n as f64;
+                row.x += 0.25;
+                row.q += tct;
+                row.h += 2.0 * tct;
             }
+            r.slots.push(row);
         }
-        for deadline in [0.0, 0.1, 0.5, 1.0, 3.0] {
-            let met = points.iter().filter(|p| p.1 <= deadline).count();
-            let expected = met as f64 / points.len() as f64;
-            assert_eq!(r.fraction_within(deadline).to_bits(), expected.to_bits());
+        let rows = &r.slots;
+        assert_eq!(rows.iter().map(|w| w.tasks).sum::<u64>(), r.tasks() as u64);
+
+        // Σ total / Σ tasks over the rows starting in [lo, hi).
+        let mean = |lo: f64, hi: f64| {
+            let set = rows.iter().filter(|w| (lo..hi).contains(&w.t.as_secs()));
+            let (total, tasks) = set.fold((0.0, 0u64), |(s, n), w| (s + w.total, n + w.tasks));
+            (tasks > 0).then(|| total / tasks as f64)
+        };
+        for width in [0.5, 1.0, 3.0, 20.0] {
+            let expected: Vec<(SimTime, f64)> = (0..20)
+                .filter_map(|k| {
+                    let (lo, hi) = (k as f64 * width, (k + 1) as f64 * width);
+                    mean(lo, hi).map(|m| (SimTime::from_secs(hi), m))
+                })
+                .collect();
+            let got = r.windowed_mean_tct(SimTime::from_secs(width));
+            assert_eq!(got, expected, "width {width}");
         }
-        for after in [0.0, 0.5, 1.0, 2.0, 5.5, 9.0] {
-            let (mut sum, mut count) = (0.0, 0usize);
-            for &(t, tct) in &points {
-                if t >= SimTime::from_secs(after) {
-                    sum += tct;
-                    count += 1;
-                }
-            }
-            let expected = if count == 0 { 0.0 } else { sum / count as f64 };
+        for after in [0.0, 0.5, 1.0, 3.0, 5.5, 9.0, 10.0] {
+            let expected = mean(after, f64::INFINITY).unwrap_or(0.0);
             assert_eq!(r.mean_tct_after(after).to_bits(), expected.to_bits());
+        }
+        let active = rows.iter().map(|w| w.active).sum::<u64>() as f64;
+        let per_active =
+            |f: fn(&SlotRow) -> f64| rows.iter().map(f).fold(0.0, |s, v| s + v) / active;
+        assert_eq!(
+            r.mean_offload_ratio().to_bits(),
+            per_active(|w| w.x).to_bits()
+        );
+        assert_eq!(r.mean_queue_q().to_bits(), per_active(|w| w.q).to_bits());
+        assert_eq!(r.mean_queue_h().to_bits(), per_active(|w| w.h).to_bits());
+
+        // The deadline share is exact outside [min, max], monotone in
+        // the deadline, and consistent with the histogram's quantiles.
+        for d in [0.0, 5e-4, 0.00099] {
+            assert_eq!(r.fraction_within(d).to_bits(), 0.0_f64.to_bits(), "{d}");
+        }
+        for d in [2.5, 2.6, 100.0] {
+            assert_eq!(r.fraction_within(d).to_bits(), 1.0_f64.to_bits(), "{d}");
+        }
+        let mut prev = 0.0;
+        for k in 0..=3000 {
+            let f = r.fraction_within(k as f64 * 1e-3);
+            assert!(f >= prev, "not monotone at {k}");
+            prev = f;
+        }
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            let at = r.tct.quantile(q).unwrap();
+            assert!(r.fraction_within(at) >= q, "q {q}");
         }
     }
 
     #[test]
     fn mean_tct_after_splits_the_series() {
         let mut r = RunReport::new();
-        r.record_tct_n(SimTime::from_secs(1.0), 1.0, 1);
-        r.record_tct_n(SimTime::from_secs(2.0), 1.0, 1);
-        r.record_tct_n(SimTime::from_secs(10.0), 3.0, 1);
-        r.record_tct_n(SimTime::from_secs(11.0), 5.0, 1);
+        cohort(&mut r, 1.0, 1.0, 1);
+        cohort(&mut r, 2.0, 1.0, 1);
+        cohort(&mut r, 10.0, 3.0, 1);
+        cohort(&mut r, 11.0, 5.0, 1);
         assert!((r.mean_tct_after(10.0) - 4.0).abs() < 1e-12);
         assert!((r.mean_tct_after(0.0) - 2.5).abs() < 1e-12);
         assert_eq!(r.mean_tct_after(100.0).to_bits(), 0.0_f64.to_bits());

@@ -14,6 +14,7 @@ use leime_simnet::SimTime;
 use leime_telemetry::{Counter, Histogram, Registry, Series};
 use leime_workload::{Mmpp, SlotArrivals};
 
+use crate::report::SlotRow;
 use crate::{Deployment, FaultStats, LeimeError, Result, RunReport, Scenario, WorkloadKind};
 
 /// Minimum edge share handed to any device with positive demand: every
@@ -80,9 +81,9 @@ pub struct SlottedSystem {
 struct SlotTelemetry {
     tct: Arc<Histogram>,
     tct_mean: Arc<Series>,
-    queue_q: Arc<Series>,
-    queue_h: Arc<Series>,
-    offload_x: Arc<Series>,
+    /// `queue_q`, `queue_h` and `offload_x`: per-slot means over the
+    /// system's devices.
+    means: [Arc<Series>; 3],
     /// The `{prefix}.ctrl.*` decision series.
     ctrl: ControllerTelemetry,
     /// The `{prefix}.ctrl.*` fault counters, in [`FAULT_COUNTERS`] order.
@@ -400,9 +401,8 @@ impl SlottedSystem {
             faults: FAULT_COUNTERS.map(|(k, _)| registry.counter(&format!("{prefix}.ctrl.{k}"))),
             tct: registry.histogram(&format!("{prefix}.tct_s")),
             tct_mean: registry.series(&format!("{prefix}.tct_mean_s")),
-            queue_q: registry.series(&format!("{prefix}.queue_q")),
-            queue_h: registry.series(&format!("{prefix}.queue_h")),
-            offload_x: registry.series(&format!("{prefix}.offload_x")),
+            means: ["queue_q", "queue_h", "offload_x"]
+                .map(|k| registry.series(&format!("{prefix}.{k}"))),
         });
     }
 
@@ -477,6 +477,9 @@ impl SlottedSystem {
     /// running its system alone at the same seed — as are the final
     /// queues and, when the systems record under disjoint registry names,
     /// the telemetry — at every `workers` × `epoch_len` combination.
+    /// The per-slot registry series are written from each report after
+    /// the loop, so systems that share a series name write it system by
+    /// system, not slot by slot.
     ///
     /// # Errors
     ///
@@ -565,30 +568,20 @@ impl SlottedSystem {
         let mut reports: Vec<RunReport> = systems.iter().map(|_| RunReport::new()).collect();
         let replay = |sys: usize, slot: usize, outs: SlotRecords<'_, DeviceSlotOut>| {
             let run = &runs[sys];
-            let scenario = run.decide.scenario;
-            let slot_start = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
-            let t = slot_start.as_secs();
-            let tel = systems[sys].telemetry.as_ref();
-            let mut acc = SlotAccumulator::default();
+            let slot_start = SimTime::from_secs(slot as f64 * run.decide.scenario.slot_len_s);
+            let mut row = SlotRow::new(slot_start);
             for out in outs {
                 apply_out(
                     &mut reports[sys],
+                    &mut row,
                     run.decide.want_dpp,
-                    slot_start,
-                    &mut acc,
                     &mut batch,
                     out,
                 );
             }
-            if let Some(tel) = tel {
-                let n = scenario.devices.len() as f64;
+            reports[sys].slots.push(row);
+            if let Some(tel) = systems[sys].telemetry.as_ref() {
                 tel.ctrl.flush_batch(&mut batch);
-                if acc.tasks > 0 {
-                    tel.tct_mean.push(t, acc.tct_sum / acc.tasks as f64);
-                }
-                tel.queue_q.push(t, acc.q_sum / n);
-                tel.queue_h.push(t, acc.h_sum / n);
-                tel.offload_x.push(t, acc.x_sum / n);
             }
             Ok(())
         };
@@ -601,17 +594,27 @@ impl SlottedSystem {
         let finals = run_slot_loop(&starts, slots, workers, epoch_len, broadcast, step, replay)?;
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
-        // as the sequential implementation always did. The TCT
-        // histogram and the fault counters are totals, so they take the
-        // report's.
+        // as the sequential implementation always did. The registry's
+        // histogram, fault counters and per-slot series are views of
+        // the report, written once per run.
         for ((system, (queues, mmpp)), report) in systems.iter_mut().zip(finals).zip(&reports) {
             system.queues = queues;
             system.mmpp = mmpp;
             if let Some(tel) = &system.telemetry {
-                tel.tct.merge(report.tct_buckets());
+                tel.tct.merge(&report.tct);
                 let f = report.fault_stats();
                 for (counter, (_, total)) in tel.faults.iter().zip(FAULT_COUNTERS) {
                     counter.add(total(&f));
+                }
+                let n = system.scenario.devices.len() as f64;
+                for row in &report.slots {
+                    let t = row.t.as_secs();
+                    if row.tasks > 0 {
+                        tel.tct_mean.push(t, row.total / row.tasks as f64);
+                    }
+                    for (series, sum) in tel.means.iter().zip([row.q, row.h, row.x]) {
+                        series.push(t, sum / n);
+                    }
                 }
             }
         }
@@ -1049,16 +1052,15 @@ fn device_slot(
     }))
 }
 
-/// Replays one device-slot's recordings, producing exactly the state the
-/// historical per-task sequential loop produced: completion times replay
-/// through the bit-identical `push_n` batch path, tier tallies are
+/// Replays one device-slot's recordings into the run totals and its
+/// slot's `row`: the cohort's completion times go into the histogram
+/// through the bit-identical `record_n` batch path, tier tallies are
 /// additive, and recorded decisions buffer into `batch` (flushed once
 /// per slot by the caller), stamped with the slot start.
 fn apply_out(
     report: &mut RunReport,
+    row: &mut SlotRow,
     replay_decisions: bool,
-    slot_start: SimTime,
-    acc: &mut SlotAccumulator,
     batch: &mut DecisionBatch,
     out: &DeviceSlotOut,
 ) {
@@ -1073,32 +1075,20 @@ fn apply_out(
         report.record_fault_slot();
     }
     if replay_decisions {
-        batch.record_decision(slot_start.as_secs(), &a.obs, a.x_opt, a.dpp);
+        batch.record_decision(row.t.as_secs(), &a.obs, a.x_opt, a.dpp);
     }
-    let x = a.outcome.x;
     report.record_degrade(&a.outcome);
     if a.arrivals > 0 {
-        report.record_tct_n(slot_start, a.per_task, a.arrivals);
+        report.tct.record_n(a.per_task, a.arrivals);
         report.record_tier_counts(a.tier_counts);
-        acc.tct_sum += a.total;
-        acc.tasks += a.arrivals;
+        row.total += a.total;
+        row.tasks += a.arrivals;
     }
-    report.record_offload(x);
-    report.record_queues(a.obs.q, a.obs.h);
-    acc.q_sum += a.obs.q;
-    acc.h_sum += a.obs.h;
-    acc.x_sum += x;
+    row.active += 1;
+    row.q += a.obs.q;
+    row.h += a.obs.h;
+    row.x += a.outcome.x;
     report.record_service(a.arrivals, a.served);
-}
-
-/// Fleet-wide sums over one slot, for the per-slot telemetry series.
-#[derive(Debug, Default)]
-struct SlotAccumulator {
-    tct_sum: f64,
-    tasks: u64,
-    q_sum: f64,
-    h_sum: f64,
-    x_sum: f64,
 }
 
 #[cfg(test)]
@@ -1545,7 +1535,48 @@ mod tests {
             }
             // The TCT histogram is the report's, merged in once per run.
             let tct = snap.histograms.iter().find(|h| h.name == "chaos.tct_s");
-            assert_eq!(tct.map(|h| &h.buckets), Some(report.tct_buckets()));
+            assert_eq!(tct.map(|h| &h.buckets), Some(&report.tct));
+            assert_rows_are_the_views(&report, &snap, "chaos", 4, 120);
+        }
+    }
+
+    /// One record, three views: the report's slot rows give its task
+    /// count, its simulated device-slots and, bit for bit, every point
+    /// of the registry's per-slot series under `prefix`.
+    fn assert_rows_are_the_views(
+        report: &RunReport,
+        snap: &leime_telemetry::TelemetrySnapshot,
+        prefix: &str,
+        devices: usize,
+        slots: usize,
+    ) {
+        let rows = &report.slots;
+        assert_eq!(rows.len(), slots);
+        let tasks: u64 = rows.iter().map(|r| r.tasks).sum();
+        assert_eq!(tasks, report.tasks() as u64);
+        assert_eq!(tasks, report.tiers().total());
+        let active: u64 = rows.iter().map(|r| r.active).sum();
+        let churned = report.fault_stats().churn_slots;
+        assert_eq!(active, (devices * slots) as u64 - churned);
+        let n = devices as f64;
+        let mut want: [Vec<(f64, f64)>; 4] = Default::default();
+        for r in rows {
+            let t = r.t.as_secs();
+            if r.tasks > 0 {
+                want[0].push((t, r.total / r.tasks as f64));
+            }
+            want[1].push((t, r.q / n));
+            want[2].push((t, r.h / n));
+            want[3].push((t, r.x / n));
+        }
+        let names = ["tct_mean_s", "queue_q", "queue_h", "offload_x"];
+        for (name, want) in names.into_iter().zip(want) {
+            let name = format!("{prefix}.{name}");
+            // `{:?}` prints an f64's shortest round-trip digits, so equal
+            // text is equal bits.
+            let got = snap.series.iter().find(|s| s.name == name);
+            let got = got.map(|s| format!("{:?}", s.points));
+            assert_eq!(got, Some(format!("{want:?}")), "{name}");
         }
     }
 
@@ -1561,12 +1592,15 @@ mod tests {
             window_s: None,
         });
         let dep = s.deploy(ExitStrategy::Leime).unwrap();
-        let churned = |workers: usize| {
+        let churned = |workers: usize, registry: &Registry| {
             let mut sys = SlottedSystem::new(s.clone(), dep.clone()).unwrap();
+            sys.attach_registry(registry, "churn");
             let workers = NonZeroUsize::new(workers).unwrap();
             sys.run_with_workers(60, 8, workers).unwrap()
         };
-        let faulted = churned(1);
+        let registry = Registry::new();
+        let faulted = churned(1, &registry);
+        assert_rows_are_the_views(&faulted, &registry.snapshot(), "churn", 2, 60);
         let clean = scenario().run_slotted(&dep, 60, 8).unwrap();
         assert!(faulted.fault_stats().churn_slots > 0);
         assert!(
@@ -1577,7 +1611,7 @@ mod tests {
         );
         assert_eq!(
             serde_json::to_string(&faulted).unwrap(),
-            serde_json::to_string(&churned(2)).unwrap()
+            serde_json::to_string(&churned(2, &Registry::new())).unwrap()
         );
     }
 

@@ -458,6 +458,7 @@ mod tests {
         let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
         let mut f =
             FleetSystem::new(scenario, deployment, FleetConfig::regional(3, 10)).expect("builds");
+        let initial = f.assignment.clone();
         let registry = Registry::new();
         let report = f
             .run_with_registry(
@@ -471,6 +472,7 @@ mod tests {
             .expect("runs");
         assert!(report.intervals.len() >= 3);
         let snap = registry.snapshot();
+        assert_rows_are_the_views(&report, &initial, &snap, "fleet");
         let counter = |name: String| snap.counters.iter().find(|c| c.name == name);
         type Field = fn(&FaultStats) -> u64;
         let fields: [(&str, Field); 5] = [
@@ -490,6 +492,78 @@ mod tests {
                 let got = counter(format!("fleet.edge{e}.ctrl.{name}")).map(|c| c.value);
                 assert_eq!(got, Some(want), "edge {e} {name}");
                 assert!(name != "fault_slots" || want > 0, "edge {e} saw no faults");
+            }
+        }
+    }
+
+    /// The JSON shape of one `RunReport` slot row.
+    #[derive(Deserialize)]
+    struct Row {
+        t: f64,
+        active: u64,
+        tasks: u64,
+        total: f64,
+        x: f64,
+        q: f64,
+        h: f64,
+    }
+
+    #[derive(Deserialize)]
+    struct Rows {
+        slots: Vec<Row>,
+    }
+
+    /// One record, three views: each edge-interval report's slot rows
+    /// give its task count and simulated device-slots, and the rows of
+    /// an edge's intervals, in order, give every point of its
+    /// registry's per-slot series bit for bit. `initial` is the
+    /// assignment before the run; migrations replay it per interval.
+    fn assert_rows_are_the_views(
+        report: &FleetReport,
+        initial: &[usize],
+        snap: &leime_telemetry::TelemetrySnapshot,
+        prefix: &str,
+    ) {
+        let mut assignment = initial.to_vec();
+        let mut want: Vec<[Vec<(f64, f64)>; 4]> = vec![Default::default(); report.edges];
+        for iv in &report.intervals {
+            for m in report
+                .migrations
+                .iter()
+                .filter(|m| m.at_slot == iv.start_slot)
+            {
+                assignment[m.device] = m.to_edge;
+            }
+            for (e, run) in iv.edges.iter().enumerate() {
+                let json = serde_json::to_string(run).expect("serializes");
+                let rows = serde_json::from_str::<Rows>(&json).expect("has rows").slots;
+                let tasks: u64 = rows.iter().map(|r| r.tasks).sum();
+                assert_eq!(tasks, run.tasks() as u64);
+                assert_eq!(tasks, run.tiers().total());
+                let devices = assignment.iter().filter(|&&a| a == e).count();
+                let active: u64 = rows.iter().map(|r| r.active).sum();
+                let churned = run.fault_stats().churn_slots;
+                assert_eq!(active, (devices * iv.slots) as u64 - churned);
+                let n = devices as f64;
+                for r in rows {
+                    if r.tasks > 0 {
+                        want[e][0].push((r.t, r.total / r.tasks as f64));
+                    }
+                    want[e][1].push((r.t, r.q / n));
+                    want[e][2].push((r.t, r.h / n));
+                    want[e][3].push((r.t, r.x / n));
+                }
+            }
+        }
+        let names = ["tct_mean_s", "queue_q", "queue_h", "offload_x"];
+        for (e, want) in want.into_iter().enumerate() {
+            for (name, want) in names.into_iter().zip(want) {
+                let name = format!("{prefix}.edge{e}.{name}");
+                // `{:?}` prints an f64's shortest round-trip digits, so
+                // equal text is equal bits.
+                let got = snap.series.iter().find(|s| s.name == name);
+                let got = got.map(|s| format!("{:?}", s.points));
+                assert_eq!(got, Some(format!("{want:?}")), "{name}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! S1 fixture: `decide` funnels through a helper chain that never
 //! reaches an `invariant::` guard, and `balance_solve` never calls one
-//! at all; `submit` delegates to a guard and is clean.
+//! at all; `admit` delegates to a guard and is clean.
 
 pub fn decide(x: f64) -> f64 {
     helper(x)
@@ -10,7 +10,7 @@ fn helper(x: f64) -> f64 {
     x * 0.5
 }
 
-pub fn submit(x: f64) -> f64 {
+pub fn admit(x: f64) -> f64 {
     checked(x)
 }
 

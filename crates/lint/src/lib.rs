@@ -120,8 +120,6 @@ impl Default for SemaConfig {
                 "link_health",
                 "edge_health",
                 "degraded_decide",
-                "transfer",
-                "submit",
                 // parallel sweep entry point (finite-cost guard)
                 "par_sweep",
                 // serving admission + exit-steering entry points

@@ -90,7 +90,7 @@ pub fn bucket_representative(index: usize) -> f64 {
 }
 
 /// A plain (single-threaded) log-bucketed histogram: the math core
-/// shared by [`Histogram`] snapshots and `leime-simnet`'s `Percentiles`.
+/// shared by [`Histogram`] snapshots and `leime`'s `RunReport`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Buckets {
     counts: Vec<u64>,

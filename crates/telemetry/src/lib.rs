@@ -12,8 +12,8 @@
 //! * [`Histogram`] — log-bucketed latency histogram with `AtomicU64`
 //!   buckets: lock-free recording, quantile queries with error bounded
 //!   by one bucket width, and exact merging across threads (bucket
-//!   counts add). [`Buckets`] is its plain (non-atomic) core, reused by
-//!   `leime-simnet`'s `Percentiles`.
+//!   counts add). [`Buckets`] is its plain (non-atomic) core, which
+//!   also holds a `leime` run report's completion times.
 //! * [`Series`] — `(time, value)` recorders sampled per simulated slot
 //!   or wall tick.
 //! * [`Tracer`] — span/event tracing generic over a [`Clock`], with a

@@ -42,8 +42,8 @@ fn main() -> Result<(), leime::LeimeError> {
     let static_run = scenario.run_slotted(&deployment, 500, 7)?;
 
     let window = SimTime::from_secs(100.0);
-    let leime_w = leime_run.series().windowed_mean(window);
-    let static_w = static_run.series().windowed_mean(window);
+    let leime_w = leime_run.windowed_mean_tct(window);
+    let static_w = static_run.windowed_mean_tct(window);
     for (lw, sw) in leime_w.iter().zip(&static_w) {
         println!(
             "{:>9.0}s  {:>12.1}ms  {:>12.1}ms",

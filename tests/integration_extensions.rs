@@ -59,7 +59,7 @@ fn bandwidth_collapse_degrades_then_recovers() {
     s.bandwidth_scale = Some(trace);
     let dep = s.deploy(ExitStrategy::Leime).unwrap();
     let r = s.run_slotted(&dep, 300, 17).unwrap();
-    let windows = r.series().windowed_mean(SimTime::from_secs(100.0));
+    let windows = r.windowed_mean_tct(SimTime::from_secs(100.0));
     assert!(windows.len() >= 3);
     let healthy1 = windows[0].1;
     let degraded = windows[1].1;
