@@ -23,11 +23,12 @@
 //! The artifact is a history (`{"runs": [...]}`, schema `leime-bench/1`)
 //! keyed by git revision, like `BENCH_par.json`. `--gate` compares the
 //! run's peak device-slots/s against the rolling median of the last
-//! [`perf::GATE_WINDOW`] comparable records (same devices × edges ×
-//! slots envelope) and fails on a drop of more than
+//! [`perf::GATE_WINDOW`] comparable records (same host and devices ×
+//! edges × slots envelope) and fails on a drop of more than
 //! [`GATE_REGRESSION_PCT`]% — after appending, so regressions are
 //! archived either way. With no comparable history the gate skips with
-//! a notice (fresh clones and sweep changes must not wedge CI).
+//! a notice (fresh clones, new hardware and sweep changes must not
+//! wedge CI).
 
 #![allow(
     clippy::unwrap_used,
@@ -112,18 +113,6 @@ fn parse_or_die(s: &str) -> usize {
 
 fn parse_list_or_die(s: &str) -> Vec<usize> {
     s.split(',').map(|v| parse_or_die(v.trim())).collect()
-}
-
-/// Best-effort git revision for the archived record.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn build_fleet(devices: usize, edges: usize, rebalance: usize) -> FleetSystem {
@@ -249,14 +238,17 @@ fn main() {
     let mut history = load_history_for(&args.json, "sweep");
     // Snapshot the baseline before this run joins the history; the gate
     // verdict comes after the write so regressions are archived.
-    let baseline = fleet_rolling_median_baseline(&history, max_devices, max_edges, args.slots);
+    let host = perf::host();
+    let baseline =
+        fleet_rolling_median_baseline(&history, &host, max_devices, max_edges, args.slots);
     let current_peak = sweep
         .iter()
         .filter_map(|row| row["device_slots_per_sec"].as_f64())
         .fold(0.0, f64::max);
     let record = serde_json::json!({
         "run": history.len() + 1,
-        "git_rev": git_rev(),
+        "git_rev": perf::git_rev(),
+        "host": host,
         "seed": SEED,
         "devices": max_devices,
         "edges": max_edges,

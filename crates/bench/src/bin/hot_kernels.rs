@@ -29,7 +29,7 @@
 use std::hint::black_box;
 use std::path::PathBuf;
 
-use leime_bench::perf::{history_doc_for, load_history_for};
+use leime_bench::perf::{self, history_doc_for, load_history_for};
 use leime_bench::{header, render_table};
 use leime_offload::{
     ControllerTelemetry, DecisionBatch, DeviceParams, LyapunovController, OffloadController,
@@ -96,17 +96,6 @@ fn obs_for(i: u64) -> SlotObservation {
     }
 }
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn json_path() -> PathBuf {
     leime_bench::json_out_path().unwrap_or_else(|| PathBuf::from("BENCH_kernels.json"))
 }
@@ -167,7 +156,8 @@ fn main() {
     let mut history = load_history_for(&path, "kernels");
     history.push(serde_json::json!({
         "run": history.len() + 1,
-        "git_rev": git_rev(),
+        "git_rev": perf::git_rev(),
+        "host": perf::host(),
         "kernels": results.iter().map(|r| serde_json::json!({
             "name": r.name,
             "ns_per_op": r.ns_per_op,

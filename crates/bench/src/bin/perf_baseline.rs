@@ -26,13 +26,13 @@
 //!
 //! `--gate` turns the *history* into a hard check: the run's best
 //! slots/s is compared against the **rolling median** of the last
-//! [`perf::GATE_WINDOW`] comparable prior records (same device and slot
-//! counts — see `leime_bench::perf`), and a drop of more than
+//! [`perf::GATE_WINDOW`] comparable prior records (same host, device
+//! and slot counts — see `leime_bench::perf`), and a drop of more than
 //! [`GATE_REGRESSION_PCT`]% exits non-zero — after appending the run,
 //! so the regression is archived either way. A median baseline means a
 //! single lucky run cannot ratchet the floor up permanently. With no
 //! comparable history the gate skips with a notice instead of failing,
-//! so fresh clones and parameter changes don't wedge CI.
+//! so fresh clones, new hardware and parameter changes don't wedge CI.
 
 #![allow(
     clippy::unwrap_used,
@@ -115,18 +115,6 @@ fn parse_or_die(s: &str) -> usize {
         eprintln!("bad numeric argument {s:?}");
         std::process::exit(2);
     })
-}
-
-/// Best-effort git revision for the archived record.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// One timed run; the clock is the telemetry crate's [`WallClock`] (the
@@ -226,7 +214,8 @@ fn main() {
     // Snapshot the rolling-median baseline before this run joins the
     // history; the gate verdict comes after the write so the regression
     // is archived either way.
-    let baseline = rolling_median_baseline(&history, args.devices, args.slots);
+    let host = perf::host();
+    let baseline = rolling_median_baseline(&history, &host, args.devices, args.slots);
     let current_best = (args.slots as f64 / seq_s).max(
         runs.iter()
             .filter_map(|r| r["slots_per_sec"].as_f64())
@@ -234,7 +223,8 @@ fn main() {
     );
     let record = serde_json::json!({
         "run": history.len() + 1,
-        "git_rev": git_rev(),
+        "git_rev": perf::git_rev(),
+        "host": host,
         "devices": args.devices,
         "slots": args.slots,
         "seed": SEED,

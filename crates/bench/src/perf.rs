@@ -14,16 +14,49 @@
 //!    run).
 //!
 //! The `--gate` baseline is the **rolling median** of the last
-//! [`GATE_WINDOW`] comparable runs (same device and slot counts), not
-//! the all-time best: a single lucky run on a quiet machine would
+//! [`GATE_WINDOW`] comparable runs (same host, device and slot counts),
+//! not the all-time best: a single lucky run on a quiet machine would
 //! otherwise ratchet the floor up permanently and fail every honest run
 //! after it. The median of a short trailing window tracks what the
-//! current code on the current hardware actually does.
+//! current code on the current hardware actually does. Every record
+//! names its [`host`]; a row from another host, or one without a host,
+//! is never comparable, so a gate on new hardware skips until that
+//! hardware has history of its own.
 
 use serde_json::Value;
 
 /// Trailing window for the gate's rolling-median baseline.
 pub const GATE_WINDOW: usize = 3;
+
+/// Best-effort git revision for an archived record (`"unknown"`
+/// outside a git checkout).
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The host an archived record was measured on: its available
+/// parallelism and CPU model (`"unknown"` where `/proc/cpuinfo` names
+/// none). The gates compare only records with an equal `host`.
+pub fn host() -> Value {
+    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    serde_json::json!({"available_parallelism": cores, "cpu_model": cpu_model})
+}
 
 /// Parses the `perf_baseline` history from file text. `Ok` is the runs
 /// list (empty for a fresh file); `Err` carries a warning for the
@@ -104,18 +137,21 @@ pub fn peak_slots_per_sec(run: &Value) -> Option<f64> {
 }
 
 /// The gate baseline: median peak slots/s over the last [`GATE_WINDOW`]
-/// runs with the same device and slot counts, with the git revisions
-/// that contributed. `None` when no comparable history exists (fresh
-/// clones and parameter changes must not wedge CI).
+/// runs on the same `host` (see [`host`]) with the same device and slot
+/// counts, with the git revisions that contributed. `None` when no
+/// comparable history exists (fresh clones, new hardware and parameter
+/// changes must not wedge CI).
 pub fn rolling_median_baseline(
     history: &[Value],
+    host: &Value,
     devices: usize,
     slots: usize,
 ) -> Option<(String, f64)> {
     let comparable: Vec<&Value> = history
         .iter()
         .filter(|run| {
-            run["devices"].as_u64() == Some(devices as u64)
+            run["host"] == *host
+                && run["devices"].as_u64() == Some(devices as u64)
                 && run["slots"].as_u64() == Some(slots as u64)
         })
         .collect();
@@ -137,11 +173,13 @@ pub fn fleet_peak_device_slots_per_sec(run: &Value) -> Option<f64> {
 }
 
 /// The fleet gate baseline: median peak device-slots/s over the last
-/// [`GATE_WINDOW`] `ext_fleet` runs with the same sweep envelope
-/// (devices *and* edges *and* slots — the edge dimension changes where
-/// time goes, so cross-shape comparisons would be meaningless).
+/// [`GATE_WINDOW`] `ext_fleet` runs on the same `host` with the same
+/// sweep envelope (devices *and* edges *and* slots — the edge dimension
+/// changes where time goes, so cross-shape comparisons would be
+/// meaningless).
 pub fn fleet_rolling_median_baseline(
     history: &[Value],
+    host: &Value,
     devices: usize,
     edges: usize,
     slots: usize,
@@ -149,7 +187,8 @@ pub fn fleet_rolling_median_baseline(
     let comparable: Vec<&Value> = history
         .iter()
         .filter(|run| {
-            run["devices"].as_u64() == Some(devices as u64)
+            run["host"] == *host
+                && run["devices"].as_u64() == Some(devices as u64)
                 && run["edges"].as_u64() == Some(edges as u64)
                 && run["slots"].as_u64() == Some(slots as u64)
         })
@@ -192,10 +231,27 @@ fn windowed_median(
 mod tests {
     use super::*;
 
+    /// The host every test record is measured on.
+    fn test_host() -> Value {
+        serde_json::json!({"available_parallelism": 2, "cpu_model": "Test CPU"})
+    }
+
+    /// `record` with its `host` replaced (`None` removes it).
+    fn on_host(mut record: Value, host: Option<Value>) -> Value {
+        if let Value::Object(m) = &mut record {
+            m.remove("host");
+            if let Some(h) = host {
+                m.insert("host".to_string(), h);
+            }
+        }
+        record
+    }
+
     fn run_record(devices: u64, slots: u64, rev: &str, seq: f64, par: &[f64]) -> Value {
         serde_json::json!({
             "run": 1,
             "git_rev": rev,
+            "host": test_host(),
             "devices": devices,
             "slots": slots,
             "sequential": {"slots_per_sec": seq},
@@ -307,8 +363,16 @@ mod tests {
             run_record(64, 100, "r5", 99_000.0, &[]),
             run_record(64, 200, "r6", 11_000.0, &[12_000.0]),
             run_record(64, 200, "r7", 10_500.0, &[]),
+            // Identical but for the host: another machine's record, and
+            // one written before records named their host.
+            on_host(
+                run_record(64, 200, "r8", 99_000.0, &[]),
+                Some(serde_json::json!({"available_parallelism": 64, "cpu_model": "Test CPU"})),
+            ),
+            on_host(run_record(64, 200, "r9", 99_000.0, &[]), None),
         ];
-        let (revs, median) = rolling_median_baseline(&history, 64, 200).unwrap();
+        let host = test_host();
+        let (revs, median) = rolling_median_baseline(&history, &host, 64, 200).unwrap();
         // Window = {r3: 10000, r6: 12000, r7: 10500} → median 10500.
         assert_eq!(median.to_bits(), 10_500.0_f64.to_bits());
         assert_eq!(revs, "r3,r7,r6");
@@ -316,11 +380,16 @@ mod tests {
         // Shorter histories: median of what exists (even window →
         // mean of the middle pair).
         let two = &history[..2];
-        let (_, m2) = rolling_median_baseline(two, 64, 200).unwrap();
+        let (_, m2) = rolling_median_baseline(two, &host, 64, 200).unwrap();
         assert_eq!(m2.to_bits(), f64::to_bits((9_000.0 + 50_000.0) / 2.0));
 
-        // No comparable runs at all → no gate.
-        assert!(rolling_median_baseline(&history, 1, 1).is_none());
+        // No comparable runs at all → no gate: neither other shapes nor
+        // the same shape from another host, or from no named host.
+        assert!(rolling_median_baseline(&history, &host, 1, 1).is_none());
+        assert!(rolling_median_baseline(&history[7..], &host, 64, 200).is_none());
+        let other = history[7]["host"].clone();
+        let (revs, _) = rolling_median_baseline(&history, &other, 64, 200).unwrap();
+        assert_eq!(revs, "r8");
     }
 
     /// Histories shorter than [`GATE_WINDOW`] must still gate: the
@@ -330,11 +399,11 @@ mod tests {
     #[test]
     fn short_histories_still_gate() {
         // 0 runs: skip.
-        assert!(rolling_median_baseline(&[], 64, 200).is_none());
+        assert!(rolling_median_baseline(&[], &test_host(), 64, 200).is_none());
 
         // 1 run: that run IS the baseline.
         let one = vec![run_record(64, 200, "r1", 9_000.0, &[])];
-        let (revs, median) = rolling_median_baseline(&one, 64, 200).unwrap();
+        let (revs, median) = rolling_median_baseline(&one, &test_host(), 64, 200).unwrap();
         assert_eq!(revs, "r1");
         assert_eq!(median.to_bits(), 9_000.0_f64.to_bits());
 
@@ -344,22 +413,23 @@ mod tests {
             run_record(64, 200, "r1", 9_000.0, &[]),
             run_record(64, 200, "r2", 11_000.0, &[10_000.0]),
         ];
-        let (revs, median) = rolling_median_baseline(&two, 64, 200).unwrap();
+        let (revs, median) = rolling_median_baseline(&two, &test_host(), 64, 200).unwrap();
         assert_eq!(revs, "r1,r2");
         assert_eq!(median.to_bits(), 10_000.0_f64.to_bits());
 
         // A lone comparable run whose record carries no parsable peak
         // cannot gate either.
         let unparsable = vec![serde_json::json!({
-            "run": 1, "git_rev": "rx", "devices": 64, "slots": 200,
+            "run": 1, "git_rev": "rx", "host": test_host(), "devices": 64, "slots": 200,
         })];
-        assert!(rolling_median_baseline(&unparsable, 64, 200).is_none());
+        assert!(rolling_median_baseline(&unparsable, &test_host(), 64, 200).is_none());
     }
 
     fn fleet_record(devices: u64, edges: u64, slots: u64, rev: &str, dsps: &[f64]) -> Value {
         serde_json::json!({
             "run": 1,
             "git_rev": rev,
+            "host": test_host(),
             "devices": devices,
             "edges": edges,
             "slots": slots,
@@ -401,15 +471,28 @@ mod tests {
             fleet_record(1_000_000, 16, 10, "r5", &[1.4e6]),
             fleet_record(1_000_000, 16, 10, "r6", &[1.2e6]),
             fleet_record(1_000_000, 16, 10, "r7", &[1.3e6]),
+            // Identical but for the host: never comparable.
+            on_host(
+                fleet_record(1_000_000, 16, 10, "r8", &[9.9e6]),
+                Some(serde_json::json!({"available_parallelism": 2, "cpu_model": "Other CPU"})),
+            ),
+            on_host(fleet_record(1_000_000, 16, 10, "r9", &[9.9e6]), None),
         ];
-        let (revs, median) = fleet_rolling_median_baseline(&history, 1_000_000, 16, 10).unwrap();
+        let host = test_host();
+        let (revs, median) =
+            fleet_rolling_median_baseline(&history, &host, 1_000_000, 16, 10).unwrap();
         // Window = {r5: 1.4e6, r6: 1.2e6, r7: 1.3e6} → median 1.3e6.
         assert_eq!(median.to_bits(), 1.3e6_f64.to_bits());
         assert_eq!(revs, "r6,r7,r5");
         // Single comparable run gates; empty history does not.
-        let (_, one) = fleet_rolling_median_baseline(&history[..1], 1_000_000, 16, 10).unwrap();
+        let (_, one) =
+            fleet_rolling_median_baseline(&history[..1], &host, 1_000_000, 16, 10).unwrap();
         assert_eq!(one.to_bits(), 1.0e6_f64.to_bits());
-        assert!(fleet_rolling_median_baseline(&[], 1_000_000, 16, 10).is_none());
+        assert!(fleet_rolling_median_baseline(&[], &host, 1_000_000, 16, 10).is_none());
+        assert!(fleet_rolling_median_baseline(&history[7..], &host, 1_000_000, 16, 10).is_none());
+        let other = history[7]["host"].clone();
+        let (revs, _) = fleet_rolling_median_baseline(&history, &other, 1_000_000, 16, 10).unwrap();
+        assert_eq!(revs, "r8");
         // The "sweep" record key marks the fleet pre-history layout for
         // `history_from_text_for`, mirroring the kernels migration.
         let pre = r#"{"schema":"leime-bench/1","bench":"ext_fleet",

@@ -1,5 +1,5 @@
 use leime_simnet::SimTime;
-use leime_telemetry::hist::{bucket_representative, NUM_BUCKETS};
+use leime_telemetry::hist::bucket_representative;
 use leime_telemetry::Buckets;
 use serde::{Deserialize, Serialize};
 
@@ -278,10 +278,10 @@ impl RunReport {
             return 1.0;
         }
         // Representatives rise with the index, so the met buckets are a
-        // prefix; only non-empty ones need theirs computed.
-        let met: u64 = (0..NUM_BUCKETS)
-            .map(|i| (i, self.tct.bucket_count(i)))
-            .filter(|&(_, n)| n > 0)
+        // prefix of the non-empty ones.
+        let met: u64 = self
+            .tct
+            .non_empty()
             .take_while(|&(i, _)| bucket_representative(i).clamp(min, max) <= deadline_s)
             .map(|(_, n)| n)
             .sum();
@@ -420,6 +420,33 @@ mod tests {
         assert_eq!(r.mean_tct_after(0.0).to_bits(), 0.0_f64.to_bits());
         assert_eq!(r.mean_offload_ratio().to_bits(), 0.0_f64.to_bits());
         assert!(r.windowed_mean_tct(SimTime::from_secs(1.0)).is_empty());
+    }
+
+    #[test]
+    fn new_report_holds_no_bucket_storage() {
+        // `Buckets::new()` allocates nothing (pinned in leime-telemetry);
+        // a fresh report's histogram is exactly that empty value.
+        let r = RunReport::new();
+        assert_eq!(r.tct, Buckets::new());
+        assert_eq!(r.tct.non_empty().count(), 0);
+        assert!(r.slots.is_empty());
+    }
+
+    #[test]
+    fn malformed_histogram_json_is_rejected() {
+        let mut r = RunReport::new();
+        cohort(&mut r, 0.0, 0.5, 1);
+        let text = serde_json::to_string(&r).unwrap();
+        let back: RunReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.p99_tct_s().to_bits(), r.p99_tct_s().to_bits());
+        // A bucket with no extremes once read back and then panicked in
+        // `p99_tct_s()`; it is now a parse error.
+        let tct = r#""tct":{"buckets_per_octave":32,"min_magnitude":1e-9,"counts":[[2100,1]],"count":1,"sum":0.5,"min":null,"max":null}"#;
+        let start = text.find(r#""tct":"#).unwrap();
+        let end = start + text[start..].find('}').unwrap() + 1;
+        let bad = format!("{}{tct}{}", &text[..start], &text[end..]);
+        let err = serde_json::from_str::<RunReport>(&bad).unwrap_err();
+        assert!(err.to_string().contains("malformed Buckets"), "{err}");
     }
 
     #[test]

@@ -296,6 +296,22 @@ impl Scenario {
             }
         }
         self.workload.check()?;
+        // `device_slot` tallies a device-slot's exit tiers in `u32`s, so
+        // no device-slot may draw more than `u32::MAX` tasks.
+        let overflow = match &self.workload {
+            WorkloadKind::SlotPoisson { max }
+            | WorkloadKind::RateTrace { max, .. }
+            | WorkloadKind::Bursty { max, .. } => (*max > u64::from(u32::MAX))
+                .then_some("workload max exceeds u32::MAX tasks per device-slot"),
+            WorkloadKind::Deterministic => self
+                .devices
+                .iter()
+                .any(|d| d.arrival_mean >= f64::from(u32::MAX))
+                .then_some("deterministic arrival mean reaches u32::MAX tasks per device-slot"),
+        };
+        if let Some(msg) = overflow {
+            return Err(LeimeError::Config(msg.into()));
+        }
         if let Some(chaos) = &self.chaos {
             chaos
                 .validate()
@@ -508,6 +524,44 @@ mod tests {
         let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 1, 5.0);
         s.num_classes = 1;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_tasks_per_device_slot() {
+        let mut s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 2, 5.0);
+        let cap = u64::from(u32::MAX);
+        let trace = TimeTrace::constant(5.0);
+        for (max, ok) in [(cap, true), (cap + 1, false), (u64::MAX, false)] {
+            for workload in [
+                WorkloadKind::SlotPoisson { max },
+                WorkloadKind::RateTrace {
+                    trace: trace.clone(),
+                    max,
+                },
+                WorkloadKind::Bursty {
+                    burst_factor: 2.0,
+                    p_enter: 0.1,
+                    p_leave: 0.5,
+                    max,
+                },
+            ] {
+                s.workload = workload;
+                let res = s.validate();
+                assert_eq!(res.is_ok(), ok, "{:?}: {res:?}", s.workload);
+                assert!(ok || matches!(res, Err(LeimeError::Config(_))));
+            }
+        }
+        s.workload = WorkloadKind::Deterministic;
+        for (mean, ok) in [
+            (f64::from(u32::MAX) - 0.5, true),
+            (f64::from(u32::MAX), false),
+            (1e12, false),
+        ] {
+            s.devices[1].arrival_mean = mean;
+            let res = s.validate();
+            assert_eq!(res.is_ok(), ok, "mean {mean}: {res:?}");
+            assert!(ok || matches!(res, Err(LeimeError::Config(_))));
+        }
     }
 
     /// A malformed workload must fail `SlottedSystem::new` with a typed

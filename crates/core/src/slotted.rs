@@ -563,7 +563,8 @@ impl SlottedSystem {
         };
 
         // Driver-side replay buffer, reused across slots so steady-state
-        // flushing allocates nothing.
+        // flushing allocates nothing (the TCT histogram's window aside:
+        // it grows at most `NUM_BUCKETS` times per run).
         let mut batch = DecisionBatch::new();
         let mut reports: Vec<RunReport> = systems.iter().map(|_| RunReport::new()).collect();
         let replay = |sys: usize, slot: usize, outs: SlotRecords<'_, DeviceSlotOut>| {
@@ -1056,7 +1057,9 @@ fn device_slot(
 /// slot's `row`: the cohort's completion times go into the histogram
 /// through the bit-identical `record_n` batch path, tier tallies are
 /// additive, and recorded decisions buffer into `batch` (flushed once
-/// per slot by the caller), stamped with the slot start.
+/// per slot by the caller), stamped with the slot start. Allocates
+/// only when a completion time lands outside the histogram's stored
+/// window, which grows at most `NUM_BUCKETS` times per run.
 fn apply_out(
     report: &mut RunReport,
     row: &mut SlotRow,

@@ -281,6 +281,8 @@ impl ServingSystem {
                 hard_requests += a.hard;
                 // Judge each (class, tier) cell once against its class
                 // deadline: every request in it completes at its price.
+                // `record_n` allocates only to widen the class histogram's
+                // stored window, at most `NUM_BUCKETS` times per run.
                 for (ci, stat) in stats.iter_mut().enumerate() {
                     for (&n, &tct) in a.admitted[ci].iter().zip(&a.tct[ci]) {
                         stat.tct_s.record_n(tct, n);

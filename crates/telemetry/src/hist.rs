@@ -13,6 +13,13 @@
 //!   histogram that recorded the union of their samples (the property
 //!   test in `tests/proptests.rs` checks this);
 //! * recording is O(1) and, in [`Histogram`], entirely atomic.
+//!
+//! [`Buckets`] stores only the window of buckets it uses, from its
+//! lowest to its highest non-empty one, so a run whose samples fill a
+//! handful of buckets costs a handful of words rather than all
+//! [`NUM_BUCKETS`]. The window grows when a sample lands outside it, at
+//! most [`NUM_BUCKETS`] times per histogram. [`Histogram`] stays dense:
+//! there is one per registry name, and its buckets are atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,8 +98,20 @@ pub fn bucket_representative(index: usize) -> f64 {
 
 /// A plain (single-threaded) log-bucketed histogram: the math core
 /// shared by [`Histogram`] snapshots and `leime`'s `RunReport`.
+///
+/// Only the window from the lowest to the highest non-empty bucket is
+/// stored: `counts[k]` is bucket `start + k`. An empty histogram holds
+/// no bucket storage at all. A sample landing outside the window grows
+/// it to reach the sample's bucket; inside it, recording is one indexed
+/// add. Counts only ever increase, so the window is always exactly
+/// [first non-empty, last non-empty] and the derived `PartialEq`
+/// compares contents. Each growth step widens the window by at least
+/// one bucket, so a histogram allocates at most [`NUM_BUCKETS`] times
+/// over its life, however many samples it records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Buckets {
+    /// Bucket index of `counts[0]` (0 while empty).
+    start: usize,
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -103,7 +122,8 @@ pub struct Buckets {
 impl Default for Buckets {
     fn default() -> Self {
         Buckets {
-            counts: vec![0; NUM_BUCKETS],
+            start: 0,
+            counts: Vec::new(),
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -113,9 +133,30 @@ impl Default for Buckets {
 }
 
 impl Buckets {
-    /// An empty histogram.
+    /// An empty histogram; allocates nothing.
     pub fn new() -> Self {
         Buckets::default()
+    }
+
+    /// Grows the window to cover buckets `lo..=hi` (new buckets hold 0).
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.start = lo;
+        } else if lo < self.start {
+            let grow = self.start - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.start = lo;
+        }
+        let len = hi + 1 - self.start;
+        if len > self.counts.len() {
+            self.counts.resize(len, 0);
+        }
+    }
+
+    /// Adds `n` to bucket `index`.
+    fn add(&mut self, index: usize, n: u64) {
+        self.cover(index, index);
+        self.counts[index - self.start] += n;
     }
 
     /// Adds one sample. Non-finite values are ignored.
@@ -123,7 +164,7 @@ impl Buckets {
         if !v.is_finite() {
             return;
         }
-        self.counts[bucket_index(v)] += 1;
+        self.add(bucket_index(v), 1);
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -138,7 +179,7 @@ impl Buckets {
         if n == 0 || !v.is_finite() {
             return;
         }
-        self.counts[bucket_index(v)] += n;
+        self.add(bucket_index(v), n);
         self.count += n;
         for _ in 0..n {
             self.sum += v;
@@ -177,9 +218,26 @@ impl Buckets {
         (self.count > 0).then_some(self.max)
     }
 
-    /// The count in one bucket (for boundary tests and export).
+    /// The count in one bucket (for boundary tests); 0 outside the
+    /// stored window.
     pub fn bucket_count(&self, index: usize) -> u64 {
-        self.counts[index]
+        index
+            .checked_sub(self.start)
+            .and_then(|k| self.counts.get(k))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The non-empty buckets as `(index, count)` pairs, in ascending
+    /// index order: the one walk that quantiles, merges, serialization
+    /// and deadline fractions share.
+    pub fn non_empty(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let start = self.start;
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(move |(k, &c)| (start + k, c))
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`), or `None` when empty.
@@ -200,7 +258,7 @@ impl Buckets {
         // Nearest-rank: the ceil(q·n)-th smallest sample (1-indexed).
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cumulative = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, c) in self.non_empty() {
             cumulative += c;
             if cumulative >= target {
                 return Some(bucket_representative(i).clamp(self.min, self.max));
@@ -219,8 +277,11 @@ impl Buckets {
     /// histogram is indistinguishable from one that recorded both sample
     /// streams.
     pub fn merge(&mut self, other: &Buckets) {
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
+        if !other.counts.is_empty() {
+            self.cover(other.start, other.start + other.counts.len() - 1);
+            for (i, c) in other.non_empty() {
+                self.counts[i - self.start] += c;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -229,17 +290,11 @@ impl Buckets {
     }
 }
 
-// Hand-written serde impls: the dense bucket array is stored sparsely as
+// Hand-written serde impls: the non-empty buckets are stored as
 // [index, count] pairs so snapshots stay small.
 impl Serialize for Buckets {
     fn to_value(&self) -> Value {
-        let sparse: Vec<(u64, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64, c))
-            .collect();
+        let sparse: Vec<(u64, u64)> = self.non_empty().map(|(i, c)| (i as u64, c)).collect();
         let mut m = Map::new();
         m.insert(
             "buckets_per_octave".to_string(),
@@ -271,18 +326,46 @@ impl Deserialize for Buckets {
             )));
         }
         let sparse: Vec<(u64, u64)> = Vec::from_value(field("counts")?)?;
+        let bad = |what: String| Err(DeError::custom(format!("malformed Buckets: {what}")));
         let mut out = Buckets::new();
+        let (mut total, mut prev) = (0u64, None);
         for (i, c) in sparse {
-            let i = usize::try_from(i)
-                .ok()
-                .filter(|&i| i < NUM_BUCKETS)
-                .ok_or_else(|| DeError::custom(format!("bucket index {i} out of range")))?;
-            out.counts[i] = c;
+            let Some(i) = usize::try_from(i).ok().filter(|&i| i < NUM_BUCKETS) else {
+                return bad(format!("bucket index {i} out of range"));
+            };
+            if prev.is_some_and(|p| i <= p) {
+                return bad(format!("bucket index {i} not strictly ascending"));
+            }
+            if c == 0 {
+                return bad(format!("bucket {i} has a zero count"));
+            }
+            let Some(t) = total.checked_add(c) else {
+                return bad("bucket counts overflow u64".to_string());
+            };
+            out.add(i, c);
+            (total, prev) = (t, Some(i));
         }
         out.count = u64::from_value(field("count")?)?;
+        if out.count != total {
+            return bad(format!(
+                "count {} differs from the bucket total {total}",
+                out.count
+            ));
+        }
         out.sum = f64::from_value(field("sum")?)?;
-        out.min = Option::<f64>::from_value(field("min")?)?.unwrap_or(f64::INFINITY);
-        out.max = Option::<f64>::from_value(field("max")?)?.unwrap_or(f64::NEG_INFINITY);
+        let min = Option::<f64>::from_value(field("min")?)?;
+        let max = Option::<f64>::from_value(field("max")?)?;
+        match (min, max) {
+            (None, None) if total == 0 => {}
+            (Some(min), Some(max))
+                if total > 0 && min.is_finite() && max.is_finite() && min <= max =>
+            {
+                out.min = min;
+                out.max = max;
+            }
+            _ if total == 0 => return bad("min/max present with no samples".to_string()),
+            _ => return bad(format!("min {min:?} / max {max:?} not a finite range")),
+        }
         Ok(out)
     }
 }
@@ -358,10 +441,8 @@ impl Histogram {
     /// sum in one step. Merged into an empty histogram, the result is
     /// bit-identical to recording `other`'s samples here.
     pub fn merge(&self, other: &Buckets) {
-        for (dst, &v) in self.counts.iter().zip(&other.counts) {
-            if v > 0 {
-                dst.fetch_add(v, Ordering::Relaxed);
-            }
+        for (i, c) in other.non_empty() {
+            self.counts[i].fetch_add(c, Ordering::Relaxed);
         }
         self.count.fetch_add(other.count, Ordering::Relaxed);
         update_f64(&self.sum_bits, other.sum, |a, b| a + b);
@@ -374,8 +455,18 @@ impl Histogram {
     /// consistent per metric but counts may trail by in-flight updates.
     pub fn snapshot(&self) -> Buckets {
         let mut out = Buckets::new();
-        for (dst, src) in out.counts.iter_mut().zip(self.counts.iter()) {
-            *dst = src.load(Ordering::Relaxed);
+        let non_empty = |c: &AtomicU64| c.load(Ordering::Relaxed) > 0;
+        // Counts only rise, so both ends stay non-empty when the window
+        // between them is read.
+        if let (Some(lo), Some(hi)) = (
+            self.counts.iter().position(non_empty),
+            self.counts.iter().rposition(non_empty),
+        ) {
+            out.start = lo;
+            out.counts = self.counts[lo..=hi]
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect();
         }
         out.count = self.count.load(Ordering::Relaxed);
         out.sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
@@ -632,6 +723,97 @@ mod tests {
         plain_n.record_n(f64::NAN, 5);
         plain_n.record_n(f64::INFINITY, 5);
         assert_eq!(plain_n.count(), plain_rep.count());
+    }
+
+    #[test]
+    fn empty_histograms_hold_no_bucket_storage() {
+        assert_eq!(Buckets::new().counts.capacity(), 0);
+        assert_eq!(Buckets::default().counts.capacity(), 0);
+        assert_eq!(Histogram::new().snapshot().counts.capacity(), 0);
+        let back: Buckets =
+            serde_json::from_str(&serde_json::to_string(&Buckets::new()).unwrap()).unwrap();
+        assert_eq!(back.counts.capacity(), 0);
+    }
+
+    #[test]
+    fn front_growth_keeps_counts_and_bits() {
+        // Descending samples widen the window at the front each time;
+        // a reference fed the same samples in ascending order only ever
+        // grows at the back. Both end with the same window and counts,
+        // and the descending one's sum keeps its own addition order.
+        let samples = [8.0, 8.0, 2.5, 0.75, 0.75, 1e-3, -0.5];
+        let mut down = Buckets::new();
+        let mut sum = 0.0;
+        for &v in &samples {
+            down.record(v);
+            sum += v;
+            assert_eq!(down.start, bucket_index(down.min().unwrap()));
+            assert_eq!(down.counts.len(), bucket_index(8.0) - down.start + 1);
+        }
+        let mut up = Buckets::new();
+        for &v in samples.iter().rev() {
+            up.record(v);
+        }
+        assert_eq!(down.sum().to_bits(), sum.to_bits());
+        assert_eq!(down.counts, up.counts);
+        assert_eq!(down.start, up.start);
+        assert_eq!(down.bucket_count(bucket_index(8.0)), 2);
+        assert_eq!(down.bucket_count(bucket_index(0.75)), 2);
+        assert_eq!(down.bucket_count(bucket_index(-0.5)), 1);
+        assert_eq!(down.bucket_count(bucket_index(1.0)), 0);
+        assert_eq!(down.bucket_count(NUM_BUCKETS), 0);
+        // A merge that widens both ends matches recording its samples.
+        let mut merged = Buckets::new();
+        merged.record_n(0.75, 2);
+        let mut wide = Buckets::new();
+        for &v in &[8.0, 8.0, 2.5, 1e-3, -0.5] {
+            wide.record(v);
+        }
+        merged.merge(&wide);
+        assert_eq!(merged.counts, down.counts);
+        assert_eq!(merged.start, down.start);
+        assert_eq!(merged.count(), down.count());
+    }
+
+    #[test]
+    fn malformed_json_is_rejected() {
+        let doc = |counts: &str, count: u64, min: &str, max: &str| {
+            format!(
+                r#"{{"buckets_per_octave":32,"min_magnitude":1e-9,"counts":{counts},"count":{count},"sum":0.5,"min":{min},"max":{max}}}"#
+            )
+        };
+        let bad = [
+            // Missing extremes with samples: quantiles would clamp to
+            // (inf, -inf) and panic.
+            doc("[[2100,1]]", 1, "null", "null"),
+            doc("[[2100,1]]", 1, "0.5", "null"),
+            doc("[[2100,1]]", 1, "0.75", "0.5"),
+            // A count with no buckets behind it.
+            doc("[]", 3, "null", "null"),
+            doc("[[2100,1]]", 2, "0.5", "0.5"),
+            // Extremes with no samples.
+            doc("[]", 0, "0.5", "0.5"),
+            doc("[]", 0, "null", "0.5"),
+            // Index order, range and zero counts.
+            doc("[[2100,1],[2100,1]]", 2, "0.5", "0.5"),
+            doc("[[2101,1],[2100,1]]", 2, "0.5", "0.5"),
+            doc("[[4097,1]]", 1, "0.5", "0.5"),
+            doc("[[2100,0]]", 0, "null", "null"),
+            doc("[[2100,1],[2101,0]]", 1, "0.5", "0.5"),
+        ];
+        for text in &bad {
+            assert!(
+                serde_json::from_str::<Buckets>(text).is_err(),
+                "accepted {text}"
+            );
+        }
+        // The document of two samples at 0.01 and one at 0.5 is accepted.
+        let (lo, hi) = (bucket_index(0.01), bucket_index(0.5));
+        let good = doc(&format!("[[{lo},2],[{hi},1]]"), 3, "0.01", "0.5");
+        let b: Buckets = serde_json::from_str(&good).unwrap();
+        assert_eq!(b.non_empty().collect::<Vec<_>>(), [(lo, 2), (hi, 1)]);
+        assert_eq!(b.counts.len(), hi - lo + 1);
+        assert_eq!(b.quantile(0.5), Some(bucket_representative(lo)));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for the telemetry crate's core laws:
-//! merge exactness, the quantile error bound, and clock-impl parity of
-//! the tracer.
+//! merge exactness, the quantile error bound, windowed bucket storage
+//! against a dense reference, and clock-impl parity of the tracer.
 
-use leime_telemetry::hist::{bucket_index, Buckets, BUCKETS_PER_OCTAVE, NUM_BUCKETS};
+use leime_telemetry::hist::{
+    bucket_index, bucket_representative, Buckets, BUCKETS_PER_OCTAVE, MIN_MAG, NUM_BUCKETS,
+};
 use leime_telemetry::{Clock, SpanRecord, Tracer, VirtualClock, WallClock};
 use proptest::prelude::*;
 
@@ -88,6 +90,144 @@ proptest! {
         let b = buckets_from(&samples);
         let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
         prop_assert!(b.quantile(lo).unwrap() <= b.quantile(hi).unwrap());
+    }
+}
+
+/// A dense reference histogram: every bucket's count, and the totals
+/// accumulated in recording order.
+struct Dense {
+    counts: [u64; NUM_BUCKETS],
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Dense {
+    fn new() -> Self {
+        Dense {
+            counts: [0; NUM_BUCKETS],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[bucket_index(v)] += n;
+        self.count += n;
+        for _ in 0..n {
+            self.sum += v;
+        }
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Nearest-rank quantile over all buckets, by the documented rule.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cumulative = 0;
+        (0..NUM_BUCKETS).find_map(|i| {
+            cumulative += self.counts[i];
+            (cumulative >= target).then(|| bucket_representative(i).clamp(self.min, self.max))
+        })
+    }
+
+    /// The sparse `[index, count]` serialization of the dense state.
+    fn json(&self) -> serde_json::Value {
+        let sparse: Vec<(u64, u64)> = (0..NUM_BUCKETS)
+            .filter(|&i| self.counts[i] > 0)
+            .map(|i| (i as u64, self.counts[i]))
+            .collect();
+        let (min, max) = if self.count > 0 {
+            (Some(self.min), Some(self.max))
+        } else {
+            (None, None)
+        };
+        serde_json::json!({
+            "buckets_per_octave": BUCKETS_PER_OCTAVE as u64,
+            "min_magnitude": MIN_MAG,
+            "counts": sparse,
+            "count": self.count,
+            "sum": self.sum,
+            "min": min,
+            "max": max
+        })
+    }
+}
+
+/// The sample `±m · 2^(base + e)` (0 when `m` is 0). Within one case
+/// the magnitudes span 17 octaves above `2^base`, so every sum is exact
+/// and any split adds up to the same bits; across cases `base` reaches
+/// the zero bucket (below `MIN_MAG`) and the clamped outermost buckets.
+fn sample(base: i32, sign: f64, m: u32, e: i32) -> f64 {
+    sign.signum() * f64::from(m) * 2f64.powi(base + e)
+}
+
+/// Records `n` copies of `v`, through `record` when `n` is 1.
+fn record(b: &mut Buckets, v: f64, n: u64) {
+    if n == 1 {
+        b.record(v);
+    } else {
+        b.record_n(v, n);
+    }
+}
+
+proptest! {
+    /// The windowed storage answers exactly as a dense array would,
+    /// whatever the order and split: every bucket count, every quantile
+    /// and the serialized bytes match the dense reference, and all
+    /// splits merge back to `==` histograms.
+    #[test]
+    fn windowed_buckets_match_a_dense_reference(
+        base in -45i32..26,
+        steps in prop::collection::vec(
+            (-1.0f64..1.0, 0u32..8, 0i32..15, 0u64..4, 0usize..3),
+            0..100,
+        ),
+    ) {
+        let mut dense = Dense::new();
+        let mut whole = Buckets::new();
+        let mut parts = [Buckets::new(), Buckets::new(), Buckets::new()];
+        for &(sign, m, e, n, part) in &steps {
+            let v = sample(base, sign, m, e);
+            dense.record_n(v, n);
+            record(&mut whole, v, n);
+            record(&mut parts[part], v, n);
+        }
+        for i in 0..NUM_BUCKETS {
+            prop_assert_eq!(whole.bucket_count(i), dense.counts[i], "bucket {}", i);
+        }
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            prop_assert_eq!(whole.quantile(q), dense.quantile(q));
+        }
+        prop_assert_eq!(
+            serde_json::to_string(&whole).unwrap(),
+            serde_json::to_string(&dense.json()).unwrap()
+        );
+        let nonzero = (0..NUM_BUCKETS).filter(|&i| dense.counts[i] > 0);
+        prop_assert!(whole.non_empty().map(|(i, _)| i).eq(nonzero));
+
+        // Every merge order, into an empty histogram and into a part.
+        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        for [a, b, c] in orders {
+            let mut fresh = Buckets::new();
+            for p in [a, b, c] {
+                fresh.merge(&parts[p]);
+            }
+            prop_assert_eq!(&fresh, &whole);
+            let mut into_part = parts[a].clone();
+            into_part.merge(&parts[b]);
+            into_part.merge(&parts[c]);
+            prop_assert_eq!(&into_part, &whole);
+        }
     }
 }
 
