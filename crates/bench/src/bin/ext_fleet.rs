@@ -7,7 +7,9 @@
 //! device-slots/s (the scale-comparable unit: one device advancing one
 //! slot). The smallest cell is additionally run at one worker and must
 //! be byte-identical to the sharded run — a perf number from a diverging
-//! fleet would be meaningless (DESIGN.md §16).
+//! fleet would be meaningless (DESIGN.md §16). Both of its wall times and
+//! their ratio are printed and archived, with a plain "N workers lose"
+//! when the sharded run is the slower one.
 //!
 //! ```text
 //! cargo run --release -p leime-bench --bin ext_fleet -- \
@@ -164,8 +166,8 @@ fn main() {
         args.devices.iter().min().expect("non-empty"),
         args.edges.iter().min().expect("non-empty"),
     );
-    let (seq_report, _) = timed_run(min_devices, min_edges, args.rebalance, args.slots, 1);
-    let (par_report, _) = timed_run(
+    let (seq_report, seq_s) = timed_run(min_devices, min_edges, args.rebalance, args.slots, 1);
+    let (par_report, par_s) = timed_run(
         min_devices,
         min_edges,
         args.rebalance,
@@ -182,6 +184,19 @@ fn main() {
         );
         std::process::exit(1);
     }
+    let speedup = seq_s / par_s;
+    println!(
+        "identity cell {min_devices} devices × {min_edges} edges: 1 worker {}, {} workers {}, \
+         speedup {speedup:.2}x{}\n",
+        fmt_time(seq_s),
+        args.workers,
+        fmt_time(par_s),
+        if speedup < 1.0 {
+            format!(" — {} workers lose", args.workers)
+        } else {
+            String::new()
+        }
+    );
 
     let mut rows = Vec::new();
     let mut sweep = Vec::new();
@@ -245,19 +260,26 @@ fn main() {
         .iter()
         .filter_map(|row| row["device_slots_per_sec"].as_f64())
         .fold(0.0, f64::max);
-    let record = serde_json::json!({
-        "run": history.len() + 1,
-        "git_rev": perf::git_rev(),
-        "host": host,
-        "seed": SEED,
-        "devices": max_devices,
-        "edges": max_edges,
-        "slots": args.slots,
-        "workers": args.workers,
-        "rebalance_interval": args.rebalance,
-        "sweep_wall_ms": total_s * 1e3,
-        "sweep": sweep,
-    });
+    let record = perf::new_row(
+        history.len() + 1,
+        serde_json::json!({
+            "seed": SEED,
+            "devices": max_devices,
+            "edges": max_edges,
+            "slots": args.slots,
+            "workers": args.workers,
+            "rebalance_interval": args.rebalance,
+            "sweep_wall_ms": total_s * 1e3,
+            "sweep": sweep,
+            "identity_cell": {
+                "devices": min_devices,
+                "edges": min_edges,
+                "wall_ms_1_worker": seq_s * 1e3,
+                "wall_ms_n_workers": par_s * 1e3,
+                "speedup": speedup,
+            },
+        }),
+    );
     history.push(record);
     let doc = history_doc_for("ext_fleet", history);
     let pretty = serde_json::to_string_pretty(&doc).expect("record serializes");

@@ -154,16 +154,12 @@ fn main() {
 
     let path = json_path();
     let mut history = load_history_for(&path, "kernels");
-    history.push(serde_json::json!({
-        "run": history.len() + 1,
-        "git_rev": perf::git_rev(),
-        "host": perf::host(),
-        "kernels": results.iter().map(|r| serde_json::json!({
-            "name": r.name,
-            "ns_per_op": r.ns_per_op,
-            "ops": r.ops,
-        })).collect::<Vec<_>>(),
-    }));
+    let kernels: Vec<_> = results
+        .iter()
+        .map(|r| serde_json::json!({"name": r.name, "ns_per_op": r.ns_per_op, "ops": r.ops}))
+        .collect();
+    let run = history.len() + 1;
+    history.push(perf::new_row(run, serde_json::json!({"kernels": kernels})));
     let doc = history_doc_for("hot_kernels", history);
     let pretty = serde_json::to_string_pretty(&doc).expect("results serialize");
     if let Err(e) = std::fs::write(&path, pretty + "\n") {

@@ -221,21 +221,21 @@ fn main() {
             .filter_map(|r| r["slots_per_sec"].as_f64())
             .fold(0.0, f64::max),
     );
-    let record = serde_json::json!({
-        "run": history.len() + 1,
-        "git_rev": perf::git_rev(),
-        "host": host,
-        "devices": args.devices,
-        "slots": args.slots,
-        "seed": SEED,
-        "sequential": {
-            "wall_ms": seq_s * 1e3,
-            "slots_per_sec": args.slots as f64 / seq_s,
-        },
-        "parallel": runs,
-        "best_speedup": best_speedup,
-        "soft_speedup_floor": SOFT_SPEEDUP_FLOOR,
-    });
+    let record = perf::new_row(
+        history.len() + 1,
+        serde_json::json!({
+            "devices": args.devices,
+            "slots": args.slots,
+            "seed": SEED,
+            "sequential": {
+                "wall_ms": seq_s * 1e3,
+                "slots_per_sec": args.slots as f64 / seq_s,
+            },
+            "parallel": runs,
+            "best_speedup": best_speedup,
+            "soft_speedup_floor": SOFT_SPEEDUP_FLOOR,
+        }),
+    );
     history.push(record);
     let doc = history_doc(history);
     let pretty = serde_json::to_string_pretty(&doc).expect("record serializes");

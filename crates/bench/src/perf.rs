@@ -41,6 +41,53 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The toolchain a record was built with: `rustc --version`, or
+/// `"unknown"` where `rustc` cannot run.
+pub fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Whether the checkout a record was built from has uncommitted changes
+/// (`git status --porcelain` prints anything; false outside git).
+pub fn git_dirty() -> bool {
+    std::process::Command::new("git")
+        .args(["status", "--porcelain"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .is_some_and(|o| !o.stdout.is_empty())
+}
+
+/// A new history row: run id `run` and the row's provenance — `git_rev`,
+/// `git_dirty`, `rustc` and `host` — followed by the entries of the
+/// `fields` object. Only `host` decides which rows a gate compares.
+pub fn new_row(run: usize, fields: Value) -> Value {
+    let mut row = serde_json::Map::new();
+    let provenance = [
+        ("run", serde_json::json!(run)),
+        ("git_rev", Value::String(git_rev())),
+        ("git_dirty", Value::Bool(git_dirty())),
+        ("rustc", Value::String(rustc_version())),
+        ("host", host()),
+    ];
+    for (key, value) in provenance {
+        row.insert(key.to_string(), value);
+    }
+    if let Value::Object(fields) = fields {
+        for (key, value) in fields.iter() {
+            row.insert(key.clone(), value.clone());
+        }
+    }
+    Value::Object(row)
+}
+
 /// The host an archived record was measured on: its available
 /// parallelism and CPU model (`"unknown"` where `/proc/cpuinfo` names
 /// none). The gates compare only records with an equal `host`.
@@ -295,10 +342,19 @@ mod tests {
         });
         assert_eq!(migrated[0], expected, "pre-history migration drifted");
 
-        // Re-wrapping round-trips through the current layout.
-        let doc = history_doc(migrated);
+        // Re-wrapping round-trips through the current layout, and a
+        // newly appended row names its toolchain and checkout state.
+        let mut runs = migrated;
+        runs.push(new_row(2, serde_json::json!({"devices": 64})));
+        let doc = history_doc(runs);
         let reread = history_from_text(&doc.to_string()).unwrap();
         assert_eq!(reread[0], expected);
+        let row = &reread[1];
+        assert_eq!(row["run"].as_u64(), Some(2));
+        assert_eq!(row["devices"].as_u64(), Some(64));
+        assert!(row["rustc"].as_str().is_some_and(|v| !v.is_empty()));
+        assert!(row["git_dirty"].as_bool().is_some());
+        assert_eq!(row["host"], host());
 
         // Corrupt layouts warn and restart.
         assert!(history_from_text("[]").is_err());

@@ -69,8 +69,9 @@ pub use model::ModelKind;
 pub use report::{FaultStats, RunReport, TierCounts};
 pub use scenario::{ControllerKind, Scenario, WorkloadKind};
 pub use slotted::{
-    decide_device, run_slot_loop, share_floor, DecideCtx, DecideMemo, DeviceDecision, DeviceRow,
-    SlotQuants, SlotRecords, SlottedSystem, DEFAULT_EPOCH_LEN, SHARE_FLOOR,
+    decide_device, run_slot_loop, share_floor, BoundaryAction, DecideCtx, DecideMemo,
+    DeviceDecision, DeviceRow, Edges, SlotQuants, SlotRecords, SlottedSystem, DEFAULT_EPOCH_LEN,
+    SHARE_FLOOR,
 };
 
 /// Convenience alias for results returned by this crate.

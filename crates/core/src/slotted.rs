@@ -1,8 +1,9 @@
+use std::cell::RefCell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
 
-use leime_chaos::{EdgeHealth, FaultSchedule, LinkHealth};
+use leime_chaos::{ChaosConfig, EdgeHealth, FaultSchedule, LinkHealth};
 use leime_offload::{
     kkt_allocation_with_floor, ControllerTelemetry, DecisionBatch, DegradeMode, DegradeOutcome,
     DegradeState, DeviceParams, OffloadController, QueuePair, SharedParams, SlotCost,
@@ -90,6 +91,39 @@ struct SlotTelemetry {
     faults: [Arc<Counter>; 5],
 }
 
+impl SlotTelemetry {
+    /// The handles of [`SlottedSystem::attach_registry`] under `prefix`.
+    fn attach(registry: &Registry, prefix: &str) -> Self {
+        SlotTelemetry {
+            ctrl: ControllerTelemetry::attach(registry, &format!("{prefix}.ctrl")),
+            faults: FAULT_COUNTERS.map(|(k, _)| registry.counter(&format!("{prefix}.ctrl.{k}"))),
+            tct: registry.histogram(&format!("{prefix}.tct_s")),
+            tct_mean: registry.series(&format!("{prefix}.tct_mean_s")),
+            means: ["queue_q", "queue_h", "offload_x"]
+                .map(|k| registry.series(&format!("{prefix}.{k}"))),
+        }
+    }
+
+    /// Writes a report's views over its `n` devices: the `tct_s`
+    /// histogram, the fault counters and the per-slot series.
+    fn record(&self, report: &RunReport, n: usize) {
+        self.tct.merge(&report.tct);
+        let f = report.fault_stats();
+        for (counter, (_, total)) in self.faults.iter().zip(FAULT_COUNTERS) {
+            counter.add(total(&f));
+        }
+        for row in &report.slots {
+            let t = row.t.as_secs();
+            if row.tasks > 0 {
+                self.tct_mean.push(t, row.total / row.tasks as f64);
+            }
+            for (series, sum) in self.means.iter().zip([row.q, row.h, row.x]) {
+                series.push(t, sum / n as f64);
+            }
+        }
+    }
+}
+
 /// Reads one total out of a run's [`FaultStats`].
 type FaultTotal = fn(&FaultStats) -> u64;
 
@@ -103,19 +137,15 @@ const FAULT_COUNTERS: [(&str, FaultTotal); 5] = [
     ("recoveries", |f| f.recoveries),
 ];
 
-/// One segment of a worker's shard in struct-of-arrays layout: field `k`
-/// of every array belongs to device `start + k` of system `sys`. A
-/// worker's shard holds one segment per system that its slice of the
-/// systems' concatenated devices touches. The slot loop walks
-/// each array sequentially (queue recursions, degradation ladders, RNG
-/// draws), so splitting the state by field keeps each pass on a dense
-/// homogeneous allocation instead of striding over one large struct per
-/// device. One stream of randomness per device
-/// (`stream_seed(seed, i)`), so shard layout never touches the draw
-/// sequence.
+/// A worker's shard in struct-of-arrays layout: field `k` of every
+/// array belongs to device `start + k`. The slot loop walks each array
+/// sequentially (queue recursions, degradation ladders, RNG draws), so
+/// splitting the state by field keeps each pass on a dense homogeneous
+/// allocation instead of striding over one large struct per device. One
+/// stream of randomness per device (`stream_seed(seed, i)`), so shard
+/// layout never touches the draw sequence.
 #[derive(Debug, PartialEq)]
 struct ShardState {
-    sys: usize,
     start: usize,
     queues: Vec<QueuePair>,
     degrades: Vec<DegradeState>,
@@ -193,8 +223,8 @@ pub struct DecideCtx<'a> {
     pub want_dpp: bool,
 }
 
-/// Immutable per-system inputs of a run, shared (by reference) with
-/// every worker.
+/// Immutable per-edge inputs of a run, shared (by reference) with every
+/// worker.
 struct RunCtx<'a> {
     decide: DecideCtx<'a>,
     deployment: &'a Deployment,
@@ -246,12 +276,12 @@ pub struct DeviceDecision {
     pub degraded_local: bool,
 }
 
-/// One device's row of a shard segment, as a stage's per-device step
-/// sees it: the device's own state plus the segment's decide memo and
-/// scratch buffer.
+/// One device's row of a shard, as a stage's per-device step sees it:
+/// the device's own state plus the shard's decide memo and scratch
+/// buffer.
 #[derive(Debug)]
 pub struct DeviceRow<'a> {
-    /// The device's index within its system.
+    /// The device's index.
     pub i: usize,
     /// The device's Eq. 10–11 queue pair.
     pub queue: &'a mut QueuePair,
@@ -261,23 +291,21 @@ pub struct DeviceRow<'a> {
     pub mmpp: Option<&'a mut Mmpp>,
     /// The device's own RNG stream, `stream_rng(seed, i)`.
     pub rng: &'a mut StdRng,
-    /// The segment's decide memo (see [`decide_device`]).
+    /// The shard's decide memo (see [`decide_device`]).
     pub memo: &'a mut DecideMemo,
-    /// The segment's scratch bytes: a step clears it before use, and
+    /// The shard's scratch bytes: a step clears it before use, and
     /// nothing outside the step reads it.
     pub scratch: &'a mut Vec<u8>,
 }
 
-/// One system's records for one slot, in device order. Each shard's
-/// epoch of records is stored slot, segment, device.
+/// One slot's records, in device order. Each shard's epoch of records
+/// is stored slot-major.
 pub struct SlotRecords<'a, O> {
-    /// The system's `(shard, offset, len)` pieces not yet started.
-    pieces: std::slice::Iter<'a, (usize, usize, usize)>,
-    shards: &'a [Vec<O>],
-    blocks: &'a [usize],
+    /// The shards not yet started: their epoch of records and device count.
+    shards: std::iter::Zip<std::slice::Iter<'a, Vec<O>>, std::slice::Iter<'a, usize>>,
     /// The slot's index within the epoch.
     rel: usize,
-    /// The rest of the piece being read.
+    /// The rest of the shard being read.
     cur: std::slice::Iter<'a, O>,
 }
 
@@ -289,12 +317,44 @@ impl<'a, O> Iterator for SlotRecords<'a, O> {
             if let Some(out) = self.cur.next() {
                 return Some(out);
             }
-            let &(shard, offset, len) = self.pieces.next()?;
-            let from = self.rel * self.blocks[shard] + offset;
-            self.cur = self.shards[shard][from..from + len].iter();
+            let (outs, &len) = self.shards.next()?;
+            self.cur = outs[self.rel * len..(self.rel + 1) * len].iter();
         }
     }
 }
+
+/// Where a run's devices sit (DESIGN.md §16). Device `i` is served by
+/// edge `assignment[i]` of `count`, and the horizon splits into
+/// intervals of `interval` slots (0: one interval). After every interval
+/// but the last, `boundary` may rewrite the assignment; nothing else
+/// changes, and every device keeps its row. A bare [`SlottedSystem`] run
+/// is one edge with one interval.
+pub struct Edges<'a> {
+    /// The number of edges.
+    pub count: usize,
+    /// Edge `e`'s fault config, derived from the scenario's. Each is
+    /// compiled once per run over every device lane (keyed by device
+    /// index) and queried at run time.
+    pub chaos: fn(Option<&ChaosConfig>, usize) -> Option<ChaosConfig>,
+    /// Device → edge; every entry is below `count`, before and after
+    /// each boundary.
+    pub assignment: &'a mut [usize],
+    /// Slots per interval; 0 runs the horizon as one interval.
+    pub interval: usize,
+    /// Records edge `e` under `{prefix}.edge{e}` (the names of
+    /// [`SlottedSystem::attach_registry`]) from the first interval that
+    /// gives it devices. Edge 0 also records into the system's own
+    /// attached registry, if any.
+    pub registry: Option<(&'a Registry, &'a str)>,
+    /// The boundary action.
+    pub boundary: &'a mut BoundaryAction<'a>,
+}
+
+/// A boundary action of [`Edges`]. It gets the next interval's first
+/// slot, whether an edge is up at the last slot's start, the assignment
+/// to rewrite and every device's queues after that slot.
+pub type BoundaryAction<'a> =
+    dyn FnMut(usize, &dyn Fn(usize) -> bool, &mut [usize], &[QueuePair]) + 'a;
 
 /// Everything one device-slot produces, replayed into the report and
 /// telemetry in device order by the driving thread. Plain-old-data on
@@ -330,6 +390,8 @@ struct ActiveOut {
     tier_counts: [u32; 3],
     /// Work drained from the device+edge queues this slot.
     served: f64,
+    /// The queue pair after this slot.
+    queue: QueuePair,
 }
 
 impl SlottedSystem {
@@ -357,9 +419,7 @@ impl SlottedSystem {
     }
 
     /// Injects per-device queue states (device order), replacing the
-    /// fresh zero queues `new` builds. The fleet tier uses this to carry
-    /// Eq. 10–11 backlog across rebalance intervals and cross-edge
-    /// migrations — queue values move with their devices, bit-for-bit.
+    /// current ones.
     ///
     /// # Errors
     ///
@@ -396,14 +456,7 @@ impl SlottedSystem {
     /// [`SlottedSystem::run_with_workers`], so snapshots stay
     /// byte-identical at every worker count.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
-        self.telemetry = Some(SlotTelemetry {
-            ctrl: ControllerTelemetry::attach(registry, &format!("{prefix}.ctrl")),
-            faults: FAULT_COUNTERS.map(|(k, _)| registry.counter(&format!("{prefix}.ctrl.{k}"))),
-            tct: registry.histogram(&format!("{prefix}.tct_s")),
-            tct_mean: registry.series(&format!("{prefix}.tct_mean_s")),
-            means: ["queue_q", "queue_h", "offload_x"]
-                .map(|k| registry.series(&format!("{prefix}.{k}"))),
-        });
+        self.telemetry = Some(SlotTelemetry::attach(registry, prefix));
     }
 
     /// Runs `slots` time slots on the driving thread; returns the
@@ -437,10 +490,10 @@ impl SlottedSystem {
 
     /// Runs `slots` time slots with the per-slot device loop sharded
     /// across up to `workers` threads, synchronising once per
-    /// `epoch_len` slots: the one-system case of
-    /// [`SlottedSystem::run_many`]. The [`RunReport`] (and any attached
-    /// telemetry) is byte-identical for every `workers` × `epoch_len`
-    /// combination ([`run_slot_loop`]).
+    /// `epoch_len` slots: the one-edge case of
+    /// [`SlottedSystem::run_on_edges`]. The [`RunReport`] (and any
+    /// attached telemetry) is byte-identical for every `workers` ×
+    /// `epoch_len` combination ([`run_slot_loop`]).
     ///
     /// # Errors
     ///
@@ -454,168 +507,220 @@ impl SlottedSystem {
         workers: NonZeroUsize,
         epoch_len: NonZeroUsize,
     ) -> Result<RunReport> {
-        let mut reports = Self::run_many(
-            std::slice::from_mut(self),
-            &[seed],
-            slots,
-            workers,
-            epoch_len,
-        )?;
-        reports
-            .pop()
-            .ok_or_else(|| LeimeError::Config("one-system run produced no report".into()))
+        let edges = Edges {
+            count: 1,
+            chaos: |chaos, _| chaos.cloned(),
+            assignment: &mut vec![0; self.scenario.devices.len()],
+            interval: 0,
+            registry: None,
+            boundary: &mut |_, _, _, _| {},
+        };
+        let mut reports = self.run_on_edges(slots, seed, workers, epoch_len, edges)?;
+        Ok(reports.pop().and_then(|mut r| r.pop()).unwrap_or_default())
     }
 
-    /// Runs `slots` time slots of several systems as one sharded slot
-    /// loop, `systems[k]` under `seeds[k]`, returning one report per
-    /// system in order.
+    /// Runs `slots` time slots with the devices on edges ([`Edges`]),
+    /// returning one report per interval and edge (`reports[k][e]`; an
+    /// edge without devices in an interval gets an empty report).
     ///
     /// The slotted stage on [`run_slot_loop`]: per-slot fleet quantities
-    /// (arrival means, KKT shares — Eq. 27) on the driver, the per-device
-    /// step `device_slot` on the workers, and the replay into each
-    /// system's report and telemetry. Each report is byte-identical to
-    /// running its system alone at the same seed — as are the final
-    /// queues and, when the systems record under disjoint registry names,
-    /// the telemetry — at every `workers` × `epoch_len` combination.
-    /// The per-slot registry series are written from each report after
-    /// the loop, so systems that share a series name write it system by
-    /// system, not slot by slot.
+    /// (arrival means, each edge's KKT shares — Eq. 27) on the driver,
+    /// the per-device step `device_slot` on the workers under its edge's
+    /// fault schedule, and the replay of each slot, in device order, into
+    /// its edge's report and telemetry. Epochs end at interval ends, so
+    /// the boundary runs between epochs on the queues the replay has
+    /// folded, and the next interval's broadcasts see its assignment.
+    /// Each edge's per-slot registry series are written from its reports
+    /// after the loop. Reports, telemetry and final queues are
+    /// byte-identical at every `workers` × `epoch_len` combination.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::LeimeError::Config`] when `seeds` does not match
-    /// `systems` or for inconsistent tier sampling, and
-    /// [`crate::LeimeError::Parallel`] if a worker shard fails.
-    pub fn run_many(
-        systems: &mut [SlottedSystem],
-        seeds: &[u64],
+    /// Returns [`crate::LeimeError::Config`] for an assignment that does
+    /// not fit the devices and edges or for inconsistent tier sampling,
+    /// and [`crate::LeimeError::Parallel`] if a worker shard fails.
+    pub fn run_on_edges(
+        &mut self,
         slots: usize,
+        seed: u64,
         workers: NonZeroUsize,
         epoch_len: NonZeroUsize,
-    ) -> Result<Vec<RunReport>> {
-        if seeds.len() != systems.len() {
+        edges: Edges<'_>,
+    ) -> Result<Vec<Vec<RunReport>>> {
+        let Edges {
+            count: n_edges,
+            chaos,
+            assignment,
+            interval,
+            registry,
+            boundary,
+        } = edges;
+        let scenario = &self.scenario;
+        let n = scenario.devices.len();
+        if n_edges == 0 || assignment.len() != n || assignment.iter().any(|&e| e >= n_edges) {
             return Err(LeimeError::Config(format!(
-                "{} seeds for {} systems",
-                seeds.len(),
-                systems.len()
+                "assignment of {} devices onto {n_edges} edges for {n} devices",
+                assignment.len()
             )));
         }
-        let schedules: Vec<Option<FaultSchedule>> = systems
-            .iter()
-            .map(|s| {
-                let horizon = SimTime::from_secs(slots as f64 * s.scenario.slot_len_s);
-                let n = s.scenario.devices.len();
-                s.scenario.chaos.as_ref().map(|c| c.compile(n, horizon))
-            })
+        let horizon = SimTime::from_secs(slots as f64 * scenario.slot_len_s);
+        let schedules: Vec<Option<FaultSchedule>> = (0..n_edges)
+            .map(|e| chaos(scenario.chaos.as_ref(), e).map(|c| c.compile(n, horizon)))
             .collect();
         // Workers decide; the driver records decision telemetry in
         // device order.
-        let deciders: Vec<Box<dyn OffloadController>> = systems
+        let decider = scenario.controller.build();
+        let want_dpp =
+            decider.records_decisions() && (self.telemetry.is_some() || registry.is_some());
+        let runs: Vec<RunCtx<'_>> = schedules
             .iter()
-            .map(|s| s.scenario.controller.build())
+            .map(|schedule| RunCtx {
+                decide: DecideCtx {
+                    scenario,
+                    schedule: schedule.as_ref(),
+                    decider: decider.as_ref(),
+                    shared: scenario.shared_params(&self.deployment),
+                    want_dpp,
+                },
+                deployment: &self.deployment,
+            })
             .collect();
-        let flops: Vec<Vec<f64>> = systems.iter().map(|s| device_flops(&s.scenario)).collect();
+        let flops = device_flops(scenario);
         // What the controller knows from "historical statistics": the
         // stationary mean for bursty workloads, the configured mean
         // otherwise (rate traces override per slot, below).
-        let bases: Vec<SlotQuants> = systems
+        let base_means: Vec<f64> = scenario
+            .devices
             .iter()
-            .zip(&flops)
-            .map(|(s, flops)| base_slot_quants(&s.scenario, &s.mmpp, flops))
+            .enumerate()
+            .map(|(i, d)| match &scenario.workload {
+                WorkloadKind::Bursty { .. } => self.mmpp[i].stationary_mean(),
+                _ => d.arrival_mean,
+            })
             .collect();
-        let runs: Vec<RunCtx<'_>> = systems
+        let quants_for = |edge_of: &[usize], means| {
+            edge_quants(&flops, means, edge_of, n_edges, scenario.edge_flops)
+        };
+        let intervals =
+            leime_par::epoch_ranges(slots, if interval == 0 { slots } else { interval });
+        let epochs: Vec<Range<usize>> = intervals
             .iter()
-            .zip(schedules.iter().zip(&deciders))
-            .map(|(s, (schedule, decider))| RunCtx {
-                decide: DecideCtx {
-                    scenario: &s.scenario,
-                    schedule: schedule.as_ref(),
-                    decider: decider.as_ref(),
-                    shared: s.scenario.shared_params(&s.deployment),
-                    want_dpp: decider.records_decisions() && s.telemetry.is_some(),
-                },
-                deployment: &s.deployment,
+            .flat_map(|iv| {
+                let epochs = leime_par::epoch_ranges(iv.len(), epoch_len.get());
+                epochs
+                    .into_iter()
+                    .map(|e| iv.start + e.start..iv.start + e.end)
             })
             .collect();
 
-        // The slot's start and, for rate traces, its own quantities:
-        // every other workload's means are run-constant, so its slots
-        // read `bases` (the KKT solve is a pure function of the means).
-        let broadcast = |sys: usize, slot: usize| {
-            let scenario = runs[sys].decide.scenario;
+        // The driver's view of the interval, shared by the broadcasts:
+        // each device's edge and the run-constant quantities, rebuilt at
+        // boundaries. Every other workload's means are run-constant, so
+        // only rate traces solve per slot (the KKT solve is a pure
+        // function of the means).
+        let view = RefCell::new((
+            Arc::<[usize]>::from(&*assignment),
+            Arc::new(quants_for(assignment, base_means.clone())),
+        ));
+        let broadcast = |slot: usize| {
+            let view = view.borrow();
+            let (edge_of, base) = &*view;
             let start = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
             let quants = match &scenario.workload {
                 WorkloadKind::RateTrace { trace, .. } => {
-                    let means = vec![trace.value_at(start); flops[sys].len()];
-                    Some(SlotQuants::new(&flops[sys], means, scenario.edge_flops))
+                    Arc::new(quants_for(edge_of, vec![trace.value_at(start); n]))
                 }
-                _ => None,
+                _ => Arc::clone(base),
             };
-            (start, quants)
+            (start, Arc::clone(edge_of), quants)
         };
 
-        let step = |sys: usize,
-                    (start, quants): &(SimTime, Option<SlotQuants>),
+        let step = |(start, edge_of, quants): &(SimTime, Arc<[usize]>, Arc<SlotQuants>),
                     slot: usize,
                     row: DeviceRow<'_>| {
-            let quants = quants.as_ref().unwrap_or(&bases[sys]);
-            device_slot(&runs[sys], quants, *start, slot as u64, row)
+            device_slot(&runs[edge_of[row.i]], quants, *start, slot as u64, row)
         };
 
-        // Driver-side replay buffer, reused across slots so steady-state
-        // flushing allocates nothing (the TCT histogram's window aside:
-        // it grows at most `NUM_BUCKETS` times per run).
-        let mut batch = DecisionBatch::new();
-        let mut reports: Vec<RunReport> = systems.iter().map(|_| RunReport::new()).collect();
-        let replay = |sys: usize, slot: usize, outs: SlotRecords<'_, DeviceSlotOut>| {
-            let run = &runs[sys];
-            let slot_start = SimTime::from_secs(slot as f64 * run.decide.scenario.slot_len_s);
-            let mut row = SlotRow::new(slot_start);
-            for out in outs {
+        // Driver-side replay state, reused across slots so steady-state
+        // flushing allocates nothing (the TCT histograms' windows aside:
+        // each grows at most `NUM_BUCKETS` times per run).
+        let mut tels: Vec<Option<SlotTelemetry>> = vec![None; n_edges];
+        tels[0].clone_from(&self.telemetry);
+        let mut batches: Vec<DecisionBatch> = (0..n_edges).map(|_| DecisionBatch::new()).collect();
+        let mut rows = vec![SlotRow::default(); n_edges];
+        let mut queues = self.queues.clone();
+        // Per interval: each edge's report and device count.
+        let mut reports: Vec<Vec<RunReport>> = Vec::with_capacity(intervals.len());
+        let mut sizes: Vec<Vec<usize>> = Vec::with_capacity(intervals.len());
+        let replay = |slot: usize, outs: SlotRecords<'_, DeviceSlotOut>| {
+            if intervals
+                .get(reports.len())
+                .is_some_and(|iv| iv.start == slot)
+            {
+                let mut size = vec![0usize; n_edges];
+                for &e in assignment.iter() {
+                    size[e] += 1;
+                }
+                for (e, tel) in tels.iter_mut().enumerate() {
+                    if let (None, Some((registry, prefix)), true) = (&tel, registry, size[e] > 0) {
+                        *tel = Some(SlotTelemetry::attach(
+                            registry,
+                            &format!("{prefix}.edge{e}"),
+                        ));
+                    }
+                }
+                sizes.push(size);
+                reports.push(vec![RunReport::new(); n_edges]);
+            }
+            let iv = reports.len() - 1;
+            let t = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
+            rows.fill(SlotRow::new(t));
+            for (i, out) in outs.enumerate() {
+                let e = assignment[i];
                 apply_out(
-                    &mut reports[sys],
-                    &mut row,
-                    run.decide.want_dpp,
-                    &mut batch,
+                    &mut reports[iv][e],
+                    &mut rows[e],
+                    want_dpp,
+                    &mut batches[e],
                     out,
                 );
+                if let DeviceSlotOut::Active(a) = out {
+                    queues[i] = a.queue;
+                }
             }
-            reports[sys].slots.push(row);
-            if let Some(tel) = systems[sys].telemetry.as_ref() {
-                tel.ctrl.flush_batch(&mut batch);
+            for e in (0..n_edges).filter(|&e| sizes[iv][e] > 0) {
+                reports[iv][e].slots.push(std::mem::take(&mut rows[e]));
+                if let Some(tel) = &tels[e] {
+                    tel.ctrl.flush_batch(&mut batches[e]);
+                }
+            }
+            if slot + 1 == intervals[iv].end && iv + 1 < intervals.len() {
+                let up = |e: usize| schedules[e].as_ref().is_none_or(|s| s.edge_health(t).up);
+                boundary(slot + 1, &up, assignment, &queues);
+                let mut view = view.borrow_mut();
+                if view.0[..] != assignment[..] {
+                    *view = (
+                        Arc::from(&*assignment),
+                        Arc::new(quants_for(assignment, base_means.clone())),
+                    );
+                }
             }
             Ok(())
         };
 
-        let starts: Vec<_> = systems
-            .iter()
-            .zip(seeds)
-            .map(|(s, &seed)| (&s.queues[..], &s.mmpp[..], seed))
-            .collect();
-        let finals = run_slot_loop(&starts, slots, workers, epoch_len, broadcast, step, replay)?;
+        let start = (&self.queues[..], &self.mmpp[..], seed);
+        let (queues, mmpp) = run_slot_loop(start, &epochs, workers, broadcast, step, replay)?;
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
         // as the sequential implementation always did. The registry's
-        // histogram, fault counters and per-slot series are views of
-        // the report, written once per run.
-        for ((system, (queues, mmpp)), report) in systems.iter_mut().zip(finals).zip(&reports) {
-            system.queues = queues;
-            system.mmpp = mmpp;
-            if let Some(tel) = &system.telemetry {
-                tel.tct.merge(&report.tct);
-                let f = report.fault_stats();
-                for (counter, (_, total)) in tel.faults.iter().zip(FAULT_COUNTERS) {
-                    counter.add(total(&f));
-                }
-                let n = system.scenario.devices.len() as f64;
-                for row in &report.slots {
-                    let t = row.t.as_secs();
-                    if row.tasks > 0 {
-                        tel.tct_mean.push(t, row.total / row.tasks as f64);
-                    }
-                    for (series, sum) in tel.means.iter().zip([row.q, row.h, row.x]) {
-                        series.push(t, sum / n);
-                    }
+        // histograms, fault counters and per-slot series are views of
+        // the reports, written once per run.
+        self.queues = queues;
+        self.mmpp = mmpp;
+        for (reports, sizes) in reports.iter().zip(&sizes) {
+            for ((report, &size), tel) in reports.iter().zip(sizes).zip(&tels) {
+                if let (Some(tel), true) = (tel, size > 0) {
+                    tel.record(report, size);
                 }
             }
         }
@@ -623,30 +728,30 @@ impl SlottedSystem {
     }
 }
 
-/// The sharded slot loop every slotted system, fleet edge and serving
-/// run goes through (DESIGN.md §14): `slots` slots of several systems,
-/// system `k` starting from `systems[k] = (queues, mmpp, seed)`, in one
-/// `leime_par::run_rounds` call over the system-major concatenation of
-/// all systems' devices, partitioned across up to `workers` threads and
-/// synchronised once per `epoch_len` slots.
+/// The sharded slot loop every slotted system, fleet and serving run
+/// goes through (DESIGN.md §14): the slots of `epochs`, in order, of one
+/// system whose devices start from `(queues, mmpp, seed)`, in one
+/// `leime_par::run_rounds` call with one round per epoch, the devices
+/// partitioned across up to `workers` threads.
 ///
 /// A *stage* supplies what differs between systems:
 ///
-/// * `broadcast(sys, slot)` — the driver-side per-slot context, called
-///   once per system and slot, in slot then system order (so it may
-///   draw from a driver-owned stream);
-/// * `step(sys, ctx, slot, row)` — one device-slot on a worker,
-///   touching only that device's row, returning its record;
-/// * `replay(sys, slot, outs)` — the driver-side recording of one
-///   system's slot, with its records in device order.
+/// * `broadcast(slot)` — the driver-side per-slot context, called once
+///   per slot in slot order (so it may draw from a driver-owned stream);
+/// * `step(ctx, slot, row)` — one device-slot on a worker, touching
+///   only that device's row, returning its record;
+/// * `replay(slot, outs)` — the driver-side recording of one slot, with
+///   its records in device order.
 ///
 /// An epoch's broadcasts are built before its steps run, so they must
-/// depend on the slot alone, never on device state. Each device then
-/// runs its epoch on its own row, drawing from `stream_rng(seeds[k], i)`,
-/// and replay goes slot by slot, system by system, in device order: the
-/// sequence a sequential loop produces. The replayed records and the
-/// returned final `(queues, mmpp)` of each system are therefore
-/// byte-identical for every `workers` × `epoch_len` combination.
+/// never depend on the epoch's device state; they may read state that
+/// earlier epochs replayed, because each epoch is replayed before the
+/// next one's broadcasts are built. Each device then runs its epoch on
+/// its own row, drawing from `stream_rng(seed, i)`, and replay goes slot
+/// by slot in device order: the sequence a sequential loop produces. The
+/// replayed records and the returned final `(queues, mmpp)` are
+/// therefore byte-identical for every worker count and epoch list that
+/// covers the same slots.
 ///
 /// # Errors
 ///
@@ -654,56 +759,35 @@ impl SlottedSystem {
 /// [`crate::LeimeError::Parallel`] if a worker shard fails (a caught
 /// panic surfaces as a typed error, never a hang).
 pub fn run_slot_loop<B, O>(
-    systems: &[(&[QueuePair], &[Mmpp], u64)],
-    slots: usize,
+    (queues, mmpp, seed): (&[QueuePair], &[Mmpp], u64),
+    epochs: &[Range<usize>],
     workers: NonZeroUsize,
-    epoch_len: NonZeroUsize,
-    mut broadcast: impl FnMut(usize, usize) -> B,
-    step: impl Fn(usize, &B, usize, DeviceRow<'_>) -> Result<O> + Sync,
-    mut replay: impl FnMut(usize, usize, SlotRecords<'_, O>) -> Result<()>,
-) -> Result<Vec<(Vec<QueuePair>, Vec<Mmpp>)>>
+    mut broadcast: impl FnMut(usize) -> B,
+    step: impl Fn(&B, usize, DeviceRow<'_>) -> Result<O> + Sync,
+    mut replay: impl FnMut(usize, SlotRecords<'_, O>) -> Result<()>,
+) -> Result<(Vec<QueuePair>, Vec<Mmpp>)>
 where
     B: Send + Sync,
     O: Send,
 {
-    let n_sys = systems.len();
-    let epochs = leime_par::epoch_ranges(slots, epoch_len.get());
-    let shards = build_shards(systems, workers.get());
-    // Where each system's devices sit in the shard outputs: per shard,
-    // one epoch slot's block of outputs holds its segments back to back.
-    let mut pieces: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); n_sys];
-    let mut blocks = Vec::with_capacity(shards.len());
-    for (shard, segs) in shards.iter().enumerate() {
-        let mut offset = 0;
-        for seg in segs {
-            pieces[seg.sys].push((shard, offset, seg.len()));
-            offset += seg.len();
-        }
-        blocks.push(offset);
-    }
+    let shards = build_shards(queues, mmpp, seed, workers.get());
+    let lens: Vec<usize> = shards.iter().map(ShardState::len).collect();
 
     // Each round's context: its slots and the stage's per-slot
-    // broadcasts, slot-major (`per_slot[rel * n_sys + sys]`).
+    // broadcasts.
     let make_ctx = |round: usize| {
         let slots = epochs[round].clone();
-        let mut per_slot = Vec::with_capacity(slots.len() * n_sys);
+        let mut per_slot = Vec::with_capacity(slots.len());
         for slot in slots.clone() {
-            for sys in 0..n_sys {
-                per_slot.push(broadcast(sys, slot));
-            }
+            per_slot.push(broadcast(slot));
         }
         (slots, per_slot)
     };
 
-    let work = |_: usize,
-                _: usize,
-                (slots, per_slot): &(Range<usize>, Vec<B>),
-                segs: &mut Vec<ShardState>| {
-        let mut outs =
-            Vec::with_capacity(slots.len() * segs.iter().map(ShardState::len).sum::<usize>());
-        for (rel, slot) in slots.clone().enumerate() {
-            for sh in segs.iter_mut() {
-                let b = &per_slot[rel * n_sys + sh.sys];
+    let work =
+        |_: usize, _: usize, (slots, per_slot): &(Range<usize>, Vec<B>), sh: &mut ShardState| {
+            let mut outs = Vec::with_capacity(slots.len() * sh.len());
+            for (b, slot) in per_slot.iter().zip(slots.clone()) {
                 for k in 0..sh.len() {
                     let row = DeviceRow {
                         i: sh.start + k,
@@ -714,12 +798,11 @@ where
                         memo: &mut sh.memo,
                         scratch: &mut sh.scratch,
                     };
-                    outs.push(step(sh.sys, b, slot, row)?);
+                    outs.push(step(b, slot, row)?);
                 }
             }
-        }
-        Ok(outs)
-    };
+            Ok(outs)
+        };
 
     let apply = |round: usize, shard_outs: Vec<Result<Vec<O>>>| {
         let mut per_shard = Vec::with_capacity(shard_outs.len());
@@ -727,16 +810,12 @@ where
             per_shard.push(outs?);
         }
         for (rel, slot) in epochs[round].clone().enumerate() {
-            for (sys, pieces) in pieces.iter().enumerate() {
-                let outs = SlotRecords {
-                    pieces: pieces.iter(),
-                    shards: &per_shard,
-                    blocks: &blocks,
-                    rel,
-                    cur: [].iter(),
-                };
-                replay(sys, slot, outs)?;
-            }
+            let outs = SlotRecords {
+                shards: per_shard.iter().zip(&lens),
+                rel,
+                cur: [].iter(),
+            };
+            replay(slot, outs)?;
         }
         Ok(())
     };
@@ -747,16 +826,13 @@ where
             RoundsError::Apply(e) => e,
         },
     )?;
-    // Reassemble each system's state in device order: shards run in
-    // device order, and each holds at most one segment per system.
-    let mut lanes: Vec<(Vec<QueuePair>, Vec<Mmpp>)> =
-        systems.iter().map(|_| Default::default()).collect();
-    for sh in finals.into_iter().flatten() {
-        let (queues, mmpp) = &mut lanes[sh.sys];
+    // Shards run in device order.
+    let (mut queues, mut mmpp) = (Vec::new(), Vec::new());
+    for sh in finals {
         queues.extend(sh.queues);
         mmpp.extend(sh.mmpp);
     }
-    Ok(lanes)
+    Ok((queues, mmpp))
 }
 
 /// Builds the per-device bursty state machines for `Bursty` workloads.
@@ -789,67 +865,54 @@ fn device_flops(scenario: &Scenario) -> Vec<f64> {
     scenario.devices.iter().map(|d| d.flops).collect()
 }
 
-/// The run-constant fleet quantities: per-device arrival means as the
-/// controller's historical statistics know them, and the KKT shares they
-/// induce. For every workload except `RateTrace` these are the per-slot
-/// quantities of *every* slot (`kkt_allocation_with_floor` is a pure
-/// function of its inputs, so one solve is bit-identical to one per
-/// slot).
-fn base_slot_quants(scenario: &Scenario, mmpp: &[Mmpp], flops: &[f64]) -> SlotQuants {
-    let means: Vec<f64> = scenario
-        .devices
-        .iter()
-        .enumerate()
-        .map(|(i, d)| match &scenario.workload {
-            WorkloadKind::Bursty { .. } => mmpp[i].stationary_mean(),
-            _ => d.arrival_mean,
-        })
-        .collect();
-    SlotQuants::new(flops, means, scenario.edge_flops)
+/// The Eq. 27 quantities of devices on edges: per-device arrival
+/// `means`, and each edge's KKT shares over its own devices in index
+/// order ([`SlotQuants::new`]), with device `i` on edge `edge_of[i]`.
+fn edge_quants(
+    flops: &[f64],
+    means: Vec<f64>,
+    edge_of: &[usize],
+    n_edges: usize,
+    edge_flops: f64,
+) -> SlotQuants {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_edges];
+    for (i, &e) in edge_of.iter().enumerate() {
+        members[e].push(i);
+    }
+    let mut shares = vec![0.0; means.len()];
+    for ids in members.iter().filter(|ids| !ids.is_empty()) {
+        let pick = |v: &[f64]| ids.iter().map(|&i| v[i]).collect::<Vec<f64>>();
+        let edge = SlotQuants::new(&pick(flops), pick(&means), edge_flops);
+        for (&i, share) in ids.iter().zip(edge.shares) {
+            shares[i] = share;
+        }
+    }
+    SlotQuants { means, shares }
 }
 
-/// Splits the systems' per-device state — `(queues, mmpp, seed)` per
-/// system — into struct-of-arrays shards: `leime_par::partition` over
-/// the system-major concatenation of all devices, each shard one
-/// segment per system it covers. Device `i` of a system draws from
-/// `stream_seed(seed, i)`, so neither shard layout nor the other
-/// systems touch its draw sequence.
-fn build_shards(systems: &[(&[QueuePair], &[Mmpp], u64)], workers: usize) -> Vec<Vec<ShardState>> {
-    let total = systems.iter().map(|(queues, _, _)| queues.len()).sum();
-    let ranges = leime_par::partition(total, workers);
-    let mut shards = Vec::with_capacity(ranges.len());
-    for range in ranges {
-        let mut segs = Vec::new();
-        // Global index of the next system's device 0.
-        let mut next = 0;
-        for (sys, &(queues, mmpp, seed)) in systems.iter().enumerate() {
-            let first = next;
-            next += queues.len();
-            let (lo, hi) = (range.start.max(first), range.end.min(next));
-            if lo >= hi {
-                continue;
-            }
-            let local = lo - first..hi - first;
-            segs.push(ShardState {
-                sys,
-                start: local.start,
-                queues: queues[local.clone()].to_vec(),
-                degrades: vec![DegradeState::new(); local.len()],
-                mmpp: if mmpp.is_empty() {
-                    Vec::new()
-                } else {
-                    mmpp[local.clone()].to_vec()
-                },
-                rngs: local
-                    .map(|i| leime_par::stream_rng(seed, i as u64))
-                    .collect(),
-                memo: DecideMemo::default(),
-                scratch: Vec::new(),
-            });
-        }
-        shards.push(segs);
-    }
-    shards
+/// Splits the per-device state into struct-of-arrays shards with
+/// `leime_par::partition`. Device `i` draws from `stream_seed(seed, i)`,
+/// so shard layout never touches its draw sequence.
+fn build_shards(queues: &[QueuePair], mmpp: &[Mmpp], seed: u64, workers: usize) -> Vec<ShardState> {
+    let ranges = leime_par::partition(queues.len(), workers);
+    ranges
+        .into_iter()
+        .map(|range| ShardState {
+            start: range.start,
+            queues: queues[range.clone()].to_vec(),
+            degrades: vec![DegradeState::new(); range.len()],
+            mmpp: if mmpp.is_empty() {
+                Vec::new()
+            } else {
+                mmpp[range.clone()].to_vec()
+            },
+            rngs: range
+                .map(|i| leime_par::stream_rng(seed, i as u64))
+                .collect(),
+            memo: DecideMemo::default(),
+            scratch: Vec::new(),
+        })
+        .collect()
 }
 
 /// Draws one device's slot arrivals from its own stream.
@@ -1050,6 +1113,7 @@ fn device_slot(
         total,
         tier_counts,
         served,
+        queue: *queue,
     }))
 }
 
@@ -1201,9 +1265,9 @@ mod tests {
             .map(|i| Mmpp::new(1.0 + i as f64, 8.0, 0.1, 0.3, 50))
             .collect();
         for workers in [1usize, 2, 3, 7, 16] {
-            let shards = build_shards(&[(&queues, &mmpp, 99)], workers);
+            let shards = build_shards(&queues, &mmpp, 99, workers);
             let mut device = 0usize;
-            for sh in shards.iter().flatten() {
+            for sh in &shards {
                 assert_eq!(sh.start, device, "shard start out of order");
                 assert_eq!(sh.degrades, vec![DegradeState::new(); sh.len()]);
                 for k in 0..sh.len() {
@@ -1220,115 +1284,74 @@ mod tests {
             assert_eq!(device, queues.len(), "shards dropped devices");
         }
         // Workloads without MMPP state shard to empty arrays, not panics.
-        assert!(build_shards(&[(&queues, &[], 1)], 3)
+        assert!(build_shards(&queues, &[], 1, 3)
             .iter()
-            .flatten()
             .all(|s| s.mmpp.is_empty()));
-
-        // Several systems: shards cut the system-major concatenation,
-        // segments keep system-local indices and each system's own
-        // streams, and every shard's segments run in system order.
-        let (a, b) = (&queues[..3], &queues[3..]);
-        for workers in [1usize, 2, 3, 4, 7] {
-            let shards = build_shards(&[(a, &[], 5), (b, &[], 6)], workers);
-            assert_eq!(shards.len(), workers.min(queues.len()));
-            let mut seen = Vec::new();
-            for sh in shards.iter().flatten() {
-                let (sys_queues, seed) = if sh.sys == 0 { (a, 5) } else { (b, 6) };
-                for k in 0..sh.len() {
-                    let i = sh.start + k;
-                    assert_eq!(sh.queues[k], sys_queues[i]);
-                    assert_eq!(sh.rngs[k], leime_par::stream_rng(seed, i as u64));
-                    seen.push((sh.sys, i));
-                }
-            }
-            let expected: Vec<(usize, usize)> = (0..3)
-                .map(|i| (0, i))
-                .chain((0..4).map(|i| (1, i)))
-                .collect();
-            assert_eq!(seen, expected, "segments out of order at {workers} workers");
-        }
     }
 
-    /// A toy record naming its own device-slot: `(sys, slot, i)`.
-    type Toy = (usize, usize, usize);
+    /// A toy record naming its own device-slot: `(slot, i)`.
+    type Toy = (usize, usize);
 
-    /// Runs a toy stage on [`run_slot_loop`]: the loop's result (each
-    /// system's final queue count) and every record the replay saw, each
-    /// checked against the system and slot it was replayed under.
+    /// Runs a toy stage on [`run_slot_loop`] over `n` devices: the loop's
+    /// result (the final queue count) and every record the replay saw,
+    /// each checked against the slot it was replayed under.
     fn toy_loop(
-        systems: &[(&[QueuePair], &[Mmpp], u64)],
-        slots: usize,
-        (workers, epoch_len): (usize, usize),
-        step: impl Fn(usize, &(), usize, DeviceRow<'_>) -> Result<Toy> + Sync,
-    ) -> (Result<Vec<usize>>, Vec<Toy>) {
+        n: usize,
+        epochs: &[Range<usize>],
+        workers: usize,
+        step: impl Fn(&(), usize, DeviceRow<'_>) -> Result<Toy> + Sync,
+    ) -> (Result<usize>, Vec<Toy>) {
         let mut seen = Vec::new();
-        let replay = |sys: usize, slot: usize, outs: SlotRecords<'_, Toy>| {
+        let replay = |slot: usize, outs: SlotRecords<'_, Toy>| {
             for &rec in outs {
-                assert_eq!((rec.0, rec.1), (sys, slot), "record under the wrong call");
+                assert_eq!(rec.0, slot, "record under the wrong call");
                 seen.push(rec);
             }
             Ok(())
         };
-        let lanes = run_slot_loop(
-            systems,
-            slots,
-            NonZeroUsize::new(workers).unwrap(),
-            NonZeroUsize::new(epoch_len).unwrap(),
-            |_, _| (),
-            step,
-            replay,
-        );
-        let lanes = lanes.map(|l| l.iter().map(|(queues, _)| queues.len()).collect());
-        (lanes, seen)
+        let queues = vec![QueuePair::new(); n];
+        let workers = NonZeroUsize::new(workers).unwrap();
+        let lanes = run_slot_loop((&queues, &[], 1), epochs, workers, |_| (), step, replay);
+        (lanes.map(|(queues, _)| queues.len()), seen)
     }
 
     #[test]
     fn slot_loop_replays_each_device_once_in_slot_system_device_order() {
-        // Three systems of unequal size, one with a single device; up to
-        // more workers than devices, and 37 slots fit no epoch exactly.
-        let sizes = [4usize, 1, 2];
-        let queues: Vec<Vec<QueuePair>> =
-            sizes.iter().map(|&n| vec![QueuePair::new(); n]).collect();
-        let systems: Vec<(&[QueuePair], &[Mmpp], u64)> = queues
-            .iter()
-            .zip(1..)
-            .map(|(q, seed)| (&q[..], &[][..], seed))
-            .collect();
-        let slots = 37;
+        // Up to more workers than devices; 37 slots fit no epoch
+        // exactly, and one epoch list is cut at uneven boundaries.
+        let (n, slots) = (7usize, 37usize);
         let expected: Vec<Toy> = (0..slots)
-            .flat_map(|slot| {
-                let systems = sizes.iter().enumerate();
-                systems.flat_map(move |(sys, &n)| (0..n).map(move |i| (sys, slot, i)))
-            })
+            .flat_map(|slot| (0..n).map(move |i| (slot, i)))
             .collect();
-        let clean = |sys, _: &(), slot, row: DeviceRow<'_>| Ok((sys, slot, row.i));
-        let garbage = |sys, _: &(), slot, row: DeviceRow<'_>| {
+        let clean = |_: &(), slot, row: DeviceRow<'_>| Ok((slot, row.i));
+        let garbage = |_: &(), slot, row: DeviceRow<'_>| {
             row.scratch.extend_from_slice(&[0xA5; 5]);
             row.scratch[0] = slot as u8;
-            Ok((sys, slot, row.i))
+            Ok((slot, row.i))
         };
-        // Devices 0/2 and 2/1 fail from slot 20 on: replay order puts
-        // 0/2 first, and so must every shard layout.
-        let failing = |sys, _: &(), slot, row: DeviceRow<'_>| match (sys, row.i) {
-            (0, 2) | (2, 1) if slot >= 20 => {
-                Err(LeimeError::Config(format!("{sys}/{}@{slot}", row.i)))
-            }
-            _ => Ok((sys, slot, row.i)),
+        // Devices 2 and 5 fail from slot 20 on: replay order puts 2
+        // first, and so must every shard layout.
+        let failing = |_: &(), slot, row: DeviceRow<'_>| match row.i {
+            2 | 5 if slot >= 20 => Err(LeimeError::Config(format!("{}@{slot}", row.i))),
+            _ => Ok((slot, row.i)),
         };
+        let cut = [0..5, 5..7, 7..20, 20..21, 21..37];
         for workers in [1, 2, 3, 8] {
             for epoch_len in [1, 3, 16] {
-                let at = (workers, epoch_len);
-                for (lanes, seen) in [
-                    toy_loop(&systems, slots, at, clean),
-                    toy_loop(&systems, slots, at, garbage),
-                ] {
-                    assert_eq!(lanes.unwrap(), sizes, "lanes at {at:?}");
-                    assert_eq!(seen, expected, "replay order at {at:?}");
+                let epochs = leime_par::epoch_ranges(slots, epoch_len);
+                for epochs in [&epochs[..], &cut[..]] {
+                    let at = (workers, epochs.len());
+                    for (lanes, seen) in [
+                        toy_loop(n, epochs, workers, clean),
+                        toy_loop(n, epochs, workers, garbage),
+                    ] {
+                        assert_eq!(lanes.unwrap(), n, "lanes at {at:?}");
+                        assert_eq!(seen, expected, "replay order at {at:?}");
+                    }
+                    let (err, seen) = toy_loop(n, epochs, workers, failing);
+                    assert_eq!(err, Err(LeimeError::Config("2@20".into())), "at {at:?}");
+                    assert!(seen.iter().all(|&(slot, _)| slot < 20), "at {at:?}");
                 }
-                let (err, seen) = toy_loop(&systems, slots, at, failing);
-                assert_eq!(err, Err(LeimeError::Config("0/2@20".into())), "at {at:?}");
-                assert!(seen.iter().all(|&(_, slot, _)| slot < 20), "at {at:?}");
             }
         }
     }

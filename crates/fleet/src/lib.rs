@@ -1,16 +1,16 @@
 //! # leime-fleet — hierarchical multi-edge fleets
 //!
-//! Composes many per-edge [`leime::SlottedSystem`] shards under a
-//! regional tier (DESIGN.md §16):
+//! Places a slotted system's devices on many edges under a regional
+//! tier (DESIGN.md §16):
 //!
 //! - [`topology`]: [`FleetConfig`], the seeded deterministic
-//!   device→edge [`initial_assignment`], per-(edge, interval) run seeds
-//!   and per-edge chaos derivation.
+//!   device→edge [`initial_assignment`] and per-edge chaos derivation.
 //! - [`balancer`]: Eq. 10–11 queue-pressure observation
 //!   ([`edge_pressures`]), cross-edge [`rebalance`] migration and
 //!   chaos-failover [`evacuate`].
-//! - [`system`]: [`FleetSystem`] — the interval-structured fleet run —
-//!   and its serialized [`FleetReport`].
+//! - [`system`]: [`FleetSystem`] — one continuing slotted run whose
+//!   boundaries rewrite the assignment — and its serialized
+//!   [`FleetReport`].
 //!
 //! The intra-edge controller is byte-for-byte the existing Lyapunov
 //! path; the fleet only decides *where* devices live between intervals.
@@ -23,4 +23,4 @@ pub mod topology;
 
 pub use balancer::{edge_pressures, evacuate, rebalance, MigrationCause, MigrationEvent};
 pub use system::{FleetReport, FleetSystem, IntervalReport};
-pub use topology::{edge_chaos, edge_run_seed, initial_assignment, FleetConfig};
+pub use topology::{edge_chaos, initial_assignment, FleetConfig};

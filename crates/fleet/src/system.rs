@@ -1,52 +1,46 @@
-//! [`FleetSystem`]: many per-edge [`SlottedSystem`] shards under a
-//! regional tier.
+//! [`FleetSystem`]: one slotted system whose devices sit on many edges,
+//! under a regional tier.
 //!
 //! ## Run model (DESIGN.md §16)
 //!
-//! The fleet horizon splits into *rebalance intervals*. Within an
-//! interval every edge runs the unmodified paper controller — a
-//! [`SlottedSystem`] over that edge's assigned devices — and all of the
-//! interval's edges run as one sharded slot loop
-//! ([`SlottedSystem::run_many`]): `leime-par` partitions the edge-major
-//! concatenation of their devices across workers, so the intra-edge
-//! Lyapunov path stays byte-for-byte the existing one. At interval
-//! boundaries the regional tier acts: chaos failover first (downed
-//! edges evacuate through [`crate::evacuate`]), then pressure balancing
-//! ([`crate::rebalance`]). Fleet state is dense and indexed by device
-//! id (`assignment[i]`, `queues[i]`); device queue pairs travel with
-//! their devices, so Eq. 10–11 backlog is conserved bit-for-bit across
-//! a migration and drains through the destination edge's degrade
-//! ladder.
+//! The fleet horizon is one continuing slotted process, split into
+//! *rebalance intervals*. Every device keeps one row for the whole run —
+//! queue pair, degrade ladder, MMPP state and RNG lane
+//! `stream_rng(seed, id)` — and every edge runs the unmodified paper
+//! controller over the devices assigned to it, as one sharded slot loop
+//! over all devices in id order ([`SlottedSystem::run_on_edges`]). At
+//! interval boundaries the regional tier acts: chaos failover first
+//! (downed edges evacuate through [`crate::evacuate`]), then pressure
+//! balancing ([`crate::rebalance`]). A migration rewrites
+//! `assignment[i]` and nothing else: the device's queue pair stays in its
+//! row, so Eq. 10–11 backlog is conserved bit-for-bit and drains through
+//! the destination edge's degrade ladder.
 //!
 //! ## Determinism obligations
 //!
-//! Per-edge runs see interval-local time (slot 0 restarts each
-//! interval): per-interval chaos schedules, MMPP burst state and
-//! degrade ladders reset at boundaries, identically at every worker
-//! count. Every cross-edge decision (assignment, failover, balancing)
-//! is a pure function of fleet state that is itself byte-identical at
-//! every worker count, so the whole [`FleetReport`] inherits the §11
-//! contract — pinned by `tests/integration_fleet.rs`. A 1-edge fleet
-//! run in a single interval *is* the bare `SlottedSystem` run: same
-//! seed, same chaos, same device order (the equivalence golden).
+//! Time is global: each edge's fault schedule is compiled once per run
+//! over every device lane and queried at global slot time, and MMPP
+//! burst state, degrade ladders and RNG lanes run on across boundaries,
+//! identically at every worker count and epoch length. Every cross-edge
+//! decision (assignment, failover, balancing) is a pure function of
+//! fleet state that is itself byte-identical at every worker count, so
+//! the whole [`FleetReport`] inherits the §11 contract — pinned by
+//! `tests/integration_fleet.rs`. A 1-edge fleet *is* the bare
+//! `SlottedSystem` run at every rebalance interval: same seed, same
+//! chaos, same device order (the equivalence goldens).
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
-use leime::{
-    Deployment, LeimeError, Result, RunReport, Scenario, SlottedSystem, DEFAULT_EPOCH_LEN,
-};
-use leime_simnet::SimTime;
+use leime::{Deployment, Edges, Result, RunReport, Scenario, SlottedSystem, DEFAULT_EPOCH_LEN};
 use leime_telemetry::Registry;
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    edge_chaos, edge_run_seed, evacuate, initial_assignment, rebalance, FleetConfig, MigrationEvent,
-};
-use leime_offload::{DeviceParams, QueuePair};
+use crate::{edge_chaos, evacuate, initial_assignment, rebalance, FleetConfig, MigrationEvent};
+use leime_offload::QueuePair;
 
 /// One rebalance interval's per-edge results, in edge order. Edges that
-/// held no devices (or were down) carry an empty [`RunReport`].
+/// held no devices carry an empty [`RunReport`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IntervalReport {
     /// First fleet-horizon slot of the interval.
@@ -121,22 +115,18 @@ impl FleetReport {
 }
 
 /// A hierarchical multi-edge fleet: the template scenario's device list
-/// dealt across `config.edges` edge shards, each running the paper's
-/// slotted system, under a regional balancing/failover tier.
+/// dealt across `config.edges` edges, each running the paper's slotted
+/// controller over its devices, under a regional balancing/failover
+/// tier.
 #[derive(Debug)]
 pub struct FleetSystem {
-    /// The scenario every edge runs, without its device list.
-    template: Scenario,
-    /// The global device list (`devices[i]` is device `i`).
-    devices: Vec<DeviceParams>,
-    deployment: Deployment,
+    /// Every device of the fleet (`devices[i]` is device `i`), with its
+    /// Eq. 10–11 queues and MMPP state carried across runs.
+    system: SlottedSystem,
     config: FleetConfig,
     /// Device → edge (`assignment[i]` is device `i`'s edge), the
     /// regional tier's authoritative topology.
     assignment: Vec<usize>,
-    /// Per-device Eq. 10–11 queue state, carried across intervals and
-    /// migrations (indexed by global device id).
-    queues: Vec<QueuePair>,
     /// Edges currently marked down by chaos failover.
     down: Vec<bool>,
 }
@@ -148,27 +138,18 @@ impl FleetSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`LeimeError::Config`] for invalid scenarios or configs.
-    pub fn new(
-        mut template: Scenario,
-        deployment: Deployment,
-        config: FleetConfig,
-    ) -> Result<Self> {
-        template.validate()?;
+    /// Returns [`leime::LeimeError::Config`] for invalid scenarios or
+    /// configs.
+    pub fn new(template: Scenario, deployment: Deployment, config: FleetConfig) -> Result<Self> {
+        let n = template.devices.len();
+        let system = SlottedSystem::new(template, deployment)?;
         config.validate()?;
-        let devices = std::mem::take(&mut template.devices);
-        let n = devices.len();
         let assignment = initial_assignment(n, config.edges, config.assign_seed);
-        let queues = vec![QueuePair::new(); n];
-        let down = vec![false; config.edges];
         Ok(FleetSystem {
-            template,
-            devices,
-            deployment,
+            system,
+            down: vec![false; config.edges],
             config,
             assignment,
-            queues,
-            down,
         })
     }
 
@@ -186,12 +167,12 @@ impl FleetSystem {
     /// Current per-device queue states, indexed by device id (exposed
     /// for stability diagnostics).
     pub fn queues(&self) -> &[QueuePair] {
-        &self.queues
+        self.system.queues()
     }
 
     /// Current per-edge queue pressures.
     pub fn pressures(&self) -> Vec<f64> {
-        crate::edge_pressures(self.config.edges, &self.assignment, &self.queues)
+        crate::edge_pressures(self.config.edges, &self.assignment, self.queues())
     }
 
     /// Runs `slots` fleet slots on the driving thread. Equivalent to
@@ -205,9 +186,8 @@ impl FleetSystem {
         self.run_with_workers(slots, seed, NonZeroUsize::MIN)
     }
 
-    /// Runs with each interval's slot loop sharded across `workers`
-    /// threads (`leime-par` partitions the interval's devices, edge by
-    /// edge, across them).
+    /// Runs with the slot loop sharded across `workers` threads
+    /// (`leime-par` partitions the devices, in id order, across them).
     ///
     /// # Errors
     ///
@@ -221,15 +201,16 @@ impl FleetSystem {
         self.run_with_workers_epochs(slots, seed, workers, DEFAULT_EPOCH_LEN)
     }
 
-    /// Full-control run: worker count and slots-per-barrier for each
-    /// interval's sharded run. The report (and any telemetry recorded via
-    /// [`FleetSystem::run_with_registry`]) is byte-identical at every
+    /// Full-control run: worker count and slots per barrier (epochs also
+    /// end at every boundary). The report (and any telemetry recorded
+    /// via [`FleetSystem::run_with_registry`]) is byte-identical at every
     /// `workers` × `epoch_len` combination.
     ///
     /// # Errors
     ///
-    /// Returns [`LeimeError::Config`] for invalid derived scenarios and
-    /// [`LeimeError::Parallel`] if an inner worker shard fails.
+    /// Returns [`leime::LeimeError::Config`] for inconsistent tier
+    /// sampling and [`leime::LeimeError::Parallel`] if a worker shard
+    /// fails.
     pub fn run_with_workers_epochs(
         &mut self,
         slots: usize,
@@ -242,7 +223,8 @@ impl FleetSystem {
 
     /// Like [`FleetSystem::run_with_workers_epochs`], recording per-edge
     /// telemetry into `registry` under `{prefix}.edge{e}` (the slotted
-    /// system's series/histograms per edge, timestamps interval-local).
+    /// system's series and histograms per edge, stamped with global slot
+    /// time).
     ///
     /// # Errors
     ///
@@ -271,151 +253,72 @@ impl FleetSystem {
         leime_par::epoch_ranges(slots, len)
     }
 
-    /// Edge `e`'s system for one interval: the device-less template
-    /// plus `devices` (global ids, ascending) with their carried queues,
-    /// the edge's own chaos and, when recording, telemetry under
-    /// `{prefix}.edge{e}`.
-    fn edge_system(
-        &self,
-        e: usize,
-        devices: &[usize],
-        telemetry: Option<(&Registry, &str)>,
-    ) -> Result<SlottedSystem> {
-        let scenario = Scenario {
-            devices: devices.iter().map(|&d| self.devices[d]).collect(),
-            chaos: edge_chaos(self.template.chaos.as_ref(), e),
-            ..self.template.clone()
-        };
-        let mut sys = SlottedSystem::new(scenario, self.deployment.clone())?;
-        let carried: Vec<QueuePair> = devices.iter().map(|&d| self.queues[d]).collect();
-        sys.set_queues(&carried)?;
-        if let Some((registry, prefix)) = telemetry {
-            sys.attach_registry(registry, &format!("{prefix}.edge{e}"));
-        }
-        Ok(sys)
-    }
-
     fn run_inner(
         &mut self,
         slots: usize,
         seed: u64,
         workers: NonZeroUsize,
         epoch_len: NonZeroUsize,
-        telemetry: Option<(&Registry, &str)>,
+        registry: Option<(&Registry, &str)>,
     ) -> Result<FleetReport> {
-        let edges = self.config.edges;
-        let intervals = self.intervals(slots);
-        let mut interval_reports = Vec::with_capacity(intervals.len());
+        let (config, down) = (&self.config, &mut self.down);
+        let down_edges = |down: &[bool]| (0..down.len()).filter(|&e| down[e]).collect();
+        let mut downs: Vec<Vec<usize>> = vec![down_edges(down)];
         let mut migrations: Vec<MigrationEvent> = Vec::new();
-
-        for (iv, range) in intervals.iter().enumerate() {
-            // Deal the assignment into per-edge device lists (ascending
-            // global ids).
-            let mut per_edge: Vec<Vec<usize>> = vec![Vec::new(); edges];
-            for (device, &edge) in self.assignment.iter().enumerate() {
-                per_edge
-                    .get_mut(edge)
-                    .ok_or_else(|| {
-                        LeimeError::Config(format!("device {device} assigned to edge {edge}"))
-                    })?
-                    .push(device);
-            }
-
-            // Every populated edge joins the interval's one sharded run;
-            // a device-less edge (evacuated or never populated)
-            // simulates nothing this interval.
-            let mut systems = Vec::with_capacity(edges);
-            let mut seeds = Vec::with_capacity(edges);
-            for (e, devices_e) in per_edge.iter().enumerate() {
-                if !devices_e.is_empty() {
-                    systems.push(self.edge_system(e, devices_e, telemetry)?);
-                    seeds.push(edge_run_seed(seed, e, iv));
+        // Regional-tier boundary: failover, then balancing, on the
+        // queues after the interval's last slot.
+        let mut boundary = |at_slot: usize,
+                            up: &dyn Fn(usize) -> bool,
+                            assignment: &mut [usize],
+                            queues: &[QueuePair]| {
+            let mut newly_down = Vec::new();
+            for (e, down) in down.iter_mut().enumerate() {
+                if up(e) {
+                    // Recovered (or never down): eligible again as a
+                    // balancer target.
+                    *down = false;
+                } else if !*down {
+                    *down = true;
+                    newly_down.push(e);
                 }
             }
-            let reports =
-                SlottedSystem::run_many(&mut systems, &seeds, range.len(), workers, epoch_len)?;
-            let mut edge_reports = vec![RunReport::new(); edges];
-            let populated = per_edge.iter().enumerate().filter(|(_, d)| !d.is_empty());
-            for (((e, devices_e), sys), report) in populated.zip(&systems).zip(reports) {
-                for (&d, qp) in devices_e.iter().zip(sys.queues()) {
-                    self.queues[d] = *qp;
-                }
-                edge_reports[e] = report;
+            for e in newly_down {
+                migrations.extend(evacuate(config, at_slot, e, assignment, queues, down));
             }
-            interval_reports.push(IntervalReport {
+            if config.max_migrations_per_round > 0 {
+                migrations.extend(rebalance(config, at_slot, assignment, queues, down));
+            }
+            downs.push(down_edges(down));
+        };
+        let edges = Edges {
+            count: config.edges,
+            chaos: edge_chaos,
+            assignment: &mut self.assignment,
+            interval: config.rebalance_interval,
+            registry,
+            boundary: &mut boundary,
+        };
+        let reports = self
+            .system
+            .run_on_edges(slots, seed, workers, epoch_len, edges)?;
+        let intervals = reports
+            .into_iter()
+            .zip(downs)
+            .zip(self.intervals(slots))
+            .map(|((edges, down_edges), range)| IntervalReport {
                 start_slot: range.start,
                 slots: range.len(),
-                down_edges: (0..edges).filter(|&e| self.down[e]).collect(),
-                edges: edge_reports,
-            });
-
-            // Regional-tier boundary: failover, then balancing. Skipped
-            // after the final interval (nothing left to run).
-            if iv + 1 < intervals.len() {
-                self.boundary_actions(range, &per_edge, &mut migrations);
-            }
-        }
-
+                down_edges,
+                edges,
+            })
+            .collect();
         Ok(FleetReport {
-            devices: self.devices.len(),
-            edges,
-            intervals: interval_reports,
+            devices: self.assignment.len(),
+            edges: self.config.edges,
+            intervals,
             migrations,
             final_assignment: self.assignment.clone(),
         })
-    }
-
-    /// One interval boundary: refresh edge health from each edge's
-    /// chaos schedule (compiled exactly as the inner run compiled it),
-    /// evacuate newly-downed edges, then run the pressure balancer over
-    /// the live ones.
-    fn boundary_actions(
-        &mut self,
-        range: &Range<usize>,
-        per_edge: &[Vec<usize>],
-        migrations: &mut Vec<MigrationEvent>,
-    ) {
-        let at_slot = range.end;
-        // Health is sampled at the interval's last slot start, on the
-        // interval-local clock the inner run used.
-        let sample_t =
-            SimTime::from_secs(range.len().saturating_sub(1) as f64 * self.template.slot_len_s);
-        let horizon = SimTime::from_secs(range.len() as f64 * self.template.slot_len_s);
-        let mut newly_down = Vec::new();
-        for (e, devices_e) in per_edge.iter().enumerate() {
-            let Some(chaos) = edge_chaos(self.template.chaos.as_ref(), e) else {
-                continue;
-            };
-            let schedule = chaos.compile(devices_e.len(), horizon);
-            let up = schedule.edge_health(sample_t).up;
-            if up {
-                // Recovered (or never down): eligible again as a
-                // balancer target.
-                self.down[e] = false;
-            } else if !self.down[e] {
-                self.down[e] = true;
-                newly_down.push(e);
-            }
-        }
-        for e in newly_down {
-            migrations.extend(evacuate(
-                &self.config,
-                at_slot,
-                e,
-                &mut self.assignment,
-                &self.queues,
-                &self.down,
-            ));
-        }
-        if self.config.max_migrations_per_round > 0 {
-            migrations.extend(rebalance(
-                &self.config,
-                at_slot,
-                &mut self.assignment,
-                &self.queues,
-                &self.down,
-            ));
-        }
     }
 }
 

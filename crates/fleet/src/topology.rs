@@ -1,21 +1,22 @@
 //! Device→edge topology: the fleet configuration, the seeded
-//! deterministic initial assignment and the per-edge seed/chaos
-//! derivations.
+//! deterministic initial assignment and the per-edge chaos derivation.
 //!
 //! Everything here is a pure function of its inputs — the assignment is
-//! a dense device-indexed vector dealt from a seeded key ordering, per-edge run seeds
-//! derive through `leime_par::stream_seed`, and per-edge chaos configs
-//! re-seed the template's fault bundle per edge — so a fleet run is
-//! reproducible from `(scenario, config, seed)` alone at any worker
-//! count (DESIGN.md §16).
+//! a dense device-indexed vector dealt from a seeded key ordering, and
+//! per-edge chaos configs re-seed the template's fault bundle per edge.
+//! RNG lanes belong to devices, not edges (`stream_rng(seed, id)` for
+//! global id `id`), so a fleet run is reproducible from
+//! `(scenario, config, seed)` alone at any worker count (DESIGN.md §16).
 
 use leime::{LeimeError, Result};
 use leime_chaos::ChaosConfig;
 use serde::{Deserialize, Serialize};
 
-/// How a regional tier composes per-edge [`leime::SlottedSystem`]
-/// shards: the edge count, the seeded assignment, and the balancer /
-/// failover knobs applied at rebalance-interval boundaries.
+/// How a regional tier places a fleet's devices on edges: the edge
+/// count, the seeded assignment, and the balancer / failover knobs
+/// applied at rebalance-interval boundaries. Boundaries only rewrite the
+/// assignment; the fleet's time, queues and per-device state run on
+/// across them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Number of edge shards (≥ 1). Each edge runs the template
@@ -24,8 +25,7 @@ pub struct FleetConfig {
     /// Seed for the initial device→edge assignment permutation.
     pub assign_seed: u64,
     /// Slots between regional-tier boundaries (balancing + failover);
-    /// `0` runs the whole horizon as one interval (no regional action —
-    /// the degenerate single-interval mode the equivalence tests pin).
+    /// `0` runs the whole horizon as one interval (no regional action).
     pub rebalance_interval: usize,
     /// The balancer migrates while the hottest edge's queue pressure
     /// exceeds `pressure_ratio` × the coolest edge's (must be > 1).
@@ -110,24 +110,11 @@ pub fn initial_assignment(n_devices: usize, edges: usize, assign_seed: u64) -> V
     assignment
 }
 
-/// Per-(edge, interval) run seed. Edge 0's first interval keeps the
-/// caller's raw seed so a 1-edge single-interval fleet reproduces the
-/// bare `SlottedSystem` run byte-for-byte; every other lane derives a
-/// distinct stream via `stream_seed` (S7).
-pub fn edge_run_seed(seed: u64, edge: usize, interval: usize) -> u64 {
-    if edge == 0 && interval == 0 {
-        seed
-    } else {
-        leime_par::stream_seed(
-            leime_par::stream_seed(seed, edge as u64),
-            interval as u64 + 1,
-        )
-    }
-}
-
 /// Per-edge chaos derivation: edge 0 keeps the template's config (the
 /// equivalence anchor); sibling edges re-seed the same fault bundle so
-/// outages strike edges independently but deterministically.
+/// outages strike edges independently but deterministically. Each
+/// edge's schedule covers every device lane, keyed by global id, so a
+/// 1-edge fleet sees exactly the bare run's faults.
 pub fn edge_chaos(template: Option<&ChaosConfig>, edge: usize) -> Option<ChaosConfig> {
     template.map(|c| {
         if edge == 0 {
@@ -184,16 +171,6 @@ mod tests {
         let a = initial_assignment(10, 1, 99);
         assert!(a.iter().all(|&e| e == 0));
         assert_eq!(a.len(), 10);
-    }
-
-    #[test]
-    fn edge_zero_first_interval_keeps_the_raw_seed() {
-        assert_eq!(edge_run_seed(42, 0, 0), 42);
-        assert_ne!(edge_run_seed(42, 1, 0), 42);
-        assert_ne!(edge_run_seed(42, 0, 1), 42);
-        // Distinct lanes get distinct streams.
-        assert_ne!(edge_run_seed(42, 1, 0), edge_run_seed(42, 2, 0));
-        assert_ne!(edge_run_seed(42, 1, 0), edge_run_seed(42, 1, 1));
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Default for SemaConfig {
                 ("run_rounds".to_string(), 3),
                 // A slot-loop stage's per-device step runs on the
                 // workers of the loop's own `run_rounds` call.
-                ("run_slot_loop".to_string(), 5),
+                ("run_slot_loop".to_string(), 4),
             ],
         }
     }

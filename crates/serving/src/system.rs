@@ -239,7 +239,7 @@ impl ServingSystem {
         // Eq. 27 edge shares against the offered means. The controller
         // sees the flood-collapsed effective first-exit rate (and, per
         // device, the brownout-scaled edge).
-        let broadcast = |_: usize, slot: usize| {
+        let broadcast = |slot: usize| {
             let start = SimTime::from_secs(slot as f64 * slot_len_s);
             let rate = traffic.rate_factor(start.as_secs(), &mut traffic_rng);
             let hard_f = traffic.hard_fraction(start.as_secs()).clamp(0.0, 1.0);
@@ -261,7 +261,7 @@ impl ServingSystem {
         };
 
         let weights = self.class_weights();
-        let step = |_: usize, ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
+        let step = |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
             self.serve_device(ctx, weights, slot as u64, row)
         };
 
@@ -274,7 +274,7 @@ impl ServingSystem {
         // Per-slot fleet means of `[q, h, x]`, pushed to the registry
         // after the run.
         let mut means: [Vec<(f64, f64)>; 3] = Default::default();
-        let replay = |_: usize, slot: usize, outs: SlotRecords<'_, Option<Served>>| {
+        let replay = |slot: usize, outs: SlotRecords<'_, Option<Served>>| {
             let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
             // Churned-out devices (`None`) have no arrivals and frozen queues.
             for a in outs.filter_map(Option::as_ref) {
@@ -312,11 +312,10 @@ impl ServingSystem {
         };
 
         let queues = vec![QueuePair::new(); n];
-        let lanes = run_slot_loop(
-            &[(&queues, &[], seed)],
-            slots,
+        let (queues, _) = run_slot_loop(
+            (&queues, &[], seed),
+            &leime_par::epoch_ranges(slots, epoch_len.get()),
             workers,
-            epoch_len,
             broadcast,
             step,
             replay,
@@ -338,11 +337,7 @@ impl ServingSystem {
                 tel.deadline_hits[ci].add(s.deadline_hits);
             }
         }
-        let final_backlog = lanes
-            .iter()
-            .flat_map(|(queues, _)| queues)
-            .map(|q| q.q() + q.h())
-            .sum();
+        let final_backlog = queues.iter().map(|q| q.q() + q.h()).sum();
         Ok(ServingReport {
             slots,
             devices: n,

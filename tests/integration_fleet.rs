@@ -5,24 +5,32 @@
 //! migration log, final assignment), the telemetry snapshot and the
 //! post-run per-device queue states. Plus the migration/failover goldens
 //! (exact post-outage assignment, Eq. 10–11 backlog conserved through
-//! the handoff) and the single-edge equivalence anchor: a 1-edge fleet
-//! *is* the bare `SlottedSystem` run, byte-for-byte.
+//! the handoff) and the single-edge equivalence anchors: a 1-edge fleet
+//! *is* the bare `SlottedSystem` run, byte-for-byte in one interval and
+//! row for row at every rebalance interval.
 
 use std::num::NonZeroUsize;
 
 use leime::{
-    ChaosConfig, ControllerKind, ExitStrategy, FaultModel, ModelKind, Scenario, SlottedSystem,
-    WorkloadKind,
+    ChaosConfig, ControllerKind, ExitStrategy, FaultModel, ModelKind, RunReport, Scenario,
+    SlottedSystem, WorkloadKind,
 };
 use leime_fleet::{FleetConfig, FleetReport, FleetSystem, MigrationCause};
-use leime_telemetry::Registry;
+use leime_simnet::{SimTime, TimeTrace};
+use leime_telemetry::{Buckets, Registry};
 use proptest::prelude::*;
+use serde::Deserialize;
 
 const RUN_SEED: u64 = 41;
 
-/// Worker counts every fleet differential case is checked at (ISSUE 10:
-/// {1, 2, 4, 8}; 1 doubles as the sequential-path sanity check).
+/// Worker counts every fleet differential case is checked at (1 doubles
+/// as the sequential-path sanity check).
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Slots per barrier every fleet differential case is checked at, beside
+/// the default: epochs also end at every rebalance boundary, so each
+/// length cuts the intervals differently.
+const EPOCH_LENS: [usize; 3] = [1, 4, 16];
 
 /// Errors a helper hands back to its `#[test]` caller.
 type TestResult<T> = Result<T, Box<dyn std::error::Error>>;
@@ -81,15 +89,26 @@ fn controller_for(selector: u8) -> ControllerKind {
     }
 }
 
+/// Every workload: selector 3 is a square-wave rate trace, whose Eq. 27
+/// shares are re-solved per slot on global time.
 fn workload_for(selector: u8) -> WorkloadKind {
-    match selector % 3 {
+    match selector % 4 {
         0 => WorkloadKind::SlotPoisson { max: 40 },
         1 => WorkloadKind::Deterministic,
-        _ => WorkloadKind::Bursty {
+        2 => WorkloadKind::Bursty {
             burst_factor: 2.5,
             p_enter: 0.2,
             p_leave: 0.3,
             max: 60,
+        },
+        _ => WorkloadKind::RateTrace {
+            trace: TimeTrace::square_wave(
+                2.0,
+                9.0,
+                SimTime::from_secs(3.0),
+                SimTime::from_secs(60.0),
+            ),
+            max: 40,
         },
     }
 }
@@ -123,35 +142,21 @@ fn build_fleet(case: &FleetCase) -> leime::Result<FleetSystem> {
 }
 
 /// The fleet §11/§16 contract, asserted: serialized `FleetReport`,
-/// telemetry snapshot and post-run per-device queue bits from
-/// `run_with_workers(…, N)` are byte-identical to the plain `run` for
-/// every `N` in `WORKER_COUNTS`.
+/// telemetry snapshot and post-run per-device queue bits are
+/// byte-identical to the one-worker run at the default epoch length for
+/// every worker count in `WORKER_COUNTS` × epoch length in `EPOCH_LENS`.
 fn assert_fleet_byte_identical(case: &FleetCase, slots: usize, seed: u64) -> TestResult<()> {
-    let run = |workers: Option<usize>| -> TestResult<_> {
+    let run = |workers: usize, epoch_len: NonZeroUsize| -> TestResult<_> {
         let registry = Registry::new();
         let mut fleet = build_fleet(case)?;
-        let report = match workers {
-            None => {
-                // The sequential reference drives telemetry through the
-                // registry-recording entry point at one worker.
-                fleet.run_with_registry(
-                    slots,
-                    seed,
-                    NonZeroUsize::MIN,
-                    leime::DEFAULT_EPOCH_LEN,
-                    &registry,
-                    "fleet",
-                )?
-            }
-            Some(n) => fleet.run_with_registry(
-                slots,
-                seed,
-                NonZeroUsize::try_from(n)?,
-                leime::DEFAULT_EPOCH_LEN,
-                &registry,
-                "fleet",
-            )?,
-        };
+        let report = fleet.run_with_registry(
+            slots,
+            seed,
+            NonZeroUsize::try_from(workers)?,
+            epoch_len,
+            &registry,
+            "fleet",
+        )?;
         let queues: Vec<(usize, u64, u64)> = fleet
             .queues()
             .iter()
@@ -165,22 +170,25 @@ fn assert_fleet_byte_identical(case: &FleetCase, slots: usize, seed: u64) -> Tes
         ))
     };
 
-    let (seq_report, seq_tel, seq_queues) = run(None)?;
+    let (seq_report, seq_tel, seq_queues) = run(1, leime::DEFAULT_EPOCH_LEN)?;
     for workers in WORKER_COUNTS {
-        let (report, tel, queues) = run(Some(workers))?;
-        assert_eq!(
-            seq_report, report,
-            "FleetReport diverged at {workers} workers ({} devices × {} edges, {slots} slots)",
-            case.devices, case.edges
-        );
-        assert_eq!(
-            seq_tel, tel,
-            "telemetry snapshot diverged at {workers} workers"
-        );
-        assert_eq!(
-            seq_queues, queues,
-            "post-run queue states diverged at {workers} workers"
-        );
+        for epoch_len in EPOCH_LENS {
+            let (report, tel, queues) = run(workers, NonZeroUsize::try_from(epoch_len)?)?;
+            assert_eq!(
+                seq_report, report,
+                "FleetReport diverged at {workers} workers × epoch {epoch_len} \
+                 ({} devices × {} edges, {slots} slots)",
+                case.devices, case.edges
+            );
+            assert_eq!(
+                seq_tel, tel,
+                "telemetry snapshot diverged at {workers} workers × epoch {epoch_len}"
+            );
+            assert_eq!(
+                seq_queues, queues,
+                "post-run queue states diverged at {workers} workers × epoch {epoch_len}"
+            );
+        }
     }
     Ok(())
 }
@@ -191,8 +199,9 @@ proptest! {
     /// The million-device wall's generative core (scaled down for CI):
     /// arbitrary fleets × edge counts × rebalance cadences × workloads ×
     /// controllers × optional chaos — the fleet run is byte-identical at
-    /// workers {1, 2, 4, 8}, including every cross-edge migration and
-    /// failover decision embedded in the report.
+    /// workers {1, 2, 4, 8} × epoch lengths {1, 4, 16}, including every
+    /// cross-edge migration and failover decision embedded in the
+    /// report.
     #[test]
     fn fleet_run_is_byte_identical_across_worker_counts(
         devices in 1usize..33,
@@ -201,7 +210,7 @@ proptest! {
         slots in 1usize..49,
         arrival in 1.0f64..10.0,
         controller in 0u8..5,
-        workload in 0u8..3,
+        workload in 0u8..4,
         with_chaos in 0u8..2,
         chaos_seed in 0u64..1_000_000,
         mask in 1u8..16,
@@ -245,7 +254,7 @@ fn fleet_differential_pinned_regressions() -> TestResult<()> {
     )?;
     // Compound chaos (all four fault models) over a 3-edge fleet with a
     // short rebalance cadence: ten boundaries sample edge health and
-    // pressures under faults (none of them moves a device; the golden
+    // pressures under faults, and seven of them move devices (the golden
     // below pins the outputs).
     assert_fleet_byte_identical(
         &FleetCase {
@@ -279,11 +288,12 @@ fn fleet_differential_pinned_regressions() -> TestResult<()> {
     Ok(())
 }
 
-/// Cross-commit golden, captured from the implementation that ran each
-/// edge's interval as its own sharded run: the compound-chaos 3-edge
+/// Cross-commit golden, captured from the fleet that runs its horizon as
+/// one slot loop over persistent device rows: the compound-chaos 3-edge
 /// case of `fleet_differential_pinned_regressions` and the failover
 /// scenario. Pins per-interval per-edge task counts, the mean-TCT bits,
-/// the migration log (backlog bits included) and the final assignment.
+/// the migrations (the failover log with backlog bits) and the final
+/// assignment.
 #[test]
 fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
     let compound = FleetCase {
@@ -304,24 +314,43 @@ fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
     assert_eq!(
         tasks,
         vec![
-            vec![489, 324, 319],
-            vec![390, 445, 353],
-            vec![425, 389, 350],
-            vec![334, 498, 331],
-            vec![430, 352, 369],
-            vec![374, 338, 381],
-            vec![388, 353, 360],
-            vec![365, 348, 386],
-            vec![394, 329, 343],
-            vec![367, 390, 325],
-            vec![344, 412, 412],
+            vec![465, 486, 333],
+            vec![313, 380, 325],
+            vec![629, 0, 538],
+            vec![0, 0, 1034],
+            vec![0, 0, 1144],
+            vec![0, 190, 984],
+            vec![0, 271, 1066],
+            vec![0, 179, 1061],
+            vec![0, 0, 1229],
+            vec![0, 201, 1015],
+            vec![200, 185, 993],
         ]
     );
-    assert_eq!(report.mean_tct_s().to_bits(), 0x3fe1_7742_85a8_05e6);
-    assert!(report.migrations.is_empty());
+    assert_eq!(report.mean_tct_s().to_bits(), 0x3ff1_c64b_17ce_919a);
+    // Moves per boundary and cause.
+    let mut moves: Vec<(usize, MigrationCause, usize)> = Vec::new();
+    for m in &report.migrations {
+        match moves.last_mut() {
+            Some((at, cause, n)) if (*at, *cause) == (m.at_slot, m.cause) => *n += 1,
+            _ => moves.push((m.at_slot, m.cause, 1)),
+        }
+    }
+    assert_eq!(
+        moves,
+        vec![
+            (8, MigrationCause::Failover, 8),
+            (12, MigrationCause::Failover, 12),
+            (20, MigrationCause::Balance, 3),
+            (24, MigrationCause::Balance, 1),
+            (32, MigrationCause::Failover, 4),
+            (36, MigrationCause::Balance, 3),
+            (40, MigrationCause::Balance, 3),
+        ]
+    );
     assert_eq!(
         report.final_assignment,
-        vec![0, 1, 0, 2, 2, 1, 1, 0, 1, 2, 0, 2, 1, 2, 0, 1, 1, 0, 2, 0, 2, 0, 2, 1]
+        vec![2, 2, 2, 2, 2, 1, 1, 0, 2, 2, 2, 2, 0, 2, 2, 2, 1, 2, 2, 2, 0, 2, 2, 2]
     );
 
     let (report, _) = run_failover_golden()?;
@@ -330,8 +359,8 @@ fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
         .iter()
         .map(|iv| iv.edges.iter().map(|e| e.tasks()).collect())
         .collect();
-    assert_eq!(tasks, vec![vec![251, 201], vec![475, 0], vec![490, 0]]);
-    assert_eq!(report.mean_tct_s().to_bits(), 0x3fd2_3f33_6854_1f33);
+    assert_eq!(tasks, vec![vec![263, 255], vec![480, 0], vec![464, 0]]);
+    assert_eq!(report.mean_tct_s().to_bits(), 0x3fda_6adc_1b7a_2d0a);
     let log: Vec<(usize, usize, usize, usize, u64, MigrationCause)> = report
         .migrations
         .iter()
@@ -349,9 +378,9 @@ fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
     assert_eq!(
         log,
         vec![
-            (10, 2, 1, 0, 0x4033_0000_0000_0000, MigrationCause::Failover),
-            (10, 5, 1, 0, 0x402c_3301_3f6e_e506, MigrationCause::Failover),
-            (10, 3, 1, 0, 0x4023_4121_71dc_8040, MigrationCause::Failover),
+            (10, 2, 1, 0, 0x4030_7f21_d399_6630, MigrationCause::Failover),
+            (10, 5, 1, 0, 0x402e_3c10_7e0c_867e, MigrationCause::Failover),
+            (10, 3, 1, 0, 0x402a_c4cd_edca_1f14, MigrationCause::Failover),
         ]
     );
     assert_eq!(report.final_assignment, vec![0; 6]);
@@ -379,8 +408,9 @@ fn failover_scenario() -> (Scenario, FleetConfig) {
 }
 
 /// Chaos seed pinned by the golden below (chosen so exactly one edge is
-/// down at the first boundary of `failover_scenario`).
-const FAILOVER_CHAOS_SEED: u64 = 3;
+/// down at the first boundary of `failover_scenario` and stays down at
+/// the second, sampled on global slot time).
+const FAILOVER_CHAOS_SEED: u64 = 27;
 
 fn run_failover_golden() -> leime::Result<(FleetReport, FleetSystem)> {
     let (scenario, config) = failover_scenario();
@@ -556,4 +586,181 @@ fn single_edge_fleet_is_byte_identical_to_bare_slotted_system() {
             .collect();
         assert_eq!(bare_queues, fleet_queues, "queue bits diverged");
     }
+}
+
+/// A report's rows and histogram, read from its JSON.
+#[derive(Deserialize)]
+struct ReportView {
+    tct: Buckets,
+    slots: Vec<serde_json::Value>,
+}
+
+/// What a run's reports say when added up in time order: their slot
+/// rows (each row's JSON text, so equal text is equal bits), tier
+/// counts, histogram bucket counts, min and max bits, fault tallies and
+/// task count.
+#[derive(Debug, PartialEq)]
+struct Totals {
+    rows: Vec<String>,
+    tiers: [u64; 3],
+    buckets: Vec<(usize, u64)>,
+    min_max: (Option<u64>, Option<u64>),
+    faults: [u64; 6],
+    tasks: usize,
+}
+
+fn totals<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> TestResult<Totals> {
+    let mut rows = Vec::new();
+    let mut tct = Buckets::new();
+    let (mut tiers, mut faults, mut tasks) = ([0; 3], [0; 6], 0);
+    for report in reports {
+        let view: ReportView = serde_json::from_str(&serde_json::to_string(report)?)?;
+        for row in &view.slots {
+            rows.push(serde_json::to_string(row)?);
+        }
+        tct.merge(&view.tct);
+        let t = report.tiers();
+        let f = report.fault_stats();
+        for (sum, v) in tiers.iter_mut().zip([t.first, t.second, t.third]) {
+            *sum += v;
+        }
+        let tallies = [
+            f.fault_slots,
+            f.churn_slots,
+            f.timeouts,
+            f.retries,
+            f.fallbacks,
+            f.recoveries,
+        ];
+        for (sum, v) in faults.iter_mut().zip(tallies) {
+            *sum += v;
+        }
+        tasks += report.tasks();
+    }
+    Ok(Totals {
+        rows,
+        tiers,
+        buckets: tct.non_empty().collect(),
+        min_max: (tct.min().map(f64::to_bits), tct.max().map(f64::to_bits)),
+        faults,
+        tasks,
+    })
+}
+
+fn queue_bits(queues: &[leime_offload::QueuePair]) -> Vec<(u64, u64)> {
+    queues
+        .iter()
+        .map(|qp| (qp.q().to_bits(), qp.h().to_bits()))
+        .collect()
+}
+
+/// A 1-edge fleet at `rebalance_interval` against the bare system over
+/// the same devices: the fleet's intervals, added up, equal the bare
+/// run, and so do the final queue bits.
+fn assert_single_edge_matches_bare(
+    scenario: &Scenario,
+    rebalance_interval: usize,
+    slots: usize,
+) -> TestResult<()> {
+    let deployment = scenario.deploy(ExitStrategy::Leime)?;
+    let mut bare = SlottedSystem::new(scenario.clone(), deployment.clone())?;
+    let bare_report = bare.run(slots, RUN_SEED)?;
+    let config = FleetConfig::regional(1, rebalance_interval);
+    let mut fleet = FleetSystem::new(scenario.clone(), deployment, config)?;
+    let report = fleet.run(slots, RUN_SEED)?;
+    assert_eq!(
+        totals(report.intervals.iter().map(|iv| &iv.edges[0]))?,
+        totals([&bare_report])?,
+        "1-edge fleet at interval {rebalance_interval} diverged from the bare run"
+    );
+    assert_eq!(queue_bits(fleet.queues()), queue_bits(bare.queues()));
+    Ok(())
+}
+
+/// An edge outage no longer vanishes at a rebalance boundary: six Pis
+/// on one edge whose outage the bare run sees (6 fault slots) keep
+/// seeing it when the fleet cuts the horizon into 10-slot intervals.
+#[test]
+fn single_edge_fleet_keeps_the_bare_edge_outage() -> TestResult<()> {
+    let mut scenario = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 6, 6.0);
+    scenario.chaos = Some(ChaosConfig {
+        seed: 3,
+        models: vec![FaultModel::EdgeOutages {
+            duty: 0.3,
+            mean_outage_s: 4.0,
+        }],
+        window_s: None,
+    });
+    let deployment = scenario.deploy(ExitStrategy::Leime)?;
+    let bare = SlottedSystem::new(scenario.clone(), deployment)?.run(40, RUN_SEED)?;
+    assert_eq!(bare.fault_stats().fault_slots, 6);
+    assert_single_edge_matches_bare(&scenario, 10, 40)
+}
+
+/// A 1-edge fleet equals the bare run at every rebalance interval, for
+/// every workload, with and without chaos: boundaries with no sibling
+/// edge change nothing.
+#[test]
+fn single_edge_fleet_matches_the_bare_run_at_every_interval() -> TestResult<()> {
+    for workload in 0..4 {
+        for chaos in [None, Some((11, 15, 0.4, 6.0))] {
+            let scenario = build_scenario(&FleetCase {
+                devices: 7,
+                edges: 1,
+                rebalance_interval: 0,
+                arrival: 6.0,
+                controller: 0,
+                workload,
+                chaos,
+            });
+            for rebalance_interval in [1, 7, 10] {
+                assert_single_edge_matches_bare(&scenario, rebalance_interval, 33)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Boundaries that move nothing change nothing: with balancing off and
+/// no edge outages, a multi-edge fleet cut into intervals equals its
+/// one-interval run edge by edge, and in its final queues.
+#[test]
+fn quiet_boundaries_leave_every_edge_as_one_interval() -> TestResult<()> {
+    for workload in 0..4 {
+        // Link flaps, bandwidth collapses and edge brownouts: every
+        // model but edge outages.
+        for chaos in [None, Some((906_617, 7, 0.5, 5.0))] {
+            let case = FleetCase {
+                devices: 13,
+                edges: 3,
+                rebalance_interval: 0,
+                arrival: 6.0,
+                controller: 0,
+                workload,
+                chaos,
+            };
+            let run = |rebalance_interval: usize| -> TestResult<_> {
+                let scenario = build_scenario(&case);
+                let deployment = scenario.deploy(ExitStrategy::Leime)?;
+                let mut config = FleetConfig::regional(case.edges, rebalance_interval);
+                config.max_migrations_per_round = 0;
+                let mut fleet = FleetSystem::new(scenario, deployment, config)?;
+                let report = fleet.run(30, RUN_SEED)?;
+                assert!(report.migrations.is_empty());
+                let per_edge = (0..case.edges)
+                    .map(|e| totals(report.intervals.iter().map(|iv| &iv.edges[e])))
+                    .collect::<TestResult<Vec<_>>>()?;
+                Ok((per_edge, queue_bits(fleet.queues())))
+            };
+            let whole = run(0)?;
+            for rebalance_interval in [1, 7, 10] {
+                assert_eq!(
+                    run(rebalance_interval)?,
+                    whole,
+                    "interval {rebalance_interval} diverged (workload {workload}, chaos {chaos:?})"
+                );
+            }
+        }
+    }
+    Ok(())
 }

@@ -17,7 +17,6 @@ use leime_dnn::{zoo, DnnChain, ExitRates, ExitSpec, Layer, LayerKind, ModelProfi
 use leime_exitcfg::{
     branch_and_bound, exhaustive, par_sweep, seq_sweep, CostModel, EnvParams, SweepCell,
 };
-use leime_simnet::{SimTime, TimeTrace};
 use leime_telemetry::Registry;
 use leime_workload::ExitRateModel;
 use proptest::prelude::*;
@@ -223,158 +222,12 @@ fn assert_epoch_grid_byte_identical(
     Ok(())
 }
 
-/// One system of a multi-system run: devices, controller selector,
-/// workload selector (`workload_for`, or a rate trace at 3) and an
-/// optional chaos seed.
-type SystemCase = (usize, u8, u8, Option<u64>);
-
-fn system_scenario(&(devices, controller, workload, chaos): &SystemCase) -> Scenario {
-    let mut s = build_scenario(&Case {
-        devices,
-        arrival: 6.0,
-        controller,
-        workload,
-        chaos: chaos.map(|seed| (seed, 15, 0.4, 5.0)),
-    });
-    if workload == 3 {
-        s.workload = WorkloadKind::RateTrace {
-            trace: TimeTrace::square_wave(
-                2.0,
-                9.0,
-                SimTime::from_secs(3.0),
-                SimTime::from_secs(60.0),
-            ),
-            max: 40,
-        };
-    }
-    s
-}
-
-/// The multi-system contract, asserted: `SlottedSystem::run_many` over
-/// several systems (recording under disjoint prefixes of one registry)
-/// gives each system the serialized `RunReport`, telemetry and final
-/// queue bits that running it alone gives, at every worker count — so
-/// shards that straddle systems change nothing.
-fn assert_run_many_matches_separate_runs(
-    cases: &[SystemCase],
-    slots: usize,
-    seed: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let scenarios: Vec<Scenario> = cases.iter().map(system_scenario).collect();
-    let deployments = scenarios
-        .iter()
-        .map(|s| s.deploy(ExitStrategy::Leime))
-        .collect::<leime::Result<Vec<_>>>()?;
-    let seeds: Vec<u64> = (0..cases.len() as u64)
-        .map(|k| leime_par::stream_seed(seed, k))
-        .collect();
-    let build = |registry: &Registry| -> leime::Result<Vec<SlottedSystem>> {
-        scenarios
-            .iter()
-            .zip(&deployments)
-            .enumerate()
-            .map(|(k, (s, d))| {
-                let mut sys = SlottedSystem::new(s.clone(), d.clone())?;
-                sys.attach_registry(registry, &format!("sys{k}"));
-                Ok(sys)
-            })
-            .collect()
-    };
-    let queue_bits = |systems: &[SlottedSystem]| -> Vec<Vec<(u64, u64)>> {
-        systems
-            .iter()
-            .map(|sys| {
-                sys.queues()
-                    .iter()
-                    .map(|qp| (qp.q().to_bits(), qp.h().to_bits()))
-                    .collect()
-            })
-            .collect()
-    };
-
-    let registry = Registry::new();
-    let mut separate = build(&registry)?;
-    let mut expected = Vec::with_capacity(separate.len());
-    for (sys, &seed) in separate.iter_mut().zip(&seeds) {
-        expected.push(serde_json::to_string(&sys.run(slots, seed)?)?);
-    }
-    let expected_tel = serde_json::to_string(&registry.snapshot())?;
-    let expected_queues = queue_bits(&separate);
-
-    for workers in EPOCH_WORKERS {
-        let registry = Registry::new();
-        let mut systems = build(&registry)?;
-        let mut reports = Vec::with_capacity(systems.len());
-        for r in SlottedSystem::run_many(
-            &mut systems,
-            &seeds,
-            slots,
-            NonZeroUsize::try_from(workers)?,
-            leime::DEFAULT_EPOCH_LEN,
-        )? {
-            reports.push(serde_json::to_string(&r)?);
-        }
-        assert_eq!(
-            expected, reports,
-            "RunReports diverged at {workers} workers ({cases:?})"
-        );
-        assert_eq!(
-            expected_tel,
-            serde_json::to_string(&registry.snapshot())?,
-            "telemetry diverged at {workers} workers"
-        );
-        assert_eq!(
-            expected_queues,
-            queue_bits(&systems),
-            "final queues diverged at {workers} workers"
-        );
-    }
-    Ok(())
-}
-
-/// Pinned case for `run_many_matches_separate_runs`: 5 + 7 + 3 devices
-/// split inside a system at every worker count above 1, with chaos on a
-/// `Bursty` system, a rate trace on the recording Lyapunov controller,
-/// and a non-recording controller beside them.
-#[test]
-fn run_many_pinned_case() -> Result<(), Box<dyn std::error::Error>> {
-    assert_run_many_matches_separate_runs(
-        &[
-            (5, 0, 2, Some(906_617)),
-            (7, 0, 3, None),
-            (3, 4, 0, Some(7)),
-        ],
-        40,
-        RUN_SEED,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Arbitrary fleet × workload × controller × optional chaos: the
     /// parallel slotted run is byte-identical to sequential at every
     /// worker count.
-    /// Multi-system runs: one to three systems of 1–11 devices each, any
-    /// controller, every workload including rate traces, optional
-    /// chaos — `run_many` equals separate runs at workers {1, 2, 4, 8}.
-    #[test]
-    fn run_many_matches_separate_runs(
-        cases in prop::collection::vec(
-            (1usize..12, 0u8..5, 0u8..4, 0u8..2, 0u64..1_000_000),
-            1..4,
-        ),
-        slots in 1usize..40,
-    ) {
-        let cases: Vec<SystemCase> = cases
-            .into_iter()
-            .map(|(devices, controller, workload, chaos, seed)| {
-                (devices, controller, workload, (chaos == 1).then_some(seed))
-            })
-            .collect();
-        assert_run_many_matches_separate_runs(&cases, slots, RUN_SEED).unwrap();
-    }
-
     #[test]
     fn parallel_slotted_run_is_byte_identical_to_sequential(
         devices in 1usize..65,
