@@ -3,7 +3,10 @@
 //! nominal rate) with the `leime-serving` admission controller enabled
 //! and disabled, and reports the per-class deadline-hit-rate and
 //! completion-time quantiles (p50/p99/p999). A flash-crowd-over-brownout
-//! composition arm exercises the same stack under `leime-chaos` faults.
+//! composition arm exercises the same stack under `leime-chaos` faults,
+//! and a workers arm runs that composition at 4096 devices on 1 and 2
+//! worker threads, asserts the two reports are byte-identical, and
+//! prints both wall times and their ratio.
 //!
 //! Writes `BENCH_serving.json` (schema `leime-bench/1`) and hard-fails
 //! if admission control does not beat the no-admission baseline on
@@ -16,12 +19,14 @@
     reason = "an experiment driver, not library code: a broken setup aborts the run"
 )]
 
+use std::num::NonZeroUsize;
+
 use leime::{invariant, ModelKind};
 use leime_bench::{fmt_time, render_table};
 use leime_serving::{
     flash_brownout_testbed, serving_testbed, ServingReport, ServingSystem, SlaClass,
 };
-use leime_telemetry::Registry;
+use leime_telemetry::{Clock, Registry, WallClock};
 
 const SLOTS: usize = 120;
 const SEED: u64 = 3;
@@ -34,6 +39,9 @@ const LOADS: [f64; 4] = [0.6, 1.0, 2.0, 3.0];
 /// (admission beats no-admission on latency-critical hit-rate) runs on.
 const OVERLOAD: f64 = 2.0;
 const OUT_PATH: &str = "BENCH_serving.json";
+/// Devices in the workers arm; its edge scales with the fleet, so each
+/// device sees the golden composition's edge share.
+const WIDE_DEVICES: usize = 4096;
 
 struct Arm {
     load: f64,
@@ -126,6 +134,48 @@ fn arm_json(arm: &Arm) -> serde_json::Value {
     })
 }
 
+/// The flash-crowd-over-brownout composition at [`WIDE_DEVICES`]
+/// devices on 1 and 2 worker threads: the reports must be
+/// byte-identical, and both wall times and their ratio are printed.
+fn workers_arm() -> serde_json::Value {
+    let (mut scenario, config) =
+        flash_brownout_testbed(ModelKind::SqueezeNet, WIDE_DEVICES, CHAOS_SEED, 1.0);
+    scenario.edge_flops *= (WIDE_DEVICES / DEVICES) as f64;
+    let sys = ServingSystem::new(scenario, config).unwrap();
+    let timed = |workers: usize| {
+        let clock = WallClock::new();
+        let report = sys
+            .run_with_workers(SLOTS, SEED, NonZeroUsize::new(workers).unwrap())
+            .unwrap();
+        (serde_json::to_string(&report).unwrap(), clock.now())
+    };
+    let (one, one_s) = timed(1);
+    let (two, two_s) = timed(2);
+    assert_eq!(
+        one, two,
+        "the workers arm's reports differ at 1 and 2 workers"
+    );
+    let speedup = one_s / two_s;
+    println!(
+        "workers arm: flash+brownout at {WIDE_DEVICES} devices, {SLOTS} slots: \
+         1 worker {}, 2 workers {}, speedup {speedup:.2}x{} (reports byte-identical)\n",
+        fmt_time(one_s),
+        fmt_time(two_s),
+        if speedup < 1.0 {
+            " — 2 workers lose"
+        } else {
+            ""
+        },
+    );
+    serde_json::json!({
+        "devices": WIDE_DEVICES,
+        "slots": SLOTS,
+        "wall_ms_1_worker": one_s * 1e3,
+        "wall_ms_2_workers": two_s * 1e3,
+        "speedup": speedup,
+    })
+}
+
 fn main() {
     println!("== Extension: online serving — load vs deadline-hit-rate ==");
     println!(
@@ -206,6 +256,8 @@ fn main() {
         flash.report.fault_slots,
     );
 
+    let workers = workers_arm();
+
     let record = serde_json::json!({
         "schema": "leime-bench/1",
         "bench": "ext_serving",
@@ -220,6 +272,7 @@ fn main() {
             "lc_hit_with_admission": on2,
             "lc_hit_without_admission": off2,
         },
+        "workers": workers,
     });
     let text = match serde_json::to_string_pretty(&record) {
         Ok(t) => t,

@@ -153,7 +153,6 @@ struct ShardState {
     mmpp: Vec<Mmpp>,
     rngs: Vec<StdRng>,
     memo: DecideMemo,
-    scratch: Vec<u8>,
 }
 
 impl ShardState {
@@ -277,8 +276,7 @@ pub struct DeviceDecision {
 }
 
 /// One device's row of a shard, as a stage's per-device step sees it:
-/// the device's own state plus the shard's decide memo and scratch
-/// buffer.
+/// the device's own state plus the shard's decide memo.
 #[derive(Debug)]
 pub struct DeviceRow<'a> {
     /// The device's index.
@@ -293,9 +291,6 @@ pub struct DeviceRow<'a> {
     pub rng: &'a mut StdRng,
     /// The shard's decide memo (see [`decide_device`]).
     pub memo: &'a mut DecideMemo,
-    /// The shard's scratch bytes: a step clears it before use, and
-    /// nothing outside the step reads it.
-    pub scratch: &'a mut Vec<u8>,
 }
 
 /// One slot's records, in device order. Each shard's epoch of records
@@ -796,7 +791,6 @@ where
                         mmpp: sh.mmpp.get_mut(k),
                         rng: &mut sh.rngs[k],
                         memo: &mut sh.memo,
-                        scratch: &mut sh.scratch,
                     };
                     outs.push(step(b, slot, row)?);
                 }
@@ -910,7 +904,6 @@ fn build_shards(queues: &[QueuePair], mmpp: &[Mmpp], seed: u64, workers: usize) 
                 .map(|i| leime_par::stream_rng(seed, i as u64))
                 .collect(),
             memo: DecideMemo::default(),
-            scratch: Vec::new(),
         })
         .collect()
 }
@@ -1324,9 +1317,11 @@ mod tests {
             .flat_map(|slot| (0..n).map(move |i| (slot, i)))
             .collect();
         let clean = |_: &(), slot, row: DeviceRow<'_>| Ok((slot, row.i));
+        // A step that advances its device's stream and the shard's
+        // memo changes nothing the loop replays.
         let garbage = |_: &(), slot, row: DeviceRow<'_>| {
-            row.scratch.extend_from_slice(&[0xA5; 5]);
-            row.scratch[0] = slot as u8;
+            row.rng.gen::<u64>();
+            *row.memo = DecideMemo::default();
             Ok((slot, row.i))
         };
         // Devices 2 and 5 fail from slot 20 on: replay order puts 2

@@ -589,6 +589,41 @@ impl Tree {
         out
     }
 
+    /// [`Tree::fn_bindings`] plus every identifier in `f`'s `let` and
+    /// match-arm patterns: the names in `f` that may be locals rather
+    /// than fns (an over-approximation, which only drops value edges).
+    fn locals(&self, f: &FnNode) -> BTreeSet<String> {
+        let (lo, hi) = f.body;
+        let mut out = self.fn_bindings(f);
+        let mut idents = |from: usize, to: usize| {
+            out.extend((from..to).filter_map(|k| self.ident(k)).map(str::to_string));
+        };
+        for i in self.visible(lo, hi) {
+            if self.ident(i) == Some("let") {
+                idents(i + 1, self.sibling(i + 1, hi, &["=", ";"]));
+            } else if self.punct(i, "=>") {
+                // Back to the arm's start, over any bracketed pattern.
+                let mut k = i;
+                while let Some(p) = k.checked_sub(1).filter(|&p| p >= lo) {
+                    let arm_block = self.punct(p, "}")
+                        && self.partner[p]
+                            .checked_sub(1)
+                            .is_some_and(|b| self.punct(b, "=>"));
+                    if self.punct(p, ",") || self.is_open(p) || arm_block {
+                        break;
+                    }
+                    k = if self.is_close(p) {
+                        self.partner[p].min(p)
+                    } else {
+                        p
+                    };
+                }
+                idents(k, i);
+            }
+        }
+        out
+    }
+
     /// The names `closure` captures from an enclosing fn that binds
     /// `enclosing`: identifiers used in the body that the body does not
     /// bind itself (its parameters, `let`s, loop patterns and nested
@@ -650,8 +685,8 @@ impl Tree {
     // ----- facts -----------------------------------------------------------
 
     /// The effect facts of the tokens in `lo..hi`, loop depth counted
-    /// from zero there.
-    fn facts(&self, lo: usize, hi: usize) -> FnFacts {
+    /// from zero there; `locals` are the enclosing fn's [`Tree::locals`].
+    fn facts(&self, lo: usize, hi: usize, locals: &BTreeSet<String>) -> FnFacts {
         let mut fx = FnFacts::default();
         let (mut loop_opens, mut loop_ends): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
         for i in self.visible(lo, hi) {
@@ -708,9 +743,27 @@ impl Tree {
                 if last == "sleep" {
                     fx.blocking.push((line, "thread::sleep".to_string()));
                 }
+            } else if self.fn_value_at(i, &segs, j, locals) {
+                fx.calls.insert(last.to_string());
             }
         }
         fx
+    }
+
+    /// Whether the path `segs` spanning `i..j` names a function passed
+    /// as a value (`chaos: edge_chaos`, `.map(Self::price)`): it stands
+    /// alone between separators, reads like a fn name, and a single
+    /// segment is none of the enclosing fn's `locals`.
+    fn fn_value_at(&self, i: usize, segs: &[&str], j: usize, locals: &BTreeSet<String>) -> bool {
+        let last = segs[segs.len() - 1];
+        let alone = i
+            .checked_sub(1)
+            .is_some_and(|p| [":", "(", ",", "="].iter().any(|s| self.punct(p, s)))
+            && [",", ")", "}", ";"].iter().any(|s| self.punct(j, s));
+        alone
+            && is_var_like(last)
+            && !matches!(last, "self" | "_")
+            && (segs.len() > 1 || !locals.contains(last))
     }
 
     /// Every shard body in `f`: the worker argument of each configured
@@ -756,7 +809,7 @@ impl Tree {
                     })
                 })
                 .collect();
-            let fx = self.facts(clo, chi);
+            let fx = self.facts(clo, chi, &self.locals(f));
             out.push(ShardBody {
                 entry: entry.clone(),
                 interior_mut,
@@ -806,7 +859,7 @@ pub struct FnFacts {
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Names this function calls (paths by last segment, methods by
-    /// name) — the flow-graph edges.
+    /// name) or passes as a fn value — the flow-graph edges.
     pub calls: BTreeSet<String>,
     /// Allocation sites: `(line, what)`. `Box::new`, `format!` and the
     /// always-allocating methods count anywhere; `vec!` and container
@@ -856,7 +909,7 @@ impl FileFacts {
             fns.push(FnFacts {
                 name: f.name.clone(),
                 line: f.line,
-                ..tree.facts(f.body.0, f.body.1)
+                ..tree.facts(f.body.0, f.body.1, &tree.locals(f))
             });
             shard_bodies.extend(tree.shard_bodies(f, cfg));
         }
@@ -909,6 +962,17 @@ mod tests {
     fn calls_and_method_calls() {
         let src = "fn f() { helper(1.0); x.solve(2, 3); a::b::c(); y.field; }";
         assert_eq!(calls(src), ["c", "helper", "solve"]);
+    }
+
+    #[test]
+    fn fns_passed_as_values_are_call_edges() {
+        let src = "fn f(n: u64) -> E { let h = g; E { chaos: edge_chaos, n, h: h, p: price(n, Self::tail) } }";
+        assert_eq!(calls(src), ["edge_chaos", "g", "price", "tail"]);
+        // Locals, fields, types and literals are not fns.
+        let src = "fn f(x: u64, v: V) -> u64 { let k: usize = 2; v.len(); take(x, k, true, S) }";
+        assert_eq!(calls(src), ["len", "take"]);
+        let src = "fn f(o: O) -> P { let (a, mut b) = o.pair(); match o.get() { Some((c, d)) => P(a, b, c, d), None => P(e, b, b, b) } }";
+        assert_eq!(calls(src), ["P", "Some", "e", "get", "pair"]);
     }
 
     #[test]

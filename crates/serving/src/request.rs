@@ -96,17 +96,6 @@ impl SlaPolicy {
         Ok(())
     }
 
-    /// Maps a uniform draw `u ∈ [0, 1)` to a class under the mix.
-    pub fn class_for_draw(&self, u: f64) -> SlaClass {
-        if u < self.mix[0] {
-            SlaClass::LatencyCritical
-        } else if u < self.mix[0] + self.mix[1] {
-            SlaClass::Standard
-        } else {
-            SlaClass::BestEffort
-        }
-    }
-
     /// The deadline for `class`, in seconds.
     pub fn deadline_for(&self, class: SlaClass) -> f64 {
         self.deadline_s[class.index()]
@@ -143,19 +132,5 @@ mod tests {
         let mut p = SlaPolicy::default();
         p.mix = [0.5, -0.2, 0.7];
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn class_for_draw_partitions_the_unit_interval() {
-        let p = SlaPolicy {
-            deadline_s: [1.0, 2.0, 3.0],
-            mix: [0.2, 0.5, 0.3],
-        };
-        assert_eq!(p.class_for_draw(0.0), SlaClass::LatencyCritical);
-        assert_eq!(p.class_for_draw(0.19), SlaClass::LatencyCritical);
-        assert_eq!(p.class_for_draw(0.2), SlaClass::Standard);
-        assert_eq!(p.class_for_draw(0.69), SlaClass::Standard);
-        assert_eq!(p.class_for_draw(0.7), SlaClass::BestEffort);
-        assert_eq!(p.class_for_draw(0.999), SlaClass::BestEffort);
     }
 }

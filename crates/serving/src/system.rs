@@ -40,10 +40,10 @@ use std::sync::Arc;
 
 use leime_chaos::{ChaosConfig, FaultModel, FaultSchedule};
 use leime_offload::{DeviceParams, QueuePair, SharedParams, SlotCost};
-use leime_par::Rng;
+use leime_par::StdRng;
 use leime_simnet::SimTime;
 use leime_telemetry::{Counter, Histogram, Registry, Series};
-use leime_workload::SlotArrivals;
+use leime_workload::{binomial_draw, SlotArrivals};
 
 use leime::{
     decide_device, run_slot_loop, DecideCtx, DeviceRow, LeimeError, ModelKind, Scenario,
@@ -92,13 +92,10 @@ impl ServingConfig {
 struct ServingTelemetry {
     /// Per-class completion-time histograms, `{prefix}.tct_s.{class}`.
     tct: [Arc<Histogram>; 3],
-    offered: [Arc<Counter>; 3],
-    admitted: [Arc<Counter>; 3],
-    shed: [Arc<Counter>; 3],
-    deadline_hits: [Arc<Counter>; 3],
-    queue_q: Arc<Series>,
-    queue_h: Arc<Series>,
-    offload_x: Arc<Series>,
+    /// Per-class `offered`, `admitted`, `shed` and `deadline_hits`.
+    counts: [[Arc<Counter>; 3]; 4],
+    /// `queue_q`, `queue_h` and `offload_x`.
+    means: [Arc<Series>; 3],
 }
 
 /// The online serving runtime.
@@ -176,25 +173,15 @@ impl ServingSystem {
     /// run's sum in one step, so it may round differently from one
     /// running sum over every request.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
-        let per_class = |what: &str| -> [Arc<Counter>; 3] {
+        let per_class = |what: &str| {
             SlaClass::ALL.map(|c| registry.counter(&format!("{prefix}.{}.{what}", c.name())))
         };
         self.telemetry = Some(ServingTelemetry {
             tct: SlaClass::ALL.map(|c| registry.histogram(&format!("{prefix}.tct_s.{}", c.name()))),
-            offered: per_class("offered"),
-            admitted: per_class("admitted"),
-            shed: per_class("shed"),
-            deadline_hits: per_class("deadline_hits"),
-            queue_q: registry.series(&format!("{prefix}.queue_q")),
-            queue_h: registry.series(&format!("{prefix}.queue_h")),
-            offload_x: registry.series(&format!("{prefix}.offload_x")),
+            counts: ["offered", "admitted", "shed", "deadline_hits"].map(per_class),
+            means: ["queue_q", "queue_h", "offload_x"]
+                .map(|k| registry.series(&format!("{prefix}.{k}"))),
         });
-    }
-
-    /// Plan-task weight of each class: `μ₁_c / μ₁_std`.
-    fn class_weights(&self) -> [f64; 3] {
-        let std_mu1 = self.plan.standard().mu[0].max(f64::EPSILON);
-        SlaClass::ALL.map(|c| self.plan.for_class(c).mu[0] / std_mu1)
     }
 
     /// Runs `slots` time slots from fresh queues and returns the serving
@@ -205,7 +192,22 @@ impl ServingSystem {
     /// Propagates configuration errors (cannot occur for systems built
     /// by [`ServingSystem::new`]).
     pub fn run(&mut self, slots: usize, seed: u64) -> leime::Result<ServingReport> {
-        self.run_sharded(slots, seed, NonZeroUsize::MIN, DEFAULT_EPOCH_LEN)
+        self.run_with_workers(slots, seed, NonZeroUsize::MIN)
+    }
+
+    /// [`ServingSystem::run`] on `workers` threads, with the same bytes
+    /// at every worker count.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServingSystem::run`].
+    pub fn run_with_workers(
+        &self,
+        slots: usize,
+        seed: u64,
+        workers: NonZeroUsize,
+    ) -> leime::Result<ServingReport> {
+        self.run_sharded(slots, seed, workers, DEFAULT_EPOCH_LEN)
     }
 
     /// [`ServingSystem::run`] as a stage on the shared slot loop
@@ -260,9 +262,11 @@ impl ServingSystem {
             }
         };
 
-        let weights = self.class_weights();
+        // Plan-task weight of each class: `μ₁_c / μ₁_std`.
+        let std_mu1 = self.plan.standard().mu[0].max(f64::EPSILON);
+        let weights = SlaClass::ALL.map(|c| self.plan.for_class(c).mu[0] / std_mu1);
         let step = |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
-            self.serve_device(ctx, weights, slot as u64, row)
+            Ok(self.serve_device(ctx, weights, slot as u64, row))
         };
 
         let sla = &self.config.sla;
@@ -278,22 +282,22 @@ impl ServingSystem {
             let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
             // Churned-out devices (`None`) have no arrivals and frozen queues.
             for a in outs.filter_map(Option::as_ref) {
-                hard_requests += a.hard;
+                hard_requests += a.requests.hard;
                 // Judge each (class, tier) cell once against its class
                 // deadline: every request in it completes at its price.
                 // `record_n` allocates only to widen the class histogram's
                 // stored window, at most `NUM_BUCKETS` times per run.
                 for (ci, stat) in stats.iter_mut().enumerate() {
-                    for (&n, &tct) in a.admitted[ci].iter().zip(&a.tct[ci]) {
+                    for (&n, &tct) in a.requests.admitted[ci].iter().zip(&a.tct[ci]) {
                         stat.tct_s.record_n(tct, n);
                         if tct <= stat.deadline_s {
                             stat.deadline_hits += n;
                         }
                     }
-                    let admitted: u64 = a.admitted[ci].iter().sum();
-                    stat.offered += a.offered[ci];
+                    let admitted: u64 = a.requests.admitted[ci].iter().sum();
+                    stat.offered += a.requests.offered[ci];
                     stat.admitted += admitted;
-                    stat.shed += a.offered[ci] - admitted;
+                    stat.shed += a.requests.offered[ci] - admitted;
                 }
                 fault_slots += u64::from(a.fault);
                 offload_sum += a.x;
@@ -323,18 +327,15 @@ impl ServingSystem {
         // The registry takes the per-slot series and the report's
         // per-class totals once, after the run.
         if let Some(tel) = tel {
-            for (series, points) in [&tel.queue_q, &tel.queue_h, &tel.offload_x]
-                .into_iter()
-                .zip(&means)
-            {
+            for (series, points) in tel.means.iter().zip(&means) {
                 series.push_batch(points);
             }
             for (ci, s) in stats.iter().enumerate() {
                 tel.tct[ci].merge(&s.tct_s);
-                tel.offered[ci].add(s.offered);
-                tel.admitted[ci].add(s.admitted);
-                tel.shed[ci].add(s.shed);
-                tel.deadline_hits[ci].add(s.deadline_hits);
+                let totals = [s.offered, s.admitted, s.shed, s.deadline_hits];
+                for (counters, n) in tel.counts.iter().zip(totals) {
+                    counters[ci].add(n);
+                }
             }
         }
         let final_backlog = queues.iter().map(|q| q.q() + q.h()).sum();
@@ -352,64 +353,47 @@ impl ServingSystem {
     }
 
     /// The serving stage's per-device step: the decision
-    /// ([`decide_device`]), the offered traffic (arrival count, then one
-    /// class and one hardness draw per request), admission, the Eq. 10–11
-    /// queue step and the admitted requests' exit-tier draws, all from
-    /// the device's own stream (`weights` are the classes' plan-task
-    /// weights). Returns the admitted counts and the price of an admitted
-    /// request per (class, exit tier) cell; `None` for a churned-out
-    /// device. The offered requests wait in `row.scratch`, in arrival
-    /// order, until admission is decided. Allocation-free once the
-    /// scratch has grown to a slot's offered count (S6).
+    /// ([`decide_device`]), the offered count, the count-level draws of
+    /// [`ServingSystem::draw_requests`] around admission, and the
+    /// Eq. 10–11 queue step, all from the device's own stream (`weights`
+    /// are the classes' plan-task weights). Returns the admitted counts
+    /// and the price of an admitted request per (class, exit tier) cell;
+    /// `None` for a churned-out device. Allocation-free (S6).
     fn serve_device(
         &self,
         ctx: &ServeSlot<'_>,
         weights: [f64; 3],
         slot: u64,
         mut row: DeviceRow<'_>,
-    ) -> leime::Result<Option<Served>> {
-        let Some(d) = decide_device(&ctx.decide, &ctx.quants, slot, ctx.start, &mut row) else {
-            return Ok(None);
-        };
-        let DeviceRow {
-            queue,
-            rng,
-            scratch,
-            ..
-        } = row;
+    ) -> Option<Served> {
+        let d = decide_device(&ctx.decide, &ctx.quants, slot, ctx.start, &mut row)?;
+        let DeviceRow { queue, rng, .. } = row;
         let (x, obs, dev) = (d.outcome.x, d.obs, d.device);
-        let config = &self.config;
         let offered_n = SlotArrivals::Poisson {
             mean: dev.arrival_mean,
-            max: config.traffic.max_per_slot,
+            max: self.config.traffic.max_per_slot,
         }
         .draw(rng);
-        scratch.clear();
-        let (mut offered, mut hard) = ([0u64; 3], 0u64);
-        for _ in 0..offered_n {
-            let class = config.sla.class_for_draw(rng.gen_range(0.0..1.0));
-            let is_hard = rng.gen_range(0.0..1.0) < ctx.hard_f;
-            offered[class.index()] += 1;
-            hard += u64::from(is_hard);
-            // The class in bits 0–1, bit 2 marks a hard sample.
-            scratch.push(class.index() as u8 | u8::from(is_hard) << 2);
-        }
 
         let cost = SlotCost::new(d.shared, dev, obs.q, obs.h, obs.p_share);
         let device_quota = cost.device_quota();
         let edge_quota = if d.edge_up { cost.edge_quota(x) } else { 0.0 };
-        let decision = admit(
-            &config.admission,
-            obs.q,
-            obs.h,
-            device_quota,
-            edge_quota,
-            x,
-            weights,
-            offered,
-        );
-        let admitted_equiv: f64 = (0..3)
-            .map(|ci| decision.admitted[ci] as f64 * weights[ci])
+        let admission = |offered| {
+            admit(
+                &self.config.admission,
+                obs.q,
+                obs.h,
+                device_quota,
+                edge_quota,
+                x,
+                weights,
+                offered,
+            )
+            .admitted
+        };
+        let requests = self.draw_requests(offered_n, ctx.hard_f, d.degraded_local, admission, rng);
+        let admitted_equiv: f64 = (requests.admitted.iter().zip(weights))
+            .map(|(cells, w)| cells.iter().sum::<u64>() as f64 * w)
             .sum();
         queue.step(
             (1.0 - x) * admitted_equiv,
@@ -417,29 +401,6 @@ impl ServingSystem {
             device_quota,
             edge_quota,
         );
-
-        // Admit the first `admitted[c]` requests of each class in
-        // arrival order and draw each one's exit tier.
-        let mut quota_left = decision.admitted;
-        let mut admitted = [[0u64; 3]; 3];
-        for &request in scratch.iter() {
-            let (ci, hard) = (usize::from(request & 3), request >> 2 != 0);
-            if quota_left[ci] == 0 {
-                continue;
-            }
-            quota_left[ci] -= 1;
-            let tier = if d.degraded_local {
-                // Degraded mode runs fully local: forced first exit.
-                0
-            } else if hard {
-                // Hard samples refuse every early exit.
-                2
-            } else {
-                let plan_c = self.plan.for_class(SlaClass::ALL[ci]);
-                plan_c.tier_for_draw(rng.gen_range(0.0..1.0))?
-            };
-            admitted[ci][tier] += 1;
-        }
 
         // Price the admitted cohort: Eq. 12–14 first-block cost (backlog
         // wait included) per plan-task equivalent, plus the deterministic
@@ -469,16 +430,54 @@ impl ServingSystem {
                 + plan_c.mu[2] / self.scenario.cloud_flops;
             [first_block, second, second + cloud_leg]
         });
-        Ok(Some(Served {
+        Some(Served {
             fault: d.fault || d.degraded_local,
             x,
             q: obs.q,
             h: obs.h,
-            hard,
-            offered,
-            admitted,
+            requests,
             tct,
-        }))
+        })
+    }
+
+    /// Samples one device-slot's `offered_n` requests at count level, with
+    /// the law of i.i.d. per-request draws (DESIGN.md §12): class counts
+    /// `~ Multinomial(offered_n, mix)`, which `admission` maps to admitted
+    /// counts; then per class, admitted hard samples `~ Binomial(·, hard_f)`
+    /// at tier 2 and the rest `~ Multinomial(·, σ_c)` over the tiers
+    /// (Eq. 4). A degraded device runs every admitted request at tier 0
+    /// and draws the hard count over all requests.
+    fn draw_requests(
+        &self,
+        offered_n: u64,
+        hard_f: f64,
+        degraded: bool,
+        admission: impl FnOnce([u64; 3]) -> [u64; 3],
+        rng: &mut StdRng,
+    ) -> Requests {
+        let offered = split3(offered_n, self.config.sla.mix, rng);
+        let mut admitted = admission(offered).map(|n| [n, 0, 0]);
+        // Requests whose hardness is still undrawn: the shed ones, or on
+        // a degraded device every one.
+        let (mut hard, mut rest) = (0, offered_n);
+        if !degraded {
+            for (c, cell) in SlaClass::ALL.iter().zip(&mut admitted) {
+                let n = cell[0];
+                let hard_c = binomial_draw(n, hard_f, rng);
+                let sigma = self.plan.for_class(*c).sigma;
+                let exits = [sigma[0], sigma[1] - sigma[0], 1.0 - sigma[1]];
+                *cell = split3(n - hard_c, exits, rng);
+                cell[2] += hard_c;
+                hard += hard_c;
+                rest -= n;
+            }
+        }
+        hard += binomial_draw(rest, hard_f, rng);
+        Requests {
+            offered,
+            hard,
+            admitted,
+        }
     }
 }
 
@@ -502,13 +501,30 @@ struct Served {
     x: f64,
     q: f64,
     h: f64,
-    /// Offered requests flagged as hard samples.
-    hard: u64,
-    offered: [u64; 3],
-    /// Admitted requests by class and exit tier.
-    admitted: [[u64; 3]; 3],
+    requests: Requests,
     /// An admitted request's completion time by class and exit tier.
     tct: [[f64; 3]; 3],
+}
+
+/// One device-slot's requests, as counts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Requests {
+    /// Offered requests by class.
+    offered: [u64; 3],
+    /// Offered requests that are hard samples.
+    hard: u64,
+    /// Admitted requests by class and exit tier.
+    admitted: [[u64; 3]; 3],
+}
+
+/// Splits `n` trials over three outcomes, `~ Multinomial(n, probs)`, as
+/// two conditional binomials.
+fn split3(n: u64, probs: [f64; 3], rng: &mut StdRng) -> [u64; 3] {
+    let first = binomial_draw(n, probs[0], rng);
+    let rest = probs[1] + probs[2];
+    let p_second = if rest > 0.0 { probs[1] / rest } else { 0.0 };
+    let second = binomial_draw(n - first, p_second, rng);
+    [first, second, n - first - second]
 }
 
 /// The serving testbed: a Pi fleet with a deliberately scarce edge
@@ -832,6 +848,130 @@ mod tests {
                     assert_eq!(
                         snapshot, s,
                         "{name}: telemetry diverged at {workers}x{epoch_len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Maps a uniform draw `u ∈ [0, 1)` to a class under the `mix`.
+    fn class_for_draw(mix: [f64; 3], u: f64) -> SlaClass {
+        if u < mix[0] {
+            SlaClass::LatencyCritical
+        } else if u < mix[0] + mix[1] {
+            SlaClass::Standard
+        } else {
+            SlaClass::BestEffort
+        }
+    }
+
+    #[test]
+    fn class_for_draw_partitions_the_unit_interval() {
+        let mix = [0.2, 0.5, 0.3];
+        assert_eq!(class_for_draw(mix, 0.0), SlaClass::LatencyCritical);
+        assert_eq!(class_for_draw(mix, 0.19), SlaClass::LatencyCritical);
+        assert_eq!(class_for_draw(mix, 0.2), SlaClass::Standard);
+        assert_eq!(class_for_draw(mix, 0.69), SlaClass::Standard);
+        assert_eq!(class_for_draw(mix, 0.7), SlaClass::BestEffort);
+        assert_eq!(class_for_draw(mix, 0.999), SlaClass::BestEffort);
+    }
+
+    /// The per-request step [`ServingSystem::draw_requests`] replaces: one class and
+    /// one hardness draw per offered request, the first `admitted[c]`
+    /// requests of each class admitted in arrival order, and one
+    /// exit-tier draw per admitted non-hard request.
+    fn per_request(
+        sys: &ServingSystem,
+        offered_n: u64,
+        hard_f: f64,
+        degraded: bool,
+        admission: impl FnOnce([u64; 3]) -> [u64; 3],
+        rng: &mut StdRng,
+    ) -> Requests {
+        use leime_par::Rng;
+        let (mix, plan) = (sys.config.sla.mix, &sys.plan);
+        let mut requests = Vec::new();
+        let (mut offered, mut hard) = ([0u64; 3], 0u64);
+        for _ in 0..offered_n {
+            let class = class_for_draw(mix, rng.gen_range(0.0..1.0));
+            let is_hard = rng.gen_range(0.0..1.0) < hard_f;
+            offered[class.index()] += 1;
+            hard += u64::from(is_hard);
+            requests.push((class, is_hard));
+        }
+        let mut quota_left = admission(offered);
+        let mut admitted = [[0u64; 3]; 3];
+        for (class, is_hard) in requests {
+            let ci = class.index();
+            if quota_left[ci] == 0 {
+                continue;
+            }
+            quota_left[ci] -= 1;
+            let tier = if degraded {
+                0
+            } else if is_hard {
+                2
+            } else {
+                let u = rng.gen_range(0.0..1.0);
+                plan.for_class(class).tier_for_draw(u).unwrap()
+            };
+            admitted[ci][tier] += 1;
+        }
+        Requests {
+            offered,
+            hard,
+            admitted,
+        }
+    }
+
+    #[test]
+    fn count_level_draws_match_the_per_request_law() {
+        const SLOTS: u64 = 100_000;
+        let sys = system(1.0);
+        // Shed part of the two lower classes, so arrival order matters
+        // to the per-request reference.
+        let admission = |offered: [u64; 3]| [offered[0], offered[1].min(6), offered[2].min(2)];
+        let arrivals = SlotArrivals::Poisson {
+            mean: 12.0,
+            max: u64::MAX,
+        };
+        type Step<'a> = &'a dyn Fn(u64, &mut StdRng) -> Requests;
+        // Per statistic (offered by class, hard, admitted by class and
+        // tier): its sum and sum of squares over the slots.
+        let moments = |step: Step<'_>, seed: u64| {
+            let mut rng = leime_par::stream_rng(seed, 0);
+            let mut sums = [(0.0f64, 0.0f64); 13];
+            for _ in 0..SLOTS {
+                let r = step(arrivals.draw(&mut rng), &mut rng);
+                let stats = r
+                    .offered
+                    .into_iter()
+                    .chain([r.hard])
+                    .chain(r.admitted.concat());
+                for (sum, x) in sums.iter_mut().zip(stats) {
+                    let x = x as f64;
+                    *sum = (sum.0 + x, sum.1 + x * x);
+                }
+            }
+            sums.map(|(s, s2)| {
+                let mean = s / SLOTS as f64;
+                (mean, (s2 / SLOTS as f64 - mean * mean).max(0.0))
+            })
+        };
+        for hard_f in [0.0, 0.3, 1.0] {
+            for degraded in [false, true] {
+                let counts =
+                    |n, rng: &mut StdRng| sys.draw_requests(n, hard_f, degraded, admission, rng);
+                let reference =
+                    |n, rng: &mut StdRng| per_request(&sys, n, hard_f, degraded, admission, rng);
+                let got = moments(&counts, 1);
+                let want = moments(&reference, 2);
+                for (k, ((m, v), (m_ref, v_ref))) in got.into_iter().zip(want).enumerate() {
+                    let sd = ((v + v_ref) / SLOTS as f64).sqrt();
+                    assert!(
+                        (m - m_ref).abs() <= 4.0 * sd,
+                        "hard_f {hard_f}, degraded {degraded}, statistic {k}: \
+                         mean {m} vs per-request {m_ref} (σ {sd})"
                     );
                 }
             }

@@ -94,6 +94,50 @@ fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
     }
 }
 
+/// Trials per inversion run of [`binomial_draw`]: with `p ≤ ½`,
+/// `(1 − p)^1000 ≥ 2^-1000` stays a normal `f64`.
+const BINOMIAL_CHUNK: u64 = 1000;
+
+/// Draws a `Binomial(n, p)` count exactly, by inversion.
+///
+/// The walk runs on `s = min(p, 1 − p)` up the pmf recursion
+/// `P(x) = P(x − 1) · ((n + 1)·r/x − r)` with `r = s/(1 − s)`, capped at
+/// `x ≤ n`, and costs `O(n·s)` steps. `n` is split into runs of at most
+/// 1000 trials, so `(1 − s)ⁿ` never underflows; a sum of independent
+/// binomials with one `p` is itself binomial. `n = 0`, `p ≤ 0` (or NaN)
+/// and `p ≥ 1` draw nothing.
+pub fn binomial_draw(n: u64, p: f64, rng: &mut StdRng) -> u64 {
+    if n == 0 || p.is_nan() || p <= 0.0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return n;
+    }
+    let s = p.min(1.0 - p);
+    let r = s / (1.0 - s);
+    let mut hits = 0;
+    let mut left = n;
+    while left > 0 {
+        let m = left.min(BINOMIAL_CHUNK);
+        left -= m;
+        let a = (m + 1) as f64 * r;
+        let mut pmf = (1.0 - s).powi(m as i32);
+        let mut u: f64 = rng.gen();
+        let mut x = 0;
+        while u > pmf && x < m {
+            u -= pmf;
+            x += 1;
+            pmf *= a / x as f64 - r;
+        }
+        hits += x;
+    }
+    if s < p {
+        n - hits
+    } else {
+        hits
+    }
+}
+
 /// A two-state Markov-modulated Poisson process (bursty arrivals): each
 /// slot the process sits in a *calm* or *burst* state with its own Poisson
 /// mean, switching state with the given per-slot probabilities — the
@@ -245,6 +289,85 @@ mod tests {
         };
         for _ in 0..100 {
             assert!(a.draw(&mut rng) <= 10);
+        }
+    }
+
+    /// The `Binomial(n, p)` pmf, from the log-space product recursion.
+    fn binomial_pmf(n: u64, p: f64) -> Vec<f64> {
+        let mut ln_choose = 0.0;
+        (0..=n)
+            .map(|x| {
+                if x > 0 {
+                    ln_choose += ((n - x + 1) as f64 / x as f64).ln();
+                }
+                (ln_choose + x as f64 * p.ln() + (n - x) as f64 * (1.0 - p).ln()).exp()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn binomial_draw_follows_the_binomial_law() {
+        const DRAWS: u64 = 20_000;
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [1u64, 7, 48, 1000, 5000] {
+            for p in [1e-3, 0.2, 0.5, 0.7] {
+                let mut seen = vec![0u64; n as usize + 1];
+                for _ in 0..DRAWS {
+                    let x = binomial_draw(n, p, &mut rng);
+                    assert!(x <= n, "Binomial({n}, {p}) drew {x}");
+                    seen[x as usize] += 1;
+                }
+                let pmf = binomial_pmf(n, p);
+                // Pool outcomes, in order, into bins expecting ≥ 10
+                // draws; each bin's count must sit within 4σ.
+                let (mut want, mut got) = (0.0, 0u64);
+                for (x, (&px, &hits)) in pmf.iter().zip(&seen).enumerate() {
+                    want += DRAWS as f64 * px;
+                    got += hits;
+                    if want >= 10.0 || x as u64 == n {
+                        let sd = (want * (1.0 - want / DRAWS as f64)).max(0.0).sqrt();
+                        assert!(
+                            (got as f64 - want).abs() <= 4.0 * sd + 1e-9,
+                            "Binomial({n}, {p}) up to {x}: {got} draws, expected {want:.1} ± {sd:.1}"
+                        );
+                        (want, got) = (0.0, 0);
+                    }
+                }
+                let mean = (0..=n).map(|x| x * seen[x as usize]).sum::<u64>() as f64 / DRAWS as f64;
+                let sd = (n as f64 * p * (1.0 - p) / DRAWS as f64).sqrt();
+                assert!(
+                    (mean - n as f64 * p).abs() <= 4.0 * sd,
+                    "Binomial({n}, {p}) mean {mean}, expected {} ± {sd}",
+                    n as f64 * p
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn binomial_draw_edge_cases_are_exact_and_draw_nothing() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [0u64, 1, 7, 48, 1000, 5000] {
+            for p in [0.0, 1.0, f64::NAN, -0.5, 1.5, 0.2, 0.5] {
+                let before = rng.clone();
+                let x = binomial_draw(n, p, &mut rng);
+                let degenerate = n == 0 || p.is_nan() || p <= 0.0 || p >= 1.0;
+                if degenerate {
+                    let exact = if n > 0 && p >= 1.0 { n } else { 0 };
+                    assert_eq!(x, exact, "Binomial({n}, {p})");
+                    assert_eq!(rng, before, "Binomial({n}, {p}) drew");
+                } else {
+                    assert_ne!(rng, before, "Binomial({n}, {p}) drew nothing");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn binomial_draw_never_exceeds_n(n in 0u64..20_000, p in 0.0f64..=1.0, seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            proptest::prop_assert!(binomial_draw(n, p, &mut rng) <= n);
         }
     }
 
