@@ -5,6 +5,14 @@
 //! recovery. LEIME with the timeout → retry → local-fallback ladder is
 //! compared against the fault-free run and against a fully-local
 //! baseline under the same faults.
+//!
+//! A scaling arm then times what faults cost the slot loop: 800
+//! SqueezeNet Pis under 30 %-duty link flaps for 100 slots on one
+//! worker, as ns per device-slot against the fault-free run, and the
+//! same fleet, with and without faults, split over 1, 4 and 16 edges
+//! that share one edge's capacity. It hard-fails if any of its
+//! reports differ between 1 and 2 workers; its wall times are printed
+//! only, never recorded in the telemetry snapshot.
 
 #![allow(
     clippy::unwrap_used,
@@ -13,11 +21,15 @@
     reason = "an experiment driver, not library code: a broken setup aborts the run"
 )]
 
+use std::num::NonZeroUsize;
+
 use leime::{
-    invariant, ControllerKind, ExitStrategy, ModelKind, RunReport, Scenario, SlottedSystem,
+    invariant, ChaosConfig, ControllerKind, ExitStrategy, FaultModel, ModelKind, RunReport,
+    Scenario, SlottedSystem,
 };
 use leime_bench::{fmt_time, render_table};
-use leime_telemetry::Registry;
+use leime_fleet::{FleetConfig, FleetSystem};
+use leime_telemetry::{Clock, Registry, WallClock};
 
 const SLOTS: usize = 300;
 const SEED: u64 = 17;
@@ -29,6 +41,11 @@ const FAULT_WINDOW_S: f64 = 120.0;
 /// Sized ~2x the fault-free steady-state backlog (≈56 at this load);
 /// the unstable fully-local baseline ends an order of magnitude above it.
 const DRAIN_ENVELOPE: f64 = 100.0;
+
+/// The scaling arm's fleet: devices, slots and timing repetitions.
+const SCALE_DEVICES: usize = 800;
+const SCALE_SLOTS: usize = 100;
+const SCALE_REPS: usize = 5;
 
 struct Arm {
     name: &'static str,
@@ -46,6 +63,83 @@ fn run_arm(name: &'static str, scenario: &Scenario, registry: &Registry) -> Arm 
         name,
         report,
         backlog,
+    }
+}
+
+/// The fastest of [`SCALE_REPS`] runs of `run` at 1 worker, in
+/// seconds, after checking that its report is the same at 2 workers.
+fn timed(what: &str, run: impl Fn(NonZeroUsize) -> String) -> f64 {
+    let one = NonZeroUsize::MIN;
+    let report = run(one);
+    assert_eq!(
+        report,
+        run(NonZeroUsize::new(2).unwrap()),
+        "scaling arm: {what} differs at 1 and 2 workers"
+    );
+    let mut best = f64::INFINITY;
+    for _ in 0..SCALE_REPS {
+        let clock = WallClock::new();
+        run(one);
+        best = best.min(clock.now());
+    }
+    best
+}
+
+/// The scaling arm: the per-device-slot cost of link flaps at 800
+/// devices, and the fleet's wall time over 1, 4 and 16 edges, with and
+/// without faults.
+fn scaling_arm() {
+    let clean = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, SCALE_DEVICES, 5.0);
+    let mut flaps = clean.clone();
+    flaps.chaos = Some(ChaosConfig {
+        seed: CHAOS_SEED,
+        models: vec![FaultModel::LinkFlaps {
+            duty: 0.3,
+            mean_outage_s: 8.0,
+        }],
+        window_s: None,
+    });
+    let dep = clean.deploy(ExitStrategy::Leime).unwrap();
+    let bare = |scenario: &Scenario, workers| {
+        let mut sys = SlottedSystem::new(scenario.clone(), dep.clone()).unwrap();
+        let report = sys.run_with_workers(SCALE_SLOTS, SEED, workers).unwrap();
+        serde_json::to_string(&report).unwrap()
+    };
+    let per_slot = |s: f64| s * 1e9 / (SCALE_DEVICES * SCALE_SLOTS) as f64;
+    let clean_ns = per_slot(timed("the fault-free run", |w| bare(&clean, w)));
+    let flaps_ns = per_slot(timed("the link-flap run", |w| bare(&flaps, w)));
+    println!(
+        "\nscaling arm: {SCALE_DEVICES} devices, link flaps (30% duty, 8 s), \
+         {SCALE_SLOTS} slots, 1 worker (reports byte-identical at 2 workers)"
+    );
+    println!(
+        "  per device-slot: fault-free {clean_ns:.0} ns, with chaos {flaps_ns:.0} ns, \
+         ratio {:.2}x",
+        flaps_ns / clean_ns
+    );
+    // The edges split one edge's capacity, so every device faces the
+    // same problem at any edge count, and the fault-free fleet is the
+    // reference for what more edges cost whatever the faults.
+    for (name, scenario) in [("fault-free", &clean), ("chaos", &flaps)] {
+        let mut walls = Vec::new();
+        for edges in [1usize, 4, 16] {
+            let mut split = scenario.clone();
+            split.edge_flops /= edges as f64;
+            let fleet = |workers| {
+                let config = FleetConfig::regional(edges, 0);
+                let mut sys = FleetSystem::new(split.clone(), dep.clone(), config).unwrap();
+                let report = sys.run_with_workers(SCALE_SLOTS, SEED, workers).unwrap();
+                serde_json::to_string(&report).unwrap()
+            };
+            walls.push(timed(&format!("the {edges}-edge {name} fleet"), fleet));
+        }
+        println!(
+            "  {name} fleet wall: 1 edge {}, 4 edges {}, 16 edges {}; 16:1 ratio {:.2}x",
+            fmt_time(walls[0]),
+            fmt_time(walls[1]),
+            fmt_time(walls[2]),
+            walls[2] / walls[0]
+        );
     }
 }
 
@@ -127,6 +221,7 @@ fn main() {
         (tail / clean_mean - 1.0).abs() * 100.0,
         fmt_time(clean_mean),
     );
+    scaling_arm();
     if let Some(path) = json_path {
         leime_bench::write_telemetry(&registry, &path);
     }

@@ -8,7 +8,9 @@
 //! worker threads, asserts the two reports are byte-identical, and
 //! prints both wall times and their ratio.
 //!
-//! Writes `BENCH_serving.json` (schema `leime-bench/1`) and hard-fails
+//! Appends a row to the `BENCH_serving.json` history (schema
+//! `leime-bench/1`; each row names its git revision, toolchain and
+//! host) and hard-fails
 //! if admission control does not beat the no-admission baseline on
 //! latency-critical hit-rate under overload (the PR's acceptance bar).
 
@@ -20,9 +22,10 @@
 )]
 
 use std::num::NonZeroUsize;
+use std::path::Path;
 
 use leime::{invariant, ModelKind};
-use leime_bench::{fmt_time, render_table};
+use leime_bench::{fmt_time, perf, render_table};
 use leime_serving::{
     flash_brownout_testbed, serving_testbed, ServingReport, ServingSystem, SlaClass,
 };
@@ -258,9 +261,7 @@ fn main() {
 
     let workers = workers_arm();
 
-    let record = serde_json::json!({
-        "schema": "leime-bench/1",
-        "bench": "ext_serving",
+    let fields = serde_json::json!({
         "devices": DEVICES,
         "slots": SLOTS,
         "seed": SEED,
@@ -274,18 +275,13 @@ fn main() {
         },
         "workers": workers,
     });
-    let text = match serde_json::to_string_pretty(&record) {
-        Ok(t) => t,
+    match perf::append_row(Path::new(OUT_PATH), "ext_serving", "sweep", fields) {
+        Ok(rows) => eprintln!("bench row appended to {OUT_PATH} ({rows} run(s) on record)"),
         Err(e) => {
-            eprintln!("BENCH_serving record failed to serialise: {e}");
+            eprintln!("{e}");
             std::process::exit(1);
         }
-    };
-    if let Err(e) = std::fs::write(OUT_PATH, text + "\n") {
-        eprintln!("write {OUT_PATH}: {e}");
-        std::process::exit(1);
     }
-    eprintln!("bench record written to {OUT_PATH}");
 
     if let Some(path) = json_path {
         leime_bench::write_telemetry(&registry, &path);

@@ -168,6 +168,30 @@ pub fn history_doc_for(bench: &str, runs: Vec<Value>) -> Value {
     })
 }
 
+/// Appends a [`new_row`] of `fields` to the `bench` history at `path`
+/// and writes the history back; a pre-history file (one record marked
+/// by `record_key`) becomes its first row. Earlier rows are written back
+/// unchanged. Returns the number of rows on record.
+///
+/// # Errors
+///
+/// Returns a message when the history cannot be serialised or written.
+pub fn append_row(
+    path: &std::path::Path,
+    bench: &str,
+    record_key: &str,
+    fields: Value,
+) -> Result<usize, String> {
+    let mut history = load_history_for(path, record_key);
+    history.push(new_row(history.len() + 1, fields));
+    let rows = history.len();
+    let doc = history_doc_for(bench, history);
+    let pretty = serde_json::to_string_pretty(&doc)
+        .map_err(|e| format!("{bench} history failed to serialise: {e}"))?;
+    std::fs::write(path, pretty + "\n").map_err(|e| format!("write {}: {e}", path.display()))?;
+    Ok(rows)
+}
+
 /// A run's peak slots/s — sequential and parallel figures both count;
 /// the gate tracks peak throughput, whichever mode produced it.
 pub fn peak_slots_per_sec(run: &Value) -> Option<f64> {
@@ -556,5 +580,59 @@ mod tests {
         let migrated = history_from_text_for(pre, "sweep").unwrap();
         assert_eq!(migrated.len(), 1);
         assert_eq!(migrated[0]["run"].as_u64(), Some(1));
+    }
+
+    #[test]
+    fn appended_rows_leave_earlier_rows_byte_identical() {
+        let path =
+            std::env::temp_dir().join(format!("leime-bench-append-{}.json", std::process::id()));
+        // A pre-history record: the whole file is one run.
+        let pre = r#"{"schema":"leime-bench/1","bench":"ext_serving",
+            "devices":4,"slots":120,"sweep":[{"load":0.6,"offered":6848}]}"#;
+        std::fs::write(&path, pre).unwrap();
+        let rows = |path: &std::path::Path| -> Vec<String> {
+            let text = std::fs::read_to_string(path).unwrap();
+            let doc: Value = serde_json::from_str(&text).unwrap();
+            assert_eq!(doc["bench"].as_str(), Some("ext_serving"));
+            let runs = doc["runs"].as_array().unwrap();
+            runs.iter()
+                .map(|r| serde_json::to_string_pretty(r).unwrap())
+                .collect()
+        };
+        assert_eq!(
+            append_row(
+                &path,
+                "ext_serving",
+                "sweep",
+                serde_json::json!({"slots": 120})
+            ),
+            Ok(2)
+        );
+        let first = rows(&path);
+        assert_eq!(
+            append_row(
+                &path,
+                "ext_serving",
+                "sweep",
+                serde_json::json!({"slots": 60})
+            ),
+            Ok(3)
+        );
+        let second = rows(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(second[..2], first[..], "earlier rows changed");
+        // The migrated record keeps its fields as run 1, without provenance.
+        let migrated: Value = serde_json::from_str(&first[0]).unwrap();
+        assert_eq!(migrated["run"].as_u64(), Some(1));
+        let sweep = migrated["sweep"].as_array().unwrap();
+        assert_eq!(sweep[0]["offered"].as_u64(), Some(6848));
+        assert!(migrated.get("git_rev").is_none() && migrated.get("schema").is_none());
+        // Appended rows carry their provenance.
+        let row: Value = serde_json::from_str(&second[2]).unwrap();
+        assert_eq!(row["run"].as_u64(), Some(3));
+        assert_eq!(row["slots"].as_u64(), Some(60));
+        for key in ["git_rev", "git_dirty", "rustc", "host"] {
+            assert!(row.get(key).is_some(), "row lacks {key}");
+        }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! A controller (or the graceful-degradation wrapper) never sees fault
 //! *events*; it sees the composed health of a resource at a slot
-//! boundary. Overlapping multiplicative faults compose by product,
+//! boundary. Runs compose it from lane cursors (`crate::lanes`); the
+//! scans over a compiled [`FaultSchedule`] here are the reference they
+//! are tested against. Overlapping multiplicative faults compose by product,
 //! latency spikes by sum, and any active blackout/outage/churn wins
 //! outright.
 
@@ -110,8 +112,10 @@ impl FaultSchedule {
         health
     }
 
-    /// Whether device `device` is present (no churn fault active) at `t`.
-    pub fn device_alive(&self, device: usize, t: SimTime) -> bool {
+    /// Whether device `device` is present (no churn fault active) at `t`:
+    /// the scan that device lanes are tested against.
+    #[cfg(test)]
+    pub(crate) fn device_alive(&self, device: usize, t: SimTime) -> bool {
         !self.events().iter().any(|e| {
             matches!(e.kind, FaultKind::DeviceChurn)
                 && matches!(e.target, FaultTarget::Device(d) if d == device)

@@ -18,17 +18,23 @@
 //! * [`FaultModel`] / [`ChaosConfig`] — declarative, serialisable fault
 //!   generators (duty cycle + mean episode length per model), compiled to
 //!   a concrete schedule per seed,
-//! * [`LinkHealth`] / [`EdgeHealth`] — what a controller (or the graceful-
-//!   degradation wrapper in `leime-offload`) observes at a slot boundary.
+//! * [`LaneCursor`] / [`SharedLanes`] / [`DeviceLanes`] / [`EdgeChaos`] —
+//!   the same episodes drawn forward in time, which is how a run reads
+//!   them: O(1) per lane and slot instead of a scan of the schedule,
+//! * [`LinkHealth`] / [`EdgeHealth`] / [`SharedHealth`] — what a
+//!   controller (or the graceful-degradation wrapper in `leime-offload`)
+//!   observes at a slot boundary.
 //!
 //! Fault *injection* lives here; fault *handling* (timeout → bounded
 //! retry → fully-local fallback, Eq. 10–11 queue evolution under x = 0)
 //! lives in `leime-offload::degrade` and the `leime` core systems.
 
 mod health;
+mod lanes;
 mod models;
 mod schedule;
 
 pub use health::{EdgeHealth, LinkHealth};
+pub use lanes::{DeviceLanes, EdgeChaos, LaneCursor, SharedHealth, SharedLanes};
 pub use models::{ChaosConfig, FaultModel};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};

@@ -2,22 +2,18 @@
 //!
 //! A [`FaultModel`] describes a *process* ("links flap with 30% duty,
 //! ~8 s per outage"); a [`ChaosConfig`] bundles models with a seed and an
-//! optional fault window. [`ChaosConfig::compile`] turns the bundle into
-//! a concrete [`FaultSchedule`] by drawing alternating good/bad episodes
-//! from per-model, per-lane sub-RNGs — so adding a model or a device
-//! never perturbs the episodes another lane draws, and the same seed
-//! always compiles to the same schedule.
+//! optional fault window. Each (model, lane) pair draws alternating
+//! good/bad episodes from its own sub-RNG ([`crate::LaneCursor`]) — so
+//! adding a model or a device never perturbs the episodes another lane
+//! draws, and the same seed always yields the same episodes.
+//! [`ChaosConfig::compile`] drains every lane into a concrete
+//! [`FaultSchedule`].
 
+use crate::lanes::LaneCursor;
 use crate::schedule::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
 use leime_invariant as invariant;
 use leime_simnet::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Shortest episode the compiler emits, in seconds. Guards against
-/// degenerate zero-length intervals from extreme exponential draws.
-const MIN_EPISODE_S: f64 = 1e-3;
 
 /// A stochastic fault process, parameterised by its duty cycle (long-run
 /// fraction of time the fault is active, in `(0, 1)`) and mean episode
@@ -134,7 +130,7 @@ impl FaultModel {
     }
 
     /// Duty cycle and mean episode length, post-validation.
-    fn duty_mean(&self) -> (f64, f64) {
+    pub(crate) fn duty_mean(&self) -> (f64, f64) {
         match *self {
             FaultModel::LinkFlaps {
                 duty,
@@ -167,7 +163,7 @@ impl FaultModel {
     }
 
     /// The event kind this model emits.
-    fn kind(&self) -> FaultKind {
+    pub(crate) fn kind(&self) -> FaultKind {
         match *self {
             FaultModel::LinkFlaps { .. } => FaultKind::LinkBlackout,
             FaultModel::BandwidthCollapse { factor, .. } => FaultKind::BandwidthCollapse { factor },
@@ -178,16 +174,23 @@ impl FaultModel {
         }
     }
 
-    /// The independent lanes this model draws episodes on.
-    fn targets(&self, n_devices: usize) -> Vec<FaultTarget> {
-        match self {
+    /// Whether the model draws one lane per device (else one lane for
+    /// the edge, or for every device at once).
+    pub(crate) fn per_device(&self) -> bool {
+        matches!(
+            self,
             FaultModel::LinkFlaps { .. }
-            | FaultModel::LatencySpikes { .. }
-            | FaultModel::DeviceChurn { .. } => (0..n_devices).map(FaultTarget::Device).collect(),
-            FaultModel::BandwidthCollapse { .. } => vec![FaultTarget::AllDevices],
-            FaultModel::EdgeBrownout { .. } | FaultModel::EdgeOutages { .. } => {
-                vec![FaultTarget::Edge]
-            }
+                | FaultModel::LatencySpikes { .. }
+                | FaultModel::DeviceChurn { .. }
+        )
+    }
+
+    /// The target of the model's lane `lane`.
+    fn target(&self, lane: usize) -> FaultTarget {
+        match self {
+            _ if self.per_device() => FaultTarget::Device(lane),
+            FaultModel::BandwidthCollapse { .. } => FaultTarget::AllDevices,
+            _ => FaultTarget::Edge,
         }
     }
 }
@@ -234,59 +237,37 @@ impl ChaosConfig {
         Ok(())
     }
 
+    /// The end of the fault window over a run of length `horizon`.
+    pub(crate) fn window(&self, horizon: SimTime) -> SimTime {
+        self.window_s
+            .map_or(horizon, |w| SimTime::from_secs(w).min(horizon))
+    }
+
     /// Compiles the config into a concrete schedule for `n_devices`
-    /// devices over `[0, horizon)` of simulated time.
-    ///
-    /// Each (model, lane) pair draws alternating exponential gap/episode
-    /// lengths from its own sub-RNG, with the mean gap chosen so the
-    /// long-run active fraction matches the model's duty cycle. Episodes
-    /// are clipped to the fault window; the first interval is always a
-    /// gap, so runs never start mid-fault.
+    /// devices over `[0, horizon)` of simulated time: every lane's
+    /// episodes ([`LaneCursor`]), clipped to the fault window, in model,
+    /// lane and time order.
     pub fn compile(&self, n_devices: usize, horizon: SimTime) -> FaultSchedule {
         invariant::check_nonneg("chaos.compile.horizon", horizon.as_secs());
         if let Err(msg) = self.validate() {
             invariant::violation("chaos.config", &msg);
         }
-        let window = self
-            .window_s
-            .map_or(horizon, |w| SimTime::from_secs(w).min(horizon));
         let mut events = Vec::new();
         for (model_idx, model) in self.models.iter().enumerate() {
-            let (duty, mean_episode) = model.duty_mean();
-            let mean_gap = mean_episode * (1.0 - duty) / duty;
-            let kind = model.kind();
-            for (lane_idx, target) in model.targets(n_devices).into_iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(sub_seed(self.seed, model_idx, lane_idx));
-                let mut t = exp_draw(&mut rng, mean_gap);
-                while t < window.as_secs() {
-                    let len = exp_draw(&mut rng, mean_episode).max(MIN_EPISODE_S);
-                    let end = (t + len).min(window.as_secs());
-                    if end > t {
-                        events.push(FaultEvent {
-                            kind,
-                            target,
-                            start: SimTime::from_secs(t),
-                            end: SimTime::from_secs(end),
-                        });
-                    }
-                    t = end + exp_draw(&mut rng, mean_gap);
-                }
+            let lanes = if model.per_device() { n_devices } else { 1 };
+            for lane in 0..lanes {
+                let (kind, target) = (model.kind(), model.target(lane));
+                let cursor = LaneCursor::new(self, model_idx, lane, horizon);
+                events.extend(cursor.episodes().map(|(start, end)| FaultEvent {
+                    kind,
+                    target,
+                    start,
+                    end,
+                }));
             }
         }
         FaultSchedule::new_checked(events)
     }
-}
-
-/// Mixes (seed, model, lane) into an independent sub-stream seed.
-fn sub_seed(seed: u64, model_idx: usize, lane_idx: usize) -> u64 {
-    seed ^ (model_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (lane_idx as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
-}
-
-/// Exponential draw with the given mean via inverse-CDF.
-fn exp_draw(rng: &mut StdRng, mean: f64) -> f64 {
-    let u: f64 = rng.gen_range(0.0..1.0);
-    -mean * (1.0 - u).ln()
 }
 
 #[cfg(test)]

@@ -153,7 +153,8 @@ pub struct Scenario {
     #[serde(default)]
     pub bandwidth_scale: Option<TimeTrace>,
     /// Optional deterministic fault injection (`leime-chaos`): a seeded
-    /// bundle of fault models compiled to an event schedule at run start.
+    /// bundle of fault models, whose episodes a run draws forward in time
+    /// on per-(model, lane) cursors.
     /// `None` runs fault-free.
     #[serde(default)]
     pub chaos: Option<ChaosConfig>,

@@ -3,7 +3,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
 
-use leime_chaos::{ChaosConfig, EdgeHealth, FaultSchedule, LinkHealth};
+use leime_chaos::{ChaosConfig, DeviceLanes, EdgeChaos, LinkHealth, SharedHealth, SharedLanes};
 use leime_offload::{
     kkt_allocation_with_floor, ControllerTelemetry, DecisionBatch, DegradeMode, DegradeOutcome,
     DegradeState, DeviceParams, OffloadController, QueuePair, SharedParams, SlotCost,
@@ -152,6 +152,9 @@ struct ShardState {
     /// Empty unless the workload is `Bursty` (then one entry per device).
     mmpp: Vec<Mmpp>,
     rngs: Vec<StdRng>,
+    /// Empty unless the run injects faults (then one entry per device:
+    /// its own chaos lanes, derived on its first slot).
+    lanes: Vec<DeviceLanes>,
     memo: DecideMemo,
 }
 
@@ -204,15 +207,16 @@ fn decide_key(s: &SharedParams, d: &DeviceParams, obs: &SlotObservation) -> [u64
     ]
 }
 
-/// What [`decide_device`] reads besides the device's own state: the
-/// scenario, its compiled fault schedule, the decision policy and the
-/// slot's shared parameters.
+/// What [`decide_device`] reads besides the device's own state and the
+/// slot's shared health: the scenario, the edge's faults, the decision
+/// policy and the slot's shared parameters.
 #[derive(Clone, Copy)]
 pub struct DecideCtx<'a> {
     /// The scenario (devices, links, degradation policy).
     pub scenario: &'a Scenario,
-    /// The compiled chaos schedule, if the scenario injects faults.
-    pub schedule: Option<&'a FaultSchedule>,
+    /// The edge's faults, if the scenario injects any: each device
+    /// derives its own lanes from them ([`DeviceRow::lanes`]).
+    pub chaos: Option<EdgeChaos<'a>>,
     /// The decision policy; `decide` must be pure (see [`DecideMemo`]).
     pub decider: &'a dyn OffloadController,
     /// Shared parameters before the edge's health scales them.
@@ -289,6 +293,9 @@ pub struct DeviceRow<'a> {
     pub mmpp: Option<&'a mut Mmpp>,
     /// The device's own RNG stream, `stream_rng(seed, i)`.
     pub rng: &'a mut StdRng,
+    /// The device's own chaos lanes (flaps, spikes, churn), advanced by
+    /// [`decide_device`] (runs that inject faults only).
+    pub lanes: Option<&'a mut DeviceLanes>,
     /// The shard's decide memo (see [`decide_device`]).
     pub memo: &'a mut DecideMemo,
 }
@@ -327,9 +334,10 @@ impl<'a, O> Iterator for SlotRecords<'a, O> {
 pub struct Edges<'a> {
     /// The number of edges.
     pub count: usize,
-    /// Edge `e`'s fault config, derived from the scenario's. Each is
-    /// compiled once per run over every device lane (keyed by device
-    /// index) and queried at run time.
+    /// Edge `e`'s fault config, derived from the scenario's. The edge's
+    /// shared lanes advance once per slot on the driver; a device on the
+    /// edge derives its own lanes (keyed by device index) from it, again
+    /// after every move to another edge.
     pub chaos: fn(Option<&ChaosConfig>, usize) -> Option<ChaosConfig>,
     /// Device → edge; every entry is below `count`, before and after
     /// each boundary.
@@ -520,8 +528,9 @@ impl SlottedSystem {
     ///
     /// The slotted stage on [`run_slot_loop`]: per-slot fleet quantities
     /// (arrival means, each edge's KKT shares — Eq. 27) on the driver,
+    /// each edge's shared fault health (its edge and all-device lanes),
     /// the per-device step `device_slot` on the workers under its edge's
-    /// fault schedule, and the replay of each slot, in device order, into
+    /// faults, and the replay of each slot, in device order, into
     /// its edge's report and telemetry. Epochs end at interval ends, so
     /// the boundary runs between epochs on the queues the replay has
     /// folded, and the next interval's broadcasts see its assignment.
@@ -559,20 +568,33 @@ impl SlottedSystem {
             )));
         }
         let horizon = SimTime::from_secs(slots as f64 * scenario.slot_len_s);
-        let schedules: Vec<Option<FaultSchedule>> = (0..n_edges)
-            .map(|e| chaos(scenario.chaos.as_ref(), e).map(|c| c.compile(n, horizon)))
+        // Each edge's fault config, and its shared lanes: advanced by the
+        // broadcasts, and read once more at a boundary, at the slot it
+        // follows.
+        type EdgeFaults = (Option<ChaosConfig>, RefCell<Option<SharedLanes>>);
+        let faults: Vec<EdgeFaults> = (0..n_edges)
+            .map(|edge| {
+                let config = chaos(scenario.chaos.as_ref(), edge);
+                let lanes = config.as_ref().map(|c| c.shared_lanes(horizon));
+                (config, RefCell::new(lanes))
+            })
             .collect();
         // Workers decide; the driver records decision telemetry in
         // device order.
         let decider = scenario.controller.build();
         let want_dpp =
             decider.records_decisions() && (self.telemetry.is_some() || registry.is_some());
-        let runs: Vec<RunCtx<'_>> = schedules
+        let runs: Vec<RunCtx<'_>> = faults
             .iter()
-            .map(|schedule| RunCtx {
+            .enumerate()
+            .map(|(edge, (config, _))| RunCtx {
                 decide: DecideCtx {
                     scenario,
-                    schedule: schedule.as_ref(),
+                    chaos: config.as_ref().map(|config| EdgeChaos {
+                        config,
+                        edge,
+                        horizon,
+                    }),
                     decider: decider.as_ref(),
                     shared: scenario.shared_params(&self.deployment),
                     want_dpp,
@@ -627,14 +649,21 @@ impl SlottedSystem {
                 }
                 _ => Arc::clone(base),
             };
-            (start, Arc::clone(edge_of), quants)
+            let mut health = vec![SharedHealth::NOMINAL; n_edges];
+            for (h, (_, lanes)) in health.iter_mut().zip(&faults) {
+                if let Some(lanes) = lanes.borrow_mut().as_mut() {
+                    *h = lanes.health(start);
+                }
+            }
+            (start, Arc::clone(edge_of), quants, health)
         };
 
-        let step = |(start, edge_of, quants): &(SimTime, Arc<[usize]>, Arc<SlotQuants>),
-                    slot: usize,
-                    row: DeviceRow<'_>| {
-            device_slot(&runs[edge_of[row.i]], quants, *start, slot as u64, row)
-        };
+        type Broadcast = (SimTime, Arc<[usize]>, Arc<SlotQuants>, Vec<SharedHealth>);
+        let step =
+            |(start, edge_of, quants, health): &Broadcast, slot: usize, row: DeviceRow<'_>| {
+                let e = edge_of[row.i];
+                device_slot(&runs[e], quants, &health[e], *start, slot as u64, row)
+            };
 
         // Driver-side replay state, reused across slots so steady-state
         // flushing allocates nothing (the TCT histograms' windows aside:
@@ -690,7 +719,10 @@ impl SlottedSystem {
                 }
             }
             if slot + 1 == intervals[iv].end && iv + 1 < intervals.len() {
-                let up = |e: usize| schedules[e].as_ref().is_none_or(|s| s.edge_health(t).up);
+                let up = |e: usize| {
+                    let mut lanes = faults[e].1.borrow_mut();
+                    lanes.as_mut().is_none_or(|l| l.health(t).edge.up)
+                };
                 boundary(slot + 1, &up, assignment, &queues);
                 let mut view = view.borrow_mut();
                 if view.0[..] != assignment[..] {
@@ -703,7 +735,8 @@ impl SlottedSystem {
             Ok(())
         };
 
-        let start = (&self.queues[..], &self.mmpp[..], seed);
+        let chaos = faults.iter().any(|(config, _)| config.is_some());
+        let start = (&self.queues[..], &self.mmpp[..], seed, chaos);
         let (queues, mmpp) = run_slot_loop(start, &epochs, workers, broadcast, step, replay)?;
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
@@ -725,7 +758,8 @@ impl SlottedSystem {
 
 /// The sharded slot loop every slotted system, fleet and serving run
 /// goes through (DESIGN.md §14): the slots of `epochs`, in order, of one
-/// system whose devices start from `(queues, mmpp, seed)`, in one
+/// system whose devices start from `(queues, mmpp, seed, chaos)` (with
+/// fresh chaos lanes in each row when `chaos`), in one
 /// `leime_par::run_rounds` call with one round per epoch, the devices
 /// partitioned across up to `workers` threads.
 ///
@@ -754,7 +788,7 @@ impl SlottedSystem {
 /// [`crate::LeimeError::Parallel`] if a worker shard fails (a caught
 /// panic surfaces as a typed error, never a hang).
 pub fn run_slot_loop<B, O>(
-    (queues, mmpp, seed): (&[QueuePair], &[Mmpp], u64),
+    (queues, mmpp, seed, chaos): (&[QueuePair], &[Mmpp], u64, bool),
     epochs: &[Range<usize>],
     workers: NonZeroUsize,
     mut broadcast: impl FnMut(usize) -> B,
@@ -765,7 +799,7 @@ where
     B: Send + Sync,
     O: Send,
 {
-    let shards = build_shards(queues, mmpp, seed, workers.get());
+    let shards = build_shards(queues, mmpp, seed, chaos, workers.get());
     let lens: Vec<usize> = shards.iter().map(ShardState::len).collect();
 
     // Each round's context: its slots and the stage's per-slot
@@ -790,6 +824,7 @@ where
                         degrade: &mut sh.degrades[k],
                         mmpp: sh.mmpp.get_mut(k),
                         rng: &mut sh.rngs[k],
+                        lanes: sh.lanes.get_mut(k),
                         memo: &mut sh.memo,
                     };
                     outs.push(step(b, slot, row)?);
@@ -885,9 +920,16 @@ fn edge_quants(
 }
 
 /// Splits the per-device state into struct-of-arrays shards with
-/// `leime_par::partition`. Device `i` draws from `stream_seed(seed, i)`,
-/// so shard layout never touches its draw sequence.
-fn build_shards(queues: &[QueuePair], mmpp: &[Mmpp], seed: u64, workers: usize) -> Vec<ShardState> {
+/// `leime_par::partition`, with chaos lanes when `chaos`. Device `i`
+/// draws from `stream_seed(seed, i)`, so shard layout never touches its
+/// draw sequence.
+fn build_shards(
+    queues: &[QueuePair],
+    mmpp: &[Mmpp],
+    seed: u64,
+    chaos: bool,
+    workers: usize,
+) -> Vec<ShardState> {
     let ranges = leime_par::partition(queues.len(), workers);
     ranges
         .into_iter()
@@ -899,6 +941,11 @@ fn build_shards(queues: &[QueuePair], mmpp: &[Mmpp], seed: u64, workers: usize) 
                 Vec::new()
             } else {
                 mmpp[range.clone()].to_vec()
+            },
+            lanes: if chaos {
+                vec![DeviceLanes::default(); range.len()]
+            } else {
+                Vec::new()
             },
             rngs: range
                 .map(|i| leime_par::stream_rng(seed, i as u64))
@@ -950,31 +997,27 @@ fn tail_cost(run: &RunCtx<'_>, cost: &SlotCost, x: f64, tasks: f64) -> f64 {
 }
 
 /// The device-side decision step of one device-slot (§III-D): the
-/// chaos health and churn lookup, the decision inputs, the memoised
-/// Eq. 20 solve and the degradation ladder. `None` when the device is
-/// churned out (absent this slot: no arrivals, no service, frozen
-/// queues). Shared by the slotted system and the serving runtime;
-/// allocation-free (S6).
+/// device's chaos lanes and churn on top of the edge's `shared` health
+/// at `slot_start`, the decision inputs, the memoised Eq. 20 solve and
+/// the degradation ladder. `None` when the device is churned out
+/// (absent this slot: no arrivals, no service, frozen queues). Shared
+/// by the slotted system and the serving runtime; allocation-free once
+/// the device's lanes exist (S6).
 #[inline]
 pub fn decide_device(
     ctx: &DecideCtx<'_>,
     quants: &SlotQuants,
+    shared: &SharedHealth,
     slot: u64,
     slot_start: SimTime,
     row: &mut DeviceRow<'_>,
 ) -> Option<DeviceDecision> {
     let (i, memo) = (row.i, &mut *row.memo);
-    let (link, edge, alive) = match ctx.schedule {
-        Some(s) => (
-            s.link_health(i, slot_start),
-            s.edge_health(slot_start),
-            s.device_alive(i, slot_start),
-        ),
-        None => (LinkHealth::NOMINAL, EdgeHealth::NOMINAL, true),
+    let link = match (&ctx.chaos, row.lanes.as_deref_mut()) {
+        (Some(chaos), Some(lanes)) => chaos.link_health(lanes, i, shared, slot_start)?,
+        _ => LinkHealth::NOMINAL,
     };
-    if !alive {
-        return None;
-    }
+    let edge = shared.edge;
     let scenario = ctx.scenario;
     let device = DeviceParams {
         arrival_mean: quants.means[i],
@@ -1037,11 +1080,12 @@ pub fn decide_device(
 fn device_slot(
     run: &RunCtx<'_>,
     quants: &SlotQuants,
+    shared: &SharedHealth,
     slot_start: SimTime,
     t_slot: u64,
     mut row: DeviceRow<'_>,
 ) -> Result<DeviceSlotOut> {
-    let Some(d) = decide_device(&run.decide, quants, t_slot, slot_start, &mut row) else {
+    let Some(d) = decide_device(&run.decide, quants, shared, t_slot, slot_start, &mut row) else {
         return Ok(DeviceSlotOut::Churned);
     };
     let DeviceRow {
@@ -1258,7 +1302,7 @@ mod tests {
             .map(|i| Mmpp::new(1.0 + i as f64, 8.0, 0.1, 0.3, 50))
             .collect();
         for workers in [1usize, 2, 3, 7, 16] {
-            let shards = build_shards(&queues, &mmpp, 99, workers);
+            let shards = build_shards(&queues, &mmpp, 99, false, workers);
             let mut device = 0usize;
             for sh in &shards {
                 assert_eq!(sh.start, device, "shard start out of order");
@@ -1276,10 +1320,14 @@ mod tests {
             }
             assert_eq!(device, queues.len(), "shards dropped devices");
         }
-        // Workloads without MMPP state shard to empty arrays, not panics.
-        assert!(build_shards(&queues, &[], 1, 3)
+        // Workloads without MMPP state or faults shard to empty arrays,
+        // not panics; with faults every device gets fresh lanes.
+        assert!(build_shards(&queues, &[], 1, false, 3)
             .iter()
-            .all(|s| s.mmpp.is_empty()));
+            .all(|s| s.mmpp.is_empty() && s.lanes.is_empty()));
+        assert!(build_shards(&queues, &[], 1, true, 3)
+            .iter()
+            .all(|s| s.lanes == vec![DeviceLanes::default(); s.len()]));
     }
 
     /// A toy record naming its own device-slot: `(slot, i)`.
@@ -1304,7 +1352,14 @@ mod tests {
         };
         let queues = vec![QueuePair::new(); n];
         let workers = NonZeroUsize::new(workers).unwrap();
-        let lanes = run_slot_loop((&queues, &[], 1), epochs, workers, |_| (), step, replay);
+        let lanes = run_slot_loop(
+            (&queues, &[], 1, false),
+            epochs,
+            workers,
+            |_| (),
+            step,
+            replay,
+        );
         (lanes.map(|(queues, _)| queues.len()), seen)
     }
 

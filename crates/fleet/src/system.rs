@@ -18,8 +18,9 @@
 //!
 //! ## Determinism obligations
 //!
-//! Time is global: each edge's fault schedule is compiled once per run
-//! over every device lane and queried at global slot time, and MMPP
+//! Time is global: each edge's fault lanes run over the whole horizon
+//! and are read at global slot time (a device re-derives its own lanes
+//! from its new edge's config after a move, from t = 0), and MMPP
 //! burst state, degrade ladders and RNG lanes run on across boundaries,
 //! identically at every worker count and epoch length. Every cross-edge
 //! decision (assignment, failover, balancing) is a pure function of
@@ -499,5 +500,112 @@ mod tests {
         f.run(20, 3).expect("runs");
         let total: f64 = f.queues().iter().map(|qp| qp.q() + qp.h()).sum();
         assert!(total > 10.0, "no backlog carried: {total}");
+    }
+
+    #[test]
+    fn migrated_devices_read_their_new_edges_faults() {
+        // Every device moves to the next edge at each boundary, under
+        // all six kinds of lane. A device's fault and churn slots on an
+        // edge are the scan of that edge's compiled schedule, so each
+        // (interval, edge) report's counts must be the scan's over the
+        // devices the edge held, at 1 and 2 workers.
+        use leime_chaos::{ChaosConfig, FaultKind, FaultModel, FaultTarget};
+        use leime_simnet::SimTime;
+        let (n, n_edges, slots, interval) = (6, 3, 60, 7);
+        let mut scenario = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, n, 5.0);
+        scenario.chaos = Some(ChaosConfig {
+            seed: 11,
+            models: vec![
+                FaultModel::LinkFlaps {
+                    duty: 0.3,
+                    mean_outage_s: 3.0,
+                },
+                FaultModel::LatencySpikes {
+                    duty: 0.3,
+                    add_s: 0.05,
+                    mean_episode_s: 2.0,
+                },
+                FaultModel::DeviceChurn {
+                    duty: 0.2,
+                    mean_absence_s: 4.0,
+                },
+                FaultModel::EdgeBrownout {
+                    duty: 0.3,
+                    factor: 0.5,
+                    mean_episode_s: 5.0,
+                },
+                FaultModel::EdgeOutages {
+                    duty: 0.1,
+                    mean_outage_s: 2.0,
+                },
+                FaultModel::BandwidthCollapse {
+                    duty: 0.3,
+                    factor: 0.5,
+                    mean_episode_s: 4.0,
+                },
+            ],
+            window_s: None,
+        });
+        let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
+        let horizon = SimTime::from_secs(slots as f64 * scenario.slot_len_s);
+        let schedules: Vec<_> = (0..n_edges)
+            .map(|e| {
+                let config = edge_chaos(scenario.chaos.as_ref(), e).expect("chaos");
+                config.compile(n, horizon)
+            })
+            .collect();
+        let edge_of = |i: usize, k: usize| (i + k) % n_edges;
+        for workers in [1, 2] {
+            let mut sys = SlottedSystem::new(scenario.clone(), deployment.clone()).expect("builds");
+            let mut assignment: Vec<usize> = (0..n).map(|i| edge_of(i, 0)).collect();
+            let mut boundary =
+                |_: usize, _: &dyn Fn(usize) -> bool, assignment: &mut [usize], _: &[QueuePair]| {
+                    for e in assignment.iter_mut() {
+                        *e = (*e + 1) % n_edges;
+                    }
+                };
+            let edges = Edges {
+                count: n_edges,
+                chaos: edge_chaos,
+                assignment: &mut assignment,
+                interval,
+                registry: None,
+                boundary: &mut boundary,
+            };
+            let workers = NonZeroUsize::new(workers).expect("positive");
+            let reports = sys
+                .run_on_edges(slots, 5, workers, DEFAULT_EPOCH_LEN, edges)
+                .expect("runs");
+            let (mut faults, mut churns) = (0, 0);
+            for (k, reports) in reports.iter().enumerate() {
+                for (e, report) in reports.iter().enumerate() {
+                    let schedule = &schedules[e];
+                    let (mut fault, mut churn) = (0, 0);
+                    for slot in k * interval..((k + 1) * interval).min(slots) {
+                        let t = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
+                        for i in (0..n).filter(|&i| edge_of(i, k) == e) {
+                            let churned = schedule.events().iter().any(|ev| {
+                                ev.kind == FaultKind::DeviceChurn
+                                    && ev.target == FaultTarget::Device(i)
+                                    && ev.active_at(t)
+                            });
+                            if churned {
+                                churn += 1;
+                            } else if !schedule.link_health(i, t).is_nominal()
+                                || !schedule.edge_health(t).is_nominal()
+                            {
+                                fault += 1;
+                            }
+                        }
+                    }
+                    let f = report.fault_stats();
+                    let got = (f.fault_slots, f.churn_slots);
+                    assert_eq!(got, (fault, churn), "interval {k}, edge {e}, {workers:?}");
+                    faults += fault;
+                    churns += churn;
+                }
+            }
+            assert!(faults > 0 && churns > 0, "faults {faults}, churns {churns}");
+        }
     }
 }

@@ -112,9 +112,10 @@ pub fn initial_assignment(n_devices: usize, edges: usize, assign_seed: u64) -> V
 
 /// Per-edge chaos derivation: edge 0 keeps the template's config (the
 /// equivalence anchor); sibling edges re-seed the same fault bundle so
-/// outages strike edges independently but deterministically. Each
-/// edge's schedule covers every device lane, keyed by global id, so a
-/// 1-edge fleet sees exactly the bare run's faults.
+/// outages strike edges independently but deterministically. A device
+/// derives its lanes of an edge's config from its global id (again
+/// after each move), so a 1-edge fleet sees exactly the bare run's
+/// faults.
 pub fn edge_chaos(template: Option<&ChaosConfig>, edge: usize) -> Option<ChaosConfig> {
     template.map(|c| {
         if edge == 0 {

@@ -115,10 +115,12 @@ impl Default for SemaConfig {
                 "branch_and_bound",
                 "exhaustive",
                 "multi_tier_exits",
-                // chaos + graceful-degradation entry points
+                // chaos + graceful-degradation entry points (`health`:
+                // composition over lane cursors)
                 "compile",
                 "link_health",
                 "edge_health",
+                "health",
                 "degraded_decide",
                 // parallel sweep entry point (finite-cost guard)
                 "par_sweep",
@@ -131,6 +133,7 @@ impl Default for SemaConfig {
                 "evacuate",
             ]),
             hot_path_markers: strings(&[
+                "crates/chaos/src",
                 "crates/core/src",
                 "crates/par/src",
                 "crates/serving/src",

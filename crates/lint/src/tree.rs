@@ -536,9 +536,9 @@ impl Tree {
 
     // ----- bindings --------------------------------------------------------
 
-    /// Every identifier `lo..hi` binds: simple `let` names, `for`
-    /// patterns and closure parameters, at any depth. Match-arm and
-    /// `if let` patterns bind nothing here.
+    /// Every identifier `lo..hi` binds: `let` patterns (simple or
+    /// destructuring), `for` patterns and closure parameters, at any
+    /// depth. Match-arm and `if let` patterns bind nothing here.
     fn bindings(&self, lo: usize, hi: usize) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for i in self.visible(lo, hi) {
@@ -547,11 +547,8 @@ impl Tree {
                     let cond = i
                         .checked_sub(1)
                         .is_some_and(|p| matches!(self.text(p), "if" | "while" | "&&" | "||"));
-                    let j = self.past(i + 1, "mut");
-                    if let Some(name) = self.ident(j) {
-                        if !cond && matches!(self.text(j + 1), ":" | "=" | ";") {
-                            out.insert(name.to_string());
-                        }
+                    if !cond {
+                        out.extend(self.let_names(i + 1, hi));
                     }
                 }
                 Some("for") if !self.punct(i + 1, "<") => {
@@ -578,6 +575,25 @@ impl Tree {
             }
         }
         out
+    }
+
+    /// The names the `let` pattern starting at `i` binds: its var-like
+    /// identifiers up to its `=`, `;` or type annotation, less path
+    /// segments, struct and variant names, and the field name of each
+    /// `field: binding` pair (`let (a, b)`, `let Row { queue, rng: r, .. }`
+    /// and `let [x, .., y]` bind every name but `Row`).
+    fn let_names(&self, i: usize, hi: usize) -> Vec<String> {
+        let end = self.sibling(i, hi, &["=", ";", ":"]);
+        (i..end)
+            .filter(|&k| {
+                let path = k.checked_sub(1).is_some_and(|p| self.punct(p, "::"));
+                let field = k + 1 < end && self.punct(k + 1, ":");
+                !path && !field && !matches!(self.text(k + 1), "::" | "(" | "{" | "!")
+            })
+            .filter_map(|k| self.ident(k))
+            .filter(|name| is_var_like(name) && !matches!(*name, "mut" | "ref" | "_" | "self"))
+            .map(str::to_string)
+            .collect()
     }
 
     /// Every identifier `f` binds: its parameter patterns, `self`, and
@@ -973,6 +989,18 @@ mod tests {
         assert_eq!(calls(src), ["len", "take"]);
         let src = "fn f(o: O) -> P { let (a, mut b) = o.pair(); match o.get() { Some((c, d)) => P(a, b, c, d), None => P(e, b, b, b) } }";
         assert_eq!(calls(src), ["P", "Some", "e", "get", "pair"]);
+    }
+
+    #[test]
+    fn destructuring_lets_bind_their_pattern_names() {
+        let src = "fn f(o: O) { let (a, mut b) = o.pair(); \
+                   let Row { queue, rng: r, .. } = o.row(); let [x, .., y] = o.arr(); \
+                   let e::V(z) = o.v(); let Some(w) = o.w() else { return }; \
+                   let (p, q): (u8, u8) = (1, 2); if let Some(m) = o.m() { m.go(); } }";
+        assert_eq!(
+            bound(src),
+            ["a", "b", "o", "p", "q", "queue", "r", "self", "w", "x", "y", "z"]
+        );
     }
 
     #[test]

@@ -303,6 +303,18 @@ fn s5_fixture_flags_interior_captures() {
 }
 
 #[test]
+fn s5_fixture_flags_destructured_captures() {
+    let report = scan_fixture("s5_destructured.rs", fixture_config("S5"));
+    assert_eq!(
+        triples(&report),
+        expected("S5", "s5_destructured.rs", &[9, 18])
+    );
+    for (finding, name) in report.violations.iter().zip(["`shared`", "`sink`"]) {
+        assert!(finding.message.contains(name), "{}", finding.message);
+    }
+}
+
+#[test]
 fn rand_dependency_fixture_flags_the_normal_edge_only() {
     // A stream-pinned crate with `rand` under `[dependencies]` could seed
     // an RNG from a literal, an ad-hoc value or ambient entropy; with

@@ -38,7 +38,7 @@
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use leime_chaos::{ChaosConfig, FaultModel, FaultSchedule};
+use leime_chaos::{ChaosConfig, EdgeChaos, FaultModel, SharedHealth};
 use leime_offload::{DeviceParams, QueuePair, SharedParams, SlotCost};
 use leime_par::StdRng;
 use leime_simnet::SimTime;
@@ -225,22 +225,27 @@ impl ServingSystem {
         let n = scenario.devices.len();
         let slot_len_s = scenario.slot_len_s;
         let horizon = SimTime::from_secs(slots as f64 * slot_len_s);
-        let schedule: Option<FaultSchedule> =
-            scenario.chaos.as_ref().map(|c| c.compile(n, horizon));
+        let chaos = scenario.chaos.as_ref().map(|config| EdgeChaos {
+            config,
+            edge: 0,
+            horizon,
+        });
+        // The edge's shared fault lanes, advanced once per slot.
+        let mut shared_lanes = scenario.chaos.as_ref().map(|c| c.shared_lanes(horizon));
         let controller = scenario.controller.build();
         let decide = DecideCtx {
             scenario,
-            schedule: schedule.as_ref(),
+            chaos,
             decider: controller.as_ref(),
             shared: scenario.shared_params(self.plan.standard()),
             want_dpp: false,
         };
         let flops: Vec<f64> = scenario.devices.iter().map(|d| d.flops).collect();
         let mut traffic_rng = leime_par::stream_rng(seed, TRAFFIC_STREAM);
-        // Fleet-level per-slot quantities: one traffic draw, then the
-        // Eq. 27 edge shares against the offered means. The controller
-        // sees the flood-collapsed effective first-exit rate (and, per
-        // device, the brownout-scaled edge).
+        // Fleet-level per-slot quantities: one traffic draw, the Eq. 27
+        // edge shares against the offered means, and the edge's shared
+        // fault health. The controller sees the flood-collapsed effective
+        // first-exit rate (and the brownout-scaled edge).
         let broadcast = |slot: usize| {
             let start = SimTime::from_secs(slot as f64 * slot_len_s);
             let rate = traffic.rate_factor(start.as_secs(), &mut traffic_rng);
@@ -257,6 +262,9 @@ impl ServingSystem {
             ServeSlot {
                 decide: DecideCtx { shared, ..decide },
                 quants: SlotQuants::new(&flops, means, scenario.edge_flops),
+                health: shared_lanes
+                    .as_mut()
+                    .map_or(SharedHealth::NOMINAL, |lanes| lanes.health(start)),
                 start,
                 hard_f,
             }
@@ -317,7 +325,7 @@ impl ServingSystem {
 
         let queues = vec![QueuePair::new(); n];
         let (queues, _) = run_slot_loop(
-            (&queues, &[], seed),
+            (&queues, &[], seed, chaos.is_some()),
             &leime_par::epoch_ranges(slots, epoch_len.get()),
             workers,
             broadcast,
@@ -366,7 +374,14 @@ impl ServingSystem {
         slot: u64,
         mut row: DeviceRow<'_>,
     ) -> Option<Served> {
-        let d = decide_device(&ctx.decide, &ctx.quants, slot, ctx.start, &mut row)?;
+        let d = decide_device(
+            &ctx.decide,
+            &ctx.quants,
+            &ctx.health,
+            slot,
+            ctx.start,
+            &mut row,
+        )?;
         let DeviceRow { queue, rng, .. } = row;
         let (x, obs, dev) = (d.outcome.x, d.obs, d.device);
         let offered_n = SlotArrivals::Poisson {
@@ -486,6 +501,8 @@ struct ServeSlot<'a> {
     /// The decision inputs, σ₁ scaled by `1 − hard_f`.
     decide: DecideCtx<'a>,
     quants: SlotQuants,
+    /// The edge's shared fault health at `start`.
+    health: SharedHealth,
     start: SimTime,
     /// The slot's hard-sample fraction.
     hard_f: f64,
