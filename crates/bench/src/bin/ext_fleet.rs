@@ -27,7 +27,7 @@
 //! run's peak device-slots/s against the rolling median of the last
 //! [`perf::GATE_WINDOW`] comparable records (same host and devices ×
 //! edges × slots envelope) and fails on a drop of more than
-//! [`GATE_REGRESSION_PCT`]% — after appending, so regressions are
+//! [`perf::GATE_REGRESSION_PCT`]% — after appending, so regressions are
 //! archived either way. With no comparable history the gate skips with
 //! a notice (fresh clones, new hardware and sweep changes must not
 //! wedge CI).
@@ -49,9 +49,6 @@ use leime_fleet::{FleetConfig, FleetReport, FleetSystem};
 use leime_telemetry::{Clock, WallClock};
 
 const SEED: u64 = 13;
-/// `--gate` tolerance: fail when peak device-slots/s drops more than
-/// this far below the rolling-median baseline of the comparable history.
-const GATE_REGRESSION_PCT: f64 = 10.0;
 
 struct Args {
     devices: Vec<usize>,
@@ -294,30 +291,22 @@ fn main() {
     );
 
     if args.gate {
-        match baseline {
-            None => println!(
-                "gate: skipped — no comparable history for {max_devices} devices × \
-                 {max_edges} edges / {} slots (the gate binds from the next run)",
-                args.slots
-            ),
-            Some((revs, median)) => {
-                let window = revs.split(',').count();
-                let floor = median * (1.0 - GATE_REGRESSION_PCT / 100.0);
-                if current_peak < floor {
-                    eprintln!(
-                        "gate: FAIL — peak {current_peak:.0} device-slots/s is more than \
-                         {GATE_REGRESSION_PCT}% below the rolling median {median:.0} \
-                         of the last {window} of {} comparable run(s) (git {revs}); \
-                         the run is archived in {} for triage",
-                        perf::GATE_WINDOW,
-                        args.json.display()
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "gate: ok — peak {current_peak:.0} device-slots/s vs rolling median \
-                     {median:.0} over {window} run(s) (git {revs}, floor {floor:.0})"
-                );
+        let envelope = format!(
+            "{max_devices} devices × {max_edges} edges / {} slots",
+            args.slots
+        );
+        let label = perf::GateLabel {
+            figure: "peak",
+            unit: "device-slots/s",
+            decimals: 0,
+            envelope: &envelope,
+            archive: &args.json,
+        };
+        match perf::gate(baseline, current_peak, label) {
+            Ok(line) => println!("{line}"),
+            Err(line) => {
+                eprintln!("{line}");
+                std::process::exit(1);
             }
         }
     }

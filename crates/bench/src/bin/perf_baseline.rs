@@ -28,7 +28,7 @@
 //! slots/s is compared against the **rolling median** of the last
 //! [`perf::GATE_WINDOW`] comparable prior records (same host, device
 //! and slot counts — see `leime_bench::perf`), and a drop of more than
-//! [`GATE_REGRESSION_PCT`]% exits non-zero — after appending the run,
+//! [`perf::GATE_REGRESSION_PCT`]% exits non-zero — after appending the run,
 //! so the regression is archived either way. A median baseline means a
 //! single lucky run cannot ratchet the floor up permanently. With no
 //! comparable history the gate skips with a notice instead of failing,
@@ -53,9 +53,6 @@ const SEED: u64 = 7;
 /// Expected parallel speedup at 4 workers on the reference scenario
 /// (soft: logged, not enforced — CI runners vary).
 const SOFT_SPEEDUP_FLOOR: f64 = 1.5;
-/// `--gate` tolerance: fail when best slots/s drops more than this far
-/// below the rolling-median baseline of the comparable history.
-const GATE_REGRESSION_PCT: f64 = 10.0;
 
 struct Args {
     workers: Vec<usize>,
@@ -250,34 +247,19 @@ fn main() {
     );
 
     if args.gate {
-        match baseline {
-            // Only a genuinely empty comparable history skips: a first
-            // run has nothing to regress against. One or two runs still
-            // gate — the available median stands in for the full
-            // GATE_WINDOW (pinned by `short_histories_still_gate`).
-            None => println!(
-                "gate: skipped — no comparable history for {} devices / {} slots \
-                 (the gate binds from the next run)",
-                args.devices, args.slots
-            ),
-            Some((revs, median)) => {
-                let window = revs.split(',').count();
-                let floor = median * (1.0 - GATE_REGRESSION_PCT / 100.0);
-                if current_best < floor {
-                    eprintln!(
-                        "gate: FAIL — best {current_best:.1} slots/s is more than \
-                         {GATE_REGRESSION_PCT}% below the rolling median {median:.1} \
-                         of the last {window} of {} comparable run(s) (git {revs}); \
-                         the run is archived in {} for triage",
-                        perf::GATE_WINDOW,
-                        args.json.display()
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "gate: ok — best {current_best:.1} slots/s vs rolling median \
-                     {median:.1} over {window} run(s) (git {revs}, floor {floor:.1})"
-                );
+        let envelope = format!("{} devices / {} slots", args.devices, args.slots);
+        let label = perf::GateLabel {
+            figure: "best",
+            unit: "slots/s",
+            decimals: 1,
+            envelope: &envelope,
+            archive: &args.json,
+        };
+        match perf::gate(baseline, current_best, label) {
+            Ok(line) => println!("{line}"),
+            Err(line) => {
+                eprintln!("{line}");
+                std::process::exit(1);
             }
         }
     }

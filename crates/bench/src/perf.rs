@@ -28,6 +28,10 @@ use serde_json::Value;
 /// Trailing window for the gate's rolling-median baseline.
 pub const GATE_WINDOW: usize = 3;
 
+/// `--gate` tolerance: a run fails when its figure drops more than this
+/// many percent below the rolling-median baseline.
+pub const GATE_REGRESSION_PCT: f64 = 10.0;
+
 /// Best-effort git revision for an archived record (`"unknown"`
 /// outside a git checkout).
 pub fn git_rev() -> String {
@@ -296,6 +300,65 @@ fn windowed_median(
         (peaks[hi - 1].0 + peaks[hi].0) / 2.0
     };
     Some((revs, median))
+}
+
+/// How a gated bench names its figure in the [`gate`] verdict.
+#[derive(Debug, Clone, Copy)]
+pub struct GateLabel<'a> {
+    /// Which of the run's figures is gated, e.g. `"best"`.
+    pub figure: &'a str,
+    /// Its unit, e.g. `"slots/s"`.
+    pub unit: &'a str,
+    /// Decimals the figures are printed with.
+    pub decimals: usize,
+    /// The comparable envelope, e.g. `"4 devices / 200 slots"`.
+    pub envelope: &'a str,
+    /// The history file the run was appended to.
+    pub archive: &'a std::path::Path,
+}
+
+/// The `--gate` verdict on a run whose figure is `current`, against the
+/// rolling-median `baseline` (see [`rolling_median_baseline`]).
+///
+/// `Ok` carries the line to print: a skip when no comparable history
+/// exists (a first run has nothing to regress against), or a pass when
+/// `current` is at most [`GATE_REGRESSION_PCT`]% below the median. One
+/// or two comparable runs still gate: their median stands in for the
+/// full [`GATE_WINDOW`]. `Err` carries the failure line; the caller
+/// exits non-zero.
+pub fn gate(
+    baseline: Option<(String, f64)>,
+    current: f64,
+    label: GateLabel<'_>,
+) -> Result<String, String> {
+    let GateLabel {
+        figure,
+        unit,
+        decimals: d,
+        envelope,
+        archive,
+    } = label;
+    let Some((revs, median)) = baseline else {
+        return Ok(format!(
+            "gate: skipped — no comparable history for {envelope} \
+             (the gate binds from the next run)"
+        ));
+    };
+    let window = revs.split(',').count();
+    let floor = median * (1.0 - GATE_REGRESSION_PCT / 100.0);
+    if current < floor {
+        return Err(format!(
+            "gate: FAIL — {figure} {current:.d$} {unit} is more than \
+             {GATE_REGRESSION_PCT}% below the rolling median {median:.d$} \
+             of the last {window} of {GATE_WINDOW} comparable run(s) (git {revs}); \
+             the run is archived in {} for triage",
+            archive.display()
+        ));
+    }
+    Ok(format!(
+        "gate: ok — {figure} {current:.d$} {unit} vs rolling median \
+         {median:.d$} over {window} run(s) (git {revs}, floor {floor:.d$})"
+    ))
 }
 
 #[cfg(test)]
@@ -634,5 +697,36 @@ mod tests {
         for key in ["git_rev", "git_dirty", "rustc", "host"] {
             assert!(row.get(key).is_some(), "row lacks {key}");
         }
+    }
+
+    #[test]
+    fn gate_skips_without_history_and_fails_just_below_the_floor() {
+        let label = GateLabel {
+            figure: "best",
+            unit: "slots/s",
+            decimals: 1,
+            envelope: "4 devices / 200 slots",
+            archive: std::path::Path::new("BENCH_par.json"),
+        };
+        let baseline = || Some(("a,b,c".to_string(), 200.0));
+        // No comparable history: skip, whatever the figure.
+        let skip = gate(None, 0.0, label).unwrap();
+        assert!(skip.starts_with("gate: skipped"), "{skip}");
+        assert!(skip.contains("4 devices / 200 slots"), "{skip}");
+        // The floor is 10% below the median of 200: exactly 180 passes.
+        let ok = gate(baseline(), 180.0, label).unwrap();
+        assert!(ok.starts_with("gate: ok — best 180.0 slots/s"), "{ok}");
+        assert!(
+            ok.contains("over 3 run(s)") && ok.contains("floor 180.0"),
+            "{ok}"
+        );
+        // The next float down fails, and names the archive.
+        let fail = gate(baseline(), 180.0_f64.next_down(), label).unwrap_err();
+        assert!(fail.starts_with("gate: FAIL — best"), "{fail}");
+        assert!(
+            fail.contains("10% below the rolling median 200.0"),
+            "{fail}"
+        );
+        assert!(fail.contains("archived in BENCH_par.json"), "{fail}");
     }
 }

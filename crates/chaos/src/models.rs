@@ -333,7 +333,8 @@ mod tests {
         cfg.window_s = Some(100.0);
         let s = cfg.compile(2, SimTime::from_secs(300.0));
         assert!(!s.events().is_empty());
-        assert!(s.all_clear_after() <= SimTime::from_secs(100.0));
+        let last_end = s.events().iter().map(|e| e.end).max();
+        assert!(last_end.is_some_and(|end| end <= SimTime::from_secs(100.0)));
         for e in s.events() {
             assert!(e.end.as_secs() <= 100.0);
         }

@@ -139,41 +139,9 @@ impl FaultSchedule {
         Ok(FaultSchedule { events })
     }
 
-    /// Merges two schedules (their disturbances compose).
-    #[must_use]
-    pub fn merge(mut self, other: FaultSchedule) -> Self {
-        self.events.extend(other.events);
-        self
-    }
-
     /// The events, in generation order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Number of events active at `t`.
-    pub fn active_at(&self, t: SimTime) -> usize {
-        self.events.iter().filter(|e| e.active_at(t)).count()
-    }
-
-    /// The earliest time after which no fault is ever active again
-    /// ([`SimTime::ZERO`] for an empty schedule). Recovery assertions
-    /// measure queue drain from here.
-    pub fn all_clear_after(&self) -> SimTime {
-        self.events
-            .iter()
-            .map(|e| e.end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Whether any `LinkBlackout` targets device `i` somewhere in the
-    /// schedule (used by reports to label runs).
-    pub fn has_blackouts(&self, device: usize) -> bool {
-        self.events.iter().any(|e| {
-            matches!(e.kind, FaultKind::LinkBlackout)
-                && (e.target == FaultTarget::Device(device) || e.target == FaultTarget::AllDevices)
-        })
     }
 
     /// Routes a by-construction violation through the sanctioned panic
@@ -243,47 +211,6 @@ mod tests {
             1.0
         )])
         .is_err());
-    }
-
-    #[test]
-    fn all_clear_after_is_max_end() {
-        let s = FaultSchedule::new(vec![
-            ev(FaultKind::LinkBlackout, FaultTarget::Device(0), 0.0, 10.0),
-            ev(FaultKind::EdgeOutage, FaultTarget::Edge, 5.0, 30.0),
-        ])
-        .unwrap();
-        assert_eq!(s.all_clear_after(), SimTime::from_secs(30.0));
-        assert_eq!(FaultSchedule::empty().all_clear_after(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn merge_composes_and_counts() {
-        let a = FaultSchedule::new(vec![ev(
-            FaultKind::LinkBlackout,
-            FaultTarget::Device(0),
-            0.0,
-            10.0,
-        )])
-        .unwrap();
-        let b = FaultSchedule::new(vec![ev(FaultKind::EdgeOutage, FaultTarget::Edge, 5.0, 8.0)])
-            .unwrap();
-        let m = a.merge(b);
-        assert_eq!(m.events().len(), 2);
-        assert_eq!(m.active_at(SimTime::from_secs(6.0)), 2);
-        assert_eq!(m.active_at(SimTime::from_secs(9.0)), 1);
-        assert_eq!(m.active_at(SimTime::from_secs(20.0)), 0);
-    }
-
-    #[test]
-    fn blackout_lookup_covers_broadcast() {
-        let s = FaultSchedule::new(vec![ev(
-            FaultKind::LinkBlackout,
-            FaultTarget::AllDevices,
-            0.0,
-            1.0,
-        )])
-        .unwrap();
-        assert!(s.has_blackouts(3));
     }
 
     #[test]

@@ -9,8 +9,6 @@ pub enum LeimeError {
     Dnn(DnnError),
     /// An invalid scenario or parameter configuration.
     Config(String),
-    /// A runtime (live prototype) failure, e.g. a disconnected channel.
-    Runtime(String),
     /// A failure in the deterministic parallel layer (a shard panic or a
     /// lost worker — see [`leime_par::ParError`]).
     Parallel(ParError),
@@ -21,7 +19,6 @@ impl fmt::Display for LeimeError {
         match self {
             LeimeError::Dnn(e) => write!(f, "model error: {e}"),
             LeimeError::Config(msg) => write!(f, "configuration error: {msg}"),
-            LeimeError::Runtime(msg) => write!(f, "runtime error: {msg}"),
             LeimeError::Parallel(e) => write!(f, "parallel execution error: {e}"),
         }
     }

@@ -22,9 +22,7 @@
 //! * [`SlottedSystem`] — the paper's slotted queueing model (Eq. 10–14),
 //!   used for the motivation and ablation experiments,
 //! * [`systems`] — LEIME plus the paper's benchmark systems (DDNN,
-//!   Neurosurgeon, Edgent) behind one interface,
-//! * [`runtime`] — a live multi-threaded prototype (crossbeam channels,
-//!   real classifier inference) of the co-inference pipeline.
+//!   Neurosurgeon, Edgent) behind one interface.
 //!
 //! ## Quickstart
 //!
@@ -47,7 +45,6 @@ mod report;
 mod scenario;
 mod slotted;
 
-pub mod runtime;
 pub mod systems;
 
 /// Paper-invariant guards (Eq. 8 ratios, Eq. 10–11 queues, Eq. 27 simplex,

@@ -58,17 +58,6 @@ impl CalibrationResult {
         &self.exit_rates
     }
 
-    /// Per-exit confidence thresholds (the last exit's threshold is 0:
-    /// everything exits there).
-    pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
-    }
-
-    /// Per-exit depth fractions (cumulative-FLOPs share of the chain).
-    pub fn depth_fractions(&self) -> &[f64] {
-        &self.depth_fractions
-    }
-
     /// The trained exit classifiers, one per candidate exit.
     pub fn classifiers(&self) -> &[Mlp] {
         &self.classifiers
@@ -394,8 +383,10 @@ mod tests {
         let s = r.summary();
         let m = r.classifiers().len();
         assert_eq!(s.exit_rates.len(), m);
-        assert_eq!(s.thresholds, r.thresholds());
-        assert_eq!(s.depth_fractions, r.depth_fractions());
+        assert_eq!(s.thresholds.len(), m);
+        // Everything exits at the last exit.
+        assert_eq!(s.thresholds[m - 1].to_bits(), 0f64.to_bits());
+        assert_eq!(s.depth_fractions.len(), m);
         assert_eq!(s.final_accuracy.to_bits(), r.final_accuracy().to_bits());
         for i in 0..m {
             assert_eq!(s.exit_accuracy[i].to_bits(), r.exit_accuracy(i).to_bits());
@@ -408,7 +399,7 @@ mod tests {
     #[test]
     fn depth_fractions_are_monotone() {
         let r = run(6);
-        let d = r.depth_fractions();
+        let d = r.summary().depth_fractions;
         for w in d.windows(2) {
             assert!(w[1] > w[0]);
         }

@@ -1,7 +1,7 @@
 //! # leime-inference
 //!
-//! Exit-classifier training, confidence-threshold calibration, and
-//! early-exit inference for the LEIME reproduction.
+//! Exit-classifier training and confidence-threshold calibration for the
+//! LEIME reproduction.
 //!
 //! The paper attaches a classifier (pool + 2×FC + softmax) at every
 //! candidate exit, sets a confidence threshold per exit "to make the task
@@ -17,14 +17,10 @@
 //!    one that keeps the accuracy of *exited* samples at the target, then
 //!    measures cumulative exit rates and per-combo ME-DNN accuracy on a
 //!    held-out set — the quantities behind the paper's Fig. 6 and the
-//!    `σ` inputs of the exit-setting and offloading algorithms,
-//! 3. [`EarlyExitPipeline`] performs early-exit inference for individual
-//!    samples (used by the live runtime in the `leime` core crate).
+//!    `σ` inputs of the exit-setting and offloading algorithms.
 
 mod calibration;
-mod pipeline;
 mod train;
 
 pub use calibration::{calibrate, CalibrationConfig, CalibrationResult, CalibrationSummary};
-pub use pipeline::{EarlyExitPipeline, ExitDecision};
 pub use train::{train_exit_classifier, TrainConfig};

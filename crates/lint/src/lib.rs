@@ -144,8 +144,6 @@ impl Default for SemaConfig {
                 "run",
                 "run_with_workers",
                 "run_with_workers_epochs",
-                "run_live",
-                "run_live_with_registry",
                 "run_slotted",
                 "run_slotted_workers",
                 "run_slotted_with_registry",

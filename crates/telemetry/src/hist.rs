@@ -1,5 +1,5 @@
-//! Log-bucketed histograms: a plain accumulator ([`Buckets`]) and its
-//! lock-free atomic counterpart ([`Histogram`]).
+//! Log-bucketed histograms: a plain accumulator ([`Buckets`]) and the
+//! registry's shared handle to one ([`Histogram`]).
 //!
 //! Values are bucketed by magnitude on a logarithmic grid with
 //! [`BUCKETS_PER_OCTAVE`] buckets per power of two (growth factor
@@ -12,18 +12,19 @@
 //!   `merge(a, b)` answers every quantile query identically to a
 //!   histogram that recorded the union of their samples (the property
 //!   test in `tests/proptests.rs` checks this);
-//! * recording is O(1) and, in [`Histogram`], entirely atomic.
+//! * recording is O(1).
 //!
 //! [`Buckets`] stores only the window of buckets it uses, from its
 //! lowest to its highest non-empty one, so a run whose samples fill a
 //! handful of buckets costs a handful of words rather than all
 //! [`NUM_BUCKETS`]. The window grows when a sample lands outside it, at
-//! most [`NUM_BUCKETS`] times per histogram. [`Histogram`] stays dense:
-//! there is one per registry name, and its buckets are atomics.
+//! most [`NUM_BUCKETS`] times per histogram.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use serde::{DeError, Deserialize, Map, Serialize, Value};
+
+use crate::sync::lock_unpoisoned;
 
 /// Buckets per power of two; the growth factor is `2^(1/32)`.
 pub const BUCKETS_PER_OCTAVE: usize = 32;
@@ -96,8 +97,8 @@ pub fn bucket_representative(index: usize) -> f64 {
     sign * (lo.abs() * hi.abs()).sqrt()
 }
 
-/// A plain (single-threaded) log-bucketed histogram: the math core
-/// shared by [`Histogram`] snapshots and `leime`'s `RunReport`.
+/// A plain (single-threaded) log-bucketed histogram: what a
+/// [`Histogram`] holds and what `leime`'s `RunReport` records into.
 ///
 /// Only the window from the lowest to the highest non-empty bucket is
 /// stored: `counts[k]` is bucket `start + k`. An empty histogram holds
@@ -370,41 +371,14 @@ impl Deserialize for Buckets {
     }
 }
 
-/// A lock-free log-bucketed histogram: every mutation is a relaxed
-/// atomic operation, so any number of threads can record concurrently
-/// while others snapshot.
-#[derive(Debug)]
+/// A registry histogram: one [`Buckets`] behind a mutex, so a shared
+/// `Arc` handle can take a run's samples. Writers merge a finished
+/// run's [`Buckets`] once, on the driver; readers take a [`snapshot`].
+///
+/// [`snapshot`]: Histogram::snapshot
+#[derive(Debug, Default)]
 pub struct Histogram {
-    counts: Box<[AtomicU64]>,
-    count: AtomicU64,
-    /// Bits of the running f64 sum, updated by CAS.
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-}
-
-/// CAS-updates an atomic holding f64 bits with `f(current, operand)`.
-fn update_f64(cell: &AtomicU64, operand: f64, f: impl Fn(f64, f64) -> f64) {
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let next = f(f64::from_bits(current), operand).to_bits();
-        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => current = seen,
-        }
-    }
+    buckets: Mutex<Buckets>,
 }
 
 impl Histogram {
@@ -413,81 +387,21 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Records one sample — atomics only, safe to call from any thread.
-    /// Non-finite values are ignored.
+    /// Records one sample. Non-finite values are ignored.
     pub fn record(&self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        update_f64(&self.sum_bits, v, |a, b| a + b);
-        update_f64(&self.min_bits, v, f64::min);
-        update_f64(&self.max_bits, v, f64::max);
+        lock_unpoisoned(&self.buckets).record(v);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Merges a plain histogram into this one, as [`Buckets::merge`]
-    /// does: counts, min and max are exact, and the sum adds `other`'s
-    /// sum in one step. Merged into an empty histogram, the result is
-    /// bit-identical to recording `other`'s samples here.
+    /// Merges a plain histogram into this one (see [`Buckets::merge`]).
+    /// Merged into an empty histogram, the result equals `other`.
     pub fn merge(&self, other: &Buckets) {
-        for (i, c) in other.non_empty() {
-            self.counts[i].fetch_add(c, Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
-        update_f64(&self.sum_bits, other.sum, |a, b| a + b);
-        update_f64(&self.min_bits, other.min, f64::min);
-        update_f64(&self.max_bits, other.max, f64::max);
+        lock_unpoisoned(&self.buckets).merge(other);
     }
 
     /// A plain copy of the current state, for quantile queries and
-    /// serialization. Concurrent recording keeps the snapshot internally
-    /// consistent per metric but counts may trail by in-flight updates.
+    /// serialization.
     pub fn snapshot(&self) -> Buckets {
-        let mut out = Buckets::new();
-        let non_empty = |c: &AtomicU64| c.load(Ordering::Relaxed) > 0;
-        // Counts only rise, so both ends stay non-empty when the window
-        // between them is read.
-        if let (Some(lo), Some(hi)) = (
-            self.counts.iter().position(non_empty),
-            self.counts.iter().rposition(non_empty),
-        ) {
-            out.start = lo;
-            out.counts = self.counts[lo..=hi]
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect();
-        }
-        out.count = self.count.load(Ordering::Relaxed);
-        out.sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
-        out.min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
-        out.max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
-        out
-    }
-
-    /// The `q`-quantile of the current contents (see [`Buckets::quantile`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.snapshot().quantile(q)
-    }
-
-    /// The 99.9th percentile of the current contents (see
-    /// [`Buckets::p999`]).
-    pub fn p999(&self) -> Option<f64> {
-        self.snapshot().p999()
+        lock_unpoisoned(&self.buckets).clone()
     }
 }
 
@@ -604,12 +518,6 @@ mod tests {
         );
         assert!(b.quantile(0.99).unwrap() <= est);
         assert!(est <= b.max().unwrap());
-        // The atomic histogram surfaces the same accessor.
-        let h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        assert_eq!(h.p999(), Some(est));
     }
 
     #[test]
@@ -672,8 +580,8 @@ mod tests {
         for j in handles {
             j.join().unwrap();
         }
-        assert_eq!(h.count(), 40_000);
         let snap = h.snapshot();
+        assert_eq!(snap.count(), 40_000);
         let total: u64 = (0..NUM_BUCKETS).map(|i| snap.bucket_count(i)).sum();
         assert_eq!(total, 40_000);
     }
@@ -687,8 +595,8 @@ mod tests {
             b.record(i as f64 * 10.0);
         }
         a.merge(&b);
-        assert_eq!(a.count(), 200);
         let snap = a.snapshot();
+        assert_eq!(snap.count(), 200);
         assert_eq!(snap.min(), Some(1.0));
         assert_eq!(snap.max(), Some(1000.0));
         // Into an empty histogram, a merge equals recording the samples.

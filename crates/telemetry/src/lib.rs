@@ -1,25 +1,24 @@
 //! # leime-telemetry
 //!
 //! Unified observability for the LEIME reproduction: one subsystem that
-//! every layer (simnet, offload controllers, the live runtime, and the
-//! experiment binaries) records into, replacing the one-off series and
-//! percentile code that used to live in each of them.
+//! every layer (simnet, offload controllers and the experiment binaries)
+//! records into, replacing the one-off series and percentile code that
+//! used to live in each of them.
 //!
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, [`Histogram`]s and
-//!   [`Series`], created on first use and shared via `Arc`. Recording
-//!   into a metric touches only atomics (no mutex on the hot path); the
+//!   [`Series`], created on first use and shared via `Arc`. The
 //!   registry's own lock is held only at registration and snapshot time.
-//! * [`Histogram`] — log-bucketed latency histogram with `AtomicU64`
-//!   buckets: lock-free recording, quantile queries with error bounded
-//!   by one bucket width, and exact merging across threads (bucket
-//!   counts add). [`Buckets`] is its plain (non-atomic) core, which
-//!   also holds a `leime` run report's completion times.
+//! * [`Buckets`] — log-bucketed latency histogram: quantile queries with
+//!   error bounded by one bucket width, and exact merging (bucket counts
+//!   add). It holds a `leime` run report's completion times; a registry
+//!   [`Histogram`] is one `Buckets` behind a lock, merged into once per
+//!   run.
 //! * [`Series`] — `(time, value)` recorders sampled per simulated slot
 //!   or wall tick.
 //! * [`Tracer`] — span/event tracing generic over a [`Clock`], with a
 //!   [`VirtualClock`] for simulated time and a [`WallClock`] over
-//!   `std::time::Instant`, so simulation and live-runtime traces share
-//!   one format.
+//!   `std::time::Instant`, so simulated and wall-clock traces share one
+//!   format.
 //! * [`TelemetrySnapshot`] — a serializable dump of everything a
 //!   registry holds; the bench binaries write it as `telemetry.json`
 //!   (see EXPERIMENTS.md for the schema).

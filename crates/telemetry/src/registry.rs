@@ -3,8 +3,9 @@
 //! A registry hands out `Arc` handles to named metrics, get-or-create
 //! by name. Its internal mutex guards only the name → handle tables:
 //! it is taken at registration and snapshot time, never while
-//! recording — recording goes through the handles, which are atomics
-//! (and, for series, a per-series lock on a once-per-slot path).
+//! recording — recording goes through the handles. Counters and gauges
+//! are atomics; a histogram or series is one value behind its own lock,
+//! written once per run on the driver.
 //!
 //! Tables are `BTreeMap`s, so every export walks names in one fixed
 //! order no matter what order metrics were registered in — snapshot
