@@ -1,9 +1,9 @@
-//! Criterion bench: the tensor substrate — matmul, conv2d and exit-MLP
+//! Criterion bench: the tensor substrate — matmul and exit-MLP
 //! forward/train throughput underpinning the calibration pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leime_tensor::nn::{Mlp, MlpConfig, Sgd};
-use leime_tensor::ops::{conv2d, softmax_rows, Conv2dParams};
+use leime_tensor::ops::softmax_rows;
 use leime_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,21 +17,6 @@ fn bench_matmul(c: &mut Criterion) {
         let b = Tensor::randn(Shape::d2(n, n), &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
             bench.iter(|| black_box(a.matmul(&b)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_conv2d(c: &mut Criterion) {
-    let mut group = c.benchmark_group("conv2d");
-    let mut rng = StdRng::seed_from_u64(1);
-    for (cin, cout, hw) in [(3usize, 16usize, 32usize), (16, 32, 16)] {
-        let input = Tensor::randn(Shape::d3(cin, hw, hw), &mut rng);
-        let weight = Tensor::randn(Shape::d4(cout, cin, 3, 3), &mut rng);
-        let bias = Tensor::zeros(Shape::d1(cout));
-        let id = format!("{cin}x{hw}x{hw}->{cout}");
-        group.bench_with_input(BenchmarkId::from_parameter(id), &cin, |bench, _| {
-            bench.iter(|| black_box(conv2d(&input, &weight, &bias, Conv2dParams::same3x3())));
         });
     }
     group.finish();
@@ -63,5 +48,5 @@ fn bench_mlp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_conv2d, bench_mlp);
+criterion_group!(benches, bench_matmul, bench_mlp);
 criterion_main!(benches);

@@ -178,12 +178,6 @@ impl RunReport {
         self.tct.quantile(0.5).unwrap_or(0.0)
     }
 
-    /// Median TCT in seconds (alias of [`RunReport::median_tct_s`], named
-    /// to match the runtime report's percentile fields).
-    pub fn p50_tct_s(&self) -> f64 {
-        self.median_tct_s()
-    }
-
     /// 95th-percentile TCT in seconds.
     pub fn p95_tct_s(&self) -> f64 {
         self.tct.quantile(0.95).unwrap_or(0.0)
@@ -375,7 +369,6 @@ mod tests {
         assert!((r.mean_tct_ms() - 505.0).abs() < 1e-6);
         assert!(r.p95_tct_s() > r.median_tct_s());
         assert!(r.p99_tct_s() >= r.p95_tct_s());
-        assert_eq!(r.p50_tct_s().to_bits(), r.median_tct_s().to_bits());
     }
 
     #[test]

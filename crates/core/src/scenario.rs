@@ -480,6 +480,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leime_dnn::MultiExitDnn;
 
     #[test]
     fn presets_validate() {
@@ -738,6 +739,26 @@ mod tests {
         let d = s.deploy(ExitStrategy::Leime).unwrap();
         let m = s.chain().num_layers();
         assert_eq!(d.combo.third, m - 1);
+    }
+
+    #[test]
+    fn shared_params_reads_the_leime_partition() {
+        let s = Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 4, 5.0);
+        let dep = s.deploy(ExitStrategy::Leime).unwrap();
+        let p = MultiExitDnn::new(s.chain(), s.exit_spec)
+            .partition(dep.combo)
+            .unwrap();
+        let sp = s.shared_params(&dep);
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(bits(sp.mu1), bits(p.block_flops()[0]));
+        assert_eq!(bits(sp.mu2), bits(p.block_flops()[1]));
+        assert_eq!(bits(sp.d0_bytes), bits(p.data_sizes()[0]));
+        assert_eq!(bits(sp.d1_bytes), bits(p.data_sizes()[1]));
+        assert_eq!(bits(sp.sigma1), bits(dep.sigma[0]));
+        assert_eq!(bits(sp.slot_len_s), bits(s.slot_len_s));
+        assert_eq!(bits(sp.v), bits(s.v));
+        assert_eq!(bits(sp.edge_flops), bits(s.edge_flops));
+        assert!(sp.validate().is_ok());
     }
 
     #[test]

@@ -123,19 +123,6 @@ impl DnnChain {
         }
         prefix
     }
-
-    /// Index of the layer with the smallest output activation — where
-    /// Edgent-style heuristics place a split.
-    pub fn min_activation_layer(&self) -> usize {
-        // A `DnnChain` is validated non-empty at construction, so the
-        // fallback index is unreachable; it keeps this total.
-        self.layers
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.out_bytes().total_cmp(&b.1.out_bytes()))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -216,12 +203,5 @@ mod tests {
             f64::to_bits(512.0 * 4.0)
         );
         assert!(c.intermediate_bytes(3).is_err());
-    }
-
-    #[test]
-    fn min_activation_layer_finds_smallest() {
-        let c = toy_chain();
-        // l3: 64*2*2 = 256 elems, the smallest.
-        assert_eq!(c.min_activation_layer(), 2);
     }
 }

@@ -22,17 +22,13 @@
 //!   Theorem-1 pruning, instrumented with evaluation counts (Theorem 2),
 //! * [`exhaustive`] — the `O(m²)` reference used to verify optimality,
 //! * baseline strategies — min-computation, min-transmission (Edgent-style),
-//!   mean-division and DDNN-style strategies (Fig. 10a / §IV benchmarks),
-//! * [`par_sweep`] — deterministic parallel grid sweeps (zoo ×
-//!   environments) over the branch-and-bound solver, byte-identical to
-//!   the sequential [`seq_sweep`] at every worker count.
+//!   mean-division and DDNN-style strategies (Fig. 10a / §IV benchmarks).
 
 mod baselines;
 mod bb;
 mod cost;
 mod env;
 mod exhaustive;
-mod sweep;
 
 pub mod multi_tier;
 
@@ -42,4 +38,3 @@ pub use cost::CostModel;
 pub use env::EnvParams;
 pub use exhaustive::exhaustive;
 pub use multi_tier::{multi_tier_exits, three_tier_exits, tiers_from_env, TierEnv};
-pub use sweep::{par_sweep, seq_sweep, SweepCell, SweepError, SweepResult};

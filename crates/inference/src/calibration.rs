@@ -1,7 +1,6 @@
 use crate::{train_exit_classifier, TrainConfig};
 use leime_dnn::{DnnChain, ExitCombo, ExitRates};
 use leime_invariant as invariant;
-use leime_tensor::nn::Mlp;
 use leime_tensor::{Shape, Tensor};
 use leime_workload::{FeatureCascade, Sample, SyntheticDataset};
 use rand::rngs::StdRng;
@@ -34,15 +33,14 @@ impl Default for CalibrationConfig {
     }
 }
 
-/// The output of a calibration run: trained exit classifiers, confidence
-/// thresholds, measured cumulative exit rates, and the held-out
-/// confidence/correctness matrices from which any exit combo's ME-DNN
-/// accuracy can be computed (Fig. 6).
+/// The output of a calibration run: confidence thresholds, measured
+/// cumulative exit rates, and the held-out confidence/correctness
+/// matrices from which any exit combo's ME-DNN accuracy can be computed
+/// (Fig. 6).
 #[derive(Debug, Clone)]
 pub struct CalibrationResult {
     depth_fractions: Vec<f64>,
     thresholds: Vec<f64>,
-    classifiers: Vec<Mlp>,
     /// `conf[i][s]`: max softmax probability of val sample `s` at exit `i`.
     conf: Vec<Vec<f32>>,
     /// `correct[i][s]`: whether exit `i` classifies val sample `s` right.
@@ -56,11 +54,6 @@ impl CalibrationResult {
     /// cost model.
     pub fn exit_rates(&self) -> &ExitRates {
         &self.exit_rates
-    }
-
-    /// The trained exit classifiers, one per candidate exit.
-    pub fn classifiers(&self) -> &[Mlp] {
-        &self.classifiers
     }
 
     /// Held-out accuracy of the *final* exit alone — the stand-in for the
@@ -116,7 +109,7 @@ impl CalibrationResult {
     /// Average accuracy loss over every valid `(first, second)` combo —
     /// the per-model summary number the paper reports for Fig. 6.
     pub fn mean_accuracy_loss(&self) -> f64 {
-        let m = self.classifiers.len();
+        let m = self.conf.len();
         let mut total = 0.0;
         let mut count = 0usize;
         for first in 0..m - 2 {
@@ -134,10 +127,8 @@ impl CalibrationResult {
     }
 }
 
-/// A serialisable digest of a calibration run — everything a deployment
-/// pipeline needs to persist (the trained weights stay in
-/// [`CalibrationResult`]; this is the metadata a fleet controller ships
-/// around).
+/// A serialisable digest of a calibration run — the metadata a
+/// deployment pipeline persists and a fleet controller ships around.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CalibrationSummary {
     /// Per-exit cumulative exit rates.
@@ -155,7 +146,7 @@ pub struct CalibrationSummary {
 impl CalibrationResult {
     /// Extracts the serialisable summary.
     pub fn summary(&self) -> CalibrationSummary {
-        let m = self.classifiers.len();
+        let m = self.conf.len();
         CalibrationSummary {
             exit_rates: self.exit_rates.as_slice().to_vec(),
             thresholds: self.thresholds.clone(),
@@ -204,7 +195,6 @@ pub fn calibrate(
     let train_set = dataset.draw_batch(config.train_samples, rng);
     let val_set: Vec<Sample> = dataset.draw_batch(config.val_samples, rng);
 
-    let mut classifiers = Vec::with_capacity(m);
     let mut conf = Vec::with_capacity(m);
     let mut correct = Vec::with_capacity(m);
 
@@ -228,7 +218,6 @@ pub fn calibrate(
             conf_i.push(c);
             correct_i.push(pred == s.class);
         }
-        classifiers.push(mlp);
         conf.push(conf_i);
         correct.push(correct_i);
     }
@@ -280,7 +269,6 @@ pub fn calibrate(
     CalibrationResult {
         depth_fractions,
         thresholds,
-        classifiers,
         conf,
         correct,
         exit_rates,
@@ -329,7 +317,7 @@ mod tests {
     #[test]
     fn deeper_exits_are_more_accurate_on_average() {
         let r = run(2);
-        let m = r.classifiers().len();
+        let m = r.exit_rates().len();
         // Final exit beats the first exit on raw accuracy (hard samples
         // need depth; easy ones are fine anywhere).
         assert!(
@@ -369,7 +357,7 @@ mod tests {
     #[test]
     fn combo_accuracy_is_a_probability() {
         let r = run(5);
-        let m = r.classifiers().len();
+        let m = r.exit_rates().len();
         let combo = ExitCombo::new(0, m / 2, m - 1, m).unwrap();
         let acc = r.combo_accuracy(combo);
         assert!((0.0..=1.0).contains(&acc));
@@ -381,7 +369,7 @@ mod tests {
     fn summary_is_consistent_with_result() {
         let r = run(7);
         let s = r.summary();
-        let m = r.classifiers().len();
+        let m = r.exit_rates().len();
         assert_eq!(s.exit_rates.len(), m);
         assert_eq!(s.thresholds.len(), m);
         // Everything exits at the last exit.

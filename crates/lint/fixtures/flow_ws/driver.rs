@@ -4,7 +4,7 @@
 
 pub fn run_shards(items: &[u32], workers: usize) -> u32 {
     let hits = AtomicU32::new(0);
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         hits.fetch_add(1, Ordering::Relaxed);
         shard_step(*x)
     });

@@ -3,7 +3,7 @@
 //! cycle cannot land without a finding.
 
 pub fn drive(items: &[u32], workers: W) {
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         fwd(*x);
         bwd(*x);
         *x

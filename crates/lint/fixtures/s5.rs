@@ -1,11 +1,11 @@
-//! S5 fixture: the `par_map_shards` worker closure mutates a captured
+//! S5 fixture: the `run_rounds` worker closure mutates a captured
 //! `Mutex` — legal Rust, since `&Mutex` is `Sync` — while the
 //! capture-free shard body below stays legal. A plain `total += x` on a
 //! capture needs no rule: the `Fn + Sync` bound rejects it.
 
 pub fn bad_shared(items: &[u32], workers: usize) -> u32 {
     let shared = Mutex::new(0u32);
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         *shared.lock() += x;
         0
     });
@@ -14,6 +14,6 @@ pub fn bad_shared(items: &[u32], workers: usize) -> u32 {
 
 pub fn good_sum(items: &[u32], workers: usize) -> u32 {
     let base = 1;
-    let outs = par_map_shards(items, workers, |_i, x| x + base);
+    let outs = run_rounds(items, workers, make_ctx, |_i, x| x + base);
     outs.len() as u32
 }

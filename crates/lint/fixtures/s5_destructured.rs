@@ -5,7 +5,7 @@
 
 pub fn tuple_capture(items: &[u32], workers: usize) -> u32 {
     let (shared, base) = (Mutex::new(0u32), 1);
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         *shared.lock() += x + base;
         0
     });
@@ -14,7 +14,7 @@ pub fn tuple_capture(items: &[u32], workers: usize) -> u32 {
 
 pub fn struct_capture(items: &[u32], workers: usize, sinks: Sinks) -> u32 {
     let Sinks { total: sink, .. } = sinks;
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         *sink.lock() += x;
         0
     });
@@ -22,7 +22,7 @@ pub fn struct_capture(items: &[u32], workers: usize, sinks: Sinks) -> u32 {
 }
 
 pub fn shard_owned(items: &[Pair], workers: usize) -> u32 {
-    let _ = par_map_shards(items, workers, |_i, pair| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, pair| {
         let (cell, _) = pair.split();
         cell.swap(1);
         0

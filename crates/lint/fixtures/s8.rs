@@ -2,7 +2,7 @@
 //! blocks on a channel receive; the wait-free body stays legal.
 
 pub fn bad(items: &[u32], workers: usize, pause: Duration) {
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         std::thread::sleep(pause);
         slow_helper(*x)
     });
@@ -14,6 +14,6 @@ fn slow_helper(x: u32) -> u32 {
 }
 
 pub fn good(items: &[u32], workers: usize) -> usize {
-    let outs = par_map_shards(items, workers, |_i, x| x + 1);
+    let outs = run_rounds(items, workers, make_ctx, |_i, x| x + 1);
     outs.len()
 }

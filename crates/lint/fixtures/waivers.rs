@@ -9,7 +9,7 @@ pub fn decide(x: f64) -> f64 {
 }
 
 pub fn seeded(items: &[u32], workers: usize, pause: Duration) {
-    let _ = par_map_shards(items, workers, |_i, x| {
+    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
         // lint:allow(S8)
         std::thread::sleep(pause);
         *x

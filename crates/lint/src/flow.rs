@@ -275,7 +275,7 @@ mod tests {
     fn s5_flags_interior_mutability_on_capture() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let shared = Mutex::new(0); \
-             let _ = par_map_shards(items, workers, |_i, x| { *shared.lock() += x; 0 }); }",
+             let _ = run_rounds(items, workers, make_ctx, |_i, x| { *shared.lock() += x; 0 }); }",
         );
         let rules = rules_of(&found);
         assert!(rules.contains(&"S5"), "{found:?}");
@@ -285,7 +285,7 @@ mod tests {
     fn s5_flags_telemetry_named_interior_state_too() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let telemetry = Cell::new(0); \
-             let _ = par_map_shards(items, workers, |_i, x| { telemetry.swap(x); 0 }); }",
+             let _ = run_rounds(items, workers, make_ctx, |_i, x| { telemetry.swap(x); 0 }); }",
         );
         assert_eq!(rules_of(&found), vec!["S5"], "{found:?}");
         assert!(
@@ -301,7 +301,7 @@ mod tests {
         // owns what it mutates.
         let found = analyze(
             "fn run(items: &[Cell<u32>], workers: W) { \
-             let _ = par_map_shards(items, workers, |_i, cell| { cell.swap(1); 0 }); }",
+             let _ = run_rounds(items, workers, make_ctx, |_i, cell| { cell.swap(1); 0 }); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -310,7 +310,7 @@ mod tests {
     fn s5_clean_shard_body_stays_silent() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let base = 10; \
-             let _ = par_map_shards(items, workers, |_i, x| x + base); }",
+             let _ = run_rounds(items, workers, make_ctx, |_i, x| x + base); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -320,7 +320,7 @@ mod tests {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let acc = AtomicU32::new(0); \
              let work = |_i: usize, x: &u32| { acc.fetch_add(*x, Relaxed); 0 }; \
-             let _ = par_map_shards(items, workers, work); }",
+             let _ = run_rounds(items, workers, make_ctx, work); }",
         );
         assert_eq!(rules_of(&found), vec!["S5"]);
     }
@@ -343,7 +343,8 @@ mod tests {
     fn s8_flags_direct_and_transitive_blocking() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { \
-             let _ = par_map_shards(items, workers, |_i, x| { helper(*x); thread::sleep(d); 0 }); } \
+             let _ = run_rounds(items, workers, make_ctx, |_i, x| { \
+             helper(*x); thread::sleep(d); 0 }); } \
              fn helper(x: u32) -> u32 { let g = m.lock(); g + x }",
         );
         let rules = rules_of(&found);
@@ -360,7 +361,7 @@ mod tests {
         // acquisition, so the cycle cannot land without a finding.
         let found = analyze(
             "fn run(items: &[u32], workers: W) { \
-             let _ = par_map_shards(items, workers, |_i, x| { fwd(*x); bwd(*x); x + 1 }); }\n\
+             let _ = run_rounds(items, workers, make_ctx, |_i, x| { fwd(*x); bwd(*x); x + 1 }); }\n\
              fn fwd(x: u32) { let g = a.lock();\n let h = b.lock(); }\n\
              fn bwd(x: u32) { let g = b.lock();\n let h = a.lock(); }",
         );
@@ -414,7 +415,7 @@ mod tests {
     fn test_items_are_skipped() {
         let found = analyze(
             "#[cfg(test)]\nmod tests { fn run(items: &[u32], workers: W) { \
-             let _ = par_map_shards(items, workers, |_i, x| { thread::sleep(d); 0 }); } }",
+             let _ = run_rounds(items, workers, make_ctx, |_i, x| { thread::sleep(d); 0 }); } }",
         );
         assert!(found.is_empty(), "{found:?}");
     }

@@ -34,6 +34,10 @@
 //! `leime-par` re-exports `StdRng` and `Rng` but not `SeedableRng`, so
 //! their library code cannot seed a generator from a literal, an ad-hoc
 //! value or ambient entropy: `leime_par::stream_rng` is the only way.
+//!
+//! [`unused_violations`] flags a normal dependency that the package's
+//! non-test sources never name: a test-only edge belongs in
+//! `[dev-dependencies]`, and an unnamed one only costs build time.
 
 /// The product crates' layering, lowest first. Rank = index.
 pub const LAYERS: &[&[&str]] = &[
@@ -143,6 +147,29 @@ pub fn rand_violations(package: &str, deps: &[Dep<'_>], manifest: &str) -> Vec<V
             message: format!(
                 "`{package}` depends on `rand` — its library code must seed every RNG \
                  through `leime_par::stream_rng`; move `rand` to `[dev-dependencies]`"
+            ),
+        })
+        .collect()
+}
+
+/// A normal dependency of `package` that its non-test sources never
+/// name, given its dependencies, the text of its `Cargo.toml`, and
+/// `named`, which says whether those sources use an identifier (the
+/// dependency's name with `-` read as `_`).
+pub fn unused_violations(
+    package: &str,
+    deps: &[Dep<'_>],
+    manifest: &str,
+    named: impl Fn(&str) -> bool,
+) -> Vec<Violation> {
+    deps.iter()
+        .filter(|d| d.normal && !named(&d.name.replace('-', "_")))
+        .map(|d| Violation {
+            line: dep_line(manifest, d.name),
+            message: format!(
+                "`{package}` depends on `{}`, which no non-test source names — \
+                 delete it or move it to `[dev-dependencies]`",
+                d.name
             ),
         })
         .collect()
@@ -298,6 +325,36 @@ mod tests {
         assert_eq!(out[0].line, 2);
         assert!(rand_violations("leime-serving", &rand(false), text).is_empty());
         assert!(rand_violations("leime-workload", &rand(true), text).is_empty());
+    }
+
+    #[test]
+    fn unused_normal_dependency_is_flagged_with_line() {
+        let deps = [
+            Dep {
+                name: "leime-tensor",
+                normal: true,
+            },
+            Dep {
+                name: "serde",
+                normal: true,
+            },
+            Dep {
+                name: "rand",
+                normal: false,
+            },
+        ];
+        let text = "[dependencies]\nserde.workspace = true\nleime-tensor.workspace = true\n\
+                    [dev-dependencies]\nrand.workspace = true";
+        let out = unused_violations("leime", &deps, text, |name| name == "serde");
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 3);
+        assert!(
+            out[0].message.contains("`leime-tensor`"),
+            "{}",
+            out[0].message
+        );
+        let all = |name: &str| name == "serde" || name == "leime_tensor";
+        assert!(unused_violations("leime", &deps, text, all).is_empty());
     }
 
     #[test]

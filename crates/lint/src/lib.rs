@@ -82,7 +82,7 @@ pub struct SemaConfig {
     pub hot_path_markers: Vec<String>,
     /// Hot-region roots: fn names whose transitive callees form the S6
     /// hot set (`SlottedSystem::run*` and `ServingSystem::run`, both of
-    /// which reach the shared `run_slot_loop`, sweeps, …).
+    /// which reach the shared `run_slot_loop`).
     pub hot_root_fns: Vec<String>,
     /// `leime-par` entry points as `(fn name, worker-closure arg
     /// index)` — the closure at that argument is a shard body (S5/S8).
@@ -122,8 +122,6 @@ impl Default for SemaConfig {
                 "edge_health",
                 "health",
                 "degraded_decide",
-                // parallel sweep entry point (finite-cost guard)
-                "par_sweep",
                 // serving admission + exit-steering entry points
                 "admit",
                 "steer_exits",
@@ -147,11 +145,8 @@ impl Default for SemaConfig {
                 "run_slotted",
                 "run_slotted_workers",
                 "run_slotted_with_registry",
-                "par_sweep",
-                "seq_sweep",
             ]),
             par_entry_args: vec![
-                ("par_map_shards".to_string(), 2),
                 ("run_rounds".to_string(), 3),
                 // A slot-loop stage's per-device step runs on the
                 // workers of the loop's own `run_rounds` call.

@@ -891,7 +891,7 @@ pub struct FnFacts {
 /// A closure passed as the worker argument of a `leime-par` entry point.
 #[derive(Debug)]
 pub struct ShardBody {
-    /// Entry-point name (`par_map_shards`, `run_rounds`, …).
+    /// Entry-point name (`run_rounds`, `run_slot_loop`).
     pub entry: String,
     /// Interior-mutability uses of captured names inside the body:
     /// `(name, method, line)`.

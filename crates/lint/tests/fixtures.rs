@@ -125,7 +125,7 @@ fn text_report_formats_path_line_rule() {
     let text = report.render_text();
     assert!(
         text.contains(
-            "crates/lint/fixtures/s8.rs:6: [S8] `par_map_shards` shard body blocks on \
+            "crates/lint/fixtures/s8.rs:6: [S8] `run_rounds` shard body blocks on \
              `thread::sleep` — shard workers must stay lock- and wait-free (the pool owns \
              all synchronization)"
         ),

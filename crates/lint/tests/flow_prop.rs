@@ -50,7 +50,6 @@ const VOCAB: &[&str] = &[
     "&",
     "&mut",
     "*",
-    "par_map_shards",
     "run_rounds",
     "stream_seed",
     "seed_from_u64",

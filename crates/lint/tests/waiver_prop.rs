@@ -22,7 +22,7 @@ fn seeded_source(violated: &str, waived: &str) -> (String, u32) {
         "S8" => (
             format!(
                 "pub fn run(items: &[u32], workers: W) {{\n    \
-                 let _ = par_map_shards(items, workers, |_i, x| {{\n        \
+                 let _ = run_rounds(items, workers, make_ctx, |_i, x| {{\n        \
                  {allow}\n        thread::sleep(d);\n        *x\n    }});\n}}\n"
             ),
             4,

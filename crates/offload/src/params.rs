@@ -1,4 +1,3 @@
-use leime_dnn::Partition;
 use serde::{Deserialize, Serialize};
 
 /// System-wide parameters of the slotted offloading model.
@@ -28,38 +27,6 @@ pub struct SharedParams {
 }
 
 impl SharedParams {
-    /// Builds shared parameters from a ME-DNN partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma1` is outside `[0, 1]` or any magnitude is
-    /// non-positive where positivity is required.
-    pub fn from_partition(
-        partition: &Partition,
-        sigma1: f64,
-        edge_flops: f64,
-        slot_len_s: f64,
-        v: f64,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&sigma1),
-            "sigma1 {sigma1} outside [0,1]"
-        );
-        assert!(edge_flops > 0.0, "edge FLOPS must be positive");
-        assert!(slot_len_s > 0.0, "slot length must be positive");
-        assert!(v > 0.0, "V must be positive");
-        SharedParams {
-            slot_len_s,
-            v,
-            mu1: partition.device.flops,
-            mu2: partition.edge.flops,
-            sigma1,
-            d0_bytes: partition.input_bytes,
-            d1_bytes: partition.device.boundary_bytes,
-            edge_flops,
-        }
-    }
-
     /// Validates the parameter set.
     ///
     /// # Errors
@@ -156,23 +123,6 @@ impl DeviceParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leime_dnn::{zoo, ExitCombo, ExitSpec, MultiExitDnn};
-
-    #[test]
-    fn from_partition_extracts_block_quantities() {
-        let chain = zoo::vgg16(32, 10);
-        let m = chain.num_layers();
-        let me = MultiExitDnn::new(chain, ExitSpec::default());
-        let p = me
-            .partition(ExitCombo::new(2, 7, m - 1, m).unwrap())
-            .unwrap();
-        let sp = SharedParams::from_partition(&p, 0.5, 40e9, 1.0, 100.0);
-        assert_eq!(sp.mu1.to_bits(), p.device.flops.to_bits());
-        assert_eq!(sp.mu2.to_bits(), p.edge.flops.to_bits());
-        assert_eq!(sp.d0_bytes.to_bits(), p.input_bytes.to_bits());
-        assert_eq!(sp.d1_bytes.to_bits(), p.device.boundary_bytes.to_bits());
-        assert!(sp.validate().is_ok());
-    }
 
     #[test]
     fn validation_catches_bad_values() {
@@ -204,17 +154,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "sigma1")]
-    fn from_partition_rejects_bad_sigma() {
-        let chain = zoo::vgg16(32, 10);
-        let m = chain.num_layers();
-        let me = MultiExitDnn::new(chain, ExitSpec::default());
-        let p = me
-            .partition(ExitCombo::new(2, 7, m - 1, m).unwrap())
-            .unwrap();
-        SharedParams::from_partition(&p, 1.2, 40e9, 1.0, 100.0);
     }
 }

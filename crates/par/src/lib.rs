@@ -1,9 +1,8 @@
 //! # leime-par
 //!
 //! Deterministic parallel execution for the LEIME workspace: a
-//! `std::thread`-based layer that makes fleet-scale
-//! simulation and sweep work faster **without changing a single output
-//! byte** (DESIGN.md §11).
+//! `std::thread`-based layer that makes fleet-scale simulation faster
+//! **without changing a single output byte** (DESIGN.md §11).
 //!
 //! The paper's §III-D solver is decentralized — each device solves its
 //! per-slot problem (Eq. 20 balance, Eq. 27 shares) independently — so
@@ -15,11 +14,11 @@
 //! 1. **Static sharding** ([`shard::partition`]) — contiguous,
 //!    deterministic index ranges; no work stealing.
 //! 2. **Per-stream RNGs** ([`rng::stream_rng`]) — every logical
-//!    stream (device, sweep cell) derives its generator from
+//!    stream (a device) derives its generator from
 //!    `SplitMix64(master, stream_id)`, independent of worker count.
-//! 3. **Ordered reduction** ([`pool::par_map_shards`],
-//!    [`pool::run_rounds`]) — shard outputs are folded on the caller's
-//!    thread in shard-index order, never completion order.
+//! 3. **Ordered reduction** ([`pool::run_rounds`]) — shard outputs
+//!    are folded on the caller's thread in shard-index order, never
+//!    completion order.
 //!
 //! Under these rules `run(workers = N)` is byte-identical to
 //! `run(workers = 1)` for every `N`, a contract enforced by the tier-2
@@ -33,7 +32,7 @@ pub mod pool;
 pub mod rng;
 pub mod shard;
 
-pub use pool::{par_map_shards, run_rounds};
+pub use pool::run_rounds;
 pub use rand::rngs::StdRng;
 pub use rand::Rng;
 pub use rng::{split_mix64, stream_rng, stream_seed};

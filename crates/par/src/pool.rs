@@ -1,10 +1,10 @@
-//! The scoped worker pool: one-shot sharded maps and multi-round fleet
-//! execution over persistent per-shard state.
+//! The scoped worker pool: multi-round execution over persistent
+//! per-shard state ([`run_rounds`]).
 //!
-//! Both entry points share the same determinism contract:
+//! Its determinism contract:
 //!
-//! * work is assigned by [`crate::shard::partition`] — static,
-//!   contiguous, worker-count-capped shards;
+//! * the caller hands in its shards, cut by [`crate::shard::partition`]
+//!   — static, contiguous, worker-count-capped ranges;
 //! * results are reduced on the caller's thread in **shard-index order**
 //!   (= item order, shards being contiguous), never in completion order;
 //! * a panic inside one shard is caught at the shard boundary and
@@ -14,7 +14,6 @@
 //! With those rules, a run's observable output is a pure function of its
 //! inputs and per-stream seeds, independent of the worker count.
 
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -143,90 +142,6 @@ impl Drop for FleetRelease<'_> {
     }
 }
 
-/// Maps `f` over `items` on up to `workers` threads and returns the
-/// results in item order.
-///
-/// `f` receives the *global* item index alongside the item, so output
-/// never depends on the shard layout. With one worker (or one item) the
-/// map runs inline on the caller's thread — the code path the
-/// differential tests compare the threaded one against.
-///
-/// # Errors
-///
-/// Returns [`ParError::ShardPanic`] naming the first shard (in shard
-/// order) whose closure panicked; results from other shards are
-/// discarded.
-///
-/// # Shared mutation does not compile
-///
-/// `f` is `Fn + Sync`, so a closure that writes to a captured local is
-/// rejected; shards return their contribution and the caller folds it:
-///
-/// ```compile_fail,E0594
-/// use std::num::NonZeroUsize;
-/// let workers = NonZeroUsize::MIN;
-/// let mut total = 0;
-/// let _ = leime_par::par_map_shards(&[1u32, 2, 3], workers, |_i, x| {
-///     total += 1;
-///     *x
-/// });
-/// ```
-pub fn par_map_shards<T, R, F>(items: &[T], workers: NonZeroUsize, f: F) -> Result<Vec<R>, ParError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let shards = crate::shard::partition(items.len(), workers.get());
-    if shards.len() <= 1 {
-        // Inline fast path; still panic-guarded so the error surface is
-        // identical at every worker count.
-        return catch_unwind(AssertUnwindSafe(|| {
-            items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-        }))
-        .map_err(|payload| ParError::ShardPanic {
-            shard: 0,
-            message: panic_message(payload),
-        });
-    }
-    thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        range.map(|i| f(i, &items[i])).collect::<Vec<R>>()
-                    }))
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        let mut first_failure: Option<ParError> = None;
-        for (shard, handle) in handles.into_iter().enumerate() {
-            // A scoped thread's closure never unwinds (the panic is
-            // caught inside it), so join only fails if the thread was
-            // killed outright; fold that into the same typed error.
-            let joined = handle.join().unwrap_or_else(Err);
-            match joined {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => {
-                    if first_failure.is_none() {
-                        first_failure = Some(ParError::ShardPanic {
-                            shard,
-                            message: panic_message(payload),
-                        });
-                    }
-                }
-            }
-        }
-        match first_failure {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
-    })
-}
-
 /// Runs `rounds` synchronized rounds over persistent per-shard state.
 ///
 /// Workers are spawned once and live for the whole call; the caller's
@@ -265,7 +180,6 @@ where
 /// `apply`, which runs on the caller's thread in shard order:
 ///
 /// ```compile_fail,E0594
-/// use std::num::NonZeroUsize;
 /// let mut total = 0;
 /// let _ = leime_par::run_rounds(
 ///     vec![0u32; 2],
@@ -443,52 +357,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn w(n: usize) -> NonZeroUsize {
-        NonZeroUsize::new(n).unwrap()
-    }
-
-    #[test]
-    fn par_map_matches_sequential_at_every_worker_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for workers in [1, 2, 3, 5, 8, 64] {
-            let got = par_map_shards(&items, w(workers), |_, x| x * x + 1).unwrap();
-            assert_eq!(got, expect, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn par_map_passes_global_indices() {
-        let items = vec!["a"; 10];
-        let got = par_map_shards(&items, w(3), |i, _| i).unwrap();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_empty_and_singleton() {
-        let empty: Vec<u32> = Vec::new();
-        assert_eq!(par_map_shards(&empty, w(4), |_, x| *x).unwrap(), empty);
-        assert_eq!(par_map_shards(&[9u32], w(4), |_, x| *x).unwrap(), vec![9]);
-    }
-
-    #[test]
-    fn par_map_panic_surfaces_as_typed_error() {
-        let items: Vec<u32> = (0..20).collect();
-        for workers in [1, 4] {
-            let err = par_map_shards(&items, w(workers), |i, _| {
-                assert!(i != 13, "boom at 13");
-                i
-            })
-            .unwrap_err();
-            match err {
-                ParError::ShardPanic { message, .. } => {
-                    assert!(message.contains("boom at 13"), "message: {message}")
-                }
-                other => panic!("unexpected error {other:?}"),
-            }
-        }
-    }
 
     #[test]
     fn run_rounds_reduces_in_shard_order() {

@@ -1,10 +1,9 @@
 //! Deterministic sub-stream seed derivation.
 //!
 //! The whole parallel layer keys its reproducibility off one rule: every
-//! logical *stream* (a device in the slotted fleet, a cell in a sweep)
-//! owns an RNG seeded by [`stream_seed`]`(master, stream_id)` — a pure
-//! function of the run's master seed and the stream's stable index, and
-//! of nothing else. Worker count and shard boundaries never enter the
+//! logical *stream* (a device in the slotted fleet) owns an RNG seeded
+//! by [`stream_seed`]`(master, stream_id)` — a pure function of the
+//! run's master seed and the stream's stable index, and of nothing else. Worker count and shard boundaries never enter the
 //! derivation, so re-sharding the same streams across a different number
 //! of workers replays byte-identical draws.
 //!

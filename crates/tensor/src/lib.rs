@@ -9,8 +9,8 @@
 //! The library deliberately implements only what the reproduction needs:
 //!
 //! * dense row-major [`Tensor`]s with shape arithmetic ([`Shape`]),
-//! * the forward ops a chain-structured CNN needs ([`ops`]): 2-D convolution,
-//!   max/average pooling, fully connected layers, ReLU and softmax,
+//! * the forward ops an exit classifier's head needs ([`ops`]): fully
+//!   connected layers, ReLU, sigmoid and softmax,
 //! * weight initialisers ([`init`]): Xavier/Glorot and He, seeded,
 //! * a tiny neural-network module system ([`nn`]) with manual backprop for
 //!   MLP-shaped classifiers and an SGD optimiser,

@@ -1,15 +1,11 @@
-//! Forward operators for chain-structured convolutional networks.
+//! Forward operators for the LEIME exit classifiers.
 //!
-//! Layout convention: single images are rank-3 `(C, H, W)`; batches of
-//! flattened features are rank-2 `(N, D)`. These are the only layouts the
-//! LEIME exit classifiers (global pool → FC → ReLU → FC → softmax) need.
+//! Layout convention: batches of flattened (already pooled) features are
+//! rank-2 `(N, D)`, the only layout the exit classifiers' FC → ReLU →
+//! FC → softmax head needs.
 
 mod activation;
-mod conv;
 mod linear;
-mod pool;
 
 pub use activation::{relu, relu_grad_mask, sigmoid, softmax_row, softmax_rows};
-pub use conv::{conv2d, Conv2dParams};
 pub use linear::{linear, linear_single};
-pub use pool::{avg_pool2d, global_avg_pool, max_pool2d};

@@ -2,10 +2,7 @@
 //! numerical invariants over random shapes and values.
 
 use leime_tensor::nn::{cross_entropy, one_hot};
-use leime_tensor::ops::{
-    avg_pool2d, conv2d, global_avg_pool, linear, max_pool2d, relu, softmax_row, softmax_rows,
-    Conv2dParams,
-};
+use leime_tensor::ops::{linear, relu, softmax_row, softmax_rows};
 use leime_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,44 +39,6 @@ proptest! {
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
-    }
-
-    /// Convolution is linear in the input:
-    /// conv(x + y, w, 0) = conv(x, w, 0) + conv(y, w, 0).
-    #[test]
-    fn conv2d_is_linear(c_in in 1usize..4, c_out in 1usize..4, hw in 3usize..10, seed in 0u64..1000) {
-        let x = randn(Shape::d3(c_in, hw, hw), seed);
-        let y = randn(Shape::d3(c_in, hw, hw), seed + 1);
-        let w = randn(Shape::d4(c_out, c_in, 3, 3), seed + 2);
-        let zero_bias = Tensor::zeros(Shape::d1(c_out));
-        let p = Conv2dParams::same3x3();
-        let sum_first = conv2d(&x.add(&y).unwrap(), &w, &zero_bias, p).unwrap();
-        let conv_first = conv2d(&x, &w, &zero_bias, p)
-            .unwrap()
-            .add(&conv2d(&y, &w, &zero_bias, p).unwrap())
-            .unwrap();
-        for (a, b) in sum_first.data().iter().zip(conv_first.data()) {
-            prop_assert!((a - b).abs() < 1e-3);
-        }
-    }
-
-    /// Max pooling dominates average pooling element-wise.
-    #[test]
-    fn max_pool_dominates_avg(c in 1usize..4, hw in 2usize..12, seed in 0u64..1000) {
-        let x = randn(Shape::d3(c, hw, hw), seed);
-        let mx = max_pool2d(&x, 2.min(hw), 1).unwrap();
-        let av = avg_pool2d(&x, 2.min(hw), 1).unwrap();
-        for (m, a) in mx.data().iter().zip(av.data()) {
-            prop_assert!(m >= a);
-        }
-    }
-
-    /// Global average pooling preserves the total mean.
-    #[test]
-    fn global_pool_preserves_mean(c in 1usize..6, hw in 1usize..10, seed in 0u64..1000) {
-        let x = randn(Shape::d3(c, hw, hw), seed);
-        let pooled = global_avg_pool(&x).unwrap();
-        prop_assert!((pooled.mean() - x.mean()).abs() < 1e-4);
     }
 
     /// Softmax output is a distribution and is shift-invariant.

@@ -55,7 +55,7 @@ fn fig6_some_combos_beat_the_original_network() {
     // SqueezeNet-1.0). At least one combo must show it.
     for model in [ModelKind::ResNet34, ModelKind::SqueezeNet] {
         let cal = calibrate_model(model, 103);
-        let m = cal.classifiers().len();
+        let m = cal.exit_rates().len();
         let mut best_gain = f64::NEG_INFINITY;
         for first in 0..m - 2 {
             for second in first + 1..m - 1 {
@@ -127,7 +127,7 @@ fn thresholds_guard_accuracy_of_exited_samples() {
     // Every combo's accuracy must stay within a few points of the final
     // exit's — that is precisely what threshold calibration guarantees.
     let cal = calibrate_model(ModelKind::Vgg16, 113);
-    let m = cal.classifiers().len();
+    let m = cal.exit_rates().len();
     for first in (0..m - 2).step_by(3) {
         for second in (first + 1..m - 1).step_by(3) {
             let combo = ExitCombo::new(first, second, m - 1, m).unwrap();

@@ -3,16 +3,20 @@
 //! The library sources must pass every leime-lint rule (S1, S5, S6 and
 //! S8) with zero violations and escapes within budget: the same scan
 //! `cargo run -p leime-lint -- --deny-all` performs in CI, run here so a
-//! plain `cargo test` catches regressions too. Two dependency facts are
-//! checked here as well, over `cargo metadata`: the crate layering, and
-//! that `leime`, `leime-fleet` and `leime-serving` take `rand` for tests
-//! only, so their library code seeds RNGs through `leime_par::stream_rng`
-//! alone. Panics, float equality, wall-clock reads, hash containers and
-//! `RwLock` are clippy's job (`[workspace.lints.clippy]`, `clippy.toml`),
-//! and `unsafe` is forbidden by the compiler (`[workspace.lints.rust]`).
+//! plain `cargo test` catches regressions too. Three dependency facts
+//! are checked here as well, over `cargo metadata`: the crate layering,
+//! that every normal dependency is named by the crate's non-test
+//! sources, and that `leime`, `leime-fleet` and `leime-serving` take
+//! `rand` for tests only, so their library code seeds RNGs through
+//! `leime_par::stream_rng` alone. Panics, float equality, wall-clock
+//! reads, hash containers and `RwLock` are clippy's job
+//! (`[workspace.lints.clippy]`, `clippy.toml`), and `unsafe` is
+//! forbidden by the compiler (`[workspace.lints.rust]`).
 
 use leime_lint::layering::{self, Dep, Violation, LAYERS, STREAM_RNG_ONLY, TOOLING};
+use leime_lint::lexer::{lex, TokKind};
 use leime_lint::{run, ScanOptions, RULE_IDS, SCHEMA_VERSION, WAIVER_BUDGET};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -169,7 +173,7 @@ fn leime_packages() -> Vec<serde_json::Value> {
 /// findings as `manifest:line: message`.
 fn dependency_findings(
     packages: &[serde_json::Value],
-    check: fn(&str, &[Dep<'_>], &str) -> Vec<Violation>,
+    check: impl Fn(&str, &[Dep<'_>], &str) -> Vec<Violation>,
 ) -> Vec<String> {
     let mut out = Vec::new();
     for pkg in packages {
@@ -224,6 +228,90 @@ fn crate_layering_flows_strictly_downward() {
         .collect();
     known.sort();
     assert_eq!(names(&packages), known, "LAYERS/TOOLING out of date");
+    assert!(violations.is_empty(), "{violations:#?}");
+}
+
+/// Identifiers in the `.rs` files under `dir`, outside comments,
+/// literals and any item under an attribute naming `test`
+/// (`#[cfg(test)]`, `#[test]`).
+fn non_test_idents(dir: &Path, out: &mut BTreeSet<String>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            non_test_idents(&path, out);
+            continue;
+        }
+        if path.extension().and_then(|e| e.to_str()) != Some("rs") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).unwrap_or_default();
+        let toks = lex(&src).toks;
+        let is = |i: usize, s: &str| toks.get(i).is_some_and(|t| t.text == s);
+        // The index past the group opened at `i`, by delimiter depth.
+        let group_end = |mut i: usize| {
+            let mut depth = 0i32;
+            while i < toks.len() {
+                match toks[i].text.as_str() {
+                    "(" | "[" | "{" if toks[i].kind == TokKind::Punct => depth += 1,
+                    ")" | "]" | "}" if toks[i].kind == TokKind::Punct => depth -= 1,
+                    _ => {}
+                }
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            i
+        };
+        let mut i = 0;
+        while i < toks.len() {
+            if is(i, "#") && is(i + 1, "[") {
+                let end = group_end(i + 1);
+                let test = toks[i + 2..end.min(toks.len())]
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && t.text == "test");
+                if test {
+                    // Skip the item: further attributes, then up to its
+                    // `;` or past its `{ … }` body.
+                    i = end;
+                    while i < toks.len() && !is(i, ";") && !is(i, "{") {
+                        i = if is(i, "(") || is(i, "[") {
+                            group_end(i)
+                        } else {
+                            i + 1
+                        };
+                    }
+                    i = if is(i, "{") { group_end(i) } else { i + 1 };
+                    continue;
+                }
+            }
+            if toks[i].kind == TokKind::Ident {
+                out.insert(toks[i].text.clone());
+            }
+            i += 1;
+        }
+    }
+}
+
+#[test]
+fn every_normal_dependency_is_named_in_src() {
+    // A normal dependency only the crate's tests, benches or examples
+    // name belongs in `[dev-dependencies]`; one nothing names goes.
+    let packages = leime_packages();
+    let mut idents: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for pkg in &packages {
+        let name = pkg["name"].as_str().unwrap_or_default();
+        let manifest = Path::new(pkg["manifest_path"].as_str().unwrap_or_default());
+        let src = manifest.with_file_name("src");
+        non_test_idents(&src, idents.entry(name.to_string()).or_default());
+    }
+    let violations = dependency_findings(&packages, |name, deps, manifest| {
+        let named = &idents[name];
+        layering::unused_violations(name, deps, manifest, |dep| named.contains(dep))
+    });
     assert!(violations.is_empty(), "{violations:#?}");
 }
 

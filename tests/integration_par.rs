@@ -1,8 +1,7 @@
 //! Differential tests for the deterministic parallel layer (`leime-par`,
 //! DESIGN.md §11): for every seed and worker count, the parallel slotted
-//! runner and the parallel exit-setting sweep must produce **byte
-//! identical** output to their sequential references — reports, telemetry
-//! snapshots, post-run queue states, combos, costs and search statistics.
+//! runner must produce **byte identical** output to its sequential
+//! reference — reports, telemetry snapshots and post-run queue states.
 //! Plus the Theorem-2 statistical check: the branch-and-bound search cost
 //! stays `O(m ln m)`-shaped on random monotone chains while agreeing with
 //! the exhaustive optimum.
@@ -13,12 +12,9 @@ use leime::{
     ChaosConfig, ControllerKind, ExitStrategy, FaultModel, ModelKind, Scenario, SlottedSystem,
     WorkloadKind,
 };
-use leime_dnn::{zoo, DnnChain, ExitRates, ExitSpec, Layer, LayerKind, ModelProfile};
-use leime_exitcfg::{
-    branch_and_bound, exhaustive, par_sweep, seq_sweep, CostModel, EnvParams, SweepCell,
-};
+use leime_dnn::{DnnChain, ExitRates, ExitSpec, Layer, LayerKind, ModelProfile};
+use leime_exitcfg::{branch_and_bound, exhaustive, CostModel, EnvParams};
 use leime_telemetry::Registry;
-use leime_workload::ExitRateModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -384,70 +380,6 @@ fn epoch_grid_pinned_regressions() {
         RUN_SEED,
     )
     .unwrap();
-}
-
-/// The six-model zoo at its native input sizes (as in `integration_chaos`).
-fn full_zoo() -> Vec<DnnChain> {
-    let mut chains = zoo::cifar_models(10);
-    chains.push(zoo::alexnet(224, 1000));
-    chains.push(zoo::mobilenet_v1(224, 1000));
-    chains
-}
-
-/// Fault-perturbed views of an environment (nominal, bandwidth collapse,
-/// edge brownout, compound worst case — per base tier).
-fn env_grid() -> Vec<EnvParams> {
-    let mut envs = Vec::new();
-    for base in [EnvParams::raspberry_pi(), EnvParams::jetson_nano()] {
-        envs.push(base);
-        envs.push(base.with_edge_link(base.edge_bandwidth_bps * 0.25, base.edge_latency_s + 0.05));
-        envs.push(base.with_edge_scale(0.4));
-        envs.push(
-            base.with_edge_link(base.edge_bandwidth_bps * 0.1, base.edge_latency_s + 0.2)
-                .with_edge_scale(0.5),
-        );
-    }
-    envs
-}
-
-/// Golden parallel sweep: `par_sweep` over the zoo × fault-perturbed
-/// environment grid (both cost-model variants) returns exactly what
-/// `seq_sweep` returns — combo, bit-identical cost, and `SearchStats` —
-/// at every worker count.
-#[test]
-fn par_sweep_matches_seq_sweep_across_zoo_and_fault_grid() {
-    let mut cells = Vec::new();
-    for chain in full_zoo() {
-        let profile = ModelProfile::from_chain(&chain, ExitSpec::default()).unwrap();
-        let rates = ExitRateModel::cifar_like().rates_for_chain(&chain);
-        for env in env_grid() {
-            cells.push(SweepCell::new(profile.clone(), rates.clone(), env));
-            let mut aware = SweepCell::new(profile.clone(), rates.clone(), env);
-            aware.offload_aware = true;
-            cells.push(aware);
-        }
-    }
-    let seq = seq_sweep(&cells).unwrap();
-    assert_eq!(seq.len(), cells.len());
-    for workers in [2usize, 5, 16] {
-        let par = par_sweep(&cells, w(workers).unwrap()).unwrap();
-        assert_eq!(par.len(), seq.len(), "{workers} workers lost cells");
-        for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
-            assert_eq!(
-                p.combo, s.combo,
-                "cell {i}: combo diverged at {workers} workers"
-            );
-            assert_eq!(
-                p.cost.to_bits(),
-                s.cost.to_bits(),
-                "cell {i}: cost diverged at {workers} workers"
-            );
-            assert_eq!(
-                p.stats, s.stats,
-                "cell {i}: SearchStats diverged at {workers} workers"
-            );
-        }
-    }
 }
 
 /// Random chain with log-uniform layer costs and shrinking activations
