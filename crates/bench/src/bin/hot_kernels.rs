@@ -1,7 +1,8 @@
-//! Microbenchmarks for the slotted hot path's three inner kernels
-//! (DESIGN.md §14): the Eq. 10–11 queue update, the per-device-slot
-//! offloading decision (the exact P1′ solve), and the batched telemetry
-//! flush. Reports ns/op and *appends* a git-keyed run
+//! Microbenchmarks for the slot loops' inner kernels (DESIGN.md §14):
+//! the Eq. 10–11 queue update, the per-device-slot offloading decision
+//! (the exact P1′ solve), the batched telemetry flush, a replay's
+//! histogram record of one cohort, and serving's count-level class
+//! split. Reports ns/op and *appends* a git-keyed run
 //! record to the `BENCH_kernels.json` history (schema `leime-bench/1`,
 //! same envelope as `BENCH_par.json`) so kernel-level drift stays
 //! visible between commits without running the full `perf_baseline`
@@ -29,13 +30,16 @@
 use std::hint::black_box;
 use std::path::PathBuf;
 
+use leime::ModelKind;
 use leime_bench::perf::{self, history_doc_for, load_history_for};
 use leime_bench::{header, render_table};
 use leime_offload::{
     ControllerTelemetry, DecisionBatch, DeviceParams, LyapunovController, OffloadController,
     QueuePair, SharedParams, SlotObservation,
 };
-use leime_telemetry::{Clock, Registry, WallClock};
+use leime_telemetry::{Buckets, Clock, Registry, WallClock};
+use leime_workload::Binomial;
+use rand::SeedableRng;
 
 /// A fleet-sized batch: matches the reference scenario's device count, so
 /// the telemetry flush replays one realistic slot.
@@ -136,6 +140,31 @@ fn main() {
     flush.ops *= BATCH as u64;
     results.push(flush);
 
+    // Kernel 4: one replayed cohort — 5 tasks at one completion time —
+    // into a run's TCT histogram, over a spread of times (0.05–1.8 s).
+    let mut tct = Buckets::new();
+    results.push(time_kernel("histogram_record_n", 2_000_000, |i| {
+        let v = 0.05 * (1.0 + (i % 97) as f64 * 0.37);
+        tct.record_n(v, 5);
+        v
+    }));
+
+    // Kernel 5: serving's class split of one device-slot's 48 offered
+    // requests under the flash-crowd testbed's class mix, as two
+    // conditional binomial draws.
+    let mix = leime_serving::flash_brownout_testbed(ModelKind::SqueezeNet, 1, 0, 2.0)
+        .1
+        .sla
+        .mix;
+    let first = Binomial::new(mix[0]);
+    let second = Binomial::new(mix[1] / (mix[1] + mix[2]));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    results.push(time_kernel("binomial_class_split", 500_000, |_| {
+        let a = first.draw(48, &mut rng);
+        let b = second.draw(48 - a, &mut rng);
+        (a * 3 + b) as f64
+    }));
+
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
@@ -146,7 +175,7 @@ fn main() {
             ]
         })
         .collect();
-    println!("== hot_kernels: slotted inner-loop ns/op ==\n");
+    println!("== hot_kernels: slot-loop inner kernels, ns/op ==\n");
     println!(
         "{}",
         render_table(&header(&["kernel", "ns/op", "ops"]), &rows)

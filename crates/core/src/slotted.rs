@@ -1156,7 +1156,7 @@ fn device_slot(
 
 /// Replays one device-slot's recordings into the run totals and its
 /// slot's `row`: the cohort's completion times go into the histogram
-/// through the bit-identical `record_n` batch path, tier tallies are
+/// through one O(1) `record_n` (its sum is exact), tier tallies are
 /// additive, and recorded decisions buffer into `batch` (flushed once
 /// per slot by the caller), stamped with the slot start. Allocates
 /// only when a completion time lands outside the histogram's stored

@@ -43,7 +43,7 @@ use leime_offload::{DeviceParams, QueuePair, SharedParams, SlotCost};
 use leime_par::StdRng;
 use leime_simnet::SimTime;
 use leime_telemetry::{Counter, Histogram, Registry, Series};
-use leime_workload::{binomial_draw, SlotArrivals};
+use leime_workload::{Binomial, SlotArrivals};
 
 use leime::{
     decide_device, run_slot_loop, DecideCtx, DeviceRow, LeimeError, ModelKind, Scenario,
@@ -157,6 +157,27 @@ impl ServingSystem {
         &self.plan
     }
 
+    /// What every device-slot of a run shares, derived once per run
+    /// from the plan and the config.
+    fn run_consts(&self) -> RunConsts {
+        let (plan, scenario) = (&self.plan, &self.scenario);
+        let std_mu1 = plan.standard().mu[0].max(f64::EPSILON);
+        RunConsts {
+            weights: SlaClass::ALL.map(|c| plan.for_class(c).mu[0] / std_mu1),
+            mix: Trinomial::new(self.config.sla.mix),
+            exits: SlaClass::ALL.map(|c| {
+                let sigma = plan.for_class(c).sigma;
+                Trinomial::new([sigma[0], sigma[1] - sigma[0], 1.0 - sigma[1]])
+            }),
+            cloud_legs: SlaClass::ALL.map(|c| {
+                let plan_c = plan.for_class(c);
+                plan_c.d[2] * 8.0 / scenario.cloud_bandwidth_bps
+                    + scenario.cloud_latency_s
+                    + plan_c.mu[2] / scenario.cloud_flops
+            }),
+        }
+    }
+
     /// Attaches a telemetry registry: subsequent runs record, under
     /// `prefix`,
     ///
@@ -168,10 +189,8 @@ impl ServingSystem {
     ///   per-slot fleet-mean series stamped with simulated time.
     ///
     /// The histograms and counters take each run's report totals once,
-    /// after the run. A registry reused across runs keeps counts,
-    /// buckets, min and max exact; a histogram's `sum` then adds each
-    /// run's sum in one step, so it may round differently from one
-    /// running sum over every request.
+    /// after the run. A registry reused across runs stays exact: counts,
+    /// buckets, min, max and the histograms' exact sums all add.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
         let per_class = |what: &str| {
             SlaClass::ALL.map(|c| registry.counter(&format!("{prefix}.{}.{what}", c.name())))
@@ -266,15 +285,13 @@ impl ServingSystem {
                     .as_mut()
                     .map_or(SharedHealth::NOMINAL, |lanes| lanes.health(start)),
                 start,
-                hard_f,
+                hard: Binomial::new(hard_f),
             }
         };
 
-        // Plan-task weight of each class: `μ₁_c / μ₁_std`.
-        let std_mu1 = self.plan.standard().mu[0].max(f64::EPSILON);
-        let weights = SlaClass::ALL.map(|c| self.plan.for_class(c).mu[0] / std_mu1);
+        let consts = self.run_consts();
         let step = |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
-            Ok(self.serve_device(ctx, weights, slot as u64, row))
+            Ok(self.serve_device(ctx, &consts, slot as u64, row))
         };
 
         let sla = &self.config.sla;
@@ -362,18 +379,19 @@ impl ServingSystem {
 
     /// The serving stage's per-device step: the decision
     /// ([`decide_device`]), the offered count, the count-level draws of
-    /// [`ServingSystem::draw_requests`] around admission, and the
-    /// Eq. 10–11 queue step, all from the device's own stream (`weights`
-    /// are the classes' plan-task weights). Returns the admitted counts
-    /// and the price of an admitted request per (class, exit tier) cell;
-    /// `None` for a churned-out device. Allocation-free (S6).
+    /// [`RunConsts::draw_requests`] around admission, and the Eq. 10–11
+    /// queue step, all from the device's own stream. Returns the
+    /// admitted counts and the price of an admitted request per (class,
+    /// exit tier) cell; `None` for a churned-out device. Allocation-free
+    /// (S6).
     fn serve_device(
         &self,
         ctx: &ServeSlot<'_>,
-        weights: [f64; 3],
+        consts: &RunConsts,
         slot: u64,
         mut row: DeviceRow<'_>,
     ) -> Option<Served> {
+        let weights = consts.weights;
         let d = decide_device(
             &ctx.decide,
             &ctx.quants,
@@ -406,7 +424,7 @@ impl ServingSystem {
             )
             .admitted
         };
-        let requests = self.draw_requests(offered_n, ctx.hard_f, d.degraded_local, admission, rng);
+        let requests = consts.draw_requests(offered_n, &ctx.hard, d.degraded_local, admission, rng);
         let admitted_equiv: f64 = (requests.admitted.iter().zip(weights))
             .map(|(cells, w)| cells.iter().sum::<u64>() as f64 * w)
             .sum();
@@ -440,10 +458,7 @@ impl ServingSystem {
                 + ((1.0 - x)
                     * (plan_c.d[1] * 8.0 / dev.bandwidth_bps.max(f64::EPSILON) + dev.latency_s)
                     + plan_c.mu[1] / f_e2);
-            let cloud_leg = plan_c.d[2] * 8.0 / self.scenario.cloud_bandwidth_bps
-                + self.scenario.cloud_latency_s
-                + plan_c.mu[2] / self.scenario.cloud_flops;
-            [first_block, second, second + cloud_leg]
+            [first_block, second, second + consts.cloud_legs[c.index()]]
         });
         Some(Served {
             fault: d.fault || d.degraded_local,
@@ -454,43 +469,58 @@ impl ServingSystem {
             tct,
         })
     }
+}
 
+/// What every device-slot of a run shares: the classes' plan-task
+/// weights `μ₁_c / μ₁_std`, the laws of its counts and the per-class
+/// cloud legs of its prices.
+#[derive(Debug)]
+struct RunConsts {
+    weights: [f64; 3],
+    /// The class split of offered requests, `~ Multinomial(·, mix)`.
+    mix: Trinomial,
+    /// Per class, the exit-tier split of admitted easy requests,
+    /// `~ Multinomial(·, σ_c)` (Eq. 4).
+    exits: [Trinomial; 3],
+    /// Per class, the block-3 cloud leg of a request's price.
+    cloud_legs: [f64; 3],
+}
+
+impl RunConsts {
     /// Samples one device-slot's `offered_n` requests at count level, with
     /// the law of i.i.d. per-request draws (DESIGN.md §12): class counts
     /// `~ Multinomial(offered_n, mix)`, which `admission` maps to admitted
-    /// counts; then per class, admitted hard samples `~ Binomial(·, hard_f)`
-    /// at tier 2 and the rest `~ Multinomial(·, σ_c)` over the tiers
-    /// (Eq. 4). A degraded device runs every admitted request at tier 0
-    /// and draws the hard count over all requests.
+    /// counts; then per class, admitted hard samples `~ hard` (the slot's
+    /// `Binomial(·, hard_f)`) at tier 2 and the rest `~ Multinomial(·, σ_c)`
+    /// over the tiers (Eq. 4). A degraded device runs every admitted
+    /// request at tier 0 and draws the hard count over all requests.
     fn draw_requests(
         &self,
         offered_n: u64,
-        hard_f: f64,
+        hard: &Binomial,
         degraded: bool,
         admission: impl FnOnce([u64; 3]) -> [u64; 3],
         rng: &mut StdRng,
     ) -> Requests {
-        let offered = split3(offered_n, self.config.sla.mix, rng);
+        let offered = self.mix.draw(offered_n, rng);
         let mut admitted = admission(offered).map(|n| [n, 0, 0]);
         // Requests whose hardness is still undrawn: the shed ones, or on
         // a degraded device every one.
-        let (mut hard, mut rest) = (0, offered_n);
+        let (mut hard_n, mut rest) = (0, offered_n);
         if !degraded {
-            for (c, cell) in SlaClass::ALL.iter().zip(&mut admitted) {
+            for (exits, cell) in self.exits.iter().zip(&mut admitted) {
                 let n = cell[0];
-                let hard_c = binomial_draw(n, hard_f, rng);
-                let sigma = self.plan.for_class(*c).sigma;
-                let exits = [sigma[0], sigma[1] - sigma[0], 1.0 - sigma[1]];
-                *cell = split3(n - hard_c, exits, rng);
+                let hard_c = hard.draw(n, rng);
+                *cell = exits.draw(n - hard_c, rng);
                 cell[2] += hard_c;
-                hard += hard_c;
+                hard_n += hard_c;
                 rest -= n;
             }
         }
-        hard += binomial_draw(rest, hard_f, rng);
+        hard_n += hard.draw(rest, rng);
         Requests {
             offered,
-            hard,
+            hard: hard_n,
             admitted,
         }
     }
@@ -504,8 +534,8 @@ struct ServeSlot<'a> {
     /// The edge's shared fault health at `start`.
     health: SharedHealth,
     start: SimTime,
-    /// The slot's hard-sample fraction.
-    hard_f: f64,
+    /// The slot's hard-sample law, `Binomial(·, hard_f)`.
+    hard: Binomial,
 }
 
 /// One served device-slot, as the driver replays it.
@@ -534,14 +564,31 @@ struct Requests {
     admitted: [[u64; 3]; 3],
 }
 
-/// Splits `n` trials over three outcomes, `~ Multinomial(n, probs)`, as
-/// two conditional binomials.
-fn split3(n: u64, probs: [f64; 3], rng: &mut StdRng) -> [u64; 3] {
-    let first = binomial_draw(n, probs[0], rng);
-    let rest = probs[1] + probs[2];
-    let p_second = if rest > 0.0 { probs[1] / rest } else { 0.0 };
-    let second = binomial_draw(n - first, p_second, rng);
-    [first, second, n - first - second]
+/// The law `Multinomial(·, probs)` over three outcomes, as two
+/// conditional binomial laws built once.
+#[derive(Debug, Clone)]
+struct Trinomial {
+    first: Binomial,
+    /// The second outcome given not the first.
+    second: Binomial,
+}
+
+impl Trinomial {
+    fn new(probs: [f64; 3]) -> Self {
+        let rest = probs[1] + probs[2];
+        let p_second = if rest > 0.0 { probs[1] / rest } else { 0.0 };
+        Trinomial {
+            first: Binomial::new(probs[0]),
+            second: Binomial::new(p_second),
+        }
+    }
+
+    /// Splits `n` trials over the three outcomes.
+    fn draw(&self, n: u64, rng: &mut StdRng) -> [u64; 3] {
+        let first = self.first.draw(n, rng);
+        let second = self.second.draw(n - first, rng);
+        [first, second, n - first - second]
+    }
 }
 
 /// The serving testbed: a Pi fleet with a deliberately scarce edge
@@ -893,7 +940,7 @@ mod tests {
         assert_eq!(class_for_draw(mix, 0.999), SlaClass::BestEffort);
     }
 
-    /// The per-request step [`ServingSystem::draw_requests`] replaces: one class and
+    /// The per-request step [`RunConsts::draw_requests`] replaces: one class and
     /// one hardness draw per offered request, the first `admitted[c]`
     /// requests of each class admitted in arrival order, and one
     /// exit-tier draw per admitted non-hard request.
@@ -977,8 +1024,9 @@ mod tests {
         };
         for hard_f in [0.0, 0.3, 1.0] {
             for degraded in [false, true] {
+                let (consts, hard) = (sys.run_consts(), Binomial::new(hard_f));
                 let counts =
-                    |n, rng: &mut StdRng| sys.draw_requests(n, hard_f, degraded, admission, rng);
+                    |n, rng: &mut StdRng| consts.draw_requests(n, &hard, degraded, admission, rng);
                 let reference =
                     |n, rng: &mut StdRng| per_request(&sys, n, hard_f, degraded, admission, rng);
                 let got = moments(&counts, 1);

@@ -8,11 +8,11 @@
 //!
 //! * a quantile estimate lies in the same bucket as the true sample
 //!   quantile, so its relative error is bounded by one bucket width;
-//! * merging two histograms is exact — bucket counts simply add, so
-//!   `merge(a, b)` answers every quantile query identically to a
-//!   histogram that recorded the union of their samples (the property
-//!   test in `tests/proptests.rs` checks this);
-//! * recording is O(1).
+//! * merging two histograms is exact — bucket counts simply add, and
+//!   the sum is exact, so `merge(a, b)` is byte for byte a histogram
+//!   that recorded the union of their samples, in any order (the
+//!   property tests in `tests/proptests.rs` check this);
+//! * recording is O(1), also for `n` copies of one value.
 //!
 //! [`Buckets`] stores only the window of buckets it uses, from its
 //! lowest to its highest non-empty one, so a run whose samples fill a
@@ -20,10 +20,11 @@
 //! [`NUM_BUCKETS`]. The window grows when a sample lands outside it, at
 //! most [`NUM_BUCKETS`] times per histogram.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use serde::{DeError, Deserialize, Map, Serialize, Value};
 
+use crate::exact::ExactSum;
 use crate::sync::lock_unpoisoned;
 
 /// Buckets per power of two; the growth factor is `2^(1/32)`.
@@ -45,7 +46,62 @@ pub const NUM_BUCKETS: usize = 2 * MAG_BUCKETS + 1;
 
 const ZERO_BUCKET: usize = MAG_BUCKETS;
 
-/// Bucket index for a finite value.
+/// `32 · log2(1 / MIN_MAG)`: the magnitude index of 1.
+const INDEX_OF_ONE: f64 = 956.715_291_327_560_4;
+
+/// The magnitude bucket of `mag ≥ MIN_MAG` by definition:
+/// `floor(32 · log2(mag / MIN_MAG))`, clamped to the outermost bucket.
+fn log2_index(mag: f64) -> usize {
+    let idx = ((mag / MIN_MAG).log2() * BUCKETS_PER_OCTAVE as f64).floor() as usize;
+    idx.min(MAG_BUCKETS - 1)
+}
+
+/// `steps()[k]` is the least magnitude whose [`log2_index`] is at least
+/// `k`, found by stepping floats from `MIN_MAG · 2^(k/32)` against the
+/// definition itself; built once per process.
+fn steps() -> &'static [f64; MAG_BUCKETS] {
+    static STEPS: OnceLock<[f64; MAG_BUCKETS]> = OnceLock::new();
+    STEPS.get_or_init(|| {
+        let mut steps = [MIN_MAG; MAG_BUCKETS];
+        for (k, step) in steps.iter_mut().enumerate().skip(1) {
+            let mut x = MIN_MAG * 2f64.powf(k as f64 / BUCKETS_PER_OCTAVE as f64);
+            while log2_index(x) >= k {
+                x = x.next_down();
+            }
+            while log2_index(x) < k {
+                x = x.next_up();
+            }
+            *step = x;
+        }
+        steps
+    })
+}
+
+/// [`log2_index`] by table: the exponent and a quadratic in the mantissa
+/// put `log2(mag)` within 0.008 (a quarter bucket), so the estimated
+/// index is off by at most one, and one or two compares against the
+/// steps settle it.
+fn magnitude_index(mag: f64) -> usize {
+    let steps = steps();
+    let bits = mag.to_bits();
+    let octave = (bits >> 52) as f64 - 1023.0;
+    // The mantissa as 1 + f, f ∈ [0, 1); log2(1 + f) ≈ f·(1.3465 − 0.3465 f).
+    let f = f64::from_bits(bits & ((1 << 52) - 1) | 1023 << 52) - 1.0;
+    let log2 = octave + f * (1.3465 - 0.3465 * f);
+    let k = ((log2 * BUCKETS_PER_OCTAVE as f64 + INDEX_OF_ONE) as usize).min(MAG_BUCKETS - 1);
+    if mag < steps[k] {
+        k.saturating_sub(1)
+    } else if k + 1 < MAG_BUCKETS && mag >= steps[k + 1] {
+        k + 1
+    } else {
+        k
+    }
+}
+
+/// Bucket index for a finite value: `floor(32 · log2(|v| / MIN_MAG))`
+/// on the side of `v`'s sign, clamped to the outermost bucket, and the
+/// zero bucket below `MIN_MAG`. A lookup in a table of the steps of that
+/// definition, so it allocates nothing and calls no `log2`.
 ///
 /// # Panics
 ///
@@ -56,8 +112,7 @@ pub fn bucket_index(v: f64) -> usize {
     if mag < MIN_MAG {
         return ZERO_BUCKET;
     }
-    let idx = ((mag / MIN_MAG).log2() * BUCKETS_PER_OCTAVE as f64).floor() as usize;
-    let idx = idx.min(MAG_BUCKETS - 1);
+    let idx = magnitude_index(mag);
     if v > 0.0 {
         ZERO_BUCKET + 1 + idx
     } else {
@@ -109,13 +164,17 @@ pub fn bucket_representative(index: usize) -> f64 {
 /// compares contents. Each growth step widens the window by at least
 /// one bucket, so a histogram allocates at most [`NUM_BUCKETS`] times
 /// over its life, however many samples it records.
+///
+/// The sum is exact (see `exact.rs`), so it does not depend on the
+/// order of records and merges, and [`Buckets::sum`] rounds it once.
+/// `==` compares the rounded sum, as serialization writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Buckets {
     /// Bucket index of `counts[0]` (0 while empty).
     start: usize,
     counts: Vec<u64>,
     count: u64,
-    sum: f64,
+    sum: ExactSum,
     min: f64,
     max: f64,
 }
@@ -126,7 +185,7 @@ impl Default for Buckets {
             start: 0,
             counts: Vec::new(),
             count: 0,
-            sum: 0.0,
+            sum: ExactSum::default(),
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -162,29 +221,18 @@ impl Buckets {
 
     /// Adds one sample. Non-finite values are ignored.
     pub fn record(&mut self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        self.add(bucket_index(v), 1);
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        self.record_n(v, 1);
     }
 
-    /// Adds the same sample `n` times — bit-identical to `n` successive
-    /// [`Buckets::record`] calls (the sum is accumulated by repeated
-    /// addition, not `n · v`, because float addition does not distribute)
-    /// while paying the bucket search once.
+    /// Adds the same sample `n` times in O(1): one bucket lookup, and
+    /// `v · n` added to the exact sum.
     pub fn record_n(&mut self, v: f64, n: u64) {
         if n == 0 || !v.is_finite() {
             return;
         }
         self.add(bucket_index(v), n);
         self.count += n;
-        for _ in 0..n {
-            self.sum += v;
-        }
+        self.sum.add(v, n);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -199,14 +247,15 @@ impl Buckets {
         self.count == 0
     }
 
-    /// Sum of all samples.
+    /// Sum of all samples: the exact sum, rounded to nearest once.
     pub fn sum(&self) -> f64 {
-        self.sum
+        self.sum.value()
     }
 
-    /// Exact arithmetic mean, or `None` when empty.
+    /// Arithmetic mean (the rounded sum over the count), or `None` when
+    /// empty.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        (self.count > 0).then(|| self.sum() / self.count as f64)
     }
 
     /// Smallest recorded sample, or `None` when empty.
@@ -274,9 +323,9 @@ impl Buckets {
         self.quantile(0.999)
     }
 
-    /// Merges `other` into `self`. Bucket counts add, so the merged
-    /// histogram is indistinguishable from one that recorded both sample
-    /// streams.
+    /// Merges `other` into `self`. Bucket counts and exact sums add, so
+    /// the merged histogram is indistinguishable from one that recorded
+    /// both sample streams.
     pub fn merge(&mut self, other: &Buckets) {
         if !other.counts.is_empty() {
             self.cover(other.start, other.start + other.counts.len() - 1);
@@ -285,7 +334,7 @@ impl Buckets {
             }
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum.merge(&other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -304,7 +353,7 @@ impl Serialize for Buckets {
         m.insert("min_magnitude".to_string(), MIN_MAG.to_value());
         m.insert("counts".to_string(), sparse.to_value());
         m.insert("count".to_string(), self.count.to_value());
-        m.insert("sum".to_string(), self.sum.to_value());
+        m.insert("sum".to_string(), self.sum().to_value());
         m.insert("min".to_string(), self.min().to_value());
         m.insert("max".to_string(), self.max().to_value());
         Value::Object(m)
@@ -353,7 +402,11 @@ impl Deserialize for Buckets {
                 out.count
             ));
         }
-        out.sum = f64::from_value(field("sum")?)?;
+        let sum = f64::from_value(field("sum")?)?;
+        if !sum.is_finite() {
+            return bad(format!("sum {sum} is not finite"));
+        }
+        out.sum = ExactSum::of(sum);
         let min = Option::<f64>::from_value(field("min")?)?;
         let max = Option::<f64>::from_value(field("max")?)?;
         match (min, max) {
@@ -612,10 +665,11 @@ mod tests {
 
     #[test]
     fn record_n_is_bit_identical_to_repeated_record() {
-        // The sums must match to the bit, not just approximately: the
-        // slotted and serving replays record cohorts via record_n where
-        // repeated record would be the per-task equivalent, and
-        // DESIGN.md §11 compares serialized snapshots.
+        // The sums match to the bit, not just approximately: both are
+        // the exact sum, rounded once. The slotted and serving replays
+        // record cohorts via record_n where repeated record would be the
+        // per-task equivalent, and DESIGN.md §11 compares serialized
+        // snapshots.
         let mut plain_n = Buckets::new();
         let mut plain_rep = Buckets::new();
         for (i, n) in [(3u64, 1u64), (7, 4), (11, 17), (2, 0)] {
@@ -720,6 +774,9 @@ mod tests {
         let good = doc(&format!("[[{lo},2],[{hi},1]]"), 3, "0.01", "0.5");
         let b: Buckets = serde_json::from_str(&good).unwrap();
         assert_eq!(b.non_empty().collect::<Vec<_>>(), [(lo, 2), (hi, 1)]);
+        // A sum past f64::MAX parses as infinity, which no exact sum holds.
+        let huge = good.replace(r#""sum":0.5"#, r#""sum":1e999"#);
+        assert!(serde_json::from_str::<Buckets>(&huge).is_err());
         assert_eq!(b.counts.len(), hi - lo + 1);
         assert_eq!(b.quantile(0.5), Some(bucket_representative(lo)));
     }
@@ -737,5 +794,179 @@ mod tests {
         let empty: Buckets = serde_json::from_str(&empty_text).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty, Buckets::new());
+    }
+
+    /// The magnitude bucket as the definition states it, with no table.
+    fn by_log2(v: f64) -> usize {
+        let mag = v.abs();
+        if mag < MIN_MAG {
+            return ZERO_BUCKET;
+        }
+        let idx = ((mag / MIN_MAG).log2() * BUCKETS_PER_OCTAVE as f64).floor() as usize;
+        let idx = idx.min(MAG_BUCKETS - 1);
+        if v > 0.0 {
+            ZERO_BUCKET + 1 + idx
+        } else {
+            ZERO_BUCKET - 1 - idx
+        }
+    }
+
+    /// The finite ones of `v` and its neighbouring floats, on both sides
+    /// of zero.
+    fn around(v: f64) -> impl Iterator<Item = f64> {
+        [v.next_down(), v, v.next_up()]
+            .into_iter()
+            .filter(|x| x.is_finite())
+            .flat_map(|x| [x, -x])
+    }
+
+    #[test]
+    fn table_index_matches_the_log2_definition_at_every_step() {
+        let steps = steps();
+        assert!(steps.windows(2).all(|w| w[0] < w[1]), "steps must ascend");
+        for (k, &step) in steps.iter().enumerate() {
+            assert_eq!(log2_index(step), k, "step {k} = {step:e}");
+            if k > 0 {
+                assert_eq!(log2_index(step.next_down()), k - 1, "below step {k}");
+            }
+            for v in around(step) {
+                assert_eq!(bucket_index(v), by_log2(v), "{v:e} next to step {k}");
+            }
+        }
+        // The zero bucket, the clamp and the ends of the f64 range.
+        for v in [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e-10,
+            1.8e10,
+            1e11,
+            1e300,
+            f64::MAX,
+        ] {
+            for v in around(v) {
+                assert_eq!(bucket_index(v), by_log2(v), "{v:e}");
+            }
+        }
+        assert_eq!(bucket_index(MIN_MAG.next_down()), ZERO_BUCKET);
+        assert_eq!(bucket_index(-f64::MAX), 0);
+        assert_eq!(bucket_index(f64::MAX), NUM_BUCKETS - 1);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn table_index_matches_the_log2_definition(
+            bits in 0u64..u64::MAX,
+            exp10 in -10.0f64..11.0,
+            sign in -1.0f64..1.0,
+        ) {
+            // Any finite f64 (mostly far outside the resolved range), and
+            // a log-uniform magnitude inside it.
+            let any = f64::from_bits(bits);
+            if any.is_finite() {
+                proptest::prop_assert_eq!(bucket_index(any), by_log2(any), "{:e}", any);
+            }
+            let inside = sign.signum() * 10f64.powf(exp10);
+            proptest::prop_assert_eq!(bucket_index(inside), by_log2(inside), "{:e}", inside);
+        }
+
+        #[test]
+        fn record_and_merge_order_leave_the_same_bytes(
+            steps in proptest::prop::collection::vec(
+                (-330.0f64..308.0, -1.0f64..1.0, 0u64..6),
+                0..60,
+            ),
+        ) {
+            // Values over the whole finite range: subnormals, the zero
+            // bucket, the resolved range and the clamp.
+            let steps: Vec<(f64, u64)> = steps
+                .into_iter()
+                .map(|(e, sign, n)| (sign.signum() * 10f64.powf(e), n))
+                .collect();
+            let bytes = |b: &Buckets| serde_json::to_string(b).unwrap();
+            let (mut forward, mut backward, mut one_by_one) =
+                (Buckets::new(), Buckets::new(), Buckets::new());
+            let mut halves = [Buckets::new(), Buckets::new()];
+            for (i, &(v, n)) in steps.iter().enumerate() {
+                forward.record_n(v, n);
+                halves[i % 2].record_n(v, n);
+                for _ in 0..n {
+                    one_by_one.record(v);
+                }
+            }
+            for &(v, n) in steps.iter().rev() {
+                backward.record_n(v, n);
+            }
+            let want = bytes(&forward);
+            proptest::prop_assert_eq!(&bytes(&backward), &want);
+            proptest::prop_assert_eq!(&bytes(&one_by_one), &want);
+            let [a, b] = halves;
+            for (mut into, from) in [(a.clone(), &b), (b.clone(), &a)] {
+                into.merge(from);
+                proptest::prop_assert_eq!(&bytes(&into), &want);
+                proptest::prop_assert!(into == forward);
+            }
+        }
+    }
+
+    /// Serializes, parses back, and checks both the value and the bytes.
+    fn assert_round_trips(b: &Buckets) {
+        let text = serde_json::to_string(b).unwrap();
+        let back: Buckets = serde_json::from_str(&text).unwrap();
+        assert_eq!(&back, b);
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
+    }
+
+    #[test]
+    fn extreme_samples_never_panic_and_sum_exactly() {
+        let big = 1u64 << 40;
+        // Huge magnitudes: the exact sum of these cancels to 1e300.
+        let mut huge = Buckets::new();
+        huge.record_n(1e300, big);
+        huge.record_n(-1e300, big - 1);
+        assert_eq!(huge.sum().to_bits(), 1e300f64.to_bits());
+        assert_eq!(huge.count(), 2 * big - 1);
+        assert_round_trips(&huge);
+        // Past f64::MAX the sum is infinite, and comes back when it
+        // cancels.
+        let mut over = Buckets::new();
+        over.record_n(-1e300, big);
+        assert_eq!(over.sum().to_bits(), f64::NEG_INFINITY.to_bits());
+        over.record_n(1e300, big);
+        over.record(f64::MAX);
+        assert_eq!(over.sum().to_bits(), f64::MAX.to_bits());
+        assert_round_trips(&over);
+        // Subnormals sum exactly: 2^40 copies of the least one.
+        let mut tiny = Buckets::new();
+        tiny.record_n(5e-324, big);
+        tiny.record_n(-2.5e-310, 3);
+        tiny.record(0.0);
+        let want = 5e-324 * big as f64 - 3.0 * 2.5e-310;
+        assert_eq!(tiny.sum().to_bits(), want.to_bits());
+        assert_eq!(tiny.bucket_count(ZERO_BUCKET), big + 4);
+        assert_round_trips(&tiny);
+        // Mixed signs and scales in one histogram, in both orders.
+        let cells = [
+            (7.0, big),
+            (-1e-5, 3),
+            (1e-300, 9),
+            (-1e300, 2),
+            (1e300, 2),
+            (0.25, 1),
+        ];
+        let mut mixed = Buckets::new();
+        let mut reversed = Buckets::new();
+        for (&(v, n), &(w, m)) in cells.iter().zip(cells.iter().rev()) {
+            mixed.record_n(v, n);
+            reversed.record_n(w, m);
+        }
+        assert!(mixed.sum().is_finite());
+        assert_eq!(
+            mixed.sum().to_bits(),
+            (7.0 * big as f64 + 0.25 - 3e-5).to_bits()
+        );
+        assert_eq!(mixed, reversed);
+        assert_round_trips(&mixed);
     }
 }

@@ -9,8 +9,8 @@
 //!   [`Series`], created on first use and shared via `Arc`. The
 //!   registry's own lock is held only at registration and snapshot time.
 //! * [`Buckets`] — log-bucketed latency histogram: quantile queries with
-//!   error bounded by one bucket width, and exact merging (bucket counts
-//!   add). It holds a `leime` run report's completion times; a registry
+//!   error bounded by one bucket width, an exact sum, and exact merging
+//!   (bucket counts and sums add, in any order). It holds a `leime` run report's completion times; a registry
 //!   [`Histogram`] is one `Buckets` behind a lock, merged into once per
 //!   run.
 //! * [`Series`] — `(time, value)` recorders sampled per simulated slot
@@ -24,6 +24,7 @@
 //!   (see EXPERIMENTS.md for the schema).
 
 pub mod clock;
+mod exact;
 pub mod hist;
 pub mod metrics;
 pub mod registry;

@@ -17,46 +17,13 @@ pub fn sigmoid(input: &Tensor) -> Tensor {
     input.map(|x| 1.0 / (1.0 + (-x).exp()))
 }
 
-/// Numerically stable softmax of a rank-1 logit vector.
+/// Numerically stable row-wise softmax of a rank-2 `(N, K)` logit
+/// matrix.
 ///
-/// Shifts by the maximum before exponentiating, so large logits cannot
-/// overflow. The output sums to 1 and every entry lies in `(0, 1]`.
-///
-/// The *maximum entry* of this output is the paper's "confidence" used for
-/// the early-exit decision (§III-B2).
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-rank-1 inputs and
-/// [`TensorError::InvalidParam`] for empty inputs.
-pub fn softmax_row(logits: &Tensor) -> Result<Tensor> {
-    if logits.shape().rank() != 1 {
-        return Err(TensorError::RankMismatch {
-            op: "softmax_row",
-            expected: 1,
-            actual: logits.shape().rank(),
-        });
-    }
-    if logits.is_empty() {
-        return Err(TensorError::InvalidParam {
-            op: "softmax_row",
-            what: "empty logit vector".to_string(),
-        });
-    }
-    let max = logits
-        .data()
-        .iter()
-        .copied()
-        .fold(f32::NEG_INFINITY, f32::max);
-    let exp: Vec<f32> = logits.data().iter().map(|&x| (x - max).exp()).collect();
-    let z: f32 = exp.iter().sum();
-    Tensor::from_vec(
-        Shape::d1(exp.len()),
-        exp.into_iter().map(|e| e / z).collect(),
-    )
-}
-
-/// Row-wise softmax of a rank-2 `(N, K)` logit matrix.
+/// Shifts each row by its maximum before exponentiating, so large logits
+/// cannot overflow. Each output row sums to 1 and every entry lies in
+/// `(0, 1]`. The *maximum entry* of a row is the paper's "confidence"
+/// used for the early-exit decision (§III-B2).
 ///
 /// # Errors
 ///
@@ -116,8 +83,8 @@ mod tests {
 
     #[test]
     fn softmax_sums_to_one() {
-        let t = Tensor::from_vec(Shape::d1(3), vec![1., 2., 3.]).unwrap();
-        let s = softmax_row(&t).unwrap();
+        let t = Tensor::from_vec(Shape::d2(1, 3), vec![1., 2., 3.]).unwrap();
+        let s = softmax_rows(&t).unwrap();
         assert!((s.sum() - 1.0).abs() < 1e-5);
         // Monotone in the logits.
         assert!(s.data()[2] > s.data()[1] && s.data()[1] > s.data()[0]);
@@ -125,16 +92,16 @@ mod tests {
 
     #[test]
     fn softmax_handles_huge_logits() {
-        let t = Tensor::from_vec(Shape::d1(2), vec![1000., 1001.]).unwrap();
-        let s = softmax_row(&t).unwrap();
+        let t = Tensor::from_vec(Shape::d2(1, 2), vec![1000., 1001.]).unwrap();
+        let s = softmax_rows(&t).unwrap();
         assert!(s.data().iter().all(|x| x.is_finite()));
         assert!((s.sum() - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn softmax_uniform_logits() {
-        let t = Tensor::full(Shape::d1(10), 3.0);
-        let s = softmax_row(&t).unwrap();
+        let t = Tensor::full(Shape::d2(1, 10), 3.0);
+        let s = softmax_rows(&t).unwrap();
         for &p in s.data() {
             assert!((p - 0.1).abs() < 1e-6);
         }
@@ -144,15 +111,20 @@ mod tests {
     fn softmax_rows_matches_row() {
         let m = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 3., 2., 1.]).unwrap();
         let s = softmax_rows(&m).unwrap();
-        let r0 = softmax_row(&Tensor::from_vec(Shape::d1(3), vec![1., 2., 3.]).unwrap()).unwrap();
-        for j in 0..3 {
-            assert!((s.data()[j] - r0.data()[j]).abs() < 1e-6);
+        // Each row is the softmax of that row alone.
+        for (i, row) in [[1., 2., 3.], [3., 2., 1.]].into_iter().enumerate() {
+            let alone =
+                softmax_rows(&Tensor::from_vec(Shape::d2(1, 3), row.to_vec()).unwrap()).unwrap();
+            for j in 0..3 {
+                assert!((s.data()[3 * i + j] - alone.data()[j]).abs() < 1e-6);
+            }
         }
     }
 
     #[test]
     fn softmax_rejects_empty() {
-        let t = Tensor::zeros(Shape::new(vec![0]));
-        assert!(softmax_row(&t).is_err());
+        let t = Tensor::zeros(Shape::d2(1, 0));
+        assert!(softmax_rows(&t).is_err());
+        assert!(softmax_rows(&Tensor::zeros(Shape::d1(3))).is_err());
     }
 }

@@ -1,4 +1,4 @@
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// Batched fully connected layer: `(N, D_in) · (D_in, D_out) + bias`.
 ///
@@ -26,29 +26,10 @@ pub fn linear(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor> 
     Ok(out)
 }
 
-/// Fully connected layer for a single rank-1 feature vector: `(D_in,)` →
-/// `(D_out,)`.
-///
-/// # Errors
-///
-/// Same conditions as [`linear`].
-pub fn linear_single(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
-    if input.shape().rank() != 1 {
-        return Err(TensorError::RankMismatch {
-            op: "linear_single",
-            expected: 1,
-            actual: input.shape().rank(),
-        });
-    }
-    let row = input.reshape(Shape::d2(1, input.len()))?;
-    let out = linear(&row, weight, bias)?;
-    let n = out.len();
-    out.reshape(Shape::d1(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Shape;
 
     #[test]
     fn linear_matches_manual() {
@@ -61,28 +42,10 @@ mod tests {
     }
 
     #[test]
-    fn linear_single_round_trip() {
-        let x = Tensor::from_vec(Shape::d1(2), vec![1., 1.]).unwrap();
-        let w = Tensor::from_vec(Shape::d2(2, 2), vec![1., 2., 3., 4.]).unwrap();
-        let b = Tensor::zeros(Shape::d1(2));
-        let y = linear_single(&x, &w, &b).unwrap();
-        assert_eq!(y.shape().dims(), &[2]);
-        assert_eq!(y.data(), &[4., 6.]);
-    }
-
-    #[test]
     fn linear_rejects_bias_mismatch() {
         let x = Tensor::zeros(Shape::d2(1, 2));
         let w = Tensor::zeros(Shape::d2(2, 3));
         let b = Tensor::zeros(Shape::d1(4));
         assert!(linear(&x, &w, &b).is_err());
-    }
-
-    #[test]
-    fn linear_single_rejects_matrix_input() {
-        let x = Tensor::zeros(Shape::d2(2, 2));
-        let w = Tensor::zeros(Shape::d2(2, 2));
-        let b = Tensor::zeros(Shape::d1(2));
-        assert!(linear_single(&x, &w, &b).is_err());
     }
 }

@@ -7,5 +7,5 @@
 mod activation;
 mod linear;
 
-pub use activation::{relu, relu_grad_mask, sigmoid, softmax_row, softmax_rows};
-pub use linear::{linear, linear_single};
+pub use activation::{relu, relu_grad_mask, sigmoid, softmax_rows};
+pub use linear::linear;

@@ -9,7 +9,7 @@ use std::fmt;
 /// ```
 /// use leime_tensor::Shape;
 ///
-/// let s = Shape::d3(2, 3, 4);
+/// let s = Shape::new(vec![2, 3, 4]);
 /// assert_eq!(s.rank(), 3);
 /// assert_eq!(s.volume(), 24);
 /// assert_eq!(s.dims(), &[2, 3, 4]);
@@ -36,16 +36,6 @@ impl Shape {
     /// Creates a rank-2 shape (rows, cols).
     pub fn d2(rows: usize, cols: usize) -> Self {
         Shape(vec![rows, cols])
-    }
-
-    /// Creates a rank-3 shape (channels, height, width).
-    pub fn d3(c: usize, h: usize, w: usize) -> Self {
-        Shape(vec![c, h, w])
-    }
-
-    /// Creates a rank-4 shape (batch, channels, height, width).
-    pub fn d4(n: usize, c: usize, h: usize, w: usize) -> Self {
-        Shape(vec![n, c, h, w])
     }
 
     /// The dimension extents.
@@ -79,7 +69,7 @@ impl Shape {
     ///
     /// ```
     /// use leime_tensor::Shape;
-    /// assert_eq!(Shape::d3(2, 3, 4).strides(), vec![12, 4, 1]);
+    /// assert_eq!(Shape::new(vec![2, 3, 4]).strides(), vec![12, 4, 1]);
     /// ```
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.0.len()];
@@ -147,20 +137,20 @@ mod tests {
 
     #[test]
     fn volume_is_product() {
-        assert_eq!(Shape::d4(2, 3, 4, 5).volume(), 120);
+        assert_eq!(Shape::new(vec![2, 3, 4, 5]).volume(), 120);
         assert_eq!(Shape::d1(7).volume(), 7);
     }
 
     #[test]
     fn strides_row_major() {
         assert_eq!(Shape::d2(3, 4).strides(), vec![4, 1]);
-        assert_eq!(Shape::d4(2, 3, 4, 5).strides(), vec![60, 20, 5, 1]);
+        assert_eq!(Shape::new(vec![2, 3, 4, 5]).strides(), vec![60, 20, 5, 1]);
         assert_eq!(Shape::d1(9).strides(), vec![1]);
     }
 
     #[test]
     fn offset_round_trip() {
-        let s = Shape::d3(2, 3, 4);
+        let s = Shape::new(vec![2, 3, 4]);
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..2 {
             for j in 0..3 {
@@ -184,6 +174,6 @@ mod tests {
 
     #[test]
     fn display_format() {
-        assert_eq!(Shape::d3(1, 28, 28).to_string(), "(1×28×28)");
+        assert_eq!(Shape::new(vec![1, 28, 28]).to_string(), "(1×28×28)");
     }
 }

@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let r = t.reshape(Shape::d3(1, 3, 2)).unwrap();
+        let r = t.reshape(Shape::new(vec![1, 3, 2])).unwrap();
         assert_eq!(r.data(), t.data());
         assert!(t.reshape(Shape::d1(5)).is_err());
     }

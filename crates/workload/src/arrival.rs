@@ -94,47 +94,103 @@ fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
     }
 }
 
-/// Trials per inversion run of [`binomial_draw`]: with `p ≤ ½`,
+/// Trials per inversion run of [`Binomial::draw`]: with `p ≤ ½`,
 /// `(1 − p)^1000 ≥ 2^-1000` stays a normal `f64`.
 const BINOMIAL_CHUNK: u64 = 1000;
 
-/// Draws a `Binomial(n, p)` count exactly, by inversion.
-///
-/// The walk runs on `s = min(p, 1 − p)` up the pmf recursion
-/// `P(x) = P(x − 1) · ((n + 1)·r/x − r)` with `r = s/(1 − s)`, capped at
-/// `x ≤ n`, and costs `O(n·s)` steps. `n` is split into runs of at most
-/// 1000 trials, so `(1 − s)ⁿ` never underflows; a sum of independent
-/// binomials with one `p` is itself binomial. `n = 0`, `p ≤ 0` (or NaN)
-/// and `p ≥ 1` draw nothing.
-pub fn binomial_draw(n: u64, p: f64, rng: &mut StdRng) -> u64 {
-    if n == 0 || p.is_nan() || p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    let s = p.min(1.0 - p);
-    let r = s / (1.0 - s);
-    let mut hits = 0;
-    let mut left = n;
-    while left > 0 {
-        let m = left.min(BINOMIAL_CHUNK);
-        left -= m;
-        let a = (m + 1) as f64 * r;
-        let mut pmf = (1.0 - s).powi(m as i32);
-        let mut u: f64 = rng.gen();
-        let mut x = 0;
-        while u > pmf && x < m {
-            u -= pmf;
-            x += 1;
-            pmf *= a / x as f64 - r;
+/// Trial counts below which a [`Binomial`] law tabulates `(1 − s)^m`.
+const POW_TABLE: usize = 64;
+
+/// The `Binomial(·, p)` law for one success probability `p`, with the
+/// constants of its sampler computed once: `s = min(p, 1 − p)`, `1 − s`,
+/// `r = s/(1 − s)` and the walk's start `(1 − s)^m` for `m < 64`. Build it
+/// where `p` is fixed (per run, or per slot) and
+/// [`draw`](Binomial::draw) per device-slot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Binomial {
+    p: f64,
+    s: f64,
+    /// `1 − s`.
+    q: f64,
+    /// `s / (1 − s)`.
+    r: f64,
+    /// `pow[m]` is `q.powi(m)`, bit for bit.
+    pow: [f64; POW_TABLE],
+}
+
+impl Binomial {
+    /// The law of success probability `p`. `p ≤ 0` (or NaN) and `p ≥ 1`
+    /// are degenerate laws that draw nothing.
+    pub fn new(p: f64) -> Self {
+        let s = p.min(1.0 - p);
+        let q = 1.0 - s;
+        // `powi` multiplies the squares `q^(2^k)` of `m`'s set bits in
+        // ascending `k`, starting from 1 (square-and-multiply), so
+        // `q^m` is `q^(m − 2^h)` times the top bit's square `q^(2^h)`:
+        // one multiply per entry, the same product `powi` forms.
+        let mut pow = [1.0; POW_TABLE];
+        let mut square = q;
+        for m in 1..POW_TABLE {
+            let top = 1 << m.ilog2();
+            if m == top {
+                if m > 1 {
+                    square *= square;
+                }
+                pow[m] = square;
+            } else {
+                pow[m] = pow[m - top] * square;
+            }
         }
-        hits += x;
+        Binomial {
+            p,
+            s,
+            q,
+            r: s / q,
+            pow,
+        }
     }
-    if s < p {
-        n - hits
-    } else {
-        hits
+
+    /// Draws a `Binomial(n, p)` count exactly, by inversion.
+    ///
+    /// The walk runs on `s` up the pmf recursion
+    /// `P(x) = P(x − 1) · ((n + 1)·r/x − r)`, capped at `x ≤ n`, and
+    /// costs `O(n·s)` steps. `n` is split into runs of at most 1000
+    /// trials, so `(1 − s)ⁿ` never underflows; a sum of independent
+    /// binomials with one `p` is itself binomial. `n = 0` and the
+    /// degenerate laws draw nothing from `rng`: `p ≤ 0` (or NaN) gives 0,
+    /// `p ≥ 1` gives `n`.
+    pub fn draw(&self, n: u64, rng: &mut StdRng) -> u64 {
+        let Binomial { p, s, q, r, .. } = *self;
+        if n == 0 || p.is_nan() || p <= 0.0 {
+            return 0;
+        }
+        if p >= 1.0 {
+            return n;
+        }
+        let mut hits = 0;
+        let mut left = n;
+        while left > 0 {
+            let m = left.min(BINOMIAL_CHUNK);
+            left -= m;
+            let a = (m + 1) as f64 * r;
+            let mut pmf = match self.pow.get(m as usize) {
+                Some(&pmf) => pmf,
+                None => q.powi(m as i32),
+            };
+            let mut u: f64 = rng.gen();
+            let mut x = 0;
+            while u > pmf && x < m {
+                u -= pmf;
+                x += 1;
+                pmf *= a / x as f64 - r;
+            }
+            hits += x;
+        }
+        if s < p {
+            n - hits
+        } else {
+            hits
+        }
     }
 }
 
@@ -313,7 +369,7 @@ mod tests {
             for p in [1e-3, 0.2, 0.5, 0.7] {
                 let mut seen = vec![0u64; n as usize + 1];
                 for _ in 0..DRAWS {
-                    let x = binomial_draw(n, p, &mut rng);
+                    let x = Binomial::new(p).draw(n, &mut rng);
                     assert!(x <= n, "Binomial({n}, {p}) drew {x}");
                     seen[x as usize] += 1;
                 }
@@ -350,7 +406,7 @@ mod tests {
         for n in [0u64, 1, 7, 48, 1000, 5000] {
             for p in [0.0, 1.0, f64::NAN, -0.5, 1.5, 0.2, 0.5] {
                 let before = rng.clone();
-                let x = binomial_draw(n, p, &mut rng);
+                let x = Binomial::new(p).draw(n, &mut rng);
                 let degenerate = n == 0 || p.is_nan() || p <= 0.0 || p >= 1.0;
                 if degenerate {
                     let exact = if n > 0 && p >= 1.0 { n } else { 0 };
@@ -363,11 +419,91 @@ mod tests {
         }
     }
 
+    /// The sampler as it was before its constants moved into
+    /// [`Binomial`], verbatim: the oracle for the law's walk.
+    fn binomial_draw(n: u64, p: f64, rng: &mut StdRng) -> u64 {
+        if n == 0 || p.is_nan() || p <= 0.0 {
+            return 0;
+        }
+        if p >= 1.0 {
+            return n;
+        }
+        let s = p.min(1.0 - p);
+        let r = s / (1.0 - s);
+        let mut hits = 0;
+        let mut left = n;
+        while left > 0 {
+            let m = left.min(BINOMIAL_CHUNK);
+            left -= m;
+            let a = (m + 1) as f64 * r;
+            let mut pmf = (1.0 - s).powi(m as i32);
+            let mut u: f64 = rng.gen();
+            let mut x = 0;
+            while u > pmf && x < m {
+                u -= pmf;
+                x += 1;
+                pmf *= a / x as f64 - r;
+            }
+            hits += x;
+        }
+        if s < p {
+            n - hits
+        } else {
+            hits
+        }
+    }
+
+    #[test]
+    fn binomial_power_table_is_powi_bit_for_bit() {
+        for p in [1e-12, 0.05, 0.2, 0.375, 0.5, 0.625, 0.8, 1.0 - 1e-12] {
+            let law = Binomial::new(p);
+            for (m, &pow) in law.pow.iter().enumerate() {
+                assert_eq!(
+                    pow.to_bits(),
+                    law.q.powi(m as i32).to_bits(),
+                    "p {p}, m {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn binomial_law_draws_exactly_what_the_plain_sampler_drew() {
+        let ns = [0u64, 1, 7, 48, 63, 64, 999, 1000, 1001, 2500];
+        let ps = [
+            f64::NAN,
+            -0.1,
+            0.0,
+            1e-12,
+            0.2,
+            0.5,
+            0.625,
+            1.0 - 1e-12,
+            1.0,
+            1.5,
+        ];
+        for seed in [0u64, 1, 7, 2024, u64::MAX] {
+            let mut law_rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            for &p in &ps {
+                let law = Binomial::new(p);
+                for &n in &ns {
+                    for _ in 0..3 {
+                        let got = law.draw(n, &mut law_rng);
+                        let want = binomial_draw(n, p, &mut oracle_rng);
+                        assert_eq!(got, want, "Binomial({n}, {p}) at seed {seed}");
+                        assert_eq!(law_rng, oracle_rng, "Binomial({n}, {p}) at seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn binomial_draw_never_exceeds_n(n in 0u64..20_000, p in 0.0f64..=1.0, seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
-            proptest::prop_assert!(binomial_draw(n, p, &mut rng) <= n);
+            proptest::prop_assert!(Binomial::new(p).draw(n, &mut rng) <= n);
         }
     }
 

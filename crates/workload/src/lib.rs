@@ -28,7 +28,7 @@ pub mod cascade;
 pub mod dataset;
 pub mod exitmodel;
 
-pub use arrival::{binomial_draw, Mmpp, SlotArrivals};
+pub use arrival::{Binomial, Mmpp, SlotArrivals};
 pub use cascade::{CascadeParams, FeatureCascade};
 pub use dataset::{ComplexityDist, Sample, SyntheticDataset};
 pub use exitmodel::ExitRateModel;

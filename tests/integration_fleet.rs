@@ -327,7 +327,7 @@ fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
             vec![200, 185, 993],
         ]
     );
-    assert_eq!(report.mean_tct_s().to_bits(), 0x3ff1_c64b_17ce_919a);
+    assert_eq!(report.mean_tct_s().to_bits(), 0x3ff1_c64b_17ce_919c);
     // Moves per boundary and cause.
     let mut moves: Vec<(usize, MigrationCause, usize)> = Vec::new();
     for m in &report.migrations {
@@ -360,7 +360,7 @@ fn fleet_outputs_match_the_per_edge_run_golden() -> TestResult<()> {
         .map(|iv| iv.edges.iter().map(|e| e.tasks()).collect())
         .collect();
     assert_eq!(tasks, vec![vec![263, 255], vec![480, 0], vec![464, 0]]);
-    assert_eq!(report.mean_tct_s().to_bits(), 0x3fda_6adc_1b7a_2d0a);
+    assert_eq!(report.mean_tct_s().to_bits(), 0x3fda_6adc_1b7a_2d00);
     let log: Vec<(usize, usize, usize, usize, u64, MigrationCause)> = report
         .migrations
         .iter()
