@@ -721,7 +721,7 @@ mod tests {
         assert!(matches!(s.validate(), Err(LeimeError::Config(_))));
 
         let mut s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 2, 5.0);
-        s.degrade.timeout_slots = 0;
+        s.degrade.backoff_base_slots = 0;
         assert!(matches!(s.validate(), Err(LeimeError::Config(_))));
     }
 

@@ -1041,9 +1041,7 @@ pub fn decide_device(
     } else {
         let x_opt = ctx.decider.decide(shared, device, obs);
         let dpp = if ctx.want_dpp {
-            SlotCost::new(shared, device, obs.q, obs.h, obs.p_share)
-                .eval()
-                .drift_plus_penalty(x_opt)
+            SlotCost::new(shared, device, obs.q, obs.h, obs.p_share).drift_plus_penalty(x_opt)
         } else {
             0.0
         };
@@ -1099,17 +1097,14 @@ fn device_slot(
         rng,
     );
 
-    // Realized per-slot cost with the actual arrival count. The
-    // precomputed evaluator returns the same bits as the SlotCost
-    // methods (asserted in leime-offload) at a fraction of the work.
+    // Realized per-slot cost with the actual arrival count.
     let realized = DeviceParams {
         arrival_mean: arrivals as f64,
         ..d.device
     };
     let cost = SlotCost::new(d.shared, realized, obs.q, obs.h, obs.p_share);
-    let ev = cost.eval();
     let (per_task, total, tier_counts) = if arrivals > 0 {
-        let first_block = ev.y(x);
+        let first_block = cost.y(x);
         let tail = if degraded_local {
             0.0
         } else {
@@ -1135,8 +1130,8 @@ fn device_slot(
     // H-quota); its backlog waits out the fault.
     let a = (1.0 - x) * arrivals as f64;
     let d_off = x * arrivals as f64;
-    let edge_quota = if d.edge_up { ev.edge_quota(x) } else { 0.0 };
-    queue.step(a, d_off, ev.device_quota(), edge_quota);
+    let edge_quota = if d.edge_up { cost.edge_quota(x) } else { 0.0 };
+    queue.step(a, d_off, cost.device_quota(), edge_quota);
     let served = (obs.q + a - queue.q()) + (obs.h + d_off - queue.h());
 
     Ok(DeviceSlotOut::Active(ActiveOut {

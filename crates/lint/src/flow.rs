@@ -95,19 +95,23 @@ impl<'a> FlowAnalysis<'a> {
 
     /// S6 raw material: per-definition allocation counts over the hot
     /// set, keyed `"<path>::<fn>"`, restricted to `hot_path_markers`.
+    /// Same-named definitions in one file (methods of different `impl`
+    /// blocks) share a key, so the entry sums their counts and points at
+    /// the first of them.
     pub fn hot_alloc_counts(&self, cfg: &SemaConfig) -> BTreeMap<String, HotAlloc> {
-        let mut out = BTreeMap::new();
+        let mut out = BTreeMap::<String, HotAlloc>::new();
         for name in self.hot_set(cfg) {
             for &(path, def) in &self.defs[name] {
                 if path_matches(path, &cfg.hot_path_markers) {
-                    out.insert(
-                        format!("{path}::{name}"),
-                        HotAlloc {
+                    let entry = out
+                        .entry(format!("{path}::{name}"))
+                        .or_insert_with(|| HotAlloc {
                             path: path.to_string(),
                             line: def.line,
-                            count: def.allocs.len(),
-                        },
-                    );
+                            count: 0,
+                        });
+                    entry.line = entry.line.min(def.line);
+                    entry.count += def.allocs.len();
                 }
             }
         }
@@ -399,6 +403,18 @@ mod tests {
         );
         assert_eq!(counts["crates/x/src/lib.rs::helper"].count, 2, "{counts:?}");
         assert!(!counts.contains_key("crates/x/src/lib.rs::cold"));
+    }
+
+    #[test]
+    fn same_named_definitions_in_one_file_sum() {
+        let counts = FlowAnalysis::build([&facts(
+            "fn hot_entry(n: usize) { let a = A::new(n); let b = B::new(n); }\n\
+             impl A { fn new(n: usize) -> A { A(format!(\"{n}\")) } }\n\
+             impl B { fn new(n: usize) -> B { B(n.to_string()) } }",
+        )])
+        .hot_alloc_counts(&cfg());
+        let new = &counts["crates/x/src/lib.rs::new"];
+        assert_eq!((new.count, new.line), (2, 2), "{counts:?}");
     }
 
     #[test]

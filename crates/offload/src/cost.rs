@@ -5,6 +5,11 @@ use crate::{DeviceParams, SharedParams};
 ///
 /// All methods are parameterised by the offloading ratio `x ∈ [0, 1]`;
 /// arrivals split into `A = (1−x)·k` local and `D = x·k` offloaded tasks.
+/// The constructor computes every `x`-independent subtree once. Only
+/// whole parenthesized subtrees of the Eq. 9/12–14 expressions are
+/// hoisted: float arithmetic is not associative, so re-grouping anything
+/// else would change results and break the DESIGN.md §11 byte-identical
+/// contract (`evaluator_bits_are_pinned` pins every method's bits).
 #[derive(Debug, Clone, Copy)]
 pub struct SlotCost {
     shared: SharedParams,
@@ -15,6 +20,19 @@ pub struct SlotCost {
     pub h: f64,
     /// Edge resource share `p_i` of this device.
     pub p_share: f64,
+    /// `μ_1 / F_i^d` — device seconds per task.
+    pub(crate) per_task_dev: f64,
+    /// `1 − σ_1`.
+    pub(crate) one_minus_sigma1: f64,
+    /// First-exit upload time `d_1·8/B + L` (the `C^d_3` inner term).
+    pub(crate) tx1: f64,
+    /// Raw-input upload time `d_0·8/B + L` (the `C^e_1` inner term).
+    pub(crate) tx0: f64,
+    /// `e₂ = (1 − σ_1)·μ_2` — the x-independent half of the Eq. 9
+    /// denominator.
+    pub(crate) edge2: f64,
+    /// Device service quota `F_i^d·τ/μ_1`.
+    device_quota: f64,
 }
 
 impl SlotCost {
@@ -30,12 +48,19 @@ impl SlotCost {
             (0.0..=1.0).contains(&p_share),
             "p_share {p_share} outside [0, 1]"
         );
+        let (s, d) = (&shared, &device);
         SlotCost {
             shared,
             device,
             q,
             h,
             p_share,
+            per_task_dev: s.mu1 / d.flops,
+            one_minus_sigma1: 1.0 - s.sigma1,
+            tx1: s.d1_bytes * 8.0 / d.bandwidth_bps + d.latency_s,
+            tx0: s.d0_bytes * 8.0 / d.bandwidth_bps + d.latency_s,
+            edge2: (1.0 - s.sigma1) * s.mu2,
+            device_quota: d.flops * s.slot_len_s / s.mu1,
         }
     }
 
@@ -53,12 +78,12 @@ impl SlotCost {
     /// `F^e_{i,1}` (Eq. 9): the share `p_i F^e` is split between first- and
     /// second-block work in proportion to their demand.
     pub fn edge_first_block_flops(&self, x: f64) -> f64 {
-        let s = &self.shared;
-        let denom = x * s.mu1 + (1.0 - s.sigma1) * s.mu2;
+        let mu1 = self.shared.mu1;
+        let denom = x * mu1 + self.edge2;
         if denom <= 0.0 {
             return 0.0;
         }
-        x * s.mu1 * self.p_share * s.edge_flops / denom
+        x * mu1 * self.p_share * self.shared.edge_flops / denom
     }
 
     /// Edge FLOPS left for this device's *second-block* tasks: the share
@@ -77,29 +102,31 @@ impl SlotCost {
 
     /// Device service quota `b_i(t) = F_i^d · τ / μ_1` (tasks per slot).
     pub fn device_quota(&self) -> f64 {
-        self.device.flops * self.shared.slot_len_s / self.shared.mu1
+        self.device_quota
     }
 
     /// Edge service quota `c_i(t) = F^e_{i,1} · τ / μ_1` (tasks per slot).
     pub fn edge_quota(&self, x: f64) -> f64 {
-        self.edge_first_block_flops(x) * self.shared.slot_len_s / self.shared.mu1
+        self.edge_quota_from(self.edge_first_block_flops(x))
+    }
+
+    fn edge_quota_from(&self, f_e1: f64) -> f64 {
+        f_e1 * self.shared.slot_len_s / self.shared.mu1
     }
 
     /// Device-side slot cost `T_i^d(t)` (Eq. 12): backlog wait `C^d_1`,
     /// own processing + intra-batch queueing `C^d_2`, and the First-exit
     /// intermediate-data transmission `C^d_3`.
     pub fn t_device(&self, x: f64) -> f64 {
-        let s = &self.shared;
-        let d = &self.device;
-        let a = (1.0 - x) * d.arrival_mean;
+        let a = (1.0 - x) * self.device.arrival_mean;
         if a <= 0.0 {
             return 0.0;
         }
-        let per_task = s.mu1 / d.flops;
+        let per_task = self.per_task_dev;
         let c1 = a * self.q * per_task;
         // A(A−1)/2 intra-batch queueing; clamped at 0 for fluid A < 1.
         let c2 = a * per_task + (a * (a - 1.0) / 2.0).max(0.0) * per_task;
-        let c3 = (1.0 - s.sigma1) * a * (s.d1_bytes * 8.0 / d.bandwidth_bps + d.latency_s);
+        let c3 = self.one_minus_sigma1 * a * self.tx1;
         c1 + c2 + c3
     }
 
@@ -110,18 +137,19 @@ impl SlotCost {
     /// Returns `f64::INFINITY` when tasks are offloaded (`x > 0`) but the
     /// device holds no edge share.
     pub fn t_edge(&self, x: f64) -> f64 {
-        let s = &self.shared;
-        let d = &self.device;
-        let dd = x * d.arrival_mean;
+        self.t_edge_from(x, self.edge_first_block_flops(x))
+    }
+
+    fn t_edge_from(&self, x: f64, f_e1: f64) -> f64 {
+        let dd = x * self.device.arrival_mean;
         if dd <= 0.0 {
             return 0.0;
         }
-        let f_e1 = self.edge_first_block_flops(x);
         if f_e1 <= 0.0 {
             return f64::INFINITY;
         }
-        let per_task = s.mu1 / f_e1;
-        let c1 = dd * (s.d0_bytes * 8.0 / d.bandwidth_bps + d.latency_s);
+        let per_task = self.shared.mu1 / f_e1;
+        let c1 = dd * self.tx0;
         let c2 = dd * self.h * per_task;
         let c3 = dd * per_task + (dd * (dd - 1.0) / 2.0).max(0.0) * per_task;
         c1 + c2 + c3
@@ -133,149 +161,14 @@ impl SlotCost {
     }
 
     /// Drift-plus-penalty objective for this device (Eq. 19):
-    /// `V·Y_i + Q_i·(A_i − b_i) + H_i·(D_i − c_i)`.
+    /// `V·Y_i + Q_i·(A_i − b_i) + H_i·(D_i − c_i)`, evaluating `F^e_{i,1}`
+    /// once.
     pub fn drift_plus_penalty(&self, x: f64) -> f64 {
         let k = self.device.arrival_mean;
         let a = (1.0 - x) * k;
         let dd = x * k;
-        self.shared.v * self.y(x)
-            + self.q * (a - self.device_quota())
-            + self.h * (dd - self.edge_quota(x))
-    }
-
-    /// A flattened evaluator for the inner solver loops: every
-    /// `x`-independent subexpression is computed once here, so each
-    /// objective evaluation costs ~3 divisions instead of ~8 and skips
-    /// the constructor asserts.
-    ///
-    /// Bit-compatibility contract: every method of [`CostEval`] returns
-    /// exactly the bits the corresponding [`SlotCost`] method returns
-    /// (checked exhaustively by `eval_is_bit_identical_to_slot_cost`).
-    /// Only whole parenthesized subtrees of the original expressions are
-    /// hoisted — float arithmetic is not associative, so re-grouping
-    /// anything else would change results and break the DESIGN.md §11
-    /// byte-identical contract.
-    pub fn eval(&self) -> CostEval {
-        let s = &self.shared;
-        let d = &self.device;
-        CostEval {
-            k: d.arrival_mean,
-            q: self.q,
-            h: self.h,
-            v: s.v,
-            per_task_dev: s.mu1 / d.flops,
-            one_minus_sigma1: 1.0 - s.sigma1,
-            tx1: s.d1_bytes * 8.0 / d.bandwidth_bps + d.latency_s,
-            tx0: s.d0_bytes * 8.0 / d.bandwidth_bps + d.latency_s,
-            mu1: s.mu1,
-            p_share: self.p_share,
-            edge_flops: s.edge_flops,
-            edge2: (1.0 - s.sigma1) * s.mu2,
-            slot_len_s: s.slot_len_s,
-            device_quota: d.flops * s.slot_len_s / s.mu1,
-        }
-    }
-}
-
-/// Precomputed form of [`SlotCost`] for the solvers' inner loops; build
-/// with [`SlotCost::eval`]. See there for the bit-compatibility contract.
-/// Fields are `pub(crate)` so the exact solver can read the objective's
-/// coefficients.
-#[derive(Debug, Clone, Copy)]
-pub struct CostEval {
-    /// Arrival mean `k_i`.
-    pub(crate) k: f64,
-    pub(crate) q: f64,
-    pub(crate) h: f64,
-    pub(crate) v: f64,
-    /// `μ_1 / F_i^d` — device seconds per task.
-    pub(crate) per_task_dev: f64,
-    /// `1 − σ_1`.
-    pub(crate) one_minus_sigma1: f64,
-    /// First-exit upload time `d_1·8/B + L` (t_device `C₃` inner term).
-    pub(crate) tx1: f64,
-    /// Raw-input upload time `d_0·8/B + L` (t_edge `C₁` inner term).
-    pub(crate) tx0: f64,
-    pub(crate) mu1: f64,
-    pub(crate) p_share: f64,
-    pub(crate) edge_flops: f64,
-    /// `(1 − σ_1)·μ_2` — the x-independent half of the Eq. 9 denominator.
-    pub(crate) edge2: f64,
-    pub(crate) slot_len_s: f64,
-    /// `F_i^d·τ/μ_1`, fully x-independent.
-    pub(crate) device_quota: f64,
-}
-
-impl CostEval {
-    /// Eq. 9 first-block edge FLOPS; bit-identical to
-    /// [`SlotCost::edge_first_block_flops`].
-    pub fn edge_first_block_flops(&self, x: f64) -> f64 {
-        let denom = x * self.mu1 + self.edge2;
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        x * self.mu1 * self.p_share * self.edge_flops / denom
-    }
-
-    /// Device service quota `b_i(t)` (precomputed — x-independent).
-    pub fn device_quota(&self) -> f64 {
-        self.device_quota
-    }
-
-    /// Edge service quota `c_i(t)`; bit-identical to
-    /// [`SlotCost::edge_quota`].
-    pub fn edge_quota(&self, x: f64) -> f64 {
-        self.edge_quota_from(self.edge_first_block_flops(x))
-    }
-
-    fn edge_quota_from(&self, f_e1: f64) -> f64 {
-        f_e1 * self.slot_len_s / self.mu1
-    }
-
-    /// Eq. 12 device-side cost; bit-identical to [`SlotCost::t_device`].
-    pub fn t_device(&self, x: f64) -> f64 {
-        let a = (1.0 - x) * self.k;
-        if a <= 0.0 {
-            return 0.0;
-        }
-        let c1 = a * self.q * self.per_task_dev;
-        let c2 = a * self.per_task_dev + (a * (a - 1.0) / 2.0).max(0.0) * self.per_task_dev;
-        let c3 = self.one_minus_sigma1 * a * self.tx1;
-        c1 + c2 + c3
-    }
-
-    /// Eq. 13 edge-side cost; bit-identical to [`SlotCost::t_edge`].
-    pub fn t_edge(&self, x: f64) -> f64 {
-        self.t_edge_from(x, self.edge_first_block_flops(x))
-    }
-
-    fn t_edge_from(&self, x: f64, f_e1: f64) -> f64 {
-        let dd = x * self.k;
-        if dd <= 0.0 {
-            return 0.0;
-        }
-        if f_e1 <= 0.0 {
-            return f64::INFINITY;
-        }
-        let per_task = self.mu1 / f_e1;
-        let c1 = dd * self.tx0;
-        let c2 = dd * self.h * per_task;
-        let c3 = dd * per_task + (dd * (dd - 1.0) / 2.0).max(0.0) * per_task;
-        c1 + c2 + c3
-    }
-
-    /// Eq. 14 total cost; bit-identical to [`SlotCost::y`].
-    pub fn y(&self, x: f64) -> f64 {
-        self.t_device(x) + self.t_edge(x)
-    }
-
-    /// Eq. 19 objective; bit-identical to [`SlotCost::drift_plus_penalty`]
-    /// while evaluating `F^e_{i,1}` once instead of twice per call.
-    pub fn drift_plus_penalty(&self, x: f64) -> f64 {
-        let a = (1.0 - x) * self.k;
-        let dd = x * self.k;
         let f_e1 = self.edge_first_block_flops(x);
-        self.v * (self.t_device(x) + self.t_edge_from(x, f_e1))
+        self.shared.v * (self.t_device(x) + self.t_edge_from(x, f_e1))
             + self.q * (a - self.device_quota)
             + self.h * (dd - self.edge_quota_from(f_e1))
     }
@@ -413,13 +306,10 @@ mod tests {
         SlotCost::new(shared(), DeviceParams::raspberry_pi(1.0), 0.0, 0.0, 1.5);
     }
 
-    #[test]
-    fn eval_is_bit_identical_to_slot_cost() {
-        // The solvers run on CostEval, the rest of the system prices
-        // realized slots with SlotCost, and DESIGN.md §11 compares
-        // serialized output bytes — so every method pair must agree to
-        // the bit, including the zero-share / zero-arrival edge cases,
-        // across the whole x grid.
+    /// FNV-1a over the bits of every evaluator method on the grid of
+    /// 3 shared parameter sets × 4 arrival means × 4 queue states ×
+    /// 4 edge shares × 65 ratios (x-independent quota once per cost).
+    fn grid_checksum() -> u64 {
         let mut shared_grid = vec![shared()];
         let mut v_inf = shared();
         v_inf.v = f64::INFINITY;
@@ -428,35 +318,37 @@ mod tests {
         no_mu2.mu2 = 0.0;
         no_mu2.sigma1 = 1.0;
         shared_grid.push(no_mu2);
+        let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: f64| sum = (sum ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
         for s in shared_grid {
             for k in [0.0, 0.5, 10.0, 200.0] {
                 for &(q, h) in &[(0.0, 0.0), (3.0, 2.0), (50.0, 0.0), (0.0, 75.0)] {
                     for p_share in [0.0, 1e-3, 0.25, 1.0] {
                         let c = SlotCost::new(s, DeviceParams::raspberry_pi(k), q, h, p_share);
-                        let e = c.eval();
-                        assert_eq!(e.device_quota().to_bits(), c.device_quota().to_bits());
+                        fold(c.device_quota());
                         for i in 0..=64 {
                             let x = i as f64 / 64.0;
-                            let pairs = [
-                                (e.edge_first_block_flops(x), c.edge_first_block_flops(x)),
-                                (e.edge_quota(x), c.edge_quota(x)),
-                                (e.t_device(x), c.t_device(x)),
-                                (e.t_edge(x), c.t_edge(x)),
-                                (e.y(x), c.y(x)),
-                                (e.drift_plus_penalty(x), c.drift_plus_penalty(x)),
-                            ];
-                            for (idx, (got, want)) in pairs.iter().enumerate() {
-                                assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "method {idx} diverged at x={x}, k={k}, q={q}, h={h}, \
-                                     p={p_share} ({got} vs {want})"
-                                );
-                            }
+                            fold(c.edge_first_block_flops(x));
+                            fold(c.second_block_flops(x));
+                            fold(c.edge_quota(x));
+                            fold(c.t_device(x));
+                            fold(c.t_edge(x));
+                            fold(c.y(x));
+                            fold(c.drift_plus_penalty(x));
                         }
                     }
                 }
             }
         }
+        sum
+    }
+
+    #[test]
+    fn evaluator_bits_are_pinned() {
+        // DESIGN.md §11 compares serialized output bytes, and every
+        // solver and pricing path reads these methods, so their bits are
+        // pinned over the whole grid, zero-share, zero-arrival, V = ∞
+        // and e₂ = 0 corners included.
+        assert_eq!(grid_checksum(), 0x877f_13fa_98af_2cf8);
     }
 }

@@ -25,10 +25,6 @@ use leime_invariant as invariant;
 /// edge before executing everything locally.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradePolicy {
-    /// Consecutive unreachable slots tolerated before the first retry
-    /// accounting starts (a transmission that gets no acknowledgement
-    /// within this many slots is declared lost). Must be ≥ 1.
-    pub timeout_slots: u32,
     /// Failed retries tolerated before falling back to local execution.
     pub max_retries: u32,
     /// First backoff interval, in slots, once fallen back.
@@ -42,7 +38,6 @@ pub struct DegradePolicy {
 impl Default for DegradePolicy {
     fn default() -> Self {
         DegradePolicy {
-            timeout_slots: 1,
             max_retries: 3,
             backoff_base_slots: 2,
             backoff_factor: 2.0,
@@ -58,9 +53,6 @@ impl DegradePolicy {
     ///
     /// Returns a message naming the offending parameter.
     pub fn validate(&self) -> Result<(), String> {
-        if self.timeout_slots == 0 {
-            return Err("timeout_slots must be ≥ 1".to_string());
-        }
         if self.backoff_base_slots == 0 {
             return Err("backoff_base_slots must be ≥ 1".to_string());
         }
@@ -251,7 +243,7 @@ mod tests {
     #[test]
     fn validation_rejects_bad_parameters() {
         let mut p = policy();
-        p.timeout_slots = 0;
+        p.backoff_base_slots = 0;
         assert!(p.validate().is_err());
         let mut p = policy();
         p.backoff_factor = 0.5;

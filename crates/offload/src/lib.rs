@@ -20,8 +20,8 @@
 //!   (Eq. 12–14) and the drift-plus-penalty objective (Eq. 18–19),
 //! * [`kkt_allocation`] — the closed-form edge resource shares `p_i`
 //!   (Eq. 27, Appendix B) with feasibility projection,
-//! * [`solver`] — the decentralized balance solver (bisection on
-//!   `T_d = T_e`), the exact per-piece solve of `P1′`, and the
+//! * [`solver`] — the decentralized balance solver (the closed-form
+//!   root of `T_d = T_e`), the exact per-piece solve of `P1′`, and the
 //!   bandwidth-feasibility interval of constraint (8),
 //! * [`controller`] — pluggable per-slot policies: LEIME's Lyapunov
 //!   controller plus the paper's baselines (device-only, edge-only,
@@ -51,7 +51,7 @@ pub use controller::{
     CapabilityBased, DeviceOnly, EdgeOnly, FixedRatio, LyapunovController, OffloadController,
     SlotObservation,
 };
-pub use cost::{CostEval, SlotCost};
+pub use cost::SlotCost;
 pub use degrade::{DegradeMode, DegradeOutcome, DegradePolicy, DegradeState};
 pub use params::{DeviceParams, SharedParams};
 pub use queues::QueuePair;

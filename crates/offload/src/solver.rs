@@ -1,6 +1,6 @@
 //! Per-slot offloading-ratio solvers.
 
-use crate::{CostEval, SlotCost};
+use crate::SlotCost;
 use leime_invariant as invariant;
 
 /// The bandwidth-feasible offloading-ratio interval from constraint (8):
@@ -54,51 +54,80 @@ pub fn feasible_interval(cost: &SlotCost) -> (f64, f64) {
 
 /// The decentralized balance solver of §III-D4: as `V → ∞`, the per-slot
 /// optimum equalises the device- and edge-side costs,
-/// `T_i^d(x) = T_i^e(x)` (Cauchy–Schwarz, Eq. 20). `T_d` is non-increasing
-/// and `T_e` non-decreasing in `x`, so bisection on their difference finds
-/// the balance point in `O(log 1/ε)` evaluations; the result is clamped to
-/// the bandwidth-feasible interval.
-// The `hi - lo < EPSILON` width test is an interval-degeneracy check.
+/// `T_i^d(x) = T_i^e(x)` (Cauchy–Schwarz, Eq. 20), within the
+/// bandwidth-feasible interval. `T_d − T_e` is non-increasing and, since
+/// the `x·k` offloaded tasks cost `k·(μ₁x + e₂)/(p_i F^e)` of edge
+/// processing, a quadratic in `x` between the kinks `x = 1/k` and
+/// `x = 1 − 1/k`: the solve takes its root in closed form on the piece
+/// where the sign changes (DESIGN.md §5, decision 6). If `T_e`'s jump at
+/// `x = 0⁺` alone makes the device side cheaper, it keeps `lo`.
+// The `hi - lo < EPSILON` width test is an interval-degeneracy check;
+// `!(w > 0)` deliberately treats a NaN share as no share.
 #[allow(clippy::float_equality_without_abs, reason = "interval-width test")]
+#[allow(clippy::neg_cmp_op_on_partial_ord, reason = "NaN share is no share")]
 pub fn balance_solve(cost: &SlotCost) -> f64 {
     let (lo, hi) = feasible_interval(cost);
-    if hi - lo < f64::EPSILON {
-        return invariant::check_unit_interval("offload.balance_solve", lo);
-    }
-    // The precomputed evaluator returns the same bits as SlotCost for
-    // every method (asserted in cost.rs) at a fraction of the work.
-    let ev = cost.eval();
-    let g = |x: f64| ev.t_device(x) - ev.t_edge(x);
-    // If even full offloading leaves the device side dearer, offload all.
-    if g(hi) >= 0.0 {
-        return invariant::check_unit_interval("offload.balance_solve", hi);
-    }
-    // If keeping everything local is already cheaper than any offloading,
-    // stay local.
-    if g(lo) <= 0.0 {
-        return invariant::check_unit_interval("offload.balance_solve", lo);
-    }
-    let (mut a, mut b) = (lo, hi);
-    for _ in 0..60 {
-        let mid = 0.5 * (a + b);
-        let (prev_a, prev_b) = (a, b);
-        if g(mid) >= 0.0 {
-            a = mid;
-        } else {
-            b = mid;
-        }
-        // Once an iteration leaves the interval bitwise unchanged, every
-        // remaining iteration recomputes this exact state (g is pure), so
-        // exiting produces identical bits to running out the count.
-        if a.to_bits() == prev_a.to_bits() && b.to_bits() == prev_b.to_bits() {
-            break;
-        }
-    }
-    let x = 0.5 * (a + b);
-    // A device without edge capacity sees an infinite edge cost for any
-    // x > 0; fall back to keeping everything local.
-    let x = if ev.t_edge(x).is_finite() { x } else { lo };
+    let g = |x: f64| cost.t_device(x) - cost.t_edge(x);
+    let w = cost.p_share * cost.shared().edge_flops;
+    // Offload all if even full offloading leaves the device side dearer;
+    // stay local if that is already cheaper than any offloading, or if
+    // without an edge share every x > 0 costs an infinite edge wait.
+    let x = if hi - lo < f64::EPSILON {
+        lo
+    } else if g(hi) >= 0.0 {
+        hi
+    } else if g(lo) <= 0.0 || !(w > 0.0) {
+        lo
+    } else {
+        balance_root(cost, g, w, lo, hi)
+    };
     invariant::check_unit_interval("offload.balance_solve", x)
+}
+
+/// The sign change of `g = T_d − T_e` on `[lo, hi]`, where
+/// `g(lo) > 0 > g(hi)` and the share `w = p_i·F^e` is positive.
+fn balance_root(cost: &SlotCost, g: impl Fn(f64) -> f64, w: f64, lo: f64, hi: f64) -> f64 {
+    let (k, mu1, e2) = (cost.device().arrival_mean, cost.shared().mu1, cost.edge2);
+    // 1/k and 1 − 1/k sit symmetrically about ½, so the breaks are sorted.
+    let (kink_a, kink_b) = ((1.0 / k).min(1.0 - 1.0 / k), (1.0 / k).max(1.0 - 1.0 / k));
+    let breaks = [kink_a, 0.5, kink_b, hi];
+    let inside = |b: f64| b > lo && b <= hi;
+    let pr = breaks.into_iter().find(|&b| inside(b) && g(b) < 0.0);
+    let pr = pr.unwrap_or(hi);
+    let pl = breaks.into_iter().filter(|&b| inside(b) && b < pr);
+    let pl = pl.fold(lo, f64::max);
+    // On this piece T_d = a₁·(1−x) + a₂·(1−x)² and T_e = b₀ + b₁·x + b₂·x²,
+    // every coefficient non-negative.
+    let mid = 0.5 * (pl + pr);
+    let half_d = if (1.0 - mid) * k > 1.0 { 0.5 } else { 0.0 };
+    let half_e = if mid * k > 1.0 { 0.5 } else { 0.0 };
+    let p = cost.per_task_dev;
+    let a1 = k * (p * (cost.q + 1.0 - half_d) + cost.one_minus_sigma1 * cost.tx1);
+    let a2 = half_d * p * k * k;
+    let (r, hh) = (k / w, cost.h + 1.0 - half_e);
+    let (b0, b2) = (r * hh * e2, r * half_e * k * mu1);
+    let b1 = k * cost.tx0 + r * (hh * mu1 + half_e * k * e2);
+    let x = if pr <= 0.5 {
+        falling_root(a1 + a2 - b0, a1 + 2.0 * a2 + b1, a2 - b2)
+    } else {
+        // −g in 1 − x.
+        1.0 - falling_root(b0 + b1 + b2, a1 + b1 + 2.0 * b2, b2 - a2)
+    };
+    // `max` maps a NaN root (none left by rounding) to `pl`; an edge
+    // cost that overflows there keeps everything local.
+    let x = x.max(pl).min(pr);
+    if cost.t_edge(x).is_finite() {
+        x
+    } else {
+        lo
+    }
+}
+
+/// The root of `c₀ − b·z + c₂·z²` (`b ≥ 0`) where it falls through zero,
+/// `2c₀ / (b + √(b² − 4c₂c₀))`: the quadratic formula's branch without
+/// cancellation, which reads `c₀/b` when `c₂ = 0`.
+fn falling_root(c0: f64, b: f64, c2: f64) -> f64 {
+    2.0 * c0 / (b + (b * b - 4.0 * c2 * c0).sqrt())
 }
 
 /// Newton iterations allowed per solve. Started on the convex side of
@@ -137,21 +166,20 @@ const NEWTON_CAP: usize = 16;
 #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "NaN share is no share")]
 pub fn exact_solve(cost: &SlotCost) -> f64 {
     let (lo, hi) = feasible_interval(cost);
-    let ev = cost.eval();
-    let w = ev.p_share * ev.edge_flops;
+    let w = cost.p_share * cost.shared().edge_flops;
     // A zero edge share prices every x > 0 at an infinite edge cost.
     if hi - lo < f64::EPSILON || !(w > 0.0) {
         return invariant::check_unit_interval("offload.exact_solve", lo);
     }
-    let left = if ev.edge2 > 0.0 {
+    let left = if cost.edge2 > 0.0 {
         lo
     } else {
         lo.max(hi * f64::EPSILON * f64::EPSILON)
     };
-    let interior = stationary_point(&ev, w, left, hi);
+    let interior = stationary_point(cost, w, left, hi);
     // `total_cmp` keeps the argmin well-defined even if the objective
     // ever produced a NaN (it would order last, never win).
-    let f = |x: f64| ev.drift_plus_penalty(x);
+    let f = |x: f64| cost.drift_plus_penalty(x);
     let mut best = lo;
     let mut f_best = f(best);
     for x in [interior, hi] {
@@ -167,14 +195,18 @@ pub fn exact_solve(cost: &SlotCost) -> f64 {
 /// The zero of the non-decreasing `f′` on `[left, hi]` (see
 /// [`exact_solve`]): `left` when `f′ ≥ 0` throughout, `hi` when
 /// `f′ < 0` throughout, and a kink when `f′` jumps across zero there.
-fn stationary_point(ev: &CostEval, w: f64, left: f64, hi: f64) -> f64 {
-    let (k, mu1, e2, v) = (ev.k, ev.mu1, ev.edge2, ev.v);
-    let p = ev.per_task_dev;
-    let c = ev.h * w * ev.slot_len_s * e2;
+fn stationary_point(cost: &SlotCost, w: f64, left: f64, hi: f64) -> f64 {
+    let s = cost.shared();
+    let (k, mu1, e2, v) = (cost.device().arrival_mean, s.mu1, cost.edge2, s.v);
+    let p = cost.per_task_dev;
+    let c = cost.h * w * s.slot_len_s * e2;
     // Linear terms of T_d, T_e and the queue drifts (shared by every piece).
-    let alpha0 =
-        v * k * (ev.tx0 + (ev.h + 1.0) * mu1 / w - (ev.q + 1.0) * p - ev.one_minus_sigma1 * ev.tx1)
-            + (ev.h - ev.q) * k;
+    let alpha0 = v
+        * k
+        * (cost.tx0 + (cost.h + 1.0) * mu1 / w
+            - (cost.q + 1.0) * p
+            - cost.one_minus_sigma1 * cost.tx1)
+        + (cost.h - cost.q) * k;
     // (α, β) on the piece containing `mid`: the device's intra-batch
     // queueing term is live while (1−x)·k > 1, the edge's while x·k > 1.
     let coeffs = |mid: f64| {

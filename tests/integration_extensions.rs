@@ -45,6 +45,25 @@ fn scenario_json_defaults_missing_bandwidth_scale() {
 }
 
 #[test]
+fn scenario_json_ignores_the_retired_degrade_timeout() {
+    // Configs written while `DegradePolicy` still had `timeout_slots`
+    // (a knob nothing read) must still parse, to the same scenario.
+    let s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 1, 1.0);
+    let mut v: serde_json::Value = serde_json::from_str(&s.to_json().unwrap()).unwrap();
+    let top = v.as_object_mut().unwrap();
+    let mut degrade = top.remove("degrade").unwrap();
+    let fields = degrade.as_object_mut().unwrap();
+    assert!(fields.get("timeout_slots").is_none());
+    fields.insert(
+        "timeout_slots".to_string(),
+        serde_json::from_str("5").unwrap(),
+    );
+    top.insert("degrade".to_string(), degrade);
+    let parsed = Scenario::from_json(&v.to_string()).unwrap();
+    assert_eq!(parsed, s);
+}
+
+#[test]
 fn bandwidth_collapse_degrades_then_recovers() {
     // Halfway through the run the WiFi collapses to 10% for a while; the
     // degraded windows must be slower than the healthy ones, and the

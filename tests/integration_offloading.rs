@@ -1,8 +1,8 @@
 //! Integration + property tests for the Lyapunov offloading layer:
 //! stability, the V trade-off (Theorem 3), the Fig. 3 optimal-ratio
-//! shifts, and solver invariants on arbitrary inputs — including an
-//! oracle that checks the exact P1′ solve against a golden-section
-//! search.
+//! shifts, and solver invariants on arbitrary inputs — including
+//! oracles that check the exact P1′ solve against a golden-section
+//! search and the closed-form balance solve against bisection.
 
 use leime::{ControllerKind, ExitStrategy, ModelKind, Scenario, SlottedSystem, WorkloadKind};
 use leime_offload::solver::{balance_solve, exact_solve, feasible_interval};
@@ -32,8 +32,7 @@ fn golden_section_solve(cost: &SlotCost) -> f64 {
     if hi - lo < f64::EPSILON {
         return lo;
     }
-    let ev = cost.eval();
-    let f = |x: f64| ev.drift_plus_penalty(x);
+    let f = |x: f64| cost.drift_plus_penalty(x);
     let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
     let (mut a, mut b) = (lo, hi);
     let mut c = b - inv_phi * (b - a);
@@ -61,6 +60,102 @@ fn golden_section_solve(cost: &SlotCost) -> f64 {
         }
     }
     best
+}
+
+/// Reference balance solver for the oracle test: 60 rounds of bisection
+/// on `g = T_d − T_e` over the feasible interval, with the endpoint
+/// rules and the no-share fallback of the closed-form solve.
+// The `hi - lo < EPSILON` width test is an interval-degeneracy check.
+#[allow(clippy::float_equality_without_abs, reason = "interval-width test")]
+fn bisection_balance_solve(cost: &SlotCost) -> f64 {
+    let (lo, hi) = feasible_interval(cost);
+    if hi - lo < f64::EPSILON {
+        return lo;
+    }
+    let g = |x: f64| cost.t_device(x) - cost.t_edge(x);
+    // If even full offloading leaves the device side dearer, offload all.
+    if g(hi) >= 0.0 {
+        return hi;
+    }
+    // If keeping everything local is already cheaper than any offloading,
+    // stay local.
+    if g(lo) <= 0.0 {
+        return lo;
+    }
+    let (mut a, mut b) = (lo, hi);
+    for _ in 0..60 {
+        let mid = 0.5 * (a + b);
+        let (prev_a, prev_b) = (a, b);
+        if g(mid) >= 0.0 {
+            a = mid;
+        } else {
+            b = mid;
+        }
+        // Once an iteration leaves the interval bitwise unchanged, every
+        // remaining iteration recomputes this exact state (g is pure), so
+        // exiting produces identical bits to running out the count.
+        if a.to_bits() == prev_a.to_bits() && b.to_bits() == prev_b.to_bits() {
+            break;
+        }
+    }
+    let x = 0.5 * (a + b);
+    // A device without edge capacity sees an infinite edge cost for any
+    // x > 0; fall back to keeping everything local.
+    if cost.t_edge(x).is_finite() {
+        x
+    } else {
+        lo
+    }
+}
+
+/// Checks the closed-form balance solve against [`bisection_balance_solve`]:
+/// inside the feasible interval; the same bits wherever an endpoint rule
+/// decides; otherwise `|T_d − T_e|` no worse than at the bisection's
+/// point plus `1e-12·max(T_d, T_e)`. The one intended difference: with
+/// `e₂ > 0`, `g` can jump from + to − across `x = 0⁺`, where the
+/// bisection crawls to `≈ 2⁻⁶¹·hi` and the closed form keeps `lo`, which
+/// never costs more `Y`.
+// The `hi - lo < EPSILON` width test is an interval-degeneracy check.
+#[allow(clippy::float_equality_without_abs, reason = "interval-width test")]
+fn check_balance(cost: &SlotCost) -> Result<(), String> {
+    let (lo, hi) = feasible_interval(cost);
+    let x_new = balance_solve(cost);
+    let x_bis = bisection_balance_solve(cost);
+    if !(x_new >= lo && x_new <= hi) {
+        return Err(format!("x {x_new} outside ({lo}, {hi}) on {cost:?}"));
+    }
+    let g = |x: f64| cost.t_device(x) - cost.t_edge(x);
+    let s = cost.shared();
+    let endpoint_rule = hi - lo < f64::EPSILON
+        || g(hi) >= 0.0
+        || g(lo) <= 0.0
+        || cost.p_share * s.edge_flops <= 0.0;
+    if endpoint_rule {
+        return if x_new.to_bits() == x_bis.to_bits() {
+            Ok(())
+        } else {
+            Err(format!("endpoint {x_bis} became {x_new} on {cost:?}"))
+        };
+    }
+    let e2 = (1.0 - s.sigma1) * s.mu2;
+    let jump = lo == 0.0 && e2 > 0.0 && g(hi * 2f64.powi(-61)) < 0.0;
+    if jump && x_new.to_bits() == lo.to_bits() {
+        return if cost.y(x_new) <= cost.y(x_bis) {
+            Ok(())
+        } else {
+            Err(format!("lo costs more Y than {x_bis} on {cost:?}"))
+        };
+    }
+    let slack = 1e-12 * cost.t_device(x_bis).max(cost.t_edge(x_bis));
+    if g(x_new).abs() <= g(x_bis).abs() + slack {
+        Ok(())
+    } else {
+        Err(format!(
+            "closed form x {x_new} (g {}) loses to bisection x {x_bis} (g {}) on {cost:?}",
+            g(x_new),
+            g(x_bis)
+        ))
+    }
 }
 
 /// `fixed[sel]` when `sel` indexes into `fixed`, else `drawn`: mixes
@@ -202,6 +297,110 @@ proptest! {
             "exact x {x_new} (f {f_new}) loses to golden x {x_gs} (f {f_gs}) on {cost:?}"
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The closed-form balance solve agrees with bisection
+    /// ([`check_balance`]) over a corpus that pins k ∈ {0, ½, 1, 2, 10⁶},
+    /// a zero edge share, e₂ = 0 through σ₁ = 1 and through μ₂ = 0, a
+    /// starved link (degenerate interval), and feasible intervals bound
+    /// from above (`hi < 1`) and from below (`lo > 0`); queue states,
+    /// device and edge speeds span several decades. Backlogs up to 10⁷
+    /// put balance points within 10⁻⁹ of x = 1, where a root taken in
+    /// `x` rather than `1 − x` loses to the bisection.
+    #[test]
+    fn balance_solve_matches_bisection(
+        (k_sel, k_u) in (0usize..8, 0.0f64..1.0),
+        (sigma_sel, sigma_u) in (0usize..4, 0.0f64..1.0),
+        mu2_sel in 0usize..5,
+        (p_sel, p_u) in (0usize..5, 0.0f64..1.0),
+        (link_sel, bw_exp) in (0usize..5, 5.0f64..8.5),
+        (q_sel, q_exp) in (0usize..3, -2.0f64..7.0),
+        (h_sel, h_exp) in (0usize..3, -2.0f64..7.0),
+        flops_exp in 7.0f64..10.5,
+        edge_exp in 9.0f64..12.0,
+    ) {
+        let mut shared = shared_with(
+            f64::INFINITY,
+            pick(sigma_sel, &[0.0, 1.0], sigma_u),
+            12_288.0,
+            30_000.0,
+        );
+        shared.edge_flops = 10f64.powf(edge_exp);
+        if mu2_sel == 0 {
+            shared.mu2 = 0.0;
+        }
+        let k = pick(k_sel, &[0.0, 0.5, 1.0, 2.0, 1e6], 0.1 + 60.0 * k_u);
+        let mut dev = DeviceParams::raspberry_pi(k);
+        dev.flops = 10f64.powf(flops_exp);
+        dev.bandwidth_bps = 10f64.powf(bw_exp);
+        match link_sel {
+            0 => dev.bandwidth_bps = 1.0,
+            1 => {
+                // Offloading cuts transmission: bound from below.
+                shared.d1_bytes = 400_000.0;
+                dev.bandwidth_bps = 20e6 * (1.0 + k / 10.0);
+            }
+            2 => {
+                // Offloading raises transmission: bound from above.
+                shared.d1_bytes = 2_000.0;
+                dev.bandwidth_bps = 0.05e6 * (1.0 + k);
+            }
+            _ => {}
+        }
+        let q = pick(q_sel, &[0.0], 10f64.powf(q_exp));
+        let h = pick(h_sel, &[0.0], 10f64.powf(h_exp));
+        let cost = SlotCost::new(shared, dev, q, h, pick(p_sel, &[0.0, 1e-6, 1.0], p_u));
+        if let Err(msg) = check_balance(&cost) {
+            prop_assert!(false, "{msg}");
+        }
+    }
+}
+
+#[test]
+fn balance_solve_matches_bisection_at_the_corners() {
+    // Every combination of the pinned corners, at three queue states.
+    let all_exit = shared_with(f64::INFINITY, 1.0, 12_288.0, 30_000.0);
+    let mut no_mu2 = shared_with(f64::INFINITY, 0.4, 12_288.0, 30_000.0);
+    no_mu2.mu2 = 0.0;
+    // Offloading cuts transmission (bound from below) or raises it
+    // (bound from above).
+    let below = shared_with(f64::INFINITY, 0.0, 12_288.0, 400_000.0);
+    let above = shared_with(f64::INFINITY, 0.4, 12_288.0, 2_000.0);
+    let plain = shared_with(f64::INFINITY, 0.4, 12_288.0, 30_000.0);
+    let (mut endpoints, mut interior, mut bound_lo, mut bound_hi) = (0, 0, 0, 0);
+    for (s, bw) in [
+        (plain, 10e6),
+        (all_exit, 10e6),
+        (no_mu2, 10e6),
+        (below, 20e6),
+        (above, 0.5e6),
+    ] {
+        for k in [0.0, 0.5, 1.0, 2.0, 10.0, 1e6] {
+            for p_share in [0.0, 0.25, 1.0] {
+                for &(q, h) in &[(0.0, 0.0), (20.0, 5.0), (0.0, 40.0)] {
+                    let mut dev = DeviceParams::raspberry_pi(k);
+                    dev.bandwidth_bps = bw;
+                    let cost = SlotCost::new(s, dev, q, h, p_share);
+                    check_balance(&cost).unwrap();
+                    let (lo, hi) = feasible_interval(&cost);
+                    bound_lo += usize::from(lo > 0.0);
+                    bound_hi += usize::from(hi < 1.0 && hi > lo);
+                    let x = balance_solve(&cost);
+                    if x.to_bits() == lo.to_bits() || x.to_bits() == hi.to_bits() {
+                        endpoints += 1;
+                    } else {
+                        interior += 1;
+                    }
+                }
+            }
+        }
+    }
+    // The sweep reaches both kinds of answer and both interval shapes.
+    assert!(endpoints > 0 && interior > 0, "{endpoints} / {interior}");
+    assert!(bound_lo > 0 && bound_hi > 0, "{bound_lo} / {bound_hi}");
 }
 
 #[test]
