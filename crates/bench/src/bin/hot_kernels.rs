@@ -131,7 +131,7 @@ fn main() {
     let mut flush = time_kernel("telemetry_flush", 10_000, |r| {
         for j in 0..BATCH as u64 {
             let o = obs_for(r * BATCH as u64 + j);
-            batch.record_decision(r as f64, &o, 0.5, 1.0);
+            batch.record_decision(r as f64, o.q, o.h);
         }
         tel.flush_batch(&mut batch);
         r as f64

@@ -368,14 +368,31 @@ impl Scenario {
             .map_err(|e| LeimeError::Config(format!("serialisation failed: {e}")))
     }
 
-    /// Parses and validates a scenario from JSON.
+    /// Parses and validates a scenario from JSON. A top-level key that
+    /// is not a scenario field is an error, so a misspelled optional
+    /// field (`"choas"`) never loads as its default.
     ///
     /// # Errors
     ///
-    /// Returns [`LeimeError::Config`] on parse or validation failure.
+    /// Returns [`LeimeError::Config`] on parse or validation failure or
+    /// for an unknown top-level key.
     pub fn from_json(json: &str) -> Result<Self> {
-        let scenario: Scenario = serde_json::from_str(json)
-            .map_err(|e| LeimeError::Config(format!("invalid scenario JSON: {e}")))?;
+        let invalid = |e| LeimeError::Config(format!("invalid scenario JSON: {e}"));
+        let value: serde_json::Value = serde_json::from_str(json).map_err(invalid)?;
+        let scenario = Scenario::from_value(&value).map_err(invalid)?;
+        // Every field serializes, `None`s as `null`, so the scenario's
+        // own keys are the known ones.
+        let fields = serde_json::to_value(&scenario);
+        let unknown = value
+            .as_object()
+            .into_iter()
+            .flat_map(|top| top.iter())
+            .find(|(key, _)| fields.get(key).is_none());
+        if let Some((key, _)) = unknown {
+            return Err(LeimeError::Config(format!(
+                "invalid scenario JSON: unknown key `{key}`"
+            )));
+        }
         scenario.validate()?;
         Ok(scenario)
     }

@@ -85,7 +85,7 @@ struct SlotTelemetry {
     /// `queue_q`, `queue_h` and `offload_x`: per-slot means over the
     /// system's devices.
     means: [Arc<Series>; 3],
-    /// The `{prefix}.ctrl.*` decision series.
+    /// The `{prefix}.ctrl.queue_{q,h}` decision series.
     ctrl: ControllerTelemetry,
     /// The `{prefix}.ctrl.*` fault counters, in [`FAULT_COUNTERS`] order.
     faults: [Arc<Counter>; 5],
@@ -181,9 +181,6 @@ impl ShardState {
 pub struct DecideMemo {
     key: Option<[u64; 15]>,
     x_opt: f64,
-    /// Drift-plus-penalty at `x_opt` (same purity argument; only read
-    /// when `want_dpp`, which is constant per run).
-    dpp: f64,
 }
 
 /// Every input bit of the decision solve, in declaration order.
@@ -221,9 +218,6 @@ pub struct DecideCtx<'a> {
     pub decider: &'a dyn OffloadController,
     /// Shared parameters before the edge's health scales them.
     pub shared: SharedParams,
-    /// Compute the drift-plus-penalty value at the optimum so the
-    /// driver can record the decision.
-    pub want_dpp: bool,
 }
 
 /// Immutable per-edge inputs of a run, shared (by reference) with every
@@ -268,10 +262,6 @@ pub struct DeviceDecision {
     pub fault: bool,
     /// The edge serves this slot (a downed edge has no H-quota).
     pub edge_up: bool,
-    /// The controller's optimum.
-    pub x_opt: f64,
-    /// Drift-plus-penalty at `x_opt` (0 unless `want_dpp`).
-    pub dpp: f64,
     /// The degradation ladder's outcome; `outcome.x` is the applied ratio.
     pub outcome: DegradeOutcome,
     /// The ladder is out of normal mode: the slot's tasks run fully
@@ -374,11 +364,10 @@ enum DeviceSlotOut {
 #[derive(Debug)]
 struct ActiveOut {
     fault: bool,
-    obs: SlotObservation,
-    /// The controller's optimum (what decision telemetry records).
-    x_opt: f64,
-    /// Drift-plus-penalty at `x_opt` (0 unless `want_dpp`).
-    dpp: f64,
+    /// The device queue `Q_i(t)` at the slot start.
+    q: f64,
+    /// The edge queue `H_i(t)` at the slot start.
+    h: f64,
     /// The degradation ladder's outcome; `outcome.x` is the applied ratio.
     outcome: DegradeOutcome,
     arrivals: u64,
@@ -447,7 +436,8 @@ impl SlottedSystem {
     ///   report's, merged in once per run),
     /// * `{prefix}.tct_mean_s`, `{prefix}.queue_q`, `{prefix}.queue_h`,
     ///   `{prefix}.offload_x` — per-slot series (fleet means),
-    /// * `{prefix}.ctrl.*` — per-decision controller state, for policies
+    /// * `{prefix}.ctrl.queue_q`, `{prefix}.ctrl.queue_h` — the queues
+    ///   each decision observed, one point per device-slot, for policies
     ///   that [record their decisions](OffloadController::records_decisions)
     ///   ([`ControllerTelemetry`]), and
     /// * `{prefix}.ctrl.fault_slots|timeouts|retries|fallbacks|recoveries`
@@ -582,7 +572,7 @@ impl SlottedSystem {
         // Workers decide; the driver records decision telemetry in
         // device order.
         let decider = scenario.controller.build();
-        let want_dpp =
+        let record_decisions =
             decider.records_decisions() && (self.telemetry.is_some() || registry.is_some());
         let runs: Vec<RunCtx<'_>> = faults
             .iter()
@@ -597,7 +587,6 @@ impl SlottedSystem {
                     }),
                     decider: decider.as_ref(),
                     shared: scenario.shared_params(&self.deployment),
-                    want_dpp,
                 },
                 deployment: &self.deployment,
             })
@@ -704,7 +693,7 @@ impl SlottedSystem {
                 apply_out(
                     &mut reports[iv][e],
                     &mut rows[e],
-                    want_dpp,
+                    record_decisions,
                     &mut batches[e],
                     out,
                 );
@@ -1036,34 +1025,23 @@ pub fn decide_device(
         p_share: quants.shares[i].clamp(0.0, 1.0),
     };
     let key = decide_key(&shared, &device, &obs);
-    let (x_opt, dpp) = if memo.key == Some(key) {
-        (memo.x_opt, memo.dpp)
-    } else {
-        let x_opt = ctx.decider.decide(shared, device, obs);
-        let dpp = if ctx.want_dpp {
-            SlotCost::new(shared, device, obs.q, obs.h, obs.p_share).drift_plus_penalty(x_opt)
-        } else {
-            0.0
-        };
+    if memo.key != Some(key) {
         *memo = DecideMemo {
             key: Some(key),
-            x_opt,
-            dpp,
+            x_opt: ctx.decider.decide(shared, device, obs),
         };
-        (x_opt, dpp)
-    };
+    }
     // The degradation ladder observes reachability (`link.up && edge.up`).
+    let up = link.up && edge.up;
     let outcome = row
         .degrade
-        .degraded_decide(&scenario.degrade, slot, link.up && edge.up, x_opt);
+        .degraded_decide(&scenario.degrade, slot, up, memo.x_opt);
     Some(DeviceDecision {
         shared,
         device,
         obs,
         fault: !link.is_nominal() || !edge.is_nominal(),
         edge_up: edge.up,
-        x_opt,
-        dpp,
         outcome,
         degraded_local: row.degrade.mode() != DegradeMode::Normal,
     })
@@ -1136,9 +1114,8 @@ fn device_slot(
 
     Ok(DeviceSlotOut::Active(ActiveOut {
         fault: d.fault,
-        obs,
-        x_opt: d.x_opt,
-        dpp: d.dpp,
+        q: obs.q,
+        h: obs.h,
         outcome: d.outcome,
         arrivals,
         per_task,
@@ -1174,7 +1151,7 @@ fn apply_out(
         report.record_fault_slot();
     }
     if replay_decisions {
-        batch.record_decision(row.t.as_secs(), &a.obs, a.x_opt, a.dpp);
+        batch.record_decision(row.t.as_secs(), a.q, a.h);
     }
     report.record_degrade(&a.outcome);
     if a.arrivals > 0 {
@@ -1184,8 +1161,8 @@ fn apply_out(
         row.tasks += a.arrivals;
     }
     row.active += 1;
-    row.q += a.obs.q;
-    row.h += a.obs.h;
+    row.q += a.q;
+    row.h += a.h;
     row.x += a.outcome.x;
     report.record_service(a.arrivals, a.served);
 }

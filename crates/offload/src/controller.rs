@@ -31,7 +31,7 @@ pub trait OffloadController: Send + Sync + std::fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Whether a recording driver should record this policy's decisions
-    /// (queues, ratio and drift-plus-penalty objective, through
+    /// (the queues each decision observed, through
     /// [`crate::DecisionBatch`]). A per-policy constant: only policies
     /// with an objective worth tracing say yes.
     fn records_decisions(&self) -> bool {

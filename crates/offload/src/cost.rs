@@ -64,6 +64,19 @@ impl SlotCost {
         }
     }
 
+    /// This evaluator with the device's arrival mean set to `k`: the
+    /// same bits as [`SlotCost::new`] with that mean, since no
+    /// x-independent subtree the constructor computes reads the mean.
+    pub fn with_arrival_mean(&self, k: f64) -> Self {
+        SlotCost {
+            device: DeviceParams {
+                arrival_mean: k,
+                ..self.device
+            },
+            ..*self
+        }
+    }
+
     /// The shared parameters in use.
     pub fn shared(&self) -> SharedParams {
         self.shared
@@ -306,10 +319,15 @@ mod tests {
         SlotCost::new(shared(), DeviceParams::raspberry_pi(1.0), 0.0, 0.0, 1.5);
     }
 
+    /// The pinned [`grid_checksum`] of evaluators built by
+    /// [`SlotCost::new`].
+    const GRID_BITS: u64 = 0x877f_13fa_98af_2cf8;
+
     /// FNV-1a over the bits of every evaluator method on the grid of
     /// 3 shared parameter sets × 4 arrival means × 4 queue states ×
-    /// 4 edge shares × 65 ratios (x-independent quota once per cost).
-    fn grid_checksum() -> u64 {
+    /// 4 edge shares × 65 ratios (x-independent quota once per cost),
+    /// each evaluator built by `build(shared, k, q, h, p_share)`.
+    fn grid_checksum(build: impl Fn(SharedParams, f64, f64, f64, f64) -> SlotCost) -> u64 {
         let mut shared_grid = vec![shared()];
         let mut v_inf = shared();
         v_inf.v = f64::INFINITY;
@@ -324,7 +342,7 @@ mod tests {
             for k in [0.0, 0.5, 10.0, 200.0] {
                 for &(q, h) in &[(0.0, 0.0), (3.0, 2.0), (50.0, 0.0), (0.0, 75.0)] {
                     for p_share in [0.0, 1e-3, 0.25, 1.0] {
-                        let c = SlotCost::new(s, DeviceParams::raspberry_pi(k), q, h, p_share);
+                        let c = build(s, k, q, h, p_share);
                         fold(c.device_quota());
                         for i in 0..=64 {
                             let x = i as f64 / 64.0;
@@ -349,6 +367,19 @@ mod tests {
         // solver and pricing path reads these methods, so their bits are
         // pinned over the whole grid, zero-share, zero-arrival, V = ∞
         // and e₂ = 0 corners included.
-        assert_eq!(grid_checksum(), 0x877f_13fa_98af_2cf8);
+        let new = |s, k, q, h, p| SlotCost::new(s, DeviceParams::raspberry_pi(k), q, h, p);
+        assert_eq!(grid_checksum(new), GRID_BITS);
+    }
+
+    #[test]
+    fn with_arrival_mean_matches_new_bit_for_bit() {
+        // Built for another mean, then reset to the grid's: every method
+        // must return the bits `SlotCost::new` gives for the grid's mean.
+        for other in [0.0, 3.0, 1e6] {
+            let reset = |s, k, q, h, p| {
+                SlotCost::new(s, DeviceParams::raspberry_pi(other), q, h, p).with_arrival_mean(k)
+            };
+            assert_eq!(grid_checksum(reset), GRID_BITS, "built at k = {other}");
+        }
     }
 }

@@ -31,8 +31,8 @@
 //!   fully-local execution (`x_i(t) = 0`) with exponential-backoff
 //!   recovery probes,
 //! * [`telemetry`] — the series a driving simulator records controller
-//!   decisions into (`Q_i`, `H_i`, `x_i(t)`, drift-plus-penalty), batched
-//!   per slot into a `leime-telemetry` registry.
+//!   decisions into (the observed `Q_i` and `H_i`), batched per slot
+//!   into a `leime-telemetry` registry.
 
 mod alloc;
 

@@ -39,7 +39,7 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use leime_chaos::{ChaosConfig, EdgeChaos, FaultModel, SharedHealth};
-use leime_offload::{DeviceParams, QueuePair, SharedParams, SlotCost};
+use leime_offload::{QueuePair, SharedParams, SlotCost};
 use leime_par::StdRng;
 use leime_simnet::SimTime;
 use leime_telemetry::{Counter, Histogram, Registry, Series};
@@ -257,7 +257,6 @@ impl ServingSystem {
             chaos,
             decider: controller.as_ref(),
             shared: scenario.shared_params(self.plan.standard()),
-            want_dpp: false,
         };
         let flops: Vec<f64> = scenario.devices.iter().map(|d| d.flops).collect();
         let mut traffic_rng = leime_par::stream_rng(seed, TRAFFIC_STREAM);
@@ -439,11 +438,7 @@ impl ServingSystem {
         // wait included) per plan-task equivalent, plus the deterministic
         // block-2 tail, plus the class's block-3 cloud leg.
         let (base_per_equiv, f_e2) = if admitted_equiv > 0.0 {
-            let realized = DeviceParams {
-                arrival_mean: admitted_equiv,
-                ..dev
-            };
-            let rcost = SlotCost::new(d.shared, realized, obs.q, obs.h, obs.p_share);
+            let rcost = cost.with_arrival_mean(admitted_equiv);
             (rcost.y(x) / admitted_equiv, rcost.second_block_flops(x))
         } else {
             (0.0, f64::EPSILON)

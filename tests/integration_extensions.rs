@@ -3,7 +3,7 @@
 //! networks), accuracy-constrained exit setting, and the multi-tier DP
 //! driven end-to-end from a scenario.
 
-use leime::{ControllerKind, Deployment, ExitStrategy, ModelKind, Scenario};
+use leime::{ControllerKind, Deployment, ExitStrategy, LeimeError, ModelKind, Scenario};
 use leime_exitcfg::{multi_tier_exits, tiers_from_env, TierEnv};
 use leime_inference::{calibrate, CalibrationConfig, TrainConfig};
 use leime_simnet::{SimTime, TimeTrace};
@@ -61,6 +61,21 @@ fn scenario_json_ignores_the_retired_degrade_timeout() {
     top.insert("degrade".to_string(), degrade);
     let parsed = Scenario::from_json(&v.to_string()).unwrap();
     assert_eq!(parsed, s);
+}
+
+#[test]
+fn scenario_json_rejects_an_unknown_top_level_key() {
+    // A misspelled optional field must fail loudly, not load as its
+    // default (`chaos: None`).
+    let s = Scenario::chaos_testbed(ModelKind::SqueezeNet, 2, 42, 60.0);
+    let mut v: serde_json::Value = serde_json::from_str(&s.to_json().unwrap()).unwrap();
+    let top = v.as_object_mut().unwrap();
+    let chaos = top.remove("chaos").unwrap();
+    top.insert("choas".to_string(), chaos);
+    match Scenario::from_json(&v.to_string()) {
+        Err(LeimeError::Config(msg)) => assert!(msg.contains("`choas`"), "{msg}"),
+        other => panic!("expected a config error naming the key, got {other:?}"),
+    }
 }
 
 #[test]

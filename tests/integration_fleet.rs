@@ -764,3 +764,77 @@ fn quiet_boundaries_leave_every_edge_as_one_interval() -> TestResult<()> {
     }
     Ok(())
 }
+
+/// A snapshot's counter, gauge, histogram and series names, in
+/// snapshot (sorted) order.
+fn registry_keys(registry: &Registry) -> [Vec<String>; 4] {
+    let snap = registry.snapshot();
+    [
+        snap.counters.iter().map(|c| c.name.clone()).collect(),
+        snap.gauges.iter().map(|g| g.name.clone()).collect(),
+        snap.histograms.iter().map(|h| h.name.clone()).collect(),
+        snap.series.iter().map(|s| s.name.clone()).collect(),
+    ]
+}
+
+/// Every name under `prefix` of a slotted system's registry: the fault
+/// counters, the `tct_s` histogram, the per-slot means and the
+/// Lyapunov controller's per-decision queues.
+fn slotted_keys(prefix: &str) -> [Vec<String>; 4] {
+    let with = |names: &[&str]| names.iter().map(|n| format!("{prefix}.{n}")).collect();
+    [
+        with(&[
+            "ctrl.fallbacks",
+            "ctrl.fault_slots",
+            "ctrl.recoveries",
+            "ctrl.retries",
+            "ctrl.timeouts",
+        ]),
+        Vec::new(),
+        with(&["tct_s"]),
+        with(&[
+            "ctrl.queue_h",
+            "ctrl.queue_q",
+            "offload_x",
+            "queue_h",
+            "queue_q",
+            "tct_mean_s",
+        ]),
+    ]
+}
+
+/// The registry's key set is pinned: a Lyapunov slotted run and a
+/// 2-edge fleet run record exactly these names, so adding or removing
+/// a series, counter or histogram shows up here as a deliberate diff.
+#[test]
+fn registry_key_set_is_pinned() {
+    let scenario = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 4, 5.0);
+    assert_eq!(scenario.controller, ControllerKind::Lyapunov);
+    let deployment = scenario.deploy(ExitStrategy::Leime).expect("deploys");
+
+    let registry = Registry::new();
+    let mut bare = SlottedSystem::new(scenario.clone(), deployment.clone()).expect("builds");
+    bare.attach_registry(&registry, "slot");
+    bare.run(30, RUN_SEED).expect("runs");
+    assert_eq!(registry_keys(&registry), slotted_keys("slot"));
+
+    let registry = Registry::new();
+    let mut fleet =
+        FleetSystem::new(scenario, deployment, FleetConfig::regional(2, 10)).expect("builds");
+    let report = fleet
+        .run_with_registry(
+            30,
+            RUN_SEED,
+            NonZeroUsize::MIN,
+            leime::DEFAULT_EPOCH_LEN,
+            &registry,
+            "fleet",
+        )
+        .expect("runs");
+    assert_eq!(report.intervals.len(), 3);
+    let mut want = slotted_keys("fleet.edge0");
+    for (all, edge1) in want.iter_mut().zip(slotted_keys("fleet.edge1")) {
+        all.extend(edge1);
+    }
+    assert_eq!(registry_keys(&registry), want);
+}
