@@ -31,7 +31,7 @@ use std::hint::black_box;
 use std::path::PathBuf;
 
 use leime::ModelKind;
-use leime_bench::perf::{self, history_doc_for, load_history_for};
+use leime_bench::perf;
 use leime_bench::{header, render_table};
 use leime_offload::{
     ControllerTelemetry, DecisionBatch, DeviceParams, LyapunovController, OffloadController,
@@ -182,17 +182,13 @@ fn main() {
     );
 
     let path = json_path();
-    let mut history = load_history_for(&path, "kernels");
     let kernels: Vec<_> = results
         .iter()
         .map(|r| serde_json::json!({"name": r.name, "ns_per_op": r.ns_per_op, "ops": r.ops}))
         .collect();
-    let run = history.len() + 1;
-    history.push(perf::new_row(run, serde_json::json!({"kernels": kernels})));
-    let doc = history_doc_for("hot_kernels", history);
-    let pretty = serde_json::to_string_pretty(&doc).expect("results serialize");
-    if let Err(e) = std::fs::write(&path, pretty + "\n") {
-        eprintln!("write {}: {e}", path.display());
+    let fields = serde_json::json!({"kernels": kernels});
+    if let Err(e) = perf::append_row(&path, "hot_kernels", "kernels", fields) {
+        eprintln!("{e}");
         std::process::exit(1);
     }
     println!("kernel timings written to {}", path.display());

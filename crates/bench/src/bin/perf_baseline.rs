@@ -45,7 +45,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use leime::{ControllerKind, ExitStrategy, ModelKind, RunReport, Scenario};
-use leime_bench::perf::{self, history_doc, load_history, rolling_median_baseline};
+use leime_bench::perf::{self, history_doc_for, load_history_for, rolling_median_baseline};
 use leime_bench::{fmt_speedup, fmt_time, header, render_table};
 use leime_telemetry::{Clock, WallClock};
 
@@ -207,7 +207,7 @@ fn main() {
         );
     }
 
-    let mut history = load_history(&args.json);
+    let mut history = load_history_for(&args.json, "sequential");
     // Snapshot the rolling-median baseline before this run joins the
     // history; the gate verdict comes after the write so the regression
     // is archived either way.
@@ -234,7 +234,7 @@ fn main() {
         }),
     );
     history.push(record);
-    let doc = history_doc(history);
+    let doc = history_doc_for("perf_baseline", history);
     let pretty = serde_json::to_string_pretty(&doc).expect("record serializes");
     if let Err(e) = std::fs::write(&args.json, pretty + "\n") {
         eprintln!("write {}: {e}", args.json.display());

@@ -109,17 +109,12 @@ pub fn host() -> Value {
     serde_json::json!({"available_parallelism": cores, "cpu_model": cpu_model})
 }
 
-/// Parses the `perf_baseline` history from file text. `Ok` is the runs
-/// list (empty for a fresh file); `Err` carries a warning for the
-/// caller to print — the history restarts either way.
-pub fn history_from_text(text: &str) -> Result<Vec<Value>, String> {
-    history_from_text_for(text, "sequential")
-}
-
-/// Like [`history_from_text`], for any bench artifact: `record_key`
-/// names the field whose presence marks the pre-history layout where
-/// the whole document was one run record (`"sequential"` for
-/// `perf_baseline`, `"kernels"` for `hot_kernels`).
+/// Parses a bench history from file text. `Ok` is the runs list (empty
+/// for a fresh file); `Err` carries a warning for the caller to print —
+/// the history restarts either way. `record_key` names the field whose
+/// presence marks the pre-history layout where the whole document was
+/// one run record (`"sequential"` for `perf_baseline`, `"kernels"` for
+/// `hot_kernels`).
 pub fn history_from_text_for(text: &str, record_key: &str) -> Result<Vec<Value>, String> {
     let Ok(Value::Object(mut doc)) = serde_json::from_str::<Value>(text) else {
         return Err("not a JSON object — starting a fresh history".to_string());
@@ -137,12 +132,6 @@ pub fn history_from_text_for(text: &str, record_key: &str) -> Result<Vec<Value>,
     Err("unrecognized layout — starting a fresh history".to_string())
 }
 
-/// Reads the `perf_baseline` history from `path`. See
-/// [`load_history_for`].
-pub fn load_history(path: &std::path::Path) -> Vec<Value> {
-    load_history_for(path, "sequential")
-}
-
 /// Reads a bench history from `path`: the current `runs` list, a
 /// migrated pre-history single record, or empty for a missing file. A
 /// corrupt history warns on stderr and restarts rather than blocking
@@ -155,12 +144,6 @@ pub fn load_history_for(path: &std::path::Path, record_key: &str) -> Vec<Value> 
         eprintln!("WARN: {}: {warning}", path.display());
         Vec::new()
     })
-}
-
-/// Wraps a `perf_baseline` history back into the archived document
-/// layout.
-pub fn history_doc(runs: Vec<Value>) -> Value {
-    history_doc_for("perf_baseline", runs)
 }
 
 /// Wraps a bench history back into the archived document layout.
@@ -403,7 +386,7 @@ mod tests {
         // Current layout: runs pass through untouched.
         let current = r#"{"schema":"leime-bench/1","bench":"perf_baseline",
             "runs":[{"run":1,"git_rev":"abc"},{"run":2,"git_rev":"def"}]}"#;
-        let runs = history_from_text(current).unwrap();
+        let runs = history_from_text_for(current, "sequential").unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[1]["git_rev"].as_str(), Some("def"));
 
@@ -413,7 +396,7 @@ mod tests {
             "git_rev":"a1b2c3","devices":64,"slots":200,
             "sequential":{"wall_ms":24.3,"slots_per_sec":8221.8},
             "parallel":[],"best_speedup":1.0}"#;
-        let migrated = history_from_text(pre).unwrap();
+        let migrated = history_from_text_for(pre, "sequential").unwrap();
         assert_eq!(migrated.len(), 1);
         // NB: the vendored serde_json compares objects in insertion
         // order, so the pinned record lists "run" last — the migration
@@ -433,8 +416,8 @@ mod tests {
         // newly appended row names its toolchain and checkout state.
         let mut runs = migrated;
         runs.push(new_row(2, serde_json::json!({"devices": 64})));
-        let doc = history_doc(runs);
-        let reread = history_from_text(&doc.to_string()).unwrap();
+        let doc = history_doc_for("perf_baseline", runs);
+        let reread = history_from_text_for(&doc.to_string(), "sequential").unwrap();
         assert_eq!(reread[0], expected);
         let row = &reread[1];
         assert_eq!(row["run"].as_u64(), Some(2));
@@ -444,9 +427,9 @@ mod tests {
         assert_eq!(row["host"], host());
 
         // Corrupt layouts warn and restart.
-        assert!(history_from_text("[]").is_err());
-        assert!(history_from_text(r#"{"schema":"x"}"#).is_err());
-        assert!(history_from_text("not json").is_err());
+        assert!(history_from_text_for("[]", "sequential").is_err());
+        assert!(history_from_text_for(r#"{"schema":"x"}"#, "sequential").is_err());
+        assert!(history_from_text_for("not json", "sequential").is_err());
     }
 
     /// Golden: the committed single-record `BENCH_kernels.json` layout

@@ -369,28 +369,34 @@ impl Scenario {
     }
 
     /// Parses and validates a scenario from JSON. A top-level key that
-    /// is not a scenario field is an error, so a misspelled optional
-    /// field (`"choas"`) never loads as its default.
+    /// is not a scenario field is an error, and so is any key inside the
+    /// `chaos` block or its fault models, so a misspelled optional field
+    /// (`"choas"`, `"window"`) never loads as its default.
     ///
     /// # Errors
     ///
     /// Returns [`LeimeError::Config`] on parse or validation failure or
-    /// for an unknown top-level key.
+    /// for an unknown key, naming its path (`chaos.window`).
     pub fn from_json(json: &str) -> Result<Self> {
         let invalid = |e| LeimeError::Config(format!("invalid scenario JSON: {e}"));
         let value: serde_json::Value = serde_json::from_str(json).map_err(invalid)?;
         let scenario = Scenario::from_value(&value).map_err(invalid)?;
         // Every field serializes, `None`s as `null`, so the scenario's
-        // own keys are the known ones.
-        let fields = serde_json::to_value(&scenario);
+        // own keys are the known ones. `degrade` is checked only at the
+        // top: configs may still carry its retired `timeout_slots`.
+        let known = serde_json::to_value(&scenario);
         let unknown = value
             .as_object()
             .into_iter()
             .flat_map(|top| top.iter())
-            .find(|(key, _)| fields.get(key).is_none());
-        if let Some((key, _)) = unknown {
+            .find_map(|(key, input)| match known.get(key) {
+                None => Some(key.clone()),
+                Some(known) if key == "chaos" => unknown_key(input, known, key),
+                Some(_) => None,
+            });
+        if let Some(path) = unknown {
             return Err(LeimeError::Config(format!(
-                "invalid scenario JSON: unknown key `{key}`"
+                "invalid scenario JSON: unknown key `{path}`"
             )));
         }
         scenario.validate()?;
@@ -491,6 +497,27 @@ impl Scenario {
         let mut system = SlottedSystem::new(self.clone(), deployment.clone())?;
         system.attach_registry(registry, prefix);
         system.run(slots, seed)
+    }
+}
+
+/// The path, below `path`, of the first object key in `input` that its
+/// re-serialized counterpart `known` lacks, at any depth.
+fn unknown_key(input: &serde_json::Value, known: &serde_json::Value, path: &str) -> Option<String> {
+    use serde_json::Value;
+    match (input, known) {
+        (Value::Object(input), Value::Object(known)) => input.iter().find_map(|(key, v)| {
+            let path = format!("{path}.{key}");
+            match known.get(key) {
+                None => Some(path),
+                Some(k) => unknown_key(v, k, &path),
+            }
+        }),
+        (Value::Array(input), Value::Array(known)) => input
+            .iter()
+            .zip(known)
+            .enumerate()
+            .find_map(|(i, (v, k))| unknown_key(v, k, &format!("{path}[{i}]"))),
+        _ => None,
     }
 }
 

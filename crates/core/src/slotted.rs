@@ -12,7 +12,7 @@ use leime_offload::{
 use leime_par::RoundsError;
 use leime_par::{Rng, StdRng};
 use leime_simnet::SimTime;
-use leime_telemetry::{Counter, Histogram, Registry, Series};
+use leime_telemetry::{Buckets, Registry};
 use leime_workload::{Mmpp, SlotArrivals};
 
 use crate::report::SlotRow;
@@ -76,50 +76,67 @@ pub struct SlottedSystem {
     telemetry: Option<SlotTelemetry>,
 }
 
-/// Recording handles for one slotted run (see
+/// The registry and metric names one slotted run records into (see
 /// [`SlottedSystem::attach_registry`]).
 #[derive(Debug, Clone)]
 struct SlotTelemetry {
-    tct: Arc<Histogram>,
-    tct_mean: Arc<Series>,
+    registry: Registry,
+    tct: String,
+    tct_mean: String,
     /// `queue_q`, `queue_h` and `offload_x`: per-slot means over the
     /// system's devices.
-    means: [Arc<Series>; 3],
+    means: [String; 3],
     /// The `{prefix}.ctrl.queue_{q,h}` decision series.
     ctrl: ControllerTelemetry,
     /// The `{prefix}.ctrl.*` fault counters, in [`FAULT_COUNTERS`] order.
-    faults: [Arc<Counter>; 5],
+    faults: [String; 5],
 }
 
 impl SlotTelemetry {
-    /// The handles of [`SlottedSystem::attach_registry`] under `prefix`.
+    /// The names of [`SlottedSystem::attach_registry`] under `prefix`,
+    /// each created (empty) in `registry`.
     fn attach(registry: &Registry, prefix: &str) -> Self {
-        SlotTelemetry {
+        let tel = SlotTelemetry {
+            registry: Registry::clone(registry),
             ctrl: ControllerTelemetry::attach(registry, &format!("{prefix}.ctrl")),
-            faults: FAULT_COUNTERS.map(|(k, _)| registry.counter(&format!("{prefix}.ctrl.{k}"))),
-            tct: registry.histogram(&format!("{prefix}.tct_s")),
-            tct_mean: registry.series(&format!("{prefix}.tct_mean_s")),
-            means: ["queue_q", "queue_h", "offload_x"]
-                .map(|k| registry.series(&format!("{prefix}.{k}"))),
+            faults: FAULT_COUNTERS.map(|(k, _)| format!("{prefix}.ctrl.{k}")),
+            tct: format!("{prefix}.tct_s"),
+            tct_mean: format!("{prefix}.tct_mean_s"),
+            means: ["queue_q", "queue_h", "offload_x"].map(|k| format!("{prefix}.{k}")),
+        };
+        for name in &tel.faults {
+            registry.add_count(name, 0);
         }
+        registry.merge_histogram(&tel.tct, &Buckets::new());
+        for name in std::iter::once(&tel.tct_mean).chain(&tel.means) {
+            registry.extend_series(name, []);
+        }
+        tel
     }
 
     /// Writes a report's views over its `n` devices: the `tct_s`
     /// histogram, the fault counters and the per-slot series.
     fn record(&self, report: &RunReport, n: usize) {
-        self.tct.merge(&report.tct);
+        let registry = &self.registry;
+        registry.merge_histogram(&self.tct, &report.tct);
         let f = report.fault_stats();
-        for (counter, (_, total)) in self.faults.iter().zip(FAULT_COUNTERS) {
-            counter.add(total(&f));
+        for (name, (_, total)) in self.faults.iter().zip(FAULT_COUNTERS) {
+            registry.add_count(name, total(&f));
         }
-        for row in &report.slots {
-            let t = row.t.as_secs();
-            if row.tasks > 0 {
-                self.tct_mean.push(t, row.total / row.tasks as f64);
-            }
-            for (series, sum) in self.means.iter().zip([row.q, row.h, row.x]) {
-                series.push(t, sum / n as f64);
-            }
+        let rows = &report.slots;
+        registry.extend_series(
+            &self.tct_mean,
+            rows.iter()
+                .filter(|row| row.tasks > 0)
+                .map(|row| (row.t.as_secs(), row.total / row.tasks as f64)),
+        );
+        let sums: [fn(&SlotRow) -> f64; 3] = [|row| row.q, |row| row.h, |row| row.x];
+        for (name, sum) in self.means.iter().zip(sums) {
+            registry.extend_series(
+                name,
+                rows.iter()
+                    .map(|row| (row.t.as_secs(), sum(row) / n as f64)),
+            );
         }
     }
 }

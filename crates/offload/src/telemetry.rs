@@ -1,43 +1,47 @@
 //! Controller-side telemetry: per-decision recording of the Lyapunov
 //! queues.
 //!
-//! A [`ControllerTelemetry`] bundles the series a driving simulator
+//! A [`ControllerTelemetry`] names the series a driving simulator
 //! records a controller's decisions into — the device queue `Q_i(t)`
 //! and the edge queue `H_i(t)` each decision observed. Controllers
 //! record nothing themselves ([`crate::OffloadController::decide`] is
 //! pure): the driver buffers each recorded decision, stamped with its
 //! slot-start time, into a [`DecisionBatch`] and flushes the batch once
-//! per slot. Several devices share one handle, so each series holds one
-//! point per device per slot.
+//! per slot. Several devices share one recorder, so each series holds
+//! one point per device per slot.
 
-use std::sync::Arc;
+use leime_telemetry::Registry;
 
-use leime_telemetry::{Registry, Series};
-
-/// Recording handles for one system's controller decisions.
+/// The registry and series names one system's controller decisions
+/// record into.
 #[derive(Debug, Clone)]
 pub struct ControllerTelemetry {
-    queue_q: Arc<Series>,
-    queue_h: Arc<Series>,
+    registry: Registry,
+    queue_q: String,
+    queue_h: String,
 }
 
 impl ControllerTelemetry {
-    /// Creates handles recording into `registry` as
-    /// `{prefix}.queue_q` and `{prefix}.queue_h`.
+    /// Records into `registry` as `{prefix}.queue_q` and
+    /// `{prefix}.queue_h`, both created (empty) here.
     pub fn attach(registry: &Registry, prefix: &str) -> Self {
+        let (queue_q, queue_h) = (format!("{prefix}.queue_q"), format!("{prefix}.queue_h"));
+        registry.extend_series(&queue_q, []);
+        registry.extend_series(&queue_h, []);
         ControllerTelemetry {
-            queue_q: registry.series(&format!("{prefix}.queue_q")),
-            queue_h: registry.series(&format!("{prefix}.queue_h")),
+            registry: Registry::clone(registry),
+            queue_q,
+            queue_h,
         }
     }
 
     /// Flushes a [`DecisionBatch`] accumulated by a driving simulator:
-    /// each series takes its lock once per flush instead of once per
-    /// decision, and keeps the batch's points in order. The batch is
-    /// left empty and ready for reuse.
+    /// one registry write per series, keeping the batch's points in
+    /// order. The batch is left empty and ready for reuse.
     pub fn flush_batch(&self, batch: &mut DecisionBatch) {
-        self.queue_q.push_batch(&batch.queue_q);
-        self.queue_h.push_batch(&batch.queue_h);
+        let registry = &self.registry;
+        registry.extend_series(&self.queue_q, batch.queue_q.iter().copied());
+        registry.extend_series(&self.queue_h, batch.queue_h.iter().copied());
         batch.clear();
     }
 }
@@ -87,6 +91,9 @@ mod tests {
     fn records_one_point_per_series() {
         let registry = Registry::new();
         let telemetry = ControllerTelemetry::attach(&registry, "sys.ctrl");
+        let attached = registry.snapshot();
+        assert!(attached.series.iter().all(|s| s.points.is_empty()));
+        assert_eq!(attached.series.len(), 2);
         let mut batch = DecisionBatch::new();
         assert!(batch.is_empty());
         batch.record_decision(2.0, 3.0, 1.5);

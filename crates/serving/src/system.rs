@@ -36,13 +36,12 @@
 //! (asserted here and by the tier-2 `integration_serving` suite).
 
 use std::num::NonZeroUsize;
-use std::sync::Arc;
 
 use leime_chaos::{ChaosConfig, EdgeChaos, FaultModel, SharedHealth};
 use leime_offload::{QueuePair, SharedParams, SlotCost};
 use leime_par::StdRng;
 use leime_simnet::SimTime;
-use leime_telemetry::{Counter, Histogram, Registry, Series};
+use leime_telemetry::{Buckets, Registry};
 use leime_workload::{Binomial, SlotArrivals};
 
 use leime::{
@@ -86,16 +85,17 @@ impl ServingConfig {
     }
 }
 
-/// Recording handles for one serving run (see
+/// The registry and metric names one serving run records into (see
 /// [`ServingSystem::attach_registry`]).
 #[derive(Debug, Clone)]
 struct ServingTelemetry {
+    registry: Registry,
     /// Per-class completion-time histograms, `{prefix}.tct_s.{class}`.
-    tct: [Arc<Histogram>; 3],
+    tct: [String; 3],
     /// Per-class `offered`, `admitted`, `shed` and `deadline_hits`.
-    counts: [[Arc<Counter>; 3]; 4],
+    counts: [[String; 3]; 4],
     /// `queue_q`, `queue_h` and `offload_x`.
-    means: [Arc<Series>; 3],
+    means: [String; 3],
 }
 
 /// The online serving runtime.
@@ -192,15 +192,23 @@ impl ServingSystem {
     /// after the run. A registry reused across runs stays exact: counts,
     /// buckets, min, max and the histograms' exact sums all add.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
-        let per_class = |what: &str| {
-            SlaClass::ALL.map(|c| registry.counter(&format!("{prefix}.{}.{what}", c.name())))
-        };
-        self.telemetry = Some(ServingTelemetry {
-            tct: SlaClass::ALL.map(|c| registry.histogram(&format!("{prefix}.tct_s.{}", c.name()))),
+        let per_class = |what: &str| SlaClass::ALL.map(|c| format!("{prefix}.{}.{what}", c.name()));
+        let tel = ServingTelemetry {
+            registry: Registry::clone(registry),
+            tct: SlaClass::ALL.map(|c| format!("{prefix}.tct_s.{}", c.name())),
             counts: ["offered", "admitted", "shed", "deadline_hits"].map(per_class),
-            means: ["queue_q", "queue_h", "offload_x"]
-                .map(|k| registry.series(&format!("{prefix}.{k}"))),
-        });
+            means: ["queue_q", "queue_h", "offload_x"].map(|k| format!("{prefix}.{k}")),
+        };
+        for name in tel.counts.iter().flatten() {
+            registry.add_count(name, 0);
+        }
+        for name in &tel.tct {
+            registry.merge_histogram(name, &Buckets::new());
+        }
+        for name in &tel.means {
+            registry.extend_series(name, []);
+        }
+        self.telemetry = Some(tel);
     }
 
     /// Runs `slots` time slots from fresh queues and returns the serving
@@ -351,14 +359,15 @@ impl ServingSystem {
         // The registry takes the per-slot series and the report's
         // per-class totals once, after the run.
         if let Some(tel) = tel {
-            for (series, points) in tel.means.iter().zip(&means) {
-                series.push_batch(points);
+            let registry = &tel.registry;
+            for (name, points) in tel.means.iter().zip(means) {
+                registry.extend_series(name, points);
             }
             for (ci, s) in stats.iter().enumerate() {
-                tel.tct[ci].merge(&s.tct_s);
+                registry.merge_histogram(&tel.tct[ci], &s.tct_s);
                 let totals = [s.offered, s.admitted, s.shed, s.deadline_hits];
-                for (counters, n) in tel.counts.iter().zip(totals) {
-                    counters[ci].add(n);
+                for (names, n) in tel.counts.iter().zip(totals) {
+                    registry.add_count(&names[ci], n);
                 }
             }
         }

@@ -1,5 +1,4 @@
-//! Log-bucketed histograms: a plain accumulator ([`Buckets`]) and the
-//! registry's shared handle to one ([`Histogram`]).
+//! Log-bucketed histograms ([`Buckets`]).
 //!
 //! Values are bucketed by magnitude on a logarithmic grid with
 //! [`BUCKETS_PER_OCTAVE`] buckets per power of two (growth factor
@@ -20,12 +19,11 @@
 //! [`NUM_BUCKETS`]. The window grows when a sample lands outside it, at
 //! most [`NUM_BUCKETS`] times per histogram.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use serde::{DeError, Deserialize, Map, Serialize, Value};
 
 use crate::exact::ExactSum;
-use crate::sync::lock_unpoisoned;
 
 /// Buckets per power of two; the growth factor is `2^(1/32)`.
 pub const BUCKETS_PER_OCTAVE: usize = 32;
@@ -152,8 +150,8 @@ pub fn bucket_representative(index: usize) -> f64 {
     sign * (lo.abs() * hi.abs()).sqrt()
 }
 
-/// A plain (single-threaded) log-bucketed histogram: what a
-/// [`Histogram`] holds and what `leime`'s `RunReport` records into.
+/// A plain log-bucketed histogram: what `leime`'s `RunReport` records
+/// into and what a [`Registry`](crate::Registry) holds per name.
 ///
 /// Only the window from the lowest to the highest non-empty bucket is
 /// stored: `counts[k]` is bucket `start + k`. An empty histogram holds
@@ -424,40 +422,6 @@ impl Deserialize for Buckets {
     }
 }
 
-/// A registry histogram: one [`Buckets`] behind a mutex, so a shared
-/// `Arc` handle can take a run's samples. Writers merge a finished
-/// run's [`Buckets`] once, on the driver; readers take a [`snapshot`].
-///
-/// [`snapshot`]: Histogram::snapshot
-#[derive(Debug, Default)]
-pub struct Histogram {
-    buckets: Mutex<Buckets>,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample. Non-finite values are ignored.
-    pub fn record(&self, v: f64) {
-        lock_unpoisoned(&self.buckets).record(v);
-    }
-
-    /// Merges a plain histogram into this one (see [`Buckets::merge`]).
-    /// Merged into an empty histogram, the result equals `other`.
-    pub fn merge(&self, other: &Buckets) {
-        lock_unpoisoned(&self.buckets).merge(other);
-    }
-
-    /// A plain copy of the current state, for quantile queries and
-    /// serialization.
-    pub fn snapshot(&self) -> Buckets {
-        lock_unpoisoned(&self.buckets).clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,61 +570,26 @@ mod tests {
     }
 
     #[test]
-    fn atomic_histogram_matches_plain() {
-        let h = Histogram::new();
-        let mut b = Buckets::new();
-        for i in 0..500 {
-            let v = (i as f64 * 0.37).sin().abs() + 0.01;
-            h.record(v);
-            b.record(v);
-        }
-        assert_eq!(h.snapshot(), b);
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = std::sync::Arc::new(Histogram::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let h = std::sync::Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..10_000 {
-                        h.record(0.001 * (1 + t) as f64 * (1.0 + (i % 10) as f64));
-                    }
-                })
-            })
-            .collect();
-        for j in handles {
-            j.join().unwrap();
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 40_000);
-        let total: u64 = (0..NUM_BUCKETS).map(|i| snap.bucket_count(i)).sum();
-        assert_eq!(total, 40_000);
-    }
-
-    #[test]
     fn merge_adds_counts() {
-        let a = Histogram::new();
+        let mut a = Buckets::new();
         let mut b = Buckets::new();
         for i in 1..=100 {
             a.record(i as f64);
             b.record(i as f64 * 10.0);
         }
         a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count(), 200);
-        assert_eq!(snap.min(), Some(1.0));
-        assert_eq!(snap.max(), Some(1000.0));
+        assert_eq!(a.count(), 200);
+        assert_eq!(a.min(), Some(1.0));
+        assert_eq!(a.max(), Some(1000.0));
         // Into an empty histogram, a merge equals recording the samples.
-        let fresh = Histogram::new();
+        let mut fresh = Buckets::new();
         fresh.merge(&b);
-        let direct = Histogram::new();
+        let mut direct = Buckets::new();
         for i in 1..=100 {
             direct.record(i as f64 * 10.0);
         }
-        assert_eq!(fresh.snapshot(), direct.snapshot());
-        assert_eq!(fresh.snapshot().sum().to_bits(), b.sum().to_bits());
+        assert_eq!(fresh, direct);
+        assert_eq!(fresh.sum().to_bits(), b.sum().to_bits());
     }
 
     #[test]
@@ -691,7 +620,6 @@ mod tests {
     fn empty_histograms_hold_no_bucket_storage() {
         assert_eq!(Buckets::new().counts.capacity(), 0);
         assert_eq!(Buckets::default().counts.capacity(), 0);
-        assert_eq!(Histogram::new().snapshot().counts.capacity(), 0);
         let back: Buckets =
             serde_json::from_str(&serde_json::to_string(&Buckets::new()).unwrap()).unwrap();
         assert_eq!(back.counts.capacity(), 0);

@@ -5,20 +5,17 @@
 //! records into, replacing the one-off series and percentile code that
 //! used to live in each of them.
 //!
-//! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, [`Histogram`]s and
-//!   [`Series`], created on first use and shared via `Arc`. The
-//!   registry's own lock is held only at registration and snapshot time.
+//! * [`Registry`] — named counters, [`Buckets`] histograms and
+//!   `(time, value)` series, held as plain values in one table. Each
+//!   write creates its name on first use; clones of a registry share
+//!   the table, behind one mutex that only the driving thread takes.
 //! * [`Buckets`] — log-bucketed latency histogram: quantile queries with
 //!   error bounded by one bucket width, an exact sum, and exact merging
-//!   (bucket counts and sums add, in any order). It holds a `leime` run report's completion times; a registry
-//!   [`Histogram`] is one `Buckets` behind a lock, merged into once per
-//!   run.
-//! * [`Series`] — `(time, value)` recorders sampled per simulated slot
-//!   or wall tick.
-//! * [`Tracer`] — span/event tracing generic over a [`Clock`], with a
-//!   [`VirtualClock`] for simulated time and a [`WallClock`] over
-//!   `std::time::Instant`, so simulated and wall-clock traces share one
-//!   format.
+//!   (bucket counts and sums add, in any order). It holds a `leime` run
+//!   report's completion times, merged into the registry once per run.
+//! * [`Tracer`] — span tracing generic over a [`Clock`]; the
+//!   [`WallClock`] reads `std::time::Instant`, and tests drive a tracer
+//!   with a clock of their own.
 //! * [`TelemetrySnapshot`] — a serializable dump of everything a
 //!   registry holds; the bench binaries write it as `telemetry.json`
 //!   (see EXPERIMENTS.md for the schema).
@@ -26,15 +23,13 @@
 pub mod clock;
 mod exact;
 pub mod hist;
-pub mod metrics;
 pub mod registry;
 pub(crate) mod sync;
 pub mod trace;
 
-pub use clock::{Clock, VirtualClock, WallClock};
-pub use hist::{Buckets, Histogram};
-pub use metrics::{Counter, Gauge, Series};
+pub use clock::{Clock, WallClock};
+pub use hist::Buckets;
 pub use registry::{
-    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Registry, SeriesSnapshot, TelemetrySnapshot,
+    CounterSnapshot, HistogramSnapshot, Registry, SeriesSnapshot, TelemetrySnapshot,
 };
 pub use trace::{Span, SpanRecord, Tracer};

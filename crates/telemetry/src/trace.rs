@@ -1,57 +1,38 @@
-//! Span and event tracing over an abstract [`Clock`].
+//! Span tracing over an abstract [`Clock`].
 //!
 //! A [`Tracer`] stamps named spans with its clock's time, so the same
-//! instrumentation produces comparable traces whether time is simulated
-//! (`VirtualClock`) or real (`WallClock`). Spans close on drop; instant
-//! events are spans with `start == end`.
+//! instrumentation produces comparable traces under any time source.
+//! Spans close on drop.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use serde::Serialize;
 
 use crate::clock::Clock;
 
-/// One finished span (or instant event, when `start == end`), in the
-/// tracer's clock seconds.
+/// One finished span, in the tracer's clock seconds.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanRecord {
-    /// Span name, as passed to [`Tracer::span`] or [`Tracer::event`].
+    /// Span name, as passed to [`Tracer::span`].
     pub name: String,
     /// Start time in clock seconds.
     pub start: f64,
-    /// End time in clock seconds; equals `start` for instant events.
+    /// End time in clock seconds.
     pub end: f64,
 }
 
 impl SpanRecord {
-    /// Span duration in seconds (zero for instant events).
+    /// Span duration in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
 }
 
-#[derive(Debug, Default)]
-struct SpanLog {
-    records: Mutex<Vec<SpanRecord>>,
-}
-
-/// Records named spans and events against a [`Clock`].
-///
-/// Clones share the same record log, so a tracer can be handed to
-/// several components and drained once at the end of a run.
+/// Records named spans against a [`Clock`].
 #[derive(Debug)]
 pub struct Tracer<C: Clock> {
     clock: C,
-    log: Arc<SpanLog>,
-}
-
-impl<C: Clock + Clone> Clone for Tracer<C> {
-    fn clone(&self) -> Self {
-        Tracer {
-            clock: self.clock.clone(),
-            log: Arc::clone(&self.log),
-        }
-    }
+    log: Mutex<Vec<SpanRecord>>,
 }
 
 impl<C: Clock> Tracer<C> {
@@ -59,7 +40,7 @@ impl<C: Clock> Tracer<C> {
     pub fn new(clock: C) -> Self {
         Tracer {
             clock,
-            log: Arc::default(),
+            log: Mutex::default(),
         }
     }
 
@@ -72,25 +53,9 @@ impl<C: Clock> Tracer<C> {
         }
     }
 
-    /// Records an instant event (`start == end == now`).
-    pub fn event(&self, name: impl Into<String>) {
-        let t = self.clock.now();
-        crate::sync::lock_unpoisoned(&self.log.records).push(SpanRecord {
-            name: name.into(),
-            start: t,
-            end: t,
-        });
-    }
-
-    /// Current clock reading, for callers that want to stamp their own
-    /// series with tracer time.
-    pub fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
     /// A copy of everything recorded so far, in completion order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        crate::sync::lock_unpoisoned(&self.log.records).clone()
+        crate::sync::lock_unpoisoned(&self.log).clone()
     }
 }
 
@@ -105,7 +70,7 @@ pub struct Span<'t, C: Clock> {
 impl<C: Clock> Drop for Span<'_, C> {
     fn drop(&mut self) {
         let end = self.tracer.clock.now();
-        crate::sync::lock_unpoisoned(&self.tracer.log.records).push(SpanRecord {
+        crate::sync::lock_unpoisoned(&self.tracer.log).push(SpanRecord {
             name: std::mem::take(&mut self.name),
             start: self.start,
             end,
@@ -116,21 +81,32 @@ impl<C: Clock> Drop for Span<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// A clock the test steps by hand, standing in for simulated time.
+    #[derive(Clone, Default)]
+    struct Stepped(Rc<Cell<f64>>);
+
+    impl Clock for Stepped {
+        fn now(&self) -> f64 {
+            self.0.get()
+        }
+    }
 
     #[test]
     fn spans_capture_virtual_time() {
-        let clock = VirtualClock::new();
+        let clock = Stepped::default();
         let tracer = Tracer::new(clock.clone());
         {
             let _slot = tracer.span("slot");
-            clock.advance_to(0.1);
-            tracer.event("decision");
-            clock.advance_to(0.25);
+            clock.0.set(0.1);
+            drop(tracer.span("decision"));
+            clock.0.set(0.25);
         }
         let records = tracer.records();
         assert_eq!(records.len(), 2);
-        // The event completes before the enclosing span's drop.
+        // The inner span completes before the enclosing span's drop.
         assert_eq!(
             records[0],
             SpanRecord {
@@ -148,13 +124,5 @@ mod tests {
             }
         );
         assert_eq!(records[1].duration().to_bits(), 0.25_f64.to_bits());
-    }
-
-    #[test]
-    fn clones_share_the_log() {
-        let tracer = Tracer::new(VirtualClock::new());
-        let other = tracer.clone();
-        other.event("from-clone");
-        assert_eq!(tracer.records().len(), 1);
     }
 }

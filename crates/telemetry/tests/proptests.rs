@@ -1,12 +1,14 @@
 //! Property tests for the telemetry crate's core laws:
 //! merge exactness, the quantile error bound, windowed bucket storage
-//! against a dense reference, and clock-impl parity of the tracer.
+//! against a dense reference, and clock parity of the tracer.
 
 use leime_telemetry::hist::{
     bucket_index, bucket_representative, Buckets, BUCKETS_PER_OCTAVE, MIN_MAG, NUM_BUCKETS,
 };
-use leime_telemetry::{Clock, SpanRecord, Tracer, VirtualClock, WallClock};
+use leime_telemetry::{Clock, SpanRecord, Tracer, WallClock};
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn buckets_from(samples: &[f64]) -> Buckets {
     let mut b = Buckets::new();
@@ -231,10 +233,20 @@ proptest! {
     }
 }
 
-/// Drives the same generic instrumentation against both clock impls and
-/// checks the traces agree structurally: same span names, same nesting
-/// order, non-negative durations. With the virtual clock the timestamps
-/// are additionally exact.
+/// A clock stepped by hand, standing in for simulated time.
+#[derive(Clone, Default)]
+struct SteppedClock(Rc<Cell<f64>>);
+
+impl Clock for SteppedClock {
+    fn now(&self) -> f64 {
+        self.0.get()
+    }
+}
+
+/// Drives the same generic instrumentation against a stepped clock and
+/// the wall clock and checks the traces agree structurally: same span
+/// names, same nesting order, non-negative durations. With the stepped
+/// clock the timestamps are additionally exact.
 #[test]
 fn tracer_parity_virtual_vs_wall() {
     fn workload<C: Clock>(tracer: &Tracer<C>, advance: impl Fn(f64)) -> Vec<SpanRecord> {
@@ -243,17 +255,17 @@ fn tracer_parity_virtual_vs_wall() {
             for slot in 0..3 {
                 let _s = tracer.span(format!("slot-{slot}"));
                 advance(0.05);
-                tracer.event("decide");
+                drop(tracer.span("decide"));
                 advance(0.05);
             }
         }
         tracer.records()
     }
 
-    let vclock = VirtualClock::new();
+    let vclock = SteppedClock::default();
     let vtick = {
         let c = vclock.clone();
-        move |dt: f64| c.advance_to(c.now() + dt)
+        move |dt: f64| c.0.set(c.now() + dt)
     };
     let virtual_records = workload(&Tracer::new(vclock), vtick);
     let spin = WallClock::new();
@@ -269,9 +281,13 @@ fn tracer_parity_virtual_vs_wall() {
     for r in virtual_records.iter().chain(&wall_records) {
         assert!(r.duration() >= 0.0, "negative duration in {r:?}");
     }
-    // Simulated time is exact: each slot spans 0.1s and holds its event
-    // at the midpoint.
+    // Stepped time is exact: each slot spans 0.1s and holds an instant
+    // "decide" span at the midpoint.
     for slot in 0..3 {
+        let decide = &virtual_records[2 * slot];
+        assert_eq!(decide.name, "decide");
+        assert!((decide.start - (0.1 * slot as f64 + 0.05)).abs() < 1e-12);
+        assert_eq!(decide.duration().to_bits(), 0.0_f64.to_bits());
         let rec = &virtual_records[2 * slot + 1];
         assert_eq!(rec.name, format!("slot-{slot}"));
         assert!((rec.duration() - 0.1).abs() < 1e-12);

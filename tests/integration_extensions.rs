@@ -79,6 +79,42 @@ fn scenario_json_rejects_an_unknown_top_level_key() {
 }
 
 #[test]
+fn scenario_json_rejects_an_unknown_key_inside_the_chaos_block() {
+    // A misspelled `window_s` must not load as `None` (faults over the
+    // whole horizon), nor a stray key sit unread in the block or in a
+    // fault model.
+    let s = Scenario::chaos_testbed(ModelKind::SqueezeNet, 2, 42, 60.0);
+    let text = s.to_json().unwrap();
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let first = v["chaos"]["models"].as_array().unwrap()[0]
+        .as_object()
+        .unwrap();
+    let variant = first.iter().next().unwrap().0.clone();
+    let cases = [
+        ("\"window_s\"", "\"window\"", "chaos.window".to_string()),
+        (
+            "\"seed\"",
+            "\"sead\": 1, \"seed\"",
+            "chaos.sead".to_string(),
+        ),
+        (
+            "\"duty\"",
+            "\"duty_cycle\": 0.5, \"duty\"",
+            format!("chaos.models[0].{variant}.duty_cycle"),
+        ),
+    ];
+    for (from, to, path) in cases {
+        assert!(text.contains(from), "{from}");
+        match Scenario::from_json(&text.replacen(from, to, 1)) {
+            Err(LeimeError::Config(msg)) => assert!(msg.contains(&format!("`{path}`")), "{msg}"),
+            other => panic!("expected a config error naming `{path}`, got {other:?}"),
+        }
+    }
+    // The untouched block still loads, to the same scenario.
+    assert_eq!(Scenario::from_json(&text).unwrap(), s);
+}
+
+#[test]
 fn bandwidth_collapse_degrades_then_recovers() {
     // Halfway through the run the WiFi collapses to 10% for a while; the
     // degraded windows must be slower than the healthy ones, and the

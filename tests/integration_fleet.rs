@@ -765,13 +765,12 @@ fn quiet_boundaries_leave_every_edge_as_one_interval() -> TestResult<()> {
     Ok(())
 }
 
-/// A snapshot's counter, gauge, histogram and series names, in
-/// snapshot (sorted) order.
-fn registry_keys(registry: &Registry) -> [Vec<String>; 4] {
+/// A snapshot's counter, histogram and series names, in snapshot
+/// (sorted) order.
+fn registry_keys(registry: &Registry) -> [Vec<String>; 3] {
     let snap = registry.snapshot();
     [
         snap.counters.iter().map(|c| c.name.clone()).collect(),
-        snap.gauges.iter().map(|g| g.name.clone()).collect(),
         snap.histograms.iter().map(|h| h.name.clone()).collect(),
         snap.series.iter().map(|s| s.name.clone()).collect(),
     ]
@@ -780,7 +779,7 @@ fn registry_keys(registry: &Registry) -> [Vec<String>; 4] {
 /// Every name under `prefix` of a slotted system's registry: the fault
 /// counters, the `tct_s` histogram, the per-slot means and the
 /// Lyapunov controller's per-decision queues.
-fn slotted_keys(prefix: &str) -> [Vec<String>; 4] {
+fn slotted_keys(prefix: &str) -> [Vec<String>; 3] {
     let with = |names: &[&str]| names.iter().map(|n| format!("{prefix}.{n}")).collect();
     [
         with(&[
@@ -790,7 +789,6 @@ fn slotted_keys(prefix: &str) -> [Vec<String>; 4] {
             "ctrl.retries",
             "ctrl.timeouts",
         ]),
-        Vec::new(),
         with(&["tct_s"]),
         with(&[
             "ctrl.queue_h",

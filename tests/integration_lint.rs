@@ -107,10 +107,9 @@ fn count_expects(dir: &Path) -> usize {
 #[test]
 fn waiver_budget_is_tight() {
     // `lint:allow` waivers and `#[expect(clippy::…)]` escapes share one
-    // budget. Today there are four: the driver-drained telemetry mutex
-    // (two S8 findings on one line in `telemetry/src/sync.rs`), the
-    // sanctioned panic site in the invariant crate, and the wall clock
-    // in `telemetry/src/clock.rs`.
+    // budget. Today there are two, both `#[expect]`s: the sanctioned
+    // panic site in the invariant crate and the wall clock in
+    // `telemetry/src/clock.rs`. No `lint:allow` waiver remains.
     let opts = ScanOptions::new(workspace_root());
     let report = match run(&opts) {
         Ok(r) => r,
