@@ -1,8 +1,9 @@
 //! Microbenchmarks for the slot loops' inner kernels (DESIGN.md §14):
 //! the Eq. 10–11 queue update, the per-device-slot offloading decision
 //! (the exact P1′ solve), the batched telemetry flush, a replay's
-//! histogram record of one cohort, and serving's count-level class
-//! split. Reports ns/op and *appends* a git-keyed run
+//! histogram record of one cohort, serving's count-level class split,
+//! and a device-slot's Poisson arrival draw with Knuth's threshold
+//! computed per call and once per mean. Reports ns/op and *appends* a git-keyed run
 //! record to the `BENCH_kernels.json` history (schema `leime-bench/1`,
 //! same envelope as `BENCH_par.json`) so kernel-level drift stays
 //! visible between commits without running the full `perf_baseline`
@@ -38,7 +39,7 @@ use leime_offload::{
     QueuePair, SharedParams, SlotObservation,
 };
 use leime_telemetry::{Buckets, Clock, Registry, WallClock};
-use leime_workload::Binomial;
+use leime_workload::{poisson_draw, poisson_threshold, Binomial};
 use rand::SeedableRng;
 
 /// A fleet-sized batch: matches the reference scenario's device count, so
@@ -163,6 +164,22 @@ fn main() {
         let a = first.draw(48, &mut rng);
         let b = second.draw(48 - a, &mut rng);
         (a * 3 + b) as f64
+    }));
+
+    // Kernels 6–7: one device-slot's Poisson(5) arrival draw (the
+    // slotted workloads' mean), with Knuth's threshold `exp(−mean)`
+    // computed per call (`black_box` keeps the mean opaque, so the
+    // exponential cannot be hoisted) and once, where the mean is set.
+    const MEAN: f64 = 5.0;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    results.push(time_kernel("poisson_draw_per_call_exp", 1_000_000, |_| {
+        let mean = black_box(MEAN);
+        poisson_draw(mean, poisson_threshold(mean), 1000, &mut rng) as f64
+    }));
+    let threshold = poisson_threshold(MEAN);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    results.push(time_kernel("poisson_draw_threshold", 1_000_000, |_| {
+        poisson_draw(black_box(MEAN), threshold, 1000, &mut rng) as f64
     }));
 
     let rows: Vec<Vec<String>> = results

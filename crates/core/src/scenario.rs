@@ -368,10 +368,11 @@ impl Scenario {
             .map_err(|e| LeimeError::Config(format!("serialisation failed: {e}")))
     }
 
-    /// Parses and validates a scenario from JSON. A top-level key that
-    /// is not a scenario field is an error, and so is any key inside the
-    /// `chaos` block or its fault models, so a misspelled optional field
-    /// (`"choas"`, `"window"`) never loads as its default.
+    /// Parses and validates a scenario from JSON. A key that is not a
+    /// scenario field is an error at any depth (`devices[0].flop`,
+    /// `chaos.window`), so a misspelled optional field (`"choas"`,
+    /// `"window"`) never loads as its default and a stray one is never
+    /// silently ignored.
     ///
     /// # Errors
     ///
@@ -391,8 +392,8 @@ impl Scenario {
             .flat_map(|top| top.iter())
             .find_map(|(key, input)| match known.get(key) {
                 None => Some(key.clone()),
-                Some(known) if key == "chaos" => unknown_key(input, known, key),
-                Some(_) => None,
+                Some(_) if key == "degrade" => None,
+                Some(known) => unknown_key(input, known, key),
             });
         if let Some(path) = unknown {
             return Err(LeimeError::Config(format!(

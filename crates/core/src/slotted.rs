@@ -7,13 +7,12 @@ use leime_chaos::{ChaosConfig, DeviceLanes, EdgeChaos, LinkHealth, SharedHealth,
 use leime_offload::{
     kkt_allocation_with_floor, ControllerTelemetry, DecisionBatch, DegradeMode, DegradeOutcome,
     DegradeState, DeviceParams, OffloadController, QueuePair, SharedParams, SlotCost,
-    SlotObservation,
 };
 use leime_par::RoundsError;
 use leime_par::{Rng, StdRng};
 use leime_simnet::SimTime;
 use leime_telemetry::{Buckets, Registry};
-use leime_workload::{Mmpp, SlotArrivals};
+use leime_workload::{poisson_draw, poisson_threshold, Mmpp, SlotArrivals};
 
 use crate::report::SlotRow;
 use crate::{Deployment, FaultStats, LeimeError, Result, RunReport, Scenario, WorkloadKind};
@@ -201,7 +200,8 @@ pub struct DecideMemo {
 }
 
 /// Every input bit of the decision solve, in declaration order.
-fn decide_key(s: &SharedParams, d: &DeviceParams, obs: &SlotObservation) -> [u64; 15] {
+fn decide_key(cost: &SlotCost) -> [u64; 15] {
+    let (s, d) = (cost.shared(), cost.device());
     [
         s.slot_len_s.to_bits(),
         s.v.to_bits(),
@@ -215,9 +215,9 @@ fn decide_key(s: &SharedParams, d: &DeviceParams, obs: &SlotObservation) -> [u64
         d.bandwidth_bps.to_bits(),
         d.latency_s.to_bits(),
         d.arrival_mean.to_bits(),
-        obs.q.to_bits(),
-        obs.h.to_bits(),
-        obs.p_share.to_bits(),
+        cost.q.to_bits(),
+        cost.h.to_bits(),
+        cost.p_share.to_bits(),
     ]
 }
 
@@ -242,6 +242,9 @@ pub struct DecideCtx<'a> {
 struct RunCtx<'a> {
     decide: DecideCtx<'a>,
     deployment: &'a Deployment,
+    /// A third-block task's cloud leg (upload, latency, compute): a run
+    /// constant of the tail cost ([`tail_cost`]).
+    cloud_leg: f64,
 }
 
 /// Fleet-level per-slot quantities the driving thread computes and
@@ -252,29 +255,57 @@ pub struct SlotQuants {
     means: Vec<f64>,
     /// Per-device edge shares `p_i`, in fleet order.
     shares: Vec<f64>,
+    /// Per-device Knuth thresholds `exp(−mean)` of the Poisson arrival
+    /// draw, computed with the means; empty when the run draws no
+    /// Poisson counts.
+    thresholds: Vec<f64>,
 }
 
 impl SlotQuants {
     /// The KKT shares of an edge of `edge_flops` over devices of
     /// capacity `flops` with arrival `means`, floored at
-    /// [`share_floor`].
+    /// [`share_floor`], and the means' Poisson thresholds.
     pub fn new(flops: &[f64], means: Vec<f64>, edge_flops: f64) -> Self {
         let shares = kkt_allocation_with_floor(flops, &means, edge_flops, share_floor(flops.len()));
-        SlotQuants { means, shares }
+        let thresholds = poisson_thresholds(&means);
+        SlotQuants {
+            means,
+            shares,
+            thresholds,
+        }
+    }
+
+    /// Device `i`'s Poisson threshold, `poisson_threshold(mean)`, for
+    /// [`leime_workload::poisson_draw`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or the quantities carry no
+    /// thresholds.
+    pub fn poisson_threshold(&self, i: usize) -> f64 {
+        self.thresholds[i]
     }
 }
 
-/// One device's decision for one slot: the inputs the solve saw and
-/// what the degradation ladder made of its optimum.
+/// Knuth's Poisson threshold of each mean (`poisson_threshold`).
+fn poisson_thresholds(means: &[f64]) -> Vec<f64> {
+    let mut thresholds = vec![0.0; means.len()];
+    for (l, &mean) in thresholds.iter_mut().zip(means) {
+        *l = poisson_threshold(mean);
+    }
+    thresholds
+}
+
+/// One device's decision for one slot: the evaluator the solve ran on
+/// and what the degradation ladder made of its optimum.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceDecision {
-    /// Shared parameters with the edge scaled by its health.
-    pub shared: SharedParams,
-    /// Device parameters under its link's health; `arrival_mean` is
-    /// the slot's mean.
-    pub device: DeviceParams,
-    /// Queue state and edge share at the slot start.
-    pub obs: SlotObservation,
+    /// The slot's evaluator, which the step also prices the realized
+    /// cohort on ([`SlotCost::with_arrival_mean`]): shared parameters
+    /// with the edge scaled by its health, device parameters under its
+    /// link's health (`arrival_mean` is the slot's mean), and the queues
+    /// and edge share at the slot start.
+    pub cost: SlotCost,
     /// The device's link or the edge is not nominal this slot.
     pub fault: bool,
     /// The edge serves this slot (a downed edge has no H-quota).
@@ -606,6 +637,7 @@ impl SlottedSystem {
                     shared: scenario.shared_params(&self.deployment),
                 },
                 deployment: &self.deployment,
+                cloud_leg: cloud_leg(scenario, &self.deployment),
             })
             .collect();
         let flops = device_flops(scenario);
@@ -621,8 +653,19 @@ impl SlottedSystem {
                 _ => d.arrival_mean,
             })
             .collect();
+        let poisson = matches!(
+            scenario.workload,
+            WorkloadKind::SlotPoisson { .. } | WorkloadKind::RateTrace { .. }
+        );
         let quants_for = |edge_of: &[usize], means| {
-            edge_quants(&flops, means, edge_of, n_edges, scenario.edge_flops)
+            edge_quants(
+                &flops,
+                means,
+                edge_of,
+                n_edges,
+                scenario.edge_flops,
+                poisson,
+            )
         };
         let intervals =
             leime_par::epoch_ranges(slots, if interval == 0 { slots } else { interval });
@@ -901,14 +944,16 @@ fn device_flops(scenario: &Scenario) -> Vec<f64> {
 }
 
 /// The Eq. 27 quantities of devices on edges: per-device arrival
-/// `means`, and each edge's KKT shares over its own devices in index
-/// order ([`SlotQuants::new`]), with device `i` on edge `edge_of[i]`.
+/// `means`, each edge's KKT shares over its own devices in index order
+/// (as [`SlotQuants::new`] computes them), with device `i` on edge
+/// `edge_of[i]`, and the means' Poisson thresholds when `poisson`.
 fn edge_quants(
     flops: &[f64],
     means: Vec<f64>,
     edge_of: &[usize],
     n_edges: usize,
     edge_flops: f64,
+    poisson: bool,
 ) -> SlotQuants {
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_edges];
     for (i, &e) in edge_of.iter().enumerate() {
@@ -917,12 +962,22 @@ fn edge_quants(
     let mut shares = vec![0.0; means.len()];
     for ids in members.iter().filter(|ids| !ids.is_empty()) {
         let pick = |v: &[f64]| ids.iter().map(|&i| v[i]).collect::<Vec<f64>>();
-        let edge = SlotQuants::new(&pick(flops), pick(&means), edge_flops);
-        for (&i, share) in ids.iter().zip(edge.shares) {
+        let floor = share_floor(ids.len());
+        let edge = kkt_allocation_with_floor(&pick(flops), &pick(&means), edge_flops, floor);
+        for (&i, share) in ids.iter().zip(edge) {
             shares[i] = share;
         }
     }
-    SlotQuants { means, shares }
+    let thresholds = if poisson {
+        poisson_thresholds(&means)
+    } else {
+        Vec::new()
+    };
+    SlotQuants {
+        means,
+        shares,
+        thresholds,
+    }
 }
 
 /// Splits the per-device state into struct-of-arrays shards with
@@ -961,17 +1016,20 @@ fn build_shards(
         .collect()
 }
 
-/// Draws one device's slot arrivals from its own stream.
+/// Draws device `i`'s slot arrivals from its own stream.
 fn draw_arrivals(
     workload: &WorkloadKind,
     mmpp: Option<&mut Mmpp>,
-    mean: f64,
+    quants: &SlotQuants,
+    i: usize,
     rng: &mut StdRng,
 ) -> u64 {
+    let mean = quants.means[i];
     match workload {
         WorkloadKind::Deterministic => SlotArrivals::Deterministic { k: mean }.draw(rng),
-        WorkloadKind::SlotPoisson { max } => SlotArrivals::Poisson { mean, max: *max }.draw(rng),
-        WorkloadKind::RateTrace { max, .. } => SlotArrivals::Poisson { mean, max: *max }.draw(rng),
+        WorkloadKind::SlotPoisson { max } | WorkloadKind::RateTrace { max, .. } => {
+            poisson_draw(mean, quants.poisson_threshold(i), *max, rng)
+        }
         WorkloadKind::Bursty { .. } => match mmpp {
             Some(m) => m.draw(rng),
             // Unreachable for validated scenarios (Bursty always builds
@@ -993,18 +1051,23 @@ fn tail_cost(run: &RunCtx<'_>, cost: &SlotCost, x: f64, tasks: f64) -> f64 {
         tail += survivors1 * dep.mu[1] / cost.second_block_flops(x);
     }
     if survivors2 > 0.0 {
-        let scenario = run.decide.scenario;
-        tail += survivors2
-            * (dep.d[2] * 8.0 / scenario.cloud_bandwidth_bps
-                + scenario.cloud_latency_s
-                + dep.mu[2] / scenario.cloud_flops);
+        tail += survivors2 * run.cloud_leg;
     }
     tail
 }
 
+/// A third-block task's cloud leg: upload of the second exit's
+/// activation, the cloud latency and the third block's compute.
+fn cloud_leg(scenario: &Scenario, dep: &Deployment) -> f64 {
+    dep.d[2] * 8.0 / scenario.cloud_bandwidth_bps
+        + scenario.cloud_latency_s
+        + dep.mu[2] / scenario.cloud_flops
+}
+
 /// The device-side decision step of one device-slot (§III-D): the
 /// device's chaos lanes and churn on top of the edge's `shared` health
-/// at `slot_start`, the decision inputs, the memoised Eq. 20 solve and
+/// at `slot_start`, the slot's evaluator (built once: the memoised
+/// Eq. 20 solve runs on it, and the caller prices the slot on it), and
 /// the degradation ladder. `None` when the device is churned out
 /// (absent this slot: no arrivals, no service, frozen queues). Shared
 /// by the slotted system and the serving runtime; allocation-free once
@@ -1036,16 +1099,13 @@ pub fn decide_device(
         edge_flops: ctx.shared.edge_flops * edge.speed_factor,
         ..ctx.shared
     };
-    let obs = SlotObservation {
-        q: row.queue.q(),
-        h: row.queue.h(),
-        p_share: quants.shares[i].clamp(0.0, 1.0),
-    };
-    let key = decide_key(&shared, &device, &obs);
+    let p_share = quants.shares[i].clamp(0.0, 1.0);
+    let cost = SlotCost::new(shared, device, row.queue.q(), row.queue.h(), p_share);
+    let key = decide_key(&cost);
     if memo.key != Some(key) {
         *memo = DecideMemo {
             key: Some(key),
-            x_opt: ctx.decider.decide(shared, device, obs),
+            x_opt: ctx.decider.decide_cost(&cost),
         };
     }
     // The degradation ladder observes reachability (`link.up && edge.up`).
@@ -1054,9 +1114,7 @@ pub fn decide_device(
         .degrade
         .degraded_decide(&scenario.degrade, slot, up, memo.x_opt);
     Some(DeviceDecision {
-        shared,
-        device,
-        obs,
+        cost,
         fault: !link.is_nominal() || !edge.is_nominal(),
         edge_up: edge.up,
         outcome,
@@ -1082,22 +1140,17 @@ fn device_slot(
         return Ok(DeviceSlotOut::Churned);
     };
     let DeviceRow {
-        queue, mmpp, rng, ..
-    } = row;
-    let (x, obs, degraded_local) = (d.outcome.x, d.obs, d.degraded_local);
-    let arrivals = draw_arrivals(
-        &run.decide.scenario.workload,
+        i,
+        queue,
         mmpp,
-        d.device.arrival_mean,
         rng,
-    );
+        ..
+    } = row;
+    let (x, degraded_local) = (d.outcome.x, d.degraded_local);
+    let arrivals = draw_arrivals(&run.decide.scenario.workload, mmpp, quants, i, rng);
 
     // Realized per-slot cost with the actual arrival count.
-    let realized = DeviceParams {
-        arrival_mean: arrivals as f64,
-        ..d.device
-    };
-    let cost = SlotCost::new(d.shared, realized, obs.q, obs.h, obs.p_share);
+    let cost = d.cost.with_arrival_mean(arrivals as f64);
     let (per_task, total, tier_counts) = if arrivals > 0 {
         let first_block = cost.y(x);
         let tail = if degraded_local {
@@ -1127,12 +1180,12 @@ fn device_slot(
     let d_off = x * arrivals as f64;
     let edge_quota = if d.edge_up { cost.edge_quota(x) } else { 0.0 };
     queue.step(a, d_off, cost.device_quota(), edge_quota);
-    let served = (obs.q + a - queue.q()) + (obs.h + d_off - queue.h());
+    let served = (cost.q + a - queue.q()) + (cost.h + d_off - queue.h());
 
     Ok(DeviceSlotOut::Active(ActiveOut {
         fault: d.fault,
-        q: obs.q,
-        h: obs.h,
+        q: cost.q,
+        h: cost.h,
         outcome: d.outcome,
         arrivals,
         per_task,

@@ -418,6 +418,21 @@ mod tests {
     }
 
     #[test]
+    fn path_form_clones_count_like_method_calls() {
+        let counts = FlowAnalysis::build([&facts(
+            "fn hot_entry(v: &Vec<u32>, s: &String, a: &Arc<u32>) { let w = Vec::clone(v); \
+             let t = String::clone(s); let r = Registry::clone(&reg); \
+             let it: Vec<u32> = Iterator::collect(v.iter().copied()); \
+             let b = Arc::clone(a); let c = std::rc::Rc::clone(&rc); }",
+        )])
+        .hot_alloc_counts(&cfg());
+        assert_eq!(
+            counts["crates/x/src/lib.rs::hot_entry"].count, 4,
+            "{counts:?}"
+        );
+    }
+
+    #[test]
     fn vec_and_with_capacity_count_only_in_loops() {
         let counts = FlowAnalysis::build([&facts(
             "fn hot_entry(n: usize) { let v = Vec::with_capacity(n); let w = vec![0; n]; \

@@ -69,8 +69,13 @@ const BLOCKING_METHODS: &[&str] = &[
 /// Container types whose `with_capacity` allocates.
 const ALLOC_CONTAINERS: &[&str] = &["Vec", "String", "VecDeque", "BTreeMap", "BTreeSet", "Box"];
 
-/// Always-allocating method calls.
+/// Always-allocating method calls, counted in method-call form
+/// (`v.clone()`) and in path form (`Vec::clone(&v)`).
 const ALLOC_METHODS: &[&str] = &["clone", "to_string", "to_vec", "to_owned", "collect"];
+
+/// Reference-counted pointers: their path-form `clone` (`Arc::clone(&a)`)
+/// bumps a count and allocates nothing.
+const REFCOUNT_TYPES: &[&str] = &["Arc", "Rc"];
 
 /// A half-open token range `lo..hi`.
 type Range = (usize, usize);
@@ -749,6 +754,12 @@ impl Tree {
                 fx.calls.insert(last.to_string());
                 if last == "new" && segs.contains(&"Box") {
                     fx.allocs.push((line, "Box::new".to_string()));
+                }
+                let owner = segs.len().checked_sub(2).map(|k| segs[k]);
+                if ALLOC_METHODS.contains(&last)
+                    && owner.is_some_and(|o| !REFCOUNT_TYPES.contains(&o))
+                {
+                    fx.allocs.push((line, format!("{}()", segs.join("::"))));
                 }
                 if last == "with_capacity"
                     && in_loop

@@ -27,6 +27,19 @@ pub trait OffloadController: Send + Sync + std::fmt::Debug {
     /// Decides the offloading ratio for one device-slot.
     fn decide(&self, shared: SharedParams, device: DeviceParams, obs: SlotObservation) -> f64;
 
+    /// [`OffloadController::decide`] on the slot's evaluator, for a
+    /// caller that builds it anyway to price the slot. The default
+    /// forwards the evaluator's inputs to `decide`; an override must
+    /// return exactly the bits `decide` returns for them.
+    fn decide_cost(&self, cost: &SlotCost) -> f64 {
+        let obs = SlotObservation {
+            q: cost.q,
+            h: cost.h,
+            p_share: cost.p_share,
+        };
+        self.decide(cost.shared(), cost.device(), obs)
+    }
+
     /// Short policy name for experiment tables.
     fn name(&self) -> &'static str;
 
@@ -81,11 +94,14 @@ impl LyapunovController {
 
 impl OffloadController for LyapunovController {
     fn decide(&self, shared: SharedParams, device: DeviceParams, obs: SlotObservation) -> f64 {
-        let cost = SlotCost::new(shared, device, obs.q, obs.h, obs.p_share);
-        let x = if shared.v.is_infinite() {
-            balance_solve(&cost)
+        self.decide_cost(&SlotCost::new(shared, device, obs.q, obs.h, obs.p_share))
+    }
+
+    fn decide_cost(&self, cost: &SlotCost) -> f64 {
+        let x = if cost.shared().v.is_infinite() {
+            balance_solve(cost)
         } else {
-            exact_solve(&cost)
+            exact_solve(cost)
         };
         invariant::check_unit_interval("offload.leime.decide", x)
     }

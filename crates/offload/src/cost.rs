@@ -42,6 +42,7 @@ impl SlotCost {
     ///
     /// Panics if queue lengths are negative or `p_share` is outside
     /// `[0, 1]`.
+    #[inline]
     pub fn new(shared: SharedParams, device: DeviceParams, q: f64, h: f64, p_share: f64) -> Self {
         assert!(q >= 0.0 && h >= 0.0, "queue lengths must be non-negative");
         assert!(
@@ -67,6 +68,7 @@ impl SlotCost {
     /// This evaluator with the device's arrival mean set to `k`: the
     /// same bits as [`SlotCost::new`] with that mean, since no
     /// x-independent subtree the constructor computes reads the mean.
+    #[inline]
     pub fn with_arrival_mean(&self, k: f64) -> Self {
         SlotCost {
             device: DeviceParams {
@@ -90,6 +92,7 @@ impl SlotCost {
     /// Edge FLOPS devoted to this device's *first-block* tasks,
     /// `F^e_{i,1}` (Eq. 9): the share `p_i F^e` is split between first- and
     /// second-block work in proportion to their demand.
+    #[inline]
     pub fn edge_first_block_flops(&self, x: f64) -> f64 {
         let mu1 = self.shared.mu1;
         let denom = x * mu1 + self.edge2;
@@ -103,6 +106,7 @@ impl SlotCost {
     /// `p_i F^e` minus [`SlotCost::edge_first_block_flops`]. When the
     /// first block exhausts the share, the whole share (at least
     /// `f64::EPSILON`) — pessimistic but finite.
+    #[inline]
     pub fn second_block_flops(&self, x: f64) -> f64 {
         let capacity = self.p_share * self.shared.edge_flops;
         let left = capacity - self.edge_first_block_flops(x);
@@ -119,10 +123,12 @@ impl SlotCost {
     }
 
     /// Edge service quota `c_i(t) = F^e_{i,1} · τ / μ_1` (tasks per slot).
+    #[inline]
     pub fn edge_quota(&self, x: f64) -> f64 {
         self.edge_quota_from(self.edge_first_block_flops(x))
     }
 
+    #[inline]
     fn edge_quota_from(&self, f_e1: f64) -> f64 {
         f_e1 * self.shared.slot_len_s / self.shared.mu1
     }
@@ -130,6 +136,7 @@ impl SlotCost {
     /// Device-side slot cost `T_i^d(t)` (Eq. 12): backlog wait `C^d_1`,
     /// own processing + intra-batch queueing `C^d_2`, and the First-exit
     /// intermediate-data transmission `C^d_3`.
+    #[inline]
     pub fn t_device(&self, x: f64) -> f64 {
         let a = (1.0 - x) * self.device.arrival_mean;
         if a <= 0.0 {
@@ -149,10 +156,12 @@ impl SlotCost {
     ///
     /// Returns `f64::INFINITY` when tasks are offloaded (`x > 0`) but the
     /// device holds no edge share.
+    #[inline]
     pub fn t_edge(&self, x: f64) -> f64 {
         self.t_edge_from(x, self.edge_first_block_flops(x))
     }
 
+    #[inline]
     fn t_edge_from(&self, x: f64, f_e1: f64) -> f64 {
         let dd = x * self.device.arrival_mean;
         if dd <= 0.0 {
@@ -169,6 +178,7 @@ impl SlotCost {
     }
 
     /// Total slot cost `Y_i(t) = T_i^d + T_i^e` (Eq. 14).
+    #[inline]
     pub fn y(&self, x: f64) -> f64 {
         self.t_device(x) + self.t_edge(x)
     }
@@ -190,6 +200,7 @@ impl SlotCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LyapunovController, OffloadController, SlotObservation};
 
     fn shared() -> SharedParams {
         SharedParams {
@@ -327,7 +338,7 @@ mod tests {
     /// 3 shared parameter sets × 4 arrival means × 4 queue states ×
     /// 4 edge shares × 65 ratios (x-independent quota once per cost),
     /// each evaluator built by `build(shared, k, q, h, p_share)`.
-    fn grid_checksum(build: impl Fn(SharedParams, f64, f64, f64, f64) -> SlotCost) -> u64 {
+    fn grid_checksum(mut build: impl FnMut(SharedParams, f64, f64, f64, f64) -> SlotCost) -> u64 {
         let mut shared_grid = vec![shared()];
         let mut v_inf = shared();
         v_inf.v = f64::INFINITY;
@@ -361,6 +372,10 @@ mod tests {
         sum
     }
 
+    /// FNV-1a over the bits of `LyapunovController::decide` on every
+    /// point of the [`grid_checksum`] grid.
+    const DECIDE_BITS: u64 = 0x221c_a154_7f3c_25de;
+
     #[test]
     fn evaluator_bits_are_pinned() {
         // DESIGN.md §11 compares serialized output bytes, and every
@@ -369,6 +384,20 @@ mod tests {
         // and e₂ = 0 corners included.
         let new = |s, k, q, h, p| SlotCost::new(s, DeviceParams::raspberry_pi(k), q, h, p);
         assert_eq!(grid_checksum(new), GRID_BITS);
+        // The controller solves on the evaluator a caller built to price
+        // the slot (`decide_cost`) exactly as from the inputs (`decide`).
+        let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+        let solved = |s, k, q, h, p| {
+            let c = new(s, k, q, h, p);
+            let obs = SlotObservation { q, h, p_share: p };
+            let x = LyapunovController.decide(s, c.device(), obs);
+            let x_cost = LyapunovController.decide_cost(&c);
+            assert_eq!(x_cost.to_bits(), x.to_bits(), "k {k}, q {q}, h {h}, p {p}");
+            sum = (sum ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+            c
+        };
+        assert_eq!(grid_checksum(solved), GRID_BITS);
+        assert_eq!(sum, DECIDE_BITS);
     }
 
     #[test]

@@ -152,6 +152,7 @@ impl DegradeState {
     /// Returns the ratio to actually use — `x_opt` when healthy, `0`
     /// (fully local, First-exit on device) in every degraded slot — plus
     /// the transitions taken.
+    #[inline]
     pub fn degraded_decide(
         &mut self,
         policy: &DegradePolicy,

@@ -43,6 +43,7 @@ impl QueuePair {
     /// # Panics
     ///
     /// Panics if any argument is negative or non-finite.
+    #[inline]
     pub fn step(
         &mut self,
         arrivals_local: f64,

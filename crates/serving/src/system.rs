@@ -38,11 +38,11 @@
 use std::num::NonZeroUsize;
 
 use leime_chaos::{ChaosConfig, EdgeChaos, FaultModel, SharedHealth};
-use leime_offload::{QueuePair, SharedParams, SlotCost};
+use leime_offload::{QueuePair, SharedParams};
 use leime_par::StdRng;
 use leime_simnet::SimTime;
 use leime_telemetry::{Buckets, Registry};
-use leime_workload::{Binomial, SlotArrivals};
+use leime_workload::{poisson_draw, Binomial};
 
 use leime::{
     decide_device, run_slot_loop, DecideCtx, DeviceRow, LeimeError, ModelKind, Scenario,
@@ -408,22 +408,19 @@ impl ServingSystem {
             ctx.start,
             &mut row,
         )?;
-        let DeviceRow { queue, rng, .. } = row;
-        let (x, obs, dev) = (d.outcome.x, d.obs, d.device);
-        let offered_n = SlotArrivals::Poisson {
-            mean: dev.arrival_mean,
-            max: self.config.traffic.max_per_slot,
-        }
-        .draw(rng);
+        let DeviceRow { i, queue, rng, .. } = row;
+        let (x, cost) = (d.outcome.x, d.cost);
+        let (dev, max) = (cost.device(), self.config.traffic.max_per_slot);
+        let threshold = ctx.quants.poisson_threshold(i);
+        let offered_n = poisson_draw(dev.arrival_mean, threshold, max, rng);
 
-        let cost = SlotCost::new(d.shared, dev, obs.q, obs.h, obs.p_share);
         let device_quota = cost.device_quota();
         let edge_quota = if d.edge_up { cost.edge_quota(x) } else { 0.0 };
         let admission = |offered| {
             admit(
                 &self.config.admission,
-                obs.q,
-                obs.h,
+                cost.q,
+                cost.h,
                 device_quota,
                 edge_quota,
                 x,
@@ -467,8 +464,8 @@ impl ServingSystem {
         Some(Served {
             fault: d.fault || d.degraded_local,
             x,
-            q: obs.q,
-            h: obs.h,
+            q: cost.q,
+            h: cost.h,
             requests,
             tct,
         })
@@ -646,6 +643,7 @@ pub fn flash_brownout_testbed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leime_workload::SlotArrivals;
 
     fn system(load: f64) -> ServingSystem {
         let (scenario, config) = serving_testbed(ModelKind::SqueezeNet, 4, load);
@@ -660,6 +658,19 @@ mod tests {
             peak,
         };
         ServingSystem::new(scenario, config)
+    }
+
+    #[test]
+    fn testbed_scenarios_load_from_json() {
+        // Scenario JSON rejects unknown keys at every depth; the serving
+        // presets' scenarios must still load, to themselves.
+        let presets = [
+            serving_testbed(ModelKind::SqueezeNet, 4, 1.0).0,
+            flash_brownout_testbed(ModelKind::SqueezeNet, 64, 7, 2.0).0,
+        ];
+        for s in presets {
+            assert_eq!(Scenario::from_json(&s.to_json().unwrap()).unwrap(), s);
+        }
     }
 
     #[test]

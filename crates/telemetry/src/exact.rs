@@ -44,6 +44,7 @@ impl ExactSum {
     }
 
     /// Adds `v · n` exactly; `v` must be finite.
+    #[inline]
     pub(crate) fn add(&mut self, v: f64, n: u64) {
         let bits = v.to_bits();
         let negative = bits >> 63 == 1;

@@ -57,6 +57,7 @@ fn log2_index(mag: f64) -> usize {
 /// `steps()[k]` is the least magnitude whose [`log2_index`] is at least
 /// `k`, found by stepping floats from `MIN_MAG · 2^(k/32)` against the
 /// definition itself; built once per process.
+#[inline]
 fn steps() -> &'static [f64; MAG_BUCKETS] {
     static STEPS: OnceLock<[f64; MAG_BUCKETS]> = OnceLock::new();
     STEPS.get_or_init(|| {
@@ -79,6 +80,7 @@ fn steps() -> &'static [f64; MAG_BUCKETS] {
 /// put `log2(mag)` within 0.008 (a quarter bucket), so the estimated
 /// index is off by at most one, and one or two compares against the
 /// steps settle it.
+#[inline]
 fn magnitude_index(mag: f64) -> usize {
     let steps = steps();
     let bits = mag.to_bits();
@@ -104,6 +106,7 @@ fn magnitude_index(mag: f64) -> usize {
 /// # Panics
 ///
 /// Panics if `v` is not finite (callers filter first).
+#[inline]
 pub fn bucket_index(v: f64) -> usize {
     assert!(v.is_finite(), "cannot bucket non-finite value {v}");
     let mag = v.abs();
@@ -197,6 +200,7 @@ impl Buckets {
     }
 
     /// Grows the window to cover buckets `lo..=hi` (new buckets hold 0).
+    #[inline]
     fn cover(&mut self, lo: usize, hi: usize) {
         if self.counts.is_empty() {
             self.start = lo;
@@ -212,6 +216,7 @@ impl Buckets {
     }
 
     /// Adds `n` to bucket `index`.
+    #[inline]
     fn add(&mut self, index: usize, n: u64) {
         self.cover(index, index);
         self.counts[index - self.start] += n;
@@ -224,6 +229,7 @@ impl Buckets {
 
     /// Adds the same sample `n` times in O(1): one bucket lookup, and
     /// `v · n` added to the exact sum.
+    #[inline]
     pub fn record_n(&mut self, v: f64, n: u64) {
         if n == 0 || !v.is_finite() {
             return;

@@ -52,8 +52,7 @@ impl SlotArrivals {
                 rng.gen_range(lo..=hi)
             }
             SlotArrivals::Poisson { mean, max } => {
-                assert!(mean >= 0.0, "negative arrival mean {mean}");
-                poisson_draw(mean, rng).min(max)
+                poisson_draw(mean, poisson_threshold(mean), max, rng)
             }
         }
     }
@@ -69,9 +68,23 @@ impl SlotArrivals {
     }
 }
 
-/// Knuth's algorithm for small means; normal approximation above 30 to
-/// avoid O(mean) work.
-fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
+/// Knuth's threshold `exp(−mean)` for a Poisson draw of mean `mean`
+/// ([`poisson_draw`]). Compute it where the mean is set, once per mean,
+/// not per draw.
+pub fn poisson_threshold(mean: f64) -> f64 {
+    (-mean).exp()
+}
+
+/// A Poisson count of mean `mean`, truncated at `max`, with Knuth's
+/// threshold `threshold` = [`poisson_threshold`]`(mean)`: Knuth's
+/// algorithm for small means, a normal approximation above 30 to avoid
+/// O(mean) work. Draws nothing from `rng` for `mean ≤ 0`.
+///
+/// # Panics
+///
+/// Panics if `mean` is negative.
+pub fn poisson_draw(mean: f64, threshold: f64, max: u64, rng: &mut StdRng) -> u64 {
+    assert!(mean >= 0.0, "negative arrival mean {mean}");
     if mean <= 0.0 {
         return 0;
     }
@@ -80,15 +93,14 @@ fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        return (mean + z * mean.sqrt()).round().max(0.0) as u64;
+        return ((mean + z * mean.sqrt()).round().max(0.0) as u64).min(max);
     }
-    let l = (-mean).exp();
     let mut k = 0u64;
     let mut p = 1.0f64;
     loop {
         p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
+        if p <= threshold {
+            return k.min(max);
         }
         k += 1;
     }
@@ -271,7 +283,7 @@ impl Mmpp {
         } else {
             self.calm_mean
         };
-        poisson_draw(mean, rng).min(self.max)
+        poisson_draw(mean, poisson_threshold(mean), self.max, rng)
     }
 }
 
@@ -493,6 +505,51 @@ mod tests {
                         let want = binomial_draw(n, p, &mut oracle_rng);
                         assert_eq!(got, want, "Binomial({n}, {p}) at seed {seed}");
                         assert_eq!(law_rng, oracle_rng, "Binomial({n}, {p}) at seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The Poisson sampler as it was before its threshold moved to the
+    /// caller, verbatim: the oracle for [`poisson_draw`].
+    fn poisson_draw_per_call_exp(mean: f64, rng: &mut StdRng) -> u64 {
+        if mean <= 0.0 {
+            return 0;
+        }
+        if mean > 30.0 {
+            // Normal approximation N(mean, mean), rounded and clamped.
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            return (mean + z * mean.sqrt()).round().max(0.0) as u64;
+        }
+        let l = (-mean).exp();
+        let mut k = 0u64;
+        let mut p = 1.0f64;
+        loop {
+            p *= rng.gen::<f64>();
+            if p <= l {
+                return k;
+            }
+            k += 1;
+        }
+    }
+
+    #[test]
+    fn threshold_draw_draws_exactly_what_the_per_call_sampler_drew() {
+        let means = [0.0, 1e-300, 0.5, 5.0, 29.999, 30.0, 30.5, 1e3];
+        for seed in [0u64, 1, 7, 2024, u64::MAX] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            for &mean in &means {
+                let threshold = poisson_threshold(mean);
+                for max in [0u64, 1, 5, 1000] {
+                    for _ in 0..3 {
+                        let got = poisson_draw(mean, threshold, max, &mut rng);
+                        let want = poisson_draw_per_call_exp(mean, &mut oracle_rng).min(max);
+                        assert_eq!(got, want, "Poisson({mean}) max {max} at seed {seed}");
+                        assert_eq!(rng, oracle_rng, "Poisson({mean}) at seed {seed}");
                     }
                 }
             }

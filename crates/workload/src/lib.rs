@@ -28,7 +28,7 @@ pub mod cascade;
 pub mod dataset;
 pub mod exitmodel;
 
-pub use arrival::{Binomial, Mmpp, SlotArrivals};
+pub use arrival::{poisson_draw, poisson_threshold, Binomial, Mmpp, SlotArrivals};
 pub use cascade::{CascadeParams, FeatureCascade};
 pub use dataset::{ComplexityDist, Sample, SyntheticDataset};
 pub use exitmodel::ExitRateModel;

@@ -115,6 +115,48 @@ fn scenario_json_rejects_an_unknown_key_inside_the_chaos_block() {
 }
 
 #[test]
+fn scenario_json_rejects_an_unknown_key_in_any_block() {
+    // A stray key inside a device or the workload must fail loudly,
+    // naming its path, not sit unread.
+    let s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 2, 5.0);
+    let text = s.to_json().unwrap();
+    let cases = [
+        ("\"flops\"", "\"flop\": 1, \"flops\"", "devices[0].flop"),
+        (
+            "\"max\"",
+            "\"mx\": 1000, \"max\"",
+            "workload.SlotPoisson.mx",
+        ),
+        (
+            "\"midpoint\"",
+            "\"midpiont\": 0.25, \"midpoint\"",
+            "exit_rates.midpiont",
+        ),
+    ];
+    for (from, to, path) in cases {
+        assert!(text.contains(from), "{from}");
+        match Scenario::from_json(&text.replacen(from, to, 1)) {
+            Err(LeimeError::Config(msg)) => assert!(msg.contains(&format!("`{path}`")), "{msg}"),
+            other => panic!("expected a config error naming `{path}`, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn every_preset_and_the_init_template_load() {
+    // `leime init` prints the 2-device SqueezeNet Pi cluster.
+    let presets = [
+        Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 2, 5.0),
+        Scenario::raspberry_pi_cluster(ModelKind::Vgg16, 4, 5.0),
+        Scenario::jetson_nano_cluster(ModelKind::SqueezeNet, 2, 5.0),
+        Scenario::chaos_testbed(ModelKind::SqueezeNet, 2, 42, 60.0),
+    ];
+    for s in presets {
+        assert_eq!(Scenario::from_json(&s.to_json().unwrap()).unwrap(), s);
+    }
+}
+
+#[test]
 fn bandwidth_collapse_degrades_then_recovers() {
     // Halfway through the run the WiFi collapses to 10% for a while; the
     // degraded windows must be slower than the healthy ones, and the
