@@ -191,12 +191,24 @@ impl ShardState {
 /// and slot after slot), the solver can be skipped outright. The key
 /// covers every bit `decide` reads, compared via `to_bits` (so `-0.0`
 /// and `0.0`, which could steer a solver differently, never alias). A
-/// miss costs one 15-word compare; the memo changes no output at any
-/// worker count or epoch length.
+/// miss costs one 15-word compare (`DecideMemo::hit`); the memo changes
+/// no output at any worker count or epoch length.
 #[derive(Debug, Default, PartialEq)]
 pub struct DecideMemo {
     key: Option<[u64; 15]>,
     x_opt: f64,
+}
+
+impl DecideMemo {
+    /// Whether the memo holds `key`. The words are XORed and ORed, not
+    /// compared as an array: an array compare becomes a `bcmp` call that
+    /// reloads the freshly built key from memory, while the fold keeps it
+    /// in registers (DESIGN.md §14).
+    fn hit(&self, key: &[u64; 15]) -> bool {
+        self.key
+            .as_ref()
+            .is_some_and(|held| held.iter().zip(key).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0)
+    }
 }
 
 /// Every input bit of the decision solve, in declaration order.
@@ -276,7 +288,9 @@ impl SlotQuants {
     }
 
     /// Device `i`'s Poisson threshold, `poisson_threshold(mean)`, for
-    /// [`leime_workload::poisson_draw`].
+    /// [`leime_workload::poisson_draw`]: Knuth's `exp(−mean)` for means up
+    /// to 30, and 0 above, where the draw reads no threshold and none is
+    /// computed.
     ///
     /// # Panics
     ///
@@ -1102,7 +1116,7 @@ pub fn decide_device(
     let p_share = quants.shares[i].clamp(0.0, 1.0);
     let cost = SlotCost::new(shared, device, row.queue.q(), row.queue.h(), p_share);
     let key = decide_key(&cost);
-    if memo.key != Some(key) {
+    if !memo.hit(&key) {
         *memo = DecideMemo {
             key: Some(key),
             x_opt: ctx.decider.decide_cost(&cost),

@@ -91,19 +91,14 @@ impl AdmissionDecision {
 
 /// How many whole tasks of per-task queue footprint `per` fit in
 /// `room` (unbounded when the footprint is zero, e.g. `x = 0` leaves
-/// the edge queue untouched).
+/// the edge queue untouched). The saturating cast floors the
+/// non-negative quotients, and sends NaN and negatives to 0 and
+/// quotients past `u64::MAX` to `u64::MAX`, with no `floor` call.
 fn fit(room: f64, per: f64) -> u64 {
     if per <= f64::EPSILON {
         return u64::MAX;
     }
-    let k = (room / per + invariant::TOL).floor();
-    if k <= 0.0 {
-        0
-    } else if k >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        k as u64
-    }
+    (room / per + invariant::TOL) as u64
 }
 
 /// Decides, for one device-slot, how many offered requests of each class
@@ -201,6 +196,66 @@ mod tests {
     use super::*;
 
     const W: [f64; 3] = [1.0, 1.0, 1.0];
+
+    /// [`fit`] as it was with a floor and a clamp chain, verbatim: the
+    /// oracle for the saturating cast.
+    fn fit_floor_clamp(room: f64, per: f64) -> u64 {
+        if per <= f64::EPSILON {
+            return u64::MAX;
+        }
+        let k = (room / per + invariant::TOL).floor();
+        if k <= 0.0 {
+            0
+        } else if k >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            k as u64
+        }
+    }
+
+    #[test]
+    fn fit_casts_exactly_what_the_floor_and_clamp_gave() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            0.5,
+            1.0 - 1e-12,
+            1.0,
+            2.5,
+            -0.5,
+            -1.0,
+            1e18,
+            u64::MAX as f64,
+            2.0 * u64::MAX as f64,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &room in &special {
+            for &per in &special {
+                assert_eq!(fit(room, per), fit_floor_clamp(room, per), "{room} / {per}");
+            }
+        }
+        // Random bit patterns: every exponent, sign and NaN payload.
+        let mut bits = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            f64::from_bits(bits)
+        };
+        for _ in 0..200_000 {
+            let (room, per) = (next(), next());
+            assert_eq!(fit(room, per), fit_floor_clamp(room, per), "{room} / {per}");
+            // Moderate quotients, where the floor matters.
+            let (room, per) = (room % 1e3, per.abs() % 8.0);
+            assert_eq!(fit(room, per), fit_floor_clamp(room, per), "{room} / {per}");
+        }
+    }
 
     #[test]
     fn default_policy_validates() {

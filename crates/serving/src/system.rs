@@ -160,7 +160,7 @@ impl ServingSystem {
     /// What every device-slot of a run shares, derived once per run
     /// from the plan and the config.
     fn run_consts(&self) -> RunConsts {
-        let (plan, scenario) = (&self.plan, &self.scenario);
+        let (plan, scenario, traffic) = (&self.plan, &self.scenario, &self.config.traffic);
         let std_mu1 = plan.standard().mu[0].max(f64::EPSILON);
         RunConsts {
             weights: SlaClass::ALL.map(|c| plan.for_class(c).mu[0] / std_mu1),
@@ -175,6 +175,11 @@ impl ServingSystem {
                     + scenario.cloud_latency_s
                     + plan_c.mu[2] / scenario.cloud_flops
             }),
+            hard: Binomial::new(traffic.base_hard_fraction),
+            flood_hard: match traffic.model {
+                TrafficModel::HardFlood { hard_fraction, .. } => Some(Binomial::new(hard_fraction)),
+                _ => None,
+            },
         }
     }
 
@@ -268,6 +273,7 @@ impl ServingSystem {
         };
         let flops: Vec<f64> = scenario.devices.iter().map(|d| d.flops).collect();
         let mut traffic_rng = leime_par::stream_rng(seed, TRAFFIC_STREAM);
+        let consts = self.run_consts();
         // Fleet-level per-slot quantities: one traffic draw, the Eq. 27
         // edge shares against the offered means, and the edge's shared
         // fault health. The controller sees the flood-collapsed effective
@@ -292,11 +298,10 @@ impl ServingSystem {
                     .as_mut()
                     .map_or(SharedHealth::NOMINAL, |lanes| lanes.health(start)),
                 start,
-                hard: Binomial::new(hard_f),
+                hard: consts.hard_law(hard_f),
             }
         };
 
-        let consts = self.run_consts();
         let step = |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
             Ok(self.serve_device(ctx, &consts, slot as u64, row))
         };
@@ -429,7 +434,7 @@ impl ServingSystem {
             )
             .admitted
         };
-        let requests = consts.draw_requests(offered_n, &ctx.hard, d.degraded_local, admission, rng);
+        let requests = consts.draw_requests(offered_n, ctx.hard, d.degraded_local, admission, rng);
         let admitted_equiv: f64 = (requests.admitted.iter().zip(weights))
             .map(|(cells, w)| cells.iter().sum::<u64>() as f64 * w)
             .sum();
@@ -474,7 +479,9 @@ impl ServingSystem {
 
 /// What every device-slot of a run shares: the classes' plan-task
 /// weights `μ₁_c / μ₁_std`, the laws of its counts and the per-class
-/// cloud legs of its prices.
+/// cloud legs of its prices. Built once per run (each [`Binomial`] law
+/// tabulates its pmf rows), never per slot, and outside
+/// [`ServingSystem::new`].
 #[derive(Debug)]
 struct RunConsts {
     weights: [f64; 3],
@@ -485,9 +492,24 @@ struct RunConsts {
     exits: [Trinomial; 3],
     /// Per class, the block-3 cloud leg of a request's price.
     cloud_legs: [f64; 3],
+    /// The hard-sample law `Binomial(·, base_hard_fraction)`.
+    hard: Binomial,
+    /// Under a `HardFlood` model, the law `Binomial(·, hard_fraction)`
+    /// inside the flood window.
+    flood_hard: Option<Binomial>,
 }
 
 impl RunConsts {
+    /// The hard-sample law `Binomial(·, hard_f)` for a fraction that
+    /// [`TrafficConfig::hard_fraction`] returned: the flood's law when
+    /// `hard_f` is its fraction, the base law otherwise.
+    fn hard_law(&self, hard_f: f64) -> &Binomial {
+        match &self.flood_hard {
+            Some(flood) if flood.p().to_bits() == hard_f.to_bits() => flood,
+            _ => &self.hard,
+        }
+    }
+
     /// Samples one device-slot's `offered_n` requests at count level, with
     /// the law of i.i.d. per-request draws (DESIGN.md §12): class counts
     /// `~ Multinomial(offered_n, mix)`, which `admission` maps to admitted
@@ -535,8 +557,9 @@ struct ServeSlot<'a> {
     /// The edge's shared fault health at `start`.
     health: SharedHealth,
     start: SimTime,
-    /// The slot's hard-sample law, `Binomial(·, hard_f)`.
-    hard: Binomial,
+    /// The slot's hard-sample law, `Binomial(·, hard_f)`, one of the
+    /// run's ([`RunConsts::hard_law`]).
+    hard: &'a Binomial,
 }
 
 /// One served device-slot, as the driver replays it.

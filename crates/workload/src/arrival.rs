@@ -68,11 +68,20 @@ impl SlotArrivals {
     }
 }
 
+/// The largest mean [`poisson_draw`] samples with Knuth's algorithm;
+/// above it the draw is a normal approximation and reads no threshold.
+const KNUTH_MAX_MEAN: f64 = 30.0;
+
 /// Knuth's threshold `exp(−mean)` for a Poisson draw of mean `mean`
 /// ([`poisson_draw`]). Compute it where the mean is set, once per mean,
-/// not per draw.
+/// not per draw. Above the Knuth cutoff (mean 30) the draw reads no
+/// threshold, so this returns 0 there without computing the exponential.
 pub fn poisson_threshold(mean: f64) -> f64 {
-    (-mean).exp()
+    if mean > KNUTH_MAX_MEAN {
+        0.0
+    } else {
+        (-mean).exp()
+    }
 }
 
 /// A Poisson count of mean `mean`, truncated at `max`, with Knuth's
@@ -88,7 +97,7 @@ pub fn poisson_draw(mean: f64, threshold: f64, max: u64, rng: &mut StdRng) -> u6
     if mean <= 0.0 {
         return 0;
     }
-    if mean > 30.0 {
+    if mean > KNUTH_MAX_MEAN {
         // Normal approximation N(mean, mean), rounded and clamped.
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
@@ -110,14 +119,15 @@ pub fn poisson_draw(mean: f64, threshold: f64, max: u64, rng: &mut StdRng) -> u6
 /// `(1 − p)^1000 ≥ 2^-1000` stays a normal `f64`.
 const BINOMIAL_CHUNK: u64 = 1000;
 
-/// Trial counts below which a [`Binomial`] law tabulates `(1 − s)^m`.
-const POW_TABLE: usize = 64;
+/// Run lengths below which a [`Binomial`] law tabulates the walk's pmf.
+const ROWS: u64 = 64;
 
 /// The `Binomial(·, p)` law for one success probability `p`, with the
 /// constants of its sampler computed once: `s = min(p, 1 − p)`, `1 − s`,
-/// `r = s/(1 − s)` and the walk's start `(1 − s)^m` for `m < 64`. Build it
-/// where `p` is fixed (per run, or per slot) and
-/// [`draw`](Binomial::draw) per device-slot.
+/// `r = s/(1 − s)` and, for every run of `m < 64` trials, the pmf row
+/// the inversion walk steps over. Building a law costs about 2k
+/// divisions and 16 KB, so build it where `p` is fixed (once per run)
+/// and [`draw`](Binomial::draw) per device-slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binomial {
     p: f64,
@@ -126,8 +136,19 @@ pub struct Binomial {
     q: f64,
     /// `s / (1 − s)`.
     r: f64,
-    /// `pow[m]` is `q.powi(m)`, bit for bit.
-    pow: [f64; POW_TABLE],
+    /// Row `m` (at [`row_start`]`(m)`, `m` entries) holds the walk's pmf
+    /// `P(0), …, P(m − 1)` for a run of `m` trials, computed as the walk
+    /// computes it: `P(0) = q.powi(m)` bit for bit, then
+    /// `P(x) = P(x − 1) · ((m + 1)·r / x − r)`. The walk stops at
+    /// `x = m` without reading `P(m)`, so the row leaves it out. Empty
+    /// for the degenerate laws, which never walk.
+    rows: Vec<f64>,
+}
+
+/// Where row `m` of [`Binomial::rows`] starts: rows `0..m` hold
+/// `0 + 1 + … + (m − 1)` entries.
+fn row_start(m: usize) -> usize {
+    m * (m.saturating_sub(1)) / 2
 }
 
 impl Binomial {
@@ -136,30 +157,42 @@ impl Binomial {
     pub fn new(p: f64) -> Self {
         let s = p.min(1.0 - p);
         let q = 1.0 - s;
-        // `powi` multiplies the squares `q^(2^k)` of `m`'s set bits in
-        // ascending `k`, starting from 1 (square-and-multiply), so
-        // `q^m` is `q^(m − 2^h)` times the top bit's square `q^(2^h)`:
-        // one multiply per entry, the same product `powi` forms.
-        let mut pow = [1.0; POW_TABLE];
-        let mut square = q;
-        for m in 1..POW_TABLE {
-            let top = 1 << m.ilog2();
-            if m == top {
-                if m > 1 {
-                    square *= square;
+        let r = s / q;
+        let degenerate = p.is_nan() || p <= 0.0 || p >= 1.0;
+        let rows = if degenerate {
+            Vec::new()
+        } else {
+            let mut rows = vec![0.0; row_start(ROWS as usize)];
+            // `powi` multiplies the squares `q^(2^k)` of `m`'s set bits in
+            // ascending `k`, starting from 1 (square-and-multiply), so
+            // `q^m` is `q^(m − 2^h)` times the top bit's square `q^(2^h)`:
+            // one multiply per row, the same product `powi` forms.
+            let mut square = q;
+            for m in 1..ROWS as usize {
+                let top = 1 << m.ilog2();
+                let first = if m == top {
+                    if m > 1 {
+                        square *= square;
+                    }
+                    square
+                } else {
+                    rows[row_start(m - top)] * square
+                };
+                let a = (m + 1) as f64 * r;
+                let mut pmf = first;
+                for (x, entry) in rows[row_start(m)..row_start(m + 1)].iter_mut().enumerate() {
+                    *entry = pmf;
+                    pmf *= a / (x + 1) as f64 - r;
                 }
-                pow[m] = square;
-            } else {
-                pow[m] = pow[m - top] * square;
             }
-        }
-        Binomial {
-            p,
-            s,
-            q,
-            r: s / q,
-            pow,
-        }
+            rows
+        };
+        Binomial { p, s, q, r, rows }
+    }
+
+    /// The success probability `p` the law was built for.
+    pub fn p(&self) -> f64 {
+        self.p
     }
 
     /// Draws a `Binomial(n, p)` count exactly, by inversion.
@@ -168,41 +201,75 @@ impl Binomial {
     /// `P(x) = P(x − 1) · ((n + 1)·r/x − r)`, capped at `x ≤ n`, and
     /// costs `O(n·s)` steps. `n` is split into runs of at most 1000
     /// trials, so `(1 − s)ⁿ` never underflows; a sum of independent
-    /// binomials with one `p` is itself binomial. `n = 0` and the
-    /// degenerate laws draw nothing from `rng`: `p ≤ 0` (or NaN) gives 0,
-    /// `p ≥ 1` gives `n`.
+    /// binomials with one `p` is itself binomial. A run of fewer than 64
+    /// trials walks its tabulated row, with no division per step. `n = 0`
+    /// and the degenerate laws draw nothing from `rng`: `p ≤ 0` (or NaN)
+    /// gives 0, `p ≥ 1` gives `n`.
+    #[inline]
     pub fn draw(&self, n: u64, rng: &mut StdRng) -> u64 {
-        let Binomial { p, s, q, r, .. } = *self;
+        let (p, s) = (self.p, self.s);
         if n == 0 || p.is_nan() || p <= 0.0 {
             return 0;
         }
         if p >= 1.0 {
             return n;
         }
-        let mut hits = 0;
-        let mut left = n;
-        while left > 0 {
-            let m = left.min(BINOMIAL_CHUNK);
-            left -= m;
-            let a = (m + 1) as f64 * r;
-            let mut pmf = match self.pow.get(m as usize) {
-                Some(&pmf) => pmf,
-                None => q.powi(m as i32),
-            };
-            let mut u: f64 = rng.gen();
-            let mut x = 0;
-            while u > pmf && x < m {
-                u -= pmf;
-                x += 1;
-                pmf *= a / x as f64 - r;
+        // Most of serving's draws are single short runs: walk them
+        // without the chunk loop.
+        let hits = if n < ROWS {
+            self.walk_row(n, rng)
+        } else {
+            let mut hits = 0;
+            let mut left = n;
+            while left > 0 {
+                let m = left.min(BINOMIAL_CHUNK);
+                left -= m;
+                hits += if m < ROWS {
+                    self.walk_row(m, rng)
+                } else {
+                    self.walk(m, rng)
+                };
             }
-            hits += x;
-        }
+            hits
+        };
         if s < p {
             n - hits
         } else {
             hits
         }
+    }
+
+    /// The inversion walk over a run of `m < 64` trials, on its row.
+    #[inline]
+    fn walk_row(&self, m: u64, rng: &mut StdRng) -> u64 {
+        let m = m as usize;
+        let mut u: f64 = rng.gen();
+        let mut x = 0;
+        for &pmf in &self.rows[row_start(m)..row_start(m + 1)] {
+            if u > pmf {
+                u -= pmf;
+                x += 1;
+            } else {
+                break;
+            }
+        }
+        x
+    }
+
+    /// The inversion walk over a run of `m ≥ 64` trials, computing the
+    /// pmf as it goes.
+    fn walk(&self, m: u64, rng: &mut StdRng) -> u64 {
+        let (q, r) = (self.q, self.r);
+        let a = (m + 1) as f64 * r;
+        let mut pmf = q.powi(m as i32);
+        let mut u: f64 = rng.gen();
+        let mut x = 0;
+        while u > pmf && x < m {
+            u -= pmf;
+            x += 1;
+            pmf *= a / x as f64 - r;
+        }
+        x
     }
 }
 
@@ -379,9 +446,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [1u64, 7, 48, 1000, 5000] {
             for p in [1e-3, 0.2, 0.5, 0.7] {
+                let law = Binomial::new(p);
                 let mut seen = vec![0u64; n as usize + 1];
                 for _ in 0..DRAWS {
-                    let x = Binomial::new(p).draw(n, &mut rng);
+                    let x = law.draw(n, &mut rng);
                     assert!(x <= n, "Binomial({n}, {p}) drew {x}");
                     seen[x as usize] += 1;
                 }
@@ -432,7 +500,8 @@ mod tests {
     }
 
     /// The sampler as it was before its constants moved into
-    /// [`Binomial`], verbatim: the oracle for the law's walk.
+    /// [`Binomial`], verbatim: the oracle for the law's walk, which
+    /// computed each pmf entry as it stepped (no rows).
     fn binomial_draw(n: u64, p: f64, rng: &mut StdRng) -> u64 {
         if n == 0 || p.is_nan() || p <= 0.0 {
             return 0;
@@ -467,11 +536,13 @@ mod tests {
 
     #[test]
     fn binomial_power_table_is_powi_bit_for_bit() {
+        // Each row starts at `(1 − s)^m`, the walk's first pmf entry.
         for p in [1e-12, 0.05, 0.2, 0.375, 0.5, 0.625, 0.8, 1.0 - 1e-12] {
             let law = Binomial::new(p);
-            for (m, &pow) in law.pow.iter().enumerate() {
+            assert_eq!(law.rows.len(), row_start(ROWS as usize), "p {p}");
+            for m in 1..ROWS as usize {
                 assert_eq!(
-                    pow.to_bits(),
+                    law.rows[row_start(m)].to_bits(),
                     law.q.powi(m as i32).to_bits(),
                     "p {p}, m {m}"
                 );
@@ -481,15 +552,21 @@ mod tests {
 
     #[test]
     fn binomial_law_draws_exactly_what_the_plain_sampler_drew() {
-        let ns = [0u64, 1, 7, 48, 63, 64, 999, 1000, 1001, 2500];
+        // Every run length with a pmf row and past it, and across the
+        // 1000-trial chunk boundary.
+        let ns = (0u64..=130).chain([999, 1000, 1001, 1063, 2500]);
         let ps = [
             f64::NAN,
             -0.1,
             0.0,
+            1e-300,
             1e-12,
+            0.05,
             0.2,
+            0.375,
             0.5,
             0.625,
+            0.95,
             1.0 - 1e-12,
             1.0,
             1.5,
@@ -499,7 +576,7 @@ mod tests {
             let mut oracle_rng = StdRng::seed_from_u64(seed);
             for &p in &ps {
                 let law = Binomial::new(p);
-                for &n in &ns {
+                for n in ns.clone() {
                     for _ in 0..3 {
                         let got = law.draw(n, &mut law_rng);
                         let want = binomial_draw(n, p, &mut oracle_rng);
