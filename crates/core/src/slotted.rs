@@ -1,4 +1,3 @@
-use std::cell::RefCell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
@@ -8,7 +7,6 @@ use leime_offload::{
     kkt_allocation_with_floor, ControllerTelemetry, DecisionBatch, DegradeMode, DegradeOutcome,
     DegradeState, DeviceParams, OffloadController, QueuePair, SharedParams, SlotCost,
 };
-use leime_par::RoundsError;
 use leime_par::{Rng, StdRng};
 use leime_simnet::SimTime;
 use leime_telemetry::{Buckets, Registry};
@@ -392,7 +390,7 @@ pub struct Edges<'a> {
     /// after every move to another edge.
     pub chaos: fn(Option<&ChaosConfig>, usize) -> Option<ChaosConfig>,
     /// Device → edge; every entry is below `count`, before and after
-    /// each boundary.
+    /// each boundary (the run fails with a typed error otherwise).
     pub assignment: &'a mut [usize],
     /// Slots per interval; 0 runs the horizon as one interval.
     pub interval: usize,
@@ -593,8 +591,9 @@ impl SlottedSystem {
     /// # Errors
     ///
     /// Returns [`crate::LeimeError::Config`] for an assignment that does
-    /// not fit the devices and edges or for inconsistent tier sampling,
-    /// and [`crate::LeimeError::Parallel`] if a worker shard fails.
+    /// not fit the devices and edges, at the start or after a boundary,
+    /// or for inconsistent tier sampling, and
+    /// [`crate::LeimeError::Parallel`] if a worker shard fails.
     pub fn run_on_edges(
         &mut self,
         slots: usize,
@@ -613,33 +612,27 @@ impl SlottedSystem {
         } = edges;
         let scenario = &self.scenario;
         let n = scenario.devices.len();
-        if n_edges == 0 || assignment.len() != n || assignment.iter().any(|&e| e >= n_edges) {
-            return Err(LeimeError::Config(format!(
-                "assignment of {} devices onto {n_edges} edges for {n} devices",
-                assignment.len()
-            )));
-        }
+        check_assignment(assignment, n, n_edges)?;
         let horizon = SimTime::from_secs(slots as f64 * scenario.slot_len_s);
         // Each edge's fault config, and its shared lanes: advanced by the
         // broadcasts, and read once more at a boundary, at the slot it
         // follows.
-        type EdgeFaults = (Option<ChaosConfig>, RefCell<Option<SharedLanes>>);
-        let faults: Vec<EdgeFaults> = (0..n_edges)
-            .map(|edge| {
-                let config = chaos(scenario.chaos.as_ref(), edge);
-                let lanes = config.as_ref().map(|c| c.shared_lanes(horizon));
-                (config, RefCell::new(lanes))
-            })
+        let configs: Vec<Option<ChaosConfig>> = (0..n_edges)
+            .map(|edge| chaos(scenario.chaos.as_ref(), edge))
+            .collect();
+        let mut lanes: Vec<Option<SharedLanes>> = configs
+            .iter()
+            .map(|config| config.as_ref().map(|c| c.shared_lanes(horizon)))
             .collect();
         // Workers decide; the driver records decision telemetry in
         // device order.
         let decider = scenario.controller.build();
         let record_decisions =
             decider.records_decisions() && (self.telemetry.is_some() || registry.is_some());
-        let runs: Vec<RunCtx<'_>> = faults
+        let runs: Vec<RunCtx<'_>> = configs
             .iter()
             .enumerate()
-            .map(|(edge, (config, _))| RunCtx {
+            .map(|(edge, config)| RunCtx {
                 decide: DecideCtx {
                     scenario,
                     chaos: config.as_ref().map(|config| EdgeChaos {
@@ -655,18 +648,6 @@ impl SlottedSystem {
             })
             .collect();
         let flops = device_flops(scenario);
-        // What the controller knows from "historical statistics": the
-        // stationary mean for bursty workloads, the configured mean
-        // otherwise (rate traces override per slot, below).
-        let base_means: Vec<f64> = scenario
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(i, d)| match &scenario.workload {
-                WorkloadKind::Bursty { .. } => self.mmpp[i].stationary_mean(),
-                _ => d.arrival_mean,
-            })
-            .collect();
         let poisson = matches!(
             scenario.workload,
             WorkloadKind::SlotPoisson { .. } | WorkloadKind::RateTrace { .. }
@@ -681,30 +662,32 @@ impl SlottedSystem {
                 poisson,
             )
         };
+        // The interval's view: each device's edge and the run-constant
+        // quantities, rebuilt at boundaries. The means are what the
+        // controller knows from "historical statistics": the stationary
+        // mean for bursty workloads, the configured mean otherwise (rate
+        // traces override per slot, below).
+        type View = (Arc<[usize]>, Arc<SlotQuants>);
+        let view_of = |edge_of: &[usize]| -> View {
+            let base_means = (scenario.devices.iter().enumerate())
+                .map(|(i, d)| match &scenario.workload {
+                    WorkloadKind::Bursty { .. } => self.mmpp[i].stationary_mean(),
+                    _ => d.arrival_mean,
+                })
+                .collect();
+            (
+                Arc::from(edge_of),
+                Arc::new(quants_for(edge_of, base_means)),
+            )
+        };
         let intervals =
             leime_par::epoch_ranges(slots, if interval == 0 { slots } else { interval });
-        let epochs: Vec<Range<usize>> = intervals
-            .iter()
-            .flat_map(|iv| {
-                let epochs = leime_par::epoch_ranges(iv.len(), epoch_len.get());
-                epochs
-                    .into_iter()
-                    .map(|e| iv.start + e.start..iv.start + e.end)
-            })
-            .collect();
 
-        // The driver's view of the interval, shared by the broadcasts:
-        // each device's edge and the run-constant quantities, rebuilt at
-        // boundaries. Every other workload's means are run-constant, so
-        // only rate traces solve per slot (the KKT solve is a pure
-        // function of the means).
-        let view = RefCell::new((
-            Arc::<[usize]>::from(&*assignment),
-            Arc::new(quants_for(assignment, base_means.clone())),
-        ));
-        let broadcast = |slot: usize| {
-            let view = view.borrow();
-            let (edge_of, base) = &*view;
+        // A slot's broadcast under the interval's view. Every other
+        // workload's means are run-constant, so only rate traces solve
+        // per slot (the KKT solve is a pure function of the means).
+        type Broadcast = (SimTime, Arc<[usize]>, Arc<SlotQuants>, Vec<SharedHealth>);
+        let broadcast = |slot: usize, (edge_of, base): &View, lanes: &mut [Option<SharedLanes>]| {
             let start = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
             let quants = match &scenario.workload {
                 WorkloadKind::RateTrace { trace, .. } => {
@@ -713,15 +696,13 @@ impl SlottedSystem {
                 _ => Arc::clone(base),
             };
             let mut health = vec![SharedHealth::NOMINAL; n_edges];
-            for (h, (_, lanes)) in health.iter_mut().zip(&faults) {
-                if let Some(lanes) = lanes.borrow_mut().as_mut() {
+            for (h, lanes) in health.iter_mut().zip(lanes) {
+                if let Some(lanes) = lanes {
                     *h = lanes.health(start);
                 }
             }
             (start, Arc::clone(edge_of), quants, health)
         };
-
-        type Broadcast = (SimTime, Arc<[usize]>, Arc<SlotQuants>, Vec<SharedHealth>);
         let step =
             |(start, edge_of, quants, health): &Broadcast, slot: usize, row: DeviceRow<'_>| {
                 let e = edge_of[row.i];
@@ -735,15 +716,16 @@ impl SlottedSystem {
         tels[0].clone_from(&self.telemetry);
         let mut batches: Vec<DecisionBatch> = (0..n_edges).map(|_| DecisionBatch::new()).collect();
         let mut rows = vec![SlotRow::default(); n_edges];
-        let mut queues = self.queues.clone();
+        let mut up = vec![true; n_edges];
         // Per interval: each edge's report and device count.
         let mut reports: Vec<Vec<RunReport>> = Vec::with_capacity(intervals.len());
         let mut sizes: Vec<Vec<usize>> = Vec::with_capacity(intervals.len());
-        let replay = |slot: usize, outs: SlotRecords<'_, DeviceSlotOut>| {
-            if intervals
-                .get(reports.len())
-                .is_some_and(|iv| iv.start == slot)
-            {
+        let chaos = configs.iter().any(Option::is_some);
+        let start = (&self.queues[..], &self.mmpp[..], seed, chaos);
+        let ((), queues, mmpp) = run_slot_loop(start, workers, step, |slot_loop| {
+            let mut queues = self.queues.clone();
+            let mut view = view_of(assignment);
+            for (k, iv) in intervals.iter().enumerate() {
                 let mut size = vec![0usize; n_edges];
                 for &e in assignment.iter() {
                     size[e] += 1;
@@ -756,51 +738,51 @@ impl SlottedSystem {
                         ));
                     }
                 }
+                let mut report = vec![RunReport::new(); n_edges];
+                for epoch in leime_par::epoch_ranges(iv.len(), epoch_len.get()) {
+                    let epoch = iv.start + epoch.start..iv.start + epoch.end;
+                    let records =
+                        slot_loop.run_epoch(epoch, |slot| broadcast(slot, &view, &mut lanes))?;
+                    for (slot, outs) in records {
+                        let t = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
+                        rows.fill(SlotRow::new(t));
+                        for (i, out) in outs.enumerate() {
+                            let e = assignment[i];
+                            apply_out(
+                                &mut report[e],
+                                &mut rows[e],
+                                record_decisions,
+                                &mut batches[e],
+                                out,
+                            );
+                            if let DeviceSlotOut::Active(a) = out {
+                                queues[i] = a.queue;
+                            }
+                        }
+                        for e in (0..n_edges).filter(|&e| size[e] > 0) {
+                            report[e].slots.push(std::mem::take(&mut rows[e]));
+                            if let Some(tel) = &tels[e] {
+                                tel.ctrl.flush_batch(&mut batches[e]);
+                            }
+                        }
+                    }
+                }
+                reports.push(report);
                 sizes.push(size);
-                reports.push(vec![RunReport::new(); n_edges]);
-            }
-            let iv = reports.len() - 1;
-            let t = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
-            rows.fill(SlotRow::new(t));
-            for (i, out) in outs.enumerate() {
-                let e = assignment[i];
-                apply_out(
-                    &mut reports[iv][e],
-                    &mut rows[e],
-                    record_decisions,
-                    &mut batches[e],
-                    out,
-                );
-                if let DeviceSlotOut::Active(a) = out {
-                    queues[i] = a.queue;
-                }
-            }
-            for e in (0..n_edges).filter(|&e| sizes[iv][e] > 0) {
-                reports[iv][e].slots.push(std::mem::take(&mut rows[e]));
-                if let Some(tel) = &tels[e] {
-                    tel.ctrl.flush_batch(&mut batches[e]);
-                }
-            }
-            if slot + 1 == intervals[iv].end && iv + 1 < intervals.len() {
-                let up = |e: usize| {
-                    let mut lanes = faults[e].1.borrow_mut();
-                    lanes.as_mut().is_none_or(|l| l.health(t).edge.up)
-                };
-                boundary(slot + 1, &up, assignment, &queues);
-                let mut view = view.borrow_mut();
-                if view.0[..] != assignment[..] {
-                    *view = (
-                        Arc::from(&*assignment),
-                        Arc::new(quants_for(assignment, base_means.clone())),
-                    );
+                if k + 1 < intervals.len() {
+                    let t = SimTime::from_secs((iv.end - 1) as f64 * scenario.slot_len_s);
+                    for (up, lanes) in up.iter_mut().zip(&mut lanes) {
+                        *up = lanes.as_mut().is_none_or(|l| l.health(t).edge.up);
+                    }
+                    boundary(iv.end, &|e| up[e], assignment, &queues);
+                    check_assignment(assignment, n, n_edges)?;
+                    if view.0[..] != assignment[..] {
+                        view = view_of(assignment);
+                    }
                 }
             }
             Ok(())
-        };
-
-        let chaos = faults.iter().any(|(config, _)| config.is_some());
-        let start = (&self.queues[..], &self.mmpp[..], seed, chaos);
-        let (queues, mmpp) = run_slot_loop(start, &epochs, workers, broadcast, step, replay)?;
+        })?;
         // Hand the advanced per-device state back so repeated runs and
         // post-run diagnostics ([`SlottedSystem::queues`]) behave exactly
         // as the sequential implementation always did. The registry's
@@ -819,45 +801,55 @@ impl SlottedSystem {
     }
 }
 
+/// Checks that `assignment` puts each of `n` devices on one of `n_edges`
+/// edges.
+fn check_assignment(assignment: &[usize], n: usize, n_edges: usize) -> Result<()> {
+    let len = assignment.len();
+    let misfit = if n_edges == 0 || len != n {
+        format!("assignment of {len} devices onto {n_edges} edges for {n} devices")
+    } else if let Some(i) = assignment.iter().position(|&e| e >= n_edges) {
+        format!("device {i} assigned to edge {} of {n_edges}", assignment[i])
+    } else {
+        return Ok(());
+    };
+    Err(LeimeError::Config(misfit))
+}
+
 /// The sharded slot loop every slotted system, fleet and serving run
-/// goes through (DESIGN.md §14): the slots of `epochs`, in order, of one
-/// system whose devices start from `(queues, mmpp, seed, chaos)` (with
-/// fresh chaos lanes in each row when `chaos`), in one
-/// `leime_par::run_rounds` call with one round per epoch, the devices
-/// partitioned across up to `workers` threads.
+/// goes through (DESIGN.md §14): one system whose devices start from
+/// `(queues, mmpp, seed, chaos)` (with fresh chaos lanes in each row
+/// when `chaos`), partitioned across up to `workers` threads in one
+/// `leime_par::run_rounds` call with one round per epoch.
 ///
-/// A *stage* supplies what differs between systems:
+/// A *stage* is the caller's code around it:
 ///
-/// * `broadcast(slot)` — the driver-side per-slot context, called once
-///   per slot in slot order (so it may draw from a driver-owned stream);
-/// * `step(ctx, slot, row)` — one device-slot on a worker, touching
-///   only that device's row, returning its record;
-/// * `replay(slot, outs)` — the driver-side recording of one slot, with
-///   its records in device order.
+/// * `step(broadcast, slot, row)` — one device-slot on a worker,
+///   touching only that device's row, returning its record;
+/// * `drive(slot_loop)` — the stage's own loop on the caller's thread.
+///   It runs each epoch with [`SlotEpochs::run_epoch`], which builds the
+///   epoch's per-slot broadcasts in slot order (so they may draw from a
+///   driver-owned stream), and replays the records it gets back, slot by
+///   slot in device order.
 ///
-/// An epoch's broadcasts are built before its steps run, so they must
-/// never depend on the epoch's device state; they may read state that
-/// earlier epochs replayed, because each epoch is replayed before the
-/// next one's broadcasts are built. Each device then runs its epoch on
-/// its own row, drawing from `stream_rng(seed, i)`, and replay goes slot
-/// by slot in device order: the sequence a sequential loop produces. The
-/// replayed records and the returned final `(queues, mmpp)` are
-/// therefore byte-identical for every worker count and epoch list that
+/// An epoch's broadcasts are built before its steps run, so they never
+/// see the epoch's device state; they may read state that earlier
+/// epochs replayed. Each device runs its epoch on its own row, drawing
+/// from `stream_rng(seed, i)`, so the replayed records and the returned
+/// final `(queues, mmpp)` are the sequence a sequential loop produces:
+/// byte-identical for every worker count and every epoch list that
 /// covers the same slots.
 ///
 /// # Errors
 ///
-/// Propagates the first `step` or `replay` error, and returns
+/// Propagates the first `step` or `drive` error, and returns
 /// [`crate::LeimeError::Parallel`] if a worker shard fails (a caught
 /// panic surfaces as a typed error, never a hang).
-pub fn run_slot_loop<B, O>(
+pub fn run_slot_loop<B, O, R>(
     (queues, mmpp, seed, chaos): (&[QueuePair], &[Mmpp], u64, bool),
-    epochs: &[Range<usize>],
     workers: NonZeroUsize,
-    mut broadcast: impl FnMut(usize) -> B,
     step: impl Fn(&B, usize, DeviceRow<'_>) -> Result<O> + Sync,
-    mut replay: impl FnMut(usize, SlotRecords<'_, O>) -> Result<()>,
-) -> Result<(Vec<QueuePair>, Vec<Mmpp>)>
+    drive: impl FnOnce(&mut SlotEpochs<'_, '_, B, O>) -> Result<R>,
+) -> Result<(R, Vec<QueuePair>, Vec<Mmpp>)>
 where
     B: Send + Sync,
     O: Send,
@@ -865,66 +857,86 @@ where
     let shards = build_shards(queues, mmpp, seed, chaos, workers.get());
     let lens: Vec<usize> = shards.iter().map(ShardState::len).collect();
 
-    // Each round's context: its slots and the stage's per-slot
-    // broadcasts.
-    let make_ctx = |round: usize| {
-        let slots = epochs[round].clone();
-        let mut per_slot = Vec::with_capacity(slots.len());
-        for slot in slots.clone() {
-            per_slot.push(broadcast(slot));
-        }
-        (slots, per_slot)
-    };
-
-    let work =
-        |_: usize, _: usize, (slots, per_slot): &(Range<usize>, Vec<B>), sh: &mut ShardState| {
-            let mut outs = Vec::with_capacity(slots.len() * sh.len());
-            for (b, slot) in per_slot.iter().zip(slots.clone()) {
-                for k in 0..sh.len() {
-                    let row = DeviceRow {
-                        i: sh.start + k,
-                        queue: &mut sh.queues[k],
-                        degrade: &mut sh.degrades[k],
-                        mmpp: sh.mmpp.get_mut(k),
-                        rng: &mut sh.rngs[k],
-                        lanes: sh.lanes.get_mut(k),
-                        memo: &mut sh.memo,
-                    };
-                    outs.push(step(b, slot, row)?);
-                }
+    let work = |_: usize, (first, per_slot): &Epoch<B>, sh: &mut ShardState| {
+        let mut outs = Vec::with_capacity(per_slot.len() * sh.len());
+        for (slot, b) in (*first..).zip(per_slot) {
+            for k in 0..sh.len() {
+                let row = DeviceRow {
+                    i: sh.start + k,
+                    queue: &mut sh.queues[k],
+                    degrade: &mut sh.degrades[k],
+                    mmpp: sh.mmpp.get_mut(k),
+                    rng: &mut sh.rngs[k],
+                    lanes: sh.lanes.get_mut(k),
+                    memo: &mut sh.memo,
+                };
+                outs.push(step(b, slot, row)?);
             }
-            Ok(outs)
-        };
-
-    let apply = |round: usize, shard_outs: Vec<Result<Vec<O>>>| {
-        let mut per_shard = Vec::with_capacity(shard_outs.len());
-        for outs in shard_outs {
-            per_shard.push(outs?);
         }
-        for (rel, slot) in epochs[round].clone().enumerate() {
-            let outs = SlotRecords {
-                shards: per_shard.iter().zip(&lens),
-                rel,
-                cur: [].iter(),
-            };
-            replay(slot, outs)?;
-        }
-        Ok(())
+        Ok(outs)
     };
 
-    let finals = leime_par::run_rounds(shards, epochs.len(), make_ctx, work, apply).map_err(
-        |e| match e {
-            RoundsError::Par(p) => LeimeError::from(p),
-            RoundsError::Apply(e) => e,
-        },
-    )?;
+    let (r, finals) = leime_par::run_rounds(shards, work, |rounds| {
+        drive(&mut SlotEpochs {
+            rounds,
+            lens: &lens,
+            outs: Vec::new(),
+        })
+    })?;
     // Shards run in device order.
     let (mut queues, mut mmpp) = (Vec::new(), Vec::new());
     for sh in finals {
         queues.extend(sh.queues);
         mmpp.extend(sh.mmpp);
     }
-    Ok((queues, mmpp))
+    Ok((r, queues, mmpp))
+}
+
+/// One round of [`run_slot_loop`]: an epoch's first slot and each of
+/// its slots' broadcast.
+type Epoch<B> = (usize, Vec<B>);
+
+/// The driver's handle on [`run_slot_loop`]'s epochs.
+pub struct SlotEpochs<'r, 'p, B, O> {
+    rounds: &'r mut leime_par::Rounds<'p, ShardState, Epoch<B>, Result<Vec<O>>>,
+    /// Each shard's device count.
+    lens: &'r [usize],
+    /// The last epoch's records, per shard.
+    outs: Vec<Vec<O>>,
+}
+
+impl<B, O> SlotEpochs<'_, '_, B, O> {
+    /// Runs the slots of `slots` on every device, slot `t` under the
+    /// broadcast `broadcast(t)`, built in slot order before any step
+    /// runs, and returns each slot with its records in device order.
+    ///
+    /// # Errors
+    ///
+    /// The lowest shard's first `step` error, or
+    /// [`crate::LeimeError::Parallel`] if a worker shard fails.
+    pub fn run_epoch(
+        &mut self,
+        slots: Range<usize>,
+        broadcast: impl FnMut(usize) -> B,
+    ) -> Result<impl Iterator<Item = (usize, SlotRecords<'_, O>)>> {
+        let (first, len) = (slots.start, slots.len());
+        // The last epoch's records go before this epoch's are made.
+        self.outs.clear();
+        let shard_outs = self.rounds.run((first, slots.map(broadcast).collect()))?;
+        for outs in shard_outs {
+            self.outs.push(outs?);
+        }
+        let (outs, lens) = (&self.outs, self.lens);
+        Ok((0..len).map(move |rel| {
+            let shards = outs.iter().zip(lens);
+            let records = SlotRecords {
+                shards,
+                rel,
+                cur: [].iter(),
+            };
+            (first + rel, records)
+        }))
+    }
 }
 
 /// Builds the per-device bursty state machines for `Bursty` workloads.
@@ -1399,24 +1411,20 @@ mod tests {
         step: impl Fn(&(), usize, DeviceRow<'_>) -> Result<Toy> + Sync,
     ) -> (Result<usize>, Vec<Toy>) {
         let mut seen = Vec::new();
-        let replay = |slot: usize, outs: SlotRecords<'_, Toy>| {
-            for &rec in outs {
-                assert_eq!(rec.0, slot, "record under the wrong call");
-                seen.push(rec);
-            }
-            Ok(())
-        };
         let queues = vec![QueuePair::new(); n];
         let workers = NonZeroUsize::new(workers).unwrap();
-        let lanes = run_slot_loop(
-            (&queues, &[], 1, false),
-            epochs,
-            workers,
-            |_| (),
-            step,
-            replay,
-        );
-        (lanes.map(|(queues, _)| queues.len()), seen)
+        let lanes = run_slot_loop((&queues, &[], 1, false), workers, step, |slot_loop| {
+            for epoch in epochs {
+                for (slot, outs) in slot_loop.run_epoch(epoch.clone(), |_| ())? {
+                    for &rec in outs {
+                        assert_eq!(rec.0, slot, "record under the wrong call");
+                        seen.push(rec);
+                    }
+                }
+            }
+            Ok(())
+        });
+        (lanes.map(|((), queues, _)| queues.len()), seen)
     }
 
     #[test]
@@ -1459,6 +1467,37 @@ mod tests {
                     assert!(seen.iter().all(|&(slot, _)| slot < 20), "at {at:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn boundary_writing_an_unknown_edge_is_a_typed_error() {
+        // A boundary that moves device 2 onto edge 7 of 2 is refused at
+        // that boundary, naming the device and the edge, at every worker
+        // count.
+        let s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 4, 5.0);
+        let dep = s.deploy(ExitStrategy::Leime).unwrap();
+        for workers in [1, 2] {
+            let mut sys = SlottedSystem::new(s.clone(), dep.clone()).unwrap();
+            let mut calls = 0;
+            let mut boundary =
+                |_: usize, _: &dyn Fn(usize) -> bool, a: &mut [usize], _: &[QueuePair]| {
+                    calls += 1;
+                    a[2] = 7;
+                };
+            let edges = Edges {
+                count: 2,
+                chaos: |chaos, _| chaos.cloned(),
+                assignment: &mut [0, 1, 0, 1],
+                interval: 5,
+                registry: None,
+                boundary: &mut boundary,
+            };
+            let workers = NonZeroUsize::new(workers).unwrap();
+            let err = sys.run_on_edges(20, 3, workers, DEFAULT_EPOCH_LEN, edges);
+            let want = LeimeError::Config("device 2 assigned to edge 7 of 2".into());
+            assert_eq!(err.map(|r| r.len()), Err(want), "at {workers} workers");
+            assert_eq!(calls, 1, "the run went on past the bad boundary");
         }
     }
 

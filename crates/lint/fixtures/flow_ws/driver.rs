@@ -4,9 +4,9 @@
 
 pub fn run_shards(items: &[u32], workers: usize) -> u32 {
     let hits = AtomicU32::new(0);
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
+    let _ = run_rounds(items, |_i, x| {
         hits.fetch_add(1, Ordering::Relaxed);
         shard_step(*x)
-    });
+    }, drive);
     hits.into_inner()
 }

@@ -3,11 +3,11 @@
 //! cycle cannot land without a finding.
 
 pub fn drive(items: &[u32], workers: W) {
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
+    let _ = run_rounds(items, |_i, x| {
         fwd(*x);
         bwd(*x);
         *x
-    });
+    }, drive);
 }
 
 fn fwd(x: u32) {

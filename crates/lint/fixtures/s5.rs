@@ -5,15 +5,15 @@
 
 pub fn bad_shared(items: &[u32], workers: usize) -> u32 {
     let shared = Mutex::new(0u32);
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
+    let _ = run_rounds(items, |_i, x| {
         *shared.lock() += x;
         0
-    });
+    }, drive);
     0
 }
 
 pub fn good_sum(items: &[u32], workers: usize) -> u32 {
     let base = 1;
-    let outs = run_rounds(items, workers, make_ctx, |_i, x| x + base);
+    let outs = run_rounds(items, |_i, x| x + base, drive);
     outs.len() as u32
 }

@@ -5,27 +5,27 @@
 
 pub fn tuple_capture(items: &[u32], workers: usize) -> u32 {
     let (shared, base) = (Mutex::new(0u32), 1);
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
+    let _ = run_rounds(items, |_i, x| {
         *shared.lock() += x + base;
         0
-    });
+    }, drive);
     0
 }
 
 pub fn struct_capture(items: &[u32], workers: usize, sinks: Sinks) -> u32 {
     let Sinks { total: sink, .. } = sinks;
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
+    let _ = run_rounds(items, |_i, x| {
         *sink.lock() += x;
         0
-    });
+    }, drive);
     0
 }
 
 pub fn shard_owned(items: &[Pair], workers: usize) -> u32 {
-    let _ = run_rounds(items, workers, make_ctx, |_i, pair| {
+    let _ = run_rounds(items, |_i, pair| {
         let (cell, _) = pair.split();
         cell.swap(1);
         0
-    });
+    }, drive);
     0
 }

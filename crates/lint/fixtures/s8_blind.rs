@@ -3,7 +3,7 @@
 //! a match guard — in a helper the shard body reaches.
 
 pub fn drive_blind(items: &[u32], workers: usize) {
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| first_or_wait(*x) + guarded(*x));
+    let _ = run_rounds(items, |_i, x| first_or_wait(*x) + guarded(*x), drive);
 }
 
 fn first_or_wait(x: u32) -> u32 {

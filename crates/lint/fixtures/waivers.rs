@@ -9,11 +9,11 @@ pub fn decide(x: f64) -> f64 {
 }
 
 pub fn seeded(items: &[u32], workers: usize, pause: Duration) {
-    let _ = run_rounds(items, workers, make_ctx, |_i, x| {
+    let _ = run_rounds(items, |_i, x| {
         // lint:allow(S8)
         std::thread::sleep(pause);
         *x
-    });
+    }, drive);
 }
 
 // lint:allow(L1): moved to clippy, so no longer a rule

@@ -279,7 +279,7 @@ mod tests {
     fn s5_flags_interior_mutability_on_capture() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let shared = Mutex::new(0); \
-             let _ = run_rounds(items, workers, make_ctx, |_i, x| { *shared.lock() += x; 0 }); }",
+             let _ = run_rounds(items, |_i, x| { *shared.lock() += x; 0 }, drive); }",
         );
         let rules = rules_of(&found);
         assert!(rules.contains(&"S5"), "{found:?}");
@@ -289,7 +289,7 @@ mod tests {
     fn s5_flags_telemetry_named_interior_state_too() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let telemetry = Cell::new(0); \
-             let _ = run_rounds(items, workers, make_ctx, |_i, x| { telemetry.swap(x); 0 }); }",
+             let _ = run_rounds(items, |_i, x| { telemetry.swap(x); 0 }, drive); }",
         );
         assert_eq!(rules_of(&found), vec!["S5"], "{found:?}");
         assert!(
@@ -305,7 +305,7 @@ mod tests {
         // owns what it mutates.
         let found = analyze(
             "fn run(items: &[Cell<u32>], workers: W) { \
-             let _ = run_rounds(items, workers, make_ctx, |_i, cell| { cell.swap(1); 0 }); }",
+             let _ = run_rounds(items, |_i, cell| { cell.swap(1); 0 }, drive); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -314,7 +314,7 @@ mod tests {
     fn s5_clean_shard_body_stays_silent() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let base = 10; \
-             let _ = run_rounds(items, workers, make_ctx, |_i, x| x + base); }",
+             let _ = run_rounds(items, |_i, x| x + base, drive); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -324,21 +324,20 @@ mod tests {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { let acc = AtomicU32::new(0); \
              let work = |_i: usize, x: &u32| { acc.fetch_add(*x, Relaxed); 0 }; \
-             let _ = run_rounds(items, workers, make_ctx, work); }",
+             let _ = run_rounds(items, work, drive); }",
         );
         assert_eq!(rules_of(&found), vec!["S5"]);
     }
 
     #[test]
-    fn s5_run_rounds_checks_work_not_apply() {
-        // `apply` (arg 4) runs on the driver thread and may mutate; only
-        // `work` (arg 3) is the shard body.
+    fn s5_run_rounds_checks_work_not_drive() {
+        // `drive` (arg 2) runs on the driver thread and may mutate; only
+        // `work` (arg 1) is the shard body.
         let found = analyze(
             "fn run(shards: Vec<S>, slots: usize) { let sink = RefCell::new(R::new()); \
-             let make_ctx = |round: usize| round; \
-             let work = |_s: usize, _r: usize, ctx: &usize, st: &mut S| { st.step(*ctx) }; \
-             let apply = |_r: usize, outs: Vec<u32>| { sink.borrow_mut().extend(outs); Ok(()) }; \
-             let _ = run_rounds(shards, slots, make_ctx, work, apply); }",
+             let work = |_s: usize, ctx: &usize, st: &mut S| { st.step(*ctx) }; \
+             let drive = |rounds: &mut Rounds| { sink.borrow_mut().extend(rounds.run(slots)?); Ok(()) }; \
+             let _ = run_rounds(shards, work, drive); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -347,8 +346,8 @@ mod tests {
     fn s8_flags_direct_and_transitive_blocking() {
         let found = analyze(
             "fn run(items: &[u32], workers: W) { \
-             let _ = run_rounds(items, workers, make_ctx, |_i, x| { \
-             helper(*x); thread::sleep(d); 0 }); } \
+             let _ = run_rounds(items, |_i, x| { \
+             helper(*x); thread::sleep(d); 0 }, drive); } \
              fn helper(x: u32) -> u32 { let g = m.lock(); g + x }",
         );
         let rules = rules_of(&found);
@@ -365,7 +364,7 @@ mod tests {
         // acquisition, so the cycle cannot land without a finding.
         let found = analyze(
             "fn run(items: &[u32], workers: W) { \
-             let _ = run_rounds(items, workers, make_ctx, |_i, x| { fwd(*x); bwd(*x); x + 1 }); }\n\
+             let _ = run_rounds(items, |_i, x| { fwd(*x); bwd(*x); x + 1 }, drive); }\n\
              fn fwd(x: u32) { let g = a.lock();\n let h = b.lock(); }\n\
              fn bwd(x: u32) { let g = b.lock();\n let h = a.lock(); }",
         );
@@ -380,10 +379,9 @@ mod tests {
     fn s8_driver_side_blocking_is_legal() {
         let found = analyze(
             "fn run(shards: Vec<S>, slots: usize) { \
-             let make_ctx = |round: usize| { replay.lock(); round }; \
-             let work = |_s: usize, _r: usize, c: &usize, st: &mut S| st.step(*c); \
-             let apply = |_r: usize, outs: Vec<u32>| { sink.lock(); Ok(()) }; \
-             let _ = run_rounds(shards, slots, make_ctx, work, apply); }",
+             let work = |_s: usize, c: &usize, st: &mut S| st.step(*c); \
+             let drive = |rounds: &mut Rounds| { replay.lock(); rounds.run(slots)?; sink.lock(); Ok(()) }; \
+             let _ = run_rounds(shards, work, drive); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -446,7 +444,7 @@ mod tests {
     fn test_items_are_skipped() {
         let found = analyze(
             "#[cfg(test)]\nmod tests { fn run(items: &[u32], workers: W) { \
-             let _ = run_rounds(items, workers, make_ctx, |_i, x| { thread::sleep(d); 0 }); } }",
+             let _ = run_rounds(items, |_i, x| { thread::sleep(d); 0 }, drive); } }",
         );
         assert!(found.is_empty(), "{found:?}");
     }

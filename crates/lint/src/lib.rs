@@ -147,10 +147,10 @@ impl Default for SemaConfig {
                 "run_slotted_with_registry",
             ]),
             par_entry_args: vec![
-                ("run_rounds".to_string(), 3),
+                ("run_rounds".to_string(), 1),
                 // A slot-loop stage's per-device step runs on the
                 // workers of the loop's own `run_rounds` call.
-                ("run_slot_loop".to_string(), 4),
+                ("run_slot_loop".to_string(), 2),
             ],
         }
     }

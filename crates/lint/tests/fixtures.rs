@@ -3,8 +3,9 @@
 //! `leime-lint/4` JSON renderings.
 
 use leime_lint::layering::{self, Dep};
+use leime_lint::tree::{FileFacts, ShardBody};
 use leime_lint::{
-    parse_rule_filter, run, Report, ScanOptions, SemaConfig, RULE_IDS, SCHEMA_VERSION,
+    parse_rule_filter, run, scan_sources, Report, ScanOptions, SemaConfig, RULE_IDS, SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -604,4 +605,55 @@ fn s6_stale_baseline_entries_are_reported() {
     for f in &report.violations {
         assert!(f.message.contains("`--write-baseline`"), "{}", f.message);
     }
+}
+
+#[test]
+fn live_call_sites_yield_their_shard_bodies() {
+    // An argument index left behind by a signature change would turn S5
+    // and S8 off without a finding. Each live call site must yield its
+    // shard body: `run_slot_loop`'s own `work` (passed to `run_rounds`),
+    // and the per-device steps of `run_on_edges` and of serving.
+    let read = |path: &str| match std::fs::read_to_string(workspace_root().join(path)) {
+        Ok(src) => src,
+        Err(e) => unreachable!("cannot read {path}: {e}"),
+    };
+    let config = SemaConfig::default();
+    let (core, serving) = ("crates/core/src/slotted.rs", "crates/serving/src/system.rs");
+    let bodies = |path: &str| FileFacts::new(path, &read(path), &config).shard_bodies;
+    let has = |bodies: &[ShardBody], entry: &str, callee: &str| {
+        bodies
+            .iter()
+            .any(|b| b.entry == entry && b.calls.contains(callee))
+    };
+    let (core_bodies, serving_bodies) = (bodies(core), bodies(serving));
+    assert!(has(&core_bodies, "run_rounds", "step"), "{core_bodies:?}");
+    assert!(
+        has(&core_bodies, "run_slot_loop", "device_slot"),
+        "{core_bodies:?}"
+    );
+    assert!(
+        has(&serving_bodies, "run_slot_loop", "serve_device"),
+        "{serving_bodies:?}"
+    );
+
+    // A `Mutex` captured by `run_on_edges`' step is an S5 finding.
+    let s5_on = |src: String| {
+        let scan = scan_sources(&[(core.to_string(), src)], &config);
+        (scan.findings.iter()).any(|f| f.rule == "S5" && f.message.contains("`probe`"))
+    };
+    let clean = read(core);
+    let probed = clean
+        .replacen(
+            "let step =",
+            "let probe = Mutex::new(0u32);\n        let step =",
+            1,
+        )
+        .replacen(
+            "let e = edge_of[row.i];",
+            "*probe.lock() += 1;\n                let e = edge_of[row.i];",
+            1,
+        );
+    assert_eq!(probed.matches("probe").count(), 2, "the step moved");
+    assert!(!s5_on(clean));
+    assert!(s5_on(probed));
 }

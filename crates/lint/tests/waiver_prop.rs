@@ -22,8 +22,8 @@ fn seeded_source(violated: &str, waived: &str) -> (String, u32) {
         "S8" => (
             format!(
                 "pub fn run(items: &[u32], workers: W) {{\n    \
-                 let _ = run_rounds(items, workers, make_ctx, |_i, x| {{\n        \
-                 {allow}\n        thread::sleep(d);\n        *x\n    }});\n}}\n"
+                 let _ = run_rounds(items, |_i, x| {{\n        \
+                 {allow}\n        thread::sleep(d);\n        *x\n    }}, drive);\n}}\n"
             ),
             4,
         ),

@@ -16,23 +16,25 @@
 //! 2. **Per-stream RNGs** ([`rng::stream_rng`]) — every logical
 //!    stream (a device) derives its generator from
 //!    `SplitMix64(master, stream_id)`, independent of worker count.
-//! 3. **Ordered reduction** ([`pool::run_rounds`]) — shard outputs
-//!    are folded on the caller's thread in shard-index order, never
-//!    completion order.
+//! 3. **Ordered reduction** ([`pool::run_rounds`]) — the caller's
+//!    thread drives the rounds, and each [`Rounds::run`] hands it the
+//!    shard outputs in shard-index order, never completion order, so
+//!    it folds them in a plain loop.
 //!
 //! Under these rules `run(workers = N)` is byte-identical to
 //! `run(workers = 1)` for every `N`, a contract enforced by the tier-2
 //! `integration_par` differential suite rather than by review.
 //!
 //! Failure is typed, not poisoned: a panic in one shard is caught at the
-//! shard boundary and returned as [`ParError::ShardPanic`]; all other
-//! workers drain and join before the error is handed back.
+//! shard boundary and returned as [`ParError::ShardPanic`] once every
+//! other shard has finished the round; the driver decides what to do
+//! next, and all workers join when it returns or unwinds.
 
 pub mod pool;
 pub mod rng;
 pub mod shard;
 
-pub use pool::run_rounds;
+pub use pool::{run_rounds, Rounds};
 pub use rand::rngs::StdRng;
 pub use rand::Rng;
 pub use rng::{split_mix64, stream_rng, stream_seed};
@@ -73,27 +75,6 @@ impl std::fmt::Display for ParError {
 
 impl std::error::Error for ParError {}
 
-/// A failure from [`run_rounds`]: either the pool itself broke
-/// ([`ParError`]) or the caller's `apply` reduction refused a round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoundsError<E> {
-    /// The parallel layer failed (shard panic, lost worker).
-    Par(ParError),
-    /// The caller's per-round reduction returned an error.
-    Apply(E),
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for RoundsError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RoundsError::Par(e) => write!(f, "{e}"),
-            RoundsError::Apply(e) => write!(f, "reduction failed: {e}"),
-        }
-    }
-}
-
-impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for RoundsError<E> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +87,5 @@ mod tests {
         };
         assert_eq!(p.to_string(), "shard 3 panicked: boom");
         assert!(ParError::WorkerLost { shard: 1 }.to_string().contains("1"));
-        let r: RoundsError<&str> = RoundsError::Apply("nope");
-        assert!(r.to_string().contains("nope"));
     }
 }

@@ -1,15 +1,16 @@
 //! The scoped worker pool: multi-round execution over persistent
-//! per-shard state ([`run_rounds`]).
+//! per-shard state ([`run_rounds`], driven through [`Rounds`]).
 //!
 //! Its determinism contract:
 //!
 //! * the caller hands in its shards, cut by [`crate::shard::partition`]
 //!   — static, contiguous, worker-count-capped ranges;
-//! * results are reduced on the caller's thread in **shard-index order**
-//!   (= item order, shards being contiguous), never in completion order;
+//! * each round's outputs come back to the caller's thread in
+//!   **shard-index order** (= item order, shards being contiguous),
+//!   never in completion order;
 //! * a panic inside one shard is caught at the shard boundary and
 //!   surfaced as a typed [`ParError::ShardPanic`] — no poisoned locks,
-//!   no hung receivers, and the remaining shards wind down cleanly.
+//!   no hung receivers, and the pool stays ready for the next round.
 //!
 //! With those rules, a run's observable output is a pure function of its
 //! inputs and per-stream seeds, independent of the worker count.
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-use crate::{ParError, RoundsError};
+use crate::ParError;
 
 /// Renders a caught panic payload for [`ParError::ShardPanic`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -81,7 +82,12 @@ impl SpinBarrier {
         }
     }
 
+    /// Blocks until all parties arrive; a barrier of one party (or
+    /// none) has no one to wait for and returns at once.
     fn wait(&self) {
+        if self.parties <= 1 {
+            return;
+        }
         let gen = self.generation.load(Ordering::SeqCst);
         let arrived = self.count.fetch_add(1, Ordering::SeqCst) + 1;
         if arrived == self.parties {
@@ -115,46 +121,114 @@ impl SpinBarrier {
     }
 }
 
-/// Releases the worker fleet exactly once: sets the stop flag and joins
-/// the start barrier so every worker wakes, observes the flag, and
-/// exits. Runs on drop too, so a panic in caller-supplied `make_ctx` or
-/// `apply` on the driving thread can never leave workers spinning at a
-/// barrier that will not open.
-struct FleetRelease<'a> {
-    stop: &'a AtomicBool,
-    start: &'a SpinBarrier,
+/// What the driver and the workers share: the stop flag, the round's
+/// context, shards `1…`'s outputs (one slot each: the output, or the
+/// rendered panic) and the two round barriers.
+struct Fleet<Ctx, Out> {
+    stop: AtomicBool,
+    ctx: Mutex<Option<Arc<Ctx>>>,
+    results: Vec<Mutex<Option<Result<Out, String>>>>,
+    start: SpinBarrier,
+    end: SpinBarrier,
+}
+
+/// The driver's handle on a [`run_rounds`] pool: each [`Rounds::run`]
+/// is one synchronized round over every shard.
+pub struct Rounds<'p, S, Ctx, Out> {
+    work: &'p (dyn Fn(usize, &Ctx, &mut S) -> Out + Sync),
+    /// Shard 0, worked on the driver's thread (`None` without shards).
+    state0: Option<S>,
+    fleet: &'p Fleet<Ctx, Out>,
     released: bool,
 }
 
-impl FleetRelease<'_> {
+impl<S, Ctx, Out> Rounds<'_, S, Ctx, Out> {
+    /// Runs one round: every shard applies `work(shard, &ctx, &mut
+    /// state)` to its own state, and the outputs come back in shard
+    /// order.
+    ///
+    /// Round protocol: the driver publishes `ctx`, the `start` barrier
+    /// opens, every shard (the driver as shard 0) computes, the `end`
+    /// barrier closes the round, and the driver collects each shard's
+    /// slot in shard order. With one shard there is no one to publish
+    /// to or wait for. Workers only observe the stop flag right after
+    /// `start`, and only the handle's release raises it before joining
+    /// `start`, so no thread is left at a barrier that never opens.
+    ///
+    /// # Errors
+    ///
+    /// [`ParError::ShardPanic`] for the lowest shard whose `work`
+    /// panicked, or [`ParError::WorkerLost`] for one that reported
+    /// nothing. Every shard finished the round either way, so the pool
+    /// stays consistent and the driver decides what comes next.
+    pub fn run(&mut self, ctx: Ctx) -> Result<Vec<Out>, ParError> {
+        let fleet = self.fleet;
+        let ctx = Arc::new(ctx);
+        if !fleet.results.is_empty() {
+            *lock_ignore_poison(&fleet.ctx) = Some(Arc::clone(&ctx));
+        }
+        fleet.start.wait();
+        let work = self.work;
+        let out0 = self.state0.as_mut().map(|state| {
+            catch_unwind(AssertUnwindSafe(|| work(0, ctx.as_ref(), state))).map_err(panic_message)
+        });
+        fleet.end.wait();
+
+        let mut outs = Vec::with_capacity(fleet.results.len() + 1);
+        let mut failure = None;
+        let workers = (fleet.results.iter().enumerate())
+            .map(|(idx, slot)| (idx + 1, lock_ignore_poison(slot).take()));
+        for (shard, out) in out0.map(|out| (0, Some(out))).into_iter().chain(workers) {
+            match out {
+                Some(Ok(out)) => outs.push(out),
+                Some(Err(message)) => {
+                    failure.get_or_insert(ParError::ShardPanic { shard, message });
+                }
+                // An empty slot after `end` means the worker never ran
+                // its round — impossible under this protocol, but fail
+                // closed rather than hand back garbage.
+                None => {
+                    failure.get_or_insert(ParError::WorkerLost { shard });
+                }
+            }
+        }
+        failure.map_or(Ok(outs), Err)
+    }
+
+    /// Releases the workers exactly once: raises the stop flag and joins
+    /// the start barrier, so every worker wakes, observes the flag, and
+    /// exits with its state.
     fn release(&mut self) {
         if !self.released {
             self.released = true;
-            self.stop.store(true, Ordering::SeqCst);
-            self.start.wait();
+            self.fleet.stop.store(true, Ordering::SeqCst);
+            self.fleet.start.wait();
         }
     }
 }
 
-impl Drop for FleetRelease<'_> {
+/// A panic in the caller's `drive` drops the handle while unwinding, so
+/// it can never leave workers spinning at a barrier that will not open.
+impl<S, Ctx, Out> Drop for Rounds<'_, S, Ctx, Out> {
     fn drop(&mut self) {
         self.release();
     }
 }
 
-/// Runs `rounds` synchronized rounds over persistent per-shard state.
+/// Runs synchronized rounds over persistent per-shard state, for as
+/// long as `drive` asks.
 ///
 /// Workers are spawned once and live for the whole call; the caller's
-/// thread works shard 0 itself, so `workers = N` costs `N − 1` spawned
-/// threads. Each round, the caller's thread builds a broadcast context
-/// with `make_ctx(round)`, every shard applies
-/// `work(shard_id, round, &ctx, &mut state)` to its own state, and the
-/// caller's thread folds the shard outputs — ordered by shard index —
-/// with `apply(round, outputs)`. On success the final per-shard states
-/// come back in shard order.
+/// thread works shard 0 itself, so `N` shards cost `N − 1` spawned
+/// threads. `drive` runs on the caller's thread with a [`Rounds`]
+/// handle: each [`Rounds::run`]`(ctx)` has every shard apply
+/// `work(shard, &ctx, &mut state)` to its own state and returns the
+/// outputs in shard order, so `drive` builds each round's context and
+/// folds its outputs in one plain loop. When `drive` returns, its
+/// result and the final per-shard states (in shard order) come back.
 ///
-/// Rounds are barriers: round `r + 1` starts only after every shard's
-/// round-`r` output has been applied. The barrier is a spin-then-yield
+/// Rounds are barriers: a round starts only after `drive` has the
+/// previous round's outputs. The barrier is a spin-then-park
 /// `SpinBarrier` pair rather than channels — at fleet-simulation
 /// granularity (tens of microseconds of work per round) channel
 /// round-trips cost more than the round itself. Per-shard state never
@@ -162,195 +236,109 @@ impl Drop for FleetRelease<'_> {
 /// per-device queues, RNG streams and degradation ladders bit-identical
 /// to a sequential run.
 ///
-/// With a single shard everything runs inline on the caller's thread.
-///
 /// # Errors
 ///
-/// * [`RoundsError::Par`] — a shard panicked ([`ParError::ShardPanic`])
-///   or a worker vanished ([`ParError::WorkerLost`]); in-flight work on
-///   other shards is discarded and all threads are joined before
-///   returning.
-/// * [`RoundsError::Apply`] — `apply` itself failed; the pool shuts
-///   down the same way.
+/// `drive`'s own error, and a [`ParError`] (through `E: From<ParError>`)
+/// if a worker thread died outside a round. All threads are joined
+/// before returning, and also if `drive` unwinds.
 ///
 /// # Shared mutation does not compile
 ///
 /// `work` is `Fn + Sync`: it may mutate its own shard state, but a
 /// write to a captured local is rejected. Cross-shard tallies belong in
-/// `apply`, which runs on the caller's thread in shard order:
+/// `drive`, which runs on the caller's thread and sees the outputs in
+/// shard order:
 ///
 /// ```compile_fail,E0594
 /// let mut total = 0;
 /// let _ = leime_par::run_rounds(
 ///     vec![0u32; 2],
-///     3,
-///     |round| round,
-///     |_shard, _round, _ctx: &usize, state: &mut u32| {
+///     |_shard, _ctx: &usize, state: &mut u32| {
 ///         total += 1;
 ///         *state += 1;
 ///     },
-///     |_round, _outs: Vec<()>| Ok::<(), ()>(()),
+///     |rounds| rounds.run(3),
 /// );
 /// ```
-pub fn run_rounds<S, Ctx, Out, E, MkCtx, Work, Apply>(
+pub fn run_rounds<S, Ctx, Out, R, E>(
     shards: Vec<S>,
-    rounds: usize,
-    mut make_ctx: MkCtx,
-    work: Work,
-    mut apply: Apply,
-) -> Result<Vec<S>, RoundsError<E>>
+    work: impl Fn(usize, &Ctx, &mut S) -> Out + Sync,
+    drive: impl FnOnce(&mut Rounds<'_, S, Ctx, Out>) -> Result<R, E>,
+) -> Result<(R, Vec<S>), E>
 where
     S: Send,
     Ctx: Send + Sync,
     Out: Send,
-    MkCtx: FnMut(usize) -> Ctx,
-    Work: Fn(usize, usize, &Ctx, &mut S) -> Out + Sync,
-    Apply: FnMut(usize, Vec<Out>) -> Result<(), E>,
+    E: From<ParError>,
 {
-    if shards.len() <= 1 {
-        let mut shards = shards;
-        for round in 0..rounds {
-            let ctx = make_ctx(round);
-            let mut outs = Vec::with_capacity(1);
-            if let Some(state) = shards.first_mut() {
-                let result = catch_unwind(AssertUnwindSafe(|| work(0, round, &ctx, state)));
-                match result {
-                    Ok(out) => outs.push(out),
-                    Err(payload) => {
-                        return Err(RoundsError::Par(ParError::ShardPanic {
-                            shard: 0,
-                            message: panic_message(payload),
-                        }))
-                    }
-                }
-            }
-            apply(round, outs).map_err(RoundsError::Apply)?;
-        }
-        return Ok(shards);
-    }
-
     let n_shards = shards.len();
     let mut shards = shards.into_iter();
-    let Some(mut state0) = shards.next() else {
-        // Unreachable: n_shards > 1 here; fail closed rather than panic.
-        return Err(RoundsError::Par(ParError::WorkerLost { shard: 0 }));
+    let state0 = shards.next();
+    let fleet: Fleet<Ctx, Out> = Fleet {
+        stop: AtomicBool::new(false),
+        ctx: Mutex::new(None),
+        results: (1..n_shards).map(|_| Mutex::new(None)).collect(),
+        start: SpinBarrier::new(n_shards),
+        end: SpinBarrier::new(n_shards),
     };
 
-    // Round protocol: the driver publishes the round's context, the
-    // `start` barrier opens, every shard (driver included, as shard 0)
-    // computes, the `end` barrier closes the round, and the driver
-    // collects each shard's slot in shard order. Workers only observe
-    // the stop flag immediately after `start`, and the driver only
-    // raises it before joining `start` — so no thread can be left at a
-    // barrier that never opens, panic or no panic.
-    let stop = AtomicBool::new(false);
-    let ctx_slot: Mutex<Option<Arc<Ctx>>> = Mutex::new(None);
-    let results: Vec<Mutex<Option<Result<Out, String>>>> =
-        (1..n_shards).map(|_| Mutex::new(None)).collect();
-    let start = SpinBarrier::new(n_shards);
-    let end = SpinBarrier::new(n_shards);
-
     thread::scope(|scope| {
-        let work = &work;
+        let (work, fleet) = (&work, &fleet);
         let handles: Vec<_> = shards
             .enumerate()
             .map(|(idx, mut state)| {
-                let shard_id = idx + 1;
-                let (stop, ctx_slot, results, start, end) =
-                    (&stop, &ctx_slot, &results, &start, &end);
                 scope.spawn(move || {
-                    let mut round = 0usize;
                     loop {
-                        start.wait();
-                        if stop.load(Ordering::SeqCst) {
+                        fleet.start.wait();
+                        if fleet.stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let ctx = lock_ignore_poison(ctx_slot).clone();
+                        let ctx = lock_ignore_poison(&fleet.ctx).clone();
                         let out = match ctx {
                             Some(ctx) => catch_unwind(AssertUnwindSafe(|| {
-                                work(shard_id, round, ctx.as_ref(), &mut state)
+                                work(idx + 1, ctx.as_ref(), &mut state)
                             }))
                             .map_err(panic_message),
                             // Unreachable: the driver publishes the
                             // context before every `start`.
                             None => Err("round context missing".to_string()),
                         };
-                        *lock_ignore_poison(&results[idx]) = Some(out);
-                        end.wait();
-                        round += 1;
+                        *lock_ignore_poison(&fleet.results[idx]) = Some(out);
+                        fleet.end.wait();
                     }
                     state
                 })
             })
             .collect();
 
-        let mut fleet = FleetRelease {
-            stop: &stop,
-            start: &start,
+        let mut rounds = Rounds {
+            work,
+            state0,
+            fleet,
             released: false,
         };
-        let mut failure: Option<RoundsError<E>> = None;
-        'rounds: for round in 0..rounds {
-            let ctx = Arc::new(make_ctx(round));
-            *lock_ignore_poison(&ctx_slot) = Some(Arc::clone(&ctx));
-            start.wait();
-            let out0 = catch_unwind(AssertUnwindSafe(|| {
-                work(0, round, ctx.as_ref(), &mut state0)
-            }))
-            .map_err(panic_message);
-            end.wait();
-
-            let mut ordered = Vec::with_capacity(n_shards);
-            for (shard, out) in std::iter::once((0, Some(out0))).chain(
-                results
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, slot)| (idx + 1, lock_ignore_poison(slot).take())),
-            ) {
-                match out {
-                    Some(Ok(out)) => ordered.push(out),
-                    Some(Err(message)) => {
-                        failure = Some(RoundsError::Par(ParError::ShardPanic { shard, message }));
-                        break 'rounds;
-                    }
-                    // An empty slot after `end` means the worker never
-                    // ran its round — impossible under this protocol,
-                    // but fail closed rather than reduce garbage.
-                    None => {
-                        failure = Some(RoundsError::Par(ParError::WorkerLost { shard }));
-                        break 'rounds;
-                    }
-                }
-            }
-            if let Err(e) = apply(round, ordered) {
-                failure = Some(RoundsError::Apply(e));
-                break 'rounds;
-            }
-        }
+        let driven = drive(&mut rounds);
 
         // Wake the fleet one last time with the stop flag up; every
         // worker exits its loop and hands its state back, so join cannot
         // hang.
-        fleet.release();
+        rounds.release();
         let mut finals = Vec::with_capacity(n_shards);
-        finals.push(state0);
+        finals.extend(rounds.state0.take());
+        let mut lost = None;
         for (idx, handle) in handles.into_iter().enumerate() {
             match handle.join() {
                 Ok(state) => finals.push(state),
                 Err(payload) => {
-                    if failure.is_none() {
-                        failure = Some(RoundsError::Par(ParError::ShardPanic {
-                            shard: idx + 1,
-                            message: panic_message(payload),
-                        }));
-                    }
+                    lost.get_or_insert(ParError::ShardPanic {
+                        shard: idx + 1,
+                        message: panic_message(payload),
+                    });
                 }
             }
         }
-        match failure {
-            None => Ok(finals),
-            Some(e) => Err(e),
-        }
+        let r = driven?;
+        lost.map_or(Ok((r, finals)), |e| Err(e.into()))
     })
 }
 
@@ -365,17 +353,15 @@ mod tests {
                 .into_iter()
                 .map(|r| r.collect())
                 .collect();
-            let mut seen: Vec<Vec<usize>> = Vec::new();
-            let finals = run_rounds(
+            let (seen, finals) = run_rounds(
                 shards,
-                3,
-                |round| round * 100,
-                |_, _, ctx, state: &mut Vec<usize>| {
-                    state.iter().map(|i| i + ctx).collect::<Vec<_>>()
-                },
-                |_, outs: Vec<Vec<usize>>| -> Result<(), ()> {
-                    seen.push(outs.into_iter().flatten().collect());
-                    Ok(())
+                |_, ctx, state: &mut Vec<usize>| state.iter().map(|i| i + ctx).collect::<Vec<_>>(),
+                |rounds| {
+                    let mut seen: Vec<Vec<usize>> = Vec::new();
+                    for round in 0..3 {
+                        seen.push(rounds.run(round * 100)?.into_iter().flatten().collect());
+                    }
+                    Ok::<_, ParError>(seen)
                 },
             )
             .unwrap();
@@ -392,22 +378,36 @@ mod tests {
         }
     }
 
+    /// A driver error: the pool's own, or a refusal of the driver's.
+    #[derive(Debug, PartialEq)]
+    enum DriveError {
+        Par(ParError),
+        Refused(String),
+    }
+
+    impl From<ParError> for DriveError {
+        fn from(e: ParError) -> Self {
+            DriveError::Par(e)
+        }
+    }
+
     #[test]
     fn run_rounds_state_persists_across_rounds() {
         for workers in [1usize, 4] {
             let shards: Vec<u64> = vec![0; workers];
-            let finals = run_rounds(
+            let ((), finals) = run_rounds(
                 shards,
-                5,
-                |_| 1u64,
-                |_, _, ctx, state: &mut u64| {
+                |_, ctx, state: &mut u64| {
                     *state += ctx;
                     *state
                 },
-                |round, outs: Vec<u64>| -> Result<(), String> {
-                    for o in outs {
-                        if o != round as u64 + 1 {
-                            return Err(format!("state lost: {o} at round {round}"));
+                |rounds| {
+                    for round in 0..5 {
+                        for o in rounds.run(1u64)? {
+                            if o != round + 1 {
+                                let lost = format!("state lost: {o} at round {round}");
+                                return Err(DriveError::Refused(lost));
+                            }
                         }
                     }
                     Ok(())
@@ -424,17 +424,20 @@ mod tests {
             let shards: Vec<usize> = (0..workers).collect();
             let err = run_rounds(
                 shards,
-                4,
-                |round| round,
-                |shard, round, _, _state: &mut usize| {
+                |shard, &round, _state: &mut usize| {
                     assert!(!(round == 2 && shard == workers - 1), "shard blew up");
                     shard
                 },
-                |_, _outs: Vec<usize>| -> Result<(), ()> { Ok(()) },
+                |rounds| {
+                    for round in 0..4 {
+                        rounds.run(round)?;
+                    }
+                    Ok::<_, ParError>(())
+                },
             )
             .unwrap_err();
             match err {
-                RoundsError::Par(ParError::ShardPanic { shard, message }) => {
+                ParError::ShardPanic { shard, message } => {
                     assert_eq!(shard, workers - 1);
                     assert!(message.contains("shard blew up"));
                 }
@@ -447,48 +450,76 @@ mod tests {
     fn run_rounds_apply_error_aborts_cleanly() {
         let err = run_rounds(
             vec![(), (), ()],
-            10,
-            |_| (),
-            |shard, _, _, _: &mut ()| shard,
-            |round, _outs: Vec<usize>| {
-                if round == 1 {
-                    Err("apply refused")
-                } else {
-                    Ok(())
+            |shard, _: &(), _: &mut ()| shard,
+            |rounds| {
+                for round in 0..10 {
+                    rounds.run(())?;
+                    if round == 1 {
+                        return Err(DriveError::Refused("apply refused".into()));
+                    }
                 }
+                Ok(())
             },
         )
         .unwrap_err();
-        assert!(matches!(err, RoundsError::Apply("apply refused")));
+        assert!(matches!(err, DriveError::Refused(e) if e == "apply refused"));
     }
 
     #[test]
     fn run_rounds_zero_shards_and_zero_rounds() {
         let empty: Vec<u8> = Vec::new();
-        let mut applies = 0usize;
-        let finals = run_rounds(
+        let (applies, finals) = run_rounds(
             empty,
-            3,
-            |_| (),
-            |_, _, _, _: &mut u8| 0u8,
-            |_, outs: Vec<u8>| -> Result<(), ()> {
-                assert!(outs.is_empty());
-                applies += 1;
-                Ok(())
+            |_, _: &(), _: &mut u8| 0u8,
+            |rounds| {
+                let mut applies = 0usize;
+                for _ in 0..3 {
+                    let outs = rounds.run(())?;
+                    assert!(outs.is_empty());
+                    applies += 1;
+                }
+                Ok::<_, ParError>(applies)
             },
         )
         .unwrap();
         assert!(finals.is_empty());
         assert_eq!(applies, 3);
 
-        let finals = run_rounds(
+        let ((), finals) = run_rounds(
             vec![7u8],
-            0,
-            |_| (),
-            |_, _, _, s: &mut u8| *s,
-            |_, _: Vec<u8>| -> Result<(), ()> { Err(()) },
+            |_, _: &(), s: &mut u8| *s,
+            |_| Ok::<_, ParError>(()),
         )
         .unwrap();
         assert_eq!(finals, vec![7]);
+    }
+
+    #[test]
+    fn run_rounds_driver_panic_joins_every_worker() {
+        // The driver panics between rounds: the release guard must wake
+        // the parked workers with the stop flag up, so the unwind reaches
+        // the caller with every worker joined. Each worker records that
+        // it handed its state back.
+        let exited: Vec<Mutex<bool>> = (0..3).map(|_| Mutex::new(false)).collect();
+        struct Exit<'a>(&'a Mutex<bool>);
+        impl Drop for Exit<'_> {
+            fn drop(&mut self) {
+                *lock_ignore_poison(self.0) = true;
+            }
+        }
+        let shards: Vec<Exit<'_>> = exited.iter().map(Exit).collect();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            run_rounds(
+                shards,
+                |shard, _: &(), _: &mut Exit<'_>| shard,
+                |rounds| -> Result<(), ParError> {
+                    assert_eq!(rounds.run(()), Ok(vec![0, 1, 2]));
+                    panic!("driver blew up")
+                },
+            )
+        }));
+        let payload = unwound.err().map(panic_message);
+        assert_eq!(payload.as_deref(), Some("driver blew up"));
+        assert!(exited.iter().all(|e| *lock_ignore_poison(e)));
     }
 }

@@ -36,6 +36,7 @@
 //! (asserted here and by the tier-2 `integration_serving` suite).
 
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 use leime_chaos::{ChaosConfig, EdgeChaos, FaultModel, SharedHealth};
 use leime_offload::{QueuePair, SharedParams};
@@ -46,7 +47,7 @@ use leime_workload::{poisson_draw, Binomial};
 
 use leime::{
     decide_device, run_slot_loop, DecideCtx, DeviceRow, LeimeError, ModelKind, Scenario,
-    SlotQuants, SlotRecords, DEFAULT_EPOCH_LEN,
+    SlotQuants, DEFAULT_EPOCH_LEN,
 };
 
 use crate::{
@@ -274,26 +275,30 @@ impl ServingSystem {
         let flops: Vec<f64> = scenario.devices.iter().map(|d| d.flops).collect();
         let mut traffic_rng = leime_par::stream_rng(seed, TRAFFIC_STREAM);
         let consts = self.run_consts();
+        // The last Eq. 27 solve and the rate factor it solved for: the
+        // offered means, and so the solve, change only with the rate.
+        let mut solved: Option<(u64, Arc<SlotQuants>)> = None;
         // Fleet-level per-slot quantities: one traffic draw, the Eq. 27
         // edge shares against the offered means, and the edge's shared
         // fault health. The controller sees the flood-collapsed effective
         // first-exit rate (and the brownout-scaled edge).
-        let broadcast = |slot: usize| {
+        let mut broadcast = |slot: usize| {
             let start = SimTime::from_secs(slot as f64 * slot_len_s);
             let rate = traffic.rate_factor(start.as_secs(), &mut traffic_rng);
             let hard_f = traffic.hard_fraction(start.as_secs()).clamp(0.0, 1.0);
-            let means = scenario
-                .devices
-                .iter()
-                .map(|d| d.arrival_mean * rate)
-                .collect();
+            solved = solved.take().filter(|(bits, _)| *bits == rate.to_bits());
+            let (_, quants) = solved.get_or_insert_with(|| {
+                let means = scenario.devices.iter().map(|d| d.arrival_mean * rate);
+                let quants = SlotQuants::new(&flops, means.collect(), scenario.edge_flops);
+                (rate.to_bits(), Arc::new(quants))
+            });
             let shared = SharedParams {
                 sigma1: decide.shared.sigma1 * (1.0 - hard_f),
                 ..decide.shared
             };
             ServeSlot {
                 decide: DecideCtx { shared, ..decide },
-                quants: SlotQuants::new(&flops, means, scenario.edge_flops),
+                quants: Arc::clone(quants),
                 health: shared_lanes
                     .as_mut()
                     .map_or(SharedHealth::NOMINAL, |lanes| lanes.health(start)),
@@ -315,52 +320,51 @@ impl ServingSystem {
         // Per-slot fleet means of `[q, h, x]`, pushed to the registry
         // after the run.
         let mut means: [Vec<(f64, f64)>; 3] = Default::default();
-        let replay = |slot: usize, outs: SlotRecords<'_, Option<Served>>| {
-            let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
-            // Churned-out devices (`None`) have no arrivals and frozen queues.
-            for a in outs.filter_map(Option::as_ref) {
-                hard_requests += a.requests.hard;
-                // Judge each (class, tier) cell once against its class
-                // deadline: every request in it completes at its price.
-                // `record_n` allocates only to widen the class histogram's
-                // stored window, at most `NUM_BUCKETS` times per run.
-                for (ci, stat) in stats.iter_mut().enumerate() {
-                    for (&n, &tct) in a.requests.admitted[ci].iter().zip(&a.tct[ci]) {
-                        stat.tct_s.record_n(tct, n);
-                        if tct <= stat.deadline_s {
-                            stat.deadline_hits += n;
+        let queues = vec![QueuePair::new(); n];
+        let start = (&queues[..], &[][..], seed, chaos.is_some());
+        let ((), queues, _) = run_slot_loop(start, workers, step, |slot_loop| {
+            for epoch in leime_par::epoch_ranges(slots, epoch_len.get()) {
+                for (slot, outs) in slot_loop.run_epoch(epoch, &mut broadcast)? {
+                    let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
+                    // Churned-out devices (`None`) have no arrivals and
+                    // frozen queues.
+                    for a in outs.filter_map(Option::as_ref) {
+                        hard_requests += a.requests.hard;
+                        // Judge each (class, tier) cell once against its
+                        // class deadline: every request in it completes at
+                        // its price. `record_n` allocates only to widen the
+                        // class histogram's stored window, at most
+                        // `NUM_BUCKETS` times per run.
+                        for (ci, stat) in stats.iter_mut().enumerate() {
+                            let cells = a.requests.admitted[ci].iter().zip(&a.tct[ci]);
+                            for (&n, &tct) in cells {
+                                stat.tct_s.record_n(tct, n);
+                                if tct <= stat.deadline_s {
+                                    stat.deadline_hits += n;
+                                }
+                            }
+                            let admitted: u64 = a.requests.admitted[ci].iter().sum();
+                            stat.offered += a.requests.offered[ci];
+                            stat.admitted += admitted;
+                            stat.shed += a.requests.offered[ci] - admitted;
+                        }
+                        fault_slots += u64::from(a.fault);
+                        offload_sum += a.x;
+                        offload_slots += 1;
+                        q_sum += a.q;
+                        h_sum += a.h;
+                        x_sum += a.x;
+                    }
+                    if tel.is_some() {
+                        let t_s = SimTime::from_secs(slot as f64 * slot_len_s).as_secs();
+                        for (series, sum) in means.iter_mut().zip([q_sum, h_sum, x_sum]) {
+                            series.push((t_s, sum / n as f64));
                         }
                     }
-                    let admitted: u64 = a.requests.admitted[ci].iter().sum();
-                    stat.offered += a.requests.offered[ci];
-                    stat.admitted += admitted;
-                    stat.shed += a.requests.offered[ci] - admitted;
-                }
-                fault_slots += u64::from(a.fault);
-                offload_sum += a.x;
-                offload_slots += 1;
-                q_sum += a.q;
-                h_sum += a.h;
-                x_sum += a.x;
-            }
-            if tel.is_some() {
-                let t_s = SimTime::from_secs(slot as f64 * slot_len_s).as_secs();
-                for (series, sum) in means.iter_mut().zip([q_sum, h_sum, x_sum]) {
-                    series.push((t_s, sum / n as f64));
                 }
             }
             Ok(())
-        };
-
-        let queues = vec![QueuePair::new(); n];
-        let (queues, _) = run_slot_loop(
-            (&queues, &[], seed, chaos.is_some()),
-            &leime_par::epoch_ranges(slots, epoch_len.get()),
-            workers,
-            broadcast,
-            step,
-            replay,
-        )?;
+        })?;
         // The registry takes the per-slot series and the report's
         // per-class totals once, after the run.
         if let Some(tel) = tel {
@@ -553,7 +557,8 @@ impl RunConsts {
 struct ServeSlot<'a> {
     /// The decision inputs, σ₁ scaled by `1 − hard_f`.
     decide: DecideCtx<'a>,
-    quants: SlotQuants,
+    /// The Eq. 27 quantities of the slot's offered means.
+    quants: Arc<SlotQuants>,
     /// The edge's shared fault health at `start`.
     health: SharedHealth,
     start: SimTime,
