@@ -67,8 +67,8 @@ pub use report::{FaultStats, RunReport, TierCounts};
 pub use scenario::{ControllerKind, Scenario, WorkloadKind};
 pub use slotted::{
     decide_device, run_slot_loop, share_floor, BoundaryAction, DecideCtx, DecideMemo,
-    DeviceDecision, DeviceRow, Edges, SlotEpochs, SlotQuants, SlotRecords, SlottedSystem,
-    DEFAULT_EPOCH_LEN, SHARE_FLOOR,
+    DeviceDecision, DeviceRow, Edges, EpochRecords, SlotEpochs, SlotQuants, SlotRecords,
+    SlottedSystem, DEFAULT_EPOCH_LEN, SHARE_FLOOR,
 };
 
 /// Convenience alias for results returned by this crate.

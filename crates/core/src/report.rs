@@ -125,11 +125,36 @@ impl RunReport {
         self.tiers.third += u64::from(counts[2]);
     }
 
-    /// Records one device-slot's arrivals and the work actually drained
-    /// from its queues (device- plus edge-side), for the completion rate.
-    pub(crate) fn record_service(&mut self, arrived: u64, served: f64) {
+    /// Counts one device-slot's arrivals, for the completion rate.
+    pub(crate) fn record_arrivals(&mut self, arrived: u64) {
         self.arrived += arrived;
+    }
+
+    /// Adds the work one device-slot drained from its queues (device-
+    /// plus edge-side), for the completion rate. A float sum, so the
+    /// replay adds it in device order (DESIGN.md §15).
+    pub(crate) fn record_served(&mut self, served: f64) {
         self.served += served.max(0.0);
+    }
+
+    /// Merges a shard's partial of the order-free half (DESIGN.md §15):
+    /// its histogram (exact sums merge exactly), tier, fault and churn
+    /// tallies and arrivals. The partial's rows and served work are not
+    /// read; a shard leaves them empty, as they are order-pinned.
+    pub(crate) fn merge_tallies(&mut self, part: &RunReport) {
+        self.tct.merge(&part.tct);
+        let (t, f) = (&part.tiers, &part.faults);
+        self.tiers.first += t.first;
+        self.tiers.second += t.second;
+        self.tiers.third += t.third;
+        let mine = &mut self.faults;
+        mine.fault_slots += f.fault_slots;
+        mine.churn_slots += f.churn_slots;
+        mine.timeouts += f.timeouts;
+        mine.retries += f.retries;
+        mine.fallbacks += f.fallbacks;
+        mine.recoveries += f.recoveries;
+        self.arrived += part.arrived;
     }
 
     /// Counts one faulted device-slot.
@@ -471,14 +496,58 @@ mod tests {
     }
 
     #[test]
+    fn merged_partials_equal_one_report() {
+        // Device-slots folded into one report, or split over partials
+        // merged in either order, give the same bytes.
+        let slots: [(f64, u64, [u32; 3], bool); 5] = [
+            (0.25, 4, [1, 2, 1], false),
+            (1.5, 3, [3, 0, 0], true),
+            (1e-3, 9, [0, 0, 9], false),
+            (0.1, 0, [0, 0, 0], true),
+            (7.0, 2, [1, 1, 0], false),
+        ];
+        let fold = |r: &mut RunReport, &(tct, n, tiers, fault): &(f64, u64, [u32; 3], bool)| {
+            r.tct.record_n(tct, n);
+            r.record_tier_counts(tiers);
+            r.record_arrivals(n);
+            if fault {
+                r.record_fault_slot();
+                r.record_churn_slot();
+            }
+            r.record_degrade(&leime_offload::DegradeOutcome {
+                timed_out: fault,
+                ..leime_offload::DegradeOutcome::default()
+            });
+        };
+        let mut whole = RunReport::new();
+        slots.iter().for_each(|s| fold(&mut whole, s));
+        let (mut a, mut b) = (RunReport::new(), RunReport::new());
+        slots[..2].iter().for_each(|s| fold(&mut a, s));
+        slots[2..].iter().for_each(|s| fold(&mut b, s));
+        for parts in [[&a, &b], [&b, &a]] {
+            let mut merged = RunReport::new();
+            for part in parts {
+                merged.merge_tallies(part);
+            }
+            assert_eq!(
+                serde_json::to_string(&merged).unwrap(),
+                serde_json::to_string(&whole).unwrap()
+            );
+        }
+    }
+
+    #[test]
     fn completion_rate_is_served_over_arrived() {
         let mut r = RunReport::new();
-        r.record_service(10, 7.0);
-        r.record_service(10, 9.0);
+        for served in [7.0, 9.0] {
+            r.record_arrivals(10);
+            r.record_served(served);
+        }
         assert!((r.completion_rate() - 0.8).abs() < 1e-12);
         // Over-service (draining old backlog) saturates at 1.
         let mut full = RunReport::new();
-        full.record_service(5, 50.0);
+        full.record_arrivals(5);
+        full.record_served(50.0);
         assert_eq!(full.completion_rate().to_bits(), 1.0_f64.to_bits());
     }
 

@@ -54,13 +54,17 @@ pub const DEFAULT_EPOCH_LEN: NonZeroUsize = match NonZeroUsize::new(16) {
 /// per slot), so the per-slot device loop shards across workers via
 /// [`SlottedSystem::run_with_workers`]. Every device owns an RNG stream
 /// derived as `leime_par::stream_seed(seed, device_index)` — never a
-/// shared generator — and all report/telemetry recording is replayed on
-/// the driving thread in device order. Per-device state lives in
-/// struct-of-arrays shards (`ShardState`), workers process whole
-/// *epochs* of slots between barriers, and the driver's replay batches
-/// telemetry per slot ([`DecisionBatch`]) instead of locking per
-/// decision. The result: for any seed, any worker count and any epoch
-/// length, the run's [`RunReport`] and telemetry snapshot are
+/// shared generator. Per-device state lives in struct-of-arrays shards
+/// (`ShardState`), and workers process whole *epochs* of slots between
+/// barriers. What needs no order — the TCT histogram (its sum is
+/// exact) and the tier, fault, churn and arrival tallies — each shard
+/// folds into its own per-epoch partial, which the driver merges; what
+/// does — the slot rows' float sums, the served work, the queues and
+/// the decision points — the driving thread replays in device order,
+/// batching the decision telemetry per slot ([`DecisionBatch`]) instead
+/// of locking per decision. The registry is written on the driving
+/// thread only. The result: for any seed, any worker count and any
+/// epoch length, the run's [`RunReport`] and telemetry snapshot are
 /// byte-identical to the sequential run (enforced by the tier-2
 /// `integration_par` differential suite).
 #[derive(Debug)]
@@ -375,6 +379,32 @@ impl<'a, O> Iterator for SlotRecords<'a, O> {
     }
 }
 
+/// An epoch's records: each of its slots with the slot's records.
+pub struct EpochRecords<'a, O> {
+    /// Each shard's epoch of records.
+    outs: &'a [Vec<O>],
+    /// Each shard's device count.
+    lens: &'a [usize],
+    /// The epoch's first slot.
+    first: usize,
+    /// The slots not yet read.
+    slots: Range<usize>,
+}
+
+impl<'a, O> Iterator for EpochRecords<'a, O> {
+    type Item = (usize, SlotRecords<'a, O>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let slot = self.slots.next()?;
+        let records = SlotRecords {
+            shards: self.outs.iter().zip(self.lens),
+            rel: slot - self.first,
+            cur: [].iter(),
+        };
+        Some((slot, records))
+    }
+}
+
 /// Where a run's devices sit (DESIGN.md §16). Device `i` is served by
 /// edge `assignment[i]` of `count`, and the horizon splits into
 /// intervals of `interval` slots (0: one interval). After every interval
@@ -409,10 +439,13 @@ pub struct Edges<'a> {
 pub type BoundaryAction<'a> =
     dyn FnMut(usize, &dyn Fn(usize) -> bool, &mut [usize], &[QueuePair]) + 'a;
 
-/// Everything one device-slot produces, replayed into the report and
-/// telemetry in device order by the driving thread. Plain-old-data on
-/// purpose: a worker's whole epoch of outputs lives in one flat vector
-/// with no per-device-slot heap allocation (S6).
+/// What the driving thread replays of one device-slot, in device
+/// order: only the inputs of the order-pinned sums (DESIGN.md §15) and
+/// the queues after the slot. The order-free half (histogram, tier,
+/// fault and churn tallies, arrivals) is folded on the worker into the
+/// shard's partial ([`device_slot`]). Plain-old-data on purpose: a
+/// worker's whole epoch of records lives in one flat vector with no
+/// per-device-slot heap allocation (S6).
 #[derive(Debug)]
 enum DeviceSlotOut {
     /// Churned out: absent this slot, frozen queues.
@@ -423,27 +456,15 @@ enum DeviceSlotOut {
 
 #[derive(Debug)]
 struct ActiveOut {
-    fault: bool,
-    /// The device queue `Q_i(t)` at the slot start.
-    q: f64,
-    /// The edge queue `H_i(t)` at the slot start.
-    h: f64,
-    /// The degradation ladder's outcome; `outcome.x` is the applied ratio.
-    outcome: DegradeOutcome,
-    arrivals: u64,
-    /// End-to-end completion time per task this slot.
-    per_task: f64,
-    /// Fleet-cost contribution (`per_task * arrivals`).
+    /// The applied offloading ratio.
+    x: f64,
+    /// Σ completion time of the slot's cohort (`per_task * arrivals`).
     total: f64,
-    /// Tasks per exit tier (first/second/third). Tier tallies are
-    /// additive, so counts replay to the exact state the historical
-    /// per-task draw-order recording produced — without a `Vec` per
-    /// device-slot.
-    tier_counts: [u32; 3],
     /// Work drained from the device+edge queues this slot.
     served: f64,
     /// The queue pair after this slot.
     queue: QueuePair,
+    arrivals: u64,
 }
 
 impl SlottedSystem {
@@ -504,10 +525,12 @@ impl SlottedSystem {
     ///   — the run's fault and degradation totals
     ///   ([`RunReport::fault_stats`]), added once per run.
     ///
-    /// All series are stamped with simulated slot-start time. Recording
-    /// happens on the driving thread in device order even under
-    /// [`SlottedSystem::run_with_workers`], so snapshots stay
-    /// byte-identical at every worker count.
+    /// All series are stamped with simulated slot-start time. Under
+    /// [`SlottedSystem::run_with_workers`] the workers fold the
+    /// histogram's samples and the fault counts into per-shard partials,
+    /// which merge to the same bytes in any order, and the driving
+    /// thread replays the series in device order and writes the
+    /// registry, so snapshots stay byte-identical at every worker count.
     pub fn attach_registry(&mut self, registry: &Registry, prefix: &str) {
         self.telemetry = Some(SlotTelemetry::attach(registry, prefix));
     }
@@ -580,8 +603,11 @@ impl SlottedSystem {
     /// (arrival means, each edge's KKT shares — Eq. 27) on the driver,
     /// each edge's shared fault health (its edge and all-device lanes),
     /// the per-device step `device_slot` on the workers under its edge's
-    /// faults, and the replay of each slot, in device order, into
-    /// its edge's report and telemetry. Epochs end at interval ends, so
+    /// faults, folding the order-free half into each shard's per-edge
+    /// partial, and on the driver the merge of those partials and the
+    /// replay of each slot, in device order, into its edge's slot rows,
+    /// served work, queues and decision series (sized once per interval
+    /// for the rest of the horizon). Epochs end at interval ends, so
     /// the boundary runs between epochs on the queues the replay has
     /// folded, and the next interval's broadcasts see its assignment.
     /// Each edge's per-slot registry series are written from its reports
@@ -703,15 +729,22 @@ impl SlottedSystem {
             }
             (start, Arc::clone(edge_of), quants, health)
         };
-        let step =
-            |(start, edge_of, quants, health): &Broadcast, slot: usize, row: DeviceRow<'_>| {
-                let e = edge_of[row.i];
-                device_slot(&runs[e], quants, &health[e], *start, slot as u64, row)
-            };
+        // Each shard's epoch partial holds one report per edge, sized on
+        // the shard's first device-slot of the epoch.
+        let step = |(start, edge_of, quants, health): &Broadcast,
+                    slot: usize,
+                    row: DeviceRow<'_>,
+                    parts: &mut Vec<RunReport>| {
+            let e = edge_of[row.i];
+            if parts.is_empty() {
+                parts.resize_with(n_edges, RunReport::new);
+            }
+            let part = &mut parts[e];
+            device_slot(&runs[e], quants, &health[e], *start, slot as u64, row, part)
+        };
 
         // Driver-side replay state, reused across slots so steady-state
-        // flushing allocates nothing (the TCT histograms' windows aside:
-        // each grows at most `NUM_BUCKETS` times per run).
+        // flushing allocates nothing.
         let mut tels: Vec<Option<SlotTelemetry>> = vec![None; n_edges];
         tels[0].clone_from(&self.telemetry);
         let mut batches: Vec<DecisionBatch> = (0..n_edges).map(|_| DecisionBatch::new()).collect();
@@ -738,24 +771,40 @@ impl SlottedSystem {
                         ));
                     }
                 }
+                // The decision series get their remaining points at most:
+                // each edge keeping its devices to the horizon. Sized once,
+                // they never copy on growth.
+                if record_decisions {
+                    for (tel, &size) in tels.iter().zip(&size) {
+                        if let Some(tel) = tel {
+                            tel.ctrl.reserve((slots - iv.start) * size);
+                        }
+                    }
+                }
                 let mut report = vec![RunReport::new(); n_edges];
                 for epoch in leime_par::epoch_ranges(iv.len(), epoch_len.get()) {
                     let epoch = iv.start + epoch.start..iv.start + epoch.end;
-                    let records =
+                    let (parts, records) =
                         slot_loop.run_epoch(epoch, |slot| broadcast(slot, &view, &mut lanes))?;
+                    for part in parts {
+                        for (report, part) in report.iter_mut().zip(part) {
+                            report.merge_tallies(part);
+                        }
+                    }
                     for (slot, outs) in records {
                         let t = SimTime::from_secs(slot as f64 * scenario.slot_len_s);
                         rows.fill(SlotRow::new(t));
                         for (i, out) in outs.enumerate() {
-                            let e = assignment[i];
-                            apply_out(
-                                &mut report[e],
-                                &mut rows[e],
-                                record_decisions,
-                                &mut batches[e],
-                                out,
-                            );
                             if let DeviceSlotOut::Active(a) = out {
+                                let e = assignment[i];
+                                apply_out(
+                                    &mut report[e],
+                                    &mut rows[e],
+                                    record_decisions,
+                                    &mut batches[e],
+                                    &queues[i],
+                                    a,
+                                );
                                 queues[i] = a.queue;
                             }
                         }
@@ -774,7 +823,8 @@ impl SlottedSystem {
                     for (up, lanes) in up.iter_mut().zip(&mut lanes) {
                         *up = lanes.as_mut().is_none_or(|l| l.health(t).edge.up);
                     }
-                    boundary(iv.end, &|e| up[e], assignment, &queues);
+                    // An edge that does not exist is not up.
+                    boundary(iv.end, &|e| up.get(e) == Some(&true), assignment, &queues);
                     check_assignment(assignment, n, n_edges)?;
                     if view.0[..] != assignment[..] {
                         view = view_of(assignment);
@@ -823,13 +873,15 @@ fn check_assignment(assignment: &[usize], n: usize, n_edges: usize) -> Result<()
 ///
 /// A *stage* is the caller's code around it:
 ///
-/// * `step(broadcast, slot, row)` — one device-slot on a worker,
-///   touching only that device's row, returning its record;
+/// * `step(broadcast, slot, row, part)` — one device-slot on a worker,
+///   touching only that device's row and its shard's epoch partial
+///   `part` (a fresh `P::default()` per shard and epoch), into which it
+///   folds what needs no order; it returns the record of what does;
 /// * `drive(slot_loop)` — the stage's own loop on the caller's thread.
 ///   It runs each epoch with [`SlotEpochs::run_epoch`], which builds the
 ///   epoch's per-slot broadcasts in slot order (so they may draw from a
-///   driver-owned stream), and replays the records it gets back, slot by
-///   slot in device order.
+///   driver-owned stream), merges the partials it gets back, and
+///   replays the records, slot by slot in device order.
 ///
 /// An epoch's broadcasts are built before its steps run, so they never
 /// see the epoch's device state; they may read state that earlier
@@ -837,28 +889,33 @@ fn check_assignment(assignment: &[usize], n: usize, n_edges: usize) -> Result<()
 /// from `stream_rng(seed, i)`, so the replayed records and the returned
 /// final `(queues, mmpp)` are the sequence a sequential loop produces:
 /// byte-identical for every worker count and every epoch list that
-/// covers the same slots.
+/// covers the same slots. The partials are not: how devices fall into
+/// shards and epochs changes them, so they may only hold what merges
+/// to the same bytes in any grouping (counts, and exact sums such as a
+/// histogram's; DESIGN.md §15).
 ///
 /// # Errors
 ///
 /// Propagates the first `step` or `drive` error, and returns
 /// [`crate::LeimeError::Parallel`] if a worker shard fails (a caught
 /// panic surfaces as a typed error, never a hang).
-pub fn run_slot_loop<B, O, R>(
+pub fn run_slot_loop<B, O, P, R>(
     (queues, mmpp, seed, chaos): (&[QueuePair], &[Mmpp], u64, bool),
     workers: NonZeroUsize,
-    step: impl Fn(&B, usize, DeviceRow<'_>) -> Result<O> + Sync,
-    drive: impl FnOnce(&mut SlotEpochs<'_, '_, B, O>) -> Result<R>,
+    step: impl Fn(&B, usize, DeviceRow<'_>, &mut P) -> Result<O> + Sync,
+    drive: impl FnOnce(&mut SlotEpochs<'_, '_, B, O, P>) -> Result<R>,
 ) -> Result<(R, Vec<QueuePair>, Vec<Mmpp>)>
 where
     B: Send + Sync,
     O: Send,
+    P: Default + Send,
 {
     let shards = build_shards(queues, mmpp, seed, chaos, workers.get());
     let lens: Vec<usize> = shards.iter().map(ShardState::len).collect();
 
     let work = |_: usize, (first, per_slot): &Epoch<B>, sh: &mut ShardState| {
         let mut outs = Vec::with_capacity(per_slot.len() * sh.len());
+        let mut part = P::default();
         for (slot, b) in (*first..).zip(per_slot) {
             for k in 0..sh.len() {
                 let row = DeviceRow {
@@ -870,10 +927,10 @@ where
                     lanes: sh.lanes.get_mut(k),
                     memo: &mut sh.memo,
                 };
-                outs.push(step(b, slot, row)?);
+                outs.push(step(b, slot, row, &mut part)?);
             }
         }
-        Ok(outs)
+        Ok((outs, part))
     };
 
     let (r, finals) = leime_par::run_rounds(shards, work, |rounds| {
@@ -881,6 +938,7 @@ where
             rounds,
             lens: &lens,
             outs: Vec::new(),
+            parts: Vec::new(),
         })
     })?;
     // Shards run in device order.
@@ -896,19 +954,25 @@ where
 /// its slots' broadcast.
 type Epoch<B> = (usize, Vec<B>);
 
+/// A shard's epoch: its records and its partial.
+type ShardEpoch<O, P> = Result<(Vec<O>, P)>;
+
 /// The driver's handle on [`run_slot_loop`]'s epochs.
-pub struct SlotEpochs<'r, 'p, B, O> {
-    rounds: &'r mut leime_par::Rounds<'p, ShardState, Epoch<B>, Result<Vec<O>>>,
+pub struct SlotEpochs<'r, 'p, B, O, P> {
+    rounds: &'r mut leime_par::Rounds<'p, ShardState, Epoch<B>, ShardEpoch<O, P>>,
     /// Each shard's device count.
     lens: &'r [usize],
     /// The last epoch's records, per shard.
     outs: Vec<Vec<O>>,
+    /// The last epoch's partials, per shard.
+    parts: Vec<P>,
 }
 
-impl<B, O> SlotEpochs<'_, '_, B, O> {
+impl<B, O, P> SlotEpochs<'_, '_, B, O, P> {
     /// Runs the slots of `slots` on every device, slot `t` under the
     /// broadcast `broadcast(t)`, built in slot order before any step
-    /// runs, and returns each slot with its records in device order.
+    /// runs. Returns the shards' epoch partials in shard order, and
+    /// each slot with its records in device order.
     ///
     /// # Errors
     ///
@@ -918,24 +982,23 @@ impl<B, O> SlotEpochs<'_, '_, B, O> {
         &mut self,
         slots: Range<usize>,
         broadcast: impl FnMut(usize) -> B,
-    ) -> Result<impl Iterator<Item = (usize, SlotRecords<'_, O>)>> {
-        let (first, len) = (slots.start, slots.len());
+    ) -> Result<(&[P], EpochRecords<'_, O>)> {
         // The last epoch's records go before this epoch's are made.
         self.outs.clear();
-        let shard_outs = self.rounds.run((first, slots.map(broadcast).collect()))?;
-        for outs in shard_outs {
-            self.outs.push(outs?);
+        self.parts.clear();
+        let (first, end) = (slots.start, slots.end);
+        for out in self.rounds.run((first, slots.map(broadcast).collect()))? {
+            let (outs, part) = out?;
+            self.outs.push(outs);
+            self.parts.push(part);
         }
-        let (outs, lens) = (&self.outs, self.lens);
-        Ok((0..len).map(move |rel| {
-            let shards = outs.iter().zip(lens);
-            let records = SlotRecords {
-                shards,
-                rel,
-                cur: [].iter(),
-            };
-            (first + rel, records)
-        }))
+        let records = EpochRecords {
+            outs: &self.outs,
+            lens: self.lens,
+            first,
+            slots: first..end,
+        };
+        Ok((&self.parts, records))
     }
 }
 
@@ -1152,8 +1215,12 @@ pub fn decide_device(
 /// the arrival draw, the realized slot cost and the queue recursion —
 /// touching nothing but this device's row of the shard. The slotted
 /// stage's per-device step: allocation-free (S6) and safe to run
-/// concurrently across devices; all recording is deferred to
-/// [`apply_out`] on the driving thread.
+/// concurrently across devices. It folds the order-free results into
+/// `part`, its edge's share of the shard's epoch: the cohort's
+/// completion times into the histogram through one O(1) `record_n`
+/// (its sum is exact), and the tier, fault, churn and degradation
+/// tallies and the arrivals, all additive. What needs device order
+/// goes back in the record, for [`apply_out`] on the driving thread.
 fn device_slot(
     run: &RunCtx<'_>,
     quants: &SlotQuants,
@@ -1161,8 +1228,10 @@ fn device_slot(
     slot_start: SimTime,
     t_slot: u64,
     mut row: DeviceRow<'_>,
+    part: &mut RunReport,
 ) -> Result<DeviceSlotOut> {
     let Some(d) = decide_device(&run.decide, quants, shared, t_slot, slot_start, &mut row) else {
+        part.record_churn_slot();
         return Ok(DeviceSlotOut::Churned);
     };
     let DeviceRow {
@@ -1177,7 +1246,7 @@ fn device_slot(
 
     // Realized per-slot cost with the actual arrival count.
     let cost = d.cost.with_arrival_mean(arrivals as f64);
-    let (per_task, total, tier_counts) = if arrivals > 0 {
+    let total = if arrivals > 0 {
         let first_block = cost.y(x);
         let tail = if degraded_local {
             0.0
@@ -1185,7 +1254,6 @@ fn device_slot(
             tail_cost(run, &cost, x, arrivals as f64)
         };
         let total = first_block + tail;
-        let per_task = total / arrivals as f64;
         let mut tier_counts = [0u32; 3];
         for _ in 0..arrivals {
             let tier = if degraded_local {
@@ -1195,10 +1263,17 @@ fn device_slot(
             };
             tier_counts[tier.min(2)] += 1;
         }
-        (per_task, total, tier_counts)
+        part.tct.record_n(total / arrivals as f64, arrivals);
+        part.record_tier_counts(tier_counts);
+        total
     } else {
-        (0.0, 0.0, [0u32; 3])
+        0.0
     };
+    if d.fault {
+        part.record_fault_slot();
+    }
+    part.record_degrade(&d.outcome);
+    part.record_arrivals(arrivals);
 
     // Queue recursions (Eq. 10–11). A downed edge serves nothing (zero
     // H-quota); its backlog waits out the fault.
@@ -1209,58 +1284,43 @@ fn device_slot(
     let served = (cost.q + a - queue.q()) + (cost.h + d_off - queue.h());
 
     Ok(DeviceSlotOut::Active(ActiveOut {
-        fault: d.fault,
-        q: cost.q,
-        h: cost.h,
-        outcome: d.outcome,
-        arrivals,
-        per_task,
+        x,
         total,
-        tier_counts,
         served,
         queue: *queue,
+        arrivals,
     }))
 }
 
-/// Replays one device-slot's recordings into the run totals and its
-/// slot's `row`: the cohort's completion times go into the histogram
-/// through one O(1) `record_n` (its sum is exact), tier tallies are
-/// additive, and recorded decisions buffer into `batch` (flushed once
-/// per slot by the caller), stamped with the slot start. Allocates
-/// only when a completion time lands outside the histogram's stored
-/// window, which grows at most `NUM_BUCKETS` times per run.
+/// Replays one active device-slot on the driving thread, in device
+/// order: the order-pinned float sums of its slot's `row` (Σ total,
+/// Σ x, and Σ Q, Σ H at the slot start, read from `start`, the driver's
+/// copy of the device's queues), its counts, the report's served work
+/// and, when `replay_decisions`, the queues the decision observed into
+/// `batch` (flushed once per slot by the caller), stamped with the slot
+/// start. The order-free half arrives in the shards' partials
+/// ([`device_slot`]). Allocation-free.
 fn apply_out(
     report: &mut RunReport,
     row: &mut SlotRow,
     replay_decisions: bool,
     batch: &mut DecisionBatch,
-    out: &DeviceSlotOut,
+    start: &QueuePair,
+    a: &ActiveOut,
 ) {
-    let a = match out {
-        DeviceSlotOut::Churned => {
-            report.record_churn_slot();
-            return;
-        }
-        DeviceSlotOut::Active(a) => a,
-    };
-    if a.fault {
-        report.record_fault_slot();
-    }
+    let (q, h) = (start.q(), start.h());
     if replay_decisions {
-        batch.record_decision(row.t.as_secs(), a.q, a.h);
+        batch.record_decision(row.t.as_secs(), q, h);
     }
-    report.record_degrade(&a.outcome);
     if a.arrivals > 0 {
-        report.tct.record_n(a.per_task, a.arrivals);
-        report.record_tier_counts(a.tier_counts);
         row.total += a.total;
         row.tasks += a.arrivals;
     }
     row.active += 1;
-    row.q += a.q;
-    row.h += a.h;
-    row.x += a.outcome.x;
-    report.record_service(a.arrivals, a.served);
+    row.q += q;
+    row.h += h;
+    row.x += a.x;
+    report.record_served(a.served);
 }
 
 #[cfg(test)]
@@ -1403,7 +1463,9 @@ mod tests {
 
     /// Runs a toy stage on [`run_slot_loop`] over `n` devices: the loop's
     /// result (the final queue count) and every record the replay saw,
-    /// each checked against the slot it was replayed under.
+    /// each checked against the slot it was replayed under. Each shard's
+    /// partial counts its device-slots and sums their device indices;
+    /// per epoch, the partials must cover every device-slot once.
     fn toy_loop(
         n: usize,
         epochs: &[Range<usize>],
@@ -1413,9 +1475,18 @@ mod tests {
         let mut seen = Vec::new();
         let queues = vec![QueuePair::new(); n];
         let workers = NonZeroUsize::new(workers).unwrap();
-        let lanes = run_slot_loop((&queues, &[], 1, false), workers, step, |slot_loop| {
+        let counted = |b: &(), slot, row: DeviceRow<'_>, part: &mut (usize, usize)| {
+            *part = (part.0 + 1, part.1 + row.i);
+            step(b, slot, row)
+        };
+        let start = (&queues[..], &[][..], 1, false);
+        let lanes = run_slot_loop(start, workers, counted, |slot_loop| {
             for epoch in epochs {
-                for (slot, outs) in slot_loop.run_epoch(epoch.clone(), |_| ())? {
+                let (parts, records) = slot_loop.run_epoch(epoch.clone(), |_| ())?;
+                let covered = parts.iter().fold((0, 0), |a, p| (a.0 + p.0, a.1 + p.1));
+                assert_eq!(covered, (n * epoch.len(), n * (n - 1) / 2 * epoch.len()));
+                assert!(parts.len() <= workers.get(), "a partial per shard");
+                for (slot, outs) in records {
                     for &rec in outs {
                         assert_eq!(rec.0, slot, "record under the wrong call");
                         seen.push(rec);
@@ -1498,6 +1569,34 @@ mod tests {
             let want = LeimeError::Config("device 2 assigned to edge 7 of 2".into());
             assert_eq!(err.map(|r| r.len()), Err(want), "at {workers} workers");
             assert_eq!(calls, 1, "the run went on past the bad boundary");
+        }
+    }
+
+    #[test]
+    fn boundary_asking_about_an_edge_that_does_not_exist_gets_false() {
+        // A boundary may ask about any edge: past `count` the answer is
+        // "not up", on the driver thread, and the run goes on.
+        let s = Scenario::raspberry_pi_cluster(ModelKind::SqueezeNet, 4, 5.0);
+        let dep = s.deploy(ExitStrategy::Leime).unwrap();
+        for workers in [1, 2] {
+            let mut sys = SlottedSystem::new(s.clone(), dep.clone()).unwrap();
+            let mut answers = Vec::new();
+            let mut boundary =
+                |_: usize, up: &dyn Fn(usize) -> bool, _: &mut [usize], _: &[QueuePair]| {
+                    answers.push([up(0), up(1), up(2), up(usize::MAX)]);
+                };
+            let edges = Edges {
+                count: 2,
+                chaos: |chaos, _| chaos.cloned(),
+                assignment: &mut [0, 1, 0, 1],
+                interval: 5,
+                registry: None,
+                boundary: &mut boundary,
+            };
+            let workers = NonZeroUsize::new(workers).unwrap();
+            let reports = sys.run_on_edges(20, 3, workers, DEFAULT_EPOCH_LEN, edges);
+            assert_eq!(reports.map(|r| r.len()), Ok(4), "at {workers} workers");
+            assert_eq!(answers, vec![[true, true, false, false]; 3]);
         }
     }
 

@@ -5,10 +5,13 @@
 //! records a controller's decisions into — the device queue `Q_i(t)`
 //! and the edge queue `H_i(t)` each decision observed. Controllers
 //! record nothing themselves ([`crate::OffloadController::decide`] is
-//! pure): the driver buffers each recorded decision, stamped with its
-//! slot-start time, into a [`DecisionBatch`] and flushes the batch once
-//! per slot. Several devices share one recorder, so each series holds
-//! one point per device per slot.
+//! pure). The points are in device order, so they are among the little
+//! a sharded simulator still replays on its driving thread: the driver
+//! buffers each recorded decision, stamped with its slot-start time,
+//! into a [`DecisionBatch`] and flushes the batch once per slot, into
+//! series it can size up front ([`ControllerTelemetry::reserve`]).
+//! Several devices share one recorder, so each series holds one point
+//! per device per slot.
 
 use leime_telemetry::Registry;
 
@@ -33,6 +36,14 @@ impl ControllerTelemetry {
             queue_q,
             queue_h,
         }
+    }
+
+    /// Makes room for `points` more decisions in both series
+    /// ([`Registry::reserve_series`]), so a driver that knows how many
+    /// decisions it will flush sizes them once.
+    pub fn reserve(&self, points: usize) {
+        self.registry.reserve_series(&self.queue_q, points);
+        self.registry.reserve_series(&self.queue_h, points);
     }
 
     /// Flushes a [`DecisionBatch`] accumulated by a driving simulator:

@@ -29,11 +29,14 @@
 //! ## Determinism
 //!
 //! Each device draws from its own stream (`stream_seed(seed, i)`) on
-//! the loop's workers; the driver draws the per-slot rate factor from
-//! one reserved fleet-level traffic stream ([`crate::TRAFFIC_STREAM`])
-//! and replays the recordings in slot then device order. Runs at a
-//! seed are byte-identical, at any worker count and epoch length
-//! (asserted here and by the tier-2 `integration_serving` suite).
+//! the loop's workers, which fold every count and class histogram into
+//! per-shard partials (exact, so any merge order gives the same bytes);
+//! the driver draws the per-slot rate factor from one reserved
+//! fleet-level traffic stream ([`crate::TRAFFIC_STREAM`]), merges the
+//! partials and replays the float sums (offloading ratio, per-slot
+//! queue and ratio means) in slot then device order. Runs at a seed are
+//! byte-identical, at any worker count and epoch length (asserted here
+//! and by the tier-2 `integration_serving` suite).
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -165,6 +168,7 @@ impl ServingSystem {
         let std_mu1 = plan.standard().mu[0].max(f64::EPSILON);
         RunConsts {
             weights: SlaClass::ALL.map(|c| plan.for_class(c).mu[0] / std_mu1),
+            deadlines: SlaClass::ALL.map(|c| self.config.sla.deadline_for(c)),
             mix: Trinomial::new(self.config.sla.mix),
             exits: SlaClass::ALL.map(|c| {
                 let sigma = plan.for_class(c).sigma;
@@ -307,9 +311,10 @@ impl ServingSystem {
             }
         };
 
-        let step = |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>| {
-            Ok(self.serve_device(ctx, &consts, slot as u64, row))
-        };
+        let step =
+            |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>, tally: &mut ServeTally| {
+                Ok(self.serve_device(ctx, &consts, slot as u64, row, tally))
+            };
 
         let sla = &self.config.sla;
         let mut stats: [ClassStats; 3] =
@@ -324,33 +329,25 @@ impl ServingSystem {
         let start = (&queues[..], &[][..], seed, chaos.is_some());
         let ((), queues, _) = run_slot_loop(start, workers, step, |slot_loop| {
             for epoch in leime_par::epoch_ranges(slots, epoch_len.get()) {
-                for (slot, outs) in slot_loop.run_epoch(epoch, &mut broadcast)? {
+                let (tallies, records) = slot_loop.run_epoch(epoch, &mut broadcast)?;
+                for tally in tallies {
+                    for (stat, class) in stats.iter_mut().zip(&tally.classes) {
+                        stat.tct_s.merge(&class.tct_s);
+                        stat.deadline_hits += class.deadline_hits;
+                        stat.offered += class.offered;
+                        stat.admitted += class.admitted;
+                        stat.shed += class.shed;
+                    }
+                    hard_requests += tally.hard_requests;
+                    fault_slots += tally.fault_slots;
+                    offload_slots += tally.offload_slots;
+                }
+                for (slot, outs) in records {
                     let (mut q_sum, mut h_sum, mut x_sum) = (0.0f64, 0.0f64, 0.0f64);
                     // Churned-out devices (`None`) have no arrivals and
                     // frozen queues.
                     for a in outs.filter_map(Option::as_ref) {
-                        hard_requests += a.requests.hard;
-                        // Judge each (class, tier) cell once against its
-                        // class deadline: every request in it completes at
-                        // its price. `record_n` allocates only to widen the
-                        // class histogram's stored window, at most
-                        // `NUM_BUCKETS` times per run.
-                        for (ci, stat) in stats.iter_mut().enumerate() {
-                            let cells = a.requests.admitted[ci].iter().zip(&a.tct[ci]);
-                            for (&n, &tct) in cells {
-                                stat.tct_s.record_n(tct, n);
-                                if tct <= stat.deadline_s {
-                                    stat.deadline_hits += n;
-                                }
-                            }
-                            let admitted: u64 = a.requests.admitted[ci].iter().sum();
-                            stat.offered += a.requests.offered[ci];
-                            stat.admitted += admitted;
-                            stat.shed += a.requests.offered[ci] - admitted;
-                        }
-                        fault_slots += u64::from(a.fault);
                         offload_sum += a.x;
-                        offload_slots += 1;
                         q_sum += a.q;
                         h_sum += a.h;
                         x_sum += a.x;
@@ -397,16 +394,18 @@ impl ServingSystem {
     /// The serving stage's per-device step: the decision
     /// ([`decide_device`]), the offered count, the count-level draws of
     /// [`RunConsts::draw_requests`] around admission, and the Eq. 10–11
-    /// queue step, all from the device's own stream. Returns the
-    /// admitted counts and the price of an admitted request per (class,
-    /// exit tier) cell; `None` for a churned-out device. Allocation-free
-    /// (S6).
+    /// queue step, all from the device's own stream. It prices an
+    /// admitted request per (class, exit tier) cell and folds the counts
+    /// and prices into the shard's `tally`; it returns what the driver
+    /// sums in device order, or `None` for a churned-out device.
+    /// Allocation-free (S6).
     fn serve_device(
         &self,
         ctx: &ServeSlot<'_>,
         consts: &RunConsts,
         slot: u64,
         mut row: DeviceRow<'_>,
+        tally: &mut ServeTally,
     ) -> Option<Served> {
         let weights = consts.weights;
         let d = decide_device(
@@ -470,13 +469,13 @@ impl ServingSystem {
                     + plan_c.mu[1] / f_e2);
             [first_block, second, second + consts.cloud_legs[c.index()]]
         });
+        tally.fold_requests(&requests, &tct, &consts.deadlines);
+        tally.fault_slots += u64::from(d.fault || d.degraded_local);
+        tally.offload_slots += 1;
         Some(Served {
-            fault: d.fault || d.degraded_local,
             x,
             q: cost.q,
             h: cost.h,
-            requests,
-            tct,
         })
     }
 }
@@ -489,6 +488,8 @@ impl ServingSystem {
 #[derive(Debug)]
 struct RunConsts {
     weights: [f64; 3],
+    /// Per class, the deadline its requests are judged against.
+    deadlines: [f64; 3],
     /// The class split of offered requests, `~ Multinomial(·, mix)`.
     mix: Trinomial,
     /// Per class, the exit-tier split of admitted easy requests,
@@ -567,19 +568,64 @@ struct ServeSlot<'a> {
     hard: &'a Binomial,
 }
 
-/// One served device-slot, as the driver replays it.
+/// One served device-slot, as the driver replays it in device order:
+/// the inputs of its float sums (DESIGN.md §15).
 #[derive(Debug)]
 struct Served {
-    /// The link or edge was not nominal, or degraded service was in
-    /// effect.
-    fault: bool,
     /// The applied offloading ratio.
     x: f64,
+    /// The device queue at the slot start.
     q: f64,
+    /// The edge queue at the slot start.
     h: f64,
-    requests: Requests,
-    /// An admitted request's completion time by class and exit tier.
-    tct: [[f64; 3]; 3],
+}
+
+/// A shard's order-free share of one epoch (DESIGN.md §15): every
+/// count and histogram of the report, which the driver merges in any
+/// order (a histogram's sum is exact).
+#[derive(Debug, Default)]
+struct ServeTally {
+    /// Per class, in [`SlaClass::ALL`] order.
+    classes: [ClassTally; 3],
+    /// Offered requests that are hard samples.
+    hard_requests: u64,
+    /// Served device-slots with a fault or degraded service.
+    fault_slots: u64,
+    /// Served (not churned-out) device-slots.
+    offload_slots: u64,
+}
+
+/// One class's share of a [`ServeTally`]: the [`ClassStats`] fields a
+/// run accumulates.
+#[derive(Debug, Default)]
+struct ClassTally {
+    tct_s: Buckets,
+    deadline_hits: u64,
+    offered: u64,
+    admitted: u64,
+    shed: u64,
+}
+
+impl ServeTally {
+    /// Folds one served device-slot's requests in: each (class, tier)
+    /// cell, priced `tct`, is judged once against its class's deadline,
+    /// since every request in it completes at that price. `record_n`
+    /// allocates only to widen a class histogram's stored window.
+    fn fold_requests(&mut self, requests: &Requests, tct: &[[f64; 3]; 3], deadlines: &[f64; 3]) {
+        self.hard_requests += requests.hard;
+        for (ci, class) in self.classes.iter_mut().enumerate() {
+            for (&n, &tct) in requests.admitted[ci].iter().zip(&tct[ci]) {
+                class.tct_s.record_n(tct, n);
+                if tct <= deadlines[ci] {
+                    class.deadline_hits += n;
+                }
+            }
+            let admitted: u64 = requests.admitted[ci].iter().sum();
+            class.offered += requests.offered[ci];
+            class.admitted += admitted;
+            class.shed += requests.offered[ci] - admitted;
+        }
+    }
 }
 
 /// One device-slot's requests, as counts.

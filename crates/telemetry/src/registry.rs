@@ -4,10 +4,12 @@
 //! values, keyed by name: counter totals, [`Buckets`] histograms and
 //! `(time, value)` series. Three writes add to it — [`add_count`],
 //! [`merge_histogram`] and [`extend_series`] — and each creates its name
-//! on first use. Every simulator records on its driving thread (shard
-//! workers fill their own sinks, which the driver replays; DESIGN.md
-//! §11), so the one mutex over the table never has a second writer to
-//! wait for: it is there because perfbench writes through `&Registry`.
+//! on first use; [`reserve_series`] only sizes an existing series.
+//! Every simulator records on its driving thread (shard workers fill
+//! their own records and partials, which the driver replays and merges;
+//! DESIGN.md §11, §15), so the one mutex over the table never has a
+//! second writer to wait for: it is there because perfbench writes
+//! through `&Registry`.
 //!
 //! Tables are `BTreeMap`s, so every export walks names in one fixed
 //! order no matter what order metrics were written in — snapshot
@@ -19,6 +21,7 @@
 //! [`add_count`]: Registry::add_count
 //! [`merge_histogram`]: Registry::merge_histogram
 //! [`extend_series`]: Registry::extend_series
+//! [`reserve_series`]: Registry::reserve_series
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -70,6 +73,16 @@ impl Registry {
     /// Appends `points`, in order, to the series named `name`.
     pub fn extend_series(&self, name: &str, points: impl IntoIterator<Item = (f64, f64)>) {
         upsert(&mut self.tables().series, name, |s| s.extend(points));
+    }
+
+    /// Makes room for `additional` more points in the series named
+    /// `name` (an amortized `Vec::reserve`), so that many appends copy
+    /// nothing on growth. Changes no value, and creates no name: an
+    /// unknown name is left unknown.
+    pub fn reserve_series(&self, name: &str, additional: usize) {
+        if let Some(series) = self.tables().series.get_mut(name) {
+            series.reserve(additional);
+        }
     }
 
     fn tables(&self) -> MutexGuard<'_, Tables> {
@@ -242,6 +255,39 @@ mod tests {
             several.snapshot().series_named("q").unwrap().points,
             one.snapshot().series_named("q").unwrap().points
         );
+    }
+
+    #[test]
+    fn reserving_a_series_changes_no_snapshot_byte() {
+        let r = Registry::new();
+        r.add_count("n", 2);
+        r.merge_histogram("lat", &buckets(&[0.5, 3.0]));
+        r.extend_series("q", [(0.0, 1.0), (0.5, -2.0)]);
+        r.extend_series("empty", []);
+        let bytes = |r: &Registry| serde_json::to_string(&r.snapshot()).unwrap();
+        let before = bytes(&r);
+        r.reserve_series("q", 1 << 12);
+        r.reserve_series("empty", 3);
+        assert_eq!(bytes(&r), before);
+        // Appends after a reservation land as they would without one.
+        r.extend_series("q", [(1.0, 4.0)]);
+        let plain = Registry::new();
+        plain.add_count("n", 2);
+        plain.merge_histogram("lat", &buckets(&[0.5, 3.0]));
+        plain.extend_series("q", [(0.0, 1.0), (0.5, -2.0), (1.0, 4.0)]);
+        plain.extend_series("empty", []);
+        assert_eq!(bytes(&r), bytes(&plain));
+    }
+
+    #[test]
+    fn reserving_an_unknown_series_creates_nothing() {
+        let r = Registry::new();
+        r.add_count("q", 1);
+        let before = r.snapshot();
+        r.reserve_series("q", 8);
+        r.reserve_series("missing", 8);
+        assert_eq!(r.snapshot(), before);
+        assert!(r.snapshot().series.is_empty());
     }
 
     #[test]

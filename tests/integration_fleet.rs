@@ -12,7 +12,7 @@
 use std::num::NonZeroUsize;
 
 use leime::{
-    ChaosConfig, ControllerKind, ExitStrategy, FaultModel, ModelKind, RunReport, Scenario,
+    ChaosConfig, ControllerKind, Edges, ExitStrategy, FaultModel, ModelKind, RunReport, Scenario,
     SlottedSystem, WorkloadKind,
 };
 use leime_fleet::{FleetConfig, FleetReport, FleetSystem, MigrationCause};
@@ -758,6 +758,67 @@ fn quiet_boundaries_leave_every_edge_as_one_interval() -> TestResult<()> {
                     run(rebalance_interval)?,
                     whole,
                     "interval {rebalance_interval} diverged (workload {workload}, chaos {chaos:?})"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Edges that straddle shards: a round-robin assignment (`i % edges`)
+/// puts devices of every edge in every shard, so each edge's counts and
+/// histogram merge from every shard's partial while its slot rows sum
+/// devices of several shards. Reports, telemetry snapshot and queue bits
+/// match the one-worker run at workers {1, 2, 3, 5} × epochs {1, 5, 16},
+/// for every workload under all four fault models.
+#[test]
+fn round_robin_edges_straddle_shards_byte_identically() -> TestResult<()> {
+    let (devices, n_edges, slots) = (23usize, 3usize, 40usize);
+    for workload in 0..4 {
+        let case = FleetCase {
+            devices,
+            edges: n_edges,
+            rebalance_interval: 10,
+            arrival: 6.0,
+            controller: 0,
+            workload,
+            chaos: Some((906_617, 15, 0.4, 4.0)),
+        };
+        let scenario = build_scenario(&case);
+        let deployment = scenario.deploy(ExitStrategy::Leime)?;
+        let run = |workers: usize, epoch_len: usize| -> TestResult<_> {
+            let registry = Registry::new();
+            let mut sys = SlottedSystem::new(scenario.clone(), deployment.clone())?;
+            let mut assignment: Vec<usize> = (0..devices).map(|i| i % n_edges).collect();
+            let edges = Edges {
+                count: n_edges,
+                chaos: leime_fleet::edge_chaos,
+                assignment: &mut assignment,
+                interval: case.rebalance_interval,
+                registry: Some((&registry, "rr")),
+                boundary: &mut |_, _, _, _| {},
+            };
+            let workers = NonZeroUsize::try_from(workers)?;
+            let epoch_len = NonZeroUsize::try_from(epoch_len)?;
+            let reports = sys.run_on_edges(slots, RUN_SEED, workers, epoch_len, edges)?;
+            // Every edge has devices and tasks in every interval.
+            assert_eq!(reports.len(), slots / case.rebalance_interval);
+            for report in reports.iter().flatten() {
+                assert!(report.tasks() > 0, "an idle edge (workload {workload})");
+            }
+            Ok((
+                serde_json::to_string(&reports)?,
+                serde_json::to_string(&registry.snapshot())?,
+                queue_bits(sys.queues()),
+            ))
+        };
+        let want = run(1, leime::DEFAULT_EPOCH_LEN.get())?;
+        for workers in [1, 2, 3, 5] {
+            for epoch_len in [1, 5, 16] {
+                let got = run(workers, epoch_len)?;
+                assert!(
+                    got == want,
+                    "diverged at {workers} workers × epoch {epoch_len} (workload {workload})"
                 );
             }
         }
