@@ -1,6 +1,6 @@
-//! S1 fixture: `decide` funnels through a helper chain that never
-//! reaches an `invariant::` guard, and `balance_solve` never calls one
-//! at all; `admit` delegates to a guard and is clean.
+//! S1 fixture: `decide` reaches no `invariant::` guard through its helper
+//! chain, and `balance_solve` calls none at all; `admit` delegates to a
+//! guard and `exact_solve` calls one directly, so both are clean.
 
 pub fn decide(x: f64) -> f64 {
     helper(x)
@@ -20,4 +20,8 @@ fn checked(x: f64) -> f64 {
 
 pub fn balance_solve(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
+}
+
+pub fn exact_solve(x: f64) -> f64 {
+    invariant::check_unit_interval("fixture", x)
 }

@@ -1,14 +1,14 @@
 //! Token-level scanner for Rust sources.
 //!
 //! The offline build environment has no `syn`, so the [`crate::tree`]
-//! and the waiver parser work on a lexical token stream, lexed once per
-//! file, instead of `rustc`'s own syntax tree. The scanner understands
-//! exactly as much of Rust's lexical grammar as its consumers need: line/block
-//! comments (captured, for `lint:allow` waivers), string/char/lifetime
-//! disambiguation, raw and byte strings, byte-char literals (`b'x'`),
-//! raw identifiers (`r#fn`), identifiers, numeric literals with float
-//! detection, and multi-char operators — each token tagged with the
-//! 1-based source line it *starts* on.
+//! works on a lexical token stream, lexed once per file, instead of
+//! `rustc`'s own syntax tree. The scanner understands exactly as much of
+//! Rust's lexical grammar as its consumer needs: line and nested block
+//! comments (skipped), string/char/lifetime disambiguation, raw and byte
+//! strings, byte-char literals (`b'x'`), raw identifiers (`r#fn`),
+//! identifiers, numeric literals with float detection, and multi-char
+//! operators — each token tagged with the 1-based source line it
+//! *starts* on.
 
 /// Lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,34 +38,16 @@ pub struct Tok {
     pub line: u32,
 }
 
-/// A comment captured during lexing (used for waiver parsing).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// Comment text without the `//` / `/*` markers.
-    pub text: String,
-}
-
-/// The result of lexing one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Token stream in source order.
-    pub toks: Vec<Tok>,
-    /// Comments in source order.
-    pub comments: Vec<Comment>,
-}
-
 /// Multi-char operators, matched greedily (longest first).
 const OPERATORS: &[&str] = &[
     "..=", "<<=", ">>=", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=",
     "/=", "%=", "^=", "&=", "|=", "..", "<<", ">>",
 ];
 
-/// Lexes `src` into tokens and comments.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into its tokens, in source order.
+pub fn lex(src: &str) -> Vec<Tok> {
     let chars: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     let n = chars.len();
@@ -91,24 +73,15 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Line comment.
         if c == '/' && at(i + 1) == '/' {
-            let start = i + 2;
-            let mut j = start;
-            while j < n && chars[j] != '\n' {
-                j += 1;
+            while i < n && chars[i] != '\n' {
+                i += 1;
             }
-            out.comments.push(Comment {
-                line,
-                text: chars[start..j].iter().collect(),
-            });
-            i = j;
             continue;
         }
         // Block comment (nested).
         if c == '/' && at(i + 1) == '*' {
-            let start_line = line;
-            let start = i + 2;
             let mut depth = 1usize;
-            let mut j = start;
+            let mut j = i + 2;
             while j < n && depth > 0 {
                 if chars[j] == '\n' {
                     line += 1;
@@ -123,11 +96,6 @@ pub fn lex(src: &str) -> Lexed {
                     j += 1;
                 }
             }
-            let end = j.saturating_sub(2).max(start);
-            out.comments.push(Comment {
-                line: start_line,
-                text: chars[start..end].iter().collect(),
-            });
             i = j;
             continue;
         }
@@ -145,7 +113,7 @@ pub fn lex(src: &str) -> Lexed {
                 let raw = ident != "b"; // plain `b"…"` keeps escape processing
                 let start_line = line;
                 if let Some(end) = consume_string(&chars, j, raw, &mut line) {
-                    out.toks.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Str,
                         text: String::new(),
                         line: start_line,
@@ -160,7 +128,7 @@ pub fn lex(src: &str) -> Lexed {
                 while k < n && (chars[k].is_alphanumeric() || chars[k] == '_') {
                     k += 1;
                 }
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Ident,
                     text: chars[j + 1..k].iter().collect(),
                     line,
@@ -174,7 +142,7 @@ pub fn lex(src: &str) -> Lexed {
                 i = j;
                 continue;
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Ident,
                 text: ident,
                 line,
@@ -185,7 +153,7 @@ pub fn lex(src: &str) -> Lexed {
         // Number.
         if c.is_ascii_digit() {
             let (tok, j) = lex_number(&chars, i, line);
-            out.toks.push(tok);
+            out.push(tok);
             i = j;
             continue;
         }
@@ -193,7 +161,7 @@ pub fn lex(src: &str) -> Lexed {
         if c == '"' {
             let start_line = line;
             if let Some(end) = consume_string(&chars, i, false, &mut line) {
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Str,
                     text: String::new(),
                     line: start_line,
@@ -214,7 +182,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 if at(j) == '\'' {
                     // 'a' — a char literal.
-                    out.toks.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Str,
                         text: String::new(),
                         line,
@@ -222,7 +190,7 @@ pub fn lex(src: &str) -> Lexed {
                     i = j + 1;
                 } else {
                     // 'a — a lifetime.
-                    out.toks.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Lifetime,
                         text: chars[i + 1..j].iter().collect(),
                         line,
@@ -245,7 +213,7 @@ pub fn lex(src: &str) -> Lexed {
             if at(j) == '\'' {
                 j += 1;
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Str,
                 text: String::new(),
                 line,
@@ -258,7 +226,7 @@ pub fn lex(src: &str) -> Lexed {
         for op in OPERATORS {
             let oc: Vec<char> = op.chars().collect();
             if i + oc.len() <= n && chars[i..i + oc.len()] == oc[..] {
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Punct,
                     text: (*op).to_string(),
                     line,
@@ -272,7 +240,7 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
         // Single-char punct.
-        out.toks.push(Tok {
+        out.push(Tok {
             kind: TokKind::Punct,
             text: c.to_string(),
             line,
@@ -411,32 +379,20 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).toks.into_iter().map(|t| t.text).collect()
+        lex(src).into_iter().map(|t| t.text).collect()
     }
 
     #[test]
     fn idents_numbers_and_operators() {
         let toks = lex("let x: f64 = 1.5e3; x == 0.0");
-        let kinds: Vec<TokKind> = toks.toks.iter().map(|t| t.kind).collect();
+        let kinds: Vec<TokKind> = toks.iter().map(|t| t.kind).collect();
         assert_eq!(
-            toks.toks
-                .iter()
-                .map(|t| t.text.as_str())
-                .collect::<Vec<_>>(),
+            toks.iter().map(|t| t.text.as_str()).collect::<Vec<_>>(),
             vec!["let", "x", ":", "f64", "=", "1.5e3", ";", "x", "==", "0.0"]
         );
         assert_eq!(kinds[5], TokKind::Float);
         assert_eq!(kinds[8], TokKind::Punct);
         assert_eq!(kinds[9], TokKind::Float);
-    }
-
-    #[test]
-    fn comments_are_captured_with_lines() {
-        let lexed = lex("fn f() {}\n// lint:allow(S7): reason\nlet x = 1;\n/* block */");
-        assert_eq!(lexed.comments.len(), 2);
-        assert_eq!(lexed.comments[0].line, 2);
-        assert!(lexed.comments[0].text.contains("lint:allow(S7)"));
-        assert_eq!(lexed.comments[1].line, 4);
     }
 
     #[test]
@@ -460,7 +416,6 @@ mod tests {
         let src = "a\nlet s = r#\"first\nsecond\nthird\"#;\nb";
         let lexed = lex(src);
         let s_tok = lexed
-            .toks
             .iter()
             .find(|t| t.kind == TokKind::Str)
             .expect("raw string token");
@@ -468,7 +423,7 @@ mod tests {
             s_tok.line, 2,
             "string tokens are stamped with their start line"
         );
-        let b_tok = lexed.toks.iter().find(|t| t.text == "b").expect("b");
+        let b_tok = lexed.iter().find(|t| t.text == "b").expect("b");
         assert_eq!(b_tok.line, 5, "line counting resumes after the string body");
     }
 
@@ -478,34 +433,33 @@ mod tests {
         let t = texts("let s = r##\"quote \"# almost // not a comment\"##; tail");
         assert!(t.contains(&"tail".to_string()));
         assert!(!t.contains(&"almost".to_string()));
-        let lexed = lex("let s = r##\"x\"##; t");
-        assert_eq!(lexed.comments.len(), 0);
+        assert!(!t.contains(&"not".to_string()));
+        assert_eq!(
+            texts("let s = r##\"x\"##; t"),
+            ["let", "s", "=", "", ";", "t"]
+        );
     }
 
     #[test]
     fn nested_block_comments_terminate_correctly() {
-        let lexed = lex("before /* outer /* inner */ still outer */ after");
-        let t: Vec<&str> = lexed.toks.iter().map(|t| t.text.as_str()).collect();
+        let t = texts("before /* outer /* inner */ still outer */ after");
         assert_eq!(t, vec!["before", "after"]);
-        assert_eq!(lexed.comments.len(), 1);
-        assert!(lexed.comments[0].text.contains("inner"));
         // Line counting across a multi-line nested comment.
-        let lexed2 = lex("/* a\n/* b\n*/\n*/\ntail");
-        assert_eq!(lexed2.toks[0].text, "tail");
-        assert_eq!(lexed2.toks[0].line, 5);
+        let toks = lex("/* a\n/* b\n*/\n*/\ntail");
+        assert_eq!(toks.len(), 1);
+        assert_eq!((toks[0].text.as_str(), toks[0].line), ("tail", 5));
     }
 
     #[test]
     fn byte_char_literals_do_not_leak_a_b_ident() {
         let lexed = lex("let x = b'a'; let nl = b'\\n'; tail");
         let idents: Vec<&str> = lexed
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(idents, vec!["let", "x", "let", "nl", "tail"]);
-        let strs = lexed.toks.iter().filter(|t| t.kind == TokKind::Str).count();
+        let strs = lexed.iter().filter(|t| t.kind == TokKind::Str).count();
         assert_eq!(strs, 2, "b'a' and b'\\n' each lex as one literal");
     }
 
@@ -520,26 +474,24 @@ mod tests {
     fn raw_identifiers_lex_as_plain_idents() {
         let lexed = lex("let r#fn = 1; r#type + r#fn");
         let idents: Vec<&str> = lexed
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(idents, vec!["let", "fn", "type", "fn"]);
         // No stray `#` puncts left behind.
-        assert!(!lexed.toks.iter().any(|t| t.text == "#"));
+        assert!(!lexed.iter().any(|t| t.text == "#"));
     }
 
     #[test]
     fn lifetimes_versus_char_literals() {
         let lexed = lex("fn f<'a>(x: &'a str) { let c = 'x'; let nl = '\\n'; }");
         let lifetimes: Vec<&Tok> = lexed
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
             .collect();
         assert_eq!(lifetimes.len(), 2);
-        let strs = lexed.toks.iter().filter(|t| t.kind == TokKind::Str).count();
+        let strs = lexed.iter().filter(|t| t.kind == TokKind::Str).count();
         assert_eq!(strs, 2); // 'x' and '\n'
     }
 
@@ -547,7 +499,6 @@ mod tests {
     fn static_lifetime_and_anonymous_lifetime() {
         let lexed = lex("fn f(x: &'static str, y: &'_ u8) {}");
         let lifetimes: Vec<&str> = lexed
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
             .map(|t| t.text.as_str())
@@ -558,15 +509,15 @@ mod tests {
     #[test]
     fn escaped_quote_char_literal() {
         let lexed = lex(r"let q = '\''; let bs = '\\'; tail");
-        let strs = lexed.toks.iter().filter(|t| t.kind == TokKind::Str).count();
+        let strs = lexed.iter().filter(|t| t.kind == TokKind::Str).count();
         assert_eq!(strs, 2);
-        assert!(lexed.toks.iter().any(|t| t.text == "tail"));
+        assert!(lexed.iter().any(|t| t.text == "tail"));
     }
 
     #[test]
     fn float_versus_int_detection() {
         let lexed = lex("1 1.0 1. 1e9 0x1f 10u32 2.5f32 3f64");
-        let kinds: Vec<TokKind> = lexed.toks.iter().map(|t| t.kind).collect();
+        let kinds: Vec<TokKind> = lexed.iter().map(|t| t.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -585,13 +536,13 @@ mod tests {
     #[test]
     fn tuple_access_is_not_a_float() {
         let t = lex("x.0 .max(1)");
-        assert_eq!(t.toks[2].kind, TokKind::Int);
+        assert_eq!(t[2].kind, TokKind::Int);
     }
 
     #[test]
     fn multiline_tracking() {
         let lexed = lex("a\nb\n  c");
-        let lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = lexed.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
     }
 }

@@ -29,11 +29,10 @@
 //! finding; and float reduction order is pinned by the byte-identity
 //! walls (DESIGN.md §15).
 //!
-//! Findings pass through the inline `// lint:allow(<rule>): <why>`
-//! waivers of [`rules`] and come out as a [`Report`] under the
-//! `leime-lint/4` schema. The binary (`cargo run -p leime-lint --
-//! --deny-all`) is the CI gate; the library is exercised directly by the
-//! tier-2 integration tests.
+//! Findings come out as a [`Report`] under the `leime-lint/5` schema,
+//! and every one of them fails the gate: there is no inline waiver. The
+//! binary (`cargo run -p leime-lint -- --deny-all`) is the CI gate; the
+//! library is exercised directly by the tier-2 integration tests.
 
 pub mod flow;
 pub mod layering;
@@ -43,7 +42,7 @@ pub mod rules;
 pub mod tree;
 
 pub use report::{Report, RuleCount, SCHEMA_VERSION};
-pub use rules::{FileScan, Waived, RULE_IDS};
+pub use rules::RULE_IDS;
 
 use flow::{FlowAnalysis, HotAlloc};
 use serde::Serialize;
@@ -51,14 +50,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use tree::FileFacts;
 
-/// The waiver budget: at most this many justified `lint:allow` escapes
-/// across the workspace, shared with its `#[expect(clippy::…)]`s.
-pub const WAIVER_BUDGET: usize = 2;
-
 /// One rule violation.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (one of [`RULE_IDS`], or `W1`–`W3`).
+    /// Rule identifier (one of [`RULE_IDS`]).
     pub rule: String,
     /// Path of the offending file, relative to the scan root.
     pub path: String,
@@ -257,7 +252,7 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
     }
 
     let flow = FlowAnalysis::build(&facts);
-    let mut raw = semantic_findings(&facts, &flow, cfg);
+    let mut findings = semantic_findings(&facts, &flow, cfg);
 
     // S6 allocation ratchet: hot-path counts against the pinned
     // baseline. Explicit-path scans skip it unless a baseline was
@@ -274,25 +269,23 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
             if opts.write_s6_baseline {
                 write_s6_baseline(&bp, &counts)?;
             } else if bp.is_file() {
-                raw.extend(check_s6(&bp, &counts)?);
+                findings.extend(check_s6(&bp, &counts)?);
             }
         }
     }
 
-    let scan = rules::apply_waivers(&facts, raw);
-    Ok(Report::new(files.len(), scan.findings, scan.waived))
+    Ok(Report::new(files.len(), findings))
 }
 
 /// Lints in-memory `(path, source)` pairs with every enabled rule except
-/// the S6 ratchet, which needs a baseline file ([`run`] adds it), and
-/// applies each file's waivers.
-pub fn scan_sources(sources: &[(String, String)], cfg: &SemaConfig) -> FileScan {
+/// the S6 ratchet, which needs a baseline file ([`run`] adds it).
+pub fn scan_sources(sources: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
     let facts: Vec<FileFacts> = sources
         .iter()
         .map(|(path, src)| FileFacts::new(path, src, cfg))
         .collect();
     let flow = FlowAnalysis::build(&facts);
-    rules::apply_waivers(&facts, semantic_findings(&facts, &flow, cfg))
+    semantic_findings(&facts, &flow, cfg)
 }
 
 /// S1 over each crate's files (its graphs are whole-crate), then the
@@ -452,7 +445,9 @@ fn collect_files(dir: &Path, library_only: bool, out: &mut Vec<PathBuf>) -> Resu
 ///
 /// # Errors
 ///
-/// Returns the offending identifier when it is not a known rule.
+/// Returns the offending identifier when it is not a known rule, and an
+/// error when the list names no rule at all (an empty filter would run
+/// nothing and pass).
 pub fn parse_rule_filter(config: &mut SemaConfig, list: &str) -> Result<(), String> {
     let mut set = BTreeSet::new();
     for id in list.split(',') {
@@ -467,6 +462,12 @@ pub fn parse_rule_filter(config: &mut SemaConfig, list: &str) -> Result<(), Stri
             ));
         }
         set.insert(id.to_string());
+    }
+    if set.is_empty() {
+        return Err(format!(
+            "`--rules` names no rule (known: {})",
+            RULE_IDS.join(", ")
+        ));
     }
     config.enabled = Some(set);
     Ok(())
@@ -488,6 +489,9 @@ mod tests {
         // is a leime-lint rule any more.
         assert!(parse_rule_filter(&mut cfg, "L1").is_err());
         assert!(parse_rule_filter(&mut cfg, "S7").is_err());
+        // A list naming no rule would run none and pass.
+        assert!(parse_rule_filter(&mut cfg, "").is_err());
+        assert!(parse_rule_filter(&mut cfg, ",").is_err());
     }
 
     #[test]

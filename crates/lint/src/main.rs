@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Exit codes: `0` clean (or report-only mode), `1` usage/I-O error,
-//! `2` violations or waiver-budget overflow under `--deny-all`.
+//! `2` violations under `--deny-all`.
 
 use leime_lint::{parse_rule_filter, run, ScanOptions};
 use std::path::PathBuf;

@@ -1,53 +1,47 @@
-//! Report rendering: human-readable text and the `leime-lint/4` JSON
+//! Report rendering: human-readable text and the `leime-lint/5` JSON
 //! schema (same versioned-schema idiom as `leime-telemetry/1`).
 //!
 //! `leime-lint/2` extended `/1` with semantic rules and a `rule_set`
 //! field naming the rule universe the schema covers; `/3` and `/4`
 //! extended that universe with the flow rules. Rules that moved to
 //! clippy or to a test, or were retired (L1–L5, S2–S4), simply left
-//! `rule_set`; all `/2`-era fields are unchanged, so older consumers
-//! keep working.
+//! `rule_set`. `/5` is `/4` without the waiver fields (`waived`,
+//! `waivers_used`, `waiver_budget`): every finding is a violation.
 
-use crate::rules::{Waived, RULE_IDS};
-use crate::{Finding, WAIVER_BUDGET};
+use crate::rules::RULE_IDS;
+use crate::Finding;
 use serde::Serialize;
 
 /// Version tag written into every JSON report.
-pub const SCHEMA_VERSION: &str = "leime-lint/4";
+pub const SCHEMA_VERSION: &str = "leime-lint/5";
 
 /// Per-rule violation count.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct RuleCount {
     /// Rule identifier.
     pub rule: String,
-    /// Number of unwaived violations.
+    /// Number of violations.
     pub count: usize,
 }
 
 /// The aggregated result of one lint run.
 #[derive(Debug, Clone, Serialize)]
 pub struct Report {
-    /// Schema tag (`leime-lint/4`).
+    /// Schema tag (`leime-lint/5`).
     pub schema: String,
     /// The rule identifiers this run covers ([`RULE_IDS`]).
     pub rule_set: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Unwaived violations, sorted by path, line, rule.
+    /// Violations, sorted by path, line, rule.
     pub violations: Vec<Finding>,
-    /// Waived violations with justifications.
-    pub waived: Vec<Waived>,
-    /// Waivers actually used.
-    pub waivers_used: usize,
-    /// Maximum allowed waivers ([`WAIVER_BUDGET`]).
-    pub waiver_budget: usize,
     /// Per-rule violation counts (only rules with hits).
     pub summary: Vec<RuleCount>,
 }
 
 impl Report {
     /// Builds a report from the merged per-file results.
-    pub fn new(files_scanned: usize, mut violations: Vec<Finding>, waived: Vec<Waived>) -> Self {
+    pub fn new(files_scanned: usize, mut violations: Vec<Finding>) -> Self {
         violations.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
         let mut summary: Vec<RuleCount> = Vec::new();
         for f in &violations {
@@ -64,17 +58,14 @@ impl Report {
             schema: SCHEMA_VERSION.to_string(),
             rule_set: RULE_IDS.iter().map(|r| (*r).to_string()).collect(),
             files_scanned,
-            waivers_used: waived.len(),
-            waiver_budget: WAIVER_BUDGET,
             violations,
-            waived,
             summary,
         }
     }
 
-    /// Whether the run passes: no violations and the waiver budget holds.
+    /// Whether the run passes: no violations.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.waivers_used <= self.waiver_budget
+        self.violations.is_empty()
     }
 
     /// Renders the human-readable report.
@@ -89,12 +80,6 @@ impl Report {
         if !self.violations.is_empty() {
             out.push('\n');
         }
-        for w in &self.waived {
-            out.push_str(&format!(
-                "{}:{}: waived [{}] — {}\n",
-                w.finding.path, w.finding.line, w.finding.rule, w.justification
-            ));
-        }
         let summary = if self.summary.is_empty() {
             "none".to_string()
         } else {
@@ -105,23 +90,14 @@ impl Report {
                 .join(", ")
         };
         out.push_str(&format!(
-            "leime-lint: {} violation(s) ({summary}), {} waived (budget {}/{}), {} file(s) scanned\n",
+            "leime-lint: {} violation(s) ({summary}), {} file(s) scanned\n",
             self.violations.len(),
-            self.waived.len(),
-            self.waivers_used,
-            self.waiver_budget,
             self.files_scanned,
         ));
-        if self.waivers_used > self.waiver_budget {
-            out.push_str(&format!(
-                "leime-lint: waiver budget exceeded ({} > {})\n",
-                self.waivers_used, self.waiver_budget
-            ));
-        }
         out
     }
 
-    /// Renders the `leime-lint/4` JSON report.
+    /// Renders the `leime-lint/5` JSON report.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self)
             .unwrap_or_else(|e| format!("{{\"schema\":\"{SCHEMA_VERSION}\",\"error\":\"{e:?}\"}}"))
@@ -150,7 +126,6 @@ mod tests {
                 finding("S1", "a.rs", 4),
                 finding("S1", "a.rs", 2),
             ],
-            vec![],
         );
         assert_eq!(r.violations[0].line, 2);
         assert_eq!(r.summary.len(), 2);
@@ -160,25 +135,14 @@ mod tests {
 
     #[test]
     fn clean_report() {
-        let r = Report::new(10, vec![], vec![]);
+        let r = Report::new(10, vec![]);
         assert!(r.is_clean());
         assert!(r.render_text().contains("0 violation(s)"));
     }
 
     #[test]
-    fn budget_overflow_fails() {
-        let w = Waived {
-            finding: finding("S1", "a.rs", 1),
-            justification: "j".to_string(),
-        };
-        let r = Report::new(1, vec![], vec![w; WAIVER_BUDGET + 1]);
-        assert!(!r.is_clean());
-        assert!(r.render_text().contains("budget exceeded"));
-    }
-
-    #[test]
     fn json_has_schema_and_findings() {
-        let r = Report::new(2, vec![finding("S8", "c.rs", 7)], vec![]);
+        let r = Report::new(2, vec![finding("S8", "c.rs", 7)]);
         let json = r.to_json();
         let v: serde_json::Value = match serde_json::from_str(&json) {
             Ok(v) => v,

@@ -17,7 +17,7 @@
 //! nodes of their own. Anything under an attribute that mentions `test`
 //! (`#[test]`, `#[cfg(test)]`) is skipped whole.
 
-use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 use crate::SemaConfig;
 use std::collections::BTreeSet;
 
@@ -115,15 +115,12 @@ pub struct Tree {
     skipped: Vec<Range>,
     /// The non-test fns with bodies, in source pre-order.
     pub fns: Vec<FnNode>,
-    /// Comments, for waiver parsing.
-    comments: Vec<Comment>,
 }
 
 impl Tree {
     /// Lexes `src` once and builds its tree.
     pub fn new(src: &str) -> Self {
-        let lexed = lex(src);
-        let toks = lexed.toks;
+        let toks = lex(src);
         let mut partner: Vec<usize> = (0..toks.len()).collect();
         let mut open: Vec<usize> = Vec::new();
         for (i, t) in toks.iter().enumerate() {
@@ -155,7 +152,6 @@ impl Tree {
             partner,
             skipped: Vec::new(),
             fns: Vec::new(),
-            comments: lexed.comments,
         };
         let (mut skipped, mut fns) = (Vec::new(), Vec::new());
         tree.scan(0, tree.toks.len(), &mut skipped, &mut fns);
@@ -922,8 +918,6 @@ pub struct FileFacts {
     pub fns: Vec<FnFacts>,
     /// The shard bodies of those fns.
     pub shard_bodies: Vec<ShardBody>,
-    /// The file's comments, for waivers.
-    pub comments: Vec<Comment>,
 }
 
 impl FileFacts {
@@ -944,7 +938,6 @@ impl FileFacts {
             path: path.to_string(),
             fns,
             shard_bodies,
-            comments: tree.comments,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture tests: each seeded fixture file must produce exactly the
 //! expected `(rule, path, line)` tuples, in both the text and the
-//! `leime-lint/4` JSON renderings.
+//! `leime-lint/5` JSON renderings.
 
 use leime_lint::layering::{self, Dep};
 use leime_lint::tree::{FileFacts, ShardBody};
@@ -66,36 +66,6 @@ fn fixture_config(rules: &str) -> SemaConfig {
 }
 
 #[test]
-fn waiver_fixture_reports_hygiene_and_waived_sites() {
-    let report = scan_fixture("waivers.rs", fixture_config("S1,S8"));
-    // W1: justification-free S8 waiver (line 13); W2: unknown rule L1
-    // (line 19); W3: stale S5 waiver (line 22).
-    let at = |rule: &str, line: u32| {
-        (
-            rule.to_string(),
-            "crates/lint/fixtures/waivers.rs".to_string(),
-            line,
-        )
-    };
-    assert_eq!(
-        triples(&report),
-        vec![at("W1", 13), at("W2", 19), at("W3", 22)]
-    );
-    // Both seeded sites are suppressed (the justification-free one still
-    // counts as waived; its hygiene problem is the W1 above).
-    assert_eq!(report.waivers_used, 2);
-    assert_eq!(report.waived[0].finding.rule, "S1");
-    assert_eq!(report.waived[0].finding.line, 7);
-    assert_eq!(
-        report.waived[0].justification,
-        "fixture exercises the waiver path"
-    );
-    assert_eq!(report.waived[1].finding.rule, "S8");
-    assert_eq!(report.waived[1].finding.line, 14);
-    assert_eq!(report.waived[1].justification, "");
-}
-
-#[test]
 fn s1_fixture_flags_the_transitively_unguarded_solver() {
     let report = scan_fixture("s1.rs", fixture_config("S1"));
     assert_eq!(triples(&report), expected("S1", "s1.rs", &[5, 21]));
@@ -105,19 +75,6 @@ fn s1_fixture_flags_the_transitively_unguarded_solver() {
          (Eq. 8 / Eq. 10–11 / Eq. 27)"
     );
     assert!(report.violations[1].message.contains("`fn balance_solve`"));
-}
-
-#[test]
-fn l5_fixture_flags_only_the_unguarded_solver() {
-    // One solver never calls a guard, the other calls one directly; S1
-    // (the transitive form of the old L5) flags only the first.
-    let report = scan_fixture("l5.rs", fixture_config("S1"));
-    assert_eq!(triples(&report), expected("S1", "l5.rs", &[4]));
-    assert_eq!(
-        report.violations[0].message,
-        "`fn balance_solve` never reaches an `invariant::` guard on any call path \
-         (Eq. 8 / Eq. 10–11 / Eq. 27)"
-    );
 }
 
 #[test]
@@ -139,7 +96,7 @@ fn text_report_formats_path_line_rule() {
 fn json_report_carries_schema_rules_paths_and_lines() {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![
-        PathBuf::from("crates/lint/fixtures/l5.rs"),
+        PathBuf::from("crates/lint/fixtures/s1.rs"),
         PathBuf::from("crates/lint/fixtures/s8.rs"),
     ];
     opts.config = fixture_config("S1,S8");
@@ -173,7 +130,8 @@ fn json_report_carries_schema_rules_paths_and_lines() {
         })
         .unwrap_or_default();
     let want: Vec<(String, String, u64)> = [
-        ("S1", "l5.rs", 4u64),
+        ("S1", "s1.rs", 5u64),
+        ("S1", "s1.rs", 21),
         ("S8", "s8.rs", 6),
         ("S8", "s8.rs", 12),
     ]
@@ -194,7 +152,7 @@ fn json_report_carries_schema_rules_paths_and_lines() {
                 .collect()
         })
         .unwrap_or_default();
-    assert_eq!(summary, vec![("S1", 1), ("S8", 2)]);
+    assert_eq!(summary, vec![("S1", 2), ("S8", 2)]);
 }
 
 #[test]
@@ -461,7 +419,7 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
         Ok(v) => v,
         Err(e) => unreachable!("JSON report must parse: {e:?}"),
     };
-    assert_eq!(v["schema"].as_str(), Some("leime-lint/4"));
+    assert_eq!(v["schema"].as_str(), Some("leime-lint/5"));
     assert_eq!(v["schema"].as_str(), Some(SCHEMA_VERSION));
     let rule_set: Vec<&str> = v["rule_set"]
         .as_array()
@@ -534,7 +492,7 @@ fn deny_all_semantics_fixtures_dirty_workspace_clean_of_fixture_rules() {
     // ...and every rule with a seeded fixture is represented in the
     // summary (S6 needs a baseline, which explicit-path scans skip).
     let hit: Vec<&str> = report.summary.iter().map(|c| c.rule.as_str()).collect();
-    for rule in ["S1", "S5", "S8", "W1", "W2", "W3"] {
+    for rule in ["S1", "S5", "S8"] {
         assert!(hit.contains(&rule), "rule {rule} missing from {hit:?}");
     }
 }
@@ -638,8 +596,8 @@ fn live_call_sites_yield_their_shard_bodies() {
 
     // A `Mutex` captured by `run_on_edges`' step is an S5 finding.
     let s5_on = |src: String| {
-        let scan = scan_sources(&[(core.to_string(), src)], &config);
-        (scan.findings.iter()).any(|f| f.rule == "S5" && f.message.contains("`probe`"))
+        let findings = scan_sources(&[(core.to_string(), src)], &config);
+        (findings.iter()).any(|f| f.rule == "S5" && f.message.contains("`probe`"))
     };
     let clean = read(core);
     let probed = clean

@@ -1,9 +1,10 @@
 //! Tier-2 gates on the workspace's static analysis.
 //!
 //! The library sources must pass every leime-lint rule (S1, S5, S6 and
-//! S8) with zero violations and escapes within budget: the same scan
-//! `cargo run -p leime-lint -- --deny-all` performs in CI, run here so a
-//! plain `cargo test` catches regressions too. Three dependency facts
+//! S8) with zero violations: the same scan `cargo run -p leime-lint --
+//! --deny-all` performs in CI, run here so a plain `cargo test` catches
+//! regressions too. The workspace's two `#[expect(clippy::…)]` escapes
+//! are pinned by site. Three dependency facts
 //! are checked here as well, over `cargo metadata`: the crate layering,
 //! that every normal dependency is named by the crate's non-test
 //! sources, and that `leime`, `leime-fleet` and `leime-serving` take
@@ -15,7 +16,7 @@
 
 use leime_lint::layering::{self, Dep, Violation, LAYERS, STREAM_RNG_ONLY, TOOLING};
 use leime_lint::lexer::{lex, TokKind};
-use leime_lint::{run, ScanOptions, RULE_IDS, SCHEMA_VERSION, WAIVER_BUDGET};
+use leime_lint::{run, ScanOptions, RULE_IDS, SCHEMA_VERSION};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -50,7 +51,7 @@ fn workspace_library_sources_are_lint_clean() {
 
 #[test]
 fn semantic_rules_are_part_of_the_workspace_gate() {
-    // The default scan runs every rule and reports the `leime-lint/4`
+    // The default scan runs every rule and reports the `leime-lint/5`
     // schema, so the clean result above is a *semantic* clean: every
     // guarded solver transitively reaches `invariant::`, shard bodies
     // mutate no capture through interior mutability and never block,
@@ -61,7 +62,7 @@ fn semantic_rules_are_part_of_the_workspace_gate() {
         Err(e) => unreachable!("workspace lint scan must succeed: {e}"),
     };
     assert_eq!(report.schema, SCHEMA_VERSION);
-    assert_eq!(SCHEMA_VERSION, "leime-lint/4");
+    assert_eq!(SCHEMA_VERSION, "leime-lint/5");
     assert_eq!(RULE_IDS, ["S1", "S5", "S6", "S8"]);
     assert_eq!(report.rule_set, RULE_IDS);
     for f in &report.violations {
@@ -76,59 +77,70 @@ fn semantic_rules_are_part_of_the_workspace_gate() {
     }
 }
 
-/// `#[expect(…)]` attributes in the workspace's own sources (vendored
-/// shims and build output excluded).
-fn count_expects(dir: &Path) -> usize {
+/// The workspace's escapes, as `(file, fn)`: the file holding an
+/// `#[expect(…)]` and the fn it sits on. One is the sanctioned panic
+/// site every `invariant::` guard routes through, the other
+/// `WallClock::default`, the workspace's one wall-clock read.
+const EXPECT_LEDGER: [(&str, &str); 2] = [
+    ("crates/invariant/src/lib.rs", "violation"),
+    ("crates/telemetry/src/clock.rs", "default"),
+];
+
+/// Every `#[expect(…)]` / `#![expect(…)]` in the `.rs` files under `dir`
+/// (vendored shims and build output excluded), as its root-relative path
+/// and the name of the first `fn` after it (empty when none follows).
+fn expect_sites(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
+        return;
     };
-    let mut n = 0;
     for entry in entries.flatten() {
         let path = entry.path();
-        let name = entry.file_name();
         if path.is_dir() {
+            let name = entry.file_name();
             if name != "shims" && name != "target" {
-                n += count_expects(&path);
+                expect_sites(root, &path, out);
             }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let src = std::fs::read_to_string(&path).unwrap_or_default();
-            n += src
-                .lines()
-                .filter(|l| {
-                    let l = l.trim_start();
-                    l.starts_with("#[expect(") || l.starts_with("#![expect(")
-                })
-                .count();
+            continue;
+        }
+        if path.extension().and_then(|e| e.to_str()) != Some("rs") {
+            continue;
+        }
+        let toks = lex(&std::fs::read_to_string(&path).unwrap_or_default());
+        let is = |i: usize, s: &str| toks.get(i).is_some_and(|t| t.text == s);
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        for i in 0..toks.len() {
+            let bang = usize::from(is(i + 1, "!"));
+            if !(is(i, "#") && is(i + 1 + bang, "[") && is(i + 2 + bang, "expect")) {
+                continue;
+            }
+            let item = toks[i..]
+                .windows(2)
+                .find(|w| w[0].text == "fn")
+                .map_or(String::new(), |w| w[1].text.clone());
+            out.push((rel.to_string_lossy().replace('\\', "/"), item));
         }
     }
-    n
 }
 
 #[test]
-fn waiver_budget_is_tight() {
-    // `lint:allow` waivers and `#[expect(clippy::…)]` escapes share one
-    // budget. Today there are two, both `#[expect]`s: the sanctioned
-    // panic site in the invariant crate and the wall clock in
-    // `telemetry/src/clock.rs`. No `lint:allow` waiver remains.
-    let opts = ScanOptions::new(workspace_root());
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("workspace lint scan must succeed: {e}"),
-    };
-    let expects = count_expects(&workspace_root().join("crates"));
-    assert!(
-        report.waivers_used + expects <= WAIVER_BUDGET,
-        "escapes crept up to {} waivers + {expects} expects — justify or fix instead",
-        report.waivers_used
-    );
-    for w in &report.waived {
-        assert!(
-            !w.justification.is_empty(),
-            "waiver at {}:{} has no justification",
-            w.finding.path,
-            w.finding.line
-        );
+fn expect_escapes_are_the_two_ledgered_sites() {
+    // Every leime-lint finding fails: there is no inline waiver. The only
+    // escapes are `#[expect(clippy::…)]`s, pinned here both ways: a new
+    // one fails, and so does one removed while it stays in the ledger.
+    let root = workspace_root();
+    let mut sites = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        expect_sites(&root, &root.join(dir), &mut sites);
     }
+    sites.sort();
+    let ledger: Vec<(String, String)> = EXPECT_LEDGER
+        .iter()
+        .map(|&(file, item)| (file.to_string(), item.to_string()))
+        .collect();
+    assert_eq!(
+        sites, ledger,
+        "the `#[expect]` escapes moved: fix the code, or justify the change and update the ledger"
+    );
 }
 
 /// The workspace's own (`leime*`) packages, as `cargo metadata` lists
@@ -247,7 +259,7 @@ fn non_test_idents(dir: &Path, out: &mut BTreeSet<String>) {
             continue;
         }
         let src = std::fs::read_to_string(&path).unwrap_or_default();
-        let toks = lex(&src).toks;
+        let toks = lex(&src);
         let is = |i: usize, s: &str| toks.get(i).is_some_and(|t| t.text == s);
         // The index past the group opened at `i`, by delimiter depth.
         let group_end = |mut i: usize| {
