@@ -483,8 +483,8 @@ impl ServingSystem {
 /// What every device-slot of a run shares: the classes' plan-task
 /// weights `μ₁_c / μ₁_std`, the laws of its counts and the per-class
 /// cloud legs of its prices. Built once per run (each [`Binomial`] law
-/// tabulates its pmf rows), never per slot, and outside
-/// [`ServingSystem::new`].
+/// tabulates the band rows and guide of its short-run lookups), never
+/// per slot, and outside [`ServingSystem::new`].
 #[derive(Debug)]
 struct RunConsts {
     weights: [f64; 3],

@@ -119,15 +119,27 @@ pub fn poisson_draw(mean: f64, threshold: f64, max: u64, rng: &mut StdRng) -> u6
 /// `(1 − p)^1000 ≥ 2^-1000` stays a normal `f64`.
 const BINOMIAL_CHUNK: u64 = 1000;
 
-/// Run lengths below which a [`Binomial`] law tabulates the walk's pmf.
+/// Run lengths below which a [`Binomial`] law draws by guided lookup.
 const ROWS: u64 = 64;
+
+/// Guide buckets per row of a [`Binomial`] law: a power of two, so
+/// `u · GUIDE` is exact.
+const GUIDE: usize = 64;
+
+/// The half-width `δ_k = (2k + 2)·2⁻⁵²` of boundary `k`'s band, which
+/// outweighs the rounding of the row's running sum `C_k`, of the walk's
+/// `k − 1` subtractions and of the band's own edges (DESIGN.md §12).
+fn half_band(k: usize) -> f64 {
+    (2 * k + 2) as f64 * f64::EPSILON
+}
 
 /// The `Binomial(·, p)` law for one success probability `p`, with the
 /// constants of its sampler computed once: `s = min(p, 1 − p)`, `1 − s`,
-/// `r = s/(1 − s)` and, for every run of `m < 64` trials, the pmf row
-/// the inversion walk steps over. Building a law costs about 2k
-/// divisions and 16 KB, so build it where `p` is fixed (once per run)
-/// and [`draw`](Binomial::draw) per device-slot.
+/// `r = s/(1 − s)` and, for every run of `m < 64` trials, a band row
+/// and a guide that find the inversion walk's count without walking
+/// (DESIGN.md §12). Building a law costs about 2k divisions and 20 KiB,
+/// so build it where `p` is fixed (once per run) and
+/// [`draw`](Binomial::draw) per device-slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binomial {
     p: f64,
@@ -136,16 +148,23 @@ pub struct Binomial {
     q: f64,
     /// `s / (1 − s)`.
     r: f64,
-    /// Row `m` (at [`row_start`]`(m)`, `m` entries) holds the walk's pmf
-    /// `P(0), …, P(m − 1)` for a run of `m` trials, computed as the walk
-    /// computes it: `P(0) = q.powi(m)` bit for bit, then
-    /// `P(x) = P(x − 1) · ((m + 1)·r / x − r)`. The walk stops at
-    /// `x = m` without reading `P(m)`, so the row leaves it out. Empty
-    /// for the degenerate laws, which never walk.
-    rows: Vec<f64>,
+    /// Row `m` (at [`row_start`]`(m)`, `m` entries) holds the upper band
+    /// edges `H_1, …, H_m` of a run of `m` trials: `H_k = C_k + δ_k`,
+    /// where `C_k` is the running sum of the walk's first `k` pmf
+    /// entries and `δ_k` is [`half_band`]`(k)`. The walk reaches a count
+    /// of `k` or more when `u > H_k`, and stops short of `k` when
+    /// `u ≤ L_k = H_k − 2δ_k`. Empty for the degenerate laws, which
+    /// never walk.
+    bands: Vec<f64>,
+    /// `guide[m][j]` counts the boundaries `k` of row `m` with
+    /// `H_k < j/64`: a count the walk reaches for every `u ≥ j/64`.
+    guide: Vec<[u8; GUIDE]>,
+    /// `heads[m] = q.powi(m)` bit for bit: the walk's first pmf entry
+    /// for a run of `m < 64` trials.
+    heads: Vec<f64>,
 }
 
-/// Where row `m` of [`Binomial::rows`] starts: rows `0..m` hold
+/// Where row `m` of [`Binomial::bands`] starts: rows `0..m` hold
 /// `0 + 1 + … + (m − 1)` entries.
 fn row_start(m: usize) -> usize {
     m * (m.saturating_sub(1)) / 2
@@ -158,36 +177,61 @@ impl Binomial {
         let s = p.min(1.0 - p);
         let q = 1.0 - s;
         let r = s / q;
-        let degenerate = p.is_nan() || p <= 0.0 || p >= 1.0;
-        let rows = if degenerate {
-            Vec::new()
-        } else {
-            let mut rows = vec![0.0; row_start(ROWS as usize)];
-            // `powi` multiplies the squares `q^(2^k)` of `m`'s set bits in
-            // ascending `k`, starting from 1 (square-and-multiply), so
-            // `q^m` is `q^(m − 2^h)` times the top bit's square `q^(2^h)`:
-            // one multiply per row, the same product `powi` forms.
-            let mut square = q;
-            for m in 1..ROWS as usize {
-                let top = 1 << m.ilog2();
-                let first = if m == top {
-                    if m > 1 {
-                        square *= square;
-                    }
-                    square
-                } else {
-                    rows[row_start(m - top)] * square
-                };
-                let a = (m + 1) as f64 * r;
-                let mut pmf = first;
-                for (x, entry) in rows[row_start(m)..row_start(m + 1)].iter_mut().enumerate() {
-                    *entry = pmf;
-                    pmf *= a / (x + 1) as f64 - r;
-                }
-            }
-            rows
+        let mut law = Binomial {
+            p,
+            s,
+            q,
+            r,
+            bands: Vec::new(),
+            guide: Vec::new(),
+            heads: Vec::new(),
         };
-        Binomial { p, s, q, r, rows }
+        if p.is_nan() || p <= 0.0 || p >= 1.0 {
+            return law;
+        }
+        let rows = ROWS as usize;
+        law.bands = vec![0.0; row_start(rows)];
+        law.guide = vec![[0; GUIDE]; rows];
+        law.heads = vec![1.0; rows];
+        // `powi` multiplies the squares `q^(2^k)` of `m`'s set bits in
+        // ascending `k`, starting from 1 (square-and-multiply), so
+        // `q^m` is `q^(m − 2^h)` times the top bit's square `q^(2^h)`:
+        // one multiply per row, the same product `powi` forms.
+        let mut square = q;
+        for m in 1..rows {
+            let top = 1 << m.ilog2();
+            law.heads[m] = if m == top {
+                if m > 1 {
+                    square *= square;
+                }
+                square
+            } else {
+                law.heads[m - top] * square
+            };
+            // The walk's pmf entries, as the walk computes them, summed
+            // in the order it subtracts them.
+            let a = (m + 1) as f64 * r;
+            let (mut pmf, mut sum) = (law.heads[m], 0.0);
+            let row = &mut law.bands[row_start(m)..row_start(m + 1)];
+            for (x, high) in row.iter_mut().enumerate() {
+                sum += pmf;
+                *high = sum + half_band(x + 1);
+                pmf *= a / (x + 1) as f64 - r;
+            }
+            // `H_k < j/64` exactly when `j > ⌊64·H_k⌋` (`H_k > 0`): count
+            // each boundary at the first bucket it lies below (64 for
+            // none), then sum the counts up the buckets.
+            let mut firsts = [0u8; GUIDE + 1];
+            for &high in row.iter() {
+                firsts[((high * GUIDE as f64) as usize + 1).min(GUIDE)] += 1;
+            }
+            let mut below = 0;
+            for (start, first) in law.guide[m].iter_mut().zip(firsts) {
+                below += first;
+                *start = below;
+            }
+        }
+        law
     }
 
     /// The success probability `p` the law was built for.
@@ -202,9 +246,10 @@ impl Binomial {
     /// costs `O(n·s)` steps. `n` is split into runs of at most 1000
     /// trials, so `(1 − s)ⁿ` never underflows; a sum of independent
     /// binomials with one `p` is itself binomial. A run of fewer than 64
-    /// trials walks its tabulated row, with no division per step. `n = 0`
-    /// and the degenerate laws draw nothing from `rng`: `p ≤ 0` (or NaN)
-    /// gives 0, `p ≥ 1` gives `n`.
+    /// trials finds the walk's count on its band row from one guide
+    /// lookup, with the same uniform, and walks only when the uniform
+    /// lands inside a band. `n = 0` and the degenerate laws draw nothing
+    /// from `rng`: `p ≤ 0` (or NaN) gives 0, `p ≥ 1` gives `n`.
     #[inline]
     pub fn draw(&self, n: u64, rng: &mut StdRng) -> u64 {
         let (p, s) = (self.p, self.s);
@@ -214,23 +259,12 @@ impl Binomial {
         if p >= 1.0 {
             return n;
         }
-        // Most of serving's draws are single short runs: walk them
+        // Most of serving's draws are single short runs: look them up
         // without the chunk loop.
         let hits = if n < ROWS {
-            self.walk_row(n, rng)
+            self.walk_row(n, rng.gen())
         } else {
-            let mut hits = 0;
-            let mut left = n;
-            while left > 0 {
-                let m = left.min(BINOMIAL_CHUNK);
-                left -= m;
-                hits += if m < ROWS {
-                    self.walk_row(m, rng)
-                } else {
-                    self.walk(m, rng)
-                };
-            }
-            hits
+            self.walk_runs(n, rng)
         };
         if s < p {
             n - hits
@@ -239,35 +273,76 @@ impl Binomial {
         }
     }
 
-    /// The inversion walk over a run of `m < 64` trials, on its row.
-    #[inline]
-    fn walk_row(&self, m: u64, rng: &mut StdRng) -> u64 {
-        let m = m as usize;
-        let mut u: f64 = rng.gen();
-        let mut x = 0;
-        for &pmf in &self.rows[row_start(m)..row_start(m + 1)] {
-            if u > pmf {
-                u -= pmf;
-                x += 1;
+    /// The walks over `n ≥ 64` trials, in runs of at most 1000.
+    fn walk_runs(&self, n: u64, rng: &mut StdRng) -> u64 {
+        let mut hits = 0;
+        let mut left = n;
+        while left > 0 {
+            let m = left.min(BINOMIAL_CHUNK);
+            left -= m;
+            hits += if m < ROWS {
+                self.walk_row(m, rng.gen())
             } else {
-                break;
-            }
+                self.walk(m, rng)
+            };
         }
-        x
+        hits
+    }
+
+    /// The inversion walk's count over a run of `m < 64` trials for the
+    /// uniform `u`.
+    #[inline]
+    fn walk_row(&self, m: u64, u: f64) -> u64 {
+        self.guided(m as usize, u)
+            .unwrap_or_else(|| self.walk_cold(m, u))
+    }
+
+    /// The walk's count over a run of `m < 64` trials for the uniform
+    /// `u`, from row `m`'s guide and bands; `None` when `u` lies inside
+    /// the band of the boundary it meets, where only the walk can tell.
+    #[inline]
+    fn guided(&self, m: usize, u: f64) -> Option<u64> {
+        let row = &self.bands[row_start(m)..row_start(m + 1)];
+        // `u · 64` is exact, so the bucket's floor is at most `u` and
+        // the guide's count never passes the walk's.
+        let mut x = usize::from(self.guide[m][(u * GUIDE as f64) as usize]);
+        while let Some(&high) = row.get(x) {
+            if u <= high {
+                // Boundary `x + 1`: `u ≤ L` stops the walk at `x`.
+                let low = high - 2.0 * half_band(x + 1);
+                return (u <= low).then_some(x as u64);
+            }
+            x += 1;
+        }
+        Some(m as u64)
+    }
+
+    /// The walk over a run of `m < 64` trials for a uniform `u` that
+    /// [`guided`](Binomial::guided) could not place (at most about two
+    /// draws in 10¹²): the row's pmf recomputed from its head, bit for
+    /// bit.
+    #[cold]
+    fn walk_cold(&self, m: u64, u: f64) -> u64 {
+        self.walk_from(m, self.heads[m as usize], u)
     }
 
     /// The inversion walk over a run of `m ≥ 64` trials, computing the
     /// pmf as it goes.
     fn walk(&self, m: u64, rng: &mut StdRng) -> u64 {
-        let (q, r) = (self.q, self.r);
-        let a = (m + 1) as f64 * r;
-        let mut pmf = q.powi(m as i32);
-        let mut u: f64 = rng.gen();
+        let head = self.q.powi(m as i32);
+        self.walk_from(m, head, rng.gen())
+    }
+
+    /// The inversion walk over a run of `m` trials for the uniform `u`,
+    /// from the first pmf entry `head = q^m` up the recursion.
+    fn walk_from(&self, m: u64, head: f64, mut u: f64) -> u64 {
+        let a = (m + 1) as f64 * self.r;
+        let mut pmf = head;
         let mut x = 0;
         while u > pmf && x < m {
             u -= pmf;
             x += 1;
-            pmf *= a / x as f64 - r;
+            pmf *= a / x as f64 - self.r;
         }
         x
     }
@@ -534,17 +609,134 @@ mod tests {
         }
     }
 
+    /// The law's pmf rows as they were before the band rows replaced
+    /// them, verbatim: row `m` (at [`row_start`]`(m)`) holds the walk's
+    /// pmf `P(0), …, P(m − 1)`, starting from `q.powi(m)` bit for bit.
+    fn pmf_rows(q: f64, r: f64) -> Vec<f64> {
+        let mut rows = vec![0.0; row_start(ROWS as usize)];
+        let mut square = q;
+        for m in 1..ROWS as usize {
+            let top = 1 << m.ilog2();
+            let first = if m == top {
+                if m > 1 {
+                    square *= square;
+                }
+                square
+            } else {
+                rows[row_start(m - top)] * square
+            };
+            let a = (m + 1) as f64 * r;
+            let mut pmf = first;
+            for (x, entry) in rows[row_start(m)..row_start(m + 1)].iter_mut().enumerate() {
+                *entry = pmf;
+                pmf *= a / (x + 1) as f64 - r;
+            }
+        }
+        rows
+    }
+
+    /// The row walk as it was before the guided lookup replaced it,
+    /// with the uniform `u` passed in: the oracle for
+    /// [`Binomial::walk_row`].
+    fn walk_pmf_row(rows: &[f64], m: usize, mut u: f64) -> u64 {
+        let mut x = 0;
+        for &pmf in &rows[row_start(m)..row_start(m + 1)] {
+            if u > pmf {
+                u -= pmf;
+                x += 1;
+            } else {
+                break;
+            }
+        }
+        x
+    }
+
+    /// The edges `(L_k, H_k)` of band `k` in row `m`.
+    fn band(law: &Binomial, m: usize, k: usize) -> (f64, f64) {
+        let high = law.bands[row_start(m) + k - 1];
+        (high - 2.0 * half_band(k), high)
+    }
+
     #[test]
     fn binomial_power_table_is_powi_bit_for_bit() {
-        // Each row starts at `(1 − s)^m`, the walk's first pmf entry.
+        // Each row's head is `(1 − s)^m`, the walk's first pmf entry.
         for p in [1e-12, 0.05, 0.2, 0.375, 0.5, 0.625, 0.8, 1.0 - 1e-12] {
             let law = Binomial::new(p);
-            assert_eq!(law.rows.len(), row_start(ROWS as usize), "p {p}");
+            assert_eq!(law.bands.len(), row_start(ROWS as usize), "p {p}");
+            assert_eq!(law.heads.len(), ROWS as usize, "p {p}");
             for m in 1..ROWS as usize {
                 assert_eq!(
-                    law.rows[row_start(m)].to_bits(),
+                    law.heads[m].to_bits(),
                     law.q.powi(m as i32).to_bits(),
                     "p {p}, m {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guided_lookup_counts_what_the_row_walk_counted_at_every_band_edge() {
+        // Every uniform on the 2⁻⁵³ grid the draws use, from 64 steps
+        // below each band to 64 steps above it, and the grid's ends.
+        const STEP: f64 = 1.0 / (1u64 << 53) as f64;
+        const TOP: i64 = (1 << 53) - 1;
+        for p in [
+            1e-300,
+            1e-12,
+            0.05,
+            0.2,
+            0.375,
+            0.5,
+            0.625,
+            0.95,
+            1.0 - 1e-12,
+        ] {
+            let law = Binomial::new(p);
+            let rows = pmf_rows(law.q, law.r);
+            for m in 0..ROWS as usize {
+                let row = &law.bands[row_start(m)..row_start(m + 1)];
+                for (j, &start) in law.guide[m].iter().enumerate() {
+                    let floor = j as f64 / GUIDE as f64;
+                    let below = row.iter().filter(|&&high| high < floor).count();
+                    assert_eq!(usize::from(start), below, "p {p}, m {m}, bucket {j}");
+                }
+                let check = |i: i64| {
+                    let u = i as f64 * STEP;
+                    assert_eq!(
+                        law.walk_row(m as u64, u),
+                        walk_pmf_row(&rows, m, u),
+                        "p {p}, m {m}, u {u:e}"
+                    );
+                };
+                check(0);
+                check(TOP);
+                for k in 1..=m {
+                    let (low, high) = band(&law, m, k);
+                    let from = ((low / STEP).floor() as i64 - 64).max(0);
+                    let to = ((high / STEP).ceil() as i64 + 64).min(TOP);
+                    (from..=to).for_each(check);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_uniform_inside_a_band_falls_back_to_the_walk() {
+        const STEP_INV: f64 = (1u64 << 53) as f64;
+        for p in [0.05, 0.375, 0.625] {
+            let law = Binomial::new(p);
+            let rows = pmf_rows(law.q, law.r);
+            for (m, k) in [(1, 1), (12, 3), (48, 9), (63, 40)] {
+                let (low, high) = band(&law, m, k);
+                // The grid point nearest the band's middle, as a draw
+                // would produce it.
+                let u = ((low + high) / 2.0 * STEP_INV).round() / STEP_INV;
+                assert!(low < u && u <= high, "p {p}, m {m}, k {k}");
+                assert_eq!(law.guided(m, u), None, "p {p}, m {m}, k {k}");
+                assert_eq!(
+                    law.walk_row(m as u64, u),
+                    walk_pmf_row(&rows, m, u),
+                    "p {p}, m {m}, k {k}"
                 );
             }
         }
