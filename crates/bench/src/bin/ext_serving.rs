@@ -5,8 +5,8 @@
 //! completion-time quantiles (p50/p99/p999). A flash-crowd-over-brownout
 //! composition arm exercises the same stack under `leime-chaos` faults,
 //! and a workers arm runs that composition at 4096 devices on 1 and 2
-//! worker threads, asserts the two reports are byte-identical, and
-//! prints both wall times and their ratio.
+//! worker threads, asserts the reports are byte-identical, and prints
+//! the median wall times of alternating samples and their ratio.
 //!
 //! Appends a row to the `BENCH_serving.json` history (schema
 //! `leime-bench/1`; each row names its git revision, toolchain and
@@ -45,6 +45,9 @@ const OUT_PATH: &str = "BENCH_serving.json";
 /// Devices in the workers arm; its edge scales with the fleet, so each
 /// device sees the golden composition's edge share.
 const WIDE_DEVICES: usize = 4096;
+/// Timed samples per worker count in the workers arm, taken in
+/// alternating 1-worker, 2-worker pairs after one untimed warm-up run.
+const WORKER_SAMPLES: usize = 5;
 
 struct Arm {
     load: f64,
@@ -137,9 +140,25 @@ fn arm_json(arm: &Arm) -> serde_json::Value {
     })
 }
 
+/// The median of `xs` (odd length).
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// The `(min, max)` of `xs`.
+fn range(xs: &[f64]) -> (f64, f64) {
+    let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+    (min, xs.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+}
+
 /// The flash-crowd-over-brownout composition at [`WIDE_DEVICES`]
-/// devices on 1 and 2 worker threads: the reports must be
-/// byte-identical, and both wall times and their ratio are printed.
+/// devices on 1 and 2 worker threads. One untimed run warms the caches
+/// and the allocator; then [`WORKER_SAMPLES`] alternating 1-worker,
+/// 2-worker pairs are timed, so host drift falls on both sides. Every
+/// report must be byte-identical to the warm-up's. Prints the median
+/// wall times with their ranges, and the median of the pairs' ratios.
 fn workers_arm() -> serde_json::Value {
     let (mut scenario, config) =
         flash_brownout_testbed(ModelKind::SqueezeNet, WIDE_DEVICES, CHAOS_SEED, 1.0);
@@ -152,18 +171,34 @@ fn workers_arm() -> serde_json::Value {
             .unwrap();
         (serde_json::to_string(&report).unwrap(), clock.now())
     };
-    let (one, one_s) = timed(1);
-    let (two, two_s) = timed(2);
-    assert_eq!(
-        one, two,
-        "the workers arm's reports differ at 1 and 2 workers"
-    );
-    let speedup = one_s / two_s;
+    let (want, _) = timed(1);
+    let (mut ones, mut twos) = (Vec::new(), Vec::new());
+    for _ in 0..WORKER_SAMPLES {
+        for (workers, times) in [(1, &mut ones), (2, &mut twos)] {
+            let (report, wall_s) = timed(workers);
+            assert_eq!(
+                report, want,
+                "the workers arm's report at {workers} worker(s) differs from the warm-up's"
+            );
+            times.push(wall_s);
+        }
+    }
+    let ratios: Vec<f64> = ones.iter().zip(&twos).map(|(one, two)| one / two).collect();
+    let (one_s, two_s, speedup) = (median(&ones), median(&twos), median(&ratios));
+    let spread = |xs: &[f64]| {
+        let (lo, hi) = range(xs);
+        format!("{}–{}", fmt_time(lo), fmt_time(hi))
+    };
+    let (ratio_lo, ratio_hi) = range(&ratios);
     println!(
-        "workers arm: flash+brownout at {WIDE_DEVICES} devices, {SLOTS} slots: \
-         1 worker {}, 2 workers {}, speedup {speedup:.2}x{} (reports byte-identical)\n",
+        "workers arm: flash+brownout at {WIDE_DEVICES} devices, {SLOTS} slots, \
+         median of n = {WORKER_SAMPLES} alternating pairs after a warm-up: \
+         1 worker {} ({}), 2 workers {} ({}), speedup {speedup:.2}x \
+         ({ratio_lo:.2}–{ratio_hi:.2}x){} (reports byte-identical)\n",
         fmt_time(one_s),
+        spread(&ones),
         fmt_time(two_s),
+        spread(&twos),
         if speedup < 1.0 {
             " — 2 workers lose"
         } else {
@@ -173,9 +208,12 @@ fn workers_arm() -> serde_json::Value {
     serde_json::json!({
         "devices": WIDE_DEVICES,
         "slots": SLOTS,
+        "samples": WORKER_SAMPLES,
         "wall_ms_1_worker": one_s * 1e3,
         "wall_ms_2_workers": two_s * 1e3,
         "speedup": speedup,
+        "speedup_min": ratio_lo,
+        "speedup_max": ratio_hi,
     })
 }
 

@@ -1,7 +1,9 @@
 //! Microbenchmarks for the slot loops' inner kernels (DESIGN.md §14):
 //! the Eq. 10–11 queue update, the per-device-slot offloading decision
 //! (the exact P1′ solve), the batched telemetry flush, a replay's
-//! histogram record of one cohort, serving's count-level class split,
+//! histogram record of one cohort, one serving device-slot's nine
+//! (class, tier) cells through the run recorder, serving's count-level
+//! class split,
 //! and a device-slot's Poisson arrival draw with Knuth's threshold
 //! computed per call and once per mean. Reports ns/op and *appends* a git-keyed run
 //! record to the `BENCH_kernels.json` history (schema `leime-bench/1`,
@@ -38,7 +40,7 @@ use leime_offload::{
     ControllerTelemetry, DecisionBatch, DeviceParams, LyapunovController, OffloadController,
     QueuePair, SharedParams, SlotObservation,
 };
-use leime_telemetry::{Buckets, Clock, Registry, WallClock};
+use leime_telemetry::{Buckets, Clock, Registry, RunBuckets, WallClock};
 use leime_workload::{poisson_draw, poisson_threshold, Binomial};
 use rand::SeedableRng;
 
@@ -150,7 +152,45 @@ fn main() {
         v
     }));
 
-    // Kernel 5: serving's class split of one device-slot's 48 offered
+    // Kernel 5: one serving device-slot's nine (class, tier) cells,
+    // 3.8 of them non-zero, each at its own price, which steps once
+    // every 50 device-slots (admission-bound overload repeats ~98% of
+    // them), each cell through its own run recorder.
+    const CELL_OPS: u64 = 1_000_000;
+    let cell = |i: u64, c: usize| {
+        let n = match c {
+            0 | 1 | 3 => 3,
+            6 if !i.is_multiple_of(5) => 2,
+            _ => 0,
+        };
+        let step = (i / 50 % 7) as f64 * 1e-3;
+        (0.05 * (1.0 + c as f64 * 0.37 + step), n)
+    };
+    let mut runs: [RunBuckets; 9] = Default::default();
+    results.push(time_kernel("histogram_record_run", CELL_OPS, |i| {
+        let mut sink = 0.0;
+        for (c, run) in runs.iter_mut().enumerate() {
+            let (v, n) = cell(i, c);
+            run.record_n(v, n);
+            sink += v;
+        }
+        sink
+    }));
+    // The recorders hold the bits of the same cells recorded directly,
+    // untimed warm-up pass (`i = 0`) included.
+    let (mut merged, mut direct) = (Buckets::new(), Buckets::new());
+    for run in &runs {
+        run.merge_into(&mut merged);
+    }
+    for i in std::iter::once(0).chain(0..CELL_OPS) {
+        for c in 0..9 {
+            let (v, n) = cell(i, c);
+            direct.record_n(v, n);
+        }
+    }
+    assert_eq!(merged, direct, "the recorder left other bits");
+
+    // Kernel 6: serving's class split of one device-slot's 48 offered
     // requests under the flash-crowd testbed's class mix, as two
     // conditional binomial draws.
     let mix = leime_serving::flash_brownout_testbed(ModelKind::SqueezeNet, 1, 0, 2.0)
@@ -166,7 +206,7 @@ fn main() {
         (a * 3 + b) as f64
     }));
 
-    // Kernels 6–7: one device-slot's Poisson(5) arrival draw (the
+    // Kernels 7–8: one device-slot's Poisson(5) arrival draw (the
     // slotted workloads' mean), with Knuth's threshold `exp(−mean)`
     // computed per call (`black_box` keeps the mean opaque, so the
     // exponential cannot be hoisted) and once, where the mean is set.

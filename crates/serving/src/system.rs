@@ -45,7 +45,7 @@ use leime_chaos::{ChaosConfig, EdgeChaos, FaultModel, SharedHealth};
 use leime_offload::{QueuePair, SharedParams};
 use leime_par::StdRng;
 use leime_simnet::SimTime;
-use leime_telemetry::{Buckets, Registry};
+use leime_telemetry::{Buckets, Registry, RunBuckets};
 use leime_workload::{poisson_draw, Binomial};
 
 use leime::{
@@ -332,7 +332,9 @@ impl ServingSystem {
                 let (tallies, records) = slot_loop.run_epoch(epoch, &mut broadcast)?;
                 for tally in tallies {
                     for (stat, class) in stats.iter_mut().zip(&tally.classes) {
-                        stat.tct_s.merge(&class.tct_s);
+                        for tier in &class.tct_s {
+                            tier.merge_into(&mut stat.tct_s);
+                        }
                         stat.deadline_hits += class.deadline_hits;
                         stat.offered += class.offered;
                         stat.admitted += class.admitted;
@@ -596,10 +598,14 @@ struct ServeTally {
 }
 
 /// One class's share of a [`ServeTally`]: the [`ClassStats`] fields a
-/// run accumulates.
+/// run accumulates. The histogram is recorded per exit tier, one
+/// [`RunBuckets`] each, since each (class, tier) cell repeats its own
+/// price from one device-slot to the next while admission pins the
+/// queues and the admitted counts (DESIGN.md §15).
 #[derive(Debug, Default)]
 struct ClassTally {
-    tct_s: Buckets,
+    /// Per exit tier: the cell's completion times.
+    tct_s: [RunBuckets; 3],
     deadline_hits: u64,
     offered: u64,
     admitted: u64,
@@ -609,13 +615,16 @@ struct ClassTally {
 impl ServeTally {
     /// Folds one served device-slot's requests in: each (class, tier)
     /// cell, priced `tct`, is judged once against its class's deadline,
-    /// since every request in it completes at that price. `record_n`
-    /// allocates only to widen a class histogram's stored window.
+    /// since every request in it completes at that price. Its cohort
+    /// goes to the cell's [`RunBuckets`]: one compare when the cell
+    /// repeats its last price, else one histogram `record_n`, which
+    /// allocates only to widen the stored window.
     fn fold_requests(&mut self, requests: &Requests, tct: &[[f64; 3]; 3], deadlines: &[f64; 3]) {
         self.hard_requests += requests.hard;
         for (ci, class) in self.classes.iter_mut().enumerate() {
-            for (&n, &tct) in requests.admitted[ci].iter().zip(&tct[ci]) {
-                class.tct_s.record_n(tct, n);
+            let cells = requests.admitted[ci].iter().zip(&tct[ci]);
+            for ((&n, &tct), tier) in cells.zip(&mut class.tct_s) {
+                tier.record_n(tct, n);
                 if tct <= deadlines[ci] {
                     class.deadline_hits += n;
                 }

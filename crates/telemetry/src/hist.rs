@@ -1,4 +1,5 @@
-//! Log-bucketed histograms ([`Buckets`]).
+//! Log-bucketed histograms ([`Buckets`]), and a recorder that
+//! coalesces runs of one value into them ([`RunBuckets`]).
 //!
 //! Values are bucketed by magnitude on a logarithmic grid with
 //! [`BUCKETS_PER_OCTAVE`] buckets per power of two (growth factor
@@ -341,6 +342,57 @@ impl Buckets {
         self.sum.merge(&other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+/// A [`Buckets`] recorder that coalesces runs of one value: a
+/// `record_n` at the bits of the pending run only adds to its count,
+/// and any other value records the run with one [`Buckets::record_n`]
+/// and starts a new one. What [`RunBuckets::merge_into`] leaves is the
+/// histogram the same `record_n` calls made directly, bit for bit:
+/// bucket counts add, min and max fold the same values, and the sum is
+/// exact, so recording `n₁ + n₂` copies once is recording `n₁` and then
+/// `n₂`. Values are compared by bits, so `0.0` and `-0.0`, or two NaN
+/// payloads, never share a run.
+///
+/// A fold site whose cells repeat their price from one record to the
+/// next (serving's (class, tier) cells under admission-bound load) pays
+/// one compare per record instead of a bucket lookup and an exact add.
+#[derive(Debug, Clone, Default)]
+pub struct RunBuckets {
+    buckets: Buckets,
+    /// The pending run: its value's bits and its count.
+    bits: u64,
+    n: u64,
+}
+
+impl RunBuckets {
+    /// Adds `n` copies of `v`: to the pending run when `v` has its
+    /// bits, else the run is recorded and `(v, n)` starts the next. A
+    /// zero count records nothing, so it does not break the run.
+    #[inline]
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        let bits = v.to_bits();
+        if bits == self.bits {
+            self.n += n;
+        } else if n > 0 {
+            self.start_run(bits, n);
+        }
+    }
+
+    /// Records the pending run and starts one of `n` at `bits`: kept out
+    /// of line, so the compare inlines alone at each record site.
+    #[inline(never)]
+    fn start_run(&mut self, bits: u64, n: u64) {
+        self.buckets.record_n(f64::from_bits(self.bits), self.n);
+        (self.bits, self.n) = (bits, n);
+    }
+
+    /// Merges everything recorded into `into`: the recorded runs, then
+    /// the pending one.
+    pub fn merge_into(&self, into: &mut Buckets) {
+        into.merge(&self.buckets);
+        into.record_n(f64::from_bits(self.bits), self.n);
     }
 }
 
@@ -841,6 +893,28 @@ mod tests {
                 proptest::prop_assert_eq!(&bytes(&into), &want);
                 proptest::prop_assert!(into == forward);
             }
+        }
+    }
+
+    #[test]
+    fn zero_signs_never_share_a_run() {
+        // `f64::min` and `f64::max` leave unspecified which zero they
+        // return for `0.0` against `-0.0`, so a run that let one zero
+        // absorb the other could leave other min or max bits than the
+        // direct calls.
+        let bits = |b: &Buckets| (b.min().map(f64::to_bits), b.max().map(f64::to_bits));
+        for calls in [
+            [(-0.0, 2), (0.0, 3), (-0.0, 1)],
+            [(0.0, 2), (-0.0, 3), (0.0, 1)],
+        ] {
+            let (mut direct, mut runs, mut merged) =
+                (Buckets::new(), RunBuckets::default(), Buckets::new());
+            for (v, n) in calls {
+                direct.record_n(v, n);
+                runs.record_n(v, n);
+            }
+            runs.merge_into(&mut merged);
+            assert_eq!(bits(&merged), bits(&direct), "{calls:?}");
         }
     }
 

@@ -13,6 +13,7 @@
 //!   error bounded by one bucket width, an exact sum, and exact merging
 //!   (bucket counts and sums add, in any order). It holds a `leime` run
 //!   report's completion times, merged into the registry once per run.
+//!   [`RunBuckets`] records into one, coalescing runs of one value.
 //! * [`Tracer`] — span tracing generic over a [`Clock`]; the
 //!   [`WallClock`] reads `std::time::Instant`, and tests drive a tracer
 //!   with a clock of their own.
@@ -28,7 +29,7 @@ pub(crate) mod sync;
 pub mod trace;
 
 pub use clock::{Clock, WallClock};
-pub use hist::Buckets;
+pub use hist::{Buckets, RunBuckets};
 pub use registry::{
     CounterSnapshot, HistogramSnapshot, Registry, SeriesSnapshot, TelemetrySnapshot,
 };

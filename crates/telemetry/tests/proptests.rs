@@ -5,7 +5,7 @@
 use leime_telemetry::hist::{
     bucket_index, bucket_representative, Buckets, BUCKETS_PER_OCTAVE, MIN_MAG, NUM_BUCKETS,
 };
-use leime_telemetry::{Clock, SpanRecord, Tracer, WallClock};
+use leime_telemetry::{Clock, RunBuckets, SpanRecord, Tracer, WallClock};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -229,6 +229,81 @@ proptest! {
             into_part.merge(&parts[b]);
             into_part.merge(&parts[c]);
             prop_assert_eq!(&into_part, &whole);
+        }
+    }
+}
+
+/// Values a run recorder must keep apart or pass through as the
+/// histogram does: both zeros, two NaN payloads, both infinities,
+/// subnormals, magnitudes under `MIN_MAG`, and prices of either sign.
+const RUN_VALUES: [f64; 14] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::from_bits(0x7ff8_0000_0000_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    -2.5e-310,
+    1e-12,
+    -3e-10,
+    0.25,
+    0.125,
+    -7.5,
+    1e300,
+];
+
+proptest! {
+    /// A [`RunBuckets`] merged into a histogram leaves the bits that the
+    /// same `record_n` calls made directly leave, into an empty
+    /// histogram and into one that already holds samples. A step repeats
+    /// its value up to seven times; a third of the counts are 1,000 to
+    /// 1,499, so a coalesced run passes the exact sum's `2^11` fast-path
+    /// bound, and the rest are 0 to 3.
+    #[test]
+    fn run_recorder_is_the_direct_fold(
+        steps in prop::collection::vec(
+            (0usize..RUN_VALUES.len() + 48, 0u64..1500, 1usize..8),
+            0..40,
+        ),
+        prefix in prop::collection::vec((0usize..RUN_VALUES.len(), 0u64..3000), 1..6),
+    ) {
+        // The special values, then ±1.5^j for j in -12..12.
+        let value = |k: usize| {
+            RUN_VALUES.get(k).copied().unwrap_or_else(|| {
+                let j = k - RUN_VALUES.len();
+                let sign = if j < 24 { -1.0 } else { 1.0 };
+                sign * 1.5f64.powi((j % 24) as i32 - 12)
+            })
+        };
+        // The bits a histogram shows besides `==`: the sum, min and max
+        // bits, and the serialized bytes.
+        let shown = |b: &Buckets| {
+            (
+                b.sum().to_bits(),
+                b.min().map(f64::to_bits),
+                b.max().map(f64::to_bits),
+                serde_json::to_string(b).unwrap(),
+            )
+        };
+        let mut held = Buckets::new();
+        for &(k, n) in &prefix {
+            held.record_n(value(k), n);
+        }
+        for start in [Buckets::new(), held] {
+            let mut direct = start.clone();
+            let mut runs = RunBuckets::default();
+            for &(k, n, repeat) in &steps {
+                let n = if n < 1000 { n % 4 } else { n };
+                for _ in 0..repeat {
+                    direct.record_n(value(k), n);
+                    runs.record_n(value(k), n);
+                }
+            }
+            let mut merged = start.clone();
+            runs.merge_into(&mut merged);
+            prop_assert!(merged == direct);
+            prop_assert_eq!(shown(&merged), shown(&direct));
         }
     }
 }

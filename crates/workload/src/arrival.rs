@@ -353,10 +353,14 @@ impl Binomial {
 /// mean, switching state with the given per-slot probabilities — the
 /// classic model for the unpredictable load spikes of the "wild edge"
 /// (§II-A: "task arrival rates vary dynamically").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mmpp {
     calm_mean: f64,
     burst_mean: f64,
+    /// Knuth's thresholds of the two means ([`poisson_threshold`]),
+    /// computed once.
+    calm_threshold: f64,
+    burst_threshold: f64,
     p_enter_burst: f64,
     p_leave_burst: f64,
     max: u64,
@@ -385,6 +389,8 @@ impl Mmpp {
         Mmpp {
             calm_mean,
             burst_mean,
+            calm_threshold: poisson_threshold(calm_mean),
+            burst_threshold: poisson_threshold(burst_mean),
             p_enter_burst,
             p_leave_burst,
             max,
@@ -420,12 +426,12 @@ impl Mmpp {
         if rng.gen_bool(switch) {
             self.in_burst = !self.in_burst;
         }
-        let mean = if self.in_burst {
-            self.burst_mean
+        let (mean, threshold) = if self.in_burst {
+            (self.burst_mean, self.burst_threshold)
         } else {
-            self.calm_mean
+            (self.calm_mean, self.calm_threshold)
         };
-        poisson_draw(mean, poisson_threshold(mean), self.max, rng)
+        poisson_draw(mean, threshold, self.max, rng)
     }
 }
 
@@ -871,6 +877,26 @@ mod tests {
             saw_burst |= p.in_burst();
         }
         assert!(saw_burst);
+    }
+
+    #[test]
+    fn mmpp_draws_what_a_per_draw_threshold_drew() {
+        // The stored thresholds are the `exp(−mean)` each draw used to
+        // compute: the same state sequence and counts from one stream,
+        // for means on both sides of Knuth's bound and zero.
+        for (calm, burst) in [(2.0, 20.0), (0.0, 45.0), (0.3, 30.0)] {
+            let mut p = Mmpp::new(calm, burst, 0.2, 0.3, 1000);
+            let (mut rng, mut reference) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+            let mut in_burst = false;
+            for _ in 0..2_000 {
+                let switch = if in_burst { 0.3 } else { 0.2 };
+                in_burst ^= reference.gen_bool(switch);
+                let mean = if in_burst { burst } else { calm };
+                let want = poisson_draw(mean, poisson_threshold(mean), 1000, &mut reference);
+                assert_eq!(p.draw(&mut rng), want);
+                assert_eq!(p.in_burst(), in_burst);
+            }
+        }
     }
 
     #[test]
