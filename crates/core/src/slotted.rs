@@ -62,7 +62,7 @@ pub const DEFAULT_EPOCH_LEN: NonZeroUsize = match NonZeroUsize::new(16) {
 /// does — the slot rows' float sums, the served work, the queues and
 /// the decision points — the driving thread replays in device order,
 /// batching the decision telemetry per slot ([`DecisionBatch`]) instead
-/// of locking per decision. The registry is written on the driving
+/// of writing per decision. The registry is written on the driving
 /// thread only. The result: for any seed, any worker count and any
 /// epoch length, the run's [`RunReport`] and telemetry snapshot are
 /// byte-identical to the sequential run (enforced by the tier-2

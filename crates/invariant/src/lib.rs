@@ -18,13 +18,6 @@
 //!
 //! The crate is re-exported as `leime::invariant` from the core crate.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of guard evaluations since process start (only counted while
-/// guards are active). Lets tests assert the guards are actually wired
-/// into the hot paths rather than compiled away.
-static CHECKS_EVALUATED: AtomicU64 = AtomicU64::new(0);
-
 /// Absolute tolerance for boundary comparisons: solver bisection and
 /// KKT projection legitimately land within floating-point slop of the
 /// feasible-region boundary.
@@ -36,17 +29,6 @@ pub const TOL: f64 = 1e-9;
 #[must_use]
 pub fn active() -> bool {
     cfg!(debug_assertions) || cfg!(feature = "strict-invariants")
-}
-
-/// Total guard evaluations so far (0 when guards are inactive).
-#[must_use]
-pub fn checks_evaluated() -> u64 {
-    CHECKS_EVALUATED.load(Ordering::Relaxed)
-}
-
-#[inline]
-fn tick() {
-    CHECKS_EVALUATED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Reports a violated invariant. The single sanctioned panic site of
@@ -72,14 +54,11 @@ pub fn violation(label: &str, detail: &str) -> ! {
 /// Returns `x` unchanged so guards can wrap return expressions.
 #[inline]
 pub fn check_unit_interval(label: &str, x: f64) -> f64 {
-    if active() {
-        tick();
-        if !(x.is_finite() && (-TOL..=1.0 + TOL).contains(&x)) {
-            violation(
-                label,
-                &format!("offloading ratio x = {x} outside [0, 1] (Eq. 8)"),
-            );
-        }
+    if active() && !(x.is_finite() && (-TOL..=1.0 + TOL).contains(&x)) {
+        violation(
+            label,
+            &format!("offloading ratio x = {x} outside [0, 1] (Eq. 8)"),
+        );
     }
     x
 }
@@ -88,7 +67,6 @@ pub fn check_unit_interval(label: &str, x: f64) -> f64 {
 #[inline]
 pub fn check_interval(label: &str, lo: f64, hi: f64) -> (f64, f64) {
     if active() {
-        tick();
         let ok = lo.is_finite() && hi.is_finite() && lo <= hi + TOL;
         if !ok || !(-TOL..=1.0 + TOL).contains(&lo) || !(-TOL..=1.0 + TOL).contains(&hi) {
             violation(
@@ -105,14 +83,11 @@ pub fn check_interval(label: &str, lo: f64, hi: f64) -> (f64, f64) {
 /// Returns `v` unchanged.
 #[inline]
 pub fn check_nonneg(label: &str, v: f64) -> f64 {
-    if active() {
-        tick();
-        if !(v.is_finite() && v >= -TOL) {
-            violation(
-                label,
-                &format!("backlog {v} negative or non-finite (Eq. 10–11)"),
-            );
-        }
+    if active() && !(v.is_finite() && v >= -TOL) {
+        violation(
+            label,
+            &format!("backlog {v} negative or non-finite (Eq. 10–11)"),
+        );
     }
     v
 }
@@ -124,7 +99,6 @@ pub fn check_simplex(label: &str, shares: &[f64]) {
     if !active() {
         return;
     }
-    tick();
     let mut sum = 0.0f64;
     for (i, &p) in shares.iter().enumerate() {
         if !(p.is_finite() && p >= -TOL) {
@@ -147,11 +121,8 @@ pub fn check_simplex(label: &str, shares: &[f64]) {
 /// Returns `v` unchanged.
 #[inline]
 pub fn check_finite_cost(label: &str, v: f64) -> f64 {
-    if active() {
-        tick();
-        if !(v.is_finite() && v >= 0.0) {
-            violation(label, &format!("cost {v} non-finite or negative"));
-        }
+    if active() && !(v.is_finite() && v >= 0.0) {
+        violation(label, &format!("cost {v} non-finite or negative"));
     }
     v
 }
@@ -165,7 +136,6 @@ pub fn check_finite_cost(label: &str, v: f64) -> f64 {
 #[inline]
 pub fn check_drained(label: &str, backlog: f64, envelope: f64) -> f64 {
     if active() {
-        tick();
         let envelope_ok = envelope.is_finite() && envelope >= 0.0;
         if !envelope_ok || !backlog.is_finite() || backlog > envelope + TOL {
             violation(
@@ -192,9 +162,6 @@ pub fn check_drained(label: &str, backlog: f64, envelope: f64) -> f64 {
 #[inline]
 #[must_use]
 pub fn within_bound(predicted: f64, bound: f64) -> bool {
-    if active() {
-        tick();
-    }
     predicted.is_finite() && bound.is_finite() && predicted <= bound + TOL
 }
 
@@ -205,7 +172,6 @@ pub fn check_monotone(label: &str, xs: &[f64]) {
     if !active() {
         return;
     }
-    tick();
     for (i, w) in xs.windows(2).enumerate() {
         // NaN in either element must trip the check, not slip past it.
         if !w[0].is_finite() || !w[1].is_finite() || w[0] > w[1] + TOL {
@@ -227,7 +193,6 @@ pub fn check_increasing_exits(label: &str, exits: &[usize], num_layers: usize) {
     if !active() {
         return;
     }
-    tick();
     for (i, w) in exits.windows(2).enumerate() {
         if w[0] >= w[1] {
             violation(
@@ -276,17 +241,6 @@ mod tests {
         check_unit_interval("t", -0.5 * TOL);
         check_nonneg("t", -0.5 * TOL);
         check_simplex("t", &[0.5 + 1e-12, 0.5 - 1e-12]);
-    }
-
-    #[test]
-    fn counter_advances_when_active() {
-        if !active() {
-            return;
-        }
-        let before = checks_evaluated();
-        check_unit_interval("t", 0.3);
-        check_simplex("t", &[1.0]);
-        assert!(checks_evaluated() >= before + 2);
     }
 
     #[test]

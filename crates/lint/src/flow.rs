@@ -1,28 +1,17 @@
-//! The merged flow graph over [`FileFacts`], hot-region reachability,
-//! and the S5, S6 and S8 rules built on top (S1 reads the same graph
-//! over one crate's files, see [`crate::rules`]).
-//!
-//! | Rule | Enforces |
-//! | ---- | -------- |
-//! | `S5` | no interior mutability of a capture across `leime-par` shard-closure boundaries |
-//! | `S6` | hot-path allocation ratchet — counts only go down vs. a pinned baseline |
-//! | `S8` | no blocking calls (locks, channel recv, sleeps) inside or reachable from shard worker bodies |
+//! The merged flow graph over [`FileFacts`] and hot-region
+//! reachability: the raw material of the S6 allocation ratchet, which
+//! [`crate::run`] compares against a pinned baseline (S1 reads the same
+//! graph over one crate's files, see [`crate::rules`]).
 //!
 //! The graph is *name-keyed*: same-named functions merge into one
 //! node, so reachability over-approximates. For S6 that direction is
-//! safe (a too-big hot set only makes the pinned baseline larger, never
-//! produces a spurious regression); for S5/S8 the shard-body discovery
-//! is syntactic (the closure argument of a known `leime-par` entry
-//! point), which keeps the root set exact.
-//!
-//! Captures are computed against the *enclosing function's* bindings
-//! (see [`crate::tree`]): an identifier free in the closure body only
-//! counts as a capture when the enclosing `fn` binds it (parameter,
-//! `let`, loop pattern or closure parameter). Match-arm patterns bind
-//! nothing, so their names never produce false captures.
+//! safe: a too-big hot set only makes the pinned baseline larger, never
+//! produces a spurious regression. The hot set's roots are the
+//! configured run entry points plus the calls of every shard body, the
+//! closure argument of a known `leime-par` entry point.
 
 use crate::tree::{FileFacts, FnFacts, ShardBody};
-use crate::{path_matches, Finding, SemaConfig};
+use crate::{path_matches, SemaConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The merged workspace flow graph plus the discovered shard bodies,
@@ -33,9 +22,8 @@ pub struct FlowAnalysis<'a> {
     /// into one node for reachability, but keep separate facts so S6
     /// counts stay per-definition).
     defs: BTreeMap<&'a str, Vec<(&'a str, &'a FnFacts)>>,
-    /// Shard-worker closures found at `leime-par` entry-point calls,
-    /// with their defining file.
-    shard_bodies: Vec<(&'a str, &'a ShardBody)>,
+    /// Shard-worker closures found at `leime-par` entry-point calls.
+    shard_bodies: Vec<&'a ShardBody>,
 }
 
 impl<'a> FlowAnalysis<'a> {
@@ -47,8 +35,7 @@ impl<'a> FlowAnalysis<'a> {
             for f in &file.fns {
                 out.defs.entry(&f.name).or_default().push((&file.path, f));
             }
-            out.shard_bodies
-                .extend(file.shard_bodies.iter().map(|sb| (file.path.as_str(), sb)));
+            out.shard_bodies.extend(&file.shard_bodies);
         }
         out
     }
@@ -84,7 +71,7 @@ impl<'a> FlowAnalysis<'a> {
     /// The hot set: functions transitively reachable from the
     /// configured hot roots plus every shard body's callees.
     fn hot_set(&self, cfg: &SemaConfig) -> BTreeSet<&'a str> {
-        let body_calls = self.shard_bodies.iter().flat_map(|(_, sb)| &sb.calls);
+        let body_calls = self.shard_bodies.iter().flat_map(|sb| &sb.calls);
         self.reachable(
             cfg.hot_root_fns
                 .iter()
@@ -117,80 +104,6 @@ impl<'a> FlowAnalysis<'a> {
         }
         out
     }
-
-    /// Runs S5 and S8 and returns their findings, sorted by path, line
-    /// and rule. (The S6 ratchet is driven by [`crate::run`],
-    /// which reads the pinned baseline.)
-    pub fn findings(&self, cfg: &SemaConfig) -> Vec<Finding> {
-        let mut out = Vec::new();
-        if cfg.rule_on("S5") {
-            self.scan_s5(&mut out);
-        }
-        if cfg.rule_on("S8") {
-            self.scan_s8(&mut out);
-        }
-        out.sort_by(|a, b| {
-            (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message))
-        });
-        out.dedup();
-        out
-    }
-
-    // S5: interior mutability of captures across the shard boundary.
-    // A plain mutable capture needs no rule: the shard-body bounds are
-    // `Fn + Sync`, so such a closure does not compile.
-    fn scan_s5(&self, out: &mut Vec<Finding>) {
-        for &(path, sb) in &self.shard_bodies {
-            for (name, method, line) in &sb.interior_mut {
-                out.push(Finding {
-                    rule: "S5".to_string(),
-                    path: path.to_string(),
-                    line: *line,
-                    message: format!(
-                        "`{}` shard body mutates captured `{name}` through `.{method}()` — \
-                         interior mutability across the shard boundary breaks the \
-                         byte-identical contract (DESIGN.md §11)",
-                        sb.entry
-                    ),
-                });
-            }
-        }
-    }
-
-    // S8: blocking calls inside (or reachable from) shard bodies.
-    fn scan_s8(&self, out: &mut Vec<Finding>) {
-        for &(path, sb) in &self.shard_bodies {
-            for (line, what) in &sb.blocking {
-                out.push(Finding {
-                    rule: "S8".to_string(),
-                    path: path.to_string(),
-                    line: *line,
-                    message: format!(
-                        "`{}` shard body blocks on `{what}` — shard workers must stay \
-                         lock- and wait-free (the pool owns all synchronization)",
-                        sb.entry
-                    ),
-                });
-            }
-            for callee in self.reachable(sb.calls.iter().map(String::as_str)) {
-                for &(def_path, def) in &self.defs[callee] {
-                    for (line, what) in &def.blocking {
-                        out.push(Finding {
-                            rule: "S8".to_string(),
-                            path: def_path.to_string(),
-                            line: *line,
-                            message: format!(
-                                "`fn {callee}` blocks on `{what}` and is reachable from a \
-                                 `{}` shard body — shard workers must stay lock- and \
-                                 wait-free",
-                                sb.entry
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// One S6 hot-allocation record (see
@@ -208,7 +121,6 @@ pub struct HotAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Tree;
 
     fn cfg() -> SemaConfig {
         SemaConfig {
@@ -220,170 +132,6 @@ mod tests {
 
     fn facts(src: &str) -> FileFacts {
         FileFacts::new("crates/x/src/lib.rs", src, &cfg())
-    }
-
-    fn analyze(src: &str) -> Vec<Finding> {
-        FlowAnalysis::build([&facts(src)]).findings(&cfg())
-    }
-
-    fn rules_of(found: &[Finding]) -> Vec<&str> {
-        found.iter().map(|f| f.rule.as_str()).collect()
-    }
-
-    /// The captures of the first closure in `src`'s first fn.
-    fn captures(src: &str) -> Vec<String> {
-        let tree = Tree::new(src);
-        let enclosing = tree.fn_bindings(&tree.fns[0]);
-        let first = tree.closures().next();
-        let caps = first.map(|c| tree.captures(&c, &enclosing));
-        caps.unwrap_or_default().into_iter().collect()
-    }
-
-    #[test]
-    fn captures_are_the_enclosing_bindings_the_body_uses() {
-        let caps = captures(
-            "fn f() { let a = 1; let mut b = 0; let v = vec![]; \
-             let c = |x: u32| { b += a; v.push(x); }; c(1); }",
-        );
-        assert_eq!(caps, ["a", "b", "v"]);
-    }
-
-    #[test]
-    fn move_closure_captures_by_value() {
-        let caps = captures("fn f() { let a = 1; let c = move || a + 1; c(); }");
-        assert_eq!(caps, ["a"]);
-    }
-
-    #[test]
-    fn closure_params_and_locals_are_not_captures() {
-        let caps =
-            captures("fn f(items: Vec<u32>) { let c = |i, x| { let y = i + x; y }; c(0, 1); }");
-        assert!(caps.is_empty(), "{caps:?}");
-    }
-
-    #[test]
-    fn names_unbound_in_enclosing_fn_are_not_captures() {
-        // `helper` is a free fn, `CONST` a const, `other` bound nowhere.
-        let caps = captures("fn f() { let a = 1; let c = || helper(a, CONST, other); c(); }");
-        assert_eq!(caps, ["a"]);
-    }
-
-    #[test]
-    fn field_chain_mutation_marks_the_root() {
-        let caps =
-            captures("fn f() { let mut report = R::new(); let c = || report.rows.push(1); c(); }");
-        assert_eq!(caps, ["report"]);
-    }
-
-    #[test]
-    fn s5_flags_interior_mutability_on_capture() {
-        let found = analyze(
-            "fn run(items: &[u32], workers: W) { let shared = Mutex::new(0); \
-             let _ = run_rounds(items, |_i, x| { *shared.lock() += x; 0 }, drive); }",
-        );
-        let rules = rules_of(&found);
-        assert!(rules.contains(&"S5"), "{found:?}");
-    }
-
-    #[test]
-    fn s5_flags_telemetry_named_interior_state_too() {
-        let found = analyze(
-            "fn run(items: &[u32], workers: W) { let telemetry = Cell::new(0); \
-             let _ = run_rounds(items, |_i, x| { telemetry.swap(x); 0 }, drive); }",
-        );
-        assert_eq!(rules_of(&found), vec!["S5"], "{found:?}");
-        assert!(
-            found[0].message.contains("`telemetry`"),
-            "{}",
-            found[0].message
-        );
-    }
-
-    #[test]
-    fn s5_ignores_interior_mutability_on_shard_owned_state() {
-        // `cell` is the closure's own parameter, not a capture: each shard
-        // owns what it mutates.
-        let found = analyze(
-            "fn run(items: &[Cell<u32>], workers: W) { \
-             let _ = run_rounds(items, |_i, cell| { cell.swap(1); 0 }, drive); }",
-        );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn s5_clean_shard_body_stays_silent() {
-        let found = analyze(
-            "fn run(items: &[u32], workers: W) { let base = 10; \
-             let _ = run_rounds(items, |_i, x| x + base, drive); }",
-        );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn s5_resolves_let_bound_worker_closure() {
-        let found = analyze(
-            "fn run(items: &[u32], workers: W) { let acc = AtomicU32::new(0); \
-             let work = |_i: usize, x: &u32| { acc.fetch_add(*x, Relaxed); 0 }; \
-             let _ = run_rounds(items, work, drive); }",
-        );
-        assert_eq!(rules_of(&found), vec!["S5"]);
-    }
-
-    #[test]
-    fn s5_run_rounds_checks_work_not_drive() {
-        // `drive` (arg 2) runs on the driver thread and may mutate; only
-        // `work` (arg 1) is the shard body.
-        let found = analyze(
-            "fn run(shards: Vec<S>, slots: usize) { let sink = RefCell::new(R::new()); \
-             let work = |_s: usize, ctx: &usize, st: &mut S| { st.step(*ctx) }; \
-             let drive = |rounds: &mut Rounds| { sink.borrow_mut().extend(rounds.run(slots)?); Ok(()) }; \
-             let _ = run_rounds(shards, work, drive); }",
-        );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn s8_flags_direct_and_transitive_blocking() {
-        let found = analyze(
-            "fn run(items: &[u32], workers: W) { \
-             let _ = run_rounds(items, |_i, x| { \
-             helper(*x); thread::sleep(d); 0 }, drive); } \
-             fn helper(x: u32) -> u32 { let g = m.lock(); g + x }",
-        );
-        let rules = rules_of(&found);
-        assert_eq!(rules, vec!["S8", "S8"], "{found:?}");
-        let direct = found.iter().find(|f| f.message.contains("sleep"));
-        let transitive = found.iter().find(|f| f.message.contains("helper"));
-        assert!(direct.is_some() && transitive.is_some(), "{found:?}");
-    }
-
-    #[test]
-    fn s12_flags_lock_order_cycle_reachable_from_shard_body() {
-        // The old S12 case, now S8's: two shard-reachable helpers take the
-        // same two mutexes in opposite order, and S8 reports every
-        // acquisition, so the cycle cannot land without a finding.
-        let found = analyze(
-            "fn run(items: &[u32], workers: W) { \
-             let _ = run_rounds(items, |_i, x| { fwd(*x); bwd(*x); x + 1 }, drive); }\n\
-             fn fwd(x: u32) { let g = a.lock();\n let h = b.lock(); }\n\
-             fn bwd(x: u32) { let g = b.lock();\n let h = a.lock(); }",
-        );
-        assert_eq!(rules_of(&found), vec!["S8"; 4], "{found:?}");
-        for helper in ["`fn fwd`", "`fn bwd`"] {
-            let hits = found.iter().filter(|f| f.message.contains(helper)).count();
-            assert_eq!(hits, 2, "{helper}: {found:?}");
-        }
-    }
-
-    #[test]
-    fn s8_driver_side_blocking_is_legal() {
-        let found = analyze(
-            "fn run(shards: Vec<S>, slots: usize) { \
-             let work = |_s: usize, c: &usize, st: &mut S| st.step(*c); \
-             let drive = |rounds: &mut Rounds| { replay.lock(); rounds.run(slots)?; sink.lock(); Ok(()) }; \
-             let _ = run_rounds(shards, work, drive); }",
-        );
-        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]
@@ -442,11 +190,16 @@ mod tests {
 
     #[test]
     fn test_items_are_skipped() {
-        let found = analyze(
-            "#[cfg(test)]\nmod tests { fn run(items: &[u32], workers: W) { \
-             let _ = run_rounds(items, |_i, x| { thread::sleep(d); 0 }, drive); } }",
+        let file = facts(
+            "#[cfg(test)]\nmod tests { fn hot_entry(items: &[u32]) { let s = format!(\"x\"); \
+             let _ = run_rounds(items, |_i, x| x.to_string(), drive); } }",
         );
-        assert!(found.is_empty(), "{found:?}");
+        assert!(
+            file.fns.is_empty() && file.shard_bodies.is_empty(),
+            "{file:?}"
+        );
+        let counts = FlowAnalysis::build([&file]).hot_alloc_counts(&cfg());
+        assert!(counts.is_empty(), "{counts:?}");
     }
 
     /// S1's question over one crate whose files are `srcs`.

@@ -16,18 +16,19 @@
 //! | Rule | Enforces | Earns its keep by |
 //! | ---- | -------- | ----------------- |
 //! | `S1` | guarded solver fns transitively reach an `invariant::` guard (Eq. 8 / Eq. 10–11 / Eq. 27) | `fixtures/s1.rs`: a solver that delegates to an unguarded helper, which a per-fn check misses |
-//! | `S5` | no interior mutability (`lock`, `borrow_mut`, atomics, channels) of a capture inside a `leime-par` shard body | `fixtures/s5.rs`: a `Mutex` captured by a shard body compiles, since `Mutex` is `Sync` |
 //! | `S6` | hot-path allocation counts only go down against a pinned baseline | `fixtures/s6.rs`: a hot root and its callee each gain an allocation no type or clippy lint sees |
-//! | `S8` | no blocking call inside, or reachable from, a shard worker body | the whole-edge-per-worker fleet prototype drew 7 findings (nested `run_rounds` waits, telemetry locks); `fixtures/s8.rs` |
 //!
-//! Neighbouring properties need no rule here: a plain mutable capture in
-//! a shard body does not compile (the bodies are `Fn + Sync`); `rand` is
-//! only a dev-dependency of `leime`, `leime-serving` and `leime-fleet`,
-//! so their library code seeds RNGs through `leime_par::stream_rng`
-//! alone (a `cargo metadata` test over [`layering::rand_violations`]);
-//! clippy bans `RwLock`, so every lock a shard body can reach is an S8
-//! finding; and float reduction order is pinned by the byte-identity
-//! walls (DESIGN.md §15).
+//! Neighbouring properties need no rule here. Shard bodies are
+//! `Fn + Sync`, so a plain mutable capture does not compile, and
+//! neither does a capture of a `Cell`, a `RefCell`, an `Rc` or a
+//! telemetry `Registry` or `Tracer`. Clippy bans every lock, atomic,
+//! channel and blocking call outside leime-par's pool (`clippy.toml`),
+//! so a shard body can reach none; a shard body that starts a pool of
+//! its own gets `ParError::Nested`. `rand` is only a dev-dependency of
+//! `leime`, `leime-serving` and `leime-fleet`, so their library code
+//! seeds RNGs through `leime_par::stream_rng` alone (a `cargo metadata`
+//! test over [`layering::rand_violations`]). Float reduction order is
+//! pinned by the byte-identity walls (DESIGN.md §15).
 //!
 //! Findings come out as a [`Report`] under the `leime-lint/5` schema,
 //! and every one of them fails the gate: there is no inline waiver. The
@@ -80,7 +81,8 @@ pub struct SemaConfig {
     /// which reach the shared `run_slot_loop`).
     pub hot_root_fns: Vec<String>,
     /// `leime-par` entry points as `(fn name, worker-closure arg
-    /// index)` — the closure at that argument is a shard body (S5/S8).
+    /// index)` — the closure at that argument is a shard body, whose
+    /// callees join the S6 hot set.
     pub par_entry_args: Vec<(String, usize)>,
 }
 
@@ -251,8 +253,7 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
         facts.push(FileFacts::new(&display_path(&opts.root, file), &src, cfg));
     }
 
-    let flow = FlowAnalysis::build(&facts);
-    let mut findings = semantic_findings(&facts, &flow, cfg);
+    let mut findings = s1_findings(&facts, cfg);
 
     // S6 allocation ratchet: hot-path counts against the pinned
     // baseline. Explicit-path scans skip it unless a baseline was
@@ -265,7 +266,7 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
     });
     if cfg.rule_on("S6") {
         if let Some(bp) = baseline_path {
-            let counts = flow.hot_alloc_counts(cfg);
+            let counts = FlowAnalysis::build(&facts).hot_alloc_counts(cfg);
             if opts.write_s6_baseline {
                 write_s6_baseline(&bp, &counts)?;
             } else if bp.is_file() {
@@ -277,20 +278,18 @@ pub fn run(opts: &ScanOptions) -> Result<Report, String> {
     Ok(Report::new(files.len(), findings))
 }
 
-/// Lints in-memory `(path, source)` pairs with every enabled rule except
-/// the S6 ratchet, which needs a baseline file ([`run`] adds it).
+/// Lints in-memory `(path, source)` pairs with S1, when enabled; the
+/// S6 ratchet needs a baseline file ([`run`] adds it).
 pub fn scan_sources(sources: &[(String, String)], cfg: &SemaConfig) -> Vec<Finding> {
     let facts: Vec<FileFacts> = sources
         .iter()
         .map(|(path, src)| FileFacts::new(path, src, cfg))
         .collect();
-    let flow = FlowAnalysis::build(&facts);
-    semantic_findings(&facts, &flow, cfg)
+    s1_findings(&facts, cfg)
 }
 
-/// S1 over each crate's files (its graphs are whole-crate), then the
-/// flow rules over the whole file set (flow edges cross crates).
-fn semantic_findings(facts: &[FileFacts], flow: &FlowAnalysis, cfg: &SemaConfig) -> Vec<Finding> {
+/// S1 over each crate's files: its graphs are whole-crate.
+fn s1_findings(facts: &[FileFacts], cfg: &SemaConfig) -> Vec<Finding> {
     let mut groups: BTreeMap<String, Vec<&FileFacts>> = BTreeMap::new();
     for file in facts {
         groups.entry(crate_key(&file.path)).or_default().push(file);
@@ -299,7 +298,6 @@ fn semantic_findings(facts: &[FileFacts], flow: &FlowAnalysis, cfg: &SemaConfig)
     for group in groups.values() {
         out.extend(rules::analyze_crate(group, cfg));
     }
-    out.extend(flow.findings(cfg));
     out
 }
 
@@ -441,7 +439,7 @@ fn collect_files(dir: &Path, library_only: bool, out: &mut Vec<PathBuf>) -> Resu
     Ok(())
 }
 
-/// Restricts a config to the comma-separated rule list (`"S1,S8"`).
+/// Restricts a config to the comma-separated rule list (`"S1,S6"`).
 ///
 /// # Errors
 ///
@@ -480,15 +478,16 @@ mod tests {
     #[test]
     fn rule_filter_validates_ids() {
         let mut cfg = SemaConfig::default();
-        assert!(parse_rule_filter(&mut cfg, "S1,S8").is_ok());
+        assert!(parse_rule_filter(&mut cfg, "S1,S6").is_ok());
         match &cfg.enabled {
             Some(set) => assert_eq!(set.len(), 2),
             None => unreachable!("filter must restrict the set"),
         }
-        // L1 moved to clippy and S7 to a cargo dependency fact: neither
-        // is a leime-lint rule any more.
-        assert!(parse_rule_filter(&mut cfg, "L1").is_err());
-        assert!(parse_rule_filter(&mut cfg, "S7").is_err());
+        // L1, S5 and S8 moved to clippy and the compiler, and S7 to a
+        // cargo dependency fact: none is a leime-lint rule any more.
+        for gone in ["L1", "S5", "S7", "S8"] {
+            assert!(parse_rule_filter(&mut cfg, gone).is_err(), "{gone}");
+        }
         // A list naming no rule would run none and pass.
         assert!(parse_rule_filter(&mut cfg, "").is_err());
         assert!(parse_rule_filter(&mut cfg, ",").is_err());
@@ -497,9 +496,9 @@ mod tests {
     #[test]
     fn rule_gate_respects_enabled_set() {
         let mut cfg = SemaConfig::default();
-        assert!(cfg.rule_on("S1") && cfg.rule_on("S8"));
-        cfg.enabled = Some(["S5".to_string()].into_iter().collect());
-        assert!(cfg.rule_on("S5"));
+        assert!(cfg.rule_on("S1") && cfg.rule_on("S6"));
+        cfg.enabled = Some(["S6".to_string()].into_iter().collect());
+        assert!(cfg.rule_on("S6"));
         assert!(!cfg.rule_on("S1"));
     }
 

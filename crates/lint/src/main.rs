@@ -13,7 +13,7 @@ use leime_lint::{parse_rule_filter, run, ScanOptions};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: leime-lint [--root DIR] [--json] [--deny-all] \
-[--rules S1,S5,S6,S8] [--baseline FILE] [--write-baseline] [paths...]";
+[--rules S1,S6] [--baseline FILE] [--write-baseline] [paths...]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

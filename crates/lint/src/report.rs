@@ -4,8 +4,8 @@
 //! `leime-lint/2` extended `/1` with semantic rules and a `rule_set`
 //! field naming the rule universe the schema covers; `/3` and `/4`
 //! extended that universe with the flow rules. Rules that moved to
-//! clippy or to a test, or were retired (L1–L5, S2–S4), simply left
-//! `rule_set`. `/5` is `/4` without the waiver fields (`waived`,
+//! clippy, the compiler or a test, or were retired (L1–L5, S2–S5, S8),
+//! simply left `rule_set`. `/5` is `/4` without the waiver fields (`waived`,
 //! `waivers_used`, `waiver_budget`): every finding is a violation.
 
 use crate::rules::RULE_IDS;
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn json_has_schema_and_findings() {
-        let r = Report::new(2, vec![finding("S8", "c.rs", 7)]);
+        let r = Report::new(2, vec![finding("S6", "c.rs", 7)]);
         let json = r.to_json();
         let v: serde_json::Value = match serde_json::from_str(&json) {
             Ok(v) => v,
@@ -153,7 +153,7 @@ mod tests {
             Some(list) => &list[0],
             None => unreachable!("violations must be an array"),
         };
-        assert_eq!(first["rule"].as_str(), Some("S8"));
+        assert_eq!(first["rule"].as_str(), Some("S6"));
         assert_eq!(first["line"].as_u64(), Some(7));
     }
 }

@@ -1,22 +1,23 @@
 //! The rule registry and rule S1.
 //!
 //! S1 — guarded solver fns must *transitively* reach an `invariant::`
-//! call — runs here over the flow graph of one crate's files; the flow
-//! rules S5, S6 and S8 live in [`crate::flow`]. Both read the facts of
-//! [`crate::tree`], which skips `#[cfg(test)]` / `#[test]` items.
+//! call — runs here over the flow graph of one crate's files; the S6
+//! ratchet reads the whole scan's graph ([`crate::flow`]). Both read the
+//! facts of [`crate::tree`], which skips `#[cfg(test)]` / `#[test]`
+//! items.
 //!
 //! Every finding fails the gate: there is no inline waiver, so a
 //! `// lint:allow(…)` comment is an ordinary comment. The workspace's
-//! only escapes are two `#[expect(clippy::…)]`s, which a workspace test
-//! pins by site (DESIGN.md §15).
+//! only escapes are three `#[expect(clippy::…)]`s, which a workspace
+//! test pins by site (DESIGN.md §15).
 
 use crate::flow::FlowAnalysis;
 use crate::tree::FileFacts;
 use crate::{path_matches, Finding, SemaConfig};
 
-/// All primary rule identifiers: S1 here, S5, S6 and S8 in
-/// [`crate::flow`] (S6 is driven by [`crate::run`]).
-pub const RULE_IDS: &[&str] = &["S1", "S5", "S6", "S8"];
+/// All rule identifiers: S1 here, and S6 over [`crate::flow`]'s hot
+/// set (driven by [`crate::run`]).
+pub const RULE_IDS: &[&str] = &["S1", "S6"];
 
 /// S1 over one crate's files: the flow graph spans all of them, and
 /// every guarded fn defined in a guarded file must reach a direct

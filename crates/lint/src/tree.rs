@@ -1,7 +1,7 @@
 //! The token tree every rule reads: one [`lex`] per file, `()[]{}`
 //! matched into a partner index, the `fn` items found over it, and the
-//! per-fn facts — calls, allocation and blocking sites, direct guards
-//! and `leime-par` shard bodies.
+//! per-fn facts — calls, allocation sites, direct guards and the calls
+//! of `leime-par` shard bodies.
 //!
 //! Nothing here is a Rust parser. Every fact is a token pattern read
 //! inside one matched group: `name(` and `name::<T>(` calls,
@@ -31,41 +31,6 @@ const KEYWORDS: &[&str] = &[
 /// Item modifiers an attribute's `test` mark carries across.
 const MODIFIERS: &[&str] = &["pub", "unsafe", "async", "extern", "const"];
 
-/// Interior-mutability / synchronization methods: using one of these on
-/// a *captured* variable inside a shard body is exactly the shared
-/// mutable state S5 bans (`RefCell::borrow_mut`, `Mutex::lock`,
-/// `Relaxed` atomics, channels).
-const INTERIOR_MUT_METHODS: &[&str] = &[
-    "lock",
-    "borrow_mut",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "send",
-    "recv",
-];
-
-/// Calls that block the calling thread (S8). Lock acquisition doubles
-/// as interior mutability above; here the concern is stalling a shard.
-/// `join` is deliberately absent: on a method position it is almost
-/// always `slice::join`/`Path::join`, and shard workers never own a
-/// `JoinHandle` (the pool does).
-const BLOCKING_METHODS: &[&str] = &[
-    "lock",
-    "recv",
-    "recv_timeout",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-    "park",
-];
-
 /// Container types whose `with_capacity` allocates.
 const ALLOC_CONTAINERS: &[&str] = &["Vec", "String", "VecDeque", "BTreeMap", "BTreeSet", "Box"];
 
@@ -90,16 +55,6 @@ pub struct FnNode {
     /// Tokens inside the parameter parentheses.
     params: Range,
     /// Tokens inside the body braces.
-    body: Range,
-}
-
-/// A closure: its parameter bindings and its body's token range (up to
-/// the next `,` or `;` at the closure's own level).
-#[derive(Debug)]
-pub struct Closure {
-    /// Identifiers the parameter patterns bind (type annotations
-    /// excluded).
-    pub params: Vec<String>,
     body: Range,
 }
 
@@ -503,25 +458,17 @@ impl Tree {
         self.punct(end, "|").then_some((names, end))
     }
 
-    /// Every closure in the file, in source order.
-    pub fn closures(&self) -> impl Iterator<Item = Closure> + '_ {
-        (0..self.toks.len()).filter_map(|i| self.closure_at(i))
-    }
-
-    /// The closure whose opening bar is at `i` (a leading `move` is the
-    /// caller's to skip).
-    fn closure_at(&self, i: usize) -> Option<Closure> {
-        let (params, bar) = self.bar_params(i)?;
+    /// The body of the closure whose opening bar is at `i`, up to the
+    /// next `,` or `;` at the closure's own level (a leading `move` is
+    /// the caller's to skip).
+    fn closure_body(&self, i: usize) -> Option<Range> {
+        let (_, bar) = self.bar_params(i)?;
         let len = self.toks.len();
         let mut lo = bar + 1;
         if self.punct(lo, "->") {
             lo = self.sibling(lo, len, &["{", ";"]);
         }
-        let hi = self.expr_end(lo, len);
-        Some(Closure {
-            params,
-            body: (lo, hi),
-        })
+        Some((lo, self.expr_end(lo, len)))
     }
 
     /// The opener of the loop body whose header starts at `i` (just
@@ -599,7 +546,7 @@ impl Tree {
 
     /// Every identifier `f` binds: its parameter patterns, `self`, and
     /// the `let`, `for` and closure bindings of its body.
-    pub fn fn_bindings(&self, f: &FnNode) -> BTreeSet<String> {
+    fn fn_bindings(&self, f: &FnNode) -> BTreeSet<String> {
         let mut out = self.bindings(f.body.0, f.body.1);
         out.extend(self.pattern_names(f.params.0, f.params.1).0);
         out.insert("self".to_string());
@@ -641,64 +588,6 @@ impl Tree {
         out
     }
 
-    /// The names `closure` captures from an enclosing fn that binds
-    /// `enclosing`: identifiers used in the body that the body does not
-    /// bind itself (its parameters, `let`s, loop patterns and nested
-    /// closure parameters shadow — a flat over-approximation).
-    pub fn captures(&self, closure: &Closure, enclosing: &BTreeSet<String>) -> BTreeSet<String> {
-        let (lo, hi) = closure.body;
-        let mut local = self.bindings(lo, hi);
-        local.extend(closure.params.iter().cloned());
-        let mut caps = BTreeSet::new();
-        for i in self.visible(lo, hi) {
-            let Some(name) = self.ident(i) else { continue };
-            let prev = i.checked_sub(1).map_or("", |p| self.text(p));
-            let used = !matches!(prev, "." | "::") && !matches!(self.text(i + 1), "::" | "!" | ":");
-            if used && is_var_like(name) && !local.contains(name) && enclosing.contains(name) {
-                caps.insert(name.to_string());
-            }
-        }
-        caps
-    }
-
-    /// The local a receiver chain ending just before `i` hangs off:
-    /// `report.rows[i]` → `report`, `(*shared)` → `shared`; `None` when
-    /// the chain starts at a call, a literal or a longer path.
-    fn chain_root(&self, mut i: usize) -> Option<&str> {
-        loop {
-            let t = self.toks.get(i)?;
-            match (t.kind, t.text.as_str()) {
-                (TokKind::Punct, "?") => i = i.checked_sub(1)?,
-                (TokKind::Punct, "]") => {
-                    let o = self.partner[i];
-                    if o == i || !self.ends_expr(o.checked_sub(1)?) {
-                        return None;
-                    }
-                    i = o - 1;
-                }
-                (TokKind::Punct, ")") => {
-                    let o = self.partner[i];
-                    let callee = o.checked_sub(1).is_some_and(|p| {
-                        self.ends_expr(p) || self.punct(p, ">") || self.punct(p, ">>")
-                    });
-                    if o == i || callee || i == o + 1 {
-                        return None;
-                    }
-                    i -= 1;
-                }
-                (TokKind::Ident | TokKind::Int, _) => match i.checked_sub(1) {
-                    Some(p) if self.punct(p, ".") => i = p.checked_sub(1)?,
-                    Some(p) if self.punct(p, "::") => return None,
-                    _ => {
-                        return (t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str()))
-                            .then_some(t.text.as_str())
-                    }
-                },
-                _ => return None,
-            }
-        }
-    }
-
     // ----- facts -----------------------------------------------------------
 
     /// The effect facts of the tokens in `lo..hi`, loop depth counted
@@ -730,9 +619,6 @@ impl Tree {
                 if ALLOC_METHODS.contains(&word) {
                     fx.allocs.push((line, format!(".{word}()")));
                 }
-                if BLOCKING_METHODS.contains(&word) {
-                    fx.blocking.push((line, format!(".{word}()")));
-                }
                 continue;
             }
             let Some((segs, j)) = self.path_at(i) else {
@@ -763,9 +649,6 @@ impl Tree {
                 {
                     fx.allocs.push((line, "with_capacity in loop".to_string()));
                 }
-                if last == "sleep" {
-                    fx.blocking.push((line, "thread::sleep".to_string()));
-                }
             } else if self.fn_value_at(i, &segs, j, locals) {
                 fx.calls.insert(last.to_string());
             }
@@ -793,7 +676,6 @@ impl Tree {
     /// `leime-par` entry call, inline or named by a `let`-bound closure.
     fn shard_bodies(&self, f: &FnNode, cfg: &SemaConfig) -> Vec<ShardBody> {
         let (lo, hi) = f.body;
-        let enclosing = self.fn_bindings(f);
         let mut out = Vec::new();
         for i in self.visible(lo, hi) {
             let Some((segs, j)) = self.path_at(i) else {
@@ -809,42 +691,22 @@ impl Tree {
             let Some(&(a, b)) = self.args(j).get(*idx) else {
                 continue;
             };
-            let closure = match self.ident(a) {
+            let body = match self.ident(a) {
                 Some(name) if b == a + 1 => self.let_closure(lo, hi, name),
-                _ => self.closure_at(self.past(a, "move")),
+                _ => self.closure_body(self.past(a, "move")),
             };
-            let Some(closure) = closure else { continue };
-            let captures = self.captures(&closure, &enclosing);
-            let (clo, chi) = closure.body;
-            let interior_mut = self
-                .visible(clo, chi)
-                .filter(|&k| {
-                    INTERIOR_MUT_METHODS.contains(&self.text(k)) && self.method_call_at(k).is_some()
-                })
-                .filter_map(|k| {
-                    let root = self.chain_root(k.checked_sub(2)?)?;
-                    captures.contains(root).then(|| {
-                        (
-                            root.to_string(),
-                            self.text(k).to_string(),
-                            self.toks[k].line,
-                        )
-                    })
-                })
-                .collect();
-            let fx = self.facts(clo, chi, &self.locals(f));
+            let Some((clo, chi)) = body else { continue };
             out.push(ShardBody {
                 entry: entry.clone(),
-                interior_mut,
-                blocking: fx.blocking,
-                calls: fx.calls,
+                calls: self.facts(clo, chi, &self.locals(f)).calls,
             });
         }
         out
     }
 
-    /// The closure initializing the first `let name = |…| …` in `lo..hi`.
-    fn let_closure(&self, lo: usize, hi: usize, name: &str) -> Option<Closure> {
+    /// The body of the closure initializing the first `let name = |…| …`
+    /// in `lo..hi`.
+    fn let_closure(&self, lo: usize, hi: usize, name: &str) -> Option<Range> {
         self.visible(lo, hi)
             .filter(|&i| self.ident(i) == Some("let"))
             .find_map(|i| {
@@ -856,7 +718,7 @@ impl Tree {
                 if !self.punct(eq, "=") {
                     return None;
                 }
-                self.closure_at(self.past(eq + 1, "move"))
+                self.closure_body(self.past(eq + 1, "move"))
             })
     }
 }
@@ -888,8 +750,6 @@ pub struct FnFacts {
     /// always-allocating methods count anywhere; `vec!` and container
     /// `with_capacity` only inside a loop body, where they churn.
     pub allocs: Vec<(u32, String)>,
-    /// Blocking sites: `(line, what)`.
-    pub blocking: Vec<(u32, String)>,
     /// Whether the body names `invariant::` or `leime_invariant::`
     /// itself (S1's base case).
     pub direct_guard: bool,
@@ -900,12 +760,7 @@ pub struct FnFacts {
 pub struct ShardBody {
     /// Entry-point name (`run_rounds`, `run_slot_loop`).
     pub entry: String,
-    /// Interior-mutability uses of captured names inside the body:
-    /// `(name, method, line)`.
-    pub interior_mut: Vec<(String, String, u32)>,
-    /// Blocking sites directly inside the body: `(line, what)`.
-    pub blocking: Vec<(u32, String)>,
-    /// Names the body calls — roots for the S8 reachability walk.
+    /// Names the body calls — roots of the S6 hot set.
     pub calls: BTreeSet<String>,
 }
 
@@ -1062,14 +917,12 @@ mod tests {
 
     #[test]
     fn move_closure_keeps_params_and_body() {
-        let src = "fn f(n: u32) { spawn(move |i, x| helper(i + n, x)); }";
-        let tree = Tree::new(src);
-        let Some(closure) = tree.closures().next() else {
-            unreachable!("no closure in {src}")
-        };
-        assert_eq!(closure.params, ["i", "x"]);
-        let caps = tree.captures(&closure, &tree.fn_bindings(&tree.fns[0]));
-        assert_eq!(caps.into_iter().collect::<Vec<_>>(), ["n"]);
+        // The body runs past `move` and the bars, and its lone `x` is a
+        // parameter, not a fn passed as a value.
+        let src = "fn f(n: u32) { run_rounds(s, move |i, x| helper(i + n, x), d); }";
+        let bodies = facts(src).shard_bodies;
+        assert_eq!(bodies.len(), 1, "{bodies:?}");
+        assert_eq!(bodies[0].calls.iter().collect::<Vec<_>>(), ["helper"]);
     }
 
     #[test]
@@ -1141,7 +994,6 @@ mod tests {
         for call in ["len_of", "lock", "min"] {
             assert!(f.calls.contains(call), "{call}: {:?}", f.calls);
         }
-        assert_eq!(f.blocking, [(2, ".lock()".to_string())]);
     }
 
     #[test]

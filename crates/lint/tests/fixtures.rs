@@ -5,7 +5,7 @@
 use leime_lint::layering::{self, Dep};
 use leime_lint::tree::{FileFacts, ShardBody};
 use leime_lint::{
-    parse_rule_filter, run, scan_sources, Report, ScanOptions, SemaConfig, RULE_IDS, SCHEMA_VERSION,
+    parse_rule_filter, run, Report, ScanOptions, SemaConfig, RULE_IDS, SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -52,8 +52,7 @@ fn expected(rule: &str, file: &str, lines: &[u32]) -> Vec<(String, String, u32)>
 }
 
 /// Config for the fixtures: the requested rules only, with the S1 and
-/// S6 path markers pointing at the fixtures directory (S5/S8 are
-/// unscoped — shard bodies are shard bodies anywhere).
+/// S6 path markers pointing at the fixtures directory.
 fn fixture_config(rules: &str) -> SemaConfig {
     let mut config = SemaConfig::default();
     if let Err(e) = parse_rule_filter(&mut config, rules) {
@@ -79,17 +78,16 @@ fn s1_fixture_flags_the_transitively_unguarded_solver() {
 
 #[test]
 fn text_report_formats_path_line_rule() {
-    let report = scan_fixture("s8.rs", fixture_config("S8"));
+    let report = scan_s6("s6.rs", "s6_baseline.json");
     let text = report.render_text();
     assert!(
         text.contains(
-            "crates/lint/fixtures/s8.rs:6: [S8] `run_rounds` shard body blocks on \
-             `thread::sleep` — shard workers must stay lock- and wait-free (the pool owns \
-             all synchronization)"
+            "crates/lint/fixtures/s6.rs:6: [S6] `fn run` hot-path allocation count rose to 1 \
+             (baseline 0) — the S6 ratchet only goes down"
         ),
         "unexpected text report:\n{text}"
     );
-    assert!(text.contains("2 violation(s) (S8: 2)"), "{text}");
+    assert!(text.contains("2 violation(s) (S6: 2)"), "{text}");
 }
 
 #[test]
@@ -97,9 +95,10 @@ fn json_report_carries_schema_rules_paths_and_lines() {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![
         PathBuf::from("crates/lint/fixtures/s1.rs"),
-        PathBuf::from("crates/lint/fixtures/s8.rs"),
+        PathBuf::from("crates/lint/fixtures/s6.rs"),
     ];
-    opts.config = fixture_config("S1,S8");
+    opts.config = fixture_config("S1,S6");
+    opts.s6_baseline = Some(workspace_root().join("crates/lint/fixtures/s6_baseline.json"));
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
@@ -132,8 +131,8 @@ fn json_report_carries_schema_rules_paths_and_lines() {
     let want: Vec<(String, String, u64)> = [
         ("S1", "s1.rs", 5u64),
         ("S1", "s1.rs", 21),
-        ("S8", "s8.rs", 6),
-        ("S8", "s8.rs", 12),
+        ("S6", "s6.rs", 6),
+        ("S6", "s6.rs", 12),
     ]
     .iter()
     .map(|&(r, f, l)| (r.to_string(), format!("crates/lint/fixtures/{f}"), l))
@@ -152,7 +151,7 @@ fn json_report_carries_schema_rules_paths_and_lines() {
                 .collect()
         })
         .unwrap_or_default();
-    assert_eq!(summary, vec![("S1", 2), ("S8", 2)]);
+    assert_eq!(summary, vec![("S1", 2), ("S6", 2)]);
 }
 
 #[test]
@@ -250,30 +249,6 @@ fn s_rule_findings_carry_rule_file_line_in_text_and_json() {
 }
 
 #[test]
-fn s5_fixture_flags_interior_captures() {
-    let report = scan_fixture("s5.rs", fixture_config("S5"));
-    assert_eq!(triples(&report), expected("S5", "s5.rs", &[9]));
-    assert!(
-        report.violations[0].message.contains("`shared`")
-            && report.violations[0].message.contains(".lock()"),
-        "{}",
-        report.violations[0].message
-    );
-}
-
-#[test]
-fn s5_fixture_flags_destructured_captures() {
-    let report = scan_fixture("s5_destructured.rs", fixture_config("S5"));
-    assert_eq!(
-        triples(&report),
-        expected("S5", "s5_destructured.rs", &[9, 18])
-    );
-    for (finding, name) in report.violations.iter().zip(["`shared`", "`sink`"]) {
-        assert!(finding.message.contains(name), "{}", finding.message);
-    }
-}
-
-#[test]
 fn rand_dependency_fixture_flags_the_normal_edge_only() {
     // A stream-pinned crate with `rand` under `[dependencies]` could seed
     // an RNG from a literal, an ad-hoc value or ambient entropy; with
@@ -309,44 +284,19 @@ fn rand_dependency_fixture_flags_the_normal_edge_only() {
 }
 
 #[test]
-fn s8_fixture_flags_direct_and_transitive_blocking() {
-    let report = scan_fixture("s8.rs", fixture_config("S8"));
-    assert_eq!(triples(&report), expected("S8", "s8.rs", &[6, 12]));
+fn flow_ws_fixture_crosses_files() {
+    // The shard body lives in driver.rs; its helper's allocation lives
+    // in worker.rs — the flow graph must connect them, and must leave
+    // the driver fn that hands out the shard body cold.
+    let report = scan_s6("flow_ws", "flow_ws/baseline.json");
+    assert_eq!(triples(&report), expected("S6", "flow_ws/worker.rs", &[3]));
     assert!(
-        report.violations[0].message.contains("thread::sleep"),
+        report.violations[0]
+            .message
+            .contains("`fn shard_step` hot-path allocation count rose to 1 (baseline 0)"),
         "{}",
         report.violations[0].message
     );
-    assert!(
-        report.violations[1].message.contains("`fn slow_helper`")
-            && report.violations[1].message.contains("reachable"),
-        "{}",
-        report.violations[1].message
-    );
-}
-
-#[test]
-fn flow_ws_fixture_crosses_files() {
-    // The shard body lives in driver.rs; its helper's blocking receive
-    // lives in worker.rs — the flow graph must connect them.
-    let report = scan_fixture("flow_ws", fixture_config("S5,S8"));
-    assert_eq!(
-        triples(&report),
-        vec![
-            (
-                "S5".to_string(),
-                "crates/lint/fixtures/flow_ws/driver.rs".to_string(),
-                8
-            ),
-            (
-                "S8".to_string(),
-                "crates/lint/fixtures/flow_ws/worker.rs".to_string(),
-                4
-            ),
-        ]
-    );
-    assert!(report.violations[0].message.contains("`hits`"));
-    assert!(report.violations[1].message.contains("`fn shard_step`"));
 }
 
 #[test]
@@ -396,21 +346,12 @@ fn s6_write_baseline_round_trips_to_a_clean_run() {
 
 #[test]
 fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
-    let mut opts = ScanOptions::new(workspace_root());
-    opts.paths = ["s5.rs", "s8.rs"]
-        .iter()
-        .map(|f| PathBuf::from(format!("crates/lint/fixtures/{f}")))
-        .collect();
-    opts.config = fixture_config("S5,S8");
-    let report = match run(&opts) {
-        Ok(r) => r,
-        Err(e) => unreachable!("fixture scan must succeed: {e}"),
-    };
+    let report = scan_s6("flow_ws", "flow_ws/baseline.json");
 
     let text = report.render_text();
     for line in [
-        "crates/lint/fixtures/s5.rs:9: [S5]",
-        "crates/lint/fixtures/s8.rs:6: [S8]",
+        "crates/lint/fixtures/flow_ws/worker.rs:3: [S6] `fn shard_step`",
+        "1 violation(s) (S6: 1)",
     ] {
         assert!(text.contains(line), "missing `{line}` in:\n{text}");
     }
@@ -421,13 +362,12 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
     };
     assert_eq!(v["schema"].as_str(), Some("leime-lint/5"));
     assert_eq!(v["schema"].as_str(), Some(SCHEMA_VERSION));
+    assert_eq!(v["files_scanned"].as_u64(), Some(2));
     let rule_set: Vec<&str> = v["rule_set"]
         .as_array()
         .map(|a| a.iter().filter_map(|r| r.as_str()).collect())
         .unwrap_or_default();
-    for rule in ["S5", "S6", "S8"] {
-        assert!(rule_set.contains(&rule), "{rule} missing from {rule_set:?}");
-    }
+    assert_eq!(rule_set, ["S1", "S6"]);
     let got: Vec<(String, String, u64)> = v["violations"]
         .as_array()
         .map(|list| {
@@ -442,40 +382,12 @@ fn flow_rule_findings_carry_rule_file_line_in_text_and_json() {
                 .collect()
         })
         .unwrap_or_default();
-    // The `.lock()` at s5.rs:9 is doubly wrong: a shared-mutation S5
-    // *and* a blocking S8 inside the shard body.
-    let want: Vec<(String, String, u64)> = [
-        ("S5", "s5.rs", 9u64),
-        ("S8", "s5.rs", 9),
-        ("S8", "s8.rs", 6),
-        ("S8", "s8.rs", 12),
-    ]
-    .iter()
-    .map(|&(r, f, l)| (r.to_string(), format!("crates/lint/fixtures/{f}"), l))
-    .collect();
+    let want = vec![(
+        "S6".to_string(),
+        "crates/lint/fixtures/flow_ws/worker.rs".to_string(),
+        3u64,
+    )];
     assert_eq!(got, want);
-}
-
-#[test]
-fn s12_fixture_flags_the_lock_cycle() {
-    // The old S12 fixture, now S8's: the two helpers take `reg` and
-    // `stats` in opposite order. Every
-    // acquisition reachable from a shard body is an S8 finding, so a
-    // lock-order cycle there is always reported (and clippy bans
-    // `RwLock`, whose argument-free `.read()`/`.write()` S8 would miss).
-    let report = scan_fixture("lock_cycle.rs", fixture_config("S8"));
-    assert_eq!(
-        triples(&report),
-        expected("S8", "lock_cycle.rs", &[14, 15, 19, 20])
-    );
-    for (f, helper) in report.violations.iter().zip(["fwd", "fwd", "bwd", "bwd"]) {
-        assert!(
-            f.message
-                .contains(&format!("`fn {helper}` blocks on `.lock()`")),
-            "{}",
-            f.message
-        );
-    }
 }
 
 #[test]
@@ -484,32 +396,17 @@ fn deny_all_semantics_fixtures_dirty_workspace_clean_of_fixture_rules() {
     let mut opts = ScanOptions::new(workspace_root());
     opts.paths = vec![PathBuf::from("crates/lint/fixtures")];
     opts.config = fixture_config(&RULE_IDS.join(","));
+    opts.s6_baseline = Some(workspace_root().join("crates/lint/fixtures/flow_ws/baseline.json"));
     let report = match run(&opts) {
         Ok(r) => r,
         Err(e) => unreachable!("fixture scan must succeed: {e}"),
     };
     assert!(!report.is_clean());
-    // ...and every rule with a seeded fixture is represented in the
-    // summary (S6 needs a baseline, which explicit-path scans skip).
+    // ...and every rule is represented in the summary: S6 against an
+    // empty baseline, which an explicit-path scan needs passed in.
     let hit: Vec<&str> = report.summary.iter().map(|c| c.rule.as_str()).collect();
-    for rule in ["S1", "S5", "S8"] {
-        assert!(hit.contains(&rule), "rule {rule} missing from {hit:?}");
-    }
-}
-
-#[test]
-fn s8_blind_spot_fixture_sees_let_else_and_match_guard_locks() {
-    // Each `.lock()` sits where a recursive-descent front end dropped
-    // the tokens: a `let … else` block and a match guard.
-    let report = scan_fixture("s8_blind.rs", fixture_config("S8"));
-    assert_eq!(triples(&report), expected("S8", "s8_blind.rs", &[11, 18]));
-    for (f, helper) in report.violations.iter().zip(["first_or_wait", "guarded"]) {
-        assert!(
-            f.message
-                .contains(&format!("`fn {helper}` blocks on `.lock()`")),
-            "{}",
-            f.message
-        );
+    for rule in RULE_IDS {
+        assert!(hit.contains(rule), "rule {rule} missing from {hit:?}");
     }
 }
 
@@ -567,10 +464,11 @@ fn s6_stale_baseline_entries_are_reported() {
 
 #[test]
 fn live_call_sites_yield_their_shard_bodies() {
-    // An argument index left behind by a signature change would turn S5
-    // and S8 off without a finding. Each live call site must yield its
-    // shard body: `run_slot_loop`'s own `work` (passed to `run_rounds`),
-    // and the per-device steps of `run_on_edges` and of serving.
+    // An argument index left behind by a signature change would drop the
+    // shard bodies' callees from the S6 hot set without a finding. Each
+    // live call site must yield its shard body: `run_slot_loop`'s own
+    // `work` (passed to `run_rounds`), and the per-device steps of
+    // `run_on_edges` and of serving.
     let read = |path: &str| match std::fs::read_to_string(workspace_root().join(path)) {
         Ok(src) => src,
         Err(e) => unreachable!("cannot read {path}: {e}"),
@@ -593,25 +491,4 @@ fn live_call_sites_yield_their_shard_bodies() {
         has(&serving_bodies, "run_slot_loop", "serve_device"),
         "{serving_bodies:?}"
     );
-
-    // A `Mutex` captured by `run_on_edges`' step is an S5 finding.
-    let s5_on = |src: String| {
-        let findings = scan_sources(&[(core.to_string(), src)], &config);
-        (findings.iter()).any(|f| f.rule == "S5" && f.message.contains("`probe`"))
-    };
-    let clean = read(core);
-    let probed = clean
-        .replacen(
-            "let step =",
-            "let probe = Mutex::new(0u32);\n        let step =",
-            1,
-        )
-        .replacen(
-            "let e = edge_of[row.i];",
-            "*probe.lock() += 1;\n                let e = edge_of[row.i];",
-            1,
-        );
-    assert_eq!(probed.matches("probe").count(), 2, "the step moved");
-    assert!(!s5_on(clean));
-    assert!(s5_on(probed));
 }

@@ -51,13 +51,18 @@ pub enum ParError {
         /// Rendered panic payload (best effort).
         message: String,
     },
-    /// A worker thread disappeared without reporting a result — its job
-    /// or result channel closed mid-round. Should be unreachable under
-    /// the pool's protocol; kept as a fail-closed guard.
+    /// A worker thread disappeared without reporting a result — its
+    /// round slot was still empty when the round closed. Should be
+    /// unreachable under the pool's protocol; kept as a fail-closed
+    /// guard.
     WorkerLost {
         /// Index of the shard whose worker vanished.
         shard: usize,
     },
+    /// [`run_rounds`] was called from inside a shard body. A shard body
+    /// runs between its round's barriers, so a pool of its own would
+    /// stall every other shard; nothing was started.
+    Nested,
 }
 
 impl std::fmt::Display for ParError {
@@ -69,6 +74,7 @@ impl std::fmt::Display for ParError {
             ParError::WorkerLost { shard } => {
                 write!(f, "worker for shard {shard} vanished mid-round")
             }
+            ParError::Nested => f.write_str("run_rounds called from inside a shard body"),
         }
     }
 }
@@ -87,5 +93,6 @@ mod tests {
         };
         assert_eq!(p.to_string(), "shard 3 panicked: boom");
         assert!(ParError::WorkerLost { shard: 1 }.to_string().contains("1"));
+        assert!(ParError::Nested.to_string().contains("inside a shard body"));
     }
 }

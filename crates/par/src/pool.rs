@@ -14,13 +14,30 @@
 //!
 //! With those rules, a run's observable output is a pure function of its
 //! inputs and per-stream seeds, independent of the worker count.
+//!
+//! This module is the workspace's one home for `Sync` mutable state:
+//! the barriers' atomics, mutex and condvar, and the round's slots.
+//! Everywhere else clippy bans those types (`clippy.toml`), so a shard
+//! body can reach no lock, atomic or channel, and the `Fn + Sync` bound
+//! on `work` keeps every `Cell`, `RefCell` and `Rc` out of it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the pool's barriers and round slots are the workspace's only shared mutable state"
+)]
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 use crate::ParError;
+
+thread_local! {
+    /// Whether this thread is running a shard body: set for a worker's
+    /// whole life, and on the driver's thread around shard 0's `work`.
+    static IN_SHARD: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Renders a caught panic payload for [`ParError::ShardPanic`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -170,7 +187,10 @@ impl<S, Ctx, Out> Rounds<'_, S, Ctx, Out> {
         fleet.start.wait();
         let work = self.work;
         let out0 = self.state0.as_mut().map(|state| {
-            catch_unwind(AssertUnwindSafe(|| work(0, ctx.as_ref(), state))).map_err(panic_message)
+            IN_SHARD.set(true);
+            let out = catch_unwind(AssertUnwindSafe(|| work(0, ctx.as_ref(), state)));
+            IN_SHARD.set(false);
+            out.map_err(panic_message)
         });
         fleet.end.wait();
 
@@ -240,7 +260,9 @@ impl<S, Ctx, Out> Drop for Rounds<'_, S, Ctx, Out> {
 ///
 /// `drive`'s own error, and a [`ParError`] (through `E: From<ParError>`)
 /// if a worker thread died outside a round. All threads are joined
-/// before returning, and also if `drive` unwinds.
+/// before returning, and also if `drive` unwinds. Called from inside a
+/// shard body, it starts nothing and returns [`ParError::Nested`]: the
+/// outer round's barriers would wait on the inner pool's.
 ///
 /// # Shared mutation does not compile
 ///
@@ -271,6 +293,9 @@ where
     Out: Send,
     E: From<ParError>,
 {
+    if IN_SHARD.get() {
+        return Err(ParError::Nested.into());
+    }
     let n_shards = shards.len();
     let mut shards = shards.into_iter();
     let state0 = shards.next();
@@ -288,6 +313,7 @@ where
             .enumerate()
             .map(|(idx, mut state)| {
                 scope.spawn(move || {
+                    IN_SHARD.set(true);
                     loop {
                         fleet.start.wait();
                         if fleet.stop.load(Ordering::SeqCst) {
@@ -492,6 +518,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(finals, vec![7]);
+    }
+
+    #[test]
+    fn nested_run_rounds_is_a_typed_error() {
+        // Every shard, the driver's shard 0 included, tries to start a
+        // pool of its own; the driver's thread may start one between
+        // rounds.
+        for workers in [1usize, 3] {
+            let nested = || run_rounds(vec![0u8; 2], |_, _: &(), _: &mut u8| (), |_| Ok(()));
+            let (outs, _) = run_rounds(
+                vec![(); workers],
+                |_, _: &(), _: &mut ()| nested().map(|_| ()),
+                |rounds| {
+                    let outs = rounds.run(())?;
+                    assert_eq!(nested().map(|(r, _)| r), Ok::<_, ParError>(()));
+                    Ok::<_, ParError>(outs)
+                },
+            )
+            .unwrap();
+            assert_eq!(outs, vec![Err(ParError::Nested); workers]);
+        }
     }
 
     #[test]

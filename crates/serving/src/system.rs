@@ -311,9 +311,18 @@ impl ServingSystem {
             }
         };
 
+        let (config, plan) = (&self.config, &self.plan);
         let step =
             |ctx: &ServeSlot<'_>, slot: usize, row: DeviceRow<'_>, tally: &mut ServeTally| {
-                Ok(self.serve_device(ctx, &consts, slot as u64, row, tally))
+                Ok(Self::serve_device(
+                    config,
+                    plan,
+                    ctx,
+                    &consts,
+                    slot as u64,
+                    row,
+                    tally,
+                ))
             };
 
         let sla = &self.config.sla;
@@ -400,9 +409,11 @@ impl ServingSystem {
     /// admitted request per (class, exit tier) cell and folds the counts
     /// and prices into the shard's `tally`; it returns what the driver
     /// sums in device order, or `None` for a churned-out device.
-    /// Allocation-free (S6).
+    /// Allocation-free (S6). It takes the config and the plan rather
+    /// than `&self`, whose registry handle is not `Sync`.
     fn serve_device(
-        &self,
+        config: &ServingConfig,
+        plan: &ClassPlan,
         ctx: &ServeSlot<'_>,
         consts: &RunConsts,
         slot: u64,
@@ -420,7 +431,7 @@ impl ServingSystem {
         )?;
         let DeviceRow { i, queue, rng, .. } = row;
         let (x, cost) = (d.outcome.x, d.cost);
-        let (dev, max) = (cost.device(), self.config.traffic.max_per_slot);
+        let (dev, max) = (cost.device(), config.traffic.max_per_slot);
         let threshold = ctx.quants.poisson_threshold(i);
         let offered_n = poisson_draw(dev.arrival_mean, threshold, max, rng);
 
@@ -428,7 +439,7 @@ impl ServingSystem {
         let edge_quota = if d.edge_up { cost.edge_quota(x) } else { 0.0 };
         let admission = |offered| {
             admit(
-                &self.config.admission,
+                &config.admission,
                 cost.q,
                 cost.h,
                 device_quota,
@@ -460,7 +471,7 @@ impl ServingSystem {
             (0.0, f64::EPSILON)
         };
         let tct = SlaClass::ALL.map(|c| {
-            let plan_c = self.plan.for_class(c);
+            let plan_c = plan.for_class(c);
             let first_block = base_per_equiv * weights[c.index()];
             // Block-2 leg: ship the intermediate if the request ran
             // locally (probability 1 − x), then compute on the residual

@@ -8,10 +8,11 @@
 //!
 //! * a quantile estimate lies in the same bucket as the true sample
 //!   quantile, so its relative error is bounded by one bucket width;
-//! * merging two histograms is exact — bucket counts simply add, and
-//!   the sum is exact, so `merge(a, b)` is byte for byte a histogram
-//!   that recorded the union of their samples, in any order (the
-//!   property tests in `tests/proptests.rs` check this);
+//! * merging two histograms is exact — bucket counts simply add, the
+//!   sum is exact, and min and max fold through [`f64::total_cmp`],
+//!   which puts `-0.0` below `0.0` — so `merge(a, b)` is byte for byte
+//!   a histogram that recorded the union of their samples, in any order
+//!   (the property tests in `tests/proptests.rs` check this);
 //! * recording is O(1), also for `n` copies of one value.
 //!
 //! [`Buckets`] stores only the window of buckets it uses, from its
@@ -238,8 +239,17 @@ impl Buckets {
         self.add(bucket_index(v), n);
         self.count += n;
         self.sum.add(v, n);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        self.fold_range(v, v);
+    }
+
+    /// Folds `[lo, hi]` into the observed range through the total order
+    /// `f64::total_cmp`. `f64::min` and `f64::max` leave unspecified
+    /// which zero they return for `0.0` against `-0.0`; here `-0.0` is
+    /// always the lesser, so no order of records and merges shows.
+    #[inline]
+    fn fold_range(&mut self, lo: f64, hi: f64) {
+        self.min = std::cmp::min_by(self.min, lo, f64::total_cmp);
+        self.max = std::cmp::max_by(self.max, hi, f64::total_cmp);
     }
 
     /// Number of recorded samples.
@@ -340,8 +350,7 @@ impl Buckets {
         }
         self.count += other.count;
         self.sum.merge(&other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.fold_range(other.min, other.max);
     }
 }
 
@@ -897,11 +906,41 @@ mod tests {
     }
 
     #[test]
+    fn zero_signs_fold_in_any_order() {
+        // Recorded or merged either way round, `-0.0` is the minimum and
+        // `0.0` the maximum, so the bytes never depend on the order.
+        let bytes = |b: &Buckets| serde_json::to_string(b).unwrap();
+        let one = |v: f64| {
+            let mut b = Buckets::new();
+            b.record(v);
+            b
+        };
+        let mut recorded = [(-0.0, 0.0), (0.0, -0.0)].map(|(first, second)| {
+            let mut b = one(first);
+            b.record(second);
+            b
+        });
+        let merged = [(-0.0, 0.0), (0.0, -0.0)].map(|(into, from)| {
+            let mut b = one(into);
+            b.merge(&one(from));
+            b
+        });
+        let want = bytes(&recorded[0]);
+        for b in recorded.iter().chain(&merged) {
+            assert_eq!(bytes(b), want);
+            let signs = (b.min().map(f64::to_bits), b.max().map(f64::to_bits));
+            assert_eq!(signs, (Some((-0.0f64).to_bits()), Some(0.0f64.to_bits())));
+        }
+        // An empty histogram merges as the identity.
+        recorded[1].merge(&Buckets::new());
+        assert_eq!(bytes(&recorded[1]), want);
+    }
+
+    #[test]
     fn zero_signs_never_share_a_run() {
-        // `f64::min` and `f64::max` leave unspecified which zero they
-        // return for `0.0` against `-0.0`, so a run that let one zero
-        // absorb the other could leave other min or max bits than the
-        // direct calls.
+        // `-0.0` and `0.0` are distinct minima and maxima, so a run that
+        // let one zero absorb the other could leave other min or max
+        // bits than the direct calls.
         let bits = |b: &Buckets| (b.min().map(f64::to_bits), b.max().map(f64::to_bits));
         for calls in [
             [(-0.0, 2), (0.0, 3), (-0.0, 1)],

@@ -8,7 +8,8 @@
 //! * [`Registry`] — named counters, [`Buckets`] histograms and
 //!   `(time, value)` series, held as plain values in one table. Each
 //!   write creates its name on first use; clones of a registry share
-//!   the table, behind one mutex that only the driving thread takes.
+//!   the table, and neither a registry nor its clones leave the thread
+//!   that made them.
 //! * [`Buckets`] — log-bucketed latency histogram: quantile queries with
 //!   error bounded by one bucket width, an exact sum, and exact merging
 //!   (bucket counts and sums add, in any order). It holds a `leime` run
@@ -25,7 +26,6 @@ pub mod clock;
 mod exact;
 pub mod hist;
 pub mod registry;
-pub(crate) mod sync;
 pub mod trace;
 
 pub use clock::{Clock, WallClock};

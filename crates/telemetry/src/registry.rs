@@ -7,9 +7,10 @@
 //! on first use; [`reserve_series`] only sizes an existing series.
 //! Every simulator records on its driving thread (shard workers fill
 //! their own records and partials, which the driver replays and merges;
-//! DESIGN.md §11, §15), so the one mutex over the table never has a
-//! second writer to wait for: it is there because perfbench writes
-//! through `&Registry`.
+//! DESIGN.md §11, §15), so the table is an `Rc<RefCell<…>>`: the writes
+//! take `&Registry` (perfbench writes through one), and a registry is
+//! neither `Send` nor `Sync`. A `Fn + Sync` shard body that could reach
+//! one does not compile.
 //!
 //! Tables are `BTreeMap`s, so every export walks names in one fixed
 //! order no matter what order metrics were written in — snapshot
@@ -23,17 +24,26 @@
 //! [`extend_series`]: Registry::extend_series
 //! [`reserve_series`]: Registry::reserve_series
 
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::hist::Buckets;
 
 /// Named metric store; clones share one table (see the module docs).
+///
+/// A registry stays on the thread that made it, so no shard body can
+/// write to it:
+///
+/// ```compile_fail,E0277
+/// fn shared<T: Sync>(_: &T) {}
+/// shared(&leime_telemetry::Registry::new());
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    tables: Arc<Mutex<Tables>>,
+    tables: Rc<RefCell<Tables>>,
 }
 
 #[derive(Debug, Default)]
@@ -85,8 +95,8 @@ impl Registry {
         }
     }
 
-    fn tables(&self) -> MutexGuard<'_, Tables> {
-        crate::sync::lock_unpoisoned(&self.tables)
+    fn tables(&self) -> RefMut<'_, Tables> {
+        self.tables.borrow_mut()
     }
 
     /// A serializable copy of every metric's current state. The tables

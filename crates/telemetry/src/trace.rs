@@ -4,7 +4,7 @@
 //! instrumentation produces comparable traces under any time source.
 //! Spans close on drop.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use serde::Serialize;
 
@@ -28,11 +28,17 @@ impl SpanRecord {
     }
 }
 
-/// Records named spans against a [`Clock`].
+/// Records named spans against a [`Clock`], on one thread:
+///
+/// ```compile_fail,E0277
+/// use leime_telemetry::{Tracer, WallClock};
+/// fn shared<T: Sync>(_: &T) {}
+/// shared(&Tracer::new(WallClock::new()));
+/// ```
 #[derive(Debug)]
 pub struct Tracer<C: Clock> {
     clock: C,
-    log: Mutex<Vec<SpanRecord>>,
+    log: RefCell<Vec<SpanRecord>>,
 }
 
 impl<C: Clock> Tracer<C> {
@@ -40,7 +46,7 @@ impl<C: Clock> Tracer<C> {
     pub fn new(clock: C) -> Self {
         Tracer {
             clock,
-            log: Mutex::default(),
+            log: RefCell::default(),
         }
     }
 
@@ -55,7 +61,7 @@ impl<C: Clock> Tracer<C> {
 
     /// A copy of everything recorded so far, in completion order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        crate::sync::lock_unpoisoned(&self.log).clone()
+        self.log.borrow().clone()
     }
 }
 
@@ -70,7 +76,7 @@ pub struct Span<'t, C: Clock> {
 impl<C: Clock> Drop for Span<'_, C> {
     fn drop(&mut self) {
         let end = self.tracer.clock.now();
-        crate::sync::lock_unpoisoned(&self.tracer.log).push(SpanRecord {
+        self.tracer.log.borrow_mut().push(SpanRecord {
             name: std::mem::take(&mut self.name),
             start: self.start,
             end,

@@ -96,7 +96,8 @@ proptest! {
 }
 
 /// A dense reference histogram: every bucket's count, and the totals
-/// accumulated in recording order.
+/// accumulated in recording order (min and max in `f64::total_cmp`'s
+/// order, where `-0.0` is below `0.0`).
 struct Dense {
     counts: [u64; NUM_BUCKETS],
     count: u64,
@@ -125,8 +126,12 @@ impl Dense {
         for _ in 0..n {
             self.sum += v;
         }
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        if v.total_cmp(&self.min).is_lt() {
+            self.min = v;
+        }
+        if v.total_cmp(&self.max).is_gt() {
+            self.max = v;
+        }
     }
 
     /// Nearest-rank quantile over all buckets, by the documented rule.
